@@ -2,10 +2,10 @@
 //
 // Verification runs once per install — never per tracepoint invocation — so
 // it cannot affect the Table 5 numbers. This bench quantifies the one-shot
-// cost anyway: compile-without-verify vs compile-with-verify vs the linter
-// alone, over the paper's Q2-style join (the deepest advice chain the
-// examples install) and the agent-side re-verification of a decoded weave.
-// Expect the whole gate in the microseconds; parsing dominates compilation.
+// cost anyway: compilation (a pure lowering) vs the install-gate linter, over
+// the paper's Q2-style join (the deepest advice chain the examples install)
+// and the agent-side re-verification of a decoded weave. Expect the whole
+// gate in the microseconds; parsing dominates compilation.
 //
 // The reachability passes (PT301/PT303/PT305) add graph searches over the
 // system propagation graph, so this binary also runs as a regression gate:
@@ -57,35 +57,28 @@ HadoopCluster* Cluster() {
   return cluster;
 }
 
-void BM_CompileNoVerify(benchmark::State& state) {
-  Query q = *ParseQuery(kQ2);
-  QueryCompiler::Options options;
-  options.verify = false;
-  QueryCompiler compiler(Schema(), nullptr, options);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(compiler.Compile(q, 1));
-  }
+// Lints a compiled query the way the frontend install gate does.
+analysis::QueryLintResult LintQuery(const CompiledQuery& compiled,
+                                    const analysis::LintOptions& options) {
+  return analysis::QueryLinter(options).Lint(compiled.query_id, compiled.advice, compiled.plan);
 }
-BENCHMARK(BM_CompileNoVerify);
 
-void BM_CompileWithVerify(benchmark::State& state) {
+void BM_Compile(benchmark::State& state) {
   Query q = *ParseQuery(kQ2);
-  QueryCompiler compiler(Schema(), nullptr);  // verify defaults on.
+  QueryCompiler compiler(Schema(), nullptr);
   for (auto _ : state) {
     benchmark::DoNotOptimize(compiler.Compile(q, 1));
   }
 }
-BENCHMARK(BM_CompileWithVerify);
+BENCHMARK(BM_Compile);
 
 void BM_LintAlone(benchmark::State& state) {
-  QueryCompiler::Options options;
-  options.verify = false;
-  QueryCompiler compiler(Schema(), nullptr, options);
+  QueryCompiler compiler(Schema(), nullptr);
   CompiledQuery compiled = *compiler.Compile(*ParseQuery(kQ2), 1);
   analysis::LintOptions lint_options;
   lint_options.schema = Schema();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(LintCompiledQuery(compiled, lint_options));
+    benchmark::DoNotOptimize(LintQuery(compiled, lint_options));
   }
 }
 BENCHMARK(BM_LintAlone);
@@ -94,15 +87,13 @@ void BM_LintWithReachability(benchmark::State& state) {
   // Same lint, plus the propagation graph of the full deployment: PT301 join
   // reachability, PT303 entry reachability, PT305 path-aware growth bounds.
   SimWorld* world = Cluster()->world();
-  QueryCompiler::Options options;
-  options.verify = false;
-  QueryCompiler compiler(world->schema(), nullptr, options);
+  QueryCompiler compiler(world->schema(), nullptr);
   CompiledQuery compiled = *compiler.Compile(*ParseQuery(kQ2), 1);
   analysis::LintOptions lint_options;
   lint_options.schema = world->schema();
   lint_options.propagation = &world->propagation();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(LintCompiledQuery(compiled, lint_options));
+    benchmark::DoNotOptimize(LintQuery(compiled, lint_options));
   }
 }
 BENCHMARK(BM_LintWithReachability);
@@ -119,20 +110,13 @@ BENCHMARK(BM_AuditTopology);
 void BM_AgentReverify(benchmark::State& state) {
   // What every agent pays per weave command: schema-less, no dead-column
   // heuristics (mirrors PTAgent::HandleCommand).
-  QueryCompiler::Options options;
-  options.verify = false;
-  QueryCompiler compiler(Schema(), nullptr, options);
+  QueryCompiler compiler(Schema(), nullptr);
   CompiledQuery compiled = *compiler.Compile(*ParseQuery(kQ2), 1);
   analysis::LintOptions lint_options;
   lint_options.assume_projection_pushdown = false;
-  analysis::LintPlan plan;
-  plan.aggregated = compiled.aggregated;
-  plan.group_fields = compiled.group_fields;
-  plan.aggs = compiled.aggs;
-  plan.output_columns = compiled.output_columns;
   analysis::QueryLinter linter(lint_options);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(linter.Lint(compiled.query_id, compiled.advice, plan));
+    benchmark::DoNotOptimize(linter.Lint(compiled.query_id, compiled.advice, compiled.plan));
   }
 }
 BENCHMARK(BM_AgentReverify);
@@ -168,15 +152,13 @@ int RunLintGate(double max_lint_micros) {
   constexpr int kPasses = 5;
   bool failed = false;
   for (const char* text : kGateCorpus) {
-    QueryCompiler::Options options;
-    options.verify = false;
-    QueryCompiler compiler(world->schema(), nullptr, options);
+    QueryCompiler compiler(world->schema(), nullptr);
     CompiledQuery compiled = *compiler.Compile(*ParseQuery(text), 1);
     double best_micros = 1e100;
     for (int pass = 0; pass < kPasses; ++pass) {
       auto start = std::chrono::steady_clock::now();
       for (int i = 0; i < kIters; ++i) {
-        benchmark::DoNotOptimize(LintCompiledQuery(compiled, lint_options));
+        benchmark::DoNotOptimize(LintQuery(compiled, lint_options));
       }
       double micros = std::chrono::duration<double, std::micro>(
                           std::chrono::steady_clock::now() - start)

@@ -76,7 +76,7 @@ RunStats RunWorkload(const char* query_text, const QueryCompiler::Options& optio
   RpcStats::Reset();
 
   Result<uint64_t> q = explain ? world->frontend()->InstallExplain(query_text)
-                               : world->frontend()->Install(query_text, options);
+                               : world->frontend()->Install(query_text, {.compiler = options});
   if (!q.ok()) {
     fprintf(stderr, "install failed: %s\n", q.status().ToString().c_str());
     exit(1);

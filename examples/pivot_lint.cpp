@@ -208,7 +208,8 @@ void Gallery() {
     options.schema = &schema;
     options.propagation = &graph;
     options.baggage_budget = offender.budget;
-    PrintReport(LintCompiledQuery(offender.query, options));
+    const CompiledQuery& cq = offender.query;
+    PrintReport(analysis::QueryLinter(options).Lint(cq.query_id, cq.advice, cq.plan));
   }
 }
 

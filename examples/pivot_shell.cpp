@@ -96,7 +96,7 @@ struct Shell {
 
   void Install(const std::string& text, bool explain, bool force) {
     Frontend* frontend = cluster.world()->frontend();
-    Frontend::InstallOptions options;
+    InstallOptions options;
     options.force = force;
     Result<uint64_t> q =
         explain ? frontend->InstallExplain(text) : frontend->Install(text, options);

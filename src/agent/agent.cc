@@ -103,7 +103,7 @@ void PTAgent::HandleCommand(const BusMessage& msg) {
   switch (decoded->type) {
     case ControlMessageType::kWeave: {
       const WeaveCommand& cmd = decoded->weave;
-      // Re-verify before anything touches the registry (third verification
+      // Re-verify before anything touches the registry (the weave trust
       // boundary): the bytes came off the wire, and a frontend that linted
       // them is an assumption, not a guarantee. Like an eBPF verifier, the
       // agent refuses to weave programs it cannot prove well-formed. No
@@ -116,13 +116,8 @@ void PTAgent::HandleCommand(const BusMessage& msg) {
         // resolution falls back to the graph's tracepoint anchors since
         // there is no schema here.
         lint_options.propagation = propagation_;
-        analysis::LintPlan plan;
-        plan.aggregated = cmd.plan.aggregated;
-        plan.group_fields = cmd.plan.group_fields;
-        plan.aggs = cmd.plan.aggs;
-        plan.output_columns = cmd.plan.output_columns;
         analysis::QueryLintResult lint =
-            analysis::QueryLinter(lint_options).Lint(cmd.query_id, cmd.advice, plan);
+            analysis::QueryLinter(lint_options).Lint(cmd.query_id, cmd.advice, cmd.plan);
         if (lint.report.has_errors()) {
           WeavesRefusedCounter().Increment();
           weaves_refused_.fetch_add(1, std::memory_order_relaxed);
@@ -170,10 +165,8 @@ void PTAgent::HandleCommand(const BusMessage& msg) {
       }
       break;
     }
-    case ControlMessageType::kReport:
     case ControlMessageType::kHello:
     case ControlMessageType::kWeaveAck:
-    case ControlMessageType::kStats:
     case ControlMessageType::kBatch:
       break;  // Agents ignore other agents' traffic.
   }
@@ -331,30 +324,6 @@ uint64_t PTAgent::weaves_refused() const { return weaves_refused_.load(std::memo
 
 uint64_t PTAgent::shard_contentions() const {
   return shard_contentions_.load(std::memory_order_relaxed);
-}
-
-std::vector<AgentQueryStats> PTAgent::QueryStats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<AgentQueryStats> out;
-  out.reserve(queries_.size());
-  for (const auto& [query_id, state] : queries_) {
-    out.push_back({query_id, state.emitted, state.last_report_micros, state.reports_suppressed});
-  }
-  // Add what is still sitting in the shards (emitted since the last flush),
-  // so `emitted` is live rather than flush-delayed. queries_ is sorted, and
-  // every shard slot has a queries_ row, so binary search always lands.
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> shard_lock(shard->mu);
-    for (const auto& [query_id, slot] : shard->queries) {
-      for (auto& row : out) {
-        if (row.query_id == query_id) {
-          row.emitted += slot.emitted;
-          break;
-        }
-      }
-    }
-  }
-  return out;
 }
 
 }  // namespace pivot

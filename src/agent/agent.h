@@ -44,17 +44,9 @@ class PropagationRegistry;
 }  // namespace analysis
 
 // After this many consecutive empty flushes for a query, the agent publishes
-// a kStats heartbeat so the frontend can tell a quiet query from a dead
-// agent, then restarts the count (docs/OBSERVABILITY.md).
+// a heartbeat so the frontend can tell a quiet query from a dead agent, then
+// restarts the count (docs/OBSERVABILITY.md).
 inline constexpr uint64_t kFlushesPerSuppressedHeartbeat = 10;
-
-// Per-query agent-side accounting row (PTAgent::QueryStats).
-struct AgentQueryStats {
-  uint64_t query_id = 0;
-  uint64_t emitted = 0;             // Tuples advice handed the agent.
-  int64_t last_report_micros = -1;  // Last non-empty report; -1 if never.
-  uint64_t reports_suppressed = 0;  // Empty flushes since weave.
-};
 
 class PTAgent : public EmitSink {
  public:
@@ -107,10 +99,6 @@ class PTAgent : public EmitSink {
   // corrupted wire bytes land here instead of in the tracepoint registry.
   uint64_t weaves_refused() const;
 
-  // Per-query accounting, sorted by query id. `emitted` includes tuples
-  // still sitting in shards (not yet drained by Flush).
-  std::vector<AgentQueryStats> QueryStats() const;
-
   // EmitTuple calls that found their shard lock held (try_lock failed and
   // had to block) — should stay ~0 when emitters outnumber shards only
   // transiently. Mirrored by the agent.emit_shard_contention counter.
@@ -133,7 +121,7 @@ class PTAgent : public EmitSink {
     uint64_t emitted = 0;          // Drained from shards at flush.
     int64_t last_report_micros = -1;         // Last non-empty report.
     uint64_t reports_suppressed = 0;         // Empty flushes, total.
-    uint64_t suppressed_since_heartbeat = 0; // Empty flushes since last kStats.
+    uint64_t suppressed_since_heartbeat = 0; // Empty flushes since last heartbeat.
   };
 
   // Data-plane view of one woven query inside one shard, guarded only by the

@@ -69,19 +69,6 @@ Status Frontend::RegisterNamedQuery(const std::string& name, std::string_view te
   return named_queries_.Register(name, std::move(q).value());
 }
 
-Result<uint64_t> Frontend::Install(std::string_view text) {
-  return Install(text, QueryCompiler::Options{});
-}
-
-Result<uint64_t> Frontend::Install(std::string_view text, const QueryCompiler::Options& options) {
-  InstallOptions install_options;
-  install_options.compiler = options;
-  // Compiling without projection pushdown deliberately produces fat packs;
-  // don't lint them as dead columns.
-  install_options.lint_projection = options.push_projection;
-  return Install(text, install_options);
-}
-
 Result<uint64_t> Frontend::Install(std::string_view text, const InstallOptions& options) {
   Result<Query> parsed = ParseQuery(text);
   if (!parsed.ok()) {
@@ -98,45 +85,27 @@ Result<uint64_t> Frontend::Install(std::string_view text, const InstallOptions& 
   if (!compiled.ok()) {
     return compiled.status();
   }
-  return InstallCompiled(std::move(compiled).value(), options);
-}
-
-Result<analysis::QueryLintResult> Frontend::Lint(std::string_view text) const {
-  return Lint(text, QueryCompiler::Options{});
+  return InstallCompiled(std::move(compiled).value(), options, options.compiler.push_projection);
 }
 
 Result<analysis::QueryLintResult> Frontend::Lint(std::string_view text,
-                                                 const QueryCompiler::Options& options) const {
+                                                 const InstallOptions& options) const {
   Result<Query> parsed = ParseQuery(text);
   if (!parsed.ok()) {
     return parsed.status();
   }
-  // Compile with the self-verification gate off: the point of Lint is the
-  // full structured report, errors included.
-  QueryCompiler::Options compile_options = options;
-  compile_options.verify = false;
-  QueryCompiler compiler(schema_, &named_queries_, compile_options);
+  QueryCompiler compiler(schema_, &named_queries_, options.compiler);
 
   uint64_t prospective_id;
-  std::map<BagKey, uint64_t> installed;
-  const analysis::PropagationRegistry* propagation = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
     prospective_id = next_query_id_;  // Peek only: nothing is installed.
-    installed = InstalledBagsLocked();
-    propagation = propagation_;
   }
   Result<CompiledQuery> compiled = compiler.Compile(parsed.value(), prospective_id);
   if (!compiled.ok()) {
     return compiled.status();
   }
-  analysis::LintOptions lint_options;
-  lint_options.schema = schema_;
-  lint_options.assume_projection_pushdown = options.push_projection;
-  lint_options.installed_bags = &installed;
-  lint_options.propagation = propagation;
-  lint_options.baggage_budget = options.baggage_budget;
-  return LintCompiledQuery(*compiled, lint_options);
+  return LintCompiled(*compiled, options, options.compiler.push_projection);
 }
 
 Result<uint64_t> Frontend::InstallExplain(std::string_view text) {
@@ -157,76 +126,61 @@ Result<uint64_t> Frontend::InstallExplain(std::string_view text) {
     return compiled.status();
   }
   // The counting shadow keeps the original packs but consumes only "$stage",
-  // so skip the dead-packed-column heuristic.
-  InstallOptions options;
-  options.lint_projection = false;
-  return InstallCompiled(MakeCountingQuery(*compiled, shadow_id), options);
+  // so skip the dead-packed-column lint.
+  return InstallCompiled(MakeCountingQuery(*compiled, shadow_id), InstallOptions{},
+                         /*lint_projection=*/false);
 }
 
-Result<uint64_t> Frontend::InstallCompiled(CompiledQuery compiled) {
-  return InstallCompiled(std::move(compiled), InstallOptions{});
-}
-
-Result<uint64_t> Frontend::InstallCompiled(CompiledQuery compiled, const InstallOptions& options) {
-  // Take over the compiled query's id if it was minted by us; otherwise mint
-  // a fresh one and require the caller to have used non-colliding bag keys.
-  uint64_t query_id = compiled.query_id;
+analysis::QueryLintResult Frontend::LintCompiled(const CompiledQuery& compiled,
+                                                 const InstallOptions& options,
+                                                 bool lint_projection) const {
   std::map<BagKey, uint64_t> installed;
-  const analysis::PropagationRegistry* propagation = nullptr;
+  analysis::LintOptions lint_options;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (query_id == 0 || queries_.count(query_id) != 0) {
-      query_id = next_query_id_++;
-      compiled.query_id = query_id;
-    }
     installed = InstalledBagsLocked();
-    propagation = propagation_;
+    lint_options.propagation = propagation_;
   }
+  lint_options.schema = schema_;
+  lint_options.assume_projection_pushdown = lint_projection;
+  lint_options.installed_bags = &installed;
+  lint_options.baggage_budget = options.baggage_budget;
+  return analysis::QueryLinter(lint_options).Lint(compiled.query_id, compiled.advice,
+                                                  compiled.plan);
+}
 
-  // Install-time gate (second verification boundary): errors always reject,
+Result<uint64_t> Frontend::InstallCompiled(CompiledQuery compiled, const InstallOptions& options,
+                                           bool lint_projection) {
+  // Install-time gate (the query-text trust boundary): errors always reject,
   // warnings reject unless forced, infos never block.
-  {
-    analysis::LintOptions lint_options;
-    lint_options.schema = schema_;
-    lint_options.assume_projection_pushdown = options.lint_projection;
-    lint_options.installed_bags = &installed;
-    lint_options.propagation = propagation;
-    lint_options.baggage_budget = options.baggage_budget;
-    analysis::QueryLintResult lint = LintCompiledQuery(compiled, lint_options);
-    if (lint.report.has_errors() || (lint.report.has_warnings() && !options.force)) {
-      std::string message = "query rejected by static analysis:\n" + lint.report.ToString();
-      if (!lint.report.has_errors()) {
-        message += "\n(warnings only: install with force to override)";
-      }
-      return InvalidArgumentError(std::move(message));
+  analysis::QueryLintResult lint = LintCompiled(compiled, options, lint_projection);
+  if (lint.report.has_errors() || (lint.report.has_warnings() && !options.force)) {
+    std::string message = "query rejected by static analysis:\n" + lint.report.ToString();
+    if (!lint.report.has_errors()) {
+      message += "\n(warnings only: install with force to override)";
     }
+    return InvalidArgumentError(std::move(message));
   }
 
-  WeaveCommand cmd;
-  cmd.query_id = query_id;
-  cmd.advice = compiled.advice;
-  cmd.plan.aggregated = compiled.aggregated;
-  cmd.plan.group_fields = compiled.group_fields;
-  cmd.plan.aggs = compiled.aggs;
-  cmd.plan.output_columns = compiled.output_columns;
-
+  const uint64_t query_id = compiled.query_id;
+  std::vector<uint8_t> weave = EncodeWeave(WeaveCommand{query_id, compiled.advice, compiled.plan});
   {
     std::lock_guard<std::mutex> lock(mu_);
     QueryResults results;
-    results.compiled = std::move(compiled);
-    results.installed_micros = NowMicros();
     // The frontend's cumulative/interval aggregators combine *state tuples*
     // from agents, so every spec switches to the combiner path.
-    std::vector<AggSpec> combine_specs = cmd.plan.aggs;
+    std::vector<AggSpec> combine_specs = compiled.plan.aggs;
     for (auto& spec : combine_specs) {
       spec.input = spec.output;
       spec.from_state = true;
     }
-    results.total = Aggregator(cmd.plan.group_fields, combine_specs);
+    results.total = Aggregator(compiled.plan.group_fields, combine_specs);
+    results.compiled = std::move(compiled);
+    results.installed_micros = NowMicros();
     queries_.emplace(query_id, std::move(results));
   }
 
-  bus_->Publish(BusMessage{kCommandTopic, EncodeWeave(cmd)});
+  bus_->Publish(BusMessage{kCommandTopic, std::move(weave)});
   return query_id;
 }
 
@@ -263,17 +217,9 @@ void Frontend::HandleReport(const BusMessage& msg) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       for (const auto& [id, q] : queries_) {
-        if (!q.active) {
-          continue;
+        if (q.active) {
+          replays.push_back(EncodeWeave(WeaveCommand{id, q.compiled.advice, q.compiled.plan}));
         }
-        WeaveCommand cmd;
-        cmd.query_id = id;
-        cmd.advice = q.compiled.advice;
-        cmd.plan.aggregated = q.compiled.aggregated;
-        cmd.plan.group_fields = q.compiled.group_fields;
-        cmd.plan.aggs = q.compiled.aggs;
-        cmd.plan.output_columns = q.compiled.output_columns;
-        replays.push_back(EncodeWeave(cmd));
       }
     }
     for (auto& payload : replays) {
@@ -295,10 +241,6 @@ void Frontend::HandleReport(const BusMessage& msg) {
     q.agents[ack.host + "/" + ack.process_name].ack_micros = ack.timestamp_micros;
     return;
   }
-  if (decoded->type == ControlMessageType::kStats) {
-    HandleStats(decoded->stats);
-    return;
-  }
   if (decoded->type == ControlMessageType::kBatch) {
     // One agent flush, one frame: unpack into the single-report paths.
     for (const AgentReport& report : decoded->batch.reports) {
@@ -307,12 +249,7 @@ void Frontend::HandleReport(const BusMessage& msg) {
     for (const AgentStats& stats : decoded->batch.heartbeats) {
       HandleStats(stats);
     }
-    return;
   }
-  if (decoded->type != ControlMessageType::kReport) {
-    return;
-  }
-  HandleSingleReport(decoded->report);
 }
 
 void Frontend::HandleStats(const AgentStats& stats) {
@@ -349,7 +286,7 @@ void Frontend::HandleSingleReport(const AgentReport& report) {
     ++view.reports;
     view.tuples += report.tuples.size();
 
-    if (q.compiled.aggregated) {
+    if (q.compiled.plan.aggregated) {
       auto [interval_it, inserted] = q.interval_aggs.try_emplace(
           report.timestamp_micros, q.total.group_fields(), q.total.specs());
       for (const auto& t : report.tuples) {
@@ -396,7 +333,7 @@ std::vector<Tuple> Frontend::Results(uint64_t query_id) const {
   if (it == queries_.end()) {
     return {};
   }
-  if (it->second.compiled.aggregated) {
+  if (it->second.compiled.plan.aggregated) {
     return it->second.total.Finalize();
   }
   return it->second.total_rows;
@@ -408,7 +345,7 @@ std::map<int64_t, std::vector<Tuple>> Frontend::Series(uint64_t query_id) const 
   if (it == queries_.end()) {
     return {};
   }
-  if (it->second.compiled.aggregated) {
+  if (it->second.compiled.plan.aggregated) {
     std::map<int64_t, std::vector<Tuple>> out;
     for (const auto& [ts, agg] : it->second.interval_aggs) {
       out.emplace(ts, agg.Finalize());
@@ -456,7 +393,7 @@ std::vector<Frontend::QueryStatus> Frontend::QueryStatuses() const {
     QueryStatus s;
     s.query_id = id;
     s.active = q.active;
-    s.aggregated = q.compiled.aggregated;
+    s.aggregated = q.compiled.plan.aggregated;
     std::set<std::string> tps;
     for (const auto& [tp, adv] : q.compiled.advice) {
       tps.insert(tp);

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/agent/protocol.h"
+#include "src/analysis/query_linter.h"
 #include "src/bus/message_bus.h"
 #include "src/common/status.h"
 #include "src/core/tracepoint.h"
@@ -24,12 +25,27 @@
 
 namespace pivot {
 
+// Install-time policy knobs. The static analyzer (src/analysis) gates every
+// install: error-severity findings always reject, warning-severity findings
+// reject unless `force` is set (the --force escape hatch), infos never block.
+struct InstallOptions {
+  // The §4 optimizations (toggled by the ablation benches). Compiling without
+  // projection pushdown deliberately produces fat packs, so the
+  // dead-packed-column lint (PT207) follows `compiler.push_projection`.
+  QueryCompiler::Options compiler;
+  // Accept the query despite warning-severity diagnostics.
+  bool force = false;
+  // PT305 worst-case baggage growth budget (tuple-cells per request).
+  // Exceeding it is error-severity: force does NOT override it.
+  size_t baggage_budget = analysis::kDefaultBaggageBudget;
+};
+
 // One agent's view of one query, as the frontend knows it (from weave acks,
-// reports, and kStats heartbeats). Key: "host/process_name".
+// reports, and heartbeats). Key: "host/process_name".
 struct AgentQueryView {
   int64_t ack_micros = -1;             // Weave acknowledged; -1 if never.
   int64_t last_report_micros = -1;     // Last non-empty report; -1 if never.
-  int64_t last_heartbeat_micros = -1;  // Last kStats heartbeat; -1 if never.
+  int64_t last_heartbeat_micros = -1;  // Last heartbeat; -1 if never.
   uint64_t reports = 0;                // Non-empty reports received.
   uint64_t tuples = 0;                 // Tuples received in those reports.
   uint64_t reports_suppressed = 0;     // From the latest heartbeat.
@@ -60,48 +76,24 @@ class Frontend {
   void set_propagation(const analysis::PropagationRegistry* propagation);
   const analysis::PropagationRegistry* propagation() const;
 
-  // Install-time policy knobs. The static analyzer (src/analysis) gates every
-  // install: error-severity findings always reject, warning-severity findings
-  // reject unless `force` is set (the --force escape hatch), infos never
-  // block.
-  struct InstallOptions {
-    QueryCompiler::Options compiler;
-    // Accept the query despite warning-severity diagnostics.
-    bool force = false;
-    // When false, the dead-packed-column heuristic (PT207) is skipped — used
-    // for Explain counting shadows, whose packs intentionally keep the
-    // original query's columns while consuming only "$stage".
-    bool lint_projection = true;
-    // PT305 worst-case baggage growth budget (tuple-cells per request).
-    // Exceeding it is error-severity: force does NOT override it.
-    size_t baggage_budget = analysis::kDefaultBaggageBudget;
-  };
+  // Parses, compiles and installs a query; returns its id. The install gate
+  // lints the compiled query exactly once, against the current install state
+  // (bag collisions with active queries, propagation, budget), and rejects it
+  // as `options` dictates.
+  Result<uint64_t> Install(std::string_view text, const InstallOptions& options = {});
 
-  // Parses, compiles and installs a query; returns its id. `options` toggles
-  // the §4 optimizations (used by the ablation benches).
-  Result<uint64_t> Install(std::string_view text);
-  Result<uint64_t> Install(std::string_view text, const QueryCompiler::Options& options);
-  Result<uint64_t> Install(std::string_view text, const InstallOptions& options);
-
-  // Compiles `text` and runs the whole-query linter against the current
-  // install state (bag-collision checks include active queries) WITHOUT
+  // Compiles `text` and runs the same lint as Install's gate WITHOUT
   // installing anything. Returns the full structured report — including
   // error-severity findings, which Install would fold into a Status.
-  Result<analysis::QueryLintResult> Lint(std::string_view text) const;
+  // `options.force` does not apply: the caller reads the warnings.
   Result<analysis::QueryLintResult> Lint(std::string_view text,
-                                         const QueryCompiler::Options& options) const;
+                                         const InstallOptions& options = {}) const;
 
   // Installs the §4 "explain" form of a query: the same tracepoints, joins
   // and packing, but every stage counts tuples instead of computing the
   // final aggregation. Results(id) rows are ($stage, COUNT) — a live preview
   // of what the real query would pack and emit, per tracepoint.
   Result<uint64_t> InstallExplain(std::string_view text);
-
-  // Installs an externally-built compiled query (advanced; the query id
-  // inside `compiled` is replaced with a fresh one and returned). Subject to
-  // the same static-analysis gate as text installs.
-  Result<uint64_t> InstallCompiled(CompiledQuery compiled);
-  Result<uint64_t> InstallCompiled(CompiledQuery compiled, const InstallOptions& options);
 
   // Removes the query's advice everywhere and stops collecting its results.
   // Accumulated results remain readable.
@@ -179,10 +171,22 @@ class Frontend {
     std::map<std::string, AgentQueryView> agents;
   };
 
+  // The install gate: lints `compiled` (whose id this frontend minted) and
+  // publishes its weave command unless the lint rejects it.
+  // `lint_projection` enables the dead-packed-column lint (PT207).
+  Result<uint64_t> InstallCompiled(CompiledQuery compiled, const InstallOptions& options,
+                                   bool lint_projection);
+
+  // The one lint both Install and Lint run: the whole-query linter over
+  // `compiled` with the frontend's schema, the bags of active queries, the
+  // propagation graph and `options.baggage_budget`.
+  analysis::QueryLintResult LintCompiled(const CompiledQuery& compiled,
+                                         const InstallOptions& options,
+                                         bool lint_projection) const;
+
   void HandleReport(const BusMessage& msg);
-  // One report's worth of merging + listener dispatch; kBatch frames feed
-  // every contained report/heartbeat through these same paths, so batched
-  // and single-frame delivery are observationally identical.
+  // One report's worth of merging + listener dispatch, for each report and
+  // heartbeat a kBatch frame carries.
   void HandleSingleReport(const AgentReport& report);
   void HandleStats(const AgentStats& stats);
   int64_t NowMicros() const;

@@ -99,21 +99,6 @@ std::vector<uint8_t> EncodeUnweave(uint64_t query_id) {
   return out;
 }
 
-std::vector<uint8_t> EncodeReport(const AgentReport& report) {
-  std::vector<uint8_t> out;
-  out.push_back(static_cast<uint8_t>(ControlMessageType::kReport));
-  PutVarint64(&out, report.query_id);
-  PutString(&out, report.host);
-  PutString(&out, report.process_name);
-  PutVarintSigned64(&out, report.timestamp_micros);
-  out.push_back(report.aggregated ? 1 : 0);
-  PutVarint64(&out, report.tuples.size());
-  for (const auto& t : report.tuples) {
-    PutTuple(&out, t);
-  }
-  return out;
-}
-
 std::vector<uint8_t> EncodeHello() {
   return {static_cast<uint8_t>(ControlMessageType::kHello)};
 }
@@ -125,19 +110,6 @@ std::vector<uint8_t> EncodeWeaveAck(const WeaveAck& ack) {
   PutString(&out, ack.host);
   PutString(&out, ack.process_name);
   PutVarintSigned64(&out, ack.timestamp_micros);
-  return out;
-}
-
-std::vector<uint8_t> EncodeAgentStats(const AgentStats& stats) {
-  std::vector<uint8_t> out;
-  out.push_back(static_cast<uint8_t>(ControlMessageType::kStats));
-  PutVarint64(&out, stats.query_id);
-  PutString(&out, stats.host);
-  PutString(&out, stats.process_name);
-  PutVarintSigned64(&out, stats.timestamp_micros);
-  PutVarintSigned64(&out, stats.last_report_micros);
-  PutVarint64(&out, stats.reports_suppressed);
-  PutVarint64(&out, stats.tuples_emitted);
   return out;
 }
 
@@ -211,28 +183,6 @@ Result<ControlMessage> DecodeControlMessage(const std::vector<uint8_t>& payload)
       }
       return msg;
     }
-    case ControlMessageType::kReport: {
-      msg.type = ControlMessageType::kReport;
-      AgentReport& r = msg.report;
-      uint64_t ntuples = 0;
-      if (!GetVarint64(data, size, &pos, &r.query_id) || !GetString(data, size, &pos, &r.host) ||
-          !GetString(data, size, &pos, &r.process_name) ||
-          !GetVarintSigned64(data, size, &pos, &r.timestamp_micros) || pos >= size) {
-        return DataLossError("bad report header");
-      }
-      r.aggregated = data[pos++] != 0;
-      if (!GetVarint64(data, size, &pos, &ntuples) || ntuples > size) {
-        return DataLossError("bad report tuple count");
-      }
-      for (uint64_t i = 0; i < ntuples; ++i) {
-        Tuple t;
-        if (!GetTuple(data, size, &pos, &t)) {
-          return DataLossError("bad report tuple");
-        }
-        r.tuples.push_back(std::move(t));
-      }
-      return msg;
-    }
     case ControlMessageType::kHello:
       msg.type = ControlMessageType::kHello;
       return msg;
@@ -243,19 +193,6 @@ Result<ControlMessage> DecodeControlMessage(const std::vector<uint8_t>& payload)
           !GetString(data, size, &pos, &a.process_name) ||
           !GetVarintSigned64(data, size, &pos, &a.timestamp_micros)) {
         return DataLossError("bad weave ack");
-      }
-      return msg;
-    }
-    case ControlMessageType::kStats: {
-      msg.type = ControlMessageType::kStats;
-      AgentStats& s = msg.stats;
-      if (!GetVarint64(data, size, &pos, &s.query_id) || !GetString(data, size, &pos, &s.host) ||
-          !GetString(data, size, &pos, &s.process_name) ||
-          !GetVarintSigned64(data, size, &pos, &s.timestamp_micros) ||
-          !GetVarintSigned64(data, size, &pos, &s.last_report_micros) ||
-          !GetVarint64(data, size, &pos, &s.reports_suppressed) ||
-          !GetVarint64(data, size, &pos, &s.tuples_emitted)) {
-        return DataLossError("bad agent stats");
       }
       return msg;
     }

@@ -5,10 +5,9 @@
 //   Unweave  frontend → agents: query id
 //   Report   agent → frontend: one interval's partial results for one query
 //
-// Reports and heartbeats normally travel inside a ReportBatch (kBatch): one
-// frame per agent flush carrying every query's report, so bus traffic scales
-// with flushes, not active queries. Single-report frames (kReport/kStats)
-// remain decodable for compatibility and tests.
+// Reports and heartbeats travel only inside a ReportBatch (kBatch): one frame
+// per agent flush carrying every query's report, so bus traffic scales with
+// flushes, not active queries.
 //
 // Everything is byte-encoded with the wire codec so the protocol crosses
 // (simulated) process boundaries the same way a real deployment would.
@@ -27,14 +26,6 @@
 #include "src/core/tuple.h"
 
 namespace pivot {
-
-// How agents and the frontend process a query's emitted tuples.
-struct ResultPlan {
-  bool aggregated = false;
-  std::vector<std::string> group_fields;
-  std::vector<AggSpec> aggs;                // from_state marks pushed-down aggregates.
-  std::vector<std::string> output_columns;  // Final column order (may be empty).
-};
 
 struct WeaveCommand {
   uint64_t query_id = 0;
@@ -94,23 +85,20 @@ struct ReportBatch {
 enum class ControlMessageType : uint8_t {
   kWeave = 1,
   kUnweave = 2,
-  kReport = 3,
+  // 3 and 6 are unassigned: reports and heartbeats travel only in kBatch.
   // Agent startup announcement (agent -> frontend): prompts the frontend to
   // re-publish the weave commands of all active queries, so processes that
   // start *after* a query was installed still weave it ("standing queries
   // for long-running system monitoring", §1).
   kHello = 4,
   kWeaveAck = 5,
-  kStats = 6,
   kBatch = 7,
 };
 
 std::vector<uint8_t> EncodeWeave(const WeaveCommand& cmd);
 std::vector<uint8_t> EncodeUnweave(uint64_t query_id);
-std::vector<uint8_t> EncodeReport(const AgentReport& report);
 std::vector<uint8_t> EncodeHello();
 std::vector<uint8_t> EncodeWeaveAck(const WeaveAck& ack);
-std::vector<uint8_t> EncodeAgentStats(const AgentStats& stats);
 // If `report_bytes` is non-null it receives, per batch.reports entry, the
 // number of encoded bytes that report contributed to the frame (the
 // per-query cost exported by the PTAgent.Flush meta-tracepoint).
@@ -122,9 +110,7 @@ struct ControlMessage {
   ControlMessageType type = ControlMessageType::kWeave;
   WeaveCommand weave;
   uint64_t unweave_query_id = 0;
-  AgentReport report;
   WeaveAck weave_ack;
-  AgentStats stats;
   ReportBatch batch;
 };
 

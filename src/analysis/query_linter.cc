@@ -4,6 +4,7 @@
 #include <set>
 
 #include "src/analysis/reachability.h"
+#include "src/telemetry/metrics.h"
 
 namespace pivot {
 namespace analysis {
@@ -96,7 +97,9 @@ const char* BaggageCostName(BaggageCost c) {
 
 QueryLintResult QueryLinter::Lint(
     uint64_t query_id, const std::vector<std::pair<std::string, Advice::Ptr>>& advice,
-    const LintPlan& plan) const {
+    const ResultPlan& plan) const {
+  static telemetry::Counter& lints = telemetry::Metrics().GetCounter("analysis.query_lints");
+  lints.Increment();
   QueryLintResult result;
   Report& report = result.report;
 

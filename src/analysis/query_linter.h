@@ -19,9 +19,9 @@
 // worst-case growth bound checked against a budget (PT305).
 //
 // The linter deliberately takes primitives (query id + (tracepoint, advice)
-// pairs + a LintPlan) instead of CompiledQuery so the analysis library
-// depends only on core; the query layer adapts CompiledQuery to this API
-// (compiler.h LintCompiledQuery), and agents adapt wire WeaveCommands.
+// pairs + the core ResultPlan) instead of CompiledQuery so the analysis
+// library depends only on core; a CompiledQuery and a wire WeaveCommand both
+// hold exactly these three parts.
 
 #ifndef PIVOT_SRC_ANALYSIS_QUERY_LINTER_H_
 #define PIVOT_SRC_ANALYSIS_QUERY_LINTER_H_
@@ -60,16 +60,6 @@ const char* BaggageCostName(BaggageCost c);
 // Default PT305 budget (tuple-cells of worst-case All-semantics growth per
 // request). See LintOptions::baggage_budget.
 inline constexpr size_t kDefaultBaggageBudget = 256;
-
-// The result-side plan the linter checks emitted columns against — a
-// core-layer mirror of the agent protocol's ResultPlan (the adapter copies
-// fields across so analysis does not depend on the agent library).
-struct LintPlan {
-  bool aggregated = false;
-  std::vector<std::string> group_fields;
-  std::vector<AggSpec> aggs;                // from_state marks pushed-down aggs.
-  std::vector<std::string> output_columns;  // Streaming queries.
-};
 
 struct LintOptions {
   // Tracepoint schema for Observe-source checking (PT105). Null skips: the
@@ -119,7 +109,7 @@ class QueryLinter {
   // queries produce error diagnostics.
   QueryLintResult Lint(uint64_t query_id,
                        const std::vector<std::pair<std::string, Advice::Ptr>>& advice,
-                       const LintPlan& plan) const;
+                       const ResultPlan& plan) const;
 
  private:
   LintOptions options_;

@@ -56,6 +56,18 @@ struct AggSpec {
   std::vector<std::string> StateColumns() const;
 };
 
+// The result side of a compiled query: how agents and the frontend process
+// its emitted tuples. The compiler produces it, the weave command carries it
+// to agents, and the linter checks emitted columns against it. When
+// `aggregated` is false the query streams raw tuples and only
+// `output_columns` applies.
+struct ResultPlan {
+  bool aggregated = false;
+  std::vector<std::string> group_fields;
+  std::vector<AggSpec> aggs;                // from_state marks pushed-down aggregates.
+  std::vector<std::string> output_columns;  // Final column order (may be empty).
+};
+
 // Streaming grouped aggregator. Group keys are the values of `group_fields`;
 // with no group fields there is a single implicit group (plain Aggregate).
 // Output order is group-insertion order, which keeps results deterministic.

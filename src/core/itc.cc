@@ -1,6 +1,5 @@
 #include "src/core/itc.h"
 
-#include <cassert>
 
 namespace pivot {
 
@@ -60,18 +59,6 @@ ItcId ItcId::Seed() { return ItcId(OneLeaf()); }
 bool ItcId::IsZero() const { return root_->is_leaf() && root_->value == 0; }
 
 bool ItcId::IsOne() const { return root_->is_leaf() && root_->value == 1; }
-
-bool ItcId::IsLeaf() const { return root_->is_leaf(); }
-
-ItcId ItcId::Left() const {
-  assert(!IsLeaf());
-  return ItcId(root_->left);
-}
-
-ItcId ItcId::Right() const {
-  assert(!IsLeaf());
-  return ItcId(root_->right);
-}
 
 namespace {
 

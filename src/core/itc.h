@@ -34,11 +34,6 @@ class ItcId {
   bool IsZero() const;
   bool IsOne() const;
 
-  // Tree structure accessors (used by the event component's fill/grow).
-  bool IsLeaf() const;
-  ItcId Left() const;   // Requires !IsLeaf().
-  ItcId Right() const;  // Requires !IsLeaf().
-
   // Splits this ID into two disjoint non-zero halves whose join equals this
   // ID. Splitting the zero ID yields (zero, zero) per the ITC paper; callers
   // in this library never split zero (the active instance always owns a

@@ -622,8 +622,9 @@ Result<CompiledQuery> QueryCompiler::Compile(const Query& q, uint64_t query_id) 
   CompiledQuery out;
   out.query_id = query_id;
   out.ast = q;
-  out.aggregated = aggregated;
-  out.group_fields = flat.group_by;
+  ResultPlan& plan = out.plan;
+  plan.aggregated = aggregated;
+  plan.group_fields = flat.group_by;
 
   int emit_let_counter = 0;
   std::vector<LetBinding> emit_lets;  // Select-expression columns at the final stage.
@@ -631,27 +632,27 @@ Result<CompiledQuery> QueryCompiler::Compile(const Query& q, uint64_t query_id) 
   for (const auto& s : flat.select) {
     if (s.is_aggregate) {
       if (pushed_stage != SIZE_MAX) {
-        out.aggs.push_back(AggSpec{s.fn, s.display, s.display, /*from_state=*/true});
+        plan.aggs.push_back(AggSpec{s.fn, s.display, s.display, /*from_state=*/true});
       } else if (s.fn == AggFn::kCount && s.expr == nullptr) {
-        out.aggs.push_back(AggSpec{AggFn::kCount, "", s.display, false});
+        plan.aggs.push_back(AggSpec{AggFn::kCount, "", s.display, false});
       } else if (s.expr->op() == ExprOp::kField) {
-        out.aggs.push_back(AggSpec{s.fn, s.expr->field_name(), s.display, false});
+        plan.aggs.push_back(AggSpec{s.fn, s.expr->field_name(), s.display, false});
       } else {
         std::string name = "$emit" + std::to_string(emit_let_counter++);
         emit_lets.push_back(LetBinding{flat.from.alias, name, s.expr});
-        out.aggs.push_back(AggSpec{s.fn, name, s.display, false});
+        plan.aggs.push_back(AggSpec{s.fn, name, s.display, false});
       }
     } else if (!aggregated && s.expr->op() != ExprOp::kField) {
       emit_lets.push_back(LetBinding{flat.from.alias, s.display, s.expr});
     }
-    out.output_columns.push_back(s.is_aggregate
-                                     ? s.display
-                                     : (s.expr->op() == ExprOp::kField && !s.has_explicit_alias
-                                            ? s.expr->field_name()
-                                            : s.display));
+    plan.output_columns.push_back(s.is_aggregate
+                                      ? s.display
+                                      : (s.expr->op() == ExprOp::kField && !s.has_explicit_alias
+                                             ? s.expr->field_name()
+                                             : s.display));
   }
   if (flat.select.empty() && aggregated) {
-    out.output_columns = flat.group_by;
+    plan.output_columns = flat.group_by;
   }
 
   for (size_t idx : topo) {
@@ -713,33 +714,7 @@ Result<CompiledQuery> QueryCompiler::Compile(const Query& q, uint64_t query_id) 
 
   // Rename streaming output columns: a plain-field select keeps its qualified
   // name; nothing else to do (Lets already used display names).
-
-  // ---- 6. Static verification (src/analysis): reject our own output if the
-  // verifier finds error-severity defects. Warnings and infos pass through;
-  // the frontend decides the install-time policy for those. ----
-  if (options_.verify) {
-    analysis::LintOptions lint_options;
-    lint_options.schema = registry_;
-    lint_options.assume_projection_pushdown = options_.push_projection;
-    lint_options.propagation = options_.propagation;
-    lint_options.baggage_budget = options_.baggage_budget;
-    analysis::QueryLintResult lint = LintCompiledQuery(out, lint_options);
-    if (lint.report.has_errors()) {
-      return InvalidArgumentError("query fails static verification:\n" +
-                                  lint.report.ToString());
-    }
-  }
   return out;
-}
-
-analysis::QueryLintResult LintCompiledQuery(const CompiledQuery& compiled,
-                                            const analysis::LintOptions& options) {
-  analysis::LintPlan plan;
-  plan.aggregated = compiled.aggregated;
-  plan.group_fields = compiled.group_fields;
-  plan.aggs = compiled.aggs;
-  plan.output_columns = compiled.output_columns;
-  return analysis::QueryLinter(options).Lint(compiled.query_id, compiled.advice, plan);
 }
 
 std::vector<CompiledQuery::PackCost> CompiledQuery::EstimatePackCosts() const {
@@ -786,10 +761,8 @@ CompiledQuery MakeCountingQuery(const CompiledQuery& original, uint64_t shadow_i
   CompiledQuery out;
   out.query_id = shadow_id;
   out.ast = original.ast;
-  out.aggregated = true;
-  out.group_fields = {"$stage"};
-  out.aggs = {AggSpec{AggFn::kCount, "", "COUNT", false}};
-  out.output_columns = {"$stage", "COUNT"};
+  out.plan = ResultPlan{true, {"$stage"}, {AggSpec{AggFn::kCount, "", "COUNT", false}},
+                        {"$stage", "COUNT"}};
 
   auto remap_bag = [shadow_id](BagKey bag) {
     return shadow_id * kBagKeysPerQuery + bag % kBagKeysPerQuery;
@@ -856,21 +829,21 @@ std::string CompiledQuery::Explain() const {
       start = end + 1;
     }
   }
-  if (aggregated) {
+  if (plan.aggregated) {
     out += "  result: group by [";
-    for (size_t i = 0; i < group_fields.size(); ++i) {
+    for (size_t i = 0; i < plan.group_fields.size(); ++i) {
       if (i != 0) {
         out += ", ";
       }
-      out += group_fields[i];
+      out += plan.group_fields[i];
     }
     out += "], aggregates [";
-    for (size_t i = 0; i < aggs.size(); ++i) {
+    for (size_t i = 0; i < plan.aggs.size(); ++i) {
       if (i != 0) {
         out += ", ";
       }
-      out += aggs[i].output;
-      if (aggs[i].from_state) {
+      out += plan.aggs[i].output;
+      if (plan.aggs[i].from_state) {
         out += " (combined from packed state)";
       }
     }

@@ -10,6 +10,11 @@
 // operation at the end of its advice"). The From source becomes the *emit
 // stage* whose tuples stream to the process-local agent.
 //
+// The compiler is a pure lowering: it checks the query against the schema
+// (aliases, happened-before DAG, fields, exports) but does not lint its own
+// output. Static analysis runs at the two trust boundaries instead — the
+// frontend install gate and the agent's weave re-verify (docs/ANALYSIS.md).
+//
 // Optimizations (each independently toggleable for the ablation benches):
 //   * projection pushdown  — pack only columns needed downstream (Π rules);
 //   * selection pushdown   — evaluate each Where at the earliest stage where
@@ -31,7 +36,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/analysis/query_linter.h"
 #include "src/common/status.h"
 #include "src/core/advice.h"
 #include "src/core/aggregation.h"
@@ -60,13 +64,8 @@ struct CompiledQuery {
   // (tracepoint name, advice) pairs, ready for TracepointRegistry::WeaveQuery.
   std::vector<std::pair<std::string, Advice::Ptr>> advice;
 
-  // Result-side aggregation plan. When `aggregated` is false the query
-  // streams raw tuples (Q8-style) and these are unused except
-  // output_columns.
-  bool aggregated = false;
-  std::vector<std::string> group_fields;
-  std::vector<AggSpec> aggs;  // from_state marks pushed-down aggregates.
-  std::vector<std::string> output_columns;  // Final column order.
+  // Result-side plan; streaming (Q8-style) queries have !plan.aggregated.
+  ResultPlan plan;
 
   // Human-readable per-tracepoint advice listing plus the packing cost class
   // of every bag (the §4 "explain"-style overhead preview).
@@ -102,32 +101,12 @@ CompiledQuery MakeCountingQuery(const CompiledQuery& original, uint64_t shadow_i
 // tracepoints in the schema registry.
 bool TracepointPatternMatch(std::string_view pattern, std::string_view name);
 
-// Runs the whole-query linter (src/analysis) over a compiled query: adapts
-// CompiledQuery's advice list and result plan to the analysis API. Callers
-// that know more than the compiler extend `options` (the frontend passes the
-// bags of already-installed queries for the collision check, and disables the
-// dead-column heuristic for Explain counting shadows).
-analysis::QueryLintResult LintCompiledQuery(const CompiledQuery& compiled,
-                                            const analysis::LintOptions& options);
-
 class QueryCompiler {
  public:
   struct Options {
     bool push_projection = true;
     bool push_selection = true;
     bool push_aggregation = true;
-    // Run the static analyzer (src/analysis) over the compiled advice and
-    // fail compilation on error-severity findings — the compiler rejecting
-    // its own output is the first of the three verification boundaries
-    // (compile, install, agent weave). Off only for tooling that wants the
-    // raw diagnostics (Frontend::Lint) or deliberately-broken test inputs.
-    bool verify = true;
-    // Deployment propagation graph for the reachability passes
-    // (PT301/PT302/PT303/PT305). Null skips them — see
-    // analysis::LintOptions::propagation.
-    const analysis::PropagationRegistry* propagation = nullptr;
-    // PT305 worst-case baggage growth budget (tuple-cells per request).
-    size_t baggage_budget = analysis::kDefaultBaggageBudget;
   };
 
   // `registry` validates tracepoints/exports; `named_queries` resolves

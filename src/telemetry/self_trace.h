@@ -25,8 +25,9 @@
 //     per query contributing bags, plus one `queryId = 0` invocation carrying
 //     the framing bytes (instance ids, counts), so SUM(b.bytes) equals the
 //     actual serialized size.
-//   PTAgent.Flush — once per (query, flush) in PTAgent::Flush, whether or not
-//     the query had anything to report (`suppressed` marks quiet intervals).
+//   PTAgent.Flush — once per (query, flush) in PTAgent::Flush, only when the
+//     agent publishes a non-empty report for the query (`suppressed` counts
+//     the query's quiet intervals so far, which publish nothing).
 
 #ifndef PIVOT_SRC_TELEMETRY_SELF_TRACE_H_
 #define PIVOT_SRC_TELEMETRY_SELF_TRACE_H_

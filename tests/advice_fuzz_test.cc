@@ -19,7 +19,6 @@ namespace pivot {
 namespace {
 
 using analysis::AdviceVerifier;
-using analysis::LintPlan;
 using analysis::QueryLinter;
 
 // Builds a random (structurally valid) advice program. Field names are drawn
@@ -164,7 +163,7 @@ void DecodeAndAnalyze(const std::vector<uint8_t>& bytes) {
   // And through the whole-query path the agent uses before weaving.
   std::vector<std::pair<std::string, Advice::Ptr>> stages;
   stages.emplace_back("fuzz.tp", advice);
-  (void)QueryLinter().Lint(1, stages, LintPlan{});
+  (void)QueryLinter().Lint(1, stages, ResultPlan{});
 }
 
 class AdviceRoundTripFuzz : public ::testing::TestWithParam<uint64_t> {};
@@ -302,14 +301,14 @@ TEST(AdviceVerifierGate, VerifierRejectsDegenerateDecodes) {
   Advice::Ptr empty = AdviceBuilder().Build();
   std::vector<std::pair<std::string, Advice::Ptr>> stages;
   stages.emplace_back("tp", empty);
-  auto lint = QueryLinter().Lint(1, stages, LintPlan{});
+  auto lint = QueryLinter().Lint(1, stages, ResultPlan{});
   EXPECT_TRUE(lint.report.Has("PT101"));
   EXPECT_TRUE(lint.report.has_errors());
 
   // Null advice (a stage that failed to decode at all) is likewise fatal.
   std::vector<std::pair<std::string, Advice::Ptr>> null_stage;
   null_stage.emplace_back("tp", nullptr);
-  auto null_lint = QueryLinter().Lint(1, null_stage, LintPlan{});
+  auto null_lint = QueryLinter().Lint(1, null_stage, ResultPlan{});
   EXPECT_TRUE(null_lint.report.Has("PT101"));
   EXPECT_TRUE(null_lint.report.has_errors());
 }

@@ -27,16 +27,10 @@ class AgentTest : public ::testing::Test {
     agent_ = std::make_unique<PTAgent>(&bus_, &registry_, runtime_.info);
     runtime_.sink = agent_.get();
     tp_ = *registry_.Define(Def("X", {"v"}));
-    // Flushes arrive as kBatch frames (one per flush); keep accepting bare
-    // kReport frames too so the collector matches the decoder's full surface.
+    // Flushes arrive as kBatch frames, one per flush.
     reports_sub_ = bus_.Subscribe(kReportTopic, [this](const BusMessage& msg) {
       Result<ControlMessage> decoded = DecodeControlMessage(msg.payload);
-      if (!decoded.ok()) {
-        return;
-      }
-      if (decoded->type == ControlMessageType::kReport) {
-        reports_.push_back(decoded->report);
-      } else if (decoded->type == ControlMessageType::kBatch) {
+      if (decoded.ok() && decoded->type == ControlMessageType::kBatch) {
         for (AgentReport& r : decoded->batch.reports) {
           reports_.push_back(std::move(r));
         }

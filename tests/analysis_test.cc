@@ -23,7 +23,6 @@ using analysis::BagColumns;
 using analysis::BaggageCost;
 using analysis::JoinStaticTypes;
 using analysis::LintOptions;
-using analysis::LintPlan;
 using analysis::QueryLinter;
 using analysis::QueryLintResult;
 using analysis::Report;
@@ -107,7 +106,7 @@ class BadProgramTest : public ::testing::Test {
   QueryLintResult Lint(const CompiledQuery& cq) {
     LintOptions options;
     options.schema = &schema_;
-    return LintCompiledQuery(cq, options);
+    return QueryLinter(options).Lint(cq.query_id, cq.advice, cq.plan);
   }
 
   TracepointRegistry schema_;
@@ -287,9 +286,9 @@ TEST_F(BadProgramTest, CorpusTriggersExpectedDiagnostics) {
                                                     .Observe({{"x", "t.x"}})
                                                     .Emit(kQid, {"t.x"})
                                                     .Build());
-                      cq.aggregated = true;
-                      cq.group_fields = {"t.ghost"};
-                      cq.aggs.push_back(AggSpec{AggFn::kCount, "", "COUNT", false});
+                      cq.plan.aggregated = true;
+                      cq.plan.group_fields = {"t.ghost"};
+                      cq.plan.aggs.push_back(AggSpec{AggFn::kCount, "", "COUNT", false});
                       return cq;
                     }});
 
@@ -381,12 +380,12 @@ TEST_F(BadProgramTest, BagCollisionAcrossInstalledQueries) {
   LintOptions options;
   options.schema = &schema_;
   options.installed_bags = &installed;
-  QueryLintResult lint = LintCompiledQuery(cq, options);
+  QueryLintResult lint = QueryLinter(options).Lint(cq.query_id, cq.advice, cq.plan);
   EXPECT_TRUE(lint.report.Has("PT203")) << lint.report.ToString();
 
   // Same bag owned by the same query (a re-lint of an installed query) is fine.
   installed[kBag] = kQid;
-  QueryLintResult relint = LintCompiledQuery(cq, options);
+  QueryLintResult relint = QueryLinter(options).Lint(cq.query_id, cq.advice, cq.plan);
   EXPECT_FALSE(relint.report.Has("PT203")) << relint.report.ToString();
 }
 
@@ -482,14 +481,12 @@ class GoodCorpusTest : public ::testing::Test {
   QueryLintResult LintText(const std::string& text) {
     Result<Query> q = ParseQuery(text);
     EXPECT_TRUE(q.ok()) << text;
-    QueryCompiler::Options options;
-    options.verify = false;  // Lint explicitly below.
-    QueryCompiler compiler(&schema_, nullptr, options);
+    QueryCompiler compiler(&schema_, nullptr);
     Result<CompiledQuery> compiled = compiler.Compile(*q, 9);
     EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
     LintOptions lint_options;
     lint_options.schema = &schema_;
-    return LintCompiledQuery(*compiled, lint_options);
+    return QueryLinter(lint_options).Lint(compiled->query_id, compiled->advice, compiled->plan);
   }
 
   TracepointRegistry schema_;
@@ -523,7 +520,8 @@ TEST_F(GoodCorpusTest, PaperQueriesLintClean) {
 }
 
 TEST_F(GoodCorpusTest, CompilerRejectsItsOwnOutputOnlyWhenBroken) {
-  // With verify on (the default), a clean query compiles...
+  // The compiler is a pure lowering: it never lints its own output (the
+  // install gate and the agent weave do), so a clean query simply compiles.
   QueryCompiler compiler(&schema_, nullptr);
   Result<Query> q = ParseQuery(
       "From incr In DataNodeMetrics.incrBytesRead Select SUM(incr.delta)");
@@ -545,7 +543,7 @@ TEST_F(GoodCorpusTest, CountingShadowLintsWithoutDeadColumnNoise) {
   LintOptions options;
   options.schema = &schema_;
   options.assume_projection_pushdown = false;  // Shadows keep fat packs.
-  QueryLintResult lint = LintCompiledQuery(shadow, options);
+  QueryLintResult lint = QueryLinter(options).Lint(shadow.query_id, shadow.advice, shadow.plan);
   EXPECT_EQ(lint.report.error_count(), 0u) << lint.report.ToString();
   EXPECT_EQ(lint.report.warning_count(), 0u) << lint.report.ToString();
 }

@@ -169,7 +169,7 @@ TEST(CausalityGateTest, UnsatisfiableJoinRejectedAtInstallAndNotForceable) {
   EXPECT_NE(q.status().ToString().find("PT302"), std::string::npos);
 
   // force waives warnings, never errors: PT301 still rejects.
-  Frontend::InstallOptions force;
+  InstallOptions force;
   force.force = true;
   q = t.world.frontend()->Install(kUnsatisfiableJoin, force);
   ASSERT_FALSE(q.ok());
@@ -189,7 +189,7 @@ TEST(CausalityGateTest, EntryUnreachableWarningIsForceable) {
   ASSERT_FALSE(q.ok());
   EXPECT_NE(q.status().ToString().find("PT303"), std::string::npos);
 
-  Frontend::InstallOptions force;
+  InstallOptions force;
   force.force = true;
   EXPECT_TRUE(t.world.frontend()->Install(kLocal, force).ok());
 }
@@ -204,7 +204,7 @@ TEST(CausalityGateTest, BaggageBudgetExceededIsErrorAndNotForceable) {
   g.DeclareEdge({"B", "C", "rpc", "hop2", /*forwards_baggage=*/true});
 
   // A plain (non-First) join packs with All semantics — the Fig 10 shape.
-  Frontend::InstallOptions tight;
+  InstallOptions tight;
   tight.baggage_budget = 1;
   Result<uint64_t> q = t.world.frontend()->Install(kUnsatisfiableJoin, tight);
   ASSERT_FALSE(q.ok());
@@ -253,6 +253,55 @@ TEST(CausalityGateTest, TamperedWeaveWithUnsatisfiableJoinRefusedByAgents) {
   EXPECT_EQ(t.b->agent()->weaves_refused(), 1u);
   EXPECT_EQ(refused.value() - before, 2u);
 }
+
+// Lint and Install go through the one install gate, so they agree on every
+// input: Install rejects exactly when Lint(text) reports an error, or a
+// warning without force.
+struct GateCase {
+  const char* name;
+  const char* text;
+  const char* code;         // Diagnostic the case is built to draw; "" if none.
+  bool rejected_unforced;  // The expected verdict without force.
+};
+
+void PrintTo(const GateCase& c, std::ostream* os) { *os << c.name; }
+
+class LintInstallAgreementTest : public ::testing::TestWithParam<GateCase> {};
+
+TEST_P(LintInstallAgreementTest, InstallRejectsExactlyWhenLintSaysSo) {
+  const GateCase& c = GetParam();
+  for (bool force : {false, true}) {
+    TwoTierWorld t;
+    PropagationRegistry& g = t.world.propagation();
+    g.DeclareComponent("A", /*client_entry=*/true);
+    g.DeclareEdge({"A", "B", "queue", "tier handoff", /*forwards_baggage=*/false});
+    InstallOptions options;
+    options.force = force;
+
+    Result<analysis::QueryLintResult> lint = t.world.frontend()->Lint(c.text, options);
+    if (*c.code != '\0') {
+      ASSERT_TRUE(lint.ok()) << lint.status().ToString();
+      EXPECT_TRUE(lint->report.Has(c.code)) << lint->report.ToString();
+    }
+    const bool lint_rejects = !lint.ok() || lint->report.has_errors() ||
+                              (lint->report.has_warnings() && !force);
+    if (!force) {
+      EXPECT_EQ(lint_rejects, c.rejected_unforced);
+    }
+    Result<uint64_t> q = t.world.frontend()->Install(c.text, options);
+    EXPECT_EQ(q.ok(), !lint_rejects)
+        << "force=" << force << ": " << (q.ok() ? "installed" : q.status().ToString());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Corpus, LintInstallAgreementTest,
+    ::testing::Values(
+        GateCase{"Clean", "From d In dst.tp GroupBy d.y Select d.y, COUNT", "", false},
+        GateCase{"Pt110Warning", "From d In dst.tp Select d.y / 0", "PT110", true},
+        GateCase{"Pt301UnsatisfiableJoin", kUnsatisfiableJoin, "PT301", true},
+        GateCase{"ParseError", "From d In", "", true}),
+    [](const ::testing::TestParamInfo<GateCase>& info) { return std::string(info.param.name); });
 
 // Acceptance check for the stock deployment: every boundary the simulation
 // actually crosses is declared (zero PT304), nothing drops baggage (zero

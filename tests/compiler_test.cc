@@ -78,12 +78,12 @@ TEST_F(CompilerTest, Q1SingleStageAggregation) {
   EXPECT_TRUE(HasOp(advice, Advice::OpKind::kEmit));
   EXPECT_FALSE(HasOp(advice, Advice::OpKind::kPack));
   EXPECT_FALSE(HasOp(advice, Advice::OpKind::kUnpack));
-  EXPECT_TRUE(cq->aggregated);
-  EXPECT_EQ(cq->group_fields, (std::vector<std::string>{"incr.host"}));
-  ASSERT_EQ(cq->aggs.size(), 1u);
-  EXPECT_EQ(cq->aggs[0].fn, AggFn::kSum);
-  EXPECT_EQ(cq->aggs[0].input, "incr.delta");
-  EXPECT_EQ(cq->output_columns, (std::vector<std::string>{"incr.host", "SUM(incr.delta)"}));
+  EXPECT_TRUE(cq->plan.aggregated);
+  EXPECT_EQ(cq->plan.group_fields, (std::vector<std::string>{"incr.host"}));
+  ASSERT_EQ(cq->plan.aggs.size(), 1u);
+  EXPECT_EQ(cq->plan.aggs[0].fn, AggFn::kSum);
+  EXPECT_EQ(cq->plan.aggs[0].input, "incr.delta");
+  EXPECT_EQ(cq->plan.output_columns, (std::vector<std::string>{"incr.host", "SUM(incr.delta)"}));
 }
 
 TEST_F(CompilerTest, Q2PacksAtClientProtocolsAndUnpacksAtDataNode) {
@@ -216,8 +216,8 @@ TEST_F(CompilerTest, AggregationPushdownPacksState) {
     }
   }
   EXPECT_TRUE(packed_aggregated);
-  ASSERT_EQ(cq->aggs.size(), 1u);
-  EXPECT_TRUE(cq->aggs[0].from_state);
+  ASSERT_EQ(cq->plan.aggs.size(), 1u);
+  EXPECT_TRUE(cq->plan.aggs[0].from_state);
 }
 
 TEST_F(CompilerTest, AggregationPushdownBlockedByCount) {
@@ -230,7 +230,7 @@ TEST_F(CompilerTest, AggregationPushdownBlockedByCount) {
       EXPECT_NE(op.bag_spec.semantics, PackSemantics::kAggregate);
     }
   }
-  for (const auto& spec : cq->aggs) {
+  for (const auto& spec : cq->plan.aggs) {
     EXPECT_FALSE(spec.from_state);
   }
 }
@@ -254,7 +254,7 @@ TEST_F(CompilerTest, Q8StreamingWithComputedColumn) {
       "Join request In MostRecent(ReceiveRequest) On request -> response "
       "Select response.time - request.time");
   ASSERT_TRUE(cq.ok()) << cq.status().ToString();
-  EXPECT_FALSE(cq->aggregated);
+  EXPECT_FALSE(cq->plan.aggregated);
   const Advice* pack_side = AdviceAt(*cq, "ReceiveRequest");
   ASSERT_NE(pack_side, nullptr);
   for (const auto& op : pack_side->ops()) {
@@ -285,8 +285,8 @@ TEST_F(CompilerTest, Q9SubqueryInlines) {
   EXPECT_NE(AdviceAt(*cq, "ReceiveRequest"), nullptr);
   EXPECT_NE(AdviceAt(*cq, "SendResponse"), nullptr);
   EXPECT_NE(AdviceAt(*cq, "JobComplete"), nullptr);
-  ASSERT_EQ(cq->aggs.size(), 1u);
-  EXPECT_EQ(cq->aggs[0].fn, AggFn::kAverage);
+  ASSERT_EQ(cq->plan.aggs.size(), 1u);
+  EXPECT_EQ(cq->plan.aggs[0].fn, AggFn::kAverage);
 }
 
 TEST_F(CompilerTest, UnionSourceWeavesAllTracepoints) {

@@ -242,7 +242,7 @@ TEST_P(AblationEquivalenceTest, OptimizationsPreserveSemantics) {
 
   std::vector<std::pair<uint64_t, const char*>> installed;
   for (const char* text : kBranchSafeQueries) {
-    Result<uint64_t> id = harness.frontend().Install(text, no_opt);
+    Result<uint64_t> id = harness.frontend().Install(text, {.compiler = no_opt});
     ASSERT_TRUE(id.ok()) << text << ": " << id.status().ToString();
     installed.emplace_back(*id, text);
   }

@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "src/agent/agent.h"
 #include "src/agent/frontend.h"
 #include "src/agent/protocol.h"
 #include "src/bus/message_bus.h"
+#include "src/telemetry/metrics.h"
 #include "tests/test_util.h"
 
 namespace pivot {
@@ -266,7 +269,7 @@ TEST_F(FrontendTest, InstallGateRejectsWarningsUnlessForced) {
       << rejected.status().ToString();
   EXPECT_NE(rejected.status().ToString().find("force"), std::string::npos);
 
-  Frontend::InstallOptions force;
+  InstallOptions force;
   force.force = true;
   Result<uint64_t> accepted = frontend_.Install(text, force);
   ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
@@ -274,6 +277,34 @@ TEST_F(FrontendTest, InstallGateRejectsWarningsUnlessForced) {
   RunRequest({{&datanode_b_, 10}});
   FlushAll();
   EXPECT_FALSE(frontend_.Results(*accepted).empty());
+}
+
+TEST_F(FrontendTest, EachInstallLintsOncePerTrustBoundary) {
+  // The compiler is a pure lowering, so an install lints exactly once in the
+  // frontend (its gate) and once in each agent that weaves (re-verify of the
+  // bus bytes). A query the gate rejects never reaches the agents.
+  telemetry::Counter& lints = telemetry::Metrics().GetCounter("analysis.query_lints");
+  auto lints_during = [&lints](const std::function<void()>& fn) {
+    uint64_t before = lints.value();
+    fn();
+    return lints.value() - before;
+  };
+  constexpr uint64_t kAgents = 3;
+  const std::string clean =
+      "From incr In DataNodeMetrics.incrBytesRead GroupBy incr.host "
+      "Select incr.host, SUM(incr.delta)";
+  EXPECT_EQ(lints_during([&] { EXPECT_TRUE(frontend_.Install(clean).ok()); }), 1 + kAgents);
+  EXPECT_EQ(lints_during([&] { EXPECT_TRUE(frontend_.InstallExplain(clean).ok()); }),
+            1 + kAgents);
+  EXPECT_EQ(lints_during([&] {
+              EXPECT_FALSE(
+                  frontend_.Install("From incr In DataNodeMetrics.incrBytesRead "
+                                    "Select incr.delta / 0")
+                      .ok());
+            }),
+            1u);
+  EXPECT_EQ(lints_during([&] { EXPECT_TRUE(frontend_.Lint(clean).ok()); }), 1u);
+  EXPECT_EQ(lints_during([&] { EXPECT_FALSE(frontend_.Install("not a query").ok()); }), 0u);
 }
 
 TEST_F(FrontendTest, LintReportsWithoutInstalling) {

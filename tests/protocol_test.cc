@@ -42,22 +42,27 @@ TEST(ProtocolTest, UnweaveRoundTrip) {
 }
 
 TEST(ProtocolTest, ReportRoundTrip) {
+  // A lone report travels as a batch of one.
+  ReportBatch batch;
+  batch.host = "C";
+  batch.process_name = "DataNode";
+  batch.timestamp_micros = 3'000'000;
   AgentReport report;
   report.query_id = 7;
-  report.host = "C";
-  report.process_name = "DataNode";
-  report.timestamp_micros = 3'000'000;
   report.aggregated = true;
   report.tuples.push_back(Tuple{{"incr.host", Value("C")}, {"SUM(incr.delta)", Value(int64_t{12345})}});
+  batch.reports = {report};
 
-  Result<ControlMessage> decoded = DecodeControlMessage(EncodeReport(report));
+  Result<ControlMessage> decoded = DecodeControlMessage(EncodeReportBatch(batch));
   ASSERT_TRUE(decoded.ok());
-  ASSERT_EQ(decoded->type, ControlMessageType::kReport);
-  EXPECT_EQ(decoded->report.query_id, 7u);
-  EXPECT_EQ(decoded->report.host, "C");
-  EXPECT_EQ(decoded->report.timestamp_micros, 3'000'000);
-  ASSERT_EQ(decoded->report.tuples.size(), 1u);
-  EXPECT_EQ(decoded->report.tuples[0].Get("SUM(incr.delta)").int_value(), 12345);
+  ASSERT_EQ(decoded->type, ControlMessageType::kBatch);
+  ASSERT_EQ(decoded->batch.reports.size(), 1u);
+  const AgentReport& r = decoded->batch.reports[0];
+  EXPECT_EQ(r.query_id, 7u);
+  EXPECT_EQ(r.host, "C");
+  EXPECT_EQ(r.timestamp_micros, 3'000'000);
+  ASSERT_EQ(r.tuples.size(), 1u);
+  EXPECT_EQ(r.tuples[0].Get("SUM(incr.delta)").int_value(), 12345);
 }
 
 TEST(ProtocolTest, ReportBatchRoundTrip) {
@@ -149,6 +154,22 @@ TEST(ProtocolTest, UnknownTypeRejected) {
   EXPECT_FALSE(DecodeControlMessage({99}).ok());
 }
 
+TEST(ProtocolTest, UnassignedReportTypesRejected) {
+  // 0x03 and 0x06 carry nothing: reports and heartbeats travel only in kBatch.
+  // Follow each type byte with a well-formed batch body so only the type can
+  // be at fault.
+  ReportBatch batch;
+  batch.host = "C";
+  batch.process_name = "DataNode";
+  std::vector<uint8_t> frame = EncodeReportBatch(batch);
+  ASSERT_TRUE(DecodeControlMessage(frame).ok());
+  for (uint8_t type : {uint8_t{0x03}, uint8_t{0x06}}) {
+    frame[0] = type;
+    EXPECT_FALSE(DecodeControlMessage(frame).ok()) << "type=" << int{type};
+    EXPECT_FALSE(DecodeControlMessage({type}).ok()) << "type=" << int{type};
+  }
+}
+
 TEST(ProtocolTest, FuzzDecodeNeverCrashes) {
   Rng rng(2024);
   for (int trial = 0; trial < 1000; ++trial) {
@@ -157,7 +178,8 @@ TEST(ProtocolTest, FuzzDecodeNeverCrashes) {
       b = static_cast<uint8_t>(rng.NextBelow(256));
     }
     if (!junk.empty()) {
-      junk[0] = static_cast<uint8_t>(1 + rng.NextBelow(3));  // Valid type byte.
+      static constexpr uint8_t kTypes[] = {1, 2, 4, 5, 7};  // Assigned type bytes.
+      junk[0] = kTypes[rng.NextBelow(std::size(kTypes))];
     }
     DecodeControlMessage(junk);  // Must not crash.
   }
