@@ -13,6 +13,11 @@ struct PaperQuery {
   const char* text;
 };
 
+// gtest lists each case with its printed parameter, and CTest names the test
+// after that listing. Print the case name, not the struct's raw bytes (two
+// string-literal addresses), so the test names are the same in every build.
+void PrintTo(const PaperQuery& q, std::ostream* os) { *os << q.name; }
+
 class PaperQueryTest : public ::testing::TestWithParam<PaperQuery> {};
 
 TEST_P(PaperQueryTest, Parses) {
@@ -188,6 +193,8 @@ struct BadQuery {
   const char* name;
   const char* text;
 };
+
+void PrintTo(const BadQuery& q, std::ostream* os) { *os << q.name; }
 
 class ParserErrorTest : public ::testing::TestWithParam<BadQuery> {};
 

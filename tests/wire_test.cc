@@ -4,6 +4,31 @@
 #include "src/core/wire.h"
 
 namespace pivot {
+
+// CTest names each ValueRoundTripTest case after its printed parameter. The
+// default printer dumps a Value's raw bytes (heap pointers, unset padding), so
+// print the type and content instead and keep the names the same in every build.
+void PrintTo(const Value& v, std::ostream* os) {
+  switch (v.type()) {
+    case ValueType::kNull:
+      *os << "null";
+      return;
+    case ValueType::kInt:
+      *os << "int:" << v.ToString();
+      return;
+    case ValueType::kDouble:
+      *os << "double:" << v.ToString();
+      return;
+    case ValueType::kString:
+      if (v.string_value().size() <= 16) {
+        *os << "string:" << v.string_value();
+      } else {
+        *os << "string:" << v.string_value().size() << " bytes";
+      }
+      return;
+  }
+}
+
 namespace {
 
 TEST(WireTest, StringRoundTrip) {
