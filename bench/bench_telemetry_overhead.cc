@@ -65,8 +65,8 @@ struct SeedTracepoint {
   }
 };
 
-// Interleaved best-of-passes (same idiom as bench_table5_overhead): frequency
-// scaling and scheduler noise hit both sides equally.
+// Interleaved best-of-passes: base and variant alternate within each pass, so
+// frequency scaling and scheduler noise hit both sides equally.
 std::pair<double, double> MeasureInterleaved(const std::function<void()>& base,
                                              const std::function<void()>& variant,
                                              int iterations_per_pass, int passes) {

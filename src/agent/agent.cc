@@ -30,6 +30,11 @@ telemetry::Counter& EmittedTuplesCounter() {
   return c;
 }
 
+telemetry::Counter& CommandDecodeErrorsCounter() {
+  static telemetry::Counter& c = telemetry::Metrics().GetCounter("agent.command_decode_errors");
+  return c;
+}
+
 telemetry::Counter& WeavesRefusedCounter() {
   static telemetry::Counter& c = telemetry::Metrics().GetCounter("agent.weaves_refused");
   return c;
@@ -98,7 +103,9 @@ PTAgent::~PTAgent() { bus_->Unsubscribe(subscription_); }
 void PTAgent::HandleCommand(const BusMessage& msg) {
   Result<ControlMessage> decoded = DecodeControlMessage(msg.payload);
   if (!decoded.ok()) {
-    return;  // Malformed commands are dropped; agents must not crash hosts.
+    // Malformed commands are counted and dropped; agents must not crash hosts.
+    CommandDecodeErrorsCounter().Increment();
+    return;
   }
   switch (decoded->type) {
     case ControlMessageType::kWeave: {
@@ -189,7 +196,6 @@ void PTAgent::EmitTuple(uint64_t query_id, const Tuple& t) {
     return;  // Query was unwoven concurrently; drop.
   }
   ShardQueryState& slot = it->second;
-  ++slot.emitted;
   emitted_total_.fetch_add(1, std::memory_order_relaxed);
   EmittedTuplesCounter().Increment();
   if (slot.aggregated) {
@@ -221,8 +227,6 @@ void PTAgent::Flush(int64_t now_micros) {
           continue;  // Weave/unweave keep the maps in sync; belt and braces.
         }
         QueryState& state = it->second;
-        state.emitted += slot.emitted;
-        slot.emitted = 0;
         if (slot.aggregated) {
           if (!slot.agg.empty()) {
             for (const Tuple& st : slot.agg.StateTuples()) {
@@ -246,24 +250,12 @@ void PTAgent::Flush(int64_t now_micros) {
         ++state.reports_suppressed;
         if (++state.suppressed_since_heartbeat >= kFlushesPerSuppressedHeartbeat) {
           state.suppressed_since_heartbeat = 0;
-          AgentStats hb;
-          hb.query_id = query_id;
-          hb.host = info_.host;
-          hb.process_name = info_.process_name;
-          hb.timestamp_micros = now_micros;
-          hb.last_report_micros = state.last_report_micros;
-          hb.reports_suppressed = state.reports_suppressed;
-          hb.tuples_emitted = state.emitted;
-          batch.heartbeats.push_back(std::move(hb));
+          batch.heartbeats.push_back(AgentStats{query_id, state.reports_suppressed});
         }
         continue;
       }
       AgentReport report;
       report.query_id = query_id;
-      report.host = info_.host;
-      report.process_name = info_.process_name;
-      report.timestamp_micros = now_micros;
-      report.aggregated = state.plan.aggregated;
       if (state.plan.aggregated) {
         report.tuples = state.agg.StateTuples();
         state.agg.Clear();
@@ -271,7 +263,6 @@ void PTAgent::Flush(int64_t now_micros) {
         report.tuples = std::move(state.buffered);
         state.buffered.clear();
       }
-      state.last_report_micros = now_micros;
       state.suppressed_since_heartbeat = 0;
       reported_total_.fetch_add(report.tuples.size(), std::memory_order_relaxed);
       reports_published_.fetch_add(1, std::memory_order_relaxed);

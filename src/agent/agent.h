@@ -118,8 +118,6 @@ class PTAgent : public EmitSink {
     ResultPlan plan;
     Aggregator agg{{}, {}};        // Interval partial aggregation (merged).
     std::vector<Tuple> buffered;   // Streaming rows for this interval (merged).
-    uint64_t emitted = 0;          // Drained from shards at flush.
-    int64_t last_report_micros = -1;         // Last non-empty report.
     uint64_t reports_suppressed = 0;         // Empty flushes, total.
     uint64_t suppressed_since_heartbeat = 0; // Empty flushes since last heartbeat.
   };
@@ -130,7 +128,6 @@ class PTAgent : public EmitSink {
     bool aggregated = false;
     Aggregator agg{{}, {}};
     std::vector<Tuple> buffered;
-    uint64_t emitted = 0;  // Since the last flush drained this shard.
   };
 
   // One emission shard: its own lock plus per-query partial state. Threads

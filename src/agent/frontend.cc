@@ -11,6 +11,15 @@
 
 namespace pivot {
 
+namespace {
+
+telemetry::Counter& DecodeErrorsCounter() {
+  static telemetry::Counter& c = telemetry::Metrics().GetCounter("frontend.decode_errors");
+  return c;
+}
+
+}  // namespace
+
 Frontend::Frontend(MessageBus* bus, const TracepointRegistry* schema)
     : bus_(bus), schema_(schema) {
   subscription_ =
@@ -207,6 +216,7 @@ const CompiledQuery* Frontend::compiled(uint64_t query_id) const {
 void Frontend::HandleReport(const BusMessage& msg) {
   Result<ControlMessage> decoded = DecodeControlMessage(msg.payload);
   if (!decoded.ok()) {
+    DecodeErrorsCounter().Increment();
     return;
   }
   if (decoded->type == ControlMessageType::kHello) {
@@ -242,78 +252,79 @@ void Frontend::HandleReport(const BusMessage& msg) {
     return;
   }
   if (decoded->type == ControlMessageType::kBatch) {
-    // One agent flush, one frame: unpack into the single-report paths.
-    for (const AgentReport& report : decoded->batch.reports) {
-      HandleSingleReport(report);
-    }
-    for (const AgentStats& stats : decoded->batch.heartbeats) {
-      HandleStats(stats);
-    }
+    HandleBatch(decoded->batch);
   }
 }
 
-void Frontend::HandleStats(const AgentStats& stats) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = queries_.find(stats.query_id);
-  if (it == queries_.end()) {
-    return;
-  }
-  AgentQueryView& view = it->second.agents[stats.host + "/" + stats.process_name];
-  view.last_heartbeat_micros = stats.timestamp_micros;
-  view.reports_suppressed = stats.reports_suppressed;
-}
-
-void Frontend::HandleSingleReport(const AgentReport& report) {
-  ResultListener listener;
-  std::vector<Tuple> listener_rows;
+void Frontend::HandleBatch(const ReportBatch& batch) {
+  // (listener, finalized rows) per report that has a listener, in order.
+  std::vector<std::pair<ResultListener, std::vector<Tuple>>> deliveries;
+  const int64_t ts = batch.timestamp_micros;
+  const std::string agent = batch.host + "/" + batch.process_name;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = queries_.find(report.query_id);
-    if (it == queries_.end() || !it->second.active) {
-      return;
-    }
-    QueryResults& q = it->second;
-    ++reports_received_;
-    tuples_received_ += report.tuples.size();
-    if (!report.tuples.empty()) {
-      if (q.first_tuple_micros < 0) {
-        q.first_tuple_micros = report.timestamp_micros;
+    for (const AgentReport& report : batch.reports) {
+      auto it = queries_.find(report.query_id);
+      if (it == queries_.end() || !it->second.active) {
+        continue;
       }
-      q.last_report_micros = std::max(q.last_report_micros, report.timestamp_micros);
-    }
-    AgentQueryView& view = q.agents[report.host + "/" + report.process_name];
-    view.last_report_micros = std::max(view.last_report_micros, report.timestamp_micros);
-    ++view.reports;
-    view.tuples += report.tuples.size();
+      QueryResults& q = it->second;
+      ++reports_received_;
+      tuples_received_ += report.tuples.size();
+      if (!report.tuples.empty()) {
+        if (q.first_tuple_micros < 0) {
+          q.first_tuple_micros = ts;
+        }
+        q.last_report_micros = std::max(q.last_report_micros, ts);
+      }
+      AgentQueryView& view = q.agents[agent];
+      view.last_report_micros = std::max(view.last_report_micros, ts);
+      ++view.reports;
+      view.tuples += report.tuples.size();
 
-    if (q.compiled.plan.aggregated) {
-      auto [interval_it, inserted] = q.interval_aggs.try_emplace(
-          report.timestamp_micros, q.total.group_fields(), q.total.specs());
-      for (const auto& t : report.tuples) {
-        q.total.AddState(t);
-        interval_it->second.AddState(t);
+      if (q.compiled.plan.aggregated) {
+        auto [interval_it, inserted] =
+            q.interval_aggs.try_emplace(ts, q.total.group_fields(), q.total.specs());
+        for (const auto& t : report.tuples) {
+          q.total.AddState(t);
+          interval_it->second.AddState(t);
+        }
+      } else {
+        auto& rows = q.interval_rows[ts];
+        for (const auto& t : report.tuples) {
+          q.total_rows.push_back(t);
+          rows.push_back(t);
+        }
       }
-      if (q.listener) {
+      if (!q.listener) {
+        continue;
+      }
+      std::vector<Tuple> listener_rows;
+      if (q.compiled.plan.aggregated) {
         // Finalize just this report's contribution for the listener.
         Aggregator just_this(q.total.group_fields(), q.total.specs());
         for (const auto& t : report.tuples) {
           just_this.AddState(t);
         }
         listener_rows = just_this.Finalize();
+      } else {
+        listener_rows = report.tuples;
       }
-    } else {
-      auto& rows = q.interval_rows[report.timestamp_micros];
-      for (const auto& t : report.tuples) {
-        q.total_rows.push_back(t);
-        rows.push_back(t);
-      }
-      listener_rows = report.tuples;
+      deliveries.emplace_back(q.listener, std::move(listener_rows));
     }
-    listener = q.listener;
+    for (const AgentStats& stats : batch.heartbeats) {
+      auto it = queries_.find(stats.query_id);
+      if (it == queries_.end()) {
+        continue;
+      }
+      AgentQueryView& view = it->second.agents[agent];
+      view.last_heartbeat_micros = ts;
+      view.reports_suppressed = stats.reports_suppressed;
+    }
   }
   // Invoke outside the lock so listeners may call back into the frontend.
-  if (listener) {
-    listener(report.timestamp_micros, listener_rows);
+  for (const auto& [listener, rows] : deliveries) {
+    listener(ts, rows);
   }
 }
 

@@ -185,10 +185,10 @@ class Frontend {
                                          bool lint_projection) const;
 
   void HandleReport(const BusMessage& msg);
-  // One report's worth of merging + listener dispatch, for each report and
-  // heartbeat a kBatch frame carries.
-  void HandleSingleReport(const AgentReport& report);
-  void HandleStats(const AgentStats& stats);
+  // Merges one agent flush: every report and heartbeat of the frame under a
+  // single hold of mu_, then each report's listener, in report order, after
+  // the lock is released.
+  void HandleBatch(const ReportBatch& batch);
   int64_t NowMicros() const;
 
   // Bags packed by active queries, bag -> owning query id (callers hold mu_).

@@ -9,39 +9,10 @@ namespace pivot {
 
 namespace {
 
-void PutStringList(std::vector<uint8_t>* out, const std::vector<std::string>& v) {
-  PutVarint64(out, v.size());
-  for (const auto& s : v) {
-    PutString(out, s);
-  }
-}
-
-bool GetStringList(const uint8_t* data, size_t size, size_t* pos, std::vector<std::string>* v) {
-  uint64_t n = 0;
-  if (!GetVarint64(data, size, pos, &n) || n > size) {
-    return false;
-  }
-  v->clear();
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string s;
-    if (!GetString(data, size, pos, &s)) {
-      return false;
-    }
-    v->push_back(std::move(s));
-  }
-  return true;
-}
-
 void PutPlan(std::vector<uint8_t>* out, const ResultPlan& plan) {
   out->push_back(plan.aggregated ? 1 : 0);
   PutStringList(out, plan.group_fields);
-  PutVarint64(out, plan.aggs.size());
-  for (const auto& a : plan.aggs) {
-    out->push_back(static_cast<uint8_t>(a.fn));
-    out->push_back(a.from_state ? 1 : 0);
-    PutString(out, a.input);
-    PutString(out, a.output);
-  }
+  PutAggSpecs(out, plan.aggs);
   PutStringList(out, plan.output_columns);
 }
 
@@ -50,31 +21,9 @@ bool GetPlan(const uint8_t* data, size_t size, size_t* pos, ResultPlan* plan) {
     return false;
   }
   plan->aggregated = data[(*pos)++] != 0;
-  if (!GetStringList(data, size, pos, &plan->group_fields)) {
-    return false;
-  }
-  uint64_t naggs = 0;
-  if (!GetVarint64(data, size, pos, &naggs) || naggs > size) {
-    return false;
-  }
-  plan->aggs.clear();
-  for (uint64_t i = 0; i < naggs; ++i) {
-    if (size - *pos < 2) {
-      return false;
-    }
-    AggSpec a;
-    uint8_t fn = data[(*pos)++];
-    if (fn > static_cast<uint8_t>(AggFn::kAverage)) {
-      return false;
-    }
-    a.fn = static_cast<AggFn>(fn);
-    a.from_state = data[(*pos)++] != 0;
-    if (!GetString(data, size, pos, &a.input) || !GetString(data, size, pos, &a.output)) {
-      return false;
-    }
-    plan->aggs.push_back(std::move(a));
-  }
-  return GetStringList(data, size, pos, &plan->output_columns);
+  return GetStringList(data, size, pos, &plan->group_fields) &&
+         GetAggSpecs(data, size, pos, &plan->aggs) &&
+         GetStringList(data, size, pos, &plan->output_columns);
 }
 
 }  // namespace
@@ -127,7 +76,6 @@ std::vector<uint8_t> EncodeReportBatch(const ReportBatch& batch, std::vector<siz
   for (const auto& r : batch.reports) {
     size_t start = out.size();
     PutVarint64(&out, r.query_id);
-    out.push_back(r.aggregated ? 1 : 0);
     PutVarint64(&out, r.tuples.size());
     for (const auto& t : r.tuples) {
       PutTuple(&out, t);
@@ -139,9 +87,7 @@ std::vector<uint8_t> EncodeReportBatch(const ReportBatch& batch, std::vector<siz
   PutVarint64(&out, batch.heartbeats.size());
   for (const auto& hb : batch.heartbeats) {
     PutVarint64(&out, hb.query_id);
-    PutVarintSigned64(&out, hb.last_report_micros);
     PutVarint64(&out, hb.reports_suppressed);
-    PutVarint64(&out, hb.tuples_emitted);
   }
   return out;
 }
@@ -207,14 +153,10 @@ Result<ControlMessage> DecodeControlMessage(const std::vector<uint8_t>& payload)
       }
       for (uint64_t i = 0; i < nreports; ++i) {
         AgentReport r;
-        r.host = b.host;
-        r.process_name = b.process_name;
-        r.timestamp_micros = b.timestamp_micros;
         uint64_t ntuples = 0;
-        if (!GetVarint64(data, size, &pos, &r.query_id) || pos >= size) {
+        if (!GetVarint64(data, size, &pos, &r.query_id)) {
           return DataLossError("bad batch report header");
         }
-        r.aggregated = data[pos++] != 0;
         if (!GetVarint64(data, size, &pos, &ntuples) || ntuples > size) {
           return DataLossError("bad batch report tuple count");
         }
@@ -233,13 +175,8 @@ Result<ControlMessage> DecodeControlMessage(const std::vector<uint8_t>& payload)
       }
       for (uint64_t i = 0; i < nstats; ++i) {
         AgentStats s;
-        s.host = b.host;
-        s.process_name = b.process_name;
-        s.timestamp_micros = b.timestamp_micros;
         if (!GetVarint64(data, size, &pos, &s.query_id) ||
-            !GetVarintSigned64(data, size, &pos, &s.last_report_micros) ||
-            !GetVarint64(data, size, &pos, &s.reports_suppressed) ||
-            !GetVarint64(data, size, &pos, &s.tuples_emitted)) {
+            !GetVarint64(data, size, &pos, &s.reports_suppressed)) {
           return DataLossError("bad batch heartbeat");
         }
         b.heartbeats.push_back(std::move(s));

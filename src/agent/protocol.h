@@ -33,13 +33,11 @@ struct WeaveCommand {
   ResultPlan plan;
 };
 
+// One query's partial results for the interval a ReportBatch covers.
 struct AgentReport {
   uint64_t query_id = 0;
-  std::string host;
-  std::string process_name;
-  int64_t timestamp_micros = 0;  // Interval this report covers (its end).
-  bool aggregated = false;
-  // Aggregate state tuples (combinable) or raw streamed rows.
+  // Aggregate state tuples (combinable) or raw streamed rows, as the query's
+  // ResultPlan::aggregated says.
   std::vector<Tuple> tuples;
 };
 
@@ -58,26 +56,17 @@ struct WeaveAck {
 // "query matched nothing" from "agent stopped flushing" (docs/OBSERVABILITY.md).
 struct AgentStats {
   uint64_t query_id = 0;
-  std::string host;
-  std::string process_name;
-  int64_t timestamp_micros = 0;       // When this heartbeat was produced.
-  int64_t last_report_micros = -1;    // Last non-empty report, -1 if never.
-  uint64_t reports_suppressed = 0;    // Empty flushes since weave.
-  uint64_t tuples_emitted = 0;        // Tuples this query emitted here, ever.
+  uint64_t reports_suppressed = 0;  // Empty flushes since weave.
 };
 
 // Agent -> frontend: everything one Flush produced, in a single frame. The
-// agent identity and interval timestamp are hoisted into the batch header
+// agent identity and interval timestamp are sent once, in the batch header
 // (every report/heartbeat of one flush shares them), so the wire cost of a
-// flush is one bus publish regardless of how many queries reported. Decode
-// re-hydrates full AgentReport/AgentStats values — header fields copied into
-// each — so batch consumers reuse the single-report handling unchanged.
+// flush is one bus publish regardless of how many queries reported.
 struct ReportBatch {
   std::string host;
   std::string process_name;
-  int64_t timestamp_micros = 0;
-  // Per-entry host/process_name/timestamp_micros are ignored on encode (the
-  // header wins) and filled from the header on decode.
+  int64_t timestamp_micros = 0;  // End of the interval this flush covers.
   std::vector<AgentReport> reports;
   std::vector<AgentStats> heartbeats;
 };

@@ -8,29 +8,8 @@ namespace analysis {
 
 namespace {
 
-// The exports every tracepoint appends at invocation time (tracepoint.cc
-// InvokeSlow), with their statically-known types.
-struct DefaultExport {
-  const char* name;
-  StaticType type;
-};
-constexpr DefaultExport kDefaultExports[] = {
-    {"host", StaticType::kString},   {"procname", StaticType::kString},
-    {"procid", StaticType::kInt},    {"timestamp", StaticType::kInt},
-    {"time", StaticType::kInt},      {"tracepoint", StaticType::kString},
-};
-
-const DefaultExport* FindDefaultExport(const std::string& name) {
-  for (const auto& d : kDefaultExports) {
-    if (name == d.name) {
-      return &d;
-    }
-  }
-  return nullptr;
-}
-
-StaticType TypeOfValue(const Value& v) {
-  switch (v.type()) {
+StaticType StaticTypeOf(ValueType t) {
+  switch (t) {
     case ValueType::kNull:
       return StaticType::kNull;
     case ValueType::kInt:
@@ -41,6 +20,16 @@ StaticType TypeOfValue(const Value& v) {
       return StaticType::kString;
   }
   return StaticType::kUnknown;
+}
+
+// The tracepoint's default export named `name` (tracepoint.h), or nullptr.
+const DefaultExport* FindDefaultExport(const std::string& name) {
+  for (const auto& d : kDefaultExports) {
+    if (name == d.name) {
+      return &d;
+    }
+  }
+  return nullptr;
 }
 
 bool IsDefiniteNumeric(StaticType t) {
@@ -151,7 +140,7 @@ StaticType InferBinaryType(const Expr& e, const ExprCheck& c) {
 StaticType InferType(const Expr& e, const ExprCheck& c) {
   switch (e.op()) {
     case ExprOp::kLiteral:
-      return TypeOfValue(e.literal());
+      return StaticTypeOf(e.literal().type());
     case ExprOp::kField: {
       auto it = c.env->find(e.field_name());
       if (it != c.env->end()) {
@@ -219,20 +208,6 @@ StaticType InferExprType(const Expr& e, const std::map<std::string, StaticType>&
   return InferType(e, c);
 }
 
-VerifyResult AdviceVerifier::Verify(const AdvicePlan& plan) const {
-  // A plan is a lowered view of its source advice: every SymbolId it holds
-  // was interned from the source's names, so verifying the source verifies
-  // the plan. (Compile never drops or reorders ops.)
-  if (plan.source() == nullptr) {
-    VerifyResult result;
-    result.report.Add("PT101", Severity::kError,
-                      ctx_.tracepoint != nullptr ? ctx_.tracepoint->name : "", -1,
-                      "plan has no source advice");
-    return result;
-  }
-  return Verify(*plan.source());
-}
-
 VerifyResult AdviceVerifier::Verify(const Advice& advice) const {
   VerifyResult result;
   Report& report = result.report;
@@ -279,7 +254,7 @@ VerifyResult AdviceVerifier::Verify(const Advice& advice) const {
       case Advice::OpKind::kObserve: {
         for (const auto& [from, to] : op.observe) {
           const DefaultExport* def = FindDefaultExport(from);
-          StaticType t = def != nullptr ? def->type : StaticType::kUnknown;
+          StaticType t = def != nullptr ? StaticTypeOf(def->type) : StaticType::kUnknown;
           if (def == nullptr && ctx_.tracepoint != nullptr &&
               std::find(ctx_.tracepoint->exports.begin(), ctx_.tracepoint->exports.end(), from) ==
                   ctx_.tracepoint->exports.end()) {

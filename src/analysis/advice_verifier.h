@@ -9,8 +9,8 @@
 // list once, tracking the set of live columns and a static type per column
 // (the null/int/double/string/unknown lattice below), and reports structured
 // PTxxx diagnostics (docs/ANALYSIS.md). Like an eBPF verifier it runs before
-// anything is woven: the query compiler rejects its own output if verification
-// fails, and agents re-verify advice decoded from untrusted wire bytes before
+// anything is woven: the frontend's install gate verifies compiled queries,
+// and agents re-verify advice decoded from untrusted wire bytes before
 // handing it to TracepointRegistry::WeaveQuery.
 
 #ifndef PIVOT_SRC_ANALYSIS_ADVICE_VERIFIER_H_
@@ -24,7 +24,6 @@
 #include "src/analysis/diagnostics.h"
 #include "src/core/advice.h"
 #include "src/core/baggage.h"
-#include "src/core/plan.h"
 #include "src/core/tracepoint.h"
 
 namespace pivot {
@@ -107,11 +106,6 @@ class AdviceVerifier {
   // diagnostics, and the abstract state degrades to kUnknown so later ops are
   // still checked.
   VerifyResult Verify(const Advice& advice) const;
-
-  // Verifies a pre-resolved plan by analyzing the advice it was compiled
-  // from. Plans carry their source program precisely so static analysis can
-  // run on already-woven state (e.g. re-verifying what an agent has live).
-  VerifyResult Verify(const AdvicePlan& plan) const;
 
  private:
   VerifyContext ctx_;

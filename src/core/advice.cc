@@ -3,11 +3,16 @@
 #include <algorithm>
 #include <atomic>
 
+#include "src/telemetry/metrics.h"
+
 namespace pivot {
 
 namespace {
 
-std::atomic<uint64_t> g_truncations{0};
+telemetry::Counter& TruncationsCounter() {
+  static telemetry::Counter& c = telemetry::Metrics().GetCounter("advice.truncations");
+  return c;
+}
 
 }  // namespace
 
@@ -31,15 +36,16 @@ bool SampleAccept(double rate) {
   return static_cast<double>(z >> 11) * 0x1.0p-53 < rate;
 }
 
-void CountTruncation() { g_truncations.fetch_add(1, std::memory_order_relaxed); }
+void CountTruncation() { TruncationsCounter().Increment(); }
 
 }  // namespace advice_internal
 
 namespace {
+using advice_internal::CountTruncation;
 using advice_internal::SampleAccept;
 }  // namespace
 
-uint64_t Advice::truncation_count() { return g_truncations.load(std::memory_order_relaxed); }
+uint64_t Advice::truncation_count() { return TruncationsCounter().value(); }
 
 void Advice::Execute(ExecutionContext* ctx, const Tuple& exports) const {
   if (ctx == nullptr) {
@@ -92,7 +98,7 @@ void Advice::Execute(ExecutionContext* ctx, const Tuple& exports) const {
           }
         }
         if (truncated) {
-          g_truncations.fetch_add(1, std::memory_order_relaxed);
+          CountTruncation();
         }
         working = std::move(joined);
         break;

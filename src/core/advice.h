@@ -90,7 +90,8 @@ class Advice {
   // Upper bound on tuples materialized by one advice execution.
   static constexpr size_t kMaxWorkingSet = 65536;
 
-  // Process-wide count of truncated executions (diagnostics).
+  // Process-wide count of truncated executions: the advice.truncations
+  // telemetry counter (docs/OBSERVABILITY.md).
   static uint64_t truncation_count();
 
   // Human-readable listing, e.g. "OBSERVE procName / PACK-FIRST[procName]".

@@ -57,29 +57,6 @@ bool DecodeExprImpl(const uint8_t* data, size_t size, size_t* pos, Expr::Ptr* ou
   }
 }
 
-void PutStringList(std::vector<uint8_t>* out, const std::vector<std::string>& v) {
-  PutVarint64(out, v.size());
-  for (const auto& s : v) {
-    PutString(out, s);
-  }
-}
-
-bool GetStringList(const uint8_t* data, size_t size, size_t* pos, std::vector<std::string>* v) {
-  uint64_t n = 0;
-  if (!GetVarint64(data, size, pos, &n) || n > size) {
-    return false;
-  }
-  v->clear();
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string s;
-    if (!GetString(data, size, pos, &s)) {
-      return false;
-    }
-    v->push_back(std::move(s));
-  }
-  return true;
-}
-
 }  // namespace
 
 void EncodeExpr(std::vector<uint8_t>* out, const Expr::Ptr& e) {

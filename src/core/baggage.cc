@@ -161,15 +161,6 @@ size_t TupleBag::size() const {
 // ---------------------------------------------------------------------------
 // Baggage
 
-bool Baggage::Instance::has_tuples() const {
-  for (const auto& [key, bag] : bags) {
-    if (!bag.empty()) {
-      return true;
-    }
-  }
-  return false;
-}
-
 void Baggage::Pack(BagKey key, const BagSpec& spec, const Tuple& t) {
   PackCounter().Increment();
   active_cache_valid_ = false;  // The only mutation of the active instance.
@@ -356,17 +347,8 @@ void Baggage::Clear() {
 void PutBagSpec(std::vector<uint8_t>* out, const BagSpec& spec) {
   out->push_back(static_cast<uint8_t>(spec.semantics));
   PutVarint64(out, spec.limit);
-  PutVarint64(out, spec.group_fields.size());
-  for (const auto& g : spec.group_fields) {
-    PutString(out, g);
-  }
-  PutVarint64(out, spec.aggs.size());
-  for (const auto& a : spec.aggs) {
-    out->push_back(static_cast<uint8_t>(a.fn));
-    out->push_back(a.from_state ? 1 : 0);
-    PutString(out, a.input);
-    PutString(out, a.output);
-  }
+  PutStringList(out, spec.group_fields);
+  PutAggSpecs(out, spec.aggs);
 }
 
 bool GetBagSpec(const uint8_t* data, size_t size, size_t* pos, BagSpec* spec) {
@@ -383,40 +365,8 @@ bool GetBagSpec(const uint8_t* data, size_t size, size_t* pos, BagSpec* spec) {
     return false;
   }
   spec->limit = static_cast<uint32_t>(limit);
-  uint64_t ngroups = 0;
-  if (!GetVarint64(data, size, pos, &ngroups) || ngroups > size) {
-    return false;
-  }
-  spec->group_fields.clear();
-  for (uint64_t i = 0; i < ngroups; ++i) {
-    std::string g;
-    if (!GetString(data, size, pos, &g)) {
-      return false;
-    }
-    spec->group_fields.push_back(std::move(g));
-  }
-  uint64_t naggs = 0;
-  if (!GetVarint64(data, size, pos, &naggs) || naggs > size) {
-    return false;
-  }
-  spec->aggs.clear();
-  for (uint64_t i = 0; i < naggs; ++i) {
-    if (size - *pos < 2) {
-      return false;
-    }
-    AggSpec a;
-    uint8_t fn = data[(*pos)++];
-    if (fn > static_cast<uint8_t>(AggFn::kAverage)) {
-      return false;
-    }
-    a.fn = static_cast<AggFn>(fn);
-    a.from_state = data[(*pos)++] != 0;
-    if (!GetString(data, size, pos, &a.input) || !GetString(data, size, pos, &a.output)) {
-      return false;
-    }
-    spec->aggs.push_back(std::move(a));
-  }
-  return true;
+  return GetStringList(data, size, pos, &spec->group_fields) &&
+         GetAggSpecs(data, size, pos, &spec->aggs);
 }
 
 namespace {

@@ -222,8 +222,6 @@ class Baggage {
     uint64_t gen = 0;
     std::map<BagKey, TupleBag> bags;
 
-    bool has_tuples() const;
-
     // Ensures `cache` holds this instance's encoding, computing it at most
     // once — instances are immutable once frozen behind shared_ptr<const>,
     // so the bytes never invalidate. Deserialize seeds the cache from the

@@ -66,7 +66,7 @@ struct ProcessRuntime {
   // Destination for Emit ops; null drops emitted tuples (tracepoints woven
   // with no agent attached).
   EmitSink* sink = nullptr;
-  // Self-telemetry tracepoints of this process (telemetry::DefineSelfTracepoints).
+  // Self-telemetry tracepoints of this process (telemetry::BindMetaTracepoints).
   MetaTracepoints meta;
 
   int64_t NowMicros() const;

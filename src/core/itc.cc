@@ -172,13 +172,6 @@ bool DecodeNode(const uint8_t* data, size_t size, size_t* pos, ItcId::NodePtr* o
   }
 }
 
-size_t NodeCount(const ItcId::NodePtr& n) {
-  if (n->is_leaf()) {
-    return 1;
-  }
-  return 1 + NodeCount(n->left) + NodeCount(n->right);
-}
-
 std::string NodeToString(const ItcId::NodePtr& n) {
   if (n->is_leaf()) {
     return n->value == 0 ? "0" : "1";
@@ -219,7 +212,5 @@ bool ItcId::Decode(const uint8_t* data, size_t size, size_t* pos, ItcId* out) {
 }
 
 std::string ItcId::ToString() const { return NodeToString(root_); }
-
-size_t ItcId::TreeSize() const { return NodeCount(root_); }
 
 }  // namespace pivot

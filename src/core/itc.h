@@ -65,9 +65,6 @@ class ItcId {
   // "(1, 0)"-style rendering matching the ITC literature.
   std::string ToString() const;
 
-  // Number of nodes in the tree (diagnostics; grows with split depth).
-  size_t TreeSize() const;
-
   // Implementation detail exposed for the .cc's free helper functions; not
   // part of the public API surface.
   struct Node;

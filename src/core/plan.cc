@@ -38,12 +38,11 @@ struct DepthGuard {
 
 }  // namespace
 
-AdvicePlan::Ptr AdvicePlan::Compile(Advice::Ptr advice) {
+AdvicePlan::Ptr AdvicePlan::Compile(const Advice::Ptr& advice) {
   if (advice == nullptr) {
     return nullptr;
   }
   auto plan = std::shared_ptr<AdvicePlan>(new AdvicePlan());
-  plan->source_ = advice;
   plan->steps_.reserve(advice->ops().size());
   for (const Advice::Op& op : advice->ops()) {
     Step step;

@@ -35,17 +35,13 @@ class AdvicePlan {
   // Lowers `advice` into an executable plan. Interns all column names and
   // binds expression trees; counted by the `plan.bind_count` telemetry
   // counter. Returns nullptr only for null input.
-  static Ptr Compile(Advice::Ptr advice);
+  static Ptr Compile(const Advice::Ptr& advice);
 
   // Runs the compiled program against one tracepoint invocation. Same
   // contract as Advice::Execute. Reentrancy-safe: meta-tracepoints fired
   // during Pack/Emit may re-enter Execute on the same thread (each depth gets
   // its own scratch buffer).
   void Execute(ExecutionContext* ctx, const Tuple& exports) const;
-
-  // The advice this plan was compiled from (for verification, rendering, and
-  // the reference execution path).
-  const Advice::Ptr& source() const { return source_; }
 
   size_t step_count() const { return steps_.size(); }
 
@@ -78,7 +74,6 @@ class AdvicePlan {
 
   AdvicePlan() = default;
 
-  Advice::Ptr source_;
   std::vector<Step> steps_;
 };
 

@@ -1,7 +1,8 @@
 #include "src/core/tracepoint.h"
 
-#include <algorithm>
+#include <array>
 #include <chrono>
+#include <iterator>
 
 namespace pivot {
 
@@ -17,36 +18,35 @@ int64_t MonotonicNanos() {
 
 namespace {
 
-// Pre-interned ids of the default export columns, so the per-fire appends
-// below skip the interner's hash lookup.
-struct DefaultExportSymbols {
-  SymbolId host = InternSymbol("host");
-  SymbolId procname = InternSymbol("procname");
-  SymbolId procid = InternSymbol("procid");
-  SymbolId timestamp = InternSymbol("timestamp");
-  SymbolId time = InternSymbol("time");
-  SymbolId tracepoint = InternSymbol("tracepoint");
-};
+// Pre-interned ids of kDefaultExports, in table order, so the per-fire
+// appends below skip the interner's hash lookup.
+using DefaultExportSymbols = std::array<SymbolId, std::size(kDefaultExports)>;
+
+DefaultExportSymbols InternDefaultExports() {
+  DefaultExportSymbols ids{};
+  for (size_t i = 0; i < ids.size(); ++i) {
+    ids[i] = InternSymbol(kDefaultExports[i].name);
+  }
+  return ids;
+}
 
 }  // namespace
 
 void Tracepoint::InvokeSlow(ExecutionContext* ctx, const AdviceSet* set,
                             std::vector<Tuple::Field> exports) const {
-  static const DefaultExportSymbols sym;
-  // Default exports (§3): host, timestamp, process id, process name, and the
-  // tracepoint definition. "time" aliases "timestamp" — §6.2 queries use the
-  // built-in `time` variable.
+  static const DefaultExportSymbols sym = InternDefaultExports();
+  // Default exports (§3), appended in kDefaultExports order.
   int64_t now = 0;
   if (ctx != nullptr && ctx->runtime() != nullptr) {
     const ProcessRuntime& rt = *ctx->runtime();
     now = rt.NowMicros();
-    exports.push_back({sym.host, Value(rt.info.host)});
-    exports.push_back({sym.procname, Value(rt.info.process_name)});
-    exports.push_back({sym.procid, Value(rt.info.process_id)});
+    exports.push_back({sym[0], Value(rt.info.host)});
+    exports.push_back({sym[1], Value(rt.info.process_name)});
+    exports.push_back({sym[2], Value(rt.info.process_id)});
   }
-  exports.push_back({sym.timestamp, Value(now)});
-  exports.push_back({sym.time, Value(now)});
-  exports.push_back({sym.tracepoint, Value(def_.name)});
+  exports.push_back({sym[3], Value(now)});
+  exports.push_back({sym[4], Value(now)});
+  exports.push_back({sym[5], Value(def_.name)});
   Tuple tuple(std::move(exports));
 
   if (ctx != nullptr && ctx->recorder() != nullptr) {
@@ -59,8 +59,8 @@ void Tracepoint::InvokeSlow(ExecutionContext* ctx, const AdviceSet* set,
     // Advice execution time is real wall clock even under simulated time:
     // it is the probe effect on the host, the quantity Table 5 bounds.
     int64_t start = MonotonicNanos();
-    for (const WovenEntry& entry : set->advice) {
-      entry.plan->Execute(ctx, tuple);
+    for (const AdvicePlan::Ptr& plan : *set) {
+      plan->Execute(ctx, tuple);
     }
     advice_nanos_.fetch_add(static_cast<uint64_t>(MonotonicNanos() - start),
                             std::memory_order_relaxed);
@@ -118,7 +118,14 @@ Status TracepointRegistry::WeaveQuery(
   // hosts only a subset of its tracepoints, and subsystems may initialize
   // after standing queries were installed. Compile-time validation against
   // the schema registry catches genuinely unknown names.
-  woven_[query_id] = advice;
+  //
+  // Weave-time plan compilation: all name resolution happens here, once per
+  // (tracepoint, advice) pair, off the fire path. Rebuilds only share plans.
+  auto& plans = woven_[query_id];
+  plans.reserve(advice.size());
+  for (const auto& [tp_name, adv] : advice) {
+    plans.emplace_back(tp_name, AdvicePlan::Compile(adv));
+  }
   for (const auto& [tp_name, adv] : advice) {
     auto it = tracepoints_.find(tp_name);
     if (it != tracepoints_.end()) {
@@ -135,7 +142,7 @@ void TracepointRegistry::UnweaveQuery(uint64_t query_id) {
     return;
   }
   std::vector<std::string> affected;
-  for (const auto& [tp_name, adv] : it->second) {
+  for (const auto& [tp_name, plan] : it->second) {
     affected.push_back(tp_name);
   }
   woven_.erase(it);
@@ -161,7 +168,7 @@ std::vector<uint64_t> TracepointRegistry::WovenQueries() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<uint64_t> ids;
   ids.reserve(woven_.size());
-  for (const auto& [id, advice] : woven_) {
+  for (const auto& [id, plans] : woven_) {
     ids.push_back(id);
   }
   return ids;
@@ -169,30 +176,19 @@ std::vector<uint64_t> TracepointRegistry::WovenQueries() const {
 
 void TracepointRegistry::RebuildLocked(Tracepoint* tp) {
   auto set = std::make_unique<AdviceSet>();
-  for (const auto& [query_id, advice_list] : woven_) {
-    for (const auto& [tp_name, adv] : advice_list) {
+  for (const auto& [query_id, plans] : woven_) {
+    for (const auto& [tp_name, plan] : plans) {
       if (tp_name == tp->name()) {
-        // Weave-time plan compilation: all name resolution happens here, once,
-        // off the fire path.
-        set->advice.push_back(WovenEntry{query_id, adv, AdvicePlan::Compile(adv)});
+        set->push_back(plan);
       }
     }
   }
-  const AdviceSet* next = set->advice.empty() ? nullptr : set.get();
-  const AdviceSet* prev = tp->advice_.exchange(next, std::memory_order_acq_rel);
+  const AdviceSet* next = set->empty() ? nullptr : set.get();
+  // The displaced set stays in published_: in-flight invocations may still be
+  // reading it (see class comment on the quiescence shortcut).
+  tp->advice_.store(next, std::memory_order_release);
   if (next != nullptr) {
-    live_.push_back(std::move(set));
-  }
-  // Move the displaced set to the graveyard: in-flight invocations may still
-  // be reading it (see class comment on the quiescence shortcut).
-  if (prev != nullptr) {
-    for (auto it = live_.begin(); it != live_.end(); ++it) {
-      if (it->get() == prev) {
-        retired_.push_back(std::move(*it));
-        live_.erase(it);
-        break;
-      }
-    }
+    published_.push_back(std::move(set));
   }
 }
 

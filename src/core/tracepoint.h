@@ -27,6 +27,7 @@
 #include "src/core/plan.h"
 #include "src/core/symbol.h"
 #include "src/core/tuple.h"
+#include "src/core/value.h"
 
 namespace pivot {
 
@@ -61,19 +62,25 @@ struct TracepointDef {
   std::string component;
 };
 
-// Immutable snapshot of the advice woven at one tracepoint. Swapped atomically
-// by the registry; readers only ever see complete sets. Each entry carries the
-// plan compiled at weave time (see src/core/plan.h), which is what Invoke
-// actually executes; the source advice is kept for unweave bookkeeping,
-// verification, and rendering.
-struct WovenEntry {
-  uint64_t query_id = 0;
-  Advice::Ptr advice;
-  AdvicePlan::Ptr plan;
+// The exports every tracepoint appends to each invocation (§3), in append
+// order, with the type of value each carries. "time" aliases "timestamp" —
+// §6.2 queries use the built-in `time` variable. host, procname and procid
+// need a process runtime on the execution context; the rest are always
+// appended. The query compiler and the advice verifier read this table.
+struct DefaultExport {
+  const char* name;
+  ValueType type;
 };
-struct AdviceSet {
-  std::vector<WovenEntry> advice;
+inline constexpr DefaultExport kDefaultExports[] = {
+    {"host", ValueType::kString},  {"procname", ValueType::kString},
+    {"procid", ValueType::kInt},   {"timestamp", ValueType::kInt},
+    {"time", ValueType::kInt},     {"tracepoint", ValueType::kString},
 };
+
+// Immutable snapshot of the plans woven at one tracepoint, in weave order.
+// Swapped atomically by the registry; readers only ever see complete sets.
+// Each plan was compiled once, when its query was woven (src/core/plan.h).
+using AdviceSet = std::vector<AdvicePlan::Ptr>;
 
 class TracepointRegistry;
 
@@ -158,9 +165,11 @@ struct TracepointStatsRow {
 // Owns tracepoints and manages weaving. One registry per instrumented system
 // (the simulated cluster shares one; a real process would own one).
 //
-// Thread-safe. Retired advice sets are kept until registry destruction rather
-// than reference-counted, trading a small bounded leak for a single-load fast
-// path (the standard quiescence shortcut; weaving is rare and human-driven).
+// Thread-safe. Every advice set ever published is kept until registry
+// destruction rather than reference-counted, trading a small leak for a
+// single-load fast path (the standard quiescence shortcut; weaving is rare
+// and human-driven). A set holds only shared plan pointers, so a superseded
+// set costs one pointer per plan, never a plan copy.
 class TracepointRegistry {
  public:
   TracepointRegistry() = default;
@@ -199,15 +208,15 @@ class TracepointRegistry {
   std::vector<TracepointStatsRow> StatsSnapshot() const;
 
  private:
+  // Publishes a fresh advice set for `tp` gathered from woven_.
   void RebuildLocked(Tracepoint* tp);
 
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Tracepoint>, std::less<>> tracepoints_;
-  // query id -> tracepoints it wove advice into.
-  std::map<uint64_t, std::vector<std::pair<std::string, Advice::Ptr>>> woven_;
-  // Previously-published advice sets (see class comment).
-  std::vector<std::unique_ptr<const AdviceSet>> retired_;
-  std::vector<std::unique_ptr<const AdviceSet>> live_;
+  // query id -> (tracepoint, plan) pairs, each plan compiled once at weave.
+  std::map<uint64_t, std::vector<std::pair<std::string, AdvicePlan::Ptr>>> woven_;
+  // Every advice set ever published (see class comment).
+  std::vector<std::unique_ptr<const AdviceSet>> published_;
 };
 
 }  // namespace pivot

@@ -1,6 +1,7 @@
 #include "src/core/wire.h"
 
 #include <cstring>
+#include <utility>
 
 namespace pivot {
 
@@ -19,6 +20,64 @@ bool GetString(const uint8_t* data, size_t size, size_t* pos, std::string* s) {
   }
   s->assign(reinterpret_cast<const char*>(data + *pos), len);
   *pos += len;
+  return true;
+}
+
+void PutStringList(std::vector<uint8_t>* out, const std::vector<std::string>& v) {
+  PutVarint64(out, v.size());
+  for (const auto& s : v) {
+    PutString(out, s);
+  }
+}
+
+bool GetStringList(const uint8_t* data, size_t size, size_t* pos, std::vector<std::string>* v) {
+  uint64_t n = 0;
+  if (!GetVarint64(data, size, pos, &n) || n > size) {
+    return false;
+  }
+  v->clear();
+  for (uint64_t i = 0; i < n; ++i) {
+    std::string s;
+    if (!GetString(data, size, pos, &s)) {
+      return false;
+    }
+    v->push_back(std::move(s));
+  }
+  return true;
+}
+
+void PutAggSpecs(std::vector<uint8_t>* out, const std::vector<AggSpec>& aggs) {
+  PutVarint64(out, aggs.size());
+  for (const auto& a : aggs) {
+    out->push_back(static_cast<uint8_t>(a.fn));
+    out->push_back(a.from_state ? 1 : 0);
+    PutString(out, a.input);
+    PutString(out, a.output);
+  }
+}
+
+bool GetAggSpecs(const uint8_t* data, size_t size, size_t* pos, std::vector<AggSpec>* aggs) {
+  uint64_t n = 0;
+  if (!GetVarint64(data, size, pos, &n) || n > size) {
+    return false;
+  }
+  aggs->clear();
+  for (uint64_t i = 0; i < n; ++i) {
+    if (size - *pos < 2) {
+      return false;
+    }
+    AggSpec a;
+    uint8_t fn = data[(*pos)++];
+    if (fn > static_cast<uint8_t>(AggFn::kAverage)) {
+      return false;
+    }
+    a.fn = static_cast<AggFn>(fn);
+    a.from_state = data[(*pos)++] != 0;
+    if (!GetString(data, size, pos, &a.input) || !GetString(data, size, pos, &a.output)) {
+      return false;
+    }
+    aggs->push_back(std::move(a));
+  }
   return true;
 }
 

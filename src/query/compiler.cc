@@ -65,12 +65,9 @@ namespace {
 // ---------------------------------------------------------------------------
 // Stage model
 
-constexpr const char* kDefaultExports[] = {"host",   "timestamp",  "time",
-                                           "procid", "procname", "tracepoint"};
-
 bool IsDefaultExport(std::string_view name) {
-  for (const char* d : kDefaultExports) {
-    if (name == d) {
+  for (const auto& d : kDefaultExports) {
+    if (name == d.name) {
       return true;
     }
   }
@@ -339,8 +336,8 @@ Result<CompiledQuery> QueryCompiler::Compile(const Query& q, uint64_t query_id) 
           AddUnique(&st.observe, st.source.alias + "." + e);
         }
       }
-      for (const char* d : kDefaultExports) {
-        AddUnique(&st.observe, st.source.alias + "." + d);
+      for (const auto& d : kDefaultExports) {
+        AddUnique(&st.observe, st.source.alias + "." + d.name);
       }
     }
   }
@@ -621,7 +618,6 @@ Result<CompiledQuery> QueryCompiler::Compile(const Query& q, uint64_t query_id) 
   // ---- 9. Generate advice. ----
   CompiledQuery out;
   out.query_id = query_id;
-  out.ast = q;
   ResultPlan& plan = out.plan;
   plan.aggregated = aggregated;
   plan.group_fields = flat.group_by;
@@ -760,7 +756,6 @@ std::vector<CompiledQuery::PackCost> CompiledQuery::EstimatePackCosts() const {
 CompiledQuery MakeCountingQuery(const CompiledQuery& original, uint64_t shadow_id) {
   CompiledQuery out;
   out.query_id = shadow_id;
-  out.ast = original.ast;
   out.plan = ResultPlan{true, {"$stage"}, {AggSpec{AggFn::kCount, "", "COUNT", false}},
                         {"$stage", "COUNT"}};
 

@@ -59,7 +59,6 @@ class QueryRegistry {
 // agent and frontend execute (grouping, combining, output shaping).
 struct CompiledQuery {
   uint64_t query_id = 0;
-  Query ast;
 
   // (tracepoint name, advice) pairs, ready for TracepointRegistry::WeaveQuery.
   std::vector<std::pair<std::string, Advice::Ptr>> advice;

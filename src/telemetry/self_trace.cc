@@ -27,16 +27,6 @@ std::vector<TracepointDef> SelfTracepointDefs() {
   return {BaggageSerializeDef(), AgentFlushDef()};
 }
 
-void DefineSelfTracepoints(TracepointRegistry* registry, MetaTracepoints* meta) {
-  for (TracepointDef& def : SelfTracepointDefs()) {
-    if (registry->Find(def.name) == nullptr) {
-      Result<Tracepoint*> tp = registry->Define(std::move(def));
-      (void)tp;
-    }
-  }
-  BindMetaTracepoints(*registry, meta);
-}
-
 void BindMetaTracepoints(const TracepointRegistry& registry, MetaTracepoints* meta) {
   meta->baggage_serialize = registry.Find(kTpBaggageSerialize);
   meta->agent_flush = registry.Find(kTpAgentFlush);

@@ -51,14 +51,8 @@ TracepointDef AgentFlushDef();        // exports queryId, tuples, bytes, suppres
 // All meta-tracepoint definitions.
 std::vector<TracepointDef> SelfTracepointDefs();
 
-// Defines every meta-tracepoint in `registry` (skipping names already
-// defined) and points `meta` at the instances. Per-process setups that
-// mirror definitions elsewhere can instead define SelfTracepointDefs()
-// themselves and call BindMetaTracepoints.
-void DefineSelfTracepoints(TracepointRegistry* registry, MetaTracepoints* meta);
-
-// Looks up the meta-tracepoints by name in an already-populated registry.
-// Missing names leave the corresponding member null.
+// Looks up the meta-tracepoints by name in a registry that defines
+// SelfTracepointDefs(). Missing names leave the corresponding member null.
 void BindMetaTracepoints(const TracepointRegistry& registry, MetaTracepoints* meta);
 
 // Schema-only registration for query validation (mirrors the pattern of

@@ -6,6 +6,7 @@
 
 #include "src/agent/agent.h"
 #include "src/bus/message_bus.h"
+#include "src/telemetry/metrics.h"
 #include "tests/test_util.h"
 
 namespace pivot {
@@ -31,9 +32,8 @@ class AgentTest : public ::testing::Test {
     reports_sub_ = bus_.Subscribe(kReportTopic, [this](const BusMessage& msg) {
       Result<ControlMessage> decoded = DecodeControlMessage(msg.payload);
       if (decoded.ok() && decoded->type == ControlMessageType::kBatch) {
-        for (AgentReport& r : decoded->batch.reports) {
-          reports_.push_back(std::move(r));
-        }
+        const ReportBatch& batch = batches_.emplace_back(std::move(decoded->batch));
+        reports_.insert(reports_.end(), batch.reports.begin(), batch.reports.end());
       }
     });
   }
@@ -63,6 +63,7 @@ class AgentTest : public ::testing::Test {
   std::unique_ptr<PTAgent> agent_;
   Tracepoint* tp_;
   MessageBus::SubscriberId reports_sub_;
+  std::vector<ReportBatch> batches_;
   std::vector<AgentReport> reports_;
 };
 
@@ -93,8 +94,8 @@ TEST_F(AgentTest, AggregatesPerIntervalAndResets) {
   agent_->Flush(1'000'000);
   ASSERT_EQ(reports_.size(), 1u);
   EXPECT_EQ(reports_[0].query_id, 1u);
-  EXPECT_EQ(reports_[0].host, "A");
-  EXPECT_EQ(reports_[0].timestamp_micros, 1'000'000);
+  EXPECT_EQ(batches_[0].host, "A");
+  EXPECT_EQ(batches_[0].timestamp_micros, 1'000'000);
   ASSERT_EQ(reports_[0].tuples.size(), 1u);
   EXPECT_EQ(reports_[0].tuples[0].Get("COUNT").int_value(), 2);
 
@@ -130,9 +131,14 @@ TEST_F(AgentTest, UnweaveStopsEmissionAndReporting) {
 }
 
 TEST_F(AgentTest, MalformedCommandIgnored) {
+  telemetry::Counter& decode_errors =
+      telemetry::Metrics().GetCounter("agent.command_decode_errors");
+  const uint64_t before = decode_errors.value();
   bus_.Publish(BusMessage{kCommandTopic, {0xDE, 0xAD, 0xBE, 0xEF}});
   bus_.Publish(BusMessage{kCommandTopic, {}});
   EXPECT_FALSE(tp_->enabled());  // Still sane.
+  // Each undecodable frame is counted, not silently dropped.
+  EXPECT_EQ(decode_errors.value() - before, 2u);
 }
 
 TEST_F(AgentTest, EmitForUnknownQueryDropped) {
@@ -155,7 +161,6 @@ TEST_F(AgentTest, StreamingQueryBuffersRawRows) {
   Fire(8);
   agent_->Flush(1'000'000);
   ASSERT_EQ(reports_.size(), 1u);
-  EXPECT_FALSE(reports_[0].aggregated);
   ASSERT_EQ(reports_[0].tuples.size(), 2u);
   EXPECT_EQ(reports_[0].tuples[0].Get("x.v").int_value(), 7);
 }

@@ -145,6 +145,12 @@ TEST(ConcurrencyTest, FlusherRacesEmittersAndQueryChurn) {
       std::this_thread::yield();
     }
   });
+  // Churn only once an emitter is running: on a loaded host the 100 weaves
+  // below can finish before the scheduler starts any emitter thread, and
+  // then nothing raced them.
+  while (invocations.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
 
   for (int i = 0; i < 100; ++i) {
     Result<uint64_t> q =

@@ -217,6 +217,70 @@ TEST_F(FrontendTest, PartialAggregationReducesReportedTuples) {
   EXPECT_EQ(frontend_.Results(*q)[0].Get("SUM(incr.delta)").int_value(), 50);
 }
 
+TEST_F(FrontendTest, OneBatchFrameRunsEachListenerOnce) {
+  // A hand-built kBatch frame carries reports for two queries that both have
+  // listeners. The frontend merges the whole frame, then runs each listener
+  // once with its rows, in report order, after releasing its lock: a
+  // listener that reads Results() must not deadlock.
+  Result<uint64_t> counted =
+      frontend_.Install("From incr In DataNodeMetrics.incrBytesRead Select COUNT");
+  Result<uint64_t> streamed =
+      frontend_.Install("From incr In DataNodeMetrics.incrBytesRead Select incr.delta");
+  ASSERT_TRUE(counted.ok()) << counted.status().ToString();
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+
+  struct Call {
+    uint64_t query;
+    int64_t ts;
+    std::vector<std::string> rows;
+    std::vector<std::string> results;
+  };
+  std::vector<Call> calls;
+  auto listen = [&](uint64_t id) {
+    return [&, id](int64_t ts, const std::vector<Tuple>& rows) {
+      calls.push_back({id, ts, CanonicalTuples(rows), CanonicalTuples(frontend_.Results(id))});
+    };
+  };
+  ASSERT_TRUE(frontend_.SetResultListener(*counted, listen(*counted)).ok());
+  ASSERT_TRUE(frontend_.SetResultListener(*streamed, listen(*streamed)).ok());
+
+  // The aggregated query ships combinable state; build it the way an agent
+  // does, from the query's own result plan.
+  const ResultPlan& plan = frontend_.compiled(*counted)->plan;
+  Aggregator partial(plan.group_fields, plan.aggs);
+  for (int i = 0; i < 3; ++i) {
+    partial.AddInput(Tuple{});
+  }
+  ReportBatch batch;
+  batch.host = "B";
+  batch.process_name = "DataNode";
+  batch.timestamp_micros = 5'000'000;
+  batch.reports.push_back(AgentReport{*counted, partial.StateTuples()});
+  batch.reports.push_back(AgentReport{
+      *streamed, {Tuple{{"incr.delta", Value(int64_t{5})}}, Tuple{{"incr.delta", Value(int64_t{6})}}}});
+  bus_.Publish(BusMessage{kReportTopic, EncodeReportBatch(batch)});
+
+  ASSERT_EQ(calls.size(), 2u);
+  EXPECT_EQ(calls[0].query, *counted);
+  EXPECT_EQ(calls[0].ts, 5'000'000);
+  EXPECT_EQ(calls[0].rows, (std::vector<std::string>{"(COUNT=3)"}));
+  EXPECT_EQ(calls[0].results, (std::vector<std::string>{"(COUNT=3)"}));
+  EXPECT_EQ(calls[1].query, *streamed);
+  EXPECT_EQ(calls[1].ts, 5'000'000);
+  EXPECT_EQ(calls[1].rows, (std::vector<std::string>{"(incr.delta=5)", "(incr.delta=6)"}));
+  EXPECT_EQ(calls[1].results, calls[1].rows);
+  EXPECT_EQ(frontend_.reports_received(), 2u);
+}
+
+TEST_F(FrontendTest, UndecodableReportFramesAreCounted) {
+  telemetry::Counter& decode_errors = telemetry::Metrics().GetCounter("frontend.decode_errors");
+  const uint64_t before = decode_errors.value();
+  bus_.Publish(BusMessage{kReportTopic, {0xDE, 0xAD, 0xBE, 0xEF}});
+  bus_.Publish(BusMessage{kReportTopic, {}});
+  EXPECT_EQ(decode_errors.value() - before, 2u);
+  EXPECT_EQ(frontend_.reports_received(), 0u);
+}
+
 TEST_F(FrontendTest, InstallRejectsBadQueries) {
   EXPECT_FALSE(frontend_.Install("not a query").ok());
   EXPECT_FALSE(frontend_.Install("From e In NoSuchTracepoint Select e.host").ok());

@@ -49,7 +49,6 @@ TEST(ProtocolTest, ReportRoundTrip) {
   batch.timestamp_micros = 3'000'000;
   AgentReport report;
   report.query_id = 7;
-  report.aggregated = true;
   report.tuples.push_back(Tuple{{"incr.host", Value("C")}, {"SUM(incr.delta)", Value(int64_t{12345})}});
   batch.reports = {report};
 
@@ -57,10 +56,10 @@ TEST(ProtocolTest, ReportRoundTrip) {
   ASSERT_TRUE(decoded.ok());
   ASSERT_EQ(decoded->type, ControlMessageType::kBatch);
   ASSERT_EQ(decoded->batch.reports.size(), 1u);
+  EXPECT_EQ(decoded->batch.host, "C");
+  EXPECT_EQ(decoded->batch.timestamp_micros, 3'000'000);
   const AgentReport& r = decoded->batch.reports[0];
   EXPECT_EQ(r.query_id, 7u);
-  EXPECT_EQ(r.host, "C");
-  EXPECT_EQ(r.timestamp_micros, 3'000'000);
   ASSERT_EQ(r.tuples.size(), 1u);
   EXPECT_EQ(r.tuples[0].Get("SUM(incr.delta)").int_value(), 12345);
 }
@@ -73,27 +72,42 @@ TEST(ProtocolTest, ReportBatchRoundTrip) {
 
   AgentReport r1;
   r1.query_id = 7;
-  r1.aggregated = true;
   r1.tuples.push_back(Tuple{{"incr.host", Value("C")}, {"SUM(incr.delta)", Value(int64_t{12345})}});
   AgentReport r2;
   r2.query_id = 9;
-  r2.aggregated = false;
   r2.tuples.push_back(Tuple{{"x.v", Value(int64_t{1})}});
   r2.tuples.push_back(Tuple{{"x.v", Value(int64_t{2})}});
   batch.reports = {r1, r2};
 
   AgentStats hb;
   hb.query_id = 11;
-  hb.last_report_micros = -1;
   hb.reports_suppressed = 10;
-  hb.tuples_emitted = 0;
   batch.heartbeats = {hb};
 
   std::vector<size_t> report_bytes;
   std::vector<uint8_t> encoded = EncodeReportBatch(batch, &report_bytes);
-  ASSERT_EQ(report_bytes.size(), 2u);
-  EXPECT_GT(report_bytes[0], 0u);
-  EXPECT_GT(report_bytes[1], 0u);
+  // The exact frame. Host, process and timestamp appear once, in the header;
+  // a report is (query id, tuple count, tuples) and a heartbeat is (query id,
+  // suppressed count), with nothing else per entry.
+  const std::vector<uint8_t> expected = {
+      0x07,                                       // kBatch.
+      1, 'C',                                     // host.
+      8, 'D', 'a', 't', 'a', 'N', 'o', 'd', 'e',  // process_name.
+      0x80, 0x9B, 0xEE, 0x02,                     // timestamp 3'000'000 (zig-zag).
+      2,                                          // Report count.
+      7, 1,                                       // r1: query 7, one tuple.
+      2,                                          //   Two fields.
+      9, 'i', 'n', 'c', 'r', '.', 'h', 'o', 's', 't', 3, 1, 'C',
+      15, 'S', 'U', 'M', '(', 'i', 'n', 'c', 'r', '.', 'd', 'e', 'l', 't', 'a', ')',
+      1, 0xF2, 0xC0, 0x01,                        //   int 12345 (zig-zag).
+      9, 2,                                       // r2: query 9, two tuples.
+      1, 3, 'x', '.', 'v', 1, 2,                  //   {x.v: 1}.
+      1, 3, 'x', '.', 'v', 1, 4,                  //   {x.v: 2}.
+      1,                                          // Heartbeat count.
+      11, 10,                                     // Query 11, 10 suppressed.
+  };
+  EXPECT_EQ(encoded, expected);
+  EXPECT_EQ(report_bytes, (std::vector<size_t>{36, 16}));
 
   Result<ControlMessage> decoded = DecodeControlMessage(encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
@@ -103,21 +117,13 @@ TEST(ProtocolTest, ReportBatchRoundTrip) {
   EXPECT_EQ(b.process_name, "DataNode");
   EXPECT_EQ(b.timestamp_micros, 3'000'000);
   ASSERT_EQ(b.reports.size(), 2u);
-  // Header identity is re-hydrated into each contained report.
-  EXPECT_EQ(b.reports[0].host, "C");
-  EXPECT_EQ(b.reports[0].process_name, "DataNode");
-  EXPECT_EQ(b.reports[0].timestamp_micros, 3'000'000);
   EXPECT_EQ(b.reports[0].query_id, 7u);
-  EXPECT_TRUE(b.reports[0].aggregated);
   ASSERT_EQ(b.reports[0].tuples.size(), 1u);
   EXPECT_EQ(b.reports[0].tuples[0].Get("SUM(incr.delta)").int_value(), 12345);
   EXPECT_EQ(b.reports[1].query_id, 9u);
-  EXPECT_FALSE(b.reports[1].aggregated);
   ASSERT_EQ(b.reports[1].tuples.size(), 2u);
   ASSERT_EQ(b.heartbeats.size(), 1u);
   EXPECT_EQ(b.heartbeats[0].query_id, 11u);
-  EXPECT_EQ(b.heartbeats[0].host, "C");
-  EXPECT_EQ(b.heartbeats[0].last_report_micros, -1);
   EXPECT_EQ(b.heartbeats[0].reports_suppressed, 10u);
 }
 

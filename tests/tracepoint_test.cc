@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/tracepoint.h"
+#include "src/telemetry/metrics.h"
 #include "tests/test_util.h"
 
 namespace pivot {
@@ -73,6 +74,52 @@ TEST_F(TracepointTest, WeaveRunsAdviceWithDefaultExports) {
   EXPECT_EQ(t.Get("x.procname").string_value(), "DataNode");
   EXPECT_EQ(t.Get("x.time").int_value(), 777);
   EXPECT_EQ(t.Get("x.tracepoint").string_value(), "X");
+}
+
+TEST_F(TracepointTest, WovenFireCarriesExactlyTheDefaultExports) {
+  // No declared exports and none passed: the tuple the woven advice runs on
+  // (which the trace recorder captures) holds exactly kDefaultExports, in
+  // table order, with the table's types.
+  Tracepoint* tp = *registry_.Define(Def("X", {}));
+  ASSERT_TRUE(registry_.WeaveQuery(1, {{"X", AdviceBuilder().Emit(1, {}).Build()}}).ok());
+  TraceRecorder recorder;
+  ctx_.StartTrace(&recorder);
+  tp->Invoke(&ctx_, {});
+  EXPECT_EQ(tp->woven_fires(), 1u);
+  ASSERT_EQ(recorder.observed().size(), 1u);
+  const Tuple& exports = recorder.observed()[0].exports;
+  ASSERT_EQ(exports.size(), std::size(kDefaultExports));
+  for (size_t i = 0; i < exports.size(); ++i) {
+    EXPECT_EQ(exports.fields()[i].name(), kDefaultExports[i].name) << i;
+    EXPECT_EQ(exports.fields()[i].value.type(), kDefaultExports[i].type) << i;
+  }
+}
+
+TEST_F(TracepointTest, WeavingCompilesOnlyTheNewQuerysAdvice) {
+  ASSERT_TRUE(registry_.Define(Def("X", {"v"})).ok());
+  ASSERT_TRUE(registry_.Define(Def("Y", {"w"})).ok());
+  auto emit_v = [](uint64_t q) {
+    return AdviceBuilder().Observe({{"v", "x.v"}}).Emit(q, {}).Build();
+  };
+  auto emit_w = [](uint64_t q) {
+    return AdviceBuilder().Observe({{"w", "y.w"}}).Emit(q, {}).Build();
+  };
+  ASSERT_TRUE(registry_.WeaveQuery(1, {{"X", emit_v(1)}, {"Y", emit_w(1)}}).ok());
+
+  // Query 2 weaves two programs at tracepoints that already run query 1's
+  // plans. Exactly those two are compiled; query 1's plans are shared.
+  telemetry::Counter& binds = telemetry::Metrics().GetCounter("plan.bind_count");
+  const uint64_t before = binds.value();
+  ASSERT_TRUE(registry_.WeaveQuery(2, {{"X", emit_v(2)}, {"Y", emit_w(2)}}).ok());
+  EXPECT_EQ(binds.value() - before, 2u);
+
+  // Unweaving republishes both sites without compiling anything.
+  registry_.UnweaveQuery(1);
+  EXPECT_EQ(binds.value() - before, 2u);
+  registry_.Find("X")->Invoke(&ctx_, {{"v", Value(int64_t{1})}});
+  registry_.Find("Y")->Invoke(&ctx_, {{"w", Value(int64_t{2})}});
+  EXPECT_EQ(proc_.sink.emitted(1).size(), 0u);
+  EXPECT_EQ(proc_.sink.emitted(2).size(), 2u);
 }
 
 TEST_F(TracepointTest, UnweaveDisables) {
