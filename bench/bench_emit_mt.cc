@@ -62,10 +62,8 @@ WeaveCommand Command() {
   cmd.query_id = kQuery;
   cmd.advice.emplace_back("X",
                           AdviceBuilder().Observe({{"v", "x.v"}}).Emit(kQuery, {}).Build());
-  cmd.plan.aggregated = true;
   cmd.plan.group_fields = {"x.v"};
   cmd.plan.aggs = {{AggFn::kCount, "", "COUNT", false}};
-  cmd.plan.output_columns = {"x.v", "COUNT"};
   return cmd;
 }
 

@@ -1,7 +1,7 @@
 // Hot-path micro-benchmarks for the interned-symbol / pre-resolved-plan /
 // copy-on-write-baggage overhaul (docs/PERFORMANCE.md):
 //
-//   1. Tuple field access: Get/Project/HashFields by SymbolId vs by string.
+//   1. Tuple field access: Get/Project by SymbolId vs by string.
 //   2. Advice execution: compiled AdvicePlan::Execute vs the reference
 //      interpreter Advice::Execute on a representative observe/let/filter/
 //      pack/unpack/emit program.
@@ -100,19 +100,14 @@ int main(int argc, char** argv) {
     double get_str = MeasureNs([&] { Keep(t.Get("col8").Hash()); }, kIters);
     double proj_id = MeasureNs([&] { Keep(t.Project(proj_ids).size()); }, kIters);
     double proj_str = MeasureNs([&] { Keep(t.Project(proj_names).size()); }, kIters);
-    double hash_id = MeasureNs([&] { Keep(t.HashFields(proj_ids)); }, kIters);
-    double hash_str = MeasureNs([&] { Keep(t.HashFields(proj_names)); }, kIters);
 
     printf("Tuple (16 fields):\n");
     printf("  Get         by id %7.1f ns   by string %7.1f ns\n", get_id, get_str);
     printf("  Project x3  by id %7.1f ns   by string %7.1f ns\n", proj_id, proj_str);
-    printf("  HashFields  by id %7.1f ns   by string %7.1f ns\n", hash_id, hash_str);
     json.Report("tuple_get_by_id", get_id, "ns");
     json.Report("tuple_get_by_string", get_str, "ns");
     json.Report("tuple_project_by_id", proj_id, "ns");
     json.Report("tuple_project_by_string", proj_str, "ns");
-    json.Report("tuple_hashfields_by_id", hash_id, "ns");
-    json.Report("tuple_hashfields_by_string", hash_str, "ns");
   }
 
   // ---- 2. Compiled plan vs reference interpreter ----

@@ -1,16 +1,25 @@
 #!/bin/sh
-# Tier-1 verification: configure, build, run the full test suite, then the
-# telemetry probe-effect gate (unwoven tracepoint fast path must stay within
-# MAX_OVERHEAD_PCT of the seed implementation; see docs/OBSERVABILITY.md) and
-# the install-time analysis gate (static analysis of one query on the full
-# Hadoop topology must stay under MAX_LINT_MICROS; see docs/ANALYSIS.md).
+# Tier-1 verification: configure, build, run the full test suite, then four
+# bench gates:
+#   1. telemetry probe effect: the unwoven tracepoint fast path stays within
+#      MAX_OVERHEAD_PCT of the seed implementation (docs/OBSERVABILITY.md);
+#   2. install-time analysis: static analysis of one query on the full Hadoop
+#      topology stays under MAX_LINT_MICROS (docs/ANALYSIS.md);
+#   3. serialize memoization: serializing an unchanged baggage is at least
+#      MIN_SERIALIZE_SPEEDUP times faster than a re-encode (bench_hotpath);
+#   4. emission scaling: sharded intake is at least MIN_MT_SPEEDUP times the
+#      one-shard intake at 8 threads, and at most MAX_ST_RATIO times its cost
+#      single-threaded (bench_emit_mt; docs/PERFORMANCE.md).
 #
 # Usage: scripts/check.sh [--sanitize=<mode>] [build-dir]
-#   --sanitize=address   build with ASan+UBSan in a separate build dir
-#   --sanitize=thread    build with TSan in a separate build dir
-#   MAX_OVERHEAD_PCT=10  overhead gate threshold (percent)
+#   --sanitize=address      build with ASan+UBSan in a separate build dir
+#   --sanitize=thread       build with TSan in a separate build dir
+#   MAX_OVERHEAD_PCT=10     gate 1 threshold (percent)
+#   MAX_LINT_MICROS=1000    gate 2 threshold (microseconds per query)
+#   MIN_SERIALIZE_SPEEDUP=10, MIN_MT_SPEEDUP=3, MAX_ST_RATIO=1.25
+#                           gates 3 and 4 thresholds
 #
-# Sanitizer runs skip the overhead gate: instrumented timings are meaningless.
+# Sanitizer runs skip the bench gates: instrumented timings are meaningless.
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)

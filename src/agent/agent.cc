@@ -136,18 +136,12 @@ void PTAgent::HandleCommand(const BusMessage& msg) {
         if (queries_.count(cmd.query_id) != 0) {
           return;  // Duplicate weave; ignore (no re-ack either).
         }
-        QueryState state;
-        state.plan = cmd.plan;
-        state.agg = Aggregator(cmd.plan.group_fields, cmd.plan.aggs);
-        queries_.emplace(cmd.query_id, std::move(state));
-        // Give every shard its own partial-aggregation slot before any advice
+        queries_.emplace(cmd.query_id, QueryState(cmd.plan));
+        // Give every shard its own partial-results slot before any advice
         // can fire (the registry weave below). Shard locks nest inside mu_.
         for (auto& shard : shards_) {
           std::lock_guard<std::mutex> shard_lock(shard->mu);
-          ShardQueryState slot;
-          slot.aggregated = cmd.plan.aggregated;
-          slot.agg = Aggregator(cmd.plan.group_fields, cmd.plan.aggs);
-          shard->queries.emplace(cmd.query_id, std::move(slot));
+          shard->queries.emplace(cmd.query_id, ResultSet(cmd.plan));
         }
       }
       // Hand the registry the full advice list: tracepoints this process does
@@ -195,14 +189,9 @@ void PTAgent::EmitTuple(uint64_t query_id, const Tuple& t) {
     DroppedTuplesCounter().Increment();
     return;  // Query was unwoven concurrently; drop.
   }
-  ShardQueryState& slot = it->second;
   emitted_total_.fetch_add(1, std::memory_order_relaxed);
   EmittedTuplesCounter().Increment();
-  if (slot.aggregated) {
-    slot.agg.AddInput(t);
-  } else {
-    slot.buffered.push_back(t);
-  }
+  it->second.AddInput(t);
 }
 
 void PTAgent::Flush(int64_t now_micros) {
@@ -215,36 +204,25 @@ void PTAgent::Flush(int64_t now_micros) {
   std::vector<std::pair<uint64_t, uint64_t>> flushed_meta;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    // Drain every shard's partials into the per-query merge state. AddState
-    // is the combiner of Table 3 ("for Count, the combiner is Sum"), so the
-    // merged result is exactly what a single global aggregator would have
-    // accumulated — only the association order differs, never the values.
+    // Drain every shard's partials into the per-query merge state. Absorb
+    // combines state tuples with the combiner of Table 3 ("for Count, the
+    // combiner is Sum"), so the merged result is exactly what a single global
+    // aggregator would have accumulated — only the association order
+    // differs, never the values.
     for (auto& shard : shards_) {
       std::lock_guard<std::mutex> shard_lock(shard->mu);
       for (auto& [query_id, slot] : shard->queries) {
-        auto it = queries_.find(query_id);
-        if (it == queries_.end()) {
-          continue;  // Weave/unweave keep the maps in sync; belt and braces.
+        if (slot.empty()) {
+          continue;
         }
-        QueryState& state = it->second;
-        if (slot.aggregated) {
-          if (!slot.agg.empty()) {
-            for (const Tuple& st : slot.agg.StateTuples()) {
-              state.agg.AddState(st);
-            }
-            slot.agg.Clear();
-          }
-        } else if (!slot.buffered.empty()) {
-          for (Tuple& row : slot.buffered) {
-            state.buffered.push_back(std::move(row));
-          }
-          slot.buffered.clear();
+        auto it = queries_.find(query_id);
+        if (it != queries_.end()) {  // Weave/unweave keep the maps in sync.
+          it->second.results.Absorb(slot.Take());
         }
       }
     }
     for (auto& [query_id, state] : queries_) {
-      bool empty = state.plan.aggregated ? state.agg.empty() : state.buffered.empty();
-      if (empty) {
+      if (state.results.empty()) {
         // Quiet interval: publish nothing, but count the suppression and
         // heartbeat periodically so the frontend knows we are alive.
         ++state.reports_suppressed;
@@ -256,13 +234,7 @@ void PTAgent::Flush(int64_t now_micros) {
       }
       AgentReport report;
       report.query_id = query_id;
-      if (state.plan.aggregated) {
-        report.tuples = state.agg.StateTuples();
-        state.agg.Clear();
-      } else {
-        report.tuples = std::move(state.buffered);
-        state.buffered.clear();
-      }
+      report.tuples = state.results.Take();
       state.suppressed_since_heartbeat = 0;
       reported_total_.fetch_add(report.tuples.size(), std::memory_order_relaxed);
       reports_published_.fetch_add(1, std::memory_order_relaxed);

@@ -13,9 +13,9 @@
 // would drive it from a timer thread.
 //
 // Intake is sharded: each emitting thread lands in one of N emission shards
-// (own lock, own per-query partial Aggregator), so concurrent tracepoint
+// (own lock, own per-query partial ResultSet), so concurrent tracepoint
 // fires on different threads never contend. Flush drains every shard and
-// merges partials through Aggregator::AddState — sound because every
+// merges partials through ResultSet::Absorb — sound because every
 // aggregation function has a combiner (Table 3; "for Count, the combiner is
 // Sum") — then ships the whole interval as one ReportBatch frame
 // (docs/PERFORMANCE.md, "Emission path").
@@ -110,33 +110,24 @@ class PTAgent : public EmitSink {
  private:
   void HandleCommand(const BusMessage& msg);
 
-  // Control-plane view of one woven query, guarded by mu_. `agg`/`buffered`
-  // hold the interval's *merged* state: Flush drains every shard's partial
-  // aggregate into `agg` via AddState (the Table 3 combiner), so between
-  // flushes they only hold what earlier drains deposited.
+  // Control-plane view of one woven query, guarded by mu_. `results` holds
+  // the interval's merged state: Flush absorbs every shard's Take() into it
+  // (the Table 3 combiner), so between flushes it only holds what earlier
+  // drains deposited.
   struct QueryState {
-    ResultPlan plan;
-    Aggregator agg{{}, {}};        // Interval partial aggregation (merged).
-    std::vector<Tuple> buffered;   // Streaming rows for this interval (merged).
+    explicit QueryState(const ResultPlan& plan) : results(plan) {}
+    ResultSet results;
     uint64_t reports_suppressed = 0;         // Empty flushes, total.
     uint64_t suppressed_since_heartbeat = 0; // Empty flushes since last heartbeat.
   };
 
-  // Data-plane view of one woven query inside one shard, guarded only by the
-  // owning shard's lock.
-  struct ShardQueryState {
-    bool aggregated = false;
-    Aggregator agg{{}, {}};
-    std::vector<Tuple> buffered;
-  };
-
-  // One emission shard: its own lock plus per-query partial state. Threads
+  // One emission shard: its own lock plus per-query partial results. Threads
   // map onto shards by a process-wide thread ordinal, so two threads only
   // share a shard when there are more emitting threads than shards.
   // Lock ordering: mu_ before shard.mu; EmitTuple takes only shard.mu.
   struct Shard {
     std::mutex mu;
-    std::map<uint64_t, ShardQueryState> queries;
+    std::map<uint64_t, ResultSet> queries;
   };
 
   MessageBus* bus_;

@@ -175,16 +175,7 @@ Result<uint64_t> Frontend::InstallCompiled(CompiledQuery compiled, const Install
   std::vector<uint8_t> weave = EncodeWeave(WeaveCommand{query_id, compiled.advice, compiled.plan});
   {
     std::lock_guard<std::mutex> lock(mu_);
-    QueryResults results;
-    // The frontend's cumulative/interval aggregators combine *state tuples*
-    // from agents, so every spec switches to the combiner path.
-    std::vector<AggSpec> combine_specs = compiled.plan.aggs;
-    for (auto& spec : combine_specs) {
-      spec.input = spec.output;
-      spec.from_state = true;
-    }
-    results.total = Aggregator(compiled.plan.group_fields, combine_specs);
-    results.compiled = std::move(compiled);
+    QueryResults results(std::move(compiled));
     results.installed_micros = NowMicros();
     queries_.emplace(query_id, std::move(results));
   }
@@ -282,35 +273,14 @@ void Frontend::HandleBatch(const ReportBatch& batch) {
       ++view.reports;
       view.tuples += report.tuples.size();
 
-      if (q.compiled.plan.aggregated) {
-        auto [interval_it, inserted] =
-            q.interval_aggs.try_emplace(ts, q.total.group_fields(), q.total.specs());
-        for (const auto& t : report.tuples) {
-          q.total.AddState(t);
-          interval_it->second.AddState(t);
-        }
-      } else {
-        auto& rows = q.interval_rows[ts];
-        for (const auto& t : report.tuples) {
-          q.total_rows.push_back(t);
-          rows.push_back(t);
-        }
-      }
-      if (!q.listener) {
-        continue;
-      }
-      std::vector<Tuple> listener_rows;
-      if (q.compiled.plan.aggregated) {
+      q.total.Absorb(report.tuples);
+      q.intervals.try_emplace(ts, q.compiled.plan).first->second.Absorb(report.tuples);
+      if (q.listener) {
         // Finalize just this report's contribution for the listener.
-        Aggregator just_this(q.total.group_fields(), q.total.specs());
-        for (const auto& t : report.tuples) {
-          just_this.AddState(t);
-        }
-        listener_rows = just_this.Finalize();
-      } else {
-        listener_rows = report.tuples;
+        ResultSet just_this(q.compiled.plan);
+        just_this.Absorb(report.tuples);
+        deliveries.emplace_back(q.listener, just_this.Finalize());
       }
-      deliveries.emplace_back(q.listener, std::move(listener_rows));
     }
     for (const AgentStats& stats : batch.heartbeats) {
       auto it = queries_.find(stats.query_id);
@@ -344,10 +314,7 @@ std::vector<Tuple> Frontend::Results(uint64_t query_id) const {
   if (it == queries_.end()) {
     return {};
   }
-  if (it->second.compiled.plan.aggregated) {
-    return it->second.total.Finalize();
-  }
-  return it->second.total_rows;
+  return it->second.total.Finalize();
 }
 
 std::map<int64_t, std::vector<Tuple>> Frontend::Series(uint64_t query_id) const {
@@ -356,23 +323,17 @@ std::map<int64_t, std::vector<Tuple>> Frontend::Series(uint64_t query_id) const 
   if (it == queries_.end()) {
     return {};
   }
-  if (it->second.compiled.plan.aggregated) {
-    std::map<int64_t, std::vector<Tuple>> out;
-    for (const auto& [ts, agg] : it->second.interval_aggs) {
-      out.emplace(ts, agg.Finalize());
-    }
-    return out;
+  std::map<int64_t, std::vector<Tuple>> out;
+  for (const auto& [ts, interval] : it->second.intervals) {
+    out.emplace(ts, interval.Finalize());
   }
-  return it->second.interval_rows;
+  return out;
 }
 
 void Frontend::TrimSeriesBefore(uint64_t query_id, int64_t before_micros) {
   std::lock_guard<std::mutex> lock(mu_);
   auto trim = [before_micros](QueryResults& q) {
-    q.interval_aggs.erase(q.interval_aggs.begin(),
-                          q.interval_aggs.lower_bound(before_micros));
-    q.interval_rows.erase(q.interval_rows.begin(),
-                          q.interval_rows.lower_bound(before_micros));
+    q.intervals.erase(q.intervals.begin(), q.intervals.lower_bound(before_micros));
   };
   if (query_id == 0) {
     for (auto& [id, q] : queries_) {
@@ -404,7 +365,7 @@ std::vector<Frontend::QueryStatus> Frontend::QueryStatuses() const {
     QueryStatus s;
     s.query_id = id;
     s.active = q.active;
-    s.aggregated = q.compiled.plan.aggregated;
+    s.aggregated = q.compiled.plan.aggregated();
     std::set<std::string> tps;
     for (const auto& [tp, adv] : q.compiled.advice) {
       tps.insert(tp);

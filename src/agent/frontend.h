@@ -155,13 +155,12 @@ class Frontend {
 
  private:
   struct QueryResults {
+    explicit QueryResults(CompiledQuery c) : compiled(std::move(c)), total(compiled.plan) {}
     CompiledQuery compiled;
     bool active = true;
     ResultListener listener;
-    Aggregator total{{}, {}};
-    std::vector<Tuple> total_rows;                      // Streaming queries.
-    std::map<int64_t, Aggregator> interval_aggs;        // Aggregated queries.
-    std::map<int64_t, std::vector<Tuple>> interval_rows;  // Streaming queries.
+    ResultSet total;                         // Since installation.
+    std::map<int64_t, ResultSet> intervals;  // Keyed by report timestamp.
     // Lifecycle (frontend clock; agent report timestamps for report events).
     int64_t installed_micros = -1;
     int64_t first_ack_micros = -1;

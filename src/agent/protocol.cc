@@ -10,20 +10,13 @@ namespace pivot {
 namespace {
 
 void PutPlan(std::vector<uint8_t>* out, const ResultPlan& plan) {
-  out->push_back(plan.aggregated ? 1 : 0);
   PutStringList(out, plan.group_fields);
   PutAggSpecs(out, plan.aggs);
-  PutStringList(out, plan.output_columns);
 }
 
 bool GetPlan(const uint8_t* data, size_t size, size_t* pos, ResultPlan* plan) {
-  if (*pos >= size) {
-    return false;
-  }
-  plan->aggregated = data[(*pos)++] != 0;
   return GetStringList(data, size, pos, &plan->group_fields) &&
-         GetAggSpecs(data, size, pos, &plan->aggs) &&
-         GetStringList(data, size, pos, &plan->output_columns);
+         GetAggSpecs(data, size, pos, &plan->aggs);
 }
 
 }  // namespace

@@ -36,8 +36,8 @@ struct WeaveCommand {
 // One query's partial results for the interval a ReportBatch covers.
 struct AgentReport {
   uint64_t query_id = 0;
-  // Aggregate state tuples (combinable) or raw streamed rows, as the query's
-  // ResultPlan::aggregated says.
+  // The agent interval's ResultSet::Take(): aggregate state tuples or raw
+  // streamed rows, as the query's ResultPlan::aggregated() says.
   std::vector<Tuple> tuples;
 };
 

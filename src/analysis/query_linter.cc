@@ -273,22 +273,16 @@ QueryLintResult QueryLinter::Lint(
                    "as null at the agent)");
       }
     };
-    if (plan.aggregated) {
-      for (const auto& g : plan.group_fields) {
-        require_emitted(g, "result group field");
+    for (const auto& g : plan.group_fields) {
+      require_emitted(g, "result group field");
+    }
+    for (const AggSpec& spec : plan.aggs) {
+      if (spec.input.empty()) {
+        continue;  // COUNT over raw tuples needs no input column.
       }
-      for (const AggSpec& spec : plan.aggs) {
-        if (spec.input.empty()) {
-          continue;  // COUNT over raw tuples needs no input column.
-        }
-        require_emitted(spec.input, "aggregation input");
-        if (spec.from_state && spec.fn == AggFn::kAverage) {
-          require_emitted(spec.input + "#n", "aggregation state column");
-        }
-      }
-    } else {
-      for (const auto& col : plan.output_columns) {
-        require_emitted(col, "output column");
+      require_emitted(spec.input, "aggregation input");
+      if (spec.from_state && spec.fn == AggFn::kAverage) {
+        require_emitted(spec.input + "#n", "aggregation state column");
       }
     }
   }

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstring>
+#include <utility>
 
 #include "src/telemetry/metrics.h"
 
@@ -334,6 +335,40 @@ std::vector<Tuple> Aggregator::Finalize() const {
 void Aggregator::Clear() {
   groups_.clear();
   slots_.clear();
+}
+
+ResultSet::ResultSet(const ResultPlan& plan)
+    : aggregated_(plan.aggregated()), agg_(plan.group_fields, plan.aggs) {}
+
+void ResultSet::AddInput(const Tuple& t) {
+  if (aggregated_) {
+    agg_.AddInput(t);
+  } else {
+    rows_.push_back(t);
+  }
+}
+
+void ResultSet::Absorb(const std::vector<Tuple>& taken) {
+  if (!aggregated_) {
+    rows_.insert(rows_.end(), taken.begin(), taken.end());
+    return;
+  }
+  for (const Tuple& t : taken) {
+    agg_.AddState(t);
+  }
+}
+
+std::vector<Tuple> ResultSet::Take() {
+  if (!aggregated_) {
+    return std::exchange(rows_, {});
+  }
+  std::vector<Tuple> state = agg_.StateTuples();
+  agg_.Clear();
+  return state;
+}
+
+std::vector<Tuple> ResultSet::Finalize() const {
+  return aggregated_ ? agg_.Finalize() : rows_;
 }
 
 }  // namespace pivot

@@ -58,14 +58,13 @@ struct AggSpec {
 
 // The result side of a compiled query: how agents and the frontend process
 // its emitted tuples. The compiler produces it, the weave command carries it
-// to agents, and the linter checks emitted columns against it. When
-// `aggregated` is false the query streams raw tuples and only
-// `output_columns` applies.
+// to agents, and the linter checks emitted columns against it. A query with
+// neither group fields nor aggregates streams its raw tuples.
 struct ResultPlan {
-  bool aggregated = false;
   std::vector<std::string> group_fields;
-  std::vector<AggSpec> aggs;                // from_state marks pushed-down aggregates.
-  std::vector<std::string> output_columns;  // Final column order (may be empty).
+  std::vector<AggSpec> aggs;  // from_state marks pushed-down aggregates.
+
+  bool aggregated() const { return !group_fields.empty() || !aggs.empty(); }
 };
 
 // Streaming grouped aggregator. Group keys are the values of `group_fields`;
@@ -81,9 +80,6 @@ struct ResultPlan {
 class Aggregator {
  public:
   Aggregator(std::vector<std::string> group_fields, std::vector<AggSpec> specs);
-
-  const std::vector<std::string>& group_fields() const { return group_fields_; }
-  const std::vector<AggSpec>& specs() const { return specs_; }
 
   // Accumulates one raw input tuple.
   void AddInput(const Tuple& t);
@@ -152,6 +148,35 @@ class Aggregator {
   std::vector<SpecIds> spec_ids_;
   std::vector<Group> groups_;
   std::vector<IndexSlot> slots_;  // Empty until the first group; 2^k sized.
+};
+
+// One query's results at one level of the combine tree (§5): an agent's
+// emission shard, the agent's interval, the frontend's total or one of its
+// intervals. An aggregated plan keeps Aggregator state, a streaming plan keeps
+// rows in arrival order. Take() hands a level's contents to the next level's
+// Absorb(): state tuples merge through the combiner (Table 3), rows append.
+class ResultSet {
+ public:
+  explicit ResultSet(const ResultPlan& plan);
+
+  // Accumulates one raw emitted tuple.
+  void AddInput(const Tuple& t);
+
+  // Combines another ResultSet's Take() output for the same plan.
+  void Absorb(const std::vector<Tuple>& taken);
+
+  // Externalizes the contents (state tuples or rows) and empties the set.
+  std::vector<Tuple> Take();
+
+  // Final rows: group fields then aggregate outputs, or the streamed rows.
+  std::vector<Tuple> Finalize() const;
+
+  bool empty() const { return aggregated_ ? agg_.empty() : rows_.empty(); }
+
+ private:
+  bool aggregated_;
+  Aggregator agg_;
+  std::vector<Tuple> rows_;  // Streaming plans only.
 };
 
 }  // namespace pivot

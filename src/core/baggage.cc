@@ -163,7 +163,7 @@ size_t TupleBag::size() const {
 
 void Baggage::Pack(BagKey key, const BagSpec& spec, const Tuple& t) {
   PackCounter().Increment();
-  active_cache_valid_ = false;  // The only mutation of the active instance.
+  active_bytes_valid_ = false;  // The only mutation of the active instance.
   auto it = active_bags_.find(key);
   if (it == active_bags_.end()) {
     it = active_bags_.emplace(key, TupleBag(spec)).first;
@@ -206,20 +206,6 @@ std::vector<Tuple> Baggage::Unpack(BagKey key) const {
     combined.MergeFrom(*b);
   }
   return combined.Contents();
-}
-
-Baggage::InstancePtr Baggage::FreezeActive() const {
-  auto frozen = std::make_shared<Instance>();
-  frozen->id = active_id_;
-  frozen->gen = active_gen_;
-  frozen->bags = active_bags_;
-  if (active_cache_valid_) {
-    // The frozen snapshot inherits the memoized encoding; it stays valid
-    // forever because the instance is immutable from here on.
-    frozen->cache = active_cache_;
-    frozen->encoded.store(true, std::memory_order_release);
-  }
-  return frozen;
 }
 
 std::pair<Baggage, Baggage> Baggage::Split() const {
@@ -328,8 +314,8 @@ void Baggage::Clear() {
   active_gen_ = 0;
   active_bags_.clear();
   inactive_.clear();
-  active_cache_ = InstanceCache{};
-  active_cache_valid_ = false;
+  active_bytes_.clear();
+  active_bytes_valid_ = false;
 }
 
 // ---------------------------------------------------------------------------
@@ -431,107 +417,77 @@ bool GetBags(const uint8_t* data, size_t size, size_t* pos, std::map<BagKey, Tup
   return true;
 }
 
-}  // namespace
-
-// Encodes the `[gen][id][bags...]` segment of one instance into `cache`,
-// computing per-query attribution as a side effect (the cost is one map walk
-// already being paid; caching it lets the stats overload hit too).
-void Baggage::EncodeInstance(uint64_t gen, const ItcId& id,
-                             const std::map<BagKey, TupleBag>& bags, InstanceCache* cache) {
-  cache->bytes.clear();
-  cache->shares.clear();
-  PutVarint64(&cache->bytes, gen);
-  id.Encode(&cache->bytes);
-  PutBags(&cache->bytes, bags, &cache->shares);
-  cache->has_shares = true;
+// Encodes one instance's `[gen][id][bags...]` segment into `out`.
+void EncodeInstance(uint64_t gen, const ItcId& id, const std::map<BagKey, TupleBag>& bags,
+                    std::vector<uint8_t>* out) {
+  out->clear();
+  PutVarint64(out, gen);
+  id.Encode(out);
+  PutBags(out, bags, nullptr);
 }
 
-void Baggage::Instance::EnsureEncoded() const {
-  std::call_once(encode_once, [this] {
-    if (encoded.load(std::memory_order_relaxed)) {
-      return;  // Seeded from the wire at decode time (or at FreezeActive).
-    }
-    EncodeInstance(gen, id, bags, &cache);
-    encoded.store(true, std::memory_order_release);
-  });
+}  // namespace
+
+Baggage::InstancePtr Baggage::FreezeActive() const {
+  auto frozen = std::make_shared<Instance>();
+  frozen->id = active_id_;
+  frozen->gen = active_gen_;
+  frozen->bags = active_bags_;
+  if (active_bytes_valid_) {
+    frozen->bytes = active_bytes_;
+  } else {
+    EncodeInstance(active_gen_, active_id_, active_bags_, &frozen->bytes);
+  }
+  return frozen;
 }
 
 std::vector<uint8_t> Baggage::Serialize(SerializeStats* stats) const {
   SerializeCounter().Increment();
-  if (IsTrivial()) {
-    SerializeBytesHistogram().Observe(0);
-    if (stats != nullptr) {
-      *stats = SerializeStats{};
-      stats->instances = instance_count();
-    }
-    return {};
-  }
-  const bool want_shares = stats != nullptr;
   if (stats != nullptr) {
     *stats = SerializeStats{};
+    stats->instances = instance_count();
+  }
+  if (IsTrivial()) {
+    SerializeBytesHistogram().Observe(0);
+    return {};
   }
 
-  // Active instance: re-encode only if dirty (Pack since the last encode) or
-  // if the caller wants attribution a wire-seeded cache cannot provide.
-  if (!active_cache_valid_ || (want_shares && !active_cache_.has_shares)) {
-    EncodeInstance(active_gen_, active_id_, active_bags_, &active_cache_);
-    active_cache_valid_ = true;
-    SerializeCacheMissCounter().Increment();
-  } else {
+  // Active instance: re-encode only if dirty (Pack since the last encode).
+  // Inactive instances were encoded when they froze or were decoded.
+  if (active_bytes_valid_) {
     SerializeCacheHitCounter().Increment();
+  } else {
+    EncodeInstance(active_gen_, active_id_, active_bags_, &active_bytes_);
+    active_bytes_valid_ = true;
+    SerializeCacheMissCounter().Increment();
   }
-
-  size_t total = 0;
+  size_t total = active_bytes_.size();
   for (const auto& inst : inactive_) {
-    if (inst->encoded.load(std::memory_order_acquire)) {
-      SerializeCacheHitCounter().Increment();
-    } else {
-      SerializeCacheMissCounter().Increment();
-    }
-    inst->EnsureEncoded();
-    total += inst->cache.bytes.size();
+    SerializeCacheHitCounter().Increment();
+    total += inst->bytes.size();
   }
 
   std::vector<uint8_t> out;
-  out.reserve(10 + active_cache_.bytes.size() + total);
+  out.reserve(10 + total);
   PutVarint64(&out, 1 + inactive_.size());
-  out.insert(out.end(), active_cache_.bytes.begin(), active_cache_.bytes.end());
-  if (want_shares) {
-    for (const auto& [q, share] : active_cache_.shares) {
-      auto& dst = stats->queries[q];
-      dst.bytes += share.bytes;
-      dst.tuples += share.tuples;
-    }
-  }
+  out.insert(out.end(), active_bytes_.begin(), active_bytes_.end());
   for (const auto& inst : inactive_) {
-    out.insert(out.end(), inst->cache.bytes.begin(), inst->cache.bytes.end());
-    if (want_shares) {
-      if (inst->cache.has_shares) {
-        for (const auto& [q, share] : inst->cache.shares) {
-          auto& dst = stats->queries[q];
-          dst.bytes += share.bytes;
-          dst.tuples += share.tuples;
-        }
-      } else {
-        // Wire-seeded cache: attribution needs a throwaway re-encode. The
-        // frozen instance itself is never mutated (it may be shared across
-        // threads), so the upgrade is not persisted.
-        InstanceCache tmp;
-        EncodeInstance(inst->gen, inst->id, inst->bags, &tmp);
-        for (const auto& [q, share] : tmp.shares) {
-          auto& dst = stats->queries[q];
-          dst.bytes += share.bytes;
-          dst.tuples += share.tuples;
-        }
-      }
-    }
+    out.insert(out.end(), inst->bytes.begin(), inst->bytes.end());
   }
+  const size_t tuples = TupleCount();
   SerializeBytesHistogram().Observe(out.size());
-  SerializeTuplesHistogram().Observe(TupleCount());
+  SerializeTuplesHistogram().Observe(tuples);
   if (stats != nullptr) {
+    // Per-query attribution, computed on demand: re-encode each instance's
+    // bags into a scratch buffer, which yields the same bytes as `out` holds.
+    std::vector<uint8_t> scratch;
+    PutBags(&scratch, active_bags_, &stats->queries);
+    for (const auto& inst : inactive_) {
+      scratch.clear();
+      PutBags(&scratch, inst->bags, &stats->queries);
+    }
     stats->bytes = out.size();
-    stats->tuples = TupleCount();
-    stats->instances = instance_count();
+    stats->tuples = tuples;
   }
   return out;
 }
@@ -548,7 +504,7 @@ Result<Baggage> Baggage::Deserialize(const uint8_t* data, size_t size) {
     DeserializeErrorCounter().Increment();
     return DataLossError("baggage: bad instance count");
   }
-  // Each instance's cache is seeded with the wire slice it was decoded from,
+  // Each instance's bytes are seeded with the wire slice it was decoded from,
   // so re-serializing an unmodified baggage — the response leg of an RPC hop —
   // copies cached bytes instead of re-encoding every bag. Our encoder is
   // canonical (ordered maps, minimal varints), so for bytes we produced the
@@ -560,9 +516,8 @@ Result<Baggage> Baggage::Deserialize(const uint8_t* data, size_t size) {
     DeserializeErrorCounter().Increment();
     return DataLossError("baggage: bad active instance");
   }
-  out.active_cache_.bytes.assign(data + active_start, data + pos);
-  out.active_cache_.has_shares = false;
-  out.active_cache_valid_ = true;
+  out.active_bytes_.assign(data + active_start, data + pos);
+  out.active_bytes_valid_ = true;
   for (uint64_t i = 1; i < ninst; ++i) {
     auto inst = std::make_shared<Instance>();
     size_t inst_start = pos;
@@ -572,9 +527,7 @@ Result<Baggage> Baggage::Deserialize(const uint8_t* data, size_t size) {
       DeserializeErrorCounter().Increment();
       return DataLossError("baggage: bad inactive instance");
     }
-    inst->cache.bytes.assign(data + inst_start, data + pos);
-    inst->cache.has_shares = false;
-    inst->encoded.store(true, std::memory_order_release);
+    inst->bytes.assign(data + inst_start, data + pos);
     out.inactive_.push_back(std::move(inst));
   }
   if (pos != size) {

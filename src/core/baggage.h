@@ -14,11 +14,9 @@
 #ifndef PIVOT_SRC_CORE_BAGGAGE_H_
 #define PIVOT_SRC_CORE_BAGGAGE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -200,17 +198,6 @@ class Baggage {
   void Clear();
 
  private:
-  // Memoized wire encoding of one instance: the `[gen][id][bags...]` segment
-  // Serialize emits, plus (optionally) the per-query byte/tuple attribution
-  // computed while encoding. `has_shares` is false for caches seeded from the
-  // wire at Deserialize, where the split per query is unknown without a
-  // re-encode.
-  struct InstanceCache {
-    std::vector<uint8_t> bytes;
-    std::map<uint64_t, SerializeStats::QueryShare> shares;
-    bool has_shares = false;
-  };
-
   struct Instance {
     // Instance identity is (id, gen): the interval-tree ID alone is not
     // globally unique over time because joining the two halves of a split
@@ -221,27 +208,16 @@ class Baggage {
     ItcId id;
     uint64_t gen = 0;
     std::map<BagKey, TupleBag> bags;
-
-    // Ensures `cache` holds this instance's encoding, computing it at most
-    // once — instances are immutable once frozen behind shared_ptr<const>,
-    // so the bytes never invalidate. Deserialize seeds the cache from the
-    // received wire slice instead (encoded=true before first EnsureEncoded).
-    void EnsureEncoded() const;
-
-    mutable std::once_flag encode_once;
-    mutable std::atomic<bool> encoded{false};
-    mutable InstanceCache cache;
+    // The instance's `[gen][id][bags...]` wire segment, encoded when the
+    // instance is frozen or copied from the wire slice it was decoded from.
+    // Instances are immutable behind shared_ptr<const>, so it never changes.
+    std::vector<uint8_t> bytes;
   };
   using InstancePtr = std::shared_ptr<const Instance>;
 
-  // Freezes the active instance (id/gen/bags snapshot) for retention on both
-  // sides of a split; carries the active encoding cache along when valid.
+  // Freezes the active instance (id/gen/bags snapshot, encoded) for
+  // retention on both sides of a split. Does not touch this baggage.
   InstancePtr FreezeActive() const;
-
-  // Encodes one instance's `[gen][id][bags...]` segment into `cache`,
-  // computing per-query attribution alongside.
-  static void EncodeInstance(uint64_t gen, const ItcId& id,
-                             const std::map<BagKey, TupleBag>& bags, InstanceCache* cache);
 
   // The active instance's contents live directly in the Baggage object.
   ItcId active_id_ = ItcId::Seed();
@@ -255,8 +231,8 @@ class Baggage {
   // mutation of active_bags_) and seeded by Deserialize, so serializing an
   // unchanged baggage — e.g. on the response leg of an RPC — is a copy of
   // cached bytes rather than a re-encode.
-  mutable InstanceCache active_cache_;
-  mutable bool active_cache_valid_ = false;
+  mutable std::vector<uint8_t> active_bytes_;
+  mutable bool active_bytes_valid_ = false;
 };
 
 }  // namespace pivot

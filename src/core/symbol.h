@@ -4,8 +4,8 @@
 // "cl.procName") and the advice hot path — Observe/Let/Filter/Pack/Emit on
 // every tracepoint fire — used to resolve each of them by std::string
 // comparison. The interner maps every distinct name to a dense SymbolId once,
-// so Tuple::Get/Set/Project/HashFields and bound expression evaluation become
-// integer compares with no allocation.
+// so Tuple::Get/Project and bound expression evaluation become integer
+// compares with no allocation.
 //
 // Concurrency contract:
 //  * Intern() takes a mutex and may allocate — call it at compile/weave time

@@ -2,16 +2,6 @@
 
 namespace pivot {
 
-void Tuple::Set(SymbolId id, Value value) {
-  for (auto& f : fields_) {
-    if (f.id == id) {
-      f.value = std::move(value);
-      return;
-    }
-  }
-  fields_.push_back(Field{id, std::move(value)});
-}
-
 Value Tuple::Get(SymbolId id) const {
   for (const auto& f : fields_) {
     if (f.id == id) {
@@ -78,26 +68,6 @@ Tuple Tuple::Project(std::initializer_list<std::string_view> names) const {
     out.Append(id, Get(id));
   }
   return out;
-}
-
-uint64_t Tuple::HashFields(const std::vector<SymbolId>& ids) const {
-  uint64_t h = 0x84222325CBF29CE4ULL;
-  for (SymbolId id : ids) {
-    h = h * 0x100000001B3ULL + Get(id).Hash();
-  }
-  return h;
-}
-
-uint64_t Tuple::HashFields(const std::vector<std::string>& names) const {
-  return HashFields(InternSymbols(names));
-}
-
-uint64_t Tuple::HashFields(std::initializer_list<std::string_view> names) const {
-  uint64_t h = 0x84222325CBF29CE4ULL;
-  for (std::string_view n : names) {
-    h = h * 0x100000001B3ULL + Get(InternSymbol(n)).Hash();
-  }
-  return h;
 }
 
 std::string Tuple::ToString() const {

@@ -6,8 +6,8 @@
 // column names, exactly like the paper's query examples.
 //
 // Names are stored interned: a Field holds a dense SymbolId (see
-// src/core/symbol.h), so Get/Set/Project/HashFields compare integers instead
-// of strings on the advice hot path. String-based accessors remain for
+// src/core/symbol.h), so Get/Project compare integers instead of strings on
+// the advice hot path. String-based accessors remain for
 // compatibility and for cold paths (wire decode, rendering, tests); they
 // intern or look up through the global SymbolTable.
 
@@ -54,18 +54,12 @@ class Tuple {
   const Field& field(size_t i) const { return fields_[i]; }
   const std::vector<Field>& fields() const { return fields_; }
 
-  // Appends a field. Does not check for duplicates; Set() replaces instead.
+  // Appends a field. Does not check for duplicates.
   void Append(SymbolId id, Value value) {
     fields_.push_back(Field{id, std::move(value)});
   }
   void Append(std::string_view name, Value value) {
     Append(InternSymbol(name), std::move(value));
-  }
-
-  // Replaces the named field, or appends it if absent.
-  void Set(SymbolId id, Value value);
-  void Set(std::string_view name, Value value) {
-    Set(InternSymbol(name), std::move(value));
   }
 
   // Returns the named field's value, or null if absent. The string overloads
@@ -88,11 +82,6 @@ class Tuple {
   Tuple Project(const std::vector<SymbolId>& ids) const;
   Tuple Project(const std::vector<std::string>& names) const;
   Tuple Project(std::initializer_list<std::string_view> names) const;
-
-  // Key for group-by: hash + equality over the values of `names` in order.
-  uint64_t HashFields(const std::vector<SymbolId>& ids) const;
-  uint64_t HashFields(const std::vector<std::string>& names) const;
-  uint64_t HashFields(std::initializer_list<std::string_view> names) const;
 
   // "(a=1, b=x)" rendering.
   std::string ToString() const;

@@ -619,7 +619,6 @@ Result<CompiledQuery> QueryCompiler::Compile(const Query& q, uint64_t query_id) 
   CompiledQuery out;
   out.query_id = query_id;
   ResultPlan& plan = out.plan;
-  plan.aggregated = aggregated;
   plan.group_fields = flat.group_by;
 
   int emit_let_counter = 0;
@@ -641,14 +640,6 @@ Result<CompiledQuery> QueryCompiler::Compile(const Query& q, uint64_t query_id) 
     } else if (!aggregated && s.expr->op() != ExprOp::kField) {
       emit_lets.push_back(LetBinding{flat.from.alias, s.display, s.expr});
     }
-    plan.output_columns.push_back(s.is_aggregate
-                                      ? s.display
-                                      : (s.expr->op() == ExprOp::kField && !s.has_explicit_alias
-                                             ? s.expr->field_name()
-                                             : s.display));
-  }
-  if (flat.select.empty() && aggregated) {
-    plan.output_columns = flat.group_by;
   }
 
   for (size_t idx : topo) {
@@ -756,8 +747,7 @@ std::vector<CompiledQuery::PackCost> CompiledQuery::EstimatePackCosts() const {
 CompiledQuery MakeCountingQuery(const CompiledQuery& original, uint64_t shadow_id) {
   CompiledQuery out;
   out.query_id = shadow_id;
-  out.plan = ResultPlan{true, {"$stage"}, {AggSpec{AggFn::kCount, "", "COUNT", false}},
-                        {"$stage", "COUNT"}};
+  out.plan = ResultPlan{{"$stage"}, {AggSpec{AggFn::kCount, "", "COUNT", false}}};
 
   auto remap_bag = [shadow_id](BagKey bag) {
     return shadow_id * kBagKeysPerQuery + bag % kBagKeysPerQuery;
@@ -824,7 +814,7 @@ std::string CompiledQuery::Explain() const {
       start = end + 1;
     }
   }
-  if (plan.aggregated) {
+  if (plan.aggregated()) {
     out += "  result: group by [";
     for (size_t i = 0; i < plan.group_fields.size(); ++i) {
       if (i != 0) {

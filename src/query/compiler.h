@@ -63,7 +63,7 @@ struct CompiledQuery {
   // (tracepoint name, advice) pairs, ready for TracepointRegistry::WeaveQuery.
   std::vector<std::pair<std::string, Advice::Ptr>> advice;
 
-  // Result-side plan; streaming (Q8-style) queries have !plan.aggregated.
+  // Result-side plan; streaming (Q8-style) queries have !plan.aggregated().
   ResultPlan plan;
 
   // Human-readable per-tracepoint advice listing plus the packing cost class

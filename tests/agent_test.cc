@@ -45,9 +45,7 @@ class AgentTest : public ::testing::Test {
     cmd.query_id = id;
     cmd.advice.emplace_back(
         "X", AdviceBuilder().Observe({{"v", "x.v"}}).Emit(id, {}).Build());
-    cmd.plan.aggregated = true;
     cmd.plan.aggs = {{AggFn::kCount, "", "COUNT", false}};
-    cmd.plan.output_columns = {"COUNT"};
     return cmd;
   }
 
@@ -154,7 +152,6 @@ TEST_F(AgentTest, StreamingQueryBuffersRawRows) {
   cmd.query_id = 5;
   cmd.advice.emplace_back("X",
                           AdviceBuilder().Observe({{"v", "x.v"}}).Emit(5, {"x.v"}).Build());
-  cmd.plan.aggregated = false;
   bus_.Publish(BusMessage{kCommandTopic, EncodeWeave(cmd)});
 
   Fire(7);

@@ -151,12 +151,14 @@ TEST(AggregatorTest, MissingGroupFieldProjectsToNullGroup) {
 }
 
 TEST(AggregatorTest, StateRoundTripThroughAddState) {
-  Aggregator a({"g"}, {{AggFn::kAverage, "v", "AVG", false}, {AggFn::kCount, "", "C", false}});
+  const std::vector<AggSpec> specs = {{AggFn::kAverage, "v", "AVG", false},
+                                      {AggFn::kCount, "", "C", false}};
+  Aggregator a({"g"}, specs);
   a.AddInput(Row("x", 10));
   a.AddInput(Row("x", 20));
   a.AddInput(Row("y", 5));
 
-  Aggregator b(a.group_fields(), a.specs());
+  Aggregator b({"g"}, specs);
   for (const auto& st : a.StateTuples()) {
     b.AddState(st);
   }
@@ -202,6 +204,70 @@ TEST(AggregatorTest, ClearResets) {
   agg.Clear();
   EXPECT_TRUE(agg.empty());
   EXPECT_TRUE(agg.Finalize().empty());
+}
+
+// ResultSet: one query's results at one level of the combine tree.
+
+std::vector<std::string> Rendered(const std::vector<Tuple>& rows) {
+  std::vector<std::string> out;
+  for (const Tuple& t : rows) {
+    out.push_back(t.ToString());
+  }
+  return out;
+}
+
+TEST(ResultSetTest, StreamingKeepsArrivalOrderAcrossLevels) {
+  ResultPlan streaming;  // No group fields, no aggregates.
+  ResultSet shard(streaming);
+  ResultSet interval(streaming);
+  shard.AddInput(Row("c", 3));
+  shard.AddInput(Row("a", 1));
+  interval.Absorb(shard.Take());
+  shard.AddInput(Row("b", 2));
+  interval.Absorb(shard.Take());
+  EXPECT_EQ(Rendered(interval.Finalize()),
+            (std::vector<std::string>{"(g=c, v=3)", "(g=a, v=1)", "(g=b, v=2)"}));
+}
+
+TEST(ResultSetTest, TwoLevelsOfAbsorbFinalizeLikeOneAggregator) {
+  ResultPlan plan;
+  plan.group_fields = {"g"};
+  plan.aggs = {{AggFn::kAverage, "v", "AVG", false},
+               {AggFn::kCount, "", "COUNT", false},
+               {AggFn::kMax, "v", "MAX", false}};
+  Aggregator direct(plan.group_fields, plan.aggs);
+  ResultSet shard1(plan);
+  ResultSet shard2(plan);
+  ResultSet interval(plan);
+  ResultSet total(plan);
+  const std::vector<Tuple> rows = {Row("a", 1), Row("b", 4), Row("a", 2),
+                                   Row("b", 7), Row("a", 6)};
+  for (size_t i = 0; i < rows.size(); ++i) {
+    direct.AddInput(rows[i]);
+    (i % 2 == 0 ? shard1 : shard2).AddInput(rows[i]);
+  }
+  interval.Absorb(shard1.Take());
+  interval.Absorb(shard2.Take());
+  total.Absorb(interval.Take());
+  EXPECT_EQ(Rendered(total.Finalize()), Rendered(direct.Finalize()));
+  EXPECT_EQ(Rendered(total.Finalize()),
+            (std::vector<std::string>{"(g=a, AVG=3.0, COUNT=3, MAX=6)",
+                                      "(g=b, AVG=5.5, COUNT=2, MAX=7)"}));
+}
+
+TEST(ResultSetTest, TakeLeavesTheSetEmpty) {
+  ResultPlan counting;
+  counting.aggs = {{AggFn::kCount, "", "COUNT", false}};
+  for (const ResultPlan& plan : {counting, ResultPlan{}}) {
+    ResultSet set(plan);
+    EXPECT_TRUE(set.empty());
+    set.AddInput(Row("a", 1));
+    EXPECT_FALSE(set.empty());
+    EXPECT_EQ(set.Take().size(), 1u);
+    EXPECT_TRUE(set.empty());
+    EXPECT_TRUE(set.Finalize().empty());
+    EXPECT_TRUE(set.Take().empty());
+  }
 }
 
 // Property: partial aggregation + combining equals direct aggregation, for

@@ -286,7 +286,6 @@ TEST_F(BadProgramTest, CorpusTriggersExpectedDiagnostics) {
                                                     .Observe({{"x", "t.x"}})
                                                     .Emit(kQid, {"t.x"})
                                                     .Build());
-                      cq.plan.aggregated = true;
                       cq.plan.group_fields = {"t.ghost"};
                       cq.plan.aggs.push_back(AggSpec{AggFn::kCount, "", "COUNT", false});
                       return cq;

@@ -375,5 +375,54 @@ TEST(BaggageCache, SerializeAfterRpcHopReusesCachedBytes) {
   EXPECT_EQ(hits.value(), h0 + 1);
 }
 
+// SerializeStats attributes every bag's bytes and tuples to its query, and
+// the shares plus framing add up to the serialized size. Attribution must not
+// depend on where an instance's bytes came from: a received baggage (bytes
+// copied from the wire) reports exactly what the sender reported.
+TEST(BaggageTest, SerializeStatsAttributionSurvivesWireRoundTrip) {
+  const BagKey q1 = 1 * kBagKeysPerQuery;
+  const BagKey q2 = 2 * kBagKeysPerQuery;
+  Baggage b;
+  b.Pack(q1, BagSpec::All(), T("a", 1));
+  b.Pack(q2, BagSpec::First(2), T("b", 2));
+  auto [left, right] = b.Split();  // Freezes one instance holding both bags.
+  Baggage sender = std::move(left);
+  sender.Pack(q1, BagSpec::All(), T("a", 3));
+  sender.Pack(q2 + 1, BagSpec::Aggregated({}, {{AggFn::kSum, "c", "SUM(c)", false}}),
+              T("c", 4));
+
+  // Framing: the instance count, then each instance's gen, id and bag count
+  // (all one-byte varints here).
+  auto id_bytes = [](const ItcId& id) {
+    std::vector<uint8_t> buf;
+    id.Encode(&buf);
+    return buf.size();
+  };
+  const uint64_t framing = 1 + (2 + id_bytes(sender.active_id())) + (2 + id_bytes(b.active_id()));
+
+  Baggage::SerializeStats sent;
+  std::vector<uint8_t> wire = sender.Serialize(&sent);
+  Result<Baggage> received = Baggage::Deserialize(wire);
+  ASSERT_TRUE(received.ok());
+  Baggage::SerializeStats resent;
+  EXPECT_EQ((*received).Serialize(&resent), wire);
+
+  for (const Baggage::SerializeStats* stats : {&sent, &resent}) {
+    EXPECT_EQ(stats->bytes, wire.size());
+    EXPECT_EQ(stats->tuples, 4u);
+    EXPECT_EQ(stats->instances, 2u);
+    ASSERT_EQ(stats->queries.size(), 2u);
+    EXPECT_EQ(stats->queries.at(1).tuples, 2u);
+    EXPECT_EQ(stats->queries.at(2).tuples, 2u);
+    uint64_t shares = 0;
+    for (const auto& [query, share] : stats->queries) {
+      shares += share.bytes;
+    }
+    EXPECT_EQ(shares + framing, wire.size());
+  }
+  EXPECT_EQ(resent.queries.at(1).bytes, sent.queries.at(1).bytes);
+  EXPECT_EQ(resent.queries.at(2).bytes, sent.queries.at(2).bytes);
+}
+
 }  // namespace
 }  // namespace pivot

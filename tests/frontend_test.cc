@@ -114,6 +114,22 @@ TEST_F(FrontendTest, Q1StyleLocalAggregation) {
                                       "(incr.host=C, SUM(incr.delta)=50)"}));
 }
 
+// Results() rows are the final aggregator's: group fields first, then the
+// aggregates, whatever order Select lists them in.
+TEST_F(FrontendTest, ResultColumnsAreGroupFieldsThenAggregates) {
+  Result<uint64_t> q = frontend_.Install(
+      "From incr In DataNodeMetrics.incrBytesRead GroupBy incr.host "
+      "Select SUM(incr.delta), incr.host");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+
+  RunRequest({{&datanode_b_, 100}, {&datanode_c_, 50}});
+  FlushAll();
+
+  EXPECT_EQ(CanonicalTuples(frontend_.Results(*q)),
+            (std::vector<std::string>{"(incr.host=B, SUM(incr.delta)=100)",
+                                      "(incr.host=C, SUM(incr.delta)=50)"}));
+}
+
 TEST_F(FrontendTest, Q2StyleHappenedBeforeJoinAcrossProcesses) {
   Result<uint64_t> q = frontend_.Install(
       "From incr In DataNodeMetrics.incrBytesRead "

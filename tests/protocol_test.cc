@@ -16,10 +16,8 @@ TEST(ProtocolTest, WeaveRoundTrip) {
   cmd.advice.emplace_back(
       "DataNodeMetrics.incrBytesRead",
       AdviceBuilder().Observe({{"delta", "incr.delta"}}).Unpack(100).Emit(42, {}).Build());
-  cmd.plan.aggregated = true;
   cmd.plan.group_fields = {"cl.procName"};
   cmd.plan.aggs = {{AggFn::kSum, "incr.delta", "SUM(incr.delta)", false}};
-  cmd.plan.output_columns = {"cl.procName", "SUM(incr.delta)"};
 
   Result<ControlMessage> decoded = DecodeControlMessage(EncodeWeave(cmd));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
@@ -28,10 +26,8 @@ TEST(ProtocolTest, WeaveRoundTrip) {
   ASSERT_EQ(decoded->weave.advice.size(), 2u);
   EXPECT_EQ(decoded->weave.advice[0].first, "ClientProtocols");
   EXPECT_EQ(decoded->weave.advice[0].second->ToString(), cmd.advice[0].second->ToString());
-  EXPECT_TRUE(decoded->weave.plan.aggregated);
-  EXPECT_EQ(decoded->weave.plan.aggs.size(), 1u);
-  EXPECT_EQ(decoded->weave.plan.output_columns,
-            (std::vector<std::string>{"cl.procName", "SUM(incr.delta)"}));
+  EXPECT_EQ(decoded->weave.plan.group_fields, (std::vector<std::string>{"cl.procName"}));
+  EXPECT_EQ(decoded->weave.plan.aggs, cmd.plan.aggs);
 }
 
 TEST(ProtocolTest, UnweaveRoundTrip) {

@@ -26,11 +26,9 @@ WeaveCommand GroupedCommand(uint64_t id) {
   cmd.query_id = id;
   cmd.advice.emplace_back(
       "X", AdviceBuilder().Observe({{"v", "x.v"}, {"w", "x.w"}}).Emit(id, {}).Build());
-  cmd.plan.aggregated = true;
   cmd.plan.group_fields = {"x.v"};
   cmd.plan.aggs = {{AggFn::kCount, "", "COUNT", false},
                    {AggFn::kSum, "x.w", "SUM(x.w)", false}};
-  cmd.plan.output_columns = {"x.v", "COUNT", "SUM(x.w)"};
   return cmd;
 }
 

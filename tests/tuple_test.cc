@@ -23,15 +23,6 @@ TEST(TupleTest, AppendAndGet) {
   EXPECT_TRUE(t.Has("host"));
 }
 
-TEST(TupleTest, SetReplacesExisting) {
-  Tuple t{{"x", Value(int64_t{1})}};
-  t.Set("x", Value(int64_t{2}));
-  EXPECT_EQ(t.size(), 1u);
-  EXPECT_EQ(t.Get("x").int_value(), 2);
-  t.Set("y", Value(int64_t{3}));
-  EXPECT_EQ(t.size(), 2u);
-}
-
 TEST(TupleTest, ConcatJoinsFieldsInOrder) {
   Tuple a{{"a.x", Value(int64_t{1})}};
   Tuple b{{"b.y", Value(int64_t{2})}};
@@ -60,14 +51,6 @@ TEST(TupleTest, ProjectMissingYieldsNull) {
   Tuple p = t.Project({"zzz"});
   ASSERT_EQ(p.size(), 1u);
   EXPECT_TRUE(p.Get("zzz").is_null());
-}
-
-TEST(TupleTest, HashFieldsSensitiveToValuesNotExtras) {
-  Tuple a{{"g", Value("x")}, {"v", Value(int64_t{1})}};
-  Tuple b{{"g", Value("x")}, {"v", Value(int64_t{999})}};
-  Tuple c{{"g", Value("y")}, {"v", Value(int64_t{1})}};
-  EXPECT_EQ(a.HashFields({"g"}), b.HashFields({"g"}));
-  EXPECT_NE(a.HashFields({"g"}), c.HashFields({"g"}));
 }
 
 TEST(TupleTest, ToString) {
