@@ -13,9 +13,11 @@
 //      threads), so the MT gate self-skips with a SKIP line; CI's multi-core
 //      runners enforce it.
 //
-// Hand-rolled timing (best-of-passes) like bench_hotpath: no benchmark
-// library, so the gate runs identically everywhere check.sh does.
+// Hand-rolled timing like bench_hotpath (best-of-passes single-threaded,
+// medians of interleaved pairs for scaling): no benchmark library, so the
+// gate runs identically everywhere check.sh does.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -87,40 +89,39 @@ std::vector<Tuple> MakeRows() {
   return rows;
 }
 
-// Aggregate throughput (tuples/s) of `threads` emitters, best of `passes`.
-double MeasureThroughput(PTAgent* agent, int threads, int per_thread, int passes = 3) {
+// Aggregate throughput (tuples/s) of `threads` emitters in one pass.
+double MeasureThroughput(PTAgent* agent, int threads, int per_thread) {
   const std::vector<Tuple> rows = MakeRows();
-  double best = 0.0;
-  for (int p = 0; p < passes; ++p) {
-    std::atomic<bool> go{false};
-    std::atomic<int> ready{0};
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (int t = 0; t < threads; ++t) {
-      workers.emplace_back([&] {
-        ready.fetch_add(1);
-        while (!go.load(std::memory_order_acquire)) {
-        }
-        for (int i = 0; i < per_thread; ++i) {
-          agent->EmitTuple(kQuery, rows[i & 7]);
-        }
-      });
-    }
-    while (ready.load() != threads) {
-    }
-    int64_t start = NowNanos();
-    go.store(true, std::memory_order_release);
-    for (auto& w : workers) {
-      w.join();
-    }
-    int64_t elapsed = NowNanos() - start;
-    double rate = static_cast<double>(threads) * per_thread * 1e9 / elapsed;
-    if (rate > best) {
-      best = rate;
-    }
-    agent->Flush(p + 1);  // Reset interval state between passes.
+  std::atomic<bool> go{false};
+  std::atomic<int> ready{0};
+  std::vector<std::thread> workers;
+  workers.reserve(threads);
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&] {
+      ready.fetch_add(1);
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      for (int i = 0; i < per_thread; ++i) {
+        agent->EmitTuple(kQuery, rows[i & 7]);
+      }
+    });
   }
-  return best;
+  while (ready.load() != threads) {
+  }
+  int64_t start = NowNanos();
+  go.store(true, std::memory_order_release);
+  for (auto& w : workers) {
+    w.join();
+  }
+  int64_t elapsed = NowNanos() - start;
+  agent->Flush(elapsed);  // Reset interval state between passes.
+  return static_cast<double>(threads) * per_thread * 1e9 / elapsed;
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
 }
 
 }  // namespace
@@ -170,23 +171,37 @@ int main(int argc, char** argv) {
   json.Report("st_ratio", st_ratio, "x");
 
   // ---- 2. Multi-thread scaling ----
+  // The two configurations run in interleaved pairs, alternating which goes
+  // first, so machine noise lands on both alike; each figure is the median of
+  // kReps pairs, and the gate reads the median of the per-pair speedups.
   constexpr int kPerThread = 200'000;
-  double mt_single_8t = 0.0;
-  double mt_sharded_8t = 0.0;
-  printf("Aggregate intake throughput (M tuples/s):\n");
-  printf("  threads   global-lock   sharded\n");
+  constexpr int kReps = 7;
+  double mt_speedup = 0.0;
+  printf("Aggregate intake throughput (M tuples/s, median of %d interleaved pairs):\n", kReps);
+  printf("  threads   global-lock   sharded   speedup\n");
   for (int threads : {1, 2, 4, 8}) {
-    double a = MeasureThroughput(single.agent.get(), threads, kPerThread);
-    double b = MeasureThroughput(sharded.agent.get(), threads, kPerThread);
-    printf("  %7d   %11.2f   %7.2f\n", threads, a / 1e6, b / 1e6);
-    json.Report("mt_" + std::to_string(threads) + "t_global_lock", a / 1e6, "Mtuples/s");
-    json.Report("mt_" + std::to_string(threads) + "t_sharded", b / 1e6, "Mtuples/s");
+    std::vector<double> a(kReps);
+    std::vector<double> b(kReps);
+    std::vector<double> speedups(kReps);
+    for (int rep = 0; rep < kReps; ++rep) {
+      if (rep % 2 == 0) {
+        a[rep] = MeasureThroughput(single.agent.get(), threads, kPerThread);
+        b[rep] = MeasureThroughput(sharded.agent.get(), threads, kPerThread);
+      } else {
+        b[rep] = MeasureThroughput(sharded.agent.get(), threads, kPerThread);
+        a[rep] = MeasureThroughput(single.agent.get(), threads, kPerThread);
+      }
+      speedups[rep] = b[rep] / a[rep];
+    }
+    const double speedup = Median(speedups);
+    printf("  %7d   %11.2f   %7.2f   %6.2fx\n", threads, Median(a) / 1e6, Median(b) / 1e6,
+           speedup);
+    json.Report("mt_" + std::to_string(threads) + "t_global_lock", Median(a) / 1e6, "Mtuples/s");
+    json.Report("mt_" + std::to_string(threads) + "t_sharded", Median(b) / 1e6, "Mtuples/s");
     if (threads == 8) {
-      mt_single_8t = a;
-      mt_sharded_8t = b;
+      mt_speedup = speedup;
     }
   }
-  double mt_speedup = mt_sharded_8t / mt_single_8t;
   printf("\n8-thread sharded speedup over global lock: %.2fx\n", mt_speedup);
   printf("shard-lock collisions observed: %llu (sharded) %llu (global)\n",
          static_cast<unsigned long long>(sharded.agent->shard_contentions()),

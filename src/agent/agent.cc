@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <thread>
+#include <utility>
 
 #include "src/analysis/query_linter.h"
 #include "src/telemetry/metrics.h"
@@ -136,12 +137,13 @@ void PTAgent::HandleCommand(const BusMessage& msg) {
         if (queries_.count(cmd.query_id) != 0) {
           return;  // Duplicate weave; ignore (no re-ack either).
         }
-        queries_.emplace(cmd.query_id, QueryState(cmd.plan));
+        const ResultSet& interval =
+            queries_.emplace(cmd.query_id, QueryState(cmd.plan)).first->second.results;
         // Give every shard its own partial-results slot before any advice
         // can fire (the registry weave below). Shard locks nest inside mu_.
         for (auto& shard : shards_) {
           std::lock_guard<std::mutex> shard_lock(shard->mu);
-          shard->queries.emplace(cmd.query_id, ResultSet(cmd.plan));
+          shard->queries.emplace(cmd.query_id, Slot(interval));
         }
       }
       // Hand the registry the full advice list: tracepoints this process does
@@ -189,9 +191,9 @@ void PTAgent::EmitTuple(uint64_t query_id, const Tuple& t) {
     DroppedTuplesCounter().Increment();
     return;  // Query was unwoven concurrently; drop.
   }
-  emitted_total_.fetch_add(1, std::memory_order_relaxed);
-  EmittedTuplesCounter().Increment();
-  it->second.AddInput(t);
+  shard.emitted.store(shard.emitted.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_relaxed);
+  it->second.live.AddInput(t);
 }
 
 void PTAgent::Flush(int64_t now_micros) {
@@ -204,21 +206,33 @@ void PTAgent::Flush(int64_t now_micros) {
   std::vector<std::pair<uint64_t, uint64_t>> flushed_meta;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    // Drain every shard's partials into the per-query merge state. Absorb
-    // combines state tuples with the combiner of Table 3 ("for Count, the
-    // combiner is Sum"), so the merged result is exactly what a single global
-    // aggregator would have accumulated — only the association order
-    // differs, never the values.
+    // Drain every shard into the per-query interval sets. Under the shard
+    // lock each non-empty live set only trades places with its empty spare;
+    // the merge runs after the lock is released, so emitters never wait on
+    // it.
+    // Absorb combines groups with the combiner of Table 3 ("for Count, the
+    // combiner is Sum"), so the merged result is exactly what a single
+    // global aggregator would have accumulated — only the association order
+    // differs, never the values. An idle slot costs two emptiness checks.
     for (auto& shard : shards_) {
-      std::lock_guard<std::mutex> shard_lock(shard->mu);
+      {
+        std::lock_guard<std::mutex> shard_lock(shard->mu);
+        for (auto& [query_id, slot] : shard->queries) {
+          if (!slot.live.empty()) {
+            std::swap(slot.live, slot.spare);
+          }
+        }
+      }
       for (auto& [query_id, slot] : shard->queries) {
-        if (slot.empty()) {
-          continue;
+        if (!slot.spare.empty()) {  // Weave/unweave keep the maps in sync.
+          queries_.at(query_id).results.Absorb(std::move(slot.spare));
         }
-        auto it = queries_.find(query_id);
-        if (it != queries_.end()) {  // Weave/unweave keep the maps in sync.
-          it->second.results.Absorb(slot.Take());
-        }
+      }
+      // The emit path counts per shard; the shared counter catches up here.
+      const uint64_t emitted = shard->emitted.load(std::memory_order_relaxed);
+      if (emitted != shard->emitted_published) {
+        EmittedTuplesCounter().Increment(emitted - shard->emitted_published);
+        shard->emitted_published = emitted;
       }
     }
     for (auto& [query_id, state] : queries_) {
@@ -232,11 +246,10 @@ void PTAgent::Flush(int64_t now_micros) {
         }
         continue;
       }
-      AgentReport report;
-      report.query_id = query_id;
-      report.tuples = state.results.Take();
+      AgentReport report{query_id, state.results.EmptyLike()};
+      report.results.Absorb(std::move(state.results));  // Adopts the set whole.
       state.suppressed_since_heartbeat = 0;
-      reported_total_.fetch_add(report.tuples.size(), std::memory_order_relaxed);
+      reported_total_.fetch_add(report.results.size(), std::memory_order_relaxed);
       reports_published_.fetch_add(1, std::memory_order_relaxed);
       flushed_meta.emplace_back(query_id, state.reports_suppressed);
       batch.reports.push_back(std::move(report));
@@ -263,7 +276,7 @@ void PTAgent::Flush(int64_t now_micros) {
       ExecutionContext ctx(runtime_);
       flush_tp->Invoke(&ctx,
                        {{"queryId", Value(static_cast<int64_t>(flushed_meta[i].first))},
-                        {"tuples", Value(static_cast<int64_t>(batch.reports[i].tuples.size()))},
+                        {"tuples", Value(static_cast<int64_t>(batch.reports[i].results.size()))},
                         {"bytes", Value(static_cast<int64_t>(report_bytes[i]))},
                         {"suppressed", Value(static_cast<int64_t>(flushed_meta[i].second))}});
     }
@@ -271,7 +284,13 @@ void PTAgent::Flush(int64_t now_micros) {
   FlushNanosHistogram().Observe(static_cast<uint64_t>(MonotonicNanos() - flush_start));
 }
 
-uint64_t PTAgent::emitted_tuples() const { return emitted_total_.load(std::memory_order_relaxed); }
+uint64_t PTAgent::emitted_tuples() const {
+  uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    total += shard->emitted.load(std::memory_order_relaxed);
+  }
+  return total;
+}
 
 uint64_t PTAgent::reported_tuples() const {
   return reported_total_.load(std::memory_order_relaxed);

@@ -14,10 +14,11 @@
 //
 // Intake is sharded: each emitting thread lands in one of N emission shards
 // (own lock, own per-query partial ResultSet), so concurrent tracepoint
-// fires on different threads never contend. Flush drains every shard and
-// merges partials through ResultSet::Absorb — sound because every
+// fires on different threads never contend. Flush swaps each shard's sets
+// out for empty spares under the shard lock, then merges them set to set
+// through ResultSet::Absorb with the lock released — sound because every
 // aggregation function has a combiner (Table 3; "for Count, the combiner is
-// Sum") — then ships the whole interval as one ReportBatch frame
+// Sum") — and ships the whole interval as one ReportBatch frame
 // (docs/PERFORMANCE.md, "Emission path").
 
 #ifndef PIVOT_SRC_AGENT_AGENT_H_
@@ -111,9 +112,9 @@ class PTAgent : public EmitSink {
   void HandleCommand(const BusMessage& msg);
 
   // Control-plane view of one woven query, guarded by mu_. `results` holds
-  // the interval's merged state: Flush absorbs every shard's Take() into it
-  // (the Table 3 combiner), so between flushes it only holds what earlier
-  // drains deposited.
+  // the interval's merged state: Flush absorbs every drained shard set into
+  // it (the Table 3 combiner) and hands it to the report, so between flushes
+  // it is empty.
   struct QueryState {
     explicit QueryState(const ResultPlan& plan) : results(plan) {}
     ResultSet results;
@@ -121,13 +122,30 @@ class PTAgent : public EmitSink {
     uint64_t suppressed_since_heartbeat = 0; // Empty flushes since last heartbeat.
   };
 
+  // One query's partial results in one shard. Emitters accumulate into
+  // `live` under the shard lock. Flush swaps a non-empty `live` with the
+  // empty `spare` under that lock — O(1) moves of a few vectors, so it
+  // allocates and interns nothing — and merges the spare's contents after
+  // releasing it, leaving the spare empty again. Only Flush, under mu_,
+  // touches `spare`.
+  struct Slot {
+    explicit Slot(const ResultSet& like) : live(like.EmptyLike()), spare(like.EmptyLike()) {}
+    ResultSet live;
+    ResultSet spare;
+  };
+
   // One emission shard: its own lock plus per-query partial results. Threads
   // map onto shards by a process-wide thread ordinal, so two threads only
   // share a shard when there are more emitting threads than shards.
-  // Lock ordering: mu_ before shard.mu; EmitTuple takes only shard.mu.
+  // Lock ordering: mu_ before shard.mu; EmitTuple takes only shard.mu. The
+  // map itself changes only under both locks (weave, unweave).
   struct Shard {
     std::mutex mu;
-    std::map<uint64_t, ResultSet> queries;
+    std::map<uint64_t, Slot> queries;
+    // Tuples this shard took in. Written only under `mu` (a plain load and
+    // store, no shared read-modify-write on the emit path), read anywhere.
+    std::atomic<uint64_t> emitted{0};
+    uint64_t emitted_published = 0;  // Part of `emitted` in telemetry; Flush, under mu_.
   };
 
   MessageBus* bus_;
@@ -141,7 +159,6 @@ class PTAgent : public EmitSink {
 
   mutable std::mutex mu_;
   std::map<uint64_t, QueryState> queries_;
-  std::atomic<uint64_t> emitted_total_{0};
   std::atomic<uint64_t> reported_total_{0};
   std::atomic<uint64_t> reports_published_{0};
   std::atomic<uint64_t> dropped_total_{0};

@@ -205,6 +205,11 @@ const CompiledQuery* Frontend::compiled(uint64_t query_id) const {
 }
 
 void Frontend::HandleReport(const BusMessage& msg) {
+  if (!msg.payload.empty() &&
+      msg.payload[0] == static_cast<uint8_t>(ControlMessageType::kBatch)) {
+    HandleBatch(msg.payload);
+    return;
+  }
   Result<ControlMessage> decoded = DecodeControlMessage(msg.payload);
   if (!decoded.ok()) {
     DecodeErrorsCounter().Increment();
@@ -240,29 +245,36 @@ void Frontend::HandleReport(const BusMessage& msg) {
       q.first_ack_micros = ack.timestamp_micros;
     }
     q.agents[ack.host + "/" + ack.process_name].ack_micros = ack.timestamp_micros;
-    return;
-  }
-  if (decoded->type == ControlMessageType::kBatch) {
-    HandleBatch(decoded->batch);
   }
 }
 
-void Frontend::HandleBatch(const ReportBatch& batch) {
+void Frontend::HandleBatch(const std::vector<uint8_t>& payload) {
   // (listener, finalized rows) per report that has a listener, in order.
   std::vector<std::pair<ResultListener, std::vector<Tuple>>> deliveries;
-  const int64_t ts = batch.timestamp_micros;
-  const std::string agent = batch.host + "/" + batch.process_name;
+  int64_t ts = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const AgentReport& report : batch.reports) {
-      auto it = queries_.find(report.query_id);
-      if (it == queries_.end() || !it->second.active) {
-        continue;
-      }
-      QueryResults& q = it->second;
+    // Each report decodes straight into a set of its query's plan; reports
+    // for unknown or uninstalled queries are skipped. A malformed frame, or a
+    // report whose names do not match its plan, is dropped whole.
+    Result<ControlMessage> decoded =
+        DecodeControlMessage(payload, [this](uint64_t query_id) -> const ResultSet* {
+          auto it = queries_.find(query_id);
+          return it == queries_.end() || !it->second.active ? nullptr : &it->second.total;
+        });
+    if (!decoded.ok()) {
+      DecodeErrorsCounter().Increment();
+      return;
+    }
+    ReportBatch& batch = decoded->batch;
+    ts = batch.timestamp_micros;
+    const std::string agent = batch.host + "/" + batch.process_name;
+    for (AgentReport& report : batch.reports) {
+      QueryResults& q = queries_.at(report.query_id);
+      const size_t tuples = report.results.size();
       ++reports_received_;
-      tuples_received_ += report.tuples.size();
-      if (!report.tuples.empty()) {
+      tuples_received_ += tuples;
+      if (tuples != 0) {
         if (q.first_tuple_micros < 0) {
           q.first_tuple_micros = ts;
         }
@@ -271,15 +283,19 @@ void Frontend::HandleBatch(const ReportBatch& batch) {
       AgentQueryView& view = q.agents[agent];
       view.last_report_micros = std::max(view.last_report_micros, ts);
       ++view.reports;
-      view.tuples += report.tuples.size();
+      view.tuples += tuples;
 
-      q.total.Absorb(report.tuples);
-      q.intervals.try_emplace(ts, q.compiled.plan).first->second.Absorb(report.tuples);
+      // One merge into the total. The report becomes the interval's set
+      // when it is the interval's first, and merges into it otherwise.
+      q.total.Absorb(report.results);
       if (q.listener) {
-        // Finalize just this report's contribution for the listener.
-        ResultSet just_this(q.compiled.plan);
-        just_this.Absorb(report.tuples);
-        deliveries.emplace_back(q.listener, just_this.Finalize());
+        deliveries.emplace_back(q.listener, report.results.Finalize());
+      }
+      auto slot = q.intervals.lower_bound(ts);
+      if (slot != q.intervals.end() && slot->first == ts) {
+        slot->second.Absorb(std::move(report.results));
+      } else {
+        q.intervals.emplace_hint(slot, ts, std::move(report.results));
       }
     }
     for (const AgentStats& stats : batch.heartbeats) {

@@ -184,10 +184,10 @@ class Frontend {
                                          bool lint_projection) const;
 
   void HandleReport(const BusMessage& msg);
-  // Merges one agent flush: every report and heartbeat of the frame under a
-  // single hold of mu_, then each report's listener, in report order, after
-  // the lock is released.
-  void HandleBatch(const ReportBatch& batch);
+  // Decodes and merges one agent flush (a kBatch frame): every report and
+  // heartbeat under a single hold of mu_, then each report's listener, in
+  // report order, after the lock is released.
+  void HandleBatch(const std::vector<uint8_t>& payload);
   int64_t NowMicros() const;
 
   // Bags packed by active queries, bag -> owning query id (callers hold mu_).

@@ -69,10 +69,7 @@ std::vector<uint8_t> EncodeReportBatch(const ReportBatch& batch, std::vector<siz
   for (const auto& r : batch.reports) {
     size_t start = out.size();
     PutVarint64(&out, r.query_id);
-    PutVarint64(&out, r.tuples.size());
-    for (const auto& t : r.tuples) {
-      PutTuple(&out, t);
-    }
+    r.results.Encode(&out);
     if (report_bytes != nullptr) {
       report_bytes->push_back(out.size() - start);
     }
@@ -85,7 +82,8 @@ std::vector<uint8_t> EncodeReportBatch(const ReportBatch& batch, std::vector<siz
   return out;
 }
 
-Result<ControlMessage> DecodeControlMessage(const std::vector<uint8_t>& payload) {
+Result<ControlMessage> DecodeControlMessage(const std::vector<uint8_t>& payload,
+                                            const ReportSetLookup& report_sets) {
   const uint8_t* data = payload.data();
   size_t size = payload.size();
   size_t pos = 0;
@@ -145,22 +143,21 @@ Result<ControlMessage> DecodeControlMessage(const std::vector<uint8_t>& payload)
         return DataLossError("bad batch header");
       }
       for (uint64_t i = 0; i < nreports; ++i) {
-        AgentReport r;
-        uint64_t ntuples = 0;
-        if (!GetVarint64(data, size, &pos, &r.query_id)) {
+        uint64_t query_id = 0;
+        if (!GetVarint64(data, size, &pos, &query_id)) {
           return DataLossError("bad batch report header");
         }
-        if (!GetVarint64(data, size, &pos, &ntuples) || ntuples > size) {
-          return DataLossError("bad batch report tuple count");
-        }
-        for (uint64_t j = 0; j < ntuples; ++j) {
-          Tuple t;
-          if (!GetTuple(data, size, &pos, &t)) {
-            return DataLossError("bad batch report tuple");
+        const ResultSet* like = report_sets ? report_sets(query_id) : nullptr;
+        if (like == nullptr) {
+          if (!ResultSet::Skip(data, size, &pos)) {
+            return DataLossError("bad batch report");
           }
-          r.tuples.push_back(std::move(t));
+          continue;
         }
-        b.reports.push_back(std::move(r));
+        AgentReport& r = b.reports.emplace_back(AgentReport{query_id, like->EmptyLike()});
+        if (!r.results.Decode(data, size, &pos)) {
+          return DataLossError("bad batch report, or its names do not match the query's plan");
+        }
       }
       uint64_t nstats = 0;
       if (!GetVarint64(data, size, &pos, &nstats) || nstats > size) {

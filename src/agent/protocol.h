@@ -3,7 +3,8 @@
 // Three message kinds flow over the bus (Fig 2):
 //   Weave    frontend → agents: query id, per-tracepoint advice, result plan
 //   Unweave  frontend → agents: query id
-//   Report   agent → frontend: one interval's partial results for one query
+//   Report   agent → frontend: one interval's partial results for one query,
+//            its field names sent once per report
 //
 // Reports and heartbeats travel only inside a ReportBatch (kBatch): one frame
 // per agent flush carrying every query's report, so bus traffic scales with
@@ -16,6 +17,7 @@
 #define PIVOT_SRC_AGENT_PROTOCOL_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -33,12 +35,13 @@ struct WeaveCommand {
   ResultPlan plan;
 };
 
-// One query's partial results for the interval a ReportBatch covers.
+// One query's partial results for the interval a ReportBatch covers: the
+// agent's interval set (aggregate state or streamed rows, as the query's
+// ResultPlan says), shipped in the set's wire form and decoded straight into
+// a set of the receiver's plan.
 struct AgentReport {
   uint64_t query_id = 0;
-  // The agent interval's ResultSet::Take(): aggregate state tuples or raw
-  // streamed rows, as the query's ResultPlan::aggregated() says.
-  std::vector<Tuple> tuples;
+  ResultSet results;
 };
 
 // Agent -> frontend: acknowledges that a weave command was applied locally.
@@ -88,11 +91,18 @@ std::vector<uint8_t> EncodeWeave(const WeaveCommand& cmd);
 std::vector<uint8_t> EncodeUnweave(uint64_t query_id);
 std::vector<uint8_t> EncodeHello();
 std::vector<uint8_t> EncodeWeaveAck(const WeaveAck& ack);
-// If `report_bytes` is non-null it receives, per batch.reports entry, the
-// number of encoded bytes that report contributed to the frame (the
-// per-query cost exported by the PTAgent.Flush meta-tracepoint).
+// Each report is encoded straight from its set. If `report_bytes` is
+// non-null it receives, per batch.reports entry, the number of encoded bytes
+// that report contributed to the frame (the per-query cost exported by the
+// PTAgent.Flush meta-tracepoint).
 std::vector<uint8_t> EncodeReportBatch(const ReportBatch& batch,
                                        std::vector<size_t>* report_bytes = nullptr);
+
+// How a receiver decodes kBatch reports: maps a report's query id to a set of
+// that query (the receiver's running total, say). The report decodes into an
+// empty set like it, and its name table must match that set's plan. Null
+// skips the report, as does decoding without a lookup.
+using ReportSetLookup = std::function<const ResultSet*(uint64_t query_id)>;
 
 // Decoded union; `type` selects the valid member.
 struct ControlMessage {
@@ -103,7 +113,8 @@ struct ControlMessage {
   ReportBatch batch;
 };
 
-Result<ControlMessage> DecodeControlMessage(const std::vector<uint8_t>& payload);
+Result<ControlMessage> DecodeControlMessage(const std::vector<uint8_t>& payload,
+                                            const ReportSetLookup& report_sets = {});
 
 }  // namespace pivot
 

@@ -1,9 +1,13 @@
 #include "src/core/aggregation.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <iterator>
+#include <type_traits>
 #include <utility>
 
+#include "src/core/wire.h"
 #include "src/telemetry/metrics.h"
 
 namespace pivot {
@@ -31,18 +35,24 @@ std::vector<std::string> AggSpec::StateColumns() const {
   return {output};
 }
 
-Aggregator::Aggregator(std::vector<std::string> group_fields, std::vector<AggSpec> specs)
-    : group_fields_(std::move(group_fields)), specs_(std::move(specs)) {
-  group_ids_ = InternSymbols(group_fields_);
-  spec_ids_.reserve(specs_.size());
-  for (const AggSpec& spec : specs_) {
+Aggregator::Aggregator(std::vector<std::string> group_fields, std::vector<AggSpec> specs) {
+  auto cols = std::make_shared<Columns>();
+  cols->group_ids = InternSymbols(group_fields);
+  cols->state_names = std::move(group_fields);
+  cols->spec_ids.reserve(specs.size());
+  for (const AggSpec& spec : specs) {
     SpecIds ids;
     ids.input = InternSymbol(spec.input);
     ids.input_n = InternSymbol(spec.input + "#n");
     ids.output = InternSymbol(spec.output);
     ids.output_n = InternSymbol(spec.output + "#n");
-    spec_ids_.push_back(ids);
+    cols->spec_ids.push_back(ids);
+    for (std::string& name : spec.StateColumns()) {
+      cols->state_names.push_back(std::move(name));
+    }
   }
+  cols->specs = std::move(specs);
+  cols_ = std::move(cols);
 }
 
 namespace {
@@ -55,11 +65,47 @@ telemetry::Counter& GroupProbeCounter() {
   return c;
 }
 
-// Type-tagged FNV-1a over the projected group values. Must stay consistent
-// with GroupValueEquals below: bit-identical values hash identically. The
-// type tag keeps int 1 / double 1.0 / string "1" in distinct buckets (they
-// are distinct groups), unlike Value::Hash which deliberately collapses
-// numerically-equal ints and doubles.
+// Per-tuple probes batch in a thread-local tally, so concurrent emitters do
+// not contend on the shared counter's cache line. The tally reaches the
+// counter every kProbeBatch probes and when the thread exits.
+constexpr uint64_t kProbeBatch = 1024;
+
+struct ProbeTally {
+  uint64_t pending = 0;
+  ~ProbeTally() { GroupProbeCounter().Increment(pending); }
+};
+
+void CountProbes(uint64_t probes) {
+  thread_local ProbeTally tally;
+  tally.pending += probes;
+  if (tally.pending >= kProbeBatch) {
+    GroupProbeCounter().Increment(tally.pending);
+    tally.pending = 0;
+  }
+}
+
+constexpr size_t kInitialSlots = 16;
+
+// Load factor bound of the group index: at most 7/8 full, counting one
+// group about to be inserted.
+bool IndexFits(size_t groups, size_t slots) { return (groups + 1) * 8 <= slots * 7; }
+
+const Value& NullValue() {
+  static const Value null;
+  return null;
+}
+
+// The named field's value, null when absent (Tuple::Get without the copy).
+const Value& FieldOrNull(const Tuple& t, SymbolId id) {
+  const Value* v = t.Find(id);
+  return v != nullptr ? *v : NullValue();
+}
+
+// Type-tagged FNV-1a over the group values, one value at a time. Must stay
+// consistent with GroupValueEquals below: bit-identical values hash
+// identically. The type tag keeps int 1 / double 1.0 / string "1" in distinct
+// buckets (they are distinct groups), unlike Value::Hash which deliberately
+// collapses numerically-equal ints and doubles.
 constexpr uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
 constexpr uint64_t kFnvPrime = 0x100000001B3ULL;
 
@@ -71,28 +117,24 @@ uint64_t HashBytes(uint64_t h, const void* data, size_t n) {
   return h;
 }
 
-uint64_t GroupKeyHash(const Tuple& t, const std::vector<SymbolId>& fields) {
-  uint64_t h = kFnvOffset;
-  for (SymbolId f : fields) {
-    Value v = t.Get(f);
-    h = (h ^ static_cast<uint8_t>(v.type())) * kFnvPrime;
-    switch (v.type()) {
-      case ValueType::kNull:
-        break;
-      case ValueType::kInt: {
-        int64_t i = v.int_value();
-        h = HashBytes(h, &i, sizeof(i));
-        break;
-      }
-      case ValueType::kDouble: {
-        double d = v.double_value();
-        h = HashBytes(h, &d, sizeof(d));
-        break;
-      }
-      case ValueType::kString:
-        h = HashBytes(h, v.string_value().data(), v.string_value().size());
-        break;
+uint64_t MixValue(uint64_t h, const Value& v) {
+  h = (h ^ static_cast<uint8_t>(v.type())) * kFnvPrime;
+  switch (v.type()) {
+    case ValueType::kNull:
+      break;
+    case ValueType::kInt: {
+      int64_t i = v.int_value();
+      h = HashBytes(h, &i, sizeof(i));
+      break;
     }
+    case ValueType::kDouble: {
+      double d = v.double_value();
+      h = HashBytes(h, &d, sizeof(d));
+      break;
+    }
+    case ValueType::kString:
+      h = HashBytes(h, v.string_value().data(), v.string_value().size());
+      break;
   }
   return h;
 }
@@ -120,11 +162,9 @@ bool GroupValueEquals(const Value& a, const Value& b) {
   return false;
 }
 
-// `key` holds the candidate group's projected key tuple (group_fields_ order,
-// missing fields projected to null), `t` the incoming tuple.
-bool GroupKeyEquals(const Tuple& key, const Tuple& t, const std::vector<SymbolId>& fields) {
-  for (size_t i = 0; i < fields.size(); ++i) {
-    if (!GroupValueEquals(key.field(i).value, t.Get(fields[i]))) {
+bool KeysEqual(const Value* a, const Value* b, size_t width) {
+  for (size_t i = 0; i < width; ++i) {
+    if (!GroupValueEquals(a[i], b[i])) {
       return false;
     }
   }
@@ -133,212 +173,337 @@ bool GroupKeyEquals(const Tuple& key, const Tuple& t, const std::vector<SymbolId
 
 }  // namespace
 
-Aggregator::Group& Aggregator::GroupFor(const Tuple& t) {
+template <typename SameKey>
+std::pair<uint32_t, bool> Aggregator::FindOrInsert(uint64_t hash, SameKey same_key,
+                                                   uint64_t* probes) {
   if (slots_.empty()) {
-    slots_.resize(16);
+    slots_.resize(kInitialSlots);
   }
-  const uint64_t hash = GroupKeyHash(t, group_ids_);
   const size_t mask = slots_.size() - 1;
+  const auto tag = static_cast<uint32_t>(hash >> 32);
   size_t i = static_cast<size_t>(hash) & mask;
-  uint64_t probes = 1;
+  ++*probes;
   while (slots_[i].group != kEmptySlot) {
-    if (slots_[i].hash == hash &&
-        GroupKeyEquals(groups_[slots_[i].group].key_tuple, t, group_ids_)) {
-      GroupProbeCounter().Increment(probes);
-      return groups_[slots_[i].group];
+    if (slots_[i].tag == tag && same_key(slots_[i].group)) {
+      return {slots_[i].group, false};
     }
     i = (i + 1) & mask;
-    ++probes;
+    ++*probes;
   }
-  GroupProbeCounter().Increment(probes);
-  slots_[i] = IndexSlot{hash, groups_.size()};
-  Group g;
-  g.key_tuple = t.Project(group_ids_);
-  g.accums.resize(specs_.size());
-  groups_.push_back(std::move(g));
-  if ((groups_.size() + 1) * 8 > slots_.size() * 7) {
-    GrowIndex();
+  const auto group = static_cast<uint32_t>(hashes_.size());
+  slots_[i] = IndexSlot{tag, group};
+  hashes_.push_back(hash);
+  if (!IndexFits(hashes_.size(), slots_.size())) {
+    Rehash(slots_.size() * 2);
   }
-  return groups_.back();
+  return {group, true};
 }
 
-void Aggregator::GrowIndex() {
-  std::vector<IndexSlot> old = std::move(slots_);
-  slots_.assign(old.size() * 2, IndexSlot{});
+void Aggregator::Reserve(size_t groups) {
+  keys_.reserve(groups * key_width());
+  accums_.reserve(groups * spec_count());
+  hashes_.reserve(groups);
+  size_t slots = std::max(slots_.size(), kInitialSlots);
+  while (!IndexFits(groups, slots)) {
+    slots *= 2;
+  }
+  if (slots != slots_.size()) {
+    Rehash(slots);
+  }
+}
+
+void Aggregator::Rehash(size_t slot_count) {
+  // Rebuilt from the stored hashes: no group key is hashed again.
+  slots_.assign(slot_count, IndexSlot{});
   const size_t mask = slots_.size() - 1;
-  for (const IndexSlot& slot : old) {
-    if (slot.group == kEmptySlot) {
-      continue;
-    }
-    size_t i = static_cast<size_t>(slot.hash) & mask;
+  for (size_t g = 0; g < hashes_.size(); ++g) {
+    size_t i = static_cast<size_t>(hashes_[g]) & mask;
     while (slots_[i].group != kEmptySlot) {
       i = (i + 1) & mask;
     }
-    slots_[i] = slot;
+    slots_[i] = IndexSlot{static_cast<uint32_t>(hashes_[g] >> 32), static_cast<uint32_t>(g)};
   }
 }
 
-namespace {
+uint32_t Aggregator::GroupFor(const Tuple& t) {
+  const std::vector<SymbolId>& ids = cols_->group_ids;
+  const size_t width = ids.size();
+  uint64_t hash = kFnvOffset;
+  for (SymbolId id : ids) {
+    hash = MixValue(hash, FieldOrNull(t, id));
+  }
+  uint64_t probes = 0;
+  auto [group, inserted] = FindOrInsert(
+      hash,
+      [&](uint32_t g) {
+        const Value* key = keys_.data() + size_t{g} * width;
+        for (size_t i = 0; i < width; ++i) {
+          if (!GroupValueEquals(key[i], FieldOrNull(t, ids[i]))) {
+            return false;
+          }
+        }
+        return true;
+      },
+      &probes);
+  CountProbes(probes);
+  if (inserted) {
+    for (SymbolId id : ids) {
+      keys_.push_back(FieldOrNull(t, id));
+    }
+    accums_.resize(accums_.size() + spec_count());
+  }
+  return group;
+}
 
-// Combine-style accumulation: `v` is a partial aggregate of `fn` and `n` its
-// companion count (Average only). Shared by AddState and from_state inputs.
-void CombineInto(Aggregator::AccumRef a, AggFn fn, const Value& v, int64_t n) {
+void Aggregator::Combine(Accum* a, AggFn fn, const Value& v, int64_t n) {
   if (v.is_null()) {
     return;
   }
   switch (fn) {
     case AggFn::kCount:  // Combiner for Count is Sum (Table 3).
     case AggFn::kSum:
-      a.value = a.has_value ? ValueAdd(a.value, v) : v;
-      a.has_value = true;
+      a->value = a->has_value ? ValueAdd(a->value, v) : v;
       break;
     case AggFn::kMin:
-      if (!a.has_value || v.Compare(a.value) < 0) {
-        a.value = v;
+      if (!a->has_value || v.Compare(a->value) < 0) {
+        a->value = v;
       }
-      a.has_value = true;
       break;
     case AggFn::kMax:
-      if (!a.has_value || v.Compare(a.value) > 0) {
-        a.value = v;
+      if (!a->has_value || v.Compare(a->value) > 0) {
+        a->value = v;
       }
-      a.has_value = true;
       break;
     case AggFn::kAverage:
-      a.value = a.has_value ? ValueAdd(a.value, v) : v;
-      a.count += n;
-      a.has_value = true;
+      a->value = a->has_value ? ValueAdd(a->value, v) : v;
+      a->count += n;
       break;
   }
+  a->has_value = true;
 }
+
+namespace {
+
+// An Average's companion count: absent or non-int counts contribute nothing.
+int64_t CountOf(const Value& n) { return n.is_int() ? n.int_value() : 0; }
 
 }  // namespace
 
 void Aggregator::AddInput(const Tuple& t) {
-  Group& g = GroupFor(t);
-  for (size_t i = 0; i < specs_.size(); ++i) {
-    const AggSpec& spec = specs_[i];
-    const SpecIds& ids = spec_ids_[i];
-    Accum& a = g.accums[i];
+  // A raw input is a partial aggregate of one tuple: a count of 1, or the
+  // input value with an Average count of 1. Null inputs contribute nothing.
+  static const Value kOne(int64_t{1});
+  const Columns& c = *cols_;
+  const uint32_t group = GroupFor(t);  // May grow accums_.
+  Accum* accums = accums_.data() + size_t{group} * c.specs.size();
+  for (size_t i = 0; i < c.specs.size(); ++i) {
+    const AggSpec& spec = c.specs[i];
+    const SpecIds& ids = c.spec_ids[i];
     if (spec.from_state) {
-      Value n = t.Get(ids.input_n);
-      CombineInto(AccumRef{a.has_value, a.value, a.count}, spec.fn, t.Get(ids.input),
-                  n.is_null() ? 0 : n.int_value());
-      continue;
-    }
-    switch (spec.fn) {
-      case AggFn::kCount:
-        a.value = a.has_value ? ValueAdd(a.value, Value(int64_t{1})) : Value(int64_t{1});
-        a.has_value = true;
-        break;
-      case AggFn::kSum: {
-        Value v = t.Get(ids.input);
-        if (v.is_null()) {
-          break;  // Nulls do not contribute to sums.
-        }
-        a.value = a.has_value ? ValueAdd(a.value, v) : v;
-        a.has_value = true;
-        break;
-      }
-      case AggFn::kMin: {
-        Value v = t.Get(ids.input);
-        if (v.is_null()) {
-          break;
-        }
-        if (!a.has_value || v.Compare(a.value) < 0) {
-          a.value = v;
-        }
-        a.has_value = true;
-        break;
-      }
-      case AggFn::kMax: {
-        Value v = t.Get(ids.input);
-        if (v.is_null()) {
-          break;
-        }
-        if (!a.has_value || v.Compare(a.value) > 0) {
-          a.value = v;
-        }
-        a.has_value = true;
-        break;
-      }
-      case AggFn::kAverage: {
-        Value v = t.Get(ids.input);
-        if (v.is_null()) {
-          break;
-        }
-        a.value = a.has_value ? ValueAdd(a.value, v) : v;
-        a.count += 1;
-        a.has_value = true;
-        break;
-      }
+      Combine(&accums[i], spec.fn, FieldOrNull(t, ids.input),
+              CountOf(FieldOrNull(t, ids.input_n)));
+    } else if (spec.fn == AggFn::kCount) {
+      Combine(&accums[i], spec.fn, kOne, 0);
+    } else {
+      Combine(&accums[i], spec.fn, FieldOrNull(t, ids.input), 1);
     }
   }
 }
 
 void Aggregator::AddState(const Tuple& t) {
-  Group& g = GroupFor(t);
-  for (size_t i = 0; i < specs_.size(); ++i) {
-    const AggSpec& spec = specs_[i];
-    const SpecIds& ids = spec_ids_[i];
-    Accum& a = g.accums[i];
-    Value n = t.Get(ids.output_n);
-    CombineInto(AccumRef{a.has_value, a.value, a.count}, spec.fn, t.Get(ids.output),
-                n.is_null() ? 0 : n.int_value());
+  const Columns& c = *cols_;
+  const uint32_t group = GroupFor(t);  // May grow accums_.
+  Accum* accums = accums_.data() + size_t{group} * c.specs.size();
+  for (size_t i = 0; i < c.specs.size(); ++i) {
+    const SpecIds& ids = c.spec_ids[i];
+    Combine(&accums[i], c.specs[i].fn, FieldOrNull(t, ids.output),
+            CountOf(FieldOrNull(t, ids.output_n)));
   }
 }
 
-std::vector<Tuple> Aggregator::StateTuples() const {
-  std::vector<Tuple> out;
-  out.reserve(groups_.size());
-  for (const auto& g : groups_) {
-    Tuple t = g.key_tuple;
-    for (size_t i = 0; i < specs_.size(); ++i) {
-      const AggSpec& spec = specs_[i];
-      const SpecIds& ids = spec_ids_[i];
-      const Accum& a = g.accums[i];
-      t.Append(ids.output, a.has_value ? a.value : Value());
-      if (spec.fn == AggFn::kAverage) {
-        t.Append(ids.output_n, Value(a.count));
+template <typename Source>
+void Aggregator::MergeGroups(Source& other) {
+  constexpr bool kMove = !std::is_const_v<Source>;
+  assert(&other != this && other.key_width() == key_width() &&
+         other.spec_count() == spec_count());
+  const std::vector<AggSpec>& specs = cols_->specs;
+  const size_t width = key_width();
+  const size_t nspecs = specs.size();
+  uint64_t probes = 0;
+  for (size_t g = 0; g < other.hashes_.size(); ++g) {
+    auto* src_key = other.keys_.data() + g * width;
+    auto* src_accums = other.accums_.data() + g * nspecs;
+    auto [group, inserted] = FindOrInsert(
+        other.hashes_[g],
+        [&](uint32_t mine) {
+          return KeysEqual(keys_.data() + size_t{mine} * width, src_key, width);
+        },
+        &probes);
+    if (inserted) {
+      for (size_t i = 0; i < width; ++i) {
+        if constexpr (kMove) {
+          keys_.push_back(std::move(src_key[i]));
+        } else {
+          keys_.push_back(src_key[i]);
+        }
+      }
+      for (size_t i = 0; i < nspecs; ++i) {
+        if constexpr (kMove) {
+          accums_.push_back(std::move(src_accums[i]));
+        } else {
+          accums_.push_back(src_accums[i]);
+        }
+      }
+      continue;
+    }
+    Accum* accums = accums_.data() + size_t{group} * nspecs;
+    for (size_t i = 0; i < nspecs; ++i) {
+      if (src_accums[i].has_value) {
+        Combine(&accums[i], specs[i].fn, src_accums[i].value, src_accums[i].count);
       }
     }
-    out.push_back(std::move(t));
+  }
+  GroupProbeCounter().Increment(probes);
+}
+
+bool Aggregator::SameColumns(const Aggregator& other) const {
+  return cols_ == other.cols_ ||
+         (cols_->group_ids == other.cols_->group_ids && cols_->specs == other.cols_->specs);
+}
+
+void Aggregator::AddStates(const Aggregator& other) {
+  for (const Tuple& st : other.StateTuples()) {
+    AddState(st);
+  }
+}
+
+void Aggregator::Absorb(const Aggregator& other) {
+  if (!SameColumns(other)) {
+    AddStates(other);
+  } else if (empty()) {
+    keys_ = other.keys_;
+    accums_ = other.accums_;
+    hashes_ = other.hashes_;
+    slots_ = other.slots_;
+  } else {
+    MergeGroups(other);
+  }
+}
+
+void Aggregator::Absorb(Aggregator&& other) {
+  if (!SameColumns(other)) {
+    AddStates(other);
+  } else if (empty()) {
+    keys_.swap(other.keys_);
+    accums_.swap(other.accums_);
+    hashes_.swap(other.hashes_);
+    slots_.swap(other.slots_);
+  } else {
+    MergeGroups(other);
+  }
+  other.Clear();
+}
+
+bool Aggregator::AddStateRow(std::vector<Value>* row, uint64_t* probes) {
+  const Columns& c = *cols_;
+  const size_t width = key_width();
+  uint64_t hash = kFnvOffset;
+  for (size_t i = 0; i < width; ++i) {
+    hash = MixValue(hash, (*row)[i]);
+  }
+  auto [group, inserted] = FindOrInsert(
+      hash, [&](uint32_t g) { return KeysEqual(keys_.data() + size_t{g} * width, row->data(), width); },
+      probes);
+  if (inserted) {
+    for (size_t i = 0; i < width; ++i) {
+      keys_.push_back(std::move((*row)[i]));
+    }
+    accums_.resize(accums_.size() + c.specs.size());
+  }
+  Accum* accums = accums_.data() + size_t{group} * c.specs.size();
+  size_t col = width;
+  for (size_t i = 0; i < c.specs.size(); ++i) {
+    int64_t n = 0;
+    if (c.specs[i].fn == AggFn::kAverage) {
+      const Value& count = (*row)[col + 1];
+      if (!count.is_null() && !count.is_int()) {
+        return false;  // The caller drops the whole set.
+      }
+      n = CountOf(count);
+    }
+    Combine(&accums[i], c.specs[i].fn, (*row)[col], n);
+    col += c.specs[i].fn == AggFn::kAverage ? 2 : 1;
+  }
+  return true;
+}
+
+std::vector<Tuple> Aggregator::StateTuples() const {
+  const Columns& c = *cols_;
+  const size_t width = key_width();
+  std::vector<Tuple> out;
+  out.reserve(group_count());
+  for (size_t g = 0; g < group_count(); ++g) {
+    std::vector<Tuple::Field> fields;
+    fields.reserve(c.state_names.size());
+    for (size_t i = 0; i < width; ++i) {
+      fields.emplace_back(c.group_ids[i], keys_[g * width + i]);
+    }
+    const Accum* accums = accums_.data() + g * c.specs.size();
+    for (size_t i = 0; i < c.specs.size(); ++i) {
+      const Accum& a = accums[i];
+      fields.emplace_back(c.spec_ids[i].output, a.has_value ? a.value : Value());
+      if (c.specs[i].fn == AggFn::kAverage) {
+        fields.emplace_back(c.spec_ids[i].output_n, Value(a.count));
+      }
+    }
+    out.emplace_back(std::move(fields));
   }
   return out;
 }
 
 std::vector<Tuple> Aggregator::Finalize() const {
+  const Columns& c = *cols_;
+  const size_t width = key_width();
   std::vector<Tuple> out;
-  out.reserve(groups_.size());
-  for (const auto& g : groups_) {
-    Tuple t = g.key_tuple;
-    for (size_t i = 0; i < specs_.size(); ++i) {
-      const AggSpec& spec = specs_[i];
-      const Accum& a = g.accums[i];
+  out.reserve(group_count());
+  for (size_t g = 0; g < group_count(); ++g) {
+    std::vector<Tuple::Field> fields;
+    fields.reserve(width + c.specs.size());
+    for (size_t i = 0; i < width; ++i) {
+      fields.emplace_back(c.group_ids[i], keys_[g * width + i]);
+    }
+    const Accum* accums = accums_.data() + g * c.specs.size();
+    for (size_t i = 0; i < c.specs.size(); ++i) {
+      const AggSpec& spec = c.specs[i];
+      const Accum& a = accums[i];
+      const SymbolId output = c.spec_ids[i].output;
       if (!a.has_value) {
         // COUNT of an empty group is 0; other aggregates of nothing are null.
-        t.Append(spec.output, spec.fn == AggFn::kCount ? Value(int64_t{0}) : Value());
-        continue;
-      }
-      if (spec.fn == AggFn::kAverage) {
-        t.Append(spec.output,
-                 a.count == 0 ? Value() : Value(a.value.AsDouble() / static_cast<double>(a.count)));
+        fields.emplace_back(output, spec.fn == AggFn::kCount ? Value(int64_t{0}) : Value());
+      } else if (spec.fn == AggFn::kAverage) {
+        fields.emplace_back(output, a.count == 0 ? Value()
+                                                 : Value(a.value.AsDouble() /
+                                                         static_cast<double>(a.count)));
       } else {
-        t.Append(spec.output, a.value);
+        fields.emplace_back(output, a.value);
       }
     }
-    out.push_back(std::move(t));
+    out.emplace_back(std::move(fields));
   }
   return out;
 }
 
 void Aggregator::Clear() {
-  groups_.clear();
+  keys_.clear();
+  accums_.clear();
+  hashes_.clear();
   slots_.clear();
 }
 
 ResultSet::ResultSet(const ResultPlan& plan)
     : aggregated_(plan.aggregated()), agg_(plan.group_fields, plan.aggs) {}
+
+ResultSet ResultSet::EmptyLike() const { return ResultSet(aggregated_, Aggregator(agg_.cols_)); }
 
 void ResultSet::AddInput(const Tuple& t) {
   if (aggregated_) {
@@ -348,27 +513,199 @@ void ResultSet::AddInput(const Tuple& t) {
   }
 }
 
-void ResultSet::Absorb(const std::vector<Tuple>& taken) {
-  if (!aggregated_) {
-    rows_.insert(rows_.end(), taken.begin(), taken.end());
-    return;
-  }
-  for (const Tuple& t : taken) {
-    agg_.AddState(t);
+void ResultSet::Absorb(const ResultSet& other) {
+  if (aggregated_) {
+    agg_.Absorb(other.agg_);
+  } else {
+    rows_.insert(rows_.end(), other.rows_.begin(), other.rows_.end());
   }
 }
 
-std::vector<Tuple> ResultSet::Take() {
-  if (!aggregated_) {
-    return std::exchange(rows_, {});
+void ResultSet::Absorb(ResultSet&& other) {
+  if (aggregated_) {
+    agg_.Absorb(std::move(other.agg_));
+  } else if (rows_.empty()) {
+    rows_.swap(other.rows_);
+  } else {
+    rows_.insert(rows_.end(), std::make_move_iterator(other.rows_.begin()),
+                 std::make_move_iterator(other.rows_.end()));
+    other.rows_.clear();
   }
-  std::vector<Tuple> state = agg_.StateTuples();
-  agg_.Clear();
-  return state;
 }
 
 std::vector<Tuple> ResultSet::Finalize() const {
   return aggregated_ ? agg_.Finalize() : rows_;
+}
+
+// Wire form:
+//   result-set := varint name-count, string*, varint row-count, row*
+//   row        := varint field-count, { varint name-index, value }*
+
+void ResultSet::Encode(std::vector<uint8_t>* out) const {
+  if (aggregated_) {
+    const Aggregator::Columns& c = *agg_.cols_;
+    const size_t width = agg_.key_width();
+    PutStringList(out, c.state_names);
+    PutVarint64(out, agg_.group_count());
+    for (size_t g = 0; g < agg_.group_count(); ++g) {
+      PutVarint64(out, c.state_names.size());
+      uint64_t col = 0;
+      for (size_t i = 0; i < width; ++i) {
+        PutVarint64(out, col++);
+        PutValue(out, agg_.keys_[g * width + i]);
+      }
+      const Aggregator::Accum* accums = agg_.accums_.data() + g * c.specs.size();
+      for (size_t i = 0; i < c.specs.size(); ++i) {
+        PutVarint64(out, col++);
+        PutValue(out, accums[i].has_value ? accums[i].value : NullValue());
+        if (c.specs[i].fn == AggFn::kAverage) {
+          PutVarint64(out, col++);
+          PutValue(out, Value(accums[i].count));
+        }
+      }
+    }
+    return;
+  }
+  // Streamed rows may differ in columns: the name table holds every name in
+  // first-seen order.
+  std::vector<SymbolId> names;
+  auto index_of = [&names](SymbolId id) {
+    return static_cast<uint64_t>(std::find(names.begin(), names.end(), id) - names.begin());
+  };
+  for (const Tuple& row : rows_) {
+    for (const Tuple::Field& f : row.fields()) {
+      if (index_of(f.id) == names.size()) {
+        names.push_back(f.id);
+      }
+    }
+  }
+  PutVarint64(out, names.size());
+  for (SymbolId id : names) {
+    PutString(out, SymbolName(id));
+  }
+  PutVarint64(out, rows_.size());
+  for (const Tuple& row : rows_) {
+    PutVarint64(out, row.size());
+    for (const Tuple::Field& f : row.fields()) {
+      PutVarint64(out, index_of(f.id));
+      PutValue(out, f.value);
+    }
+  }
+}
+
+namespace {
+
+// A count read from the wire; every counted item takes at least one byte.
+bool GetCount(const uint8_t* data, size_t size, size_t* pos, uint64_t* n) {
+  return GetVarint64(data, size, pos, n) && *n <= size - *pos;
+}
+
+// Reads one row, handing each (name index, value) pair to `on_field`.
+template <typename OnField>
+bool GetRow(const uint8_t* data, size_t size, size_t* pos, uint64_t name_count,
+            OnField on_field) {
+  uint64_t fields = 0;
+  if (!GetCount(data, size, pos, &fields)) {
+    return false;
+  }
+  Value v;
+  for (uint64_t i = 0; i < fields; ++i) {
+    uint64_t index = 0;
+    if (!GetVarint64(data, size, pos, &index) || index >= name_count ||
+        !GetValue(data, size, pos, &v)) {
+      return false;
+    }
+    on_field(static_cast<size_t>(index), std::move(v));
+  }
+  return true;
+}
+
+}  // namespace
+
+bool ResultSet::Decode(const uint8_t* data, size_t size, size_t* pos) {
+  uint64_t name_count = 0;
+  uint64_t row_count = 0;
+  std::string name;
+  if (!GetCount(data, size, pos, &name_count)) {
+    return false;
+  }
+  if (aggregated_) {
+    // The name table must be exactly the plan's state columns, so each row
+    // field lands in its column without a lookup or an intern.
+    const std::vector<std::string>& columns = agg_.cols_->state_names;
+    if (name_count != columns.size()) {
+      return false;
+    }
+    for (const std::string& column : columns) {
+      if (!GetString(data, size, pos, &name) || name != column) {
+        return false;
+      }
+    }
+    if (!GetCount(data, size, pos, &row_count)) {
+      return false;
+    }
+    // Size the arrays once. Every encoded row spells out all its columns,
+    // so the remaining bytes bound how many rows can follow.
+    agg_.Reserve(agg_.group_count() +
+                 std::min<uint64_t>(row_count, (size - *pos) / (1 + 2 * columns.size())));
+    std::vector<Value> row(columns.size());
+    uint64_t probes = 0;
+    bool ok = true;
+    for (uint64_t r = 0; ok && r < row_count; ++r) {
+      for (Value& v : row) {
+        v = Value();
+      }
+      ok = GetRow(data, size, pos, name_count,
+                  [&row](size_t index, Value&& v) { row[index] = std::move(v); }) &&
+           agg_.AddStateRow(&row, &probes);
+    }
+    GroupProbeCounter().Increment(probes);
+    return ok;
+  }
+  std::vector<SymbolId> ids;
+  ids.reserve(name_count);
+  for (uint64_t i = 0; i < name_count; ++i) {
+    if (!GetString(data, size, pos, &name)) {
+      return false;
+    }
+    ids.push_back(InternSymbol(name));
+  }
+  if (!GetCount(data, size, pos, &row_count)) {
+    return false;
+  }
+  for (uint64_t r = 0; r < row_count; ++r) {
+    std::vector<Tuple::Field> fields;
+    if (!GetRow(data, size, pos, name_count, [&](size_t index, Value&& v) {
+          fields.emplace_back(ids[index], std::move(v));
+        })) {
+      return false;
+    }
+    rows_.emplace_back(std::move(fields));
+  }
+  return true;
+}
+
+bool ResultSet::Skip(const uint8_t* data, size_t size, size_t* pos) {
+  uint64_t name_count = 0;
+  uint64_t row_count = 0;
+  std::string name;
+  if (!GetCount(data, size, pos, &name_count)) {
+    return false;
+  }
+  for (uint64_t i = 0; i < name_count; ++i) {
+    if (!GetString(data, size, pos, &name)) {
+      return false;
+    }
+  }
+  if (!GetCount(data, size, pos, &row_count)) {
+    return false;
+  }
+  for (uint64_t r = 0; r < row_count; ++r) {
+    if (!GetRow(data, size, pos, name_count, [](size_t, Value&&) {})) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace pivot

@@ -5,14 +5,17 @@
 //   2. process-local aggregation of emitted tuples in the PT agent (§5);
 //   3. global merging of agent reports in the frontend.
 // Stages 2 and 3 combine *partial* aggregates, so every aggregator carries a
-// combiner ("for Count, the combiner is Sum"): partial state is externalized
-// as plain state tuples which any other Aggregator can absorb with AddState().
+// combiner ("for Count, the combiner is Sum"): baggage externalizes partial
+// state as state tuples which any other Aggregator can absorb with AddState(),
+// and the agent/frontend combine tree merges aggregators set to set.
 
 #ifndef PIVOT_SRC_CORE_AGGREGATION_H_
 #define PIVOT_SRC_CORE_AGGREGATION_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/symbol.h"
@@ -71,12 +74,13 @@ struct ResultPlan {
 // with no group fields there is a single implicit group (plain Aggregate).
 // Output order is group-insertion order, which keeps results deterministic.
 //
-// Group lookup is a hashed index over the projected group Values (hash probe
-// with full type-aware equality confirmation) — no canonical string key is
-// materialized on the per-tuple path. Keys are type-distinguishing: int 1,
-// double 1.0 and string "1" land in three different groups; doubles compare
-// bitwise (so -0.0 and 0.0 are distinct groups, and only bit-identical NaNs
-// coalesce).
+// Groups live in flat arrays — key values, accumulators and each group's key
+// hash — indexed by an open-addressed table of (hash tag, group) slots, so a
+// group costs no allocation of its own and is hashed once, on insertion:
+// merges, rehashes and report decoding reuse the stored hash. Keys are
+// type-distinguishing: int 1, double 1.0 and string "1" land in three
+// different groups; doubles compare bitwise (so -0.0 and 0.0 are distinct
+// groups, and only bit-identical NaNs coalesce).
 class Aggregator {
  public:
   Aggregator(std::vector<std::string> group_fields, std::vector<AggSpec> specs);
@@ -88,92 +92,146 @@ class Aggregator {
   // aggregator with the same configuration.
   void AddState(const Tuple& t);
 
+  // Combines every group of `other` by its stored hash (Table 3's combiner,
+  // set to set). The rvalue form moves new groups' keys in, adopts `other`
+  // whole when this aggregator is empty, and leaves `other` empty. An
+  // `other` of a different configuration (say, a bag decoded from a peer
+  // under another spec) is combined by column name through its state
+  // tuples instead, like AddState.
+  void Absorb(const Aggregator& other);
+  void Absorb(Aggregator&& other);
+
   // Externalizes partial state: one tuple per group containing the group
-  // fields plus each spec's state columns. Suitable for baggage packing and
-  // agent→frontend reporting.
+  // fields plus each spec's state columns. Suitable for baggage packing.
   std::vector<Tuple> StateTuples() const;
 
   // Final results: one tuple per group with group fields + each spec's
   // `output` column (Average divides here).
   std::vector<Tuple> Finalize() const;
 
+  // Empties the aggregator, keeping its array capacity.
   void Clear();
-  bool empty() const { return groups_.empty(); }
-  size_t group_count() const { return groups_.size(); }
-
-  // Mutable view of one accumulator, used by the .cc's combine helper.
-  struct AccumRef {
-    bool& has_value;
-    Value& value;
-    int64_t& count;
-  };
+  bool empty() const { return hashes_.empty(); }
+  size_t group_count() const { return hashes_.size(); }
 
  private:
+  friend class ResultSet;  // Reads and merges groups for the wire form.
+
   struct Accum {
     bool has_value = false;
     Value value;       // Count: running count. Sum/Min/Max: value. Average: sum.
     int64_t count = 0;  // Average only.
   };
 
-  struct Group {
-    Tuple key_tuple;  // Group fields only, in group_fields_ order.
-    std::vector<Accum> accums;
-  };
-
-  // Hashed group index: open-addressed linear probing over
-  // (group-key hash, groups_ position). Power-of-two sized; rehash keeps the
-  // stored hashes, so group keys are never re-hashed after insertion.
-  struct IndexSlot {
-    uint64_t hash = 0;
-    size_t group = kEmptySlot;
-  };
-  static constexpr size_t kEmptySlot = static_cast<size_t>(-1);
-
-  Group& GroupFor(const Tuple& t);
-  void GrowIndex();
-
-  // Column references resolved once at construction so the per-tuple
-  // accumulate path (pack-side pre-aggregation fires on every tracepoint
-  // invocation) reads tuples by SymbolId, not by string.
+  // Column references resolved once per configuration and shared by copies
+  // and EmptyLike() siblings, so the per-tuple path reads tuples by SymbolId
+  // and creating another aggregator of the plan interns nothing.
   struct SpecIds {
     SymbolId input = kInvalidSymbol;     // spec.input
     SymbolId input_n = kInvalidSymbol;   // spec.input + "#n" (from_state Average)
     SymbolId output = kInvalidSymbol;    // spec.output
     SymbolId output_n = kInvalidSymbol;  // spec.output + "#n" (Average state)
   };
+  struct Columns {
+    std::vector<SymbolId> group_ids;
+    std::vector<AggSpec> specs;
+    std::vector<SpecIds> spec_ids;
+    std::vector<std::string> state_names;  // Group fields, then state columns.
+  };
 
-  std::vector<std::string> group_fields_;
-  std::vector<SymbolId> group_ids_;
-  std::vector<AggSpec> specs_;
-  std::vector<SpecIds> spec_ids_;
-  std::vector<Group> groups_;
+  // Open-addressed linear probing over (high 32 hash bits, group). Power-of-
+  // two sized; the low hash bits pick the home slot.
+  struct IndexSlot {
+    uint32_t tag = 0;
+    uint32_t group = kEmptySlot;
+  };
+  static constexpr uint32_t kEmptySlot = UINT32_MAX;
+
+  explicit Aggregator(std::shared_ptr<const Columns> cols) : cols_(std::move(cols)) {}
+
+  // Combines one partial aggregate `v` (companion count `n`, Average only)
+  // into `a`: the combiner of Table 3. A raw input is a partial aggregate of
+  // one tuple.
+  static void Combine(Accum* a, AggFn fn, const Value& v, int64_t n);
+
+  // The group whose key `same_key(group)` confirms under `hash`, and whether
+  // it was just inserted; adds the slots inspected to `*probes`. An insert
+  // records the hash and the index slot; the caller then appends the group's
+  // key values and accumulators.
+  template <typename SameKey>
+  std::pair<uint32_t, bool> FindOrInsert(uint64_t hash, SameKey same_key, uint64_t* probes);
+  // Sizes the arrays and the index for `groups` groups.
+  void Reserve(size_t groups);
+  // Rebuilds the index with `slot_count` slots (a power of two).
+  void Rehash(size_t slot_count);
+  // The group of `t`'s projected key, inserted with fresh accumulators if new.
+  uint32_t GroupFor(const Tuple& t);
+  // True if `other` has this aggregator's group fields and specs, so its
+  // arrays share this layout.
+  bool SameColumns(const Aggregator& other) const;
+  // Combines `other`'s StateTuples() by column name; any configuration.
+  void AddStates(const Aggregator& other);
+  // Combines every group of `other`, which has SameColumns (const: copies;
+  // mutable: moves keys and accumulators of new groups).
+  template <typename Source>
+  void MergeGroups(Source& other);
+  // Merges one decoded state row: group key values then state columns, in
+  // Columns::state_names order. False if an Average count is not an int,
+  // possibly after inserting the row's group.
+  bool AddStateRow(std::vector<Value>* row, uint64_t* probes);
+
+  size_t key_width() const { return cols_->group_ids.size(); }
+  size_t spec_count() const { return cols_->specs.size(); }
+
+  std::shared_ptr<const Columns> cols_;
+  std::vector<Value> keys_;       // group_count x key_width, row-major.
+  std::vector<Accum> accums_;     // group_count x spec_count, row-major.
+  std::vector<uint64_t> hashes_;  // Per group: hash of its key values.
   std::vector<IndexSlot> slots_;  // Empty until the first group; 2^k sized.
 };
 
 // One query's results at one level of the combine tree (§5): an agent's
-// emission shard, the agent's interval, the frontend's total or one of its
-// intervals. An aggregated plan keeps Aggregator state, a streaming plan keeps
-// rows in arrival order. Take() hands a level's contents to the next level's
-// Absorb(): state tuples merge through the combiner (Table 3), rows append.
+// emission shard, the agent's interval, a report on the wire, the frontend's
+// total or one of its intervals. An aggregated plan keeps Aggregator state, a
+// streaming plan keeps rows in arrival order. Each level absorbs the level
+// below set to set: groups merge through the combiner (Table 3), rows append.
 class ResultSet {
  public:
   explicit ResultSet(const ResultPlan& plan);
 
+  // An empty set of the same plan. Shares the resolved columns, so it interns
+  // and allocates nothing.
+  ResultSet EmptyLike() const;
+
   // Accumulates one raw emitted tuple.
   void AddInput(const Tuple& t);
 
-  // Combines another ResultSet's Take() output for the same plan.
-  void Absorb(const std::vector<Tuple>& taken);
-
-  // Externalizes the contents (state tuples or rows) and empties the set.
-  std::vector<Tuple> Take();
+  // Combines another set of the same plan into this one. The rvalue form
+  // adopts `other` whole when this set is empty and leaves `other` empty.
+  void Absorb(const ResultSet& other);
+  void Absorb(ResultSet&& other);
 
   // Final rows: group fields then aggregate outputs, or the streamed rows.
   std::vector<Tuple> Finalize() const;
 
   bool empty() const { return aggregated_ ? agg_.empty() : rows_.empty(); }
+  // Groups, or streamed rows.
+  size_t size() const { return aggregated_ ? agg_.group_count() : rows_.size(); }
+
+  // Wire form: a name table, then one row of (name index, value) pairs per
+  // group or streamed row (docs/WIRE_FORMAT.md, "result-set"). Decode merges
+  // the encoded set into this one. An aggregated set's name table must equal
+  // its plan's state columns and interns nothing; a streaming set interns
+  // each name-table entry once. Skip validates and steps over an encoded set
+  // of any plan. Both return false on malformed input, after which a decoded
+  // set holds part of it and should be dropped.
+  void Encode(std::vector<uint8_t>* out) const;
+  bool Decode(const uint8_t* data, size_t size, size_t* pos);
+  static bool Skip(const uint8_t* data, size_t size, size_t* pos);
 
  private:
+  ResultSet(bool aggregated, Aggregator agg) : aggregated_(aggregated), agg_(std::move(agg)) {}
+
   bool aggregated_;
   Aggregator agg_;
   std::vector<Tuple> rows_;  // Streaming plans only.

@@ -69,12 +69,11 @@ bool BagSpec::operator==(const BagSpec& other) const {
 // TupleBag
 
 Aggregator& TupleBag::Agg() {
-  if (!agg_init_) {
-    // Packed tuples are raw inputs; branch/instance merging uses AddState.
-    agg_ = Aggregator(spec_.group_fields, spec_.aggs);
-    agg_init_ = true;
+  if (!agg_) {
+    // Packed tuples are raw inputs; branch/instance merging combines state.
+    agg_.emplace(spec_.group_fields, spec_.aggs);
   }
-  return agg_;
+  return *agg_;
 }
 
 void TupleBag::Add(const Tuple& t) {
@@ -104,7 +103,10 @@ void TupleBag::Add(const Tuple& t) {
 }
 
 void TupleBag::MergeFrom(const TupleBag& other) {
-  assert(spec_ == other.spec() && "merging bags with different specs");
+  // Instances decoded from the wire may carry one key under different specs
+  // (a malformed peer, or a query id reused after a frontend restart). Every
+  // case below stays memory-safe for any pair: aggregate state of another
+  // configuration merges by column name (Aggregator::Absorb).
   dropped_ += other.dropped_;
   switch (spec_.semantics) {
     case PackSemantics::kAll: {
@@ -132,8 +134,8 @@ void TupleBag::MergeFrom(const TupleBag& other) {
       }
       break;
     case PackSemantics::kAggregate:
-      for (const auto& st : other.Contents()) {
-        Agg().AddState(st);
+      if (other.agg_) {
+        Agg().Absorb(*other.agg_);
       }
       break;
   }
@@ -146,14 +148,14 @@ void TupleBag::AddState(const Tuple& state) {
 
 std::vector<Tuple> TupleBag::Contents() const {
   if (spec_.semantics == PackSemantics::kAggregate) {
-    return agg_init_ ? agg_.StateTuples() : std::vector<Tuple>{};
+    return agg_ ? agg_->StateTuples() : std::vector<Tuple>{};
   }
   return tuples_;
 }
 
 size_t TupleBag::size() const {
   if (spec_.semantics == PackSemantics::kAggregate) {
-    return agg_init_ ? agg_.group_count() : 0;
+    return agg_ ? agg_->group_count() : 0;
   }
   return tuples_.size();
 }

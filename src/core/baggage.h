@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -94,9 +95,10 @@ class TupleBag {
   // Packs one tuple under the bag's semantics.
   void Add(const Tuple& t);
 
-  // Merges another bag with the same spec (branch rejoin / multi-instance
-  // unpack). `other` is treated as later/concurrent: for kFirstN this bag's
-  // tuples win; for kRecentN the other's win.
+  // Merges another bag, normally of the same spec (branch rejoin / multi-
+  // instance unpack). `other` is treated as later/concurrent: for kFirstN
+  // this bag's tuples win; for kRecentN the other's win. A bag of another
+  // spec, as a peer may send, merges under this bag's spec.
   void MergeFrom(const TupleBag& other);
 
   // Absorbs one partial aggregate state tuple (kAggregate bags only; used
@@ -119,8 +121,7 @@ class TupleBag {
   BagSpec spec_;
   std::vector<Tuple> tuples_;  // Non-aggregate semantics.
   uint64_t dropped_ = 0;       // kMaxBagTuples overflow count.
-  bool agg_init_ = false;      // Aggregate semantics (Aggregator is copyable).
-  Aggregator agg_{{}, {}};
+  std::optional<Aggregator> agg_;  // Aggregate semantics, built on first use.
 };
 
 // The baggage proper. Value type: copies are independent (copy-on-branch is

@@ -3,12 +3,17 @@
 namespace pivot {
 
 Value Tuple::Get(SymbolId id) const {
+  const Value* v = Find(id);
+  return v != nullptr ? *v : Value();
+}
+
+const Value* Tuple::Find(SymbolId id) const {
   for (const auto& f : fields_) {
     if (f.id == id) {
-      return f.value;
+      return &f.value;
     }
   }
-  return Value();
+  return nullptr;
 }
 
 Value Tuple::Get(std::string_view name) const {

@@ -66,6 +66,8 @@ class Tuple {
   // compare against each field's interned name (lock-free; no table growth
   // for lookups of absent names).
   Value Get(SymbolId id) const;
+  // The named field's value in place, or nullptr if absent.
+  const Value* Find(SymbolId id) const;
   Value Get(std::string_view name) const;
   bool Has(SymbolId id) const;
   bool Has(std::string_view name) const;

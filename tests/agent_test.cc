@@ -28,9 +28,11 @@ class AgentTest : public ::testing::Test {
     agent_ = std::make_unique<PTAgent>(&bus_, &registry_, runtime_.info);
     runtime_.sink = agent_.get();
     tp_ = *registry_.Define(Def("X", {"v"}));
-    // Flushes arrive as kBatch frames, one per flush.
+    // Flushes arrive as kBatch frames, one per flush. Query 5 streams; the
+    // others count.
     reports_sub_ = bus_.Subscribe(kReportTopic, [this](const BusMessage& msg) {
-      Result<ControlMessage> decoded = DecodeControlMessage(msg.payload);
+      Result<ControlMessage> decoded = DecodeControlMessage(
+          msg.payload, [this](uint64_t id) { return id == 5 ? &streaming_ : &counting_; });
       if (decoded.ok() && decoded->type == ControlMessageType::kBatch) {
         const ReportBatch& batch = batches_.emplace_back(std::move(decoded->batch));
         reports_.insert(reports_.end(), batch.reports.begin(), batch.reports.end());
@@ -49,6 +51,9 @@ class AgentTest : public ::testing::Test {
     return cmd;
   }
 
+  // Final rows of the i-th report received.
+  std::vector<Tuple> Rows(size_t i) const { return reports_[i].results.Finalize(); }
+
   void Fire(int64_t v) {
     ExecutionContext ctx(&runtime_);
     tp_->Invoke(&ctx, {{"v", Value(v)}});
@@ -61,6 +66,8 @@ class AgentTest : public ::testing::Test {
   std::unique_ptr<PTAgent> agent_;
   Tracepoint* tp_;
   MessageBus::SubscriberId reports_sub_;
+  ResultSet counting_{CountCommand(0).plan};
+  ResultSet streaming_{ResultPlan{}};
   std::vector<ReportBatch> batches_;
   std::vector<AgentReport> reports_;
 };
@@ -94,8 +101,8 @@ TEST_F(AgentTest, AggregatesPerIntervalAndResets) {
   EXPECT_EQ(reports_[0].query_id, 1u);
   EXPECT_EQ(batches_[0].host, "A");
   EXPECT_EQ(batches_[0].timestamp_micros, 1'000'000);
-  ASSERT_EQ(reports_[0].tuples.size(), 1u);
-  EXPECT_EQ(reports_[0].tuples[0].Get("COUNT").int_value(), 2);
+  ASSERT_EQ(Rows(0).size(), 1u);
+  EXPECT_EQ(Rows(0)[0].Get("COUNT").int_value(), 2);
 
   // Interval state resets: a second flush with no activity reports nothing.
   agent_->Flush(2'000'000);
@@ -104,7 +111,7 @@ TEST_F(AgentTest, AggregatesPerIntervalAndResets) {
   Fire(3);
   agent_->Flush(3'000'000);
   ASSERT_EQ(reports_.size(), 2u);
-  EXPECT_EQ(reports_[1].tuples[0].Get("COUNT").int_value(), 1);
+  EXPECT_EQ(Rows(1)[0].Get("COUNT").int_value(), 1);
 }
 
 TEST_F(AgentTest, DuplicateWeaveIgnored) {
@@ -114,7 +121,7 @@ TEST_F(AgentTest, DuplicateWeaveIgnored) {
   agent_->Flush(1'000'000);
   // Were it woven twice, COUNT would be 2.
   ASSERT_EQ(reports_.size(), 1u);
-  EXPECT_EQ(reports_[0].tuples[0].Get("COUNT").int_value(), 1);
+  EXPECT_EQ(Rows(0)[0].Get("COUNT").int_value(), 1);
 }
 
 TEST_F(AgentTest, UnweaveStopsEmissionAndReporting) {
@@ -158,8 +165,8 @@ TEST_F(AgentTest, StreamingQueryBuffersRawRows) {
   Fire(8);
   agent_->Flush(1'000'000);
   ASSERT_EQ(reports_.size(), 1u);
-  ASSERT_EQ(reports_[0].tuples.size(), 2u);
-  EXPECT_EQ(reports_[0].tuples[0].Get("x.v").int_value(), 7);
+  ASSERT_EQ(Rows(0).size(), 2u);
+  EXPECT_EQ(Rows(0)[0].Get("x.v").int_value(), 7);
 }
 
 TEST_F(AgentTest, StatCountersTrackTraffic) {

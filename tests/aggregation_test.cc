@@ -216,15 +216,21 @@ std::vector<std::string> Rendered(const std::vector<Tuple>& rows) {
   return out;
 }
 
+std::vector<std::string> CanonicalRows(const std::vector<Tuple>& rows) {
+  std::vector<std::string> out = Rendered(rows);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 TEST(ResultSetTest, StreamingKeepsArrivalOrderAcrossLevels) {
   ResultPlan streaming;  // No group fields, no aggregates.
   ResultSet shard(streaming);
   ResultSet interval(streaming);
   shard.AddInput(Row("c", 3));
   shard.AddInput(Row("a", 1));
-  interval.Absorb(shard.Take());
+  interval.Absorb(std::move(shard));
   shard.AddInput(Row("b", 2));
-  interval.Absorb(shard.Take());
+  interval.Absorb(std::move(shard));
   EXPECT_EQ(Rendered(interval.Finalize()),
             (std::vector<std::string>{"(g=c, v=3)", "(g=a, v=1)", "(g=b, v=2)"}));
 }
@@ -246,27 +252,65 @@ TEST(ResultSetTest, TwoLevelsOfAbsorbFinalizeLikeOneAggregator) {
     direct.AddInput(rows[i]);
     (i % 2 == 0 ? shard1 : shard2).AddInput(rows[i]);
   }
-  interval.Absorb(shard1.Take());
-  interval.Absorb(shard2.Take());
-  total.Absorb(interval.Take());
+  interval.Absorb(std::move(shard1));
+  interval.Absorb(std::move(shard2));
+  total.Absorb(interval);
   EXPECT_EQ(Rendered(total.Finalize()), Rendered(direct.Finalize()));
   EXPECT_EQ(Rendered(total.Finalize()),
             (std::vector<std::string>{"(g=a, AVG=3.0, COUNT=3, MAX=6)",
                                       "(g=b, AVG=5.5, COUNT=2, MAX=7)"}));
 }
 
-TEST(ResultSetTest, TakeLeavesTheSetEmpty) {
+TEST(ResultSetTest, AbsorbMoveLeavesTheSourceEmpty) {
   ResultPlan counting;
   counting.aggs = {{AggFn::kCount, "", "COUNT", false}};
   for (const ResultPlan& plan : {counting, ResultPlan{}}) {
     ResultSet set(plan);
+    ResultSet target = set.EmptyLike();
     EXPECT_TRUE(set.empty());
     set.AddInput(Row("a", 1));
     EXPECT_FALSE(set.empty());
-    EXPECT_EQ(set.Take().size(), 1u);
+    target.Absorb(std::move(set));  // Empty target: adopts the set whole.
     EXPECT_TRUE(set.empty());
     EXPECT_TRUE(set.Finalize().empty());
-    EXPECT_TRUE(set.Take().empty());
+    set.AddInput(Row("b", 2));
+    target.Absorb(std::move(set));  // Non-empty target: merges.
+    EXPECT_TRUE(set.empty());
+    EXPECT_EQ(target.size(), plan.aggregated() ? 1u : 2u);
+    ResultSet copy = target.EmptyLike();
+    copy.Absorb(target);  // Copying leaves the source as it was.
+    EXPECT_EQ(copy.size(), target.size());
+  }
+}
+
+TEST(ResultSetTest, WireRoundTripKeepsGroupsAndOrder) {
+  ResultPlan plan;
+  plan.group_fields = {"g", "h"};
+  plan.aggs = {{AggFn::kAverage, "v", "AVG", false}, {AggFn::kMin, "v", "MIN", false}};
+  ResultSet set(plan);
+  set.AddInput(Tuple{{"g", Value("z")}, {"h", Value(1.5)}, {"v", Value(int64_t{4})}});
+  set.AddInput(Tuple{{"v", Value(int64_t{2})}});  // Null key, two fields.
+  set.AddInput(Tuple{{"g", Value("z")}, {"h", Value(1.5)}, {"v", Value(int64_t{8})}});
+  set.AddInput(Tuple{{"g", Value(int64_t{1})}});  // No v: AVG and MIN stay null.
+  std::vector<uint8_t> bytes;
+  set.Encode(&bytes);
+  ResultSet decoded = set.EmptyLike();
+  size_t pos = 0;
+  ASSERT_TRUE(decoded.Decode(bytes.data(), bytes.size(), &pos));
+  EXPECT_EQ(pos, bytes.size());
+  EXPECT_EQ(Rendered(decoded.Finalize()), Rendered(set.Finalize()));
+  EXPECT_EQ(Rendered(decoded.Finalize()),
+            (std::vector<std::string>{"(g=z, h=1.5, AVG=6.0, MIN=4)", "(g=null, h=null, AVG=2.0, MIN=2)",
+                                      "(g=1, h=null, AVG=null, MIN=null)"}));
+  pos = 0;
+  EXPECT_TRUE(ResultSet::Skip(bytes.data(), bytes.size(), &pos));
+  EXPECT_EQ(pos, bytes.size());
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    ResultSet partial = set.EmptyLike();
+    pos = 0;
+    EXPECT_FALSE(partial.Decode(bytes.data(), cut, &pos)) << "cut=" << cut;
+    pos = 0;
+    EXPECT_FALSE(ResultSet::Skip(bytes.data(), cut, &pos)) << "cut=" << cut;
   }
 }
 
@@ -320,6 +364,130 @@ TEST_P(CombinePropertyTest, PartitionedEqualsDirect) {
     };
     ASSERT_EQ(canonical(direct.Finalize()), canonical(combined.Finalize()))
         << "fn=" << AggFnName(fn) << " trial=" << trial;
+  }
+}
+
+TEST(ResultSetTest, DecodeRejectsNonIntAverageCount) {
+  ResultPlan plan;
+  plan.aggs = {{AggFn::kAverage, "v", "AVG", false}};
+  ResultSet set(plan);
+  set.AddInput(Tuple{{"v", Value(int64_t{4})}});
+  std::vector<uint8_t> bytes;
+  set.Encode(&bytes);
+  // The one row ends with (name index 1 = "AVG#n", int 1); make the count a
+  // string.
+  const std::vector<uint8_t> count = {1, 1, 2};
+  ASSERT_TRUE(std::equal(count.begin(), count.end(), bytes.end() - count.size()));
+  bytes.resize(bytes.size() - 2);
+  bytes.insert(bytes.end(), {3, 1, 'x'});
+  ResultSet decoded = set.EmptyLike();
+  size_t pos = 0;
+  EXPECT_FALSE(decoded.Decode(bytes.data(), bytes.size(), &pos));
+}
+
+// Keys that stress the index: strings sharing a 100-byte prefix, the int,
+// double and string spellings of one number, and missing (null) keys.
+Value StressKey(Rng* rng) {
+  const int64_t k = static_cast<int64_t>(rng->NextBelow(40));
+  switch (rng->NextBelow(5)) {
+    case 0:
+      return Value(std::string(100, 'x') + std::to_string(k));
+    case 1:
+      return Value(k);
+    case 2:
+      return Value(static_cast<double>(k));
+    case 3:
+      return Value(std::to_string(k));
+    default:
+      return Value();
+  }
+}
+
+// A group key rendered with its value types: int 1 and string "1" print
+// alike but are different groups.
+std::string TypedKey(const Tuple& t) {
+  std::string out;
+  for (const char* field : {"g", "h"}) {
+    Value v = t.Get(field);
+    out += std::to_string(static_cast<int>(v.type())) + ":" + v.ToString() + " ";
+  }
+  return out;
+}
+
+// Property: the combine tree's set-to-set merges — Absorb by move and by
+// copy, and a wire round trip — equal one direct Aggregator, for every
+// function, raw or pushed-down (from_state) input, over keys that stress the
+// hashed index; and a merged set lists groups in first-absorbed order
+// across index growth.
+TEST_P(CombinePropertyTest, SetToSetAbsorbEqualsDirect) {
+  const AggFn fn = GetParam();
+  Rng rng(static_cast<uint64_t>(fn) * 104729 + 7);
+  for (bool from_state : {false, true}) {
+    ResultPlan plan;
+    plan.group_fields = {"g", "h"};
+    plan.aggs = {{fn, fn == AggFn::kCount && !from_state ? "" : "v", "out", from_state}};
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<Tuple> rows;
+      const int n = static_cast<int>(rng.NextBelow(300));
+      for (int i = 0; i < n; ++i) {
+        Tuple t;
+        Value g = StressKey(&rng);
+        if (!g.is_null()) {
+          t.Append("g", g);
+        }
+        t.Append("h", Value(static_cast<int64_t>(rng.NextBelow(2))));
+        if (rng.NextBelow(8) != 0) {  // Some rows carry no input value.
+          t.Append("v", Value(rng.NextInt(-50, 50)));
+          t.Append("v#n", Value(static_cast<int64_t>(1 + rng.NextBelow(3))));
+        }
+        rows.push_back(std::move(t));
+      }
+      Aggregator direct(plan.group_fields, plan.aggs);
+      std::vector<ResultSet> parts(6, ResultSet(plan));
+      for (const Tuple& r : rows) {
+        direct.AddInput(r);
+        parts[rng.NextBelow(parts.size())].AddInput(r);
+      }
+      // First-absorbed group order, from each part's own order.
+      std::vector<std::string> first_seen;
+      for (const ResultSet& part : parts) {
+        for (const Tuple& t : part.Finalize()) {
+          std::string key = TypedKey(t);
+          if (std::find(first_seen.begin(), first_seen.end(), key) == first_seen.end()) {
+            first_seen.push_back(key);
+          }
+        }
+      }
+      // Parts 0-1 move into a middle level, 2-3 copy into it, 4-5 cross the
+      // wire; the total then absorbs the middle level by copy.
+      ResultSet middle(plan);
+      ResultSet total(plan);
+      for (size_t p = 0; p < parts.size(); ++p) {
+        if (p < 2) {
+          middle.Absorb(std::move(parts[p]));
+          EXPECT_TRUE(parts[p].empty());
+        } else if (p < 4) {
+          middle.Absorb(parts[p]);
+        } else {
+          std::vector<uint8_t> bytes;
+          parts[p].Encode(&bytes);
+          ResultSet decoded = parts[p].EmptyLike();
+          size_t pos = 0;
+          ASSERT_TRUE(decoded.Decode(bytes.data(), bytes.size(), &pos));
+          middle.Absorb(std::move(decoded));
+        }
+      }
+      total.Absorb(middle);
+      const std::string label = std::string("fn=") + AggFnName(fn) +
+                                " from_state=" + (from_state ? "1" : "0") +
+                                " trial=" + std::to_string(trial);
+      EXPECT_EQ(CanonicalRows(total.Finalize()), CanonicalRows(direct.Finalize())) << label;
+      std::vector<std::string> order;
+      for (const Tuple& t : total.Finalize()) {
+        order.push_back(TypedKey(t));
+      }
+      EXPECT_EQ(order, first_seen) << label;
+    }
   }
 }
 

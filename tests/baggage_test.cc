@@ -111,6 +111,44 @@ TEST(TupleBagTest, MergeAggregateCombines) {
   EXPECT_EQ(a.Contents()[0].Get("COUNT").int_value(), 3);
 }
 
+// Two aggregate specs that disagree on group width and aggregate count, as
+// two instances of one bag key can when decoded from a malformed peer.
+BagSpec WideSumSpec() {
+  return BagSpec::Aggregated({"a", "b"}, {{AggFn::kSum, "x", "S", false}});
+}
+BagSpec NarrowCountSumSpec() {
+  return BagSpec::Aggregated(
+      {"a"}, {{AggFn::kCount, "", "C", false}, {AggFn::kSum, "x", "S", false}});
+}
+
+Tuple ABX(int64_t a, int64_t b, int64_t x) {
+  return Tuple{{"a", Value(a)}, {"b", Value(b)}, {"x", Value(x)}};
+}
+
+TEST(TupleBagTest, MergeAggregateOfAnotherSpecMergesByColumnName) {
+  TupleBag narrow(NarrowCountSumSpec());
+  narrow.Add(ABX(1, 2, 7));
+  narrow.Add(ABX(3, 4, 1));
+
+  // Into an empty bag (adopt path) and into a populated one (merge path).
+  TupleBag empty_wide(WideSumSpec());
+  empty_wide.MergeFrom(narrow);
+  EXPECT_EQ(Canonical(empty_wide.Contents()),
+            (std::vector<std::string>{"(a=1, b=null, S=7)", "(a=3, b=null, S=1)"}));
+
+  TupleBag wide(WideSumSpec());
+  wide.Add(ABX(1, 2, 5));
+  wide.MergeFrom(narrow);
+  EXPECT_EQ(Canonical(wide.Contents()),
+            (std::vector<std::string>{"(a=1, b=2, S=5)", "(a=1, b=null, S=7)",
+                                      "(a=3, b=null, S=1)"}));
+
+  // And the other way round: the wide state has no C column.
+  narrow.MergeFrom(wide);
+  EXPECT_EQ(Canonical(narrow.Contents()),
+            (std::vector<std::string>{"(a=1, C=1, S=19)", "(a=3, C=1, S=2)"}));
+}
+
 // ---------------------------------------------------------------------------
 // Baggage pack / unpack
 
@@ -310,6 +348,28 @@ TEST(BaggageTest, AggregateAcrossSplitCombines) {
   auto tuples = joined.Unpack(1);
   ASSERT_EQ(tuples.size(), 1u);
   EXPECT_EQ(tuples[0].Get("S").int_value(), 111);
+}
+
+TEST(BaggageTest, DecodedInstancesWithConflictingAggregateSpecsMergeSafely) {
+  Baggage root;
+  root.Pack(1, WideSumSpec(), ABX(1, 2, 5));
+  auto [left, right] = root.Split();
+  left.Pack(1, NarrowCountSumSpec(), ABX(1, 9, 7));
+  right.Pack(1, WideSumSpec(), ABX(1, 2, 100));
+
+  // The conflicting spec crosses the wire, then meets the other branch.
+  Result<Baggage> shipped = Baggage::Deserialize(left.Serialize());
+  ASSERT_TRUE(shipped.ok());
+  std::vector<Tuple> unpacked = shipped->Unpack(1);
+  EXPECT_EQ(Canonical(unpacked),
+            (std::vector<std::string>{"(a=1, b=2, S=5)", "(a=1, b=null, S=7)"}));
+
+  Baggage joined = Baggage::Join(*shipped, right);
+  EXPECT_EQ(Canonical(joined.Unpack(1)),
+            (std::vector<std::string>{"(a=1, b=2, S=5)", "(a=1, b=null, S=107)"}));
+  Result<Baggage> reshipped = Baggage::Deserialize(joined.Serialize());
+  ASSERT_TRUE(reshipped.ok());
+  EXPECT_EQ(Canonical(reshipped->Unpack(1)), Canonical(joined.Unpack(1)));
 }
 
 TEST(BaggageTest, TupleCountAndClear) {

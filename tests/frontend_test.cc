@@ -262,18 +262,19 @@ TEST_F(FrontendTest, OneBatchFrameRunsEachListenerOnce) {
 
   // The aggregated query ships combinable state; build it the way an agent
   // does, from the query's own result plan.
-  const ResultPlan& plan = frontend_.compiled(*counted)->plan;
-  Aggregator partial(plan.group_fields, plan.aggs);
+  AgentReport partial{*counted, ResultSet(frontend_.compiled(*counted)->plan)};
   for (int i = 0; i < 3; ++i) {
-    partial.AddInput(Tuple{});
+    partial.results.AddInput(Tuple{});
   }
+  AgentReport rows{*streamed, ResultSet(frontend_.compiled(*streamed)->plan)};
+  rows.results.AddInput(Tuple{{"incr.delta", Value(int64_t{5})}});
+  rows.results.AddInput(Tuple{{"incr.delta", Value(int64_t{6})}});
   ReportBatch batch;
   batch.host = "B";
   batch.process_name = "DataNode";
   batch.timestamp_micros = 5'000'000;
-  batch.reports.push_back(AgentReport{*counted, partial.StateTuples()});
-  batch.reports.push_back(AgentReport{
-      *streamed, {Tuple{{"incr.delta", Value(int64_t{5})}}, Tuple{{"incr.delta", Value(int64_t{6})}}}});
+  batch.reports.push_back(std::move(partial));
+  batch.reports.push_back(std::move(rows));
   bus_.Publish(BusMessage{kReportTopic, EncodeReportBatch(batch)});
 
   ASSERT_EQ(calls.size(), 2u);
@@ -295,6 +296,28 @@ TEST_F(FrontendTest, UndecodableReportFramesAreCounted) {
   bus_.Publish(BusMessage{kReportTopic, {}});
   EXPECT_EQ(decode_errors.value() - before, 2u);
   EXPECT_EQ(frontend_.reports_received(), 0u);
+}
+
+TEST_F(FrontendTest, ReportNotMatchingItsPlanIsCountedAndDropped) {
+  // A report whose name table is not the query's plan (here SUM state for a
+  // COUNT query) is a decode error, and nothing of its frame is merged.
+  Result<uint64_t> counted =
+      frontend_.Install("From incr In DataNodeMetrics.incrBytesRead Select COUNT");
+  ASSERT_TRUE(counted.ok()) << counted.status().ToString();
+  ResultPlan wrong;
+  wrong.aggs = {{AggFn::kSum, "incr.delta", "SUM(incr.delta)", false}};
+  AgentReport report{*counted, ResultSet(wrong)};
+  report.results.AddInput(Tuple{{"incr.delta", Value(int64_t{1})}});
+  ReportBatch batch;
+  batch.host = "B";
+  batch.process_name = "DataNode";
+  batch.reports.push_back(std::move(report));
+  telemetry::Counter& decode_errors = telemetry::Metrics().GetCounter("frontend.decode_errors");
+  const uint64_t before = decode_errors.value();
+  bus_.Publish(BusMessage{kReportTopic, EncodeReportBatch(batch)});
+  EXPECT_EQ(decode_errors.value() - before, 1u);
+  EXPECT_EQ(frontend_.reports_received(), 0u);
+  EXPECT_TRUE(frontend_.Results(*counted).empty());
 }
 
 TEST_F(FrontendTest, InstallRejectsBadQueries) {

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "src/agent/protocol.h"
 #include "src/common/rand.h"
+#include "src/core/symbol.h"
 
 namespace pivot {
 namespace {
@@ -37,18 +42,54 @@ TEST(ProtocolTest, UnweaveRoundTrip) {
   EXPECT_EQ(decoded->unweave_query_id, 17u);
 }
 
+// The aggregated plan of the reports below: SUM(incr.delta) by incr.host.
+ResultPlan SumByHost() {
+  ResultPlan plan;
+  plan.group_fields = {"incr.host"};
+  plan.aggs = {{AggFn::kSum, "incr.delta", "SUM(incr.delta)", false}};
+  return plan;
+}
+
+// A report of `plan` holding `rows` (raw inputs for an aggregated plan).
+AgentReport Report(uint64_t query_id, const ResultPlan& plan, const std::vector<Tuple>& rows) {
+  AgentReport report{query_id, ResultSet(plan)};
+  for (const Tuple& t : rows) {
+    report.results.AddInput(t);
+  }
+  return report;
+}
+
+// Decodes reports of query 7 as SumByHost and every other query as streaming.
+class PlanLookup {
+ public:
+  ReportSetLookup lookup() const {
+    return [this](uint64_t query_id) { return query_id == 7 ? &sum_ : &streaming_; };
+  }
+
+ private:
+  ResultSet sum_{SumByHost()};
+  ResultSet streaming_{ResultPlan{}};
+};
+
+std::vector<std::string> Rendered(const ResultSet& set) {
+  std::vector<std::string> out;
+  for (const Tuple& t : set.Finalize()) {
+    out.push_back(t.ToString());
+  }
+  return out;
+}
+
 TEST(ProtocolTest, ReportRoundTrip) {
   // A lone report travels as a batch of one.
   ReportBatch batch;
   batch.host = "C";
   batch.process_name = "DataNode";
   batch.timestamp_micros = 3'000'000;
-  AgentReport report;
-  report.query_id = 7;
-  report.tuples.push_back(Tuple{{"incr.host", Value("C")}, {"SUM(incr.delta)", Value(int64_t{12345})}});
-  batch.reports = {report};
+  batch.reports.push_back(
+      Report(7, SumByHost(), {Tuple{{"incr.host", Value("C")}, {"incr.delta", Value(int64_t{12345})}}}));
 
-  Result<ControlMessage> decoded = DecodeControlMessage(EncodeReportBatch(batch));
+  PlanLookup plans;
+  Result<ControlMessage> decoded = DecodeControlMessage(EncodeReportBatch(batch), plans.lookup());
   ASSERT_TRUE(decoded.ok());
   ASSERT_EQ(decoded->type, ControlMessageType::kBatch);
   ASSERT_EQ(decoded->batch.reports.size(), 1u);
@@ -56,8 +97,7 @@ TEST(ProtocolTest, ReportRoundTrip) {
   EXPECT_EQ(decoded->batch.timestamp_micros, 3'000'000);
   const AgentReport& r = decoded->batch.reports[0];
   EXPECT_EQ(r.query_id, 7u);
-  ASSERT_EQ(r.tuples.size(), 1u);
-  EXPECT_EQ(r.tuples[0].Get("SUM(incr.delta)").int_value(), 12345);
+  EXPECT_EQ(Rendered(r.results), (std::vector<std::string>{"(incr.host=C, SUM(incr.delta)=12345)"}));
 }
 
 TEST(ProtocolTest, ReportBatchRoundTrip) {
@@ -66,14 +106,10 @@ TEST(ProtocolTest, ReportBatchRoundTrip) {
   batch.process_name = "DataNode";
   batch.timestamp_micros = 3'000'000;
 
-  AgentReport r1;
-  r1.query_id = 7;
-  r1.tuples.push_back(Tuple{{"incr.host", Value("C")}, {"SUM(incr.delta)", Value(int64_t{12345})}});
-  AgentReport r2;
-  r2.query_id = 9;
-  r2.tuples.push_back(Tuple{{"x.v", Value(int64_t{1})}});
-  r2.tuples.push_back(Tuple{{"x.v", Value(int64_t{2})}});
-  batch.reports = {r1, r2};
+  batch.reports.push_back(
+      Report(7, SumByHost(), {Tuple{{"incr.host", Value("C")}, {"incr.delta", Value(int64_t{12345})}}}));
+  batch.reports.push_back(
+      Report(9, ResultPlan{}, {Tuple{{"x.v", Value(int64_t{1})}}, Tuple{{"x.v", Value(int64_t{2})}}}));
 
   AgentStats hb;
   hb.query_id = 11;
@@ -83,29 +119,35 @@ TEST(ProtocolTest, ReportBatchRoundTrip) {
   std::vector<size_t> report_bytes;
   std::vector<uint8_t> encoded = EncodeReportBatch(batch, &report_bytes);
   // The exact frame. Host, process and timestamp appear once, in the header;
-  // a report is (query id, tuple count, tuples) and a heartbeat is (query id,
-  // suppressed count), with nothing else per entry.
+  // a report is (query id, name table, row count, rows) with each row a list
+  // of (name index, value) pairs, and a heartbeat is (query id, suppressed
+  // count), with nothing else per entry.
   const std::vector<uint8_t> expected = {
       0x07,                                       // kBatch.
       1, 'C',                                     // host.
       8, 'D', 'a', 't', 'a', 'N', 'o', 'd', 'e',  // process_name.
       0x80, 0x9B, 0xEE, 0x02,                     // timestamp 3'000'000 (zig-zag).
       2,                                          // Report count.
-      7, 1,                                       // r1: query 7, one tuple.
-      2,                                          //   Two fields.
-      9, 'i', 'n', 'c', 'r', '.', 'h', 'o', 's', 't', 3, 1, 'C',
+      7,                                          // r1: query 7.
+      2,                                          //   Two names.
+      9, 'i', 'n', 'c', 'r', '.', 'h', 'o', 's', 't',
       15, 'S', 'U', 'M', '(', 'i', 'n', 'c', 'r', '.', 'd', 'e', 'l', 't', 'a', ')',
-      1, 0xF2, 0xC0, 0x01,                        //   int 12345 (zig-zag).
-      9, 2,                                       // r2: query 9, two tuples.
-      1, 3, 'x', '.', 'v', 1, 2,                  //   {x.v: 1}.
-      1, 3, 'x', '.', 'v', 1, 4,                  //   {x.v: 2}.
+      1,                                          //   One row, two fields:
+      2, 0, 3, 1, 'C',                            //     name 0 = "C",
+      1, 1, 0xF2, 0xC0, 0x01,                     //     name 1 = int 12345 (zig-zag).
+      9,                                          // r2: query 9.
+      1, 3, 'x', '.', 'v',                        //   One name.
+      2,                                          //   Two rows:
+      1, 0, 1, 2,                                 //     {x.v: 1},
+      1, 0, 1, 4,                                 //     {x.v: 2}.
       1,                                          // Heartbeat count.
       11, 10,                                     // Query 11, 10 suppressed.
   };
   EXPECT_EQ(encoded, expected);
-  EXPECT_EQ(report_bytes, (std::vector<size_t>{36, 16}));
+  EXPECT_EQ(report_bytes, (std::vector<size_t>{39, 15}));
 
-  Result<ControlMessage> decoded = DecodeControlMessage(encoded);
+  PlanLookup plans;
+  Result<ControlMessage> decoded = DecodeControlMessage(encoded, plans.lookup());
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   ASSERT_EQ(decoded->type, ControlMessageType::kBatch);
   const ReportBatch& b = decoded->batch;
@@ -114,10 +156,10 @@ TEST(ProtocolTest, ReportBatchRoundTrip) {
   EXPECT_EQ(b.timestamp_micros, 3'000'000);
   ASSERT_EQ(b.reports.size(), 2u);
   EXPECT_EQ(b.reports[0].query_id, 7u);
-  ASSERT_EQ(b.reports[0].tuples.size(), 1u);
-  EXPECT_EQ(b.reports[0].tuples[0].Get("SUM(incr.delta)").int_value(), 12345);
+  EXPECT_EQ(Rendered(b.reports[0].results),
+            (std::vector<std::string>{"(incr.host=C, SUM(incr.delta)=12345)"}));
   EXPECT_EQ(b.reports[1].query_id, 9u);
-  ASSERT_EQ(b.reports[1].tuples.size(), 2u);
+  EXPECT_EQ(Rendered(b.reports[1].results), (std::vector<std::string>{"(x.v=1)", "(x.v=2)"}));
   ASSERT_EQ(b.heartbeats.size(), 1u);
   EXPECT_EQ(b.heartbeats[0].query_id, 11u);
   EXPECT_EQ(b.heartbeats[0].reports_suppressed, 10u);
@@ -137,15 +179,92 @@ TEST(ProtocolTest, TruncatedBatchRejected) {
   ReportBatch batch;
   batch.host = "A";
   batch.process_name = "p";
-  AgentReport r;
-  r.query_id = 1;
-  r.tuples.push_back(Tuple{{"x.v", Value(int64_t{1})}});
-  batch.reports = {r};
+  batch.reports.push_back(Report(1, ResultPlan{}, {Tuple{{"x.v", Value(int64_t{1})}}}));
+  batch.reports.push_back(
+      Report(7, SumByHost(), {Tuple{{"incr.host", Value("C")}, {"incr.delta", Value(int64_t{4})}}}));
   std::vector<uint8_t> encoded = EncodeReportBatch(batch);
+  PlanLookup plans;
+  ASSERT_TRUE(DecodeControlMessage(encoded, plans.lookup()).ok());
   for (size_t cut = 1; cut < encoded.size(); ++cut) {
     std::vector<uint8_t> truncated(encoded.begin(), encoded.begin() + cut);
+    // Truncation is caught whether the reports are decoded or skipped.
+    EXPECT_FALSE(DecodeControlMessage(truncated, plans.lookup()).ok()) << "cut=" << cut;
     EXPECT_FALSE(DecodeControlMessage(truncated).ok()) << "cut=" << cut;
   }
+}
+
+TEST(ProtocolTest, ReportNamesMustMatchThePlan) {
+  // Query 7's report decoded against a plan with another aggregate, another
+  // group field, or one aggregate too many: the name table does not match.
+  ReportBatch batch;
+  batch.reports.push_back(
+      Report(7, SumByHost(), {Tuple{{"incr.host", Value("C")}, {"incr.delta", Value(int64_t{4})}}}));
+  const std::vector<uint8_t> encoded = EncodeReportBatch(batch);
+  ResultPlan other_agg = SumByHost();
+  other_agg.aggs[0].output = "SUM(incr.other)";
+  ResultPlan other_group = SumByHost();
+  other_group.group_fields = {"incr.path"};
+  ResultPlan extra_agg = SumByHost();
+  extra_agg.aggs.push_back({AggFn::kCount, "", "COUNT", false});
+  for (const ResultPlan& plan : {other_agg, other_group, extra_agg}) {
+    ResultSet like(plan);
+    EXPECT_FALSE(DecodeControlMessage(encoded, [&like](uint64_t) { return &like; }).ok());
+  }
+  // The right plan decodes; a receiver that does not track the query skips it.
+  ResultSet like(SumByHost());
+  EXPECT_TRUE(DecodeControlMessage(encoded, [&like](uint64_t) { return &like; }).ok());
+  Result<ControlMessage> skipped = DecodeControlMessage(encoded);
+  ASSERT_TRUE(skipped.ok());
+  EXPECT_TRUE(skipped->batch.reports.empty());
+}
+
+TEST(ProtocolTest, OutOfRangeNameIndexRejected) {
+  ReportBatch batch;
+  batch.reports.push_back(Report(9, ResultPlan{}, {Tuple{{"x.v", Value(int64_t{1})}}}));
+  std::vector<uint8_t> encoded = EncodeReportBatch(batch);
+  // The frame ends: ... one row {field count 1, name index 0, int 1}, then no
+  // heartbeats. Point the row's only field past the one-entry name table.
+  const std::vector<uint8_t> tail = {1, 1, 0, 1, 2, 0};
+  ASSERT_TRUE(std::equal(tail.begin(), tail.end(), encoded.end() - tail.size()));
+  encoded[encoded.size() - 4] = 1;
+  PlanLookup plans;
+  EXPECT_FALSE(DecodeControlMessage(encoded, plans.lookup()).ok());
+  EXPECT_FALSE(DecodeControlMessage(encoded).ok());  // Skipping checks it too.
+}
+
+TEST(ProtocolTest, DecodeInternsAtMostTheNameTable) {
+  // A streaming report interns each name-table entry once, however many rows
+  // repeat it; an aggregated report matches names against its plan and
+  // interns none. The frame's names are rewritten after encoding so the
+  // decoder is the first to see them.
+  ReportBatch batch;
+  AgentReport streamed{9, ResultSet(ResultPlan{})};
+  for (int i = 0; i < 50; ++i) {
+    streamed.results.AddInput(
+        Tuple{{"protocol.test.seen.a", Value(int64_t{i})}, {"protocol.test.seen.b", Value("v")}});
+  }
+  batch.reports.push_back(std::move(streamed));
+  batch.reports.push_back(
+      Report(7, SumByHost(), {Tuple{{"incr.host", Value("C")}, {"incr.delta", Value(int64_t{1})}}}));
+  std::vector<uint8_t> encoded = EncodeReportBatch(batch);
+  const std::string seen = "seen";
+  size_t rewritten = 0;
+  for (auto it = encoded.begin();
+       (it = std::search(it, encoded.end(), seen.begin(), seen.end())) != encoded.end(); ++it) {
+    std::copy_n("new!", 4, it);
+    ++rewritten;
+  }
+  ASSERT_EQ(rewritten, 2u);  // Once per name, not once per row.
+
+  PlanLookup plans;
+  const size_t before = SymbolTable::Global().size();
+  Result<ControlMessage> decoded = DecodeControlMessage(encoded, plans.lookup());
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(SymbolTable::Global().size(), before + 2);
+  ASSERT_EQ(decoded->batch.reports.size(), 2u);
+  EXPECT_EQ(decoded->batch.reports[0].results.size(), 50u);
+  EXPECT_EQ(decoded->batch.reports[0].results.Finalize()[0].Get("protocol.test.new!.a").int_value(),
+            0);
 }
 
 TEST(ProtocolTest, EmptyPayloadRejected) {
@@ -174,6 +293,7 @@ TEST(ProtocolTest, UnassignedReportTypesRejected) {
 
 TEST(ProtocolTest, FuzzDecodeNeverCrashes) {
   Rng rng(2024);
+  PlanLookup plans;
   for (int trial = 0; trial < 1000; ++trial) {
     std::vector<uint8_t> junk(rng.NextBelow(64));
     for (auto& b : junk) {
@@ -184,6 +304,26 @@ TEST(ProtocolTest, FuzzDecodeNeverCrashes) {
       junk[0] = kTypes[rng.NextBelow(std::size(kTypes))];
     }
     DecodeControlMessage(junk);  // Must not crash.
+    DecodeControlMessage(junk, plans.lookup());
+  }
+  // Mutations of a valid two-report frame reach deep into the name tables
+  // and rows, decoded against both plans and skipped.
+  ReportBatch batch;
+  batch.host = "C";
+  batch.process_name = "p";
+  batch.reports.push_back(
+      Report(7, SumByHost(), {Tuple{{"incr.host", Value("C")}, {"incr.delta", Value(int64_t{4})}},
+                              Tuple{{"incr.host", Value("D")}, {"incr.delta", Value(2.5)}}}));
+  batch.reports.push_back(Report(9, ResultPlan{}, {Tuple{{"x.v", Value("s")}}}));
+  const std::vector<uint8_t> valid = EncodeReportBatch(batch);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<uint8_t> mutated = valid;
+    for (uint64_t flips = 1 + rng.NextBelow(3); flips > 0; --flips) {
+      mutated[rng.NextBelow(mutated.size())] = static_cast<uint8_t>(rng.NextBelow(256));
+    }
+    mutated[0] = 0x07;
+    DecodeControlMessage(mutated);
+    DecodeControlMessage(mutated, plans.lookup());
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -36,32 +37,34 @@ Tuple Row(int64_t v, int64_t w) {
   return Tuple{{"x.v", Value(v)}, {"x.w", Value(w)}};
 }
 
-// Collects the state tuples of every report the agent publishes for `id`.
+// Records every kBatch frame the agent publishes and merges the reports for
+// `id` (decoded against GroupedCommand's plan) the way the frontend does.
 class BatchCollector {
  public:
-  BatchCollector(MessageBus* bus, uint64_t id) : bus_(bus) {
+  BatchCollector(MessageBus* bus, uint64_t id)
+      : bus_(bus), merged_(GroupedCommand(id).plan) {
     sub_ = bus_->Subscribe(kReportTopic, [this, id](const BusMessage& msg) {
-      Result<ControlMessage> decoded = DecodeControlMessage(msg.payload);
+      Result<ControlMessage> decoded = DecodeControlMessage(
+          msg.payload, [this, id](uint64_t query) { return query == id ? &merged_ : nullptr; });
       if (!decoded.ok() || decoded->type != ControlMessageType::kBatch) {
         return;
       }
+      frames_.push_back(msg.payload);
       for (AgentReport& r : decoded->batch.reports) {
-        if (r.query_id == id) {
-          for (Tuple& t : r.tuples) {
-            state_tuples_.push_back(std::move(t));
-          }
-        }
+        merged_.Absorb(std::move(r.results));
       }
     });
   }
   ~BatchCollector() { bus_->Unsubscribe(sub_); }
 
-  const std::vector<Tuple>& state_tuples() const { return state_tuples_; }
+  const std::vector<std::vector<uint8_t>>& frames() const { return frames_; }
+  const ResultSet& merged() const { return merged_; }
 
  private:
   MessageBus* bus_;
   MessageBus::SubscriberId sub_;
-  std::vector<Tuple> state_tuples_;
+  ResultSet merged_;
+  std::vector<std::vector<uint8_t>> frames_;
 };
 
 TEST(ShardedEmitTest, ConcurrentShardedIntakeMatchesSerialReference) {
@@ -98,14 +101,10 @@ TEST(ShardedEmitTest, ConcurrentShardedIntakeMatchesSerialReference) {
     }
   }
 
-  // Merge the published state tuples the way the frontend does and compare
-  // final results order-insensitively (shard drain order may differ from the
-  // serial insertion order; values may not).
-  Aggregator merged(GroupedCommand(kQuery).plan.group_fields, GroupedCommand(kQuery).plan.aggs);
-  for (const Tuple& t : collector.state_tuples()) {
-    merged.AddState(t);
-  }
-  EXPECT_EQ(CanonicalTuples(merged.Finalize()), CanonicalTuples(reference.Finalize()));
+  // Compare the merged reports' final results order-insensitively (shard
+  // drain order may differ from the serial insertion order; values may not).
+  EXPECT_EQ(CanonicalTuples(collector.merged().Finalize()),
+            CanonicalTuples(reference.Finalize()));
   EXPECT_EQ(agent.emitted_tuples(), static_cast<uint64_t>(kThreads) * kPerThread);
   EXPECT_EQ(agent.dropped_tuples(), 0u);
 }
@@ -157,8 +156,8 @@ TEST(ShardedEmitTest, FrontendMergeMatchesReferenceEndToEnd) {
 
 TEST(ShardedEmitTest, SingleThreadReportIdenticalToOneShardAgent) {
   // A single-threaded emitter lands in exactly one shard, so a multi-shard
-  // agent's report must match a one-shard (global-lock-equivalent) agent's
-  // report tuple-for-tuple, order included.
+  // agent's report frames must match a one-shard (global-lock-equivalent)
+  // agent's byte for byte, group order included.
   constexpr uint64_t kQuery = 3;
   MessageBus bus_sharded;
   MessageBus bus_single;
@@ -179,11 +178,64 @@ TEST(ShardedEmitTest, SingleThreadReportIdenticalToOneShardAgent) {
   sharded.Flush(1'000'000);
   single.Flush(1'000'000);
 
-  ASSERT_EQ(sharded_reports.state_tuples().size(), single_reports.state_tuples().size());
-  for (size_t i = 0; i < sharded_reports.state_tuples().size(); ++i) {
-    EXPECT_EQ(sharded_reports.state_tuples()[i].ToString(),
-              single_reports.state_tuples()[i].ToString());
+  ASSERT_EQ(sharded_reports.frames().size(), 1u);
+  EXPECT_EQ(sharded_reports.frames(), single_reports.frames());
+  EXPECT_EQ(sharded_reports.merged().size(), 11u);
+}
+
+TEST(ShardedEmitTest, EmittersRacingFlushLoopLoseNoTuple) {
+  // Emitters fire while a flush loop keeps swapping their shard sets out:
+  // every emitted tuple must reach the frontend exactly once, in whichever
+  // interval its swap put it. Run under TSan by scripts/check.sh.
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 3000;
+
+  MessageBus bus;
+  TracepointRegistry schema;
+  TracepointDef def;
+  def.name = "X";
+  def.exports = {"v"};
+  ASSERT_TRUE(schema.Define(def).ok());
+  TracepointRegistry registry;
+  ProcessRuntime runtime;
+  runtime.info = {"A", "proc", 1};
+  PTAgent agent(&bus, &registry, runtime.info, /*shard_count=*/2);
+  runtime.sink = &agent;
+  Tracepoint* tp = *registry.Define(def);
+  Frontend frontend(&bus, &schema);
+  Result<uint64_t> q = frontend.Install("From e In X GroupBy e.v Select e.v, COUNT");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+
+  std::atomic<int> running{kThreads};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&] {
+      ExecutionContext ctx(&runtime);
+      for (int i = 0; i < kPerThread; ++i) {
+        tp->Invoke(&ctx, {{"v", Value(int64_t{i % 97})}});
+      }
+      running.fetch_sub(1);
+    });
   }
+  int64_t now = 0;
+  size_t flushes = 0;
+  while (running.load() > 0) {
+    agent.Flush(now += 1000);
+    ++flushes;
+  }
+  for (auto& w : workers) {
+    w.join();
+  }
+  agent.Flush(now += 1000);
+
+  int64_t counted = 0;
+  for (const Tuple& row : frontend.Results(*q)) {
+    counted += row.Get("COUNT").int_value();
+  }
+  EXPECT_EQ(agent.emitted_tuples(), static_cast<uint64_t>(kThreads) * kPerThread);
+  EXPECT_EQ(static_cast<uint64_t>(counted), agent.emitted_tuples());
+  EXPECT_EQ(frontend.Results(*q).size(), 97u);
+  EXPECT_GT(flushes, 0u);
 }
 
 TEST(ShardedEmitTest, HeartbeatSemanticsSurviveBatching) {
