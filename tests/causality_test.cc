@@ -15,6 +15,7 @@
 #include "src/analysis/reachability.h"
 #include "src/hadoop/cluster.h"
 #include "src/hadoop/workloads.h"
+#include "src/simsys/sim_rpc.h"
 #include "src/simsys/sim_world.h"
 #include "src/telemetry/metrics.h"
 
@@ -309,6 +310,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(StockTopologyTest, FullClusterAuditIsCleanAfterMixedWorkload) {
   HadoopClusterConfig config;
   config.seed = 7;
+  RpcStats::Reset();
   HadoopCluster cluster(config);
   constexpr int64_t kHorizon = 5 * kMicrosPerSecond;
 
@@ -335,6 +337,38 @@ TEST(StockTopologyTest, FullClusterAuditIsCleanAfterMixedWorkload) {
   EXPECT_FALSE(audit.Has("PT302")) << audit.ToString();
   EXPECT_FALSE(audit.Has("PT303")) << audit.ToString();
   EXPECT_TRUE(audit.empty()) << audit.ToString();
+
+  // Pinned crossings and wire totals: every boundary the workload crosses,
+  // and the RPC count and baggage bytes it puts on the wire at this seed.
+  std::vector<std::string> observed;
+  for (const analysis::ObservedEdge& e : g.Observed()) {
+    observed.push_back(e.from + "->" + e.to + " " + e.kind);
+  }
+  EXPECT_EQ(observed, (std::vector<std::string>{
+                          "DN->DN rpc",
+                          "DN->DN rpc-response",
+                          "DN->MRTask rpc-response",
+                          "DN->RS rpc-response",
+                          "DN->client rpc-response",
+                          "MRTask->DN rpc",
+                          "MRTask->MRTask continuation",
+                          "MRTask->NN rpc",
+                          "NM->MRTask continuation",
+                          "NM->NM queue",
+                          "NN->MRTask rpc-response",
+                          "NN->RS rpc-response",
+                          "NN->client rpc-response",
+                          "RS->DN rpc",
+                          "RS->NN rpc",
+                          "RS->RS queue",
+                          "RS->client rpc-response",
+                          "client->DN rpc",
+                          "client->NM continuation",
+                          "client->NN rpc",
+                          "client->RS rpc",
+                      }));
+  EXPECT_EQ(RpcStats::total_calls.load(), 801u);
+  EXPECT_EQ(RpcStats::total_baggage_bytes.load(), 1713u);
 }
 
 // Diagnostic formatting is public surface (docs/ANALYSIS.md, pivot_lint

@@ -301,6 +301,8 @@ TEST(SimRpcTest, TraceAttachmentSurvivesHop) {
   TracepointDef def;
   def.name = "S";
   server->DefineTracepoint(def);
+  def.name = "C";
+  client->DefineTracepoint(def);
 
   CtxPtr ctx = world.NewRequest(client);
   EventId client_event = ctx->AdvanceEvent();
@@ -310,12 +312,20 @@ TEST(SimRpcTest, TraceAttachmentSurvivesHop) {
         server->registry()->Find("S")->Invoke(sctx.get(), {});
         respond(std::move(sctx), 100);
       },
-      [](CtxPtr) {});
+      [&](CtxPtr cctx) { client->registry()->Find("C")->Invoke(cctx.get(), {}); });
   world.env()->RunAll();
 
-  ASSERT_EQ(world.recorder()->observed().size(), 1u);
-  const ObservedEvent& obs = world.recorder()->observed()[0];
-  EXPECT_TRUE(world.recorder()->graph(obs.trace_id)->HappenedBefore(client_event, obs.event));
+  // Both legs: the request carries the client's event to the server, and the
+  // response carries the server's event back to `done`.
+  ASSERT_EQ(world.recorder()->observed().size(), 2u);
+  const ObservedEvent& server_obs = world.recorder()->observed()[0];
+  const ObservedEvent& done_obs = world.recorder()->observed()[1];
+  EXPECT_EQ(server_obs.tracepoint, "S");
+  EXPECT_EQ(done_obs.tracepoint, "C");
+  const TraceGraph* graph = world.recorder()->graph(server_obs.trace_id);
+  EXPECT_EQ(done_obs.trace_id, server_obs.trace_id);
+  EXPECT_TRUE(graph->HappenedBefore(client_event, server_obs.event));
+  EXPECT_TRUE(graph->HappenedBefore(server_obs.event, done_obs.event));
 }
 
 }  // namespace
