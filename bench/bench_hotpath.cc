@@ -96,8 +96,8 @@ int main(int argc, char** argv) {
     std::vector<SymbolId> proj_ids = InternSymbols({"col2", "col5", "col11"});
     std::vector<std::string> proj_names = {"col2", "col5", "col11"};
 
-    double get_id = MeasureNs([&] { Keep(t.Get(id8).Hash()); }, kIters);
-    double get_str = MeasureNs([&] { Keep(t.Get("col8").Hash()); }, kIters);
+    double get_id = MeasureNs([&] { Keep(t.Get(id8).int_value()); }, kIters);
+    double get_str = MeasureNs([&] { Keep(t.Get("col8").int_value()); }, kIters);
     double proj_id = MeasureNs([&] { Keep(t.Project(proj_ids).size()); }, kIters);
     double proj_str = MeasureNs([&] { Keep(t.Project(proj_names).size()); }, kIters);
 

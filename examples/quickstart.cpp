@@ -93,12 +93,11 @@ int main() {
     ExecutionContext ctx(&web.runtime);
     tp_request->Invoke(&ctx, {{"user", Value(users[i])}, {"path", Value("/data")}});
 
-    // The request crosses to the storage process: serialize the baggage into
-    // the RPC, deserialize on the other side (what an instrumented RPC layer
-    // does automatically).
-    std::vector<uint8_t> wire = ctx.baggage().Serialize();
-    ExecutionContext storage_ctx(&storage.runtime);
-    storage_ctx.set_baggage(std::move(Baggage::Deserialize(wire)).value());
+    // The request crosses to the storage process: Depart serializes the
+    // baggage into the RPC, Arrive deserializes it on the other side (what an
+    // instrumented RPC layer does automatically).
+    ContextOnWire wire = Depart(&ctx);
+    ExecutionContext storage_ctx = Arrive(std::move(wire), &storage.runtime);
 
     tp_read->Invoke(&storage_ctx, {{"bytes", Value(sizes[i])}});
     // (Each storage read may fire the tracepoint many times; keep it simple.)

@@ -1,13 +1,23 @@
 #!/bin/sh
-# clang-tidy over the sources (.clang-tidy selects bugprone-*, performance-*,
-# concurrency-*). Degrades gracefully: the CI container only ships gcc, so a
-# missing clang-tidy is a skip, not a failure.
+# A grep gate on how src/hadoop crosses process boundaries, then clang-tidy
+# over the sources (.clang-tidy selects bugprone-*, performance-*,
+# concurrency-*). clang-tidy degrades gracefully: the CI container only ships
+# gcc, so a missing clang-tidy is a skip, not a failure.
 #
 # Usage: scripts/lint.sh [build-dir]
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 build_dir=${1:-"$repo_root/build"}
+
+# Crossing gate (runs with or without clang-tidy): the Hadoop models cross a
+# process boundary only through SimRpcCall (wire) or SimWorld::Cross (in
+# memory), never by hand, so every crossing is observed and carries baggage.
+if grep -rnE 'ObserveEdge|set_runtime|Baggage::Deserialize|\b(Depart|Arrive)\(' \
+  "$repo_root/src/hadoop"; then
+  echo "lint: src/hadoop crosses a process boundary by hand; use SimRpcCall or SimWorld::Cross."
+  exit 1
+fi
 
 if ! command -v clang-tidy >/dev/null 2>&1; then
   echo "clang-tidy not found; skipping lint (install clang-tools to enable)."

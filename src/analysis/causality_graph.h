@@ -12,10 +12,11 @@
 // Two kinds of facts live here:
 //   - Declarations: the static model. Deployment constructors and protocol
 //     clients declare every boundary they implement, once.
-//   - Observations: the ground truth. Instrumented boundaries (SimRpcCall,
-//     queue pops, continuation spawns) record the edges they actually cross
-//     at runtime, so the audit pass can flag boundaries the model missed
-//     (PT304 "unknown boundary").
+//   - Observations: the ground truth. The simulator's two crossing
+//     primitives record the edges they actually cross at runtime: each leg
+//     of SimRpcCall, and SimWorld::Cross for in-memory hand-offs (queue
+//     pops, continuation spawns, joins). The audit pass then flags
+//     boundaries the model missed (PT304 "unknown boundary").
 //
 // Ownership: one registry per SimWorld (not a process-global singleton —
 // unrelated tests in one binary must not pollute each other's audit). The

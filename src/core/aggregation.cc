@@ -104,8 +104,8 @@ const Value& FieldOrNull(const Tuple& t, SymbolId id) {
 // Type-tagged FNV-1a over the group values, one value at a time. Must stay
 // consistent with GroupValueEquals below: bit-identical values hash
 // identically. The type tag keeps int 1 / double 1.0 / string "1" in distinct
-// buckets (they are distinct groups), unlike Value::Hash which deliberately
-// collapses numerically-equal ints and doubles.
+// buckets: they are distinct groups, even though Value's operator== holds
+// numerically-equal ints and doubles equal.
 constexpr uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
 constexpr uint64_t kFnvPrime = 0x100000001B3ULL;
 

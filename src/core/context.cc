@@ -1,5 +1,6 @@
 #include "src/core/context.h"
 
+#include <cassert>
 #include <chrono>
 
 #include "src/core/tracepoint.h"
@@ -59,24 +60,16 @@ void ExecutionContext::Join(ExecutionContext&& other) {
   other.baggage_.Clear();
 }
 
-std::vector<uint8_t> SerializeBaggageWithMeta(ExecutionContext* ctx) {
-  if (ctx == nullptr) {
-    return {};
-  }
+ContextOnWire Depart(ExecutionContext* ctx) {
   const Tracepoint* tp =
       ctx->runtime() != nullptr ? ctx->runtime()->meta.baggage_serialize : nullptr;
   // Fire only when someone is listening: the stats pass walks every bag, so
   // skip it unless advice is woven (or a ground-truth trace wants the event).
+  // Unrequested stats stay empty, and so do those of trivial baggage, which
+  // serializes to nothing: neither reports an event.
   bool fire = tp != nullptr && (tp->enabled() || ctx->recorder() != nullptr);
-  if (!fire) {
-    return ctx->baggage().Serialize();
-  }
   Baggage::SerializeStats stats;
-  std::vector<uint8_t> bytes = ctx->baggage().Serialize(&stats);
-  if (stats.bytes == 0) {
-    // Trivial baggage serializes to nothing; no event to report.
-    return bytes;
-  }
+  std::vector<uint8_t> bytes = ctx->baggage().Serialize(fire ? &stats : nullptr);
   uint64_t attributed = 0;
   for (const auto& [query_id, share] : stats.queries) {
     attributed += share.bytes;
@@ -94,7 +87,21 @@ std::vector<uint8_t> SerializeBaggageWithMeta(ExecutionContext* ctx) {
                      {"tuples", Value(int64_t{0})},
                      {"instances", Value(static_cast<int64_t>(stats.instances))}});
   }
-  return bytes;
+  // Captured after the invocations above, which advance the current event.
+  return {std::move(bytes), ctx->recorder(), ctx->trace_id(), ctx->current_event()};
+}
+
+ExecutionContext Arrive(ContextOnWire wire, ProcessRuntime* to) {
+  ExecutionContext ctx(to);
+  Result<Baggage> baggage = Baggage::Deserialize(wire.baggage);
+  assert(baggage.ok() && "baggage corrupted in transit");
+  if (baggage.ok()) {
+    ctx.set_baggage(std::move(baggage).value());
+  }
+  if (wire.recorder != nullptr) {
+    ctx.AttachTrace(wire.recorder, wire.trace_id, wire.event);
+  }
+  return ctx;
 }
 
 namespace {
@@ -126,7 +133,7 @@ std::vector<Tuple> ThreadBaggage::Unpack(BagKey key) {
 
 std::vector<uint8_t> ThreadBaggage::Serialize() {
   if (ExecutionContext* ctx = CurrentContext()) {
-    return SerializeBaggageWithMeta(ctx);
+    return Depart(ctx).baggage;
   }
   return {};
 }

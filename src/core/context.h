@@ -10,7 +10,7 @@
 //
 // Two propagation styles are supported:
 //  * explicit: the simulator hands contexts from task to task and across
-//    simulated RPCs (serializing the baggage on the wire);
+//    simulated RPCs (Depart/Arrive serialize the baggage onto the wire);
 //  * thread-local: real multi-threaded applications install a context with
 //    ScopedContext and fork/join it across std::thread boundaries, mirroring
 //    Table 4's static API.
@@ -23,6 +23,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/core/baggage.h"
 #include "src/core/trace_graph.h"
@@ -126,15 +127,32 @@ class ExecutionContext {
   EventId current_event_ = kNoEvent;
 };
 
-// Serializes `ctx`'s baggage and, when the process defines a woven
-// `Baggage.Serialize` meta-tracepoint, fires it with the serialization's
-// byte/tuple accounting: one invocation per query contributing bags plus a
-// `queryId = 0` invocation carrying the framing bytes, so SUM(bytes) over the
-// invocations equals the serialized size. Equivalent to
-// `ctx->baggage().Serialize()` when the meta-tracepoint is absent or unwoven
-// (the stats pass is skipped entirely). Wire crossings should use this
-// instead of calling Serialize directly.
-std::vector<uint8_t> SerializeBaggageWithMeta(ExecutionContext* ctx);
+// ---- Process boundaries (Table 4's serialize/deserialize pair) ----
+
+// What crosses a process boundary on behalf of one execution: the serialized
+// baggage, plus the ground-truth trace attachment (recorder, trace id and
+// current event; null recorder when not recording).
+struct ContextOnWire {
+  std::vector<uint8_t> baggage;
+  TraceRecorder* recorder = nullptr;
+  uint64_t trace_id = 0;
+  EventId event = kNoEvent;
+};
+
+// Sender half of a crossing. Serializes `ctx`'s baggage and, when the process
+// defines a woven `Baggage.Serialize` meta-tracepoint, fires it with the
+// serialization's byte/tuple accounting: one invocation per query
+// contributing bags plus a `queryId = 0` invocation carrying the framing
+// bytes, so SUM(bytes) over the invocations equals the serialized size. The
+// stats pass is skipped entirely when the meta-tracepoint is absent or
+// unwoven. The trace attachment is captured after those invocations.
+ContextOnWire Depart(ExecutionContext* ctx);
+
+// Receiver half: a fresh context executing in `to`, carrying the decoded
+// baggage and the sender's trace attachment. Bytes that fail to decode are
+// counted by baggage.deserialize_errors and yield pristine baggage (debug
+// builds assert: the simulator never corrupts the wire).
+ExecutionContext Arrive(ContextOnWire wire, ProcessRuntime* to);
 
 // ---- Thread-local current context (the paper's thread-local baggage) ----
 

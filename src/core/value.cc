@@ -5,20 +5,6 @@
 #include "src/common/strings.h"
 
 namespace pivot {
-namespace {
-
-// FNV-1a over raw bytes.
-uint64_t HashBytes(const void* data, size_t n, uint64_t seed) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  uint64_t h = seed ^ 0xCBF29CE484222325ULL;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
-}  // namespace
 
 double Value::AsDouble() const {
   switch (type()) {
@@ -101,30 +87,6 @@ int Value::Compare(const Value& other) const {
     return c < 0 ? -1 : (c > 0 ? 1 : 0);
   }
   return 0;  // Both null.
-}
-
-uint64_t Value::Hash() const {
-  switch (type()) {
-    case ValueType::kNull:
-      return 0x9E3779B97F4A7C15ULL;
-    case ValueType::kInt: {
-      int64_t v = int_value();
-      return HashBytes(&v, sizeof(v), 1);
-    }
-    case ValueType::kDouble: {
-      // Hash doubles that hold integral values identically to the int, so that
-      // group keys are stable across numeric promotion.
-      double d = double_value();
-      if (d == static_cast<int64_t>(d) && std::abs(d) < 9.2e18) {
-        int64_t v = static_cast<int64_t>(d);
-        return HashBytes(&v, sizeof(v), 1);
-      }
-      return HashBytes(&d, sizeof(d), 2);
-    }
-    case ValueType::kString:
-      return HashBytes(string_value().data(), string_value().size(), 3);
-  }
-  return 0;
 }
 
 namespace {

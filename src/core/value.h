@@ -63,9 +63,6 @@ class Value {
   bool operator!=(const Value& other) const { return Compare(other) != 0; }
   bool operator<(const Value& other) const { return Compare(other) < 0; }
 
-  // Stable 64-bit hash (used for group-by keys).
-  uint64_t Hash() const;
-
  private:
   std::variant<std::monostate, int64_t, double, std::string> v_;
 };

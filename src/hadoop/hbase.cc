@@ -39,7 +39,7 @@ void HbaseRegionServer::RunRequest(PendingRequest req) {
   int64_t queue_micros = env->now_micros() - req.enqueued_at;
   // Queue hand-off boundary: the request context crossed the RPC-handler
   // queue into a handler thread (baggage rides the context).
-  proc_->world()->propagation().ObserveEdge(proc_->component(), proc_->component(), "queue");
+  proc_->world()->Cross(req.ctx, proc_, proc_, "queue");
   tp_queue_done_->Invoke(req.ctx.get(), {{"queue", Value(queue_micros)}});
 
   if (req.op == "put") {
@@ -101,8 +101,7 @@ void HbaseRegionServer::FlushMemstore(const CtxPtr& trigger) {
   ++flushes_;
   auto flush_ctx = std::make_shared<ExecutionContext>(trigger->Fork());
   // Continuation spawn: the flush runs on a forked branch of the trigger.
-  proc_->world()->propagation().ObserveEdge(proc_->component(), proc_->component(),
-                                            "continuation");
+  proc_->world()->Cross(flush_ctx, proc_, proc_, "continuation");
   tp_memstore_flush_->Invoke(flush_ctx.get(), {{"bytes", Value(static_cast<int64_t>(bytes))}});
   // Write the store file through HDFS; the trigger's identity rides along.
   hdfs_.Write(flush_ctx, bytes, [](CtxPtr) {});

@@ -25,7 +25,8 @@ struct MapReduceRuntime::JobState {
   uint64_t map_output_bytes = 0;  // Total intermediate data.
   SimProcess* client = nullptr;
   CtxPtr job_ctx;
-  std::vector<CtxPtr> finished_task_ctxs;
+  // Finished task branches awaiting the rejoin, with the runtime each ran in.
+  std::vector<std::pair<MrTaskRuntime*, CtxPtr>> finished_tasks;
   std::function<void(CtxPtr)> on_complete;
   // Hosts that ran map tasks (shuffle sources), with output byte counts.
   std::map<SimHost*, uint64_t> map_output_by_host;
@@ -83,19 +84,18 @@ void MapReduceRuntime::SubmitJob(SimProcess* client, CtxPtr ctx, const std::stri
   job->on_complete = std::move(on_complete);
 
   // The job context stays with the client; each task runs on a forked branch
-  // whose baggage carries the packed client identity.
+  // whose baggage carries the packed client identity. The branch crosses to
+  // the NM's launch queue, and from there into the MRTask that runs the body.
   job->job_ctx = ctx;
 
   for (int i = 0; i < job->map_tasks; ++i) {
     YarnNodeManager* nm = rm_->NextNodeManager();
     MrTaskRuntime* rt = RuntimeOn(nm->process()->host());
     auto task_ctx = std::make_shared<ExecutionContext>(ctx->Fork());
-    world_->MoveContext(task_ctx, rt->process());
-    world_->propagation().ObserveEdge(client->component(), nm->process()->component(),
-                                      "continuation");
-    world_->propagation().ObserveEdge(nm->process()->component(), rt->process()->component(),
-                                      "continuation");
-    nm->LaunchContainer(name, task_ctx, [this, job, i, rt, task_ctx](std::function<void()> release) {
+    world_->Cross(task_ctx, client, nm->process(), "continuation");
+    nm->LaunchContainer(name, task_ctx,
+                        [this, job, i, nm, rt, task_ctx](std::function<void()> release) {
+      world_->Cross(task_ctx, nm->process(), rt->process(), "continuation");
       RunMapTask(job, i, rt, task_ctx, std::move(release));
     });
   }
@@ -124,7 +124,7 @@ void MapReduceRuntime::RunMapTask(const std::shared_ptr<JobState>& job, int task
                 c.get(), {{"job", Value(job->name)}, {"task", Value(int64_t{task_index})}});
             job->map_output_bytes += out_bytes;
             job->map_output_by_host[rt->process()->host()] += out_bytes;
-            job->finished_task_ctxs.push_back(c);
+            job->finished_tasks.emplace_back(rt, c);
             ++job->maps_done;
             release();
             MaybeStartReduce(job);
@@ -142,12 +142,10 @@ void MapReduceRuntime::MaybeStartReduce(const std::shared_ptr<JobState>& job) {
     YarnNodeManager* nm = rm_->NextNodeManager();
     MrTaskRuntime* rt = RuntimeOn(nm->process()->host());
     auto task_ctx = std::make_shared<ExecutionContext>(job->job_ctx->Fork());
-    world_->MoveContext(task_ctx, rt->process());
-    world_->propagation().ObserveEdge(job->client->component(), nm->process()->component(),
-                                      "continuation");
-    world_->propagation().ObserveEdge(nm->process()->component(), rt->process()->component(),
-                                      "continuation");
-    nm->LaunchContainer(job->name, task_ctx, [this, job, r, rt, task_ctx](std::function<void()> release) {
+    world_->Cross(task_ctx, job->client, nm->process(), "continuation");
+    nm->LaunchContainer(job->name, task_ctx,
+                        [this, job, r, nm, rt, task_ctx](std::function<void()> release) {
+      world_->Cross(task_ctx, nm->process(), rt->process(), "continuation");
       RunReduceTask(job, r, rt, task_ctx, std::move(release));
     });
   }
@@ -181,7 +179,7 @@ void MapReduceRuntime::RunReduceTask(const std::shared_ptr<JobState>& job, int t
                                                release = std::move(release)](CtxPtr c) mutable {
           rt->tp_reduce_done()->Invoke(
               c.get(), {{"job", Value(job->name)}, {"task", Value(int64_t{task_index})}});
-          job->finished_task_ctxs.push_back(c);
+          job->finished_tasks.emplace_back(rt, c);
           ++job->reduces_done;
           release();
           MaybeComplete(job);
@@ -203,8 +201,7 @@ void MapReduceRuntime::RunReduceTask(const std::shared_ptr<JobState>& job, int t
     // Read map output from the map host's disk ("Shuffle" source), cross the
     // network (skipped for local fetches), write to the reducer's disk.
     MrTaskRuntime* src_rt = RuntimeOn(map_host);
-    world_->propagation().ObserveEdge(src_rt->process()->component(),
-                                      rt->process()->component(), "continuation");
+    world_->Cross(ctx, src_rt->process(), rt->process(), "continuation");
     auto finish_one = [this, pending, after_shuffle, rt, ctx, fetch]() {
       rt->process()->host()->disk().Transfer(fetch, [this, pending, after_shuffle, rt, ctx,
                                                      fetch]() {
@@ -238,17 +235,13 @@ void MapReduceRuntime::MaybeComplete(const std::shared_ptr<JobState>& job) {
   if (job->reduces_done < job->config.reducers) {
     return;
   }
-  // Rejoin every task branch into the job context, then fire JobComplete at
-  // the client.
-  world_->MoveContext(job->job_ctx, job->client);
-  if (!task_runtimes_.empty()) {
-    world_->propagation().ObserveEdge(task_runtimes_.front()->process()->component(),
-                                      job->client->component(), "join");
-  }
-  for (auto& task_ctx : job->finished_task_ctxs) {
+  // Every task branch crosses back to the client and rejoins the job context,
+  // then JobComplete fires at the client.
+  for (auto& [rt, task_ctx] : job->finished_tasks) {
+    world_->Cross(task_ctx, rt->process(), job->client, "join");
     job->job_ctx->Join(std::move(*task_ctx));
   }
-  job->finished_task_ctxs.clear();
+  job->finished_tasks.clear();
   Tracepoint* tp_done = GetOrDefineTracepoint(job->client, JobCompleteDef());
   tp_done->Invoke(job->job_ctx.get(), {{"id", Value(job->name)}});
   if (job->on_complete) {

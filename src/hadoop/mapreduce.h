@@ -69,7 +69,8 @@ class MapReduceRuntime {
 
   // Runs a job named `name` over `input_bytes` of the pre-created dataset.
   // `client` is the submitting process (its name is the job's identity, e.g.
-  // "MRsort10g"); `on_complete` receives the rejoined job context.
+  // "MRsort10g") and `ctx` executes in it; `on_complete` receives the
+  // rejoined job context.
   void SubmitJob(SimProcess* client, CtxPtr ctx, const std::string& name, uint64_t input_bytes,
                  const MrConfig& config, std::function<void(CtxPtr)> on_complete);
 

@@ -22,15 +22,15 @@ void YarnNodeManager::MaybeStartNext() {
   PendingContainer next = std::move(queue_.front());
   queue_.pop_front();
   ++running_;
-  // Queue hand-off boundary: the container request crossed the NM's launch
-  // queue (the context — and its baggage — rides through).
-  proc_->world()->propagation().ObserveEdge(proc_->component(), proc_->component(), "queue");
-  int64_t container_id = next_container_id_++;
   // The container launch is part of the submitting job's causal history: the
-  // tracepoint fires in the requester's context (fresh context if none).
-  ExecutionContext fallback(proc_->runtime());
-  ExecutionContext* ctx = next.ctx != nullptr ? next.ctx.get() : &fallback;
-  tp_container_start_->Invoke(ctx,
+  // tracepoint fires in the requester's context (fresh context if none),
+  // which crossed the NM's launch queue with its baggage.
+  if (next.ctx == nullptr) {
+    next.ctx = std::make_shared<ExecutionContext>(proc_->runtime());
+  }
+  proc_->world()->Cross(next.ctx, proc_, proc_, "queue");
+  int64_t container_id = next_container_id_++;
+  tp_container_start_->Invoke(next.ctx.get(),
                               {{"container", Value(container_id)}, {"job", Value(next.job)}});
   // Container startup cost.
   proc_->world()->env()->Schedule(50 * kMicrosPerMilli, [this, body = std::move(next.body)] {

@@ -29,9 +29,9 @@ class YarnNodeManager {
 
   // Runs `body` in a container as soon as capacity allows. `body` receives a
   // completion callback it must invoke when the containerized work finishes.
-  // `ctx` is the requesting execution's context (nullable): the
-  // ContainerStart tracepoint fires within it, so container launches are
-  // causally attributable to the submitting job.
+  // `ctx` is the requesting execution's context (nullable): it crosses the
+  // launch queue into this NM and the ContainerStart tracepoint fires within
+  // it, so container launches are causally attributable to the submitting job.
   void LaunchContainer(const std::string& job, CtxPtr ctx,
                        std::function<void(std::function<void()>)> body);
 

@@ -1,7 +1,5 @@
 #include "src/simsys/sim_rpc.h"
 
-#include <cassert>
-
 namespace pivot {
 
 std::atomic<uint64_t> RpcStats::total_calls{0};
@@ -12,95 +10,47 @@ void RpcStats::Reset() {
   total_baggage_bytes.store(0, std::memory_order_relaxed);
 }
 
+namespace {
+
+// One leg of an RPC: `ctx` departs `from`, its baggage rides along with
+// `payload_bytes` of application data over from's nic_out then to's nic_in
+// (no network between processes on one host), and `arrive` runs with a fresh
+// context executing in `to`.
+void Hop(SimProcess* from, SimProcess* to, const char* kind, ExecutionContext* ctx,
+         uint64_t payload_bytes, std::function<void(CtxPtr)> arrive) {
+  ContextOnWire wire = Depart(ctx);
+  RpcStats::total_baggage_bytes.fetch_add(wire.baggage.size(), std::memory_order_relaxed);
+  // Ground truth for the propagation audit (PT304): record the boundary this
+  // leg actually crosses, so undeclared protocol edges surface.
+  from->world()->propagation().ObserveEdge(from->component(), to->component(), kind);
+  uint64_t wire_bytes = payload_bytes + wire.baggage.size();
+  auto land = [to, wire = std::move(wire), arrive = std::move(arrive)]() mutable {
+    arrive(std::make_shared<ExecutionContext>(Arrive(std::move(wire), to->runtime())));
+  };
+  if (from->host() == to->host()) {
+    from->world()->env()->Schedule(0, std::move(land));
+    return;
+  }
+  from->host()->nic_out().Transfer(wire_bytes, [to, wire_bytes, land = std::move(land)]() mutable {
+    to->host()->nic_in().Transfer(wire_bytes, std::move(land));
+  });
+}
+
+}  // namespace
+
 void SimRpcCall(SimProcess* client, SimProcess* server, CtxPtr ctx, uint64_t request_bytes,
                 RpcHandler handler, RpcDone done) {
-  SimWorld* world = client->world();
-  SimEnvironment* env = world->env();
-
-  std::vector<uint8_t> baggage_bytes = SerializeBaggageWithMeta(ctx.get());
   RpcStats::total_calls.fetch_add(1, std::memory_order_relaxed);
-  RpcStats::total_baggage_bytes.fetch_add(baggage_bytes.size(), std::memory_order_relaxed);
-  uint64_t wire_bytes = request_bytes + baggage_bytes.size();
-
-  // Ground truth for the propagation audit (PT304): record the boundary this
-  // call actually crosses, so undeclared protocol edges surface.
-  world->propagation().ObserveEdge(client->component(), server->component(), "rpc");
-
-  // Trace attachment survives the hop.
-  TraceRecorder* recorder = ctx->recorder();
-  uint64_t trace_id = ctx->trace_id();
-  EventId event = ctx->current_event();
-
-  const bool same_host = client->host() == server->host();
-
-  auto deliver = [server, handler = std::move(handler), done = std::move(done),
-                  baggage_bytes = std::move(baggage_bytes), recorder, trace_id, event, client,
-                  same_host]() mutable {
-    // GC/pause windows are honoured by the server handlers themselves (they
-    // need to observe the pause duration to export it, cf. Fig 9b's DN GC).
-    auto run_handler = [server, handler = std::move(handler), done = std::move(done),
-                        baggage_bytes = std::move(baggage_bytes), recorder, trace_id, event,
-                        client, same_host]() mutable {
-      auto server_ctx = std::make_shared<ExecutionContext>(server->runtime());
-      Result<Baggage> baggage = Baggage::Deserialize(baggage_bytes);
-      assert(baggage.ok() && "baggage corrupted in transit");
-      if (baggage.ok()) {
-        server_ctx->set_baggage(std::move(baggage).value());
-      }
-      if (recorder != nullptr) {
-        server_ctx->AttachTrace(recorder, trace_id, event);
-      }
-
-      RpcRespond respond = [client, server, done = std::move(done), same_host](
-                               CtxPtr response_ctx, uint64_t response_bytes) mutable {
-        SimEnvironment* env2 = client->world()->env();
-        std::vector<uint8_t> response_baggage = SerializeBaggageWithMeta(response_ctx.get());
-        RpcStats::total_baggage_bytes.fetch_add(response_baggage.size(),
-                                                std::memory_order_relaxed);
-        uint64_t response_wire = response_bytes + response_baggage.size();
-        client->world()->propagation().ObserveEdge(server->component(), client->component(),
-                                                   "rpc-response");
-
-        TraceRecorder* rec2 = response_ctx->recorder();
-        uint64_t trace2 = response_ctx->trace_id();
-        EventId event2 = response_ctx->current_event();
-
-        auto resume = [client, done = std::move(done), response_baggage, rec2, trace2,
-                       event2]() mutable {
-          auto client_ctx = std::make_shared<ExecutionContext>(client->runtime());
-          Result<Baggage> baggage2 = Baggage::Deserialize(response_baggage);
-          assert(baggage2.ok() && "baggage corrupted in transit");
-          if (baggage2.ok()) {
-            client_ctx->set_baggage(std::move(baggage2).value());
-          }
-          if (rec2 != nullptr) {
-            client_ctx->AttachTrace(rec2, trace2, event2);
-          }
-          done(std::move(client_ctx));
-        };
-
-        if (same_host) {
-          env2->Schedule(0, std::move(resume));
-        } else {
-          server->host()->nic_out().Transfer(
-              response_wire, [client, resume = std::move(resume), response_wire]() mutable {
-                client->host()->nic_in().Transfer(response_wire, std::move(resume));
-              });
-        }
-      };
-      handler(std::move(server_ctx), std::move(respond));
-    };
-    run_handler();
-  };
-
-  if (same_host) {
-    env->Schedule(0, std::move(deliver));
-  } else {
-    client->host()->nic_out().Transfer(
-        wire_bytes, [server, deliver = std::move(deliver), wire_bytes]() mutable {
-          server->host()->nic_in().Transfer(wire_bytes, std::move(deliver));
+  // GC/pause windows are honoured by the server handlers themselves (they
+  // need to observe the pause duration to export it, cf. Fig 9b's DN GC).
+  Hop(client, server, "rpc", ctx.get(), request_bytes,
+      [client, server, handler = std::move(handler),
+       done = std::move(done)](CtxPtr server_ctx) mutable {
+        handler(std::move(server_ctx), [client, server, done = std::move(done)](
+                                           CtxPtr response_ctx, uint64_t response_bytes) mutable {
+          Hop(server, client, "rpc-response", response_ctx.get(), response_bytes, std::move(done));
         });
-  }
+      });
 }
 
 }  // namespace pivot

@@ -1,13 +1,14 @@
 // Simulated RPC with baggage on the wire.
 //
 // This is where the paper's "we manually extended the protocol definitions of
-// the systems" (§6) materializes: every RPC serializes the caller's baggage,
-// the bytes ride the request across both NICs (so baggage size costs real
-// simulated bandwidth), the server deserializes it into a server-side
-// execution context, and the response carries the (possibly grown) baggage
-// back to the caller. Intra-host calls skip the network but still exercise
-// the serialize/deserialize path, matching "serialization costs are only
-// incurred ... at network or application boundaries".
+// the systems" (§6) materializes, once for every protocol: each leg of an RPC
+// is one hop over core's Depart/Arrive pair. The request leg departs the
+// caller's context (serializing its baggage), the bytes ride the request
+// across both NICs (so baggage size costs real simulated bandwidth), and the
+// context arrives server-side; the response leg carries the (possibly grown)
+// baggage back the same way. Intra-host calls skip the network but still
+// exercise the serialize/deserialize path, matching "serialization costs are
+// only incurred ... at network or application boundaries".
 
 #ifndef PIVOT_SRC_SIMSYS_SIM_RPC_H_
 #define PIVOT_SRC_SIMSYS_SIM_RPC_H_

@@ -116,6 +116,12 @@ CtxPtr SimWorld::NewRequest(SimProcess* proc) {
   return ctx;
 }
 
+void SimWorld::Cross(const CtxPtr& ctx, SimProcess* from, SimProcess* to,
+                     const std::string& kind) {
+  propagation_.ObserveEdge(from->component(), to->component(), kind);
+  ctx->set_runtime(to->runtime());
+}
+
 void SimWorld::EnableRecording() { recording_ = true; }
 
 void SimWorld::StartAgentFlushLoop(int64_t until_micros) {

@@ -64,7 +64,8 @@ class SimProcess {
   const std::string& name() const { return runtime_.info.process_name; }
   // Propagation-graph node this process belongs to ("NN", "DN", "client", …);
   // empty for processes outside the modelled topology. Used to tag observed
-  // boundary crossings (SimRpcCall) and declare instance-level edges.
+  // boundary crossings (SimRpcCall's hops, SimWorld::Cross) and declare
+  // instance-level edges.
   const std::string& component() const { return component_; }
   TracepointRegistry* registry() { return &registry_; }
   PTAgent* agent() { return agent_.get(); }
@@ -126,8 +127,11 @@ class SimWorld {
   // ground-truth recorder when one is installed.
   CtxPtr NewRequest(SimProcess* proc);
 
-  // Switches a context to another process (thread handoff within a request).
-  void MoveContext(const CtxPtr& ctx, SimProcess* to) { ctx->set_runtime(to->runtime()); }
+  // In-memory hand-off of `ctx` from `from` to `to` (a queue, continuation or
+  // join boundary of `kind`): observes the edge for the propagation audit and
+  // moves the context to `to`. The baggage stays in memory; boundaries that
+  // put it on the wire go through SimRpcCall.
+  void Cross(const CtxPtr& ctx, SimProcess* from, SimProcess* to, const std::string& kind);
 
   // Installs a TraceRecorder capturing every tracepoint invocation (ground
   // truth for naive evaluation; adds overhead, off by default).

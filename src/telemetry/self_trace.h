@@ -21,7 +21,7 @@
 //
 // Fire sites:
 //   Baggage.Serialize — wire crossings (sim RPC) and ThreadBaggage's Table 4
-//     static API, via SerializeBaggageWithMeta (context.h). One invocation
+//     static API, via Depart (context.h). One invocation
 //     per query contributing bags, plus one `queryId = 0` invocation carrying
 //     the framing bytes (instance ids, counts), so SUM(b.bytes) equals the
 //     actual serialized size.

@@ -75,6 +75,30 @@ TEST(MapReduceTest, BaggageAttributesTaskIoToJobClient) {
   EXPECT_EQ(results[0].Get("SUM(incr.delta)").int_value(), 32 << 20);
 }
 
+TEST(MapReduceTest, ContainerStartIsChargedToTheNodeManager) {
+  // YARN.ContainerStart is anchored at the NM: it fires in the NodeManager's
+  // registry before the container body runs, so its default exports (and its
+  // agent) are the NodeManager's, not those of the MRTask it launches.
+  HadoopCluster cluster(MrConfig4());
+  Result<uint64_t> q = cluster.world()->frontend()->Install(
+      "From c In YARN.ContainerStart GroupBy c.procname Select c.procname, COUNT");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+
+  SimProcess* client = cluster.AddClient(cluster.master_host(), "MRsortTest");
+  CtxPtr ctx = cluster.world()->NewRequest(client);
+  cluster.mapreduce()->SubmitJob(client, ctx, "MRsortTest", 32 << 20,
+                                 cluster.config().mapreduce, nullptr);
+  cluster.world()->env()->RunAll();
+  cluster.world()->StartAgentFlushLoop(cluster.world()->env()->now_micros() + kMicrosPerSecond);
+  cluster.world()->env()->RunAll();
+
+  auto results = cluster.world()->frontend()->Results(*q);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].Get("c.procname").string_value(), "NodeManager");
+  // 4 map containers + 2 reduce containers.
+  EXPECT_EQ(results[0].Get("COUNT").int_value(), 6);
+}
+
 TEST(MapReduceTest, DiskCategoriesCoverAllPhases) {
   HadoopCluster cluster(MrConfig4());
   Result<uint64_t> q = cluster.world()->frontend()->Install(

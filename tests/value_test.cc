@@ -74,13 +74,6 @@ TEST(ValueTest, EqualityOperators) {
   EXPECT_TRUE(Value() == Value());
 }
 
-TEST(ValueTest, HashStableAcrossNumericPromotion) {
-  // Group keys must not split when a value flows through a double.
-  EXPECT_EQ(Value(int64_t{7}).Hash(), Value(7.0).Hash());
-  EXPECT_NE(Value(int64_t{7}).Hash(), Value("7").Hash());
-  EXPECT_NE(Value(int64_t{7}).Hash(), Value(int64_t{8}).Hash());
-}
-
 TEST(ValueArithmeticTest, IntAddition) {
   Value r = ValueAdd(Value(int64_t{2}), Value(int64_t{3}));
   ASSERT_TRUE(r.is_int());
