@@ -484,5 +484,79 @@ TEST(BaggageTest, SerializeStatsAttributionSurvivesWireRoundTrip) {
   EXPECT_EQ(resent.queries.at(2).bytes, sent.queries.at(2).bytes);
 }
 
+
+// ---------------------------------------------------------------------------
+// Pinned wire sizes. These byte counts are what wire_bytes_per_req and Fig 10
+// measure; a codec change must keep them unless it means to move them.
+//
+// Framing of a one-instance baggage is 4 bytes: instance count, gen, the
+// seed ITC id and the bag count. A retention bag spec is 4 bytes (semantics,
+// limit, empty group list, empty aggregate list); a key below 128 and the
+// dropped count take one byte each. A one-tuple bag's contents cost 2 bytes
+// plus each field's name and value.
+
+// Serialized size, checked against SerializeStats: the per-query shares plus
+// `framing` must add up to it.
+size_t PinnedSize(const Baggage& b, uint64_t framing) {
+  Baggage::SerializeStats stats;
+  std::vector<uint8_t> wire = b.Serialize(&stats);
+  uint64_t shares = 0;
+  for (const auto& [query, share] : stats.queries) {
+    shares += share.bytes;
+  }
+  EXPECT_EQ(stats.bytes, wire.size());
+  EXPECT_EQ(shares + framing, wire.size());
+  Result<Baggage> decoded = Baggage::Deserialize(wire);
+  EXPECT_TRUE(decoded.ok());
+  if (decoded.ok()) {
+    EXPECT_EQ(decoded->Serialize(), wire);
+  }
+  return wire.size();
+}
+
+TEST(BaggageTest, OneTupleBagSizesArePinned) {
+  // Field "a" = "xy": name 2 bytes, value 4 (tag, length, 2 chars): 6 bytes.
+  // A second field "bb" = "z": name 3, value 3: 6 bytes.
+  const Tuple one{{"a", Value("xy")}};
+  const Tuple two{{"a", Value("xy")}, {"bb", Value("z")}};
+  for (const BagSpec& spec : {BagSpec::All(), BagSpec::First(1), BagSpec::Recent(1)}) {
+    Baggage b1;
+    b1.Pack(1, spec, one);
+    EXPECT_EQ(PinnedSize(b1, 4), 4u + (1 + 4 + 2 + 6 + 1));
+    Baggage b2;
+    b2.Pack(1, spec, two);
+    EXPECT_EQ(PinnedSize(b2, 4), 4u + (1 + 4 + 2 + 12 + 1));
+  }
+}
+
+TEST(BaggageTest, OneGroupAggregateBagSizeIsPinned) {
+  // Spec: semantics, limit, ["g"] (3 bytes), [SUM v -> S] (1 + fn + from_state
+  // + "v" 2 + "S" 2 = 7 bytes): 12 bytes. Contents: g = "a" (2 + 3) and
+  // S = 5 (2 + 2), plus 2: 11 bytes.
+  Baggage b;
+  b.Pack(1, BagSpec::Aggregated({"g"}, {{AggFn::kSum, "v", "S", false}}),
+         Tuple{{"g", Value("a")}, {"v", Value(int64_t{5})}});
+  EXPECT_EQ(PinnedSize(b, 4), 4u + (1 + 12 + 11 + 1));
+}
+
+TEST(BaggageTest, Q2AndQ7ShapedBaggageSizeIsPinned) {
+  // Q2 packs First(cl.procName); Q7 packs st.host into one kAll bag, then
+  // (st.host, getloc.replicas) into its second stage. Query ids of 2 and 7
+  // make two-byte keys.
+  const BagKey q2 = 2 * kBagKeysPerQuery;
+  const BagKey q7 = 7 * kBagKeysPerQuery;
+  Baggage b;
+  b.Pack(q2, BagSpec::First(), Tuple{{"cl.procName", Value("DFSClient")}});
+  b.Pack(q7, BagSpec::All(), Tuple{{"st.host", Value("host-3")}});
+  b.Pack(q7 + 1, BagSpec::All(),
+         Tuple{{"st.host", Value("host-3")}, {"getloc.replicas", Value(int64_t{3})}});
+  // cl.procName: name 12 + value 11. st.host: name 8 + value 8.
+  // getloc.replicas: name 16 + value 2.
+  const size_t q2_bag = 2 + 4 + 2 + (12 + 11) + 1;
+  const size_t q7_bag0 = 2 + 4 + 2 + (8 + 8) + 1;
+  const size_t q7_bag1 = 2 + 4 + 2 + (8 + 8) + (16 + 2) + 1;
+  EXPECT_EQ(PinnedSize(b, 4), 4 + q2_bag + q7_bag0 + q7_bag1);
+}
+
 }  // namespace
 }  // namespace pivot
