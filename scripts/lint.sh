@@ -1,5 +1,6 @@
 #!/bin/sh
-# A grep gate on how src/hadoop crosses process boundaries, then clang-tidy
+# Grep gates on how src/hadoop crosses process boundaries and on who writes
+# values to the wire, then clang-tidy
 # over the sources (.clang-tidy selects bugprone-*, performance-*,
 # concurrency-*). clang-tidy degrades gracefully: the CI container only ships
 # gcc, so a missing clang-tidy is a skip, not a failure.
@@ -16,6 +17,16 @@ build_dir=${1:-"$repo_root/build"}
 if grep -rnE 'ObserveEdge|set_runtime|Baggage::Deserialize|\b(Depart|Arrive)\(' \
   "$repo_root/src/hadoop"; then
   echo "lint: src/hadoop crosses a process boundary by hand; use SimRpcCall or SimWorld::Cross."
+  exit 1
+fi
+
+# Codec gate: values reach the wire only through the tuple-set codec
+# (aggregation.cc), the advice codec (advice_io.cc) and wire.cc itself, so a
+# tuple set has one wire form.
+if grep -rnwE 'PutValue|GetValue' "$repo_root/src" |
+  grep -vE '^[^:]*/core/(wire|aggregation|advice_io)\.(h|cc):'; then
+  echo "lint: PutValue/GetValue outside wire.cc, aggregation.cc and advice_io.cc;" \
+    "encode tuple sets with PutRows or ResultSet."
   exit 1
 fi
 

@@ -538,60 +538,9 @@ std::vector<Tuple> ResultSet::Finalize() const {
 }
 
 // Wire form:
-//   result-set := varint name-count, string*, varint row-count, row*
-//   row        := varint field-count, { varint name-index, value }*
-
-void ResultSet::Encode(std::vector<uint8_t>* out) const {
-  if (aggregated_) {
-    const Aggregator::Columns& c = *agg_.cols_;
-    const size_t width = agg_.key_width();
-    PutStringList(out, c.state_names);
-    PutVarint64(out, agg_.group_count());
-    for (size_t g = 0; g < agg_.group_count(); ++g) {
-      PutVarint64(out, c.state_names.size());
-      uint64_t col = 0;
-      for (size_t i = 0; i < width; ++i) {
-        PutVarint64(out, col++);
-        PutValue(out, agg_.keys_[g * width + i]);
-      }
-      const Aggregator::Accum* accums = agg_.accums_.data() + g * c.specs.size();
-      for (size_t i = 0; i < c.specs.size(); ++i) {
-        PutVarint64(out, col++);
-        PutValue(out, accums[i].has_value ? accums[i].value : NullValue());
-        if (c.specs[i].fn == AggFn::kAverage) {
-          PutVarint64(out, col++);
-          PutValue(out, Value(accums[i].count));
-        }
-      }
-    }
-    return;
-  }
-  // Streamed rows may differ in columns: the name table holds every name in
-  // first-seen order.
-  std::vector<SymbolId> names;
-  auto index_of = [&names](SymbolId id) {
-    return static_cast<uint64_t>(std::find(names.begin(), names.end(), id) - names.begin());
-  };
-  for (const Tuple& row : rows_) {
-    for (const Tuple::Field& f : row.fields()) {
-      if (index_of(f.id) == names.size()) {
-        names.push_back(f.id);
-      }
-    }
-  }
-  PutVarint64(out, names.size());
-  for (SymbolId id : names) {
-    PutString(out, SymbolName(id));
-  }
-  PutVarint64(out, rows_.size());
-  for (const Tuple& row : rows_) {
-    PutVarint64(out, row.size());
-    for (const Tuple::Field& f : row.fields()) {
-      PutVarint64(out, index_of(f.id));
-      PutValue(out, f.value);
-    }
-  }
-}
+//   result-set := varint (name-count << 1 | dense), string*, varint row-count, row*
+//   row        := value{name-count}                           if dense
+//               | varint field-count, { varint name-index, value }*  otherwise
 
 namespace {
 
@@ -600,18 +549,43 @@ bool GetCount(const uint8_t* data, size_t size, size_t* pos, uint64_t* n) {
   return GetVarint64(data, size, pos, n) && *n <= size - *pos;
 }
 
+struct SetHeader {
+  uint64_t names = 0;
+  bool dense = false;
+  uint64_t rows = 0;
+};
+
+// Reads a result-set's header, handing each name-table entry to `on_name`,
+// which returns false to reject it.
+template <typename OnName>
+bool GetHeader(const uint8_t* data, size_t size, size_t* pos, SetHeader* h, OnName on_name) {
+  uint64_t flagged = 0;
+  if (!GetVarint64(data, size, pos, &flagged)) {
+    return false;
+  }
+  h->names = flagged >> 1;
+  h->dense = (flagged & 1) != 0;
+  std::string name;
+  for (uint64_t i = 0; i < h->names; ++i) {
+    if (!GetString(data, size, pos, &name) || !on_name(i, name)) {
+      return false;
+    }
+  }
+  return GetCount(data, size, pos, &h->rows);
+}
+
 // Reads one row, handing each (name index, value) pair to `on_field`.
 template <typename OnField>
-bool GetRow(const uint8_t* data, size_t size, size_t* pos, uint64_t name_count,
+bool GetRow(const uint8_t* data, size_t size, size_t* pos, const SetHeader& h,
             OnField on_field) {
-  uint64_t fields = 0;
-  if (!GetCount(data, size, pos, &fields)) {
+  uint64_t fields = h.names;
+  if (!h.dense && !GetCount(data, size, pos, &fields)) {
     return false;
   }
   Value v;
   for (uint64_t i = 0; i < fields; ++i) {
-    uint64_t index = 0;
-    if (!GetVarint64(data, size, pos, &index) || index >= name_count ||
+    uint64_t index = i;
+    if ((!h.dense && (!GetVarint64(data, size, pos, &index) || index >= h.names)) ||
         !GetValue(data, size, pos, &v)) {
       return false;
     }
@@ -622,86 +596,135 @@ bool GetRow(const uint8_t* data, size_t size, size_t* pos, uint64_t name_count,
 
 }  // namespace
 
-bool ResultSet::Decode(const uint8_t* data, size_t size, size_t* pos) {
-  uint64_t name_count = 0;
-  uint64_t row_count = 0;
-  std::string name;
-  if (!GetCount(data, size, pos, &name_count)) {
+void Aggregator::EncodeState(std::vector<uint8_t>* out) const {
+  const Columns& c = *cols_;
+  const size_t width = key_width();
+  PutVarint64(out, uint64_t{c.state_names.size()} << 1 | 1);  // Always dense.
+  for (const std::string& name : c.state_names) {
+    PutString(out, name);
+  }
+  PutVarint64(out, group_count());
+  for (size_t g = 0; g < group_count(); ++g) {
+    for (size_t i = 0; i < width; ++i) {
+      PutValue(out, keys_[g * width + i]);
+    }
+    const Accum* accums = accums_.data() + g * c.specs.size();
+    for (size_t i = 0; i < c.specs.size(); ++i) {
+      PutValue(out, accums[i].has_value ? accums[i].value : NullValue());
+      if (c.specs[i].fn == AggFn::kAverage) {
+        PutValue(out, Value(accums[i].count));
+      }
+    }
+  }
+}
+
+bool Aggregator::DecodeState(const uint8_t* data, size_t size, size_t* pos) {
+  // The name table must be exactly the state columns, so each row value
+  // lands in its column without a lookup or an intern.
+  const std::vector<std::string>& columns = cols_->state_names;
+  SetHeader h;
+  if (!GetHeader(data, size, pos, &h,
+                 [&columns](uint64_t i, const std::string& name) {
+                   return i < columns.size() && name == columns[i];
+                 }) ||
+      !h.dense || h.names != columns.size()) {
     return false;
   }
-  if (aggregated_) {
-    // The name table must be exactly the plan's state columns, so each row
-    // field lands in its column without a lookup or an intern.
-    const std::vector<std::string>& columns = agg_.cols_->state_names;
-    if (name_count != columns.size()) {
-      return false;
-    }
-    for (const std::string& column : columns) {
-      if (!GetString(data, size, pos, &name) || name != column) {
-        return false;
-      }
-    }
-    if (!GetCount(data, size, pos, &row_count)) {
-      return false;
-    }
-    // Size the arrays once. Every encoded row spells out all its columns,
-    // so the remaining bytes bound how many rows can follow.
-    agg_.Reserve(agg_.group_count() +
-                 std::min<uint64_t>(row_count, (size - *pos) / (1 + 2 * columns.size())));
-    std::vector<Value> row(columns.size());
-    uint64_t probes = 0;
-    bool ok = true;
-    for (uint64_t r = 0; ok && r < row_count; ++r) {
-      for (Value& v : row) {
-        v = Value();
-      }
-      ok = GetRow(data, size, pos, name_count,
-                  [&row](size_t index, Value&& v) { row[index] = std::move(v); }) &&
-           agg_.AddStateRow(&row, &probes);
-    }
-    GroupProbeCounter().Increment(probes);
-    return ok;
+  // Size the arrays once. A dense row is at least one tag byte per column,
+  // so the remaining bytes bound how many rows can follow.
+  Reserve(group_count() +
+          std::min<uint64_t>(h.rows, (size - *pos) / std::max<size_t>(columns.size(), 1)));
+  std::vector<Value> row(columns.size());
+  uint64_t probes = 0;
+  bool ok = true;
+  for (uint64_t r = 0; ok && r < h.rows; ++r) {
+    ok = GetRow(data, size, pos, h,
+                [&row](size_t index, Value&& v) { row[index] = std::move(v); }) &&
+         AddStateRow(&row, &probes);
   }
+  GroupProbeCounter().Increment(probes);
+  return ok;
+}
+
+void PutRows(std::vector<uint8_t>* out, const std::vector<Tuple>& rows) {
+  // The name table holds every name in first-seen order; rows are dense when
+  // each carries exactly the table, in order.
+  std::vector<SymbolId> names;
+  auto index_of = [&names](SymbolId id) {
+    return static_cast<uint64_t>(std::find(names.begin(), names.end(), id) - names.begin());
+  };
+  for (const Tuple& row : rows) {
+    for (const Tuple::Field& f : row.fields()) {
+      if (index_of(f.id) == names.size()) {
+        names.push_back(f.id);
+      }
+    }
+  }
+  const bool dense = !names.empty() && std::all_of(rows.begin(), rows.end(), [&](const Tuple& row) {
+    return std::equal(row.fields().begin(), row.fields().end(), names.begin(), names.end(),
+                      [](const Tuple::Field& f, SymbolId id) { return f.id == id; });
+  });
+  PutVarint64(out, uint64_t{names.size()} << 1 | (dense ? 1 : 0));
+  for (SymbolId id : names) {
+    PutString(out, SymbolName(id));
+  }
+  PutVarint64(out, rows.size());
+  for (const Tuple& row : rows) {
+    if (!dense) {
+      PutVarint64(out, row.size());
+    }
+    for (const Tuple::Field& f : row.fields()) {
+      if (!dense) {
+        PutVarint64(out, index_of(f.id));
+      }
+      PutValue(out, f.value);
+    }
+  }
+}
+
+bool GetRows(const uint8_t* data, size_t size, size_t* pos, std::vector<Tuple>* rows) {
   std::vector<SymbolId> ids;
-  ids.reserve(name_count);
-  for (uint64_t i = 0; i < name_count; ++i) {
-    if (!GetString(data, size, pos, &name)) {
-      return false;
-    }
-    ids.push_back(InternSymbol(name));
-  }
-  if (!GetCount(data, size, pos, &row_count)) {
+  SetHeader h;
+  if (!GetHeader(data, size, pos, &h, [&ids](uint64_t, const std::string& name) {
+        ids.push_back(InternSymbol(name));
+        return true;
+      })) {
     return false;
   }
-  for (uint64_t r = 0; r < row_count; ++r) {
+  for (uint64_t r = 0; r < h.rows; ++r) {
     std::vector<Tuple::Field> fields;
-    if (!GetRow(data, size, pos, name_count, [&](size_t index, Value&& v) {
+    if (h.dense) {
+      fields.reserve(h.names);  // Bounded: a dense row holds a value per name.
+    }
+    if (!GetRow(data, size, pos, h, [&](size_t index, Value&& v) {
           fields.emplace_back(ids[index], std::move(v));
         })) {
       return false;
     }
-    rows_.emplace_back(std::move(fields));
+    rows->emplace_back(std::move(fields));
   }
   return true;
 }
 
+void ResultSet::Encode(std::vector<uint8_t>* out) const {
+  if (aggregated_) {
+    agg_.EncodeState(out);
+  } else {
+    PutRows(out, rows_);
+  }
+}
+
+bool ResultSet::Decode(const uint8_t* data, size_t size, size_t* pos) {
+  return aggregated_ ? agg_.DecodeState(data, size, pos) : GetRows(data, size, pos, &rows_);
+}
+
 bool ResultSet::Skip(const uint8_t* data, size_t size, size_t* pos) {
-  uint64_t name_count = 0;
-  uint64_t row_count = 0;
-  std::string name;
-  if (!GetCount(data, size, pos, &name_count)) {
+  SetHeader h;
+  if (!GetHeader(data, size, pos, &h, [](uint64_t, const std::string&) { return true; })) {
     return false;
   }
-  for (uint64_t i = 0; i < name_count; ++i) {
-    if (!GetString(data, size, pos, &name)) {
-      return false;
-    }
-  }
-  if (!GetCount(data, size, pos, &row_count)) {
-    return false;
-  }
-  for (uint64_t r = 0; r < row_count; ++r) {
-    if (!GetRow(data, size, pos, name_count, [](size_t, Value&&) {})) {
+  for (uint64_t r = 0; r < h.rows; ++r) {
+    if (!GetRow(data, size, pos, h, [](size_t, Value&&) {})) {
       return false;
     }
   }

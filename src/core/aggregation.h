@@ -5,9 +5,9 @@
 //   2. process-local aggregation of emitted tuples in the PT agent (§5);
 //   3. global merging of agent reports in the frontend.
 // Stages 2 and 3 combine *partial* aggregates, so every aggregator carries a
-// combiner ("for Count, the combiner is Sum"): baggage externalizes partial
-// state as state tuples which any other Aggregator can absorb with AddState(),
-// and the agent/frontend combine tree merges aggregators set to set.
+// combiner ("for Count, the combiner is Sum"): baggage bags and agent reports
+// ship partial state in one wire form (EncodeState/DecodeState), and the
+// agent/frontend combine tree merges aggregators set to set.
 
 #ifndef PIVOT_SRC_CORE_AGGREGATION_H_
 #define PIVOT_SRC_CORE_AGGREGATION_H_
@@ -109,13 +109,19 @@ class Aggregator {
   // `output` column (Average divides here).
   std::vector<Tuple> Finalize() const;
 
+  // Wire form of the state: a dense result-set whose name table is the state
+  // columns. DecodeState merges an encoded state of this configuration; it
+  // interns nothing and rejects any other name table.
+  void EncodeState(std::vector<uint8_t>* out) const;
+  bool DecodeState(const uint8_t* data, size_t size, size_t* pos);
+
   // Empties the aggregator, keeping its array capacity.
   void Clear();
   bool empty() const { return hashes_.empty(); }
   size_t group_count() const { return hashes_.size(); }
 
  private:
-  friend class ResultSet;  // Reads and merges groups for the wire form.
+  friend class ResultSet;  // Shares its columns with EmptyLike() siblings.
 
   struct Accum {
     bool has_value = false;
@@ -190,6 +196,14 @@ class Aggregator {
   std::vector<IndexSlot> slots_;  // Empty until the first group; 2^k sized.
 };
 
+// The one wire form of a tuple set, shared by report frames and baggage bags
+// (docs/WIRE_FORMAT.md, "result-set"): a name table, then one row per tuple.
+// A row is dense (one value per name, in table order) when every row carries
+// exactly the name table, else sparse ((name index, value) pairs). GetRows
+// appends the decoded rows and interns each name-table entry once.
+void PutRows(std::vector<uint8_t>* out, const std::vector<Tuple>& rows);
+bool GetRows(const uint8_t* data, size_t size, size_t* pos, std::vector<Tuple>* rows);
+
 // One query's results at one level of the combine tree (§5): an agent's
 // emission shard, the agent's interval, a report on the wire, the frontend's
 // total or one of its intervals. An aggregated plan keeps Aggregator state, a
@@ -218,13 +232,10 @@ class ResultSet {
   // Groups, or streamed rows.
   size_t size() const { return aggregated_ ? agg_.group_count() : rows_.size(); }
 
-  // Wire form: a name table, then one row of (name index, value) pairs per
-  // group or streamed row (docs/WIRE_FORMAT.md, "result-set"). Decode merges
-  // the encoded set into this one. An aggregated set's name table must equal
-  // its plan's state columns and interns nothing; a streaming set interns
-  // each name-table entry once. Skip validates and steps over an encoded set
-  // of any plan. Both return false on malformed input, after which a decoded
-  // set holds part of it and should be dropped.
+  // Wire form: Aggregator::EncodeState, or PutRows of the streamed rows.
+  // Decode merges the encoded set into this one. Skip validates and steps
+  // over an encoded set of any plan. Both return false on malformed input,
+  // after which a decoded set holds part of it and should be dropped.
   void Encode(std::vector<uint8_t>* out) const;
   bool Decode(const uint8_t* data, size_t size, size_t* pos);
   static bool Skip(const uint8_t* data, size_t size, size_t* pos);

@@ -1,7 +1,6 @@
 #include "src/core/baggage.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "src/core/wire.h"
 #include "src/telemetry/metrics.h"
@@ -68,97 +67,84 @@ bool BagSpec::operator==(const BagSpec& other) const {
 // ---------------------------------------------------------------------------
 // TupleBag
 
-Aggregator& TupleBag::Agg() {
-  if (!agg_) {
-    // Packed tuples are raw inputs; branch/instance merging combines state.
+TupleBag::TupleBag(BagSpec spec) : spec_(std::move(spec)) {
+  if (spec_.semantics == PackSemantics::kAggregate) {
     agg_.emplace(spec_.group_fields, spec_.aggs);
   }
-  return *agg_;
 }
 
 void TupleBag::Add(const Tuple& t) {
-  switch (spec_.semantics) {
-    case PackSemantics::kAll:
-      if (tuples_.size() >= kMaxBagTuples) {
-        ++dropped_;
-        break;
-      }
-      tuples_.push_back(t);
-      break;
-    case PackSemantics::kFirstN:
-      if (tuples_.size() < spec_.limit) {
-        tuples_.push_back(t);
-      }
-      break;
-    case PackSemantics::kRecentN:
-      tuples_.push_back(t);
-      if (tuples_.size() > spec_.limit) {
-        tuples_.erase(tuples_.begin());
-      }
-      break;
-    case PackSemantics::kAggregate:
-      Agg().AddInput(t);
-      break;
+  if (agg_) {
+    agg_->AddInput(t);
+  } else {
+    Append(&t, 1);
   }
 }
 
 void TupleBag::MergeFrom(const TupleBag& other) {
   // Instances decoded from the wire may carry one key under different specs
   // (a malformed peer, or a query id reused after a frontend restart). Every
-  // case below stays memory-safe for any pair: aggregate state of another
-  // configuration merges by column name (Aggregator::Absorb).
+  // pair stays memory-safe: aggregate state of another configuration merges
+  // by column name (Aggregator::Absorb), and a retention bag merges nothing
+  // into an aggregate one or the reverse.
   dropped_ += other.dropped_;
-  switch (spec_.semantics) {
-    case PackSemantics::kAll: {
-      size_t room = tuples_.size() < kMaxBagTuples ? kMaxBagTuples - tuples_.size() : 0;
-      size_t take = std::min(room, other.tuples_.size());
-      tuples_.insert(tuples_.end(), other.tuples_.begin(),
-                     other.tuples_.begin() + static_cast<ptrdiff_t>(take));
-      dropped_ += other.tuples_.size() - take;
-      break;
+  if (agg_) {
+    if (other.agg_) {
+      agg_->Absorb(*other.agg_);
     }
-    case PackSemantics::kFirstN:
-      // This bag is older: its tuples keep priority.
-      for (const auto& t : other.tuples_) {
-        if (tuples_.size() >= spec_.limit) {
-          break;
-        }
-        tuples_.push_back(t);
-      }
-      break;
-    case PackSemantics::kRecentN:
-      // The other bag is newer: its tuples displace ours.
-      tuples_.insert(tuples_.end(), other.tuples_.begin(), other.tuples_.end());
-      while (tuples_.size() > spec_.limit) {
-        tuples_.erase(tuples_.begin());
-      }
-      break;
-    case PackSemantics::kAggregate:
-      if (other.agg_) {
-        Agg().Absorb(*other.agg_);
-      }
-      break;
+  } else {
+    Append(other.tuples_.data(), other.tuples_.size());
   }
 }
 
-void TupleBag::AddState(const Tuple& state) {
-  assert(spec_.semantics == PackSemantics::kAggregate);
-  Agg().AddState(state);
+size_t TupleBag::Cap() const {
+  return spec_.semantics == PackSemantics::kAll ? kMaxBagTuples
+                                                : std::min<size_t>(spec_.limit, kMaxBagTuples);
 }
 
-std::vector<Tuple> TupleBag::Contents() const {
-  if (spec_.semantics == PackSemantics::kAggregate) {
-    return agg_ ? agg_->StateTuples() : std::vector<Tuple>{};
-  }
-  return tuples_;
+void TupleBag::Append(const Tuple* in, size_t n) {
+  const size_t cap = Cap();
+  const bool keep_last = spec_.semantics == PackSemantics::kRecentN;
+  const size_t take = std::min(n, keep_last ? cap : cap - std::min(cap, tuples_.size()));
+  const Tuple* from = keep_last ? in + (n - take) : in;
+  tuples_.insert(tuples_.end(), from, from + take);
+  Trim(n - take);
 }
 
-size_t TupleBag::size() const {
-  if (spec_.semantics == PackSemantics::kAggregate) {
-    return agg_ ? agg_->group_count() : 0;
+void TupleBag::Trim(size_t uncopied) {
+  const size_t excess = tuples_.size() > Cap() ? tuples_.size() - Cap() : 0;
+  if (spec_.semantics == PackSemantics::kRecentN) {
+    tuples_.erase(tuples_.begin(), tuples_.begin() + static_cast<ptrdiff_t>(excess));
+  } else {
+    tuples_.resize(tuples_.size() - excess);
   }
-  return tuples_.size();
+  // FirstN/RecentN leave tuples out by design; only the valve counts.
+  if (spec_.semantics == PackSemantics::kAll || spec_.limit > kMaxBagTuples) {
+    dropped_ += uncopied + excess;
+  }
 }
+
+void TupleBag::Encode(std::vector<uint8_t>* out) const {
+  if (agg_) {
+    agg_->EncodeState(out);
+  } else {
+    PutRows(out, tuples_);
+  }
+  PutVarint64(out, dropped_);
+}
+
+bool TupleBag::Decode(const uint8_t* data, size_t size, size_t* pos) {
+  if (!(agg_ ? agg_->DecodeState(data, size, pos) : GetRows(data, size, pos, &tuples_)) ||
+      !GetVarint64(data, size, pos, &dropped_)) {
+    return false;
+  }
+  Trim(0);  // A peer's bag may hold more than this spec keeps.
+  return true;
+}
+
+std::vector<Tuple> TupleBag::Contents() const { return agg_ ? agg_->StateTuples() : tuples_; }
+
+size_t TupleBag::size() const { return agg_ ? agg_->group_count() : tuples_.size(); }
 
 // ---------------------------------------------------------------------------
 // Baggage
@@ -327,7 +313,7 @@ void Baggage::Clear() {
 //   [instance count]
 //   per instance (active instance first):
 //     [itc id (canonical bytes)] [bag count]
-//     per bag: [key] [spec] [tuple count] [tuples...]
+//     per bag: [key] [spec] [result-set] [dropped]
 //   spec: [semantics u8] [limit] [#groups][names...] [#aggs][fn u8, from_state
 //         u8, input, output]...
 // A pristine baggage serializes to zero bytes.
@@ -349,7 +335,10 @@ bool GetBagSpec(const uint8_t* data, size_t size, size_t* pos, BagSpec* spec) {
   }
   spec->semantics = static_cast<PackSemantics>(sem);
   uint64_t limit = 0;
-  if (!GetVarint64(data, size, pos, &limit) || limit > UINT32_MAX) {
+  const bool limited = spec->semantics == PackSemantics::kFirstN ||
+                       spec->semantics == PackSemantics::kRecentN;
+  if (!GetVarint64(data, size, pos, &limit) || limit > UINT32_MAX ||
+      (limited && (limit == 0 || limit > kMaxBagTuples))) {
     return false;
   }
   spec->limit = static_cast<uint32_t>(limit);
@@ -366,12 +355,7 @@ void PutBags(std::vector<uint8_t>* out, const std::map<BagKey, TupleBag>& bags,
     size_t bag_start = out->size();
     PutVarint64(out, key);
     PutBagSpec(out, bag.spec());
-    std::vector<Tuple> contents = bag.Contents();
-    PutVarint64(out, contents.size());
-    for (const auto& t : contents) {
-      PutTuple(out, t);
-    }
-    PutVarint64(out, bag.dropped());
+    bag.Encode(out);
     if (shares != nullptr) {
       auto& share = (*shares)[BagKeyQuery(key)];
       share.bytes += out->size() - bag_start;
@@ -391,29 +375,10 @@ bool GetBags(const uint8_t* data, size_t size, size_t* pos, std::map<BagKey, Tup
     if (!GetVarint64(data, size, pos, &key) || !GetBagSpec(data, size, pos, &spec)) {
       return false;
     }
-    TupleBag bag(spec);
-    uint64_t ntuples = 0;
-    if (!GetVarint64(data, size, pos, &ntuples) || ntuples > size) {
+    TupleBag bag(std::move(spec));
+    if (!bag.Decode(data, size, pos)) {
       return false;
     }
-    for (uint64_t j = 0; j < ntuples; ++j) {
-      Tuple t;
-      if (!GetTuple(data, size, pos, &t)) {
-        return false;
-      }
-      if (spec.semantics == PackSemantics::kAggregate) {
-        // Wire contents of aggregate bags are state tuples; absorb them via
-        // the combiner path so re-serialization is lossless.
-        bag.AddState(t);
-      } else {
-        bag.Add(t);
-      }
-    }
-    uint64_t dropped = 0;
-    if (!GetVarint64(data, size, pos, &dropped)) {
-      return false;
-    }
-    bag.RestoreDropped(dropped);
     bags->emplace(key, std::move(bag));
   }
   return true;

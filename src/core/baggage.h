@@ -42,9 +42,10 @@ inline constexpr uint64_t kBagKeysPerQuery = 256;
 inline constexpr uint64_t BagKeyQuery(BagKey key) { return key / kBagKeysPerQuery; }
 
 // How a bag retains tuples (§3 "Pack also has the following special cases").
+// Every retention bag keeps at most kMaxBagTuples tuples.
 enum class PackSemantics : uint8_t {
-  kAll = 0,        // Unbounded append. Risky (a "full table scan", §4); the
-                   // compiler only produces it when a query demands it.
+  kAll = 0,        // Keep the first kMaxBagTuples. Risky (a "full table scan",
+                   // §4); the compiler only produces it when a query demands it.
   kFirstN = 1,     // Keep the first `limit` tuples, ignore the rest (FIRST=1).
   kRecentN = 2,    // Keep the most recent `limit` tuples (RECENT=1).
   kAggregate = 3,  // Grouped/plain aggregation; bounded by #groups.
@@ -70,14 +71,15 @@ struct BagSpec {
 };
 
 // Wire codec for BagSpec (shared by baggage serialization and the agent
-// command protocol).
+// command protocol). GetBagSpec rejects a kFirstN/kRecentN limit outside
+// 1..kMaxBagTuples.
 void PutBagSpec(std::vector<uint8_t>* out, const BagSpec& spec);
 bool GetBagSpec(const uint8_t* data, size_t size, size_t* pos, BagSpec* spec);
 
-// Safety valve for kAll bags: §4 notes that an unrestricted pack "potentially
-// accumulates a new tuple for every tracepoint invocation" — the baggage
-// analogue of a full table scan. Beyond this many retained tuples further
-// packs are dropped (and counted), bounding worst-case propagation cost.
+// Safety valve: §4 notes that an unrestricted pack "potentially accumulates a
+// new tuple for every tracepoint invocation" — the baggage analogue of a full
+// table scan. No bag retains more tuples than this; tuples a kAll bag (or a
+// larger limit) would have kept beyond it are dropped and counted.
 inline constexpr size_t kMaxBagTuples = 4096;
 
 // One bag: retained tuples under a BagSpec. For kAggregate the retained form
@@ -85,7 +87,7 @@ inline constexpr size_t kMaxBagTuples = 4096;
 class TupleBag {
  public:
   TupleBag() = default;
-  explicit TupleBag(BagSpec spec) : spec_(std::move(spec)) {}
+  explicit TupleBag(BagSpec spec);
 
   const BagSpec& spec() const { return spec_; }
 
@@ -101,12 +103,12 @@ class TupleBag {
   // spec, as a peer may send, merges under this bag's spec.
   void MergeFrom(const TupleBag& other);
 
-  // Absorbs one partial aggregate state tuple (kAggregate bags only; used
-  // when reconstructing a bag from the wire).
-  void AddState(const Tuple& state);
-
-  // Wire-decode only: restores the dropped-tuple counter.
-  void RestoreDropped(uint64_t n) { dropped_ = n; }
+  // Wire form: the contents as a result-set (Aggregator::EncodeState for
+  // kAggregate, else PutRows), then the dropped count. Decode fills a fresh
+  // bag of the wire spec; an aggregate bag's name table must equal its
+  // spec's state columns.
+  void Encode(std::vector<uint8_t>* out) const;
+  bool Decode(const uint8_t* data, size_t size, size_t* pos);
 
   // The externalized contents: retained tuples, or aggregate state tuples.
   std::vector<Tuple> Contents() const;
@@ -115,13 +117,20 @@ class TupleBag {
   bool empty() const { return size() == 0; }
 
  private:
-  // Lazily initializes the aggregator for kAggregate semantics.
-  Aggregator& Agg();
+  // The one retention rule: a bag keeps its first Cap() tuples (kRecentN: its
+  // last), and counts the tuples the valve turns away as dropped.
+  // kAll's cap is kMaxBagTuples; every other cap is min(limit, kMaxBagTuples).
+  size_t Cap() const;
+  // Appends `n` tuples under the rule. A full keep-first bag copies nothing,
+  // and a keep-last bag copies at most the last Cap() of them.
+  void Append(const Tuple* in, size_t n);
+  // Trims the bag to its cap; `uncopied` tuples were offered but not copied.
+  void Trim(size_t uncopied);
 
   BagSpec spec_;
-  std::vector<Tuple> tuples_;  // Non-aggregate semantics.
-  uint64_t dropped_ = 0;       // kMaxBagTuples overflow count.
-  std::optional<Aggregator> agg_;  // Aggregate semantics, built on first use.
+  std::vector<Tuple> tuples_;      // Retention semantics.
+  uint64_t dropped_ = 0;           // kMaxBagTuples overflow count.
+  std::optional<Aggregator> agg_;  // kAggregate only.
 };
 
 // The baggage proper. Value type: copies are independent (copy-on-branch is

@@ -149,37 +149,4 @@ bool GetValue(const uint8_t* data, size_t size, size_t* pos, Value* v) {
   }
 }
 
-void PutTuple(std::vector<uint8_t>* out, const Tuple& t) {
-  PutVarint64(out, t.size());
-  for (const auto& f : t.fields()) {
-    PutString(out, f.name());
-    PutValue(out, f.value);
-  }
-}
-
-bool GetTuple(const uint8_t* data, size_t size, size_t* pos, Tuple* t) {
-  uint64_t n = 0;
-  if (!GetVarint64(data, size, pos, &n)) {
-    return false;
-  }
-  // Each field costs at least 2 bytes on the wire; reject absurd counts early
-  // so malformed input cannot trigger huge allocations.
-  if (n > (size - *pos)) {
-    return false;
-  }
-  std::vector<Tuple::Field> fields;
-  fields.reserve(n);
-  std::string name;
-  for (uint64_t i = 0; i < n; ++i) {
-    Tuple::Field f;
-    if (!GetString(data, size, pos, &name) || !GetValue(data, size, pos, &f.value)) {
-      return false;
-    }
-    f.id = InternSymbol(name);
-    fields.push_back(std::move(f));
-  }
-  *t = Tuple(std::move(fields));
-  return true;
-}
-
 }  // namespace pivot

@@ -1,4 +1,5 @@
-// Binary wire codec for values, tuples and baggage building blocks.
+// Binary wire codec for values, strings and spec lists: the building blocks of
+// the tuple-set codec (PutRows, Aggregator::EncodeState), baggage and advice.
 //
 // The paper's prototype serialized baggage with protocol buffers; this repo
 // substitutes a hand-rolled varint + length-prefix codec with the same
@@ -16,7 +17,6 @@
 
 #include "src/common/varint.h"
 #include "src/core/aggregation.h"
-#include "src/core/tuple.h"
 #include "src/core/value.h"
 
 namespace pivot {
@@ -38,11 +38,6 @@ bool GetAggSpecs(const uint8_t* data, size_t size, size_t* pos, std::vector<AggS
 // Value: 1-byte type tag + payload (zig-zag varint / raw IEEE754 LE / string).
 void PutValue(std::vector<uint8_t>* out, const Value& v);
 bool GetValue(const uint8_t* data, size_t size, size_t* pos, Value* v);
-
-// Tuple: field count + (name, value) pairs. Symbol ids are process-local, so
-// the wire carries names; decode re-interns through the global SymbolTable.
-void PutTuple(std::vector<uint8_t>* out, const Tuple& t);
-bool GetTuple(const uint8_t* data, size_t size, size_t* pos, Tuple* t);
 
 }  // namespace pivot
 

@@ -1,6 +1,8 @@
 #include "src/query/lexer.h"
 
 #include <cctype>
+#include <charconv>
+#include <system_error>
 
 namespace pivot {
 
@@ -57,12 +59,13 @@ Result<std::vector<Token>> Tokenize(std::string_view text) {
       std::string num(text.substr(i, j - i));
       Token t;
       t.offset = start;
-      if (is_double) {
-        t.kind = TokenKind::kDouble;
-        t.double_value = std::stod(num);
-      } else {
-        t.kind = TokenKind::kInt;
-        t.int_value = std::stoll(num);
+      t.kind = is_double ? TokenKind::kDouble : TokenKind::kInt;
+      const char* end = num.data() + num.size();
+      std::from_chars_result parsed = is_double
+                                          ? std::from_chars(num.data(), end, t.double_value)
+                                          : std::from_chars(num.data(), end, t.int_value);
+      if (parsed.ec != std::errc() || parsed.ptr != end) {
+        return InvalidArgumentError("number out of range at offset " + std::to_string(start));
       }
       t.text = std::move(num);
       out.push_back(std::move(t));

@@ -3,6 +3,7 @@
 #include <optional>
 
 #include "src/common/strings.h"
+#include "src/core/baggage.h"
 #include "src/query/lexer.h"
 
 namespace pivot {
@@ -252,8 +253,11 @@ class Parser {
           pos_ += 2;  // keyword + '('
           src.temporal = t.filter;
           if (t.takes_n) {
-            if (Peek().kind != TokenKind::kInt || Peek().int_value <= 0) {
-              return Error(std::string(t.kw) + " expects a positive count");
+            // A bag never keeps more than kMaxBagTuples tuples.
+            if (Peek().kind != TokenKind::kInt || Peek().int_value <= 0 ||
+                Peek().int_value > static_cast<int64_t>(kMaxBagTuples)) {
+              return Error(std::string(t.kw) + " expects a count in 1.." +
+                           std::to_string(kMaxBagTuples));
             }
             src.n = static_cast<uint32_t>(Peek().int_value);
             ++pos_;

@@ -374,9 +374,9 @@ TEST(ResultSetTest, DecodeRejectsNonIntAverageCount) {
   set.AddInput(Tuple{{"v", Value(int64_t{4})}});
   std::vector<uint8_t> bytes;
   set.Encode(&bytes);
-  // The one row ends with (name index 1 = "AVG#n", int 1); make the count a
+  // The one dense row ends with its "AVG#n" column, int 1; make the count a
   // string.
-  const std::vector<uint8_t> count = {1, 1, 2};
+  const std::vector<uint8_t> count = {1, 2};
   ASSERT_TRUE(std::equal(count.begin(), count.end(), bytes.end() - count.size()));
   bytes.resize(bytes.size() - 2);
   bytes.insert(bytes.end(), {3, 1, 'x'});

@@ -558,5 +558,52 @@ TEST(BaggageTest, Q2AndQ7ShapedBaggageSizeIsPinned) {
   EXPECT_EQ(PinnedSize(b, 4), 4 + q2_bag + q7_bag0 + q7_bag1);
 }
 
+
+TEST(BaggageTest, MultiTupleBagWritesNamesOnce) {
+  // Every tuple after the first costs only its values (4 + 3 bytes): the
+  // bag's rows are dense under one name table.
+  const Tuple t{{"a", Value("xy")}, {"bb", Value("z")}};
+  Baggage one;
+  Baggage five;
+  one.Pack(1, BagSpec::All(), t);
+  for (int i = 0; i < 5; ++i) {
+    five.Pack(1, BagSpec::All(), t);
+  }
+  EXPECT_EQ(five.Serialize().size(), one.Serialize().size() + 4 * (4 + 3));
+  Result<Baggage> decoded = Baggage::Deserialize(five.Serialize());
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->Unpack(1), five.Unpack(1));
+}
+
+TEST(BaggageTest, AggregateBagDecodeInternsNothing) {
+  telemetry::Counter& errors = telemetry::Metrics().GetCounter("baggage.deserialize.errors");
+  Baggage b;
+  b.Pack(1, BagSpec::Aggregated({"bagtest.g"}, {{AggFn::kSum, "bagtest.v", "bagtest.sum", false}}),
+         Tuple{{"bagtest.g", Value("a")}, {"bagtest.v", Value(int64_t{5})}});
+  const std::vector<uint8_t> wire = b.Serialize();
+  const size_t symbols = SymbolTable::Global().size();
+  const uint64_t errors_before = errors.value();
+  for (int i = 0; i < 3; ++i) {
+    Result<Baggage> decoded = Baggage::Deserialize(wire);
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(decoded->Unpack(1), b.Unpack(1));
+  }
+  EXPECT_EQ(SymbolTable::Global().size(), symbols);
+
+  // The state name table follows the spec; rename its "bagtest.sum" entry to
+  // a name nothing has interned. The table no longer matches the spec's
+  // state columns, so the bag is rejected, counted, and the name never
+  // reaches the symbol table.
+  const std::string sum = "bagtest.sum";
+  auto at = std::find_end(wire.begin(), wire.end(), sum.begin(), sum.end());
+  ASSERT_NE(at, wire.end());
+  std::vector<uint8_t> renamed = wire;
+  renamed[static_cast<size_t>(at - wire.begin()) + sum.size() - 1] = 'Q';
+  EXPECT_FALSE(Baggage::Deserialize(renamed).ok());
+  EXPECT_EQ(errors.value(), errors_before + 1);
+  EXPECT_EQ(SymbolTable::Global().size(), symbols);
+  EXPECT_EQ(SymbolTable::Global().Find("bagtest.suQ"), kInvalidSymbol);
+}
+
 }  // namespace
 }  // namespace pivot

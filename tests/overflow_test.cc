@@ -58,6 +58,78 @@ TEST(BagOverflowTest, MergeRespectsCap) {
   EXPECT_EQ(a.dropped(), kMaxBagTuples);
 }
 
+// One retention rule: whatever the semantics, a bag's cap is
+// min(limit, kMaxBagTuples), and tuples the valve turns away count as dropped.
+TEST(BagOverflowTest, LargeLimitsAreCappedAtTheValve) {
+  Baggage baggage;
+  for (size_t i = 0; i < kMaxBagTuples + 100; ++i) {
+    baggage.Pack(1, BagSpec::Recent(1 << 20), T(static_cast<int64_t>(i)));
+    baggage.Pack(2, BagSpec::First(1 << 20), T(static_cast<int64_t>(i)));
+  }
+  EXPECT_EQ(baggage.TupleCount(), 2 * kMaxBagTuples);
+  EXPECT_EQ(baggage.DroppedTupleCount(), 200u);
+  std::vector<Tuple> recent = baggage.Unpack(1);
+  ASSERT_EQ(recent.size(), kMaxBagTuples);
+  EXPECT_EQ(recent.front().Get("x").int_value(), 100);
+  EXPECT_EQ(recent.back().Get("x").int_value(), static_cast<int64_t>(kMaxBagTuples + 99));
+  std::vector<Tuple> first = baggage.Unpack(2);
+  ASSERT_EQ(first.size(), kMaxBagTuples);
+  EXPECT_EQ(first.back().Get("x").int_value(), static_cast<int64_t>(kMaxBagTuples - 1));
+
+  TupleBag a(BagSpec::Recent(1 << 20));
+  TupleBag b(BagSpec::Recent(1 << 20));
+  for (size_t i = 0; i < kMaxBagTuples; ++i) {
+    a.Add(T(1));
+    b.Add(T(2));
+  }
+  a.MergeFrom(b);
+  EXPECT_EQ(a.size(), kMaxBagTuples);
+  EXPECT_EQ(a.dropped(), kMaxBagTuples);
+  EXPECT_EQ(a.Contents().front().Get("x").int_value(), 2);
+}
+
+// A one-bag baggage's bytes: [instance count][gen][seed id][bag count][key]
+// [semantics][limit]... so the spec's semantics and limit are bytes 5 and 6.
+constexpr size_t kSemanticsByte = 5;
+constexpr size_t kLimitByte = 6;
+
+TEST(BagOverflowTest, DecodeRejectsLimitsOutsideTheValve) {
+  for (const BagSpec& spec : {BagSpec::Recent(1 << 20), BagSpec::First(kMaxBagTuples + 1)}) {
+    Baggage baggage;
+    baggage.Pack(1, spec, T(1));
+    EXPECT_FALSE(Baggage::Deserialize(baggage.Serialize()).ok());
+  }
+  Baggage at_cap;
+  at_cap.Pack(1, BagSpec::Recent(kMaxBagTuples), T(1));
+  EXPECT_TRUE(Baggage::Deserialize(at_cap.Serialize()).ok());
+  Baggage first;
+  first.Pack(1, BagSpec::First(1), T(1));
+  std::vector<uint8_t> bytes = first.Serialize();
+  ASSERT_EQ(bytes[kLimitByte], 1);
+  bytes[kLimitByte] = 0;
+  EXPECT_FALSE(Baggage::Deserialize(bytes).ok());
+}
+
+TEST(BagOverflowTest, DecodedBagIsTrimmedToItsSpec) {
+  // A peer's bag holding more tuples than its spec keeps: three tuples under
+  // RecentN(2) decode as the last two.
+  Baggage baggage;
+  for (int64_t i = 1; i <= 3; ++i) {
+    baggage.Pack(1, BagSpec::All(), T(i));
+  }
+  std::vector<uint8_t> bytes = baggage.Serialize();
+  ASSERT_EQ(bytes[kSemanticsByte], static_cast<uint8_t>(PackSemantics::kAll));
+  bytes[kSemanticsByte] = static_cast<uint8_t>(PackSemantics::kRecentN);
+  bytes[kLimitByte] = 2;
+  Result<Baggage> decoded = Baggage::Deserialize(bytes);
+  ASSERT_TRUE(decoded.ok());
+  std::vector<Tuple> kept = decoded->Unpack(1);
+  ASSERT_EQ(kept.size(), 2u);
+  EXPECT_EQ(kept[0].Get("x").int_value(), 2);
+  EXPECT_EQ(kept[1].Get("x").int_value(), 3);
+  EXPECT_EQ(decoded->DroppedTupleCount(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Table 4 static split/join
 

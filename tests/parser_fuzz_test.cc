@@ -85,13 +85,22 @@ class AstGenerator {
     int edits = static_cast<int>(1 + rng_.NextBelow(4));
     for (int i = 0; i < edits && !out.empty(); ++i) {
       size_t at = rng_.NextBelow(out.size());
-      switch (rng_.NextBelow(3)) {
+      switch (rng_.NextBelow(4)) {
         case 0:
           out[at] = static_cast<char>(32 + rng_.NextBelow(95));
           break;
         case 1:
           out.erase(at, 1);
           break;
+        case 2: {
+          // A digit run past every numeric range, sometimes with a fraction.
+          std::string digits = " " + std::string(19 + rng_.NextBelow(400), '9');
+          if (rng_.NextBool(0.5)) {
+            digits += ".5";
+          }
+          out.insert(at, digits);
+          break;
+        }
         default:
           out.insert(at, 1, static_cast<char>(32 + rng_.NextBelow(95)));
           break;

@@ -114,6 +114,26 @@ TEST(ParserTest, TemporalFilters) {
   EXPECT_EQ(q->joins[1].source.n, 2u);
 }
 
+TEST(ParserTest, TemporalCountsRunUpToTheBagCap) {
+  // No bag keeps more than kMaxBagTuples tuples, so no count may ask for more.
+  Result<Query> q = ParseQuery("From a In X Join b In FirstN(4096, Y) On b -> a");
+  ASSERT_TRUE(q.ok());
+  EXPECT_EQ(q->joins[0].source.n, 4096u);
+  Result<Query> over = ParseQuery("From a In X Join b In FirstN(4294967296, Y) On b -> a");
+  ASSERT_FALSE(over.ok());
+  EXPECT_NE(over.status().message().find("1..4096"), std::string::npos)
+      << over.status().ToString();
+}
+
+TEST(ParserTest, OversizedNumberLiteralNamesItsOffset) {
+  Result<Query> q = ParseQuery("From a In X Where a.d > 99999999999999999999 Select a.d");
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(q.status().message().find("out of range at offset 24"), std::string::npos)
+      << q.status().ToString();
+  EXPECT_TRUE(ParseQuery("From a In X Where a.d > 9223372036854775807 Select a.d").ok());
+}
+
 TEST(ParserTest, JoinDirection) {
   Result<Query> q = ParseQuery("From b In B Join a In A On a -> b");
   ASSERT_TRUE(q.ok());
@@ -204,6 +224,10 @@ TEST_P(ParserErrorTest, Rejected) {
   EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument);
 }
 
+// A 400-digit decimal overflows a double.
+const std::string kLongDoubleQuery =
+    "From a In X Where a.d > " + std::string(400, '9') + ".5 Select a.d";
+
 INSTANTIATE_TEST_SUITE_P(
     Cases, ParserErrorTest,
     ::testing::Values(BadQuery{"NoFrom", "Select e.x"},
@@ -216,7 +240,17 @@ INSTANTIATE_TEST_SUITE_P(
                       BadQuery{"UnbalancedParen", "From a In X Select (a.x + 1"},
                       BadQuery{"SingleEquals", "From a In X Where a.h = 1"},
                       BadQuery{"FirstNNeedsCount", "From a In X Join b In FirstN(Y) On b -> a"},
-                      BadQuery{"TrailingGarbage", "From a In X Select a.x ??"}),
+                      BadQuery{"TrailingGarbage", "From a In X Select a.x ??"},
+                      BadQuery{"IntLiteralOutOfRange",
+                               "From a In X Where a.d > 99999999999999999999 Select a.d"},
+                      BadQuery{"DoubleLiteralOutOfRange",
+                               kLongDoubleQuery.c_str()},
+                      BadQuery{"FirstNCountOverTheValve",
+                               "From a In X Join b In FirstN(4097, Y) On b -> a"},
+                      BadQuery{"FirstNCountWrapsAt2To32",
+                               "From a In X Join b In FirstN(4294967296, Y) On b -> a"},
+                      BadQuery{"MostRecentNCountOverTheValve",
+                               "From a In X Join b In MostRecentN(4097, Y) On b -> a"}),
     [](const ::testing::TestParamInfo<BadQuery>& info) { return info.param.name; });
 
 }  // namespace

@@ -119,9 +119,10 @@ TEST(ProtocolTest, ReportBatchRoundTrip) {
   std::vector<size_t> report_bytes;
   std::vector<uint8_t> encoded = EncodeReportBatch(batch, &report_bytes);
   // The exact frame. Host, process and timestamp appear once, in the header;
-  // a report is (query id, name table, row count, rows) with each row a list
-  // of (name index, value) pairs, and a heartbeat is (query id, suppressed
-  // count), with nothing else per entry.
+  // a report is (query id, name table, row count, rows), and a heartbeat is
+  // (query id, suppressed count), with nothing else per entry. Both reports'
+  // rows carry exactly their name table, so they are dense: one value per
+  // name, with no field count or name index.
   const std::vector<uint8_t> expected = {
       0x07,                                       // kBatch.
       1, 'C',                                     // host.
@@ -129,22 +130,22 @@ TEST(ProtocolTest, ReportBatchRoundTrip) {
       0x80, 0x9B, 0xEE, 0x02,                     // timestamp 3'000'000 (zig-zag).
       2,                                          // Report count.
       7,                                          // r1: query 7.
-      2,                                          //   Two names.
+      2 << 1 | 1,                                 //   Two names, dense.
       9, 'i', 'n', 'c', 'r', '.', 'h', 'o', 's', 't',
       15, 'S', 'U', 'M', '(', 'i', 'n', 'c', 'r', '.', 'd', 'e', 'l', 't', 'a', ')',
-      1,                                          //   One row, two fields:
-      2, 0, 3, 1, 'C',                            //     name 0 = "C",
-      1, 1, 0xF2, 0xC0, 0x01,                     //     name 1 = int 12345 (zig-zag).
+      1,                                          //   One row:
+      3, 1, 'C',                                  //     "C",
+      1, 0xF2, 0xC0, 0x01,                        //     int 12345 (zig-zag).
       9,                                          // r2: query 9.
-      1, 3, 'x', '.', 'v',                        //   One name.
+      1 << 1 | 1, 3, 'x', '.', 'v',               //   One name, dense.
       2,                                          //   Two rows:
-      1, 0, 1, 2,                                 //     {x.v: 1},
-      1, 0, 1, 4,                                 //     {x.v: 2}.
+      1, 2,                                       //     {x.v: 1},
+      1, 4,                                       //     {x.v: 2}.
       1,                                          // Heartbeat count.
       11, 10,                                     // Query 11, 10 suppressed.
   };
   EXPECT_EQ(encoded, expected);
-  EXPECT_EQ(report_bytes, (std::vector<size_t>{39, 15}));
+  EXPECT_EQ(report_bytes, (std::vector<size_t>{36, 11}));
 
   PlanLookup plans;
   Result<ControlMessage> decoded = DecodeControlMessage(encoded, plans.lookup());
@@ -220,13 +221,15 @@ TEST(ProtocolTest, ReportNamesMustMatchThePlan) {
 
 TEST(ProtocolTest, OutOfRangeNameIndexRejected) {
   ReportBatch batch;
-  batch.reports.push_back(Report(9, ResultPlan{}, {Tuple{{"x.v", Value(int64_t{1})}}}));
+  // An empty second row makes the report sparse, so rows carry name indexes.
+  batch.reports.push_back(Report(9, ResultPlan{}, {Tuple{{"x.v", Value(int64_t{1})}}, Tuple()}));
   std::vector<uint8_t> encoded = EncodeReportBatch(batch);
-  // The frame ends: ... one row {field count 1, name index 0, int 1}, then no
-  // heartbeats. Point the row's only field past the one-entry name table.
-  const std::vector<uint8_t> tail = {1, 1, 0, 1, 2, 0};
+  // The frame ends: ... two rows {field count 1, name index 0, int 1} and
+  // {field count 0}, then no heartbeats. Point the first row's only field
+  // past the one-entry name table.
+  const std::vector<uint8_t> tail = {2, 1, 0, 1, 2, 0, 0};
   ASSERT_TRUE(std::equal(tail.begin(), tail.end(), encoded.end() - tail.size()));
-  encoded[encoded.size() - 4] = 1;
+  encoded[encoded.size() - 5] = 1;
   PlanLookup plans;
   EXPECT_FALSE(DecodeControlMessage(encoded, plans.lookup()).ok());
   EXPECT_FALSE(DecodeControlMessage(encoded).ok());  // Skipping checks it too.
