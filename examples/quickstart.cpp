@@ -43,7 +43,6 @@ TracepointDef Def(const char* name, std::vector<std::string> exports) {
   TracepointDef def;
   def.name = name;
   def.exports = std::move(exports);
-  def.class_name = "quickstart";
   return def;
 }
 

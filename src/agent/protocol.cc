@@ -7,20 +7,6 @@
 
 namespace pivot {
 
-namespace {
-
-void PutPlan(std::vector<uint8_t>* out, const ResultPlan& plan) {
-  PutStringList(out, plan.group_fields);
-  PutAggSpecs(out, plan.aggs);
-}
-
-bool GetPlan(const uint8_t* data, size_t size, size_t* pos, ResultPlan* plan) {
-  return GetStringList(data, size, pos, &plan->group_fields) &&
-         GetAggSpecs(data, size, pos, &plan->aggs);
-}
-
-}  // namespace
-
 std::vector<uint8_t> EncodeWeave(const WeaveCommand& cmd) {
   std::vector<uint8_t> out;
   out.push_back(static_cast<uint8_t>(ControlMessageType::kWeave));

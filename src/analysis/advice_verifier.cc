@@ -338,7 +338,7 @@ VerifyResult AdviceVerifier::Verify(const Advice& advice) const {
         packed.spec = op.bag_spec;
         if (op.bag_spec.semantics == PackSemantics::kAggregate) {
           // Aggregate bags retain group fields + aggregate state columns.
-          for (const auto& g : op.bag_spec.group_fields) {
+          for (const auto& g : op.bag_spec.plan.group_fields) {
             auto it = env.find(g);
             if (it == env.end() && !env_open) {
               add("PT102", Severity::kError, idx,
@@ -346,7 +346,7 @@ VerifyResult AdviceVerifier::Verify(const Advice& advice) const {
             }
             packed.columns[g] = it != env.end() ? it->second : StaticType::kUnknown;
           }
-          for (const AggSpec& spec : op.bag_spec.aggs) {
+          for (const AggSpec& spec : op.bag_spec.plan.aggs) {
             StaticType input_type = StaticType::kUnknown;
             if (!spec.input.empty()) {
               auto it = env.find(spec.input);

@@ -40,10 +40,10 @@ StageInfo CollectStage(const std::string& tracepoint, const Advice& advice) {
       case Advice::OpKind::kPack: {
         info.packs.push_back(op.bag);
         if (op.bag_spec.semantics == PackSemantics::kAggregate) {
-          for (const auto& g : op.bag_spec.group_fields) {
+          for (const auto& g : op.bag_spec.plan.group_fields) {
             info.reads.insert(g);
           }
-          for (const AggSpec& spec : op.bag_spec.aggs) {
+          for (const AggSpec& spec : op.bag_spec.plan.aggs) {
             if (!spec.input.empty()) {
               info.reads.insert(spec.input);
               if (spec.from_state && spec.fn == AggFn::kAverage) {
@@ -327,11 +327,9 @@ QueryLintResult QueryLinter::Lint(
   // ---- Baggage cost classification (PT208 / PT209) ----
 
   for (const StageInfo& stage : stages) {
-    size_t unbounded_packs = 0;
     for (size_t k = 0; k < stage.advice->ops().size(); ++k) {
       const Advice::Op& op = stage.advice->ops()[k];
       if (op.kind == Advice::OpKind::kPack && op.bag_spec.semantics == PackSemantics::kAll) {
-        ++unbounded_packs;
         report.Add("PT208", Severity::kInfo, *stage.tracepoint, static_cast<int>(k),
                    "unbounded pack (ALL semantics) into bag " + std::to_string(op.bag) +
                        ": every invocation adds a tuple — the §4 full-table-scan risk, capped "
@@ -344,8 +342,6 @@ QueryLintResult QueryLinter::Lint(
         }
       }
     }
-    (void)unbounded_packs;
-
     size_t unbounded_unpacks = 0;
     for (BagKey b : stage.unpacks) {
       auto it = result.bags.find(b);

@@ -18,9 +18,6 @@ std::string StrJoin(const std::vector<std::string>& pieces, std::string_view sep
 // ASCII case-insensitive equality (used by the query language keywords).
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
-// ASCII lower-casing.
-std::string ToLower(std::string_view s);
-
 // True if `s` starts with / ends with the given prefix/suffix.
 bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);

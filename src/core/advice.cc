@@ -176,15 +176,15 @@ std::string SpecString(const BagSpec& spec) {
       return spec.limit == 1 ? "-RECENT" : "-RECENT(" + std::to_string(spec.limit) + ")";
     case PackSemantics::kAggregate: {
       std::string s = "-AGG(";
-      for (size_t i = 0; i < spec.aggs.size(); ++i) {
+      for (size_t i = 0; i < spec.plan.aggs.size(); ++i) {
         if (i != 0) {
           s += ", ";
         }
-        s += AggFnName(spec.aggs[i].fn);
-        s += "(" + spec.aggs[i].input + ")";
+        s += AggFnName(spec.plan.aggs[i].fn);
+        s += "(" + spec.plan.aggs[i].input + ")";
       }
-      if (!spec.group_fields.empty()) {
-        s += " BY " + FieldList(spec.group_fields);
+      if (!spec.plan.group_fields.empty()) {
+        s += " BY " + FieldList(spec.plan.group_fields);
       }
       s += ")";
       return s;

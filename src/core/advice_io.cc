@@ -7,8 +7,6 @@ namespace pivot {
 
 namespace {
 
-constexpr int kMaxExprDepth = 128;
-
 bool DecodeExprImpl(const uint8_t* data, size_t size, size_t* pos, Expr::Ptr* out, int depth) {
   if (depth > kMaxExprDepth || *pos >= size) {
     return false;

@@ -501,36 +501,91 @@ void Aggregator::Clear() {
 }
 
 ResultSet::ResultSet(const ResultPlan& plan)
-    : aggregated_(plan.aggregated()), agg_(plan.group_fields, plan.aggs) {}
+    : aggregated_(plan.aggregated()),
+      agg_(aggregated_ ? Aggregator(plan.group_fields, plan.aggs) : Aggregator(nullptr)) {}
 
-ResultSet ResultSet::EmptyLike() const { return ResultSet(aggregated_, Aggregator(agg_.cols_)); }
+ResultSet::ResultSet(const BagSpec& spec) : ResultSet(spec.plan) {
+  if (aggregated_) {
+    return;  // Bounded by its groups.
+  }
+  const bool limited =
+      spec.semantics == PackSemantics::kFirstN || spec.semantics == PackSemantics::kRecentN;
+  cap_ = limited ? std::min<size_t>(spec.limit, kMaxBagTuples) : kMaxBagTuples;
+  keep_last_ = spec.semantics == PackSemantics::kRecentN;
+  // FirstN/RecentN leave rows out by design; only the valve counts.
+  valve_ = !limited || spec.limit > kMaxBagTuples;
+}
+
+ResultSet ResultSet::EmptyLike() const {
+  ResultSet out(aggregated_, Aggregator(agg_.cols_));
+  out.keep_last_ = keep_last_;
+  out.valve_ = valve_;
+  out.cap_ = cap_;
+  return out;
+}
 
 void ResultSet::AddInput(const Tuple& t) {
   if (aggregated_) {
     agg_.AddInput(t);
   } else {
-    rows_.push_back(t);
+    Append(&t, 1);
+  }
+}
+
+template <typename It>
+void ResultSet::Append(It from, size_t n) {
+  const size_t take = std::min(n, keep_last_ ? cap_ : cap_ - std::min(cap_, rows_.size()));
+  if (keep_last_) {
+    from += static_cast<ptrdiff_t>(n - take);
+  }
+  rows_.insert(rows_.end(), from, from + static_cast<ptrdiff_t>(take));
+  Trim(n - take);
+}
+
+void ResultSet::Trim(size_t uncopied) {
+  const size_t excess = rows_.size() > cap_ ? rows_.size() - cap_ : 0;
+  if (keep_last_) {
+    rows_.erase(rows_.begin(), rows_.begin() + static_cast<ptrdiff_t>(excess));
+  } else {
+    rows_.resize(rows_.size() - excess);
+  }
+  if (valve_) {
+    dropped_ += uncopied + excess;
   }
 }
 
 void ResultSet::Absorb(const ResultSet& other) {
+  dropped_ += other.dropped_;
+  if (aggregated_ != other.aggregated_) {
+    return;
+  }
   if (aggregated_) {
     agg_.Absorb(other.agg_);
   } else {
-    rows_.insert(rows_.end(), other.rows_.begin(), other.rows_.end());
+    Append(other.rows_.begin(), other.rows_.size());
   }
 }
 
 void ResultSet::Absorb(ResultSet&& other) {
+  dropped_ += std::exchange(other.dropped_, 0);
+  if (aggregated_ != other.aggregated_) {
+    return;
+  }
   if (aggregated_) {
     agg_.Absorb(std::move(other.agg_));
-  } else if (rows_.empty()) {
-    rows_.swap(other.rows_);
-  } else {
-    rows_.insert(rows_.end(), std::make_move_iterator(other.rows_.begin()),
-                 std::make_move_iterator(other.rows_.end()));
-    other.rows_.clear();
+    return;
   }
+  if (rows_.empty()) {
+    rows_.swap(other.rows_);
+    Trim(0);
+  } else {
+    Append(std::make_move_iterator(other.rows_.begin()), other.rows_.size());
+  }
+  other.rows_.clear();
+}
+
+std::vector<Tuple> ResultSet::StateRows() const {
+  return aggregated_ ? agg_.StateTuples() : rows_;
 }
 
 std::vector<Tuple> ResultSet::Finalize() const {
@@ -715,7 +770,14 @@ void ResultSet::Encode(std::vector<uint8_t>* out) const {
 }
 
 bool ResultSet::Decode(const uint8_t* data, size_t size, size_t* pos) {
-  return aggregated_ ? agg_.DecodeState(data, size, pos) : GetRows(data, size, pos, &rows_);
+  if (aggregated_) {
+    return agg_.DecodeState(data, size, pos);
+  }
+  if (!GetRows(data, size, pos, &rows_)) {
+    return false;
+  }
+  Trim(0);  // A peer's bag may hold more than this spec keeps.
+  return true;
 }
 
 bool ResultSet::Skip(const uint8_t* data, size_t size, size_t* pos) {

@@ -6,8 +6,8 @@
 //   3. global merging of agent reports in the frontend.
 // Stages 2 and 3 combine *partial* aggregates, so every aggregator carries a
 // combiner ("for Count, the combiner is Sum"): baggage bags and agent reports
-// ship partial state in one wire form (EncodeState/DecodeState), and the
-// agent/frontend combine tree merges aggregators set to set.
+// ship partial state in one wire form (EncodeState/DecodeState), and every
+// level, from a baggage bag to the frontend, is one ResultSet.
 
 #ifndef PIVOT_SRC_CORE_AGGREGATION_H_
 #define PIVOT_SRC_CORE_AGGREGATION_H_
@@ -61,13 +61,50 @@ struct AggSpec {
 
 // The result side of a compiled query: how agents and the frontend process
 // its emitted tuples. The compiler produces it, the weave command carries it
-// to agents, and the linter checks emitted columns against it. A query with
-// neither group fields nor aggregates streams its raw tuples.
+// to agents, and the linter checks emitted columns against it. A BagSpec
+// carries one for aggregation pushed into the baggage. A plan with neither
+// group fields nor aggregates streams its raw tuples.
 struct ResultPlan {
   std::vector<std::string> group_fields;
   std::vector<AggSpec> aggs;  // from_state marks pushed-down aggregates.
 
   bool aggregated() const { return !group_fields.empty() || !aggs.empty(); }
+  bool operator==(const ResultPlan& other) const = default;
+};
+
+// How a baggage bag retains tuples (§3 "Pack also has the following special
+// cases"). Every retention bag keeps at most kMaxBagTuples tuples.
+enum class PackSemantics : uint8_t {
+  kAll = 0,        // Keep the first kMaxBagTuples. Risky (a "full table scan",
+                   // §4); the compiler only produces it when a query demands it.
+  kFirstN = 1,     // Keep the first `limit` tuples, ignore the rest (FIRST=1).
+  kRecentN = 2,    // Keep the most recent `limit` tuples (RECENT=1).
+  kAggregate = 3,  // Grouped/plain aggregation; bounded by #groups.
+};
+
+// Safety valve: §4 notes that an unrestricted pack "potentially accumulates a
+// new tuple for every tracepoint invocation" — the baggage analogue of a full
+// table scan. No bag retains more tuples than this; tuples a kAll bag (or a
+// larger limit) would have kept beyond it are dropped and counted.
+inline constexpr size_t kMaxBagTuples = 4096;
+
+// Static description of a baggage bag: its semantics plus, for kAggregate,
+// the pushed-down plan (Table 3). Pack-side and unpack-side advice compiled
+// from the same query share the same spec. A retention semantics has an
+// empty plan; kAggregate has a non-empty one (GetBagSpec enforces both).
+struct BagSpec {
+  PackSemantics semantics = PackSemantics::kAll;
+  uint32_t limit = 1;  // kFirstN / kRecentN.
+  ResultPlan plan;     // kAggregate.
+
+  bool operator==(const BagSpec& other) const = default;
+
+  static BagSpec All() { return BagSpec{PackSemantics::kAll, 0, {}}; }
+  static BagSpec First(uint32_t n = 1) { return BagSpec{PackSemantics::kFirstN, n, {}}; }
+  static BagSpec Recent(uint32_t n = 1) { return BagSpec{PackSemantics::kRecentN, n, {}}; }
+  static BagSpec Aggregated(std::vector<std::string> groups, std::vector<AggSpec> aggs) {
+    return BagSpec{PackSemantics::kAggregate, 0, ResultPlan{std::move(groups), std::move(aggs)}};
+  }
 };
 
 // Streaming grouped aggregator. Group keys are the values of `group_fields`;
@@ -153,6 +190,8 @@ class Aggregator {
   };
   static constexpr uint32_t kEmptySlot = UINT32_MAX;
 
+  // A null `cols` leaves the aggregator unconfigured: a streaming ResultSet
+  // holds one, and never calls it.
   explicit Aggregator(std::shared_ptr<const Columns> cols) : cols_(std::move(cols)) {}
 
   // Combines one partial aggregate `v` (companion count `n`, Average only)
@@ -204,27 +243,42 @@ class Aggregator {
 void PutRows(std::vector<uint8_t>* out, const std::vector<Tuple>& rows);
 bool GetRows(const uint8_t* data, size_t size, size_t* pos, std::vector<Tuple>* rows);
 
-// One query's results at one level of the combine tree (§5): an agent's
-// emission shard, the agent's interval, a report on the wire, the frontend's
-// total or one of its intervals. An aggregated plan keeps Aggregator state, a
-// streaming plan keeps rows in arrival order. Each level absorbs the level
-// below set to set: groups merge through the combiner (Table 3), rows append.
+// One tuple set at one level of the combine tree (§5): a baggage bag, an
+// agent's emission shard, the agent's interval, a report on the wire, the
+// frontend's total or one of its intervals. An aggregated plan keeps
+// Aggregator state, a streaming plan keeps rows in arrival order. Each level
+// absorbs the level below set to set: groups merge through the combiner
+// (Table 3), rows append.
 class ResultSet {
  public:
+  // An uncapped set: an agent's or the frontend's.
   explicit ResultSet(const ResultPlan& plan);
+  // A baggage bag's set. A retention bag keeps its first
+  // min(limit, kMaxBagTuples) rows (kRecentN: its last; kAll: the first
+  // kMaxBagTuples) and counts the rows the kMaxBagTuples valve turns away as
+  // dropped. A streaming set configures no aggregator, so building, copying
+  // and destroying one allocates nothing beyond its rows.
+  explicit ResultSet(const BagSpec& spec);
 
-  // An empty set of the same plan. Shares the resolved columns, so it interns
-  // and allocates nothing.
+  // An empty set of the same plan and cap. Shares the resolved columns, so it
+  // interns and allocates nothing.
   ResultSet EmptyLike() const;
 
-  // Accumulates one raw emitted tuple.
+  // Accumulates one raw emitted (or packed) tuple.
   void AddInput(const Tuple& t);
 
-  // Combines another set of the same plan into this one. The rvalue form
-  // adopts `other` whole when this set is empty and leaves `other` empty.
+  // Combines another set into this one; `other` is treated as later or
+  // concurrent, so a keep-first set keeps its own rows and a keep-last set
+  // the other's. The rvalue form adopts `other` whole when this set is empty
+  // and leaves `other` empty. Aggregate state of another plan (a bag decoded
+  // from a peer under another spec) merges by column name; rows and
+  // aggregate state never merge into each other.
   void Absorb(const ResultSet& other);
   void Absorb(ResultSet&& other);
 
+  // Rows as they merge upstream: aggregate state rows
+  // (Aggregator::StateTuples), or the retained rows.
+  std::vector<Tuple> StateRows() const;
   // Final rows: group fields then aggregate outputs, or the streamed rows.
   std::vector<Tuple> Finalize() const;
 
@@ -232,10 +286,15 @@ class ResultSet {
   // Groups, or streamed rows.
   size_t size() const { return aggregated_ ? agg_.group_count() : rows_.size(); }
 
+  // Rows the kMaxBagTuples valve turned away, here and in absorbed sets.
+  uint64_t dropped() const { return dropped_; }
+  // Adds drops counted elsewhere (a bag's count off the wire).
+  void AddDropped(uint64_t n) { dropped_ += n; }
+
   // Wire form: Aggregator::EncodeState, or PutRows of the streamed rows.
-  // Decode merges the encoded set into this one. Skip validates and steps
-  // over an encoded set of any plan. Both return false on malformed input,
-  // after which a decoded set holds part of it and should be dropped.
+  // Decode merges the encoded set into this one under its cap. Skip validates
+  // and steps over an encoded set of any plan. Both return false on malformed
+  // input, after which a decoded set holds part of it and should be dropped.
   void Encode(std::vector<uint8_t>* out) const;
   bool Decode(const uint8_t* data, size_t size, size_t* pos);
   static bool Skip(const uint8_t* data, size_t size, size_t* pos);
@@ -243,8 +302,19 @@ class ResultSet {
  private:
   ResultSet(bool aggregated, Aggregator agg) : aggregated_(aggregated), agg_(std::move(agg)) {}
 
+  // Appends `n` rows starting at `from` under the cap. A full keep-first set
+  // copies nothing, and a keep-last set copies at most the last cap_ rows.
+  template <typename It>
+  void Append(It from, size_t n);
+  // Trims the rows to the cap; `uncopied` rows were offered but not copied.
+  void Trim(size_t uncopied);
+
   bool aggregated_;
-  Aggregator agg_;
+  bool keep_last_ = false;  // kRecentN.
+  bool valve_ = false;      // Drops past the cap are counted (kAll, or limit > kMaxBagTuples).
+  size_t cap_ = SIZE_MAX;   // Streaming rows kept; uncapped outside the baggage.
+  uint64_t dropped_ = 0;
+  Aggregator agg_;           // Unconfigured for a streaming plan.
   std::vector<Tuple> rows_;  // Streaming plans only.
 };
 

@@ -59,141 +59,47 @@ telemetry::Histogram& SerializeTuplesHistogram() {
 
 }  // namespace
 
-bool BagSpec::operator==(const BagSpec& other) const {
-  return semantics == other.semantics && limit == other.limit &&
-         group_fields == other.group_fields && aggs == other.aggs;
-}
-
-// ---------------------------------------------------------------------------
-// TupleBag
-
-TupleBag::TupleBag(BagSpec spec) : spec_(std::move(spec)) {
-  if (spec_.semantics == PackSemantics::kAggregate) {
-    agg_.emplace(spec_.group_fields, spec_.aggs);
-  }
-}
-
-void TupleBag::Add(const Tuple& t) {
-  if (agg_) {
-    agg_->AddInput(t);
-  } else {
-    Append(&t, 1);
-  }
-}
-
-void TupleBag::MergeFrom(const TupleBag& other) {
-  // Instances decoded from the wire may carry one key under different specs
-  // (a malformed peer, or a query id reused after a frontend restart). Every
-  // pair stays memory-safe: aggregate state of another configuration merges
-  // by column name (Aggregator::Absorb), and a retention bag merges nothing
-  // into an aggregate one or the reverse.
-  dropped_ += other.dropped_;
-  if (agg_) {
-    if (other.agg_) {
-      agg_->Absorb(*other.agg_);
-    }
-  } else {
-    Append(other.tuples_.data(), other.tuples_.size());
-  }
-}
-
-size_t TupleBag::Cap() const {
-  return spec_.semantics == PackSemantics::kAll ? kMaxBagTuples
-                                                : std::min<size_t>(spec_.limit, kMaxBagTuples);
-}
-
-void TupleBag::Append(const Tuple* in, size_t n) {
-  const size_t cap = Cap();
-  const bool keep_last = spec_.semantics == PackSemantics::kRecentN;
-  const size_t take = std::min(n, keep_last ? cap : cap - std::min(cap, tuples_.size()));
-  const Tuple* from = keep_last ? in + (n - take) : in;
-  tuples_.insert(tuples_.end(), from, from + take);
-  Trim(n - take);
-}
-
-void TupleBag::Trim(size_t uncopied) {
-  const size_t excess = tuples_.size() > Cap() ? tuples_.size() - Cap() : 0;
-  if (spec_.semantics == PackSemantics::kRecentN) {
-    tuples_.erase(tuples_.begin(), tuples_.begin() + static_cast<ptrdiff_t>(excess));
-  } else {
-    tuples_.resize(tuples_.size() - excess);
-  }
-  // FirstN/RecentN leave tuples out by design; only the valve counts.
-  if (spec_.semantics == PackSemantics::kAll || spec_.limit > kMaxBagTuples) {
-    dropped_ += uncopied + excess;
-  }
-}
-
-void TupleBag::Encode(std::vector<uint8_t>* out) const {
-  if (agg_) {
-    agg_->EncodeState(out);
-  } else {
-    PutRows(out, tuples_);
-  }
-  PutVarint64(out, dropped_);
-}
-
-bool TupleBag::Decode(const uint8_t* data, size_t size, size_t* pos) {
-  if (!(agg_ ? agg_->DecodeState(data, size, pos) : GetRows(data, size, pos, &tuples_)) ||
-      !GetVarint64(data, size, pos, &dropped_)) {
-    return false;
-  }
-  Trim(0);  // A peer's bag may hold more than this spec keeps.
-  return true;
-}
-
-std::vector<Tuple> TupleBag::Contents() const { return agg_ ? agg_->StateTuples() : tuples_; }
-
-size_t TupleBag::size() const { return agg_ ? agg_->group_count() : tuples_.size(); }
-
 // ---------------------------------------------------------------------------
 // Baggage
 
 void Baggage::Pack(BagKey key, const BagSpec& spec, const Tuple& t) {
   PackCounter().Increment();
   active_bytes_valid_ = false;  // The only mutation of the active instance.
-  auto it = active_bags_.find(key);
-  if (it == active_bags_.end()) {
-    it = active_bags_.emplace(key, TupleBag(spec)).first;
-  }
-  it->second.Add(t);
+  active_bags_.try_emplace(key, spec).first->second.set.AddInput(t);
 }
 
 std::vector<Tuple> Baggage::Unpack(BagKey key) const {
   // Gather the bag from every instance, oldest first, then combine under the
   // bag's semantics ("tuples are unpacked from each instance then combined
   // according to query logic", §5).
-  const TupleBag* first = nullptr;
-  std::vector<const TupleBag*> rest;
-  for (const auto& inst : inactive_) {
-    auto it = inst->bags.find(key);
-    if (it != inst->bags.end()) {
-      if (first == nullptr) {
-        first = &it->second;
-      } else {
-        rest.push_back(&it->second);
-      }
+  const ResultSet* first = nullptr;
+  std::vector<const ResultSet*> rest;
+  auto gather = [&](const std::map<BagKey, Bag>& bags) {
+    auto it = bags.find(key);
+    if (it == bags.end()) {
+      return;
     }
-  }
-  auto it = active_bags_.find(key);
-  if (it != active_bags_.end()) {
     if (first == nullptr) {
-      first = &it->second;
+      first = &it->second.set;
     } else {
-      rest.push_back(&it->second);
+      rest.push_back(&it->second.set);
     }
+  };
+  for (const auto& inst : inactive_) {
+    gather(inst->bags);
   }
+  gather(active_bags_);
   if (first == nullptr) {
     return {};
   }
   if (rest.empty()) {
-    return first->Contents();
+    return first->StateRows();
   }
-  TupleBag combined = *first;
-  for (const TupleBag* b : rest) {
-    combined.MergeFrom(*b);
+  ResultSet combined = *first;
+  for (const ResultSet* set : rest) {
+    combined.Absorb(*set);
   }
-  return combined.Contents();
+  return combined.StateRows();
 }
 
 std::pair<Baggage, Baggage> Baggage::Split() const {
@@ -234,7 +140,7 @@ Baggage Baggage::Join(const Baggage& a, const Baggage& b) {
     if (it == out.active_bags_.end()) {
       out.active_bags_.emplace(key, bag);
     } else {
-      it->second.MergeFrom(bag);
+      it->second.set.Absorb(bag.set);
     }
   }
 
@@ -262,11 +168,11 @@ Baggage Baggage::Join(const Baggage& a, const Baggage& b) {
 uint64_t Baggage::DroppedTupleCount() const {
   uint64_t n = 0;
   for (const auto& [key, bag] : active_bags_) {
-    n += bag.dropped();
+    n += bag.set.dropped();
   }
   for (const auto& inst : inactive_) {
     for (const auto& [key, bag] : inst->bags) {
-      n += bag.dropped();
+      n += bag.set.dropped();
     }
   }
   return n;
@@ -275,11 +181,11 @@ uint64_t Baggage::DroppedTupleCount() const {
 size_t Baggage::TupleCount() const {
   size_t n = 0;
   for (const auto& [key, bag] : active_bags_) {
-    n += bag.size();
+    n += bag.set.size();
   }
   for (const auto& inst : inactive_) {
     for (const auto& [key, bag] : inst->bags) {
-      n += bag.size();
+      n += bag.set.size();
     }
   }
   return n;
@@ -290,7 +196,7 @@ bool Baggage::IsTrivial() const {
     return false;
   }
   for (const auto& [key, bag] : active_bags_) {
-    if (!bag.empty()) {
+    if (!bag.set.empty()) {
       return false;
     }
   }
@@ -314,15 +220,13 @@ void Baggage::Clear() {
 //   per instance (active instance first):
 //     [itc id (canonical bytes)] [bag count]
 //     per bag: [key] [spec] [result-set] [dropped]
-//   spec: [semantics u8] [limit] [#groups][names...] [#aggs][fn u8, from_state
-//         u8, input, output]...
+//   spec: [semantics u8] [limit] [plan (PutPlan)]
 // A pristine baggage serializes to zero bytes.
 
 void PutBagSpec(std::vector<uint8_t>* out, const BagSpec& spec) {
   out->push_back(static_cast<uint8_t>(spec.semantics));
   PutVarint64(out, spec.limit);
-  PutStringList(out, spec.group_fields);
-  PutAggSpecs(out, spec.aggs);
+  PutPlan(out, spec.plan);
 }
 
 bool GetBagSpec(const uint8_t* data, size_t size, size_t* pos, BagSpec* spec) {
@@ -342,29 +246,31 @@ bool GetBagSpec(const uint8_t* data, size_t size, size_t* pos, BagSpec* spec) {
     return false;
   }
   spec->limit = static_cast<uint32_t>(limit);
-  return GetStringList(data, size, pos, &spec->group_fields) &&
-         GetAggSpecs(data, size, pos, &spec->aggs);
+  return GetPlan(data, size, pos, &spec->plan) &&
+         spec->plan.aggregated() == (spec->semantics == PackSemantics::kAggregate);
 }
 
 namespace {
 
-void PutBags(std::vector<uint8_t>* out, const std::map<BagKey, TupleBag>& bags,
+void PutBags(std::vector<uint8_t>* out, const std::map<BagKey, Baggage::Bag>& bags,
              std::map<uint64_t, Baggage::SerializeStats::QueryShare>* shares) {
   PutVarint64(out, bags.size());
   for (const auto& [key, bag] : bags) {
     size_t bag_start = out->size();
     PutVarint64(out, key);
-    PutBagSpec(out, bag.spec());
-    bag.Encode(out);
+    PutBagSpec(out, bag.spec);
+    bag.set.Encode(out);
+    PutVarint64(out, bag.set.dropped());
     if (shares != nullptr) {
       auto& share = (*shares)[BagKeyQuery(key)];
       share.bytes += out->size() - bag_start;
-      share.tuples += bag.size();
+      share.tuples += bag.set.size();
     }
   }
 }
 
-bool GetBags(const uint8_t* data, size_t size, size_t* pos, std::map<BagKey, TupleBag>* bags) {
+bool GetBags(const uint8_t* data, size_t size, size_t* pos,
+             std::map<BagKey, Baggage::Bag>* bags) {
   uint64_t nbags = 0;
   if (!GetVarint64(data, size, pos, &nbags) || nbags > size) {
     return false;
@@ -375,17 +281,21 @@ bool GetBags(const uint8_t* data, size_t size, size_t* pos, std::map<BagKey, Tup
     if (!GetVarint64(data, size, pos, &key) || !GetBagSpec(data, size, pos, &spec)) {
       return false;
     }
-    TupleBag bag(std::move(spec));
-    if (!bag.Decode(data, size, pos)) {
+    // Decoded in place. A repeated key is malformed: the encoder writes each
+    // key once, in order.
+    auto [it, inserted] = bags->try_emplace(key, std::move(spec));
+    uint64_t dropped = 0;
+    if (!inserted || !it->second.set.Decode(data, size, pos) ||
+        !GetVarint64(data, size, pos, &dropped)) {
       return false;
     }
-    bags->emplace(key, std::move(bag));
+    it->second.set.AddDropped(dropped);
   }
   return true;
 }
 
 // Encodes one instance's `[gen][id][bags...]` segment into `out`.
-void EncodeInstance(uint64_t gen, const ItcId& id, const std::map<BagKey, TupleBag>& bags,
+void EncodeInstance(uint64_t gen, const ItcId& id, const std::map<BagKey, Baggage::Bag>& bags,
                     std::vector<uint8_t>* out) {
   out->clear();
   PutVarint64(out, gen);

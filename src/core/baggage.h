@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,102 +40,26 @@ using BagKey = uint64_t;
 inline constexpr uint64_t kBagKeysPerQuery = 256;
 inline constexpr uint64_t BagKeyQuery(BagKey key) { return key / kBagKeysPerQuery; }
 
-// How a bag retains tuples (§3 "Pack also has the following special cases").
-// Every retention bag keeps at most kMaxBagTuples tuples.
-enum class PackSemantics : uint8_t {
-  kAll = 0,        // Keep the first kMaxBagTuples. Risky (a "full table scan",
-                   // §4); the compiler only produces it when a query demands it.
-  kFirstN = 1,     // Keep the first `limit` tuples, ignore the rest (FIRST=1).
-  kRecentN = 2,    // Keep the most recent `limit` tuples (RECENT=1).
-  kAggregate = 3,  // Grouped/plain aggregation; bounded by #groups.
-};
-
-// Static description of a bag: semantics plus, for kAggregate, the grouping
-// and aggregate columns. Pack-side and unpack-side advice compiled from the
-// same query share the same spec.
-struct BagSpec {
-  PackSemantics semantics = PackSemantics::kAll;
-  uint32_t limit = 1;                       // kFirstN / kRecentN.
-  std::vector<std::string> group_fields;    // kAggregate.
-  std::vector<AggSpec> aggs;                // kAggregate.
-
-  bool operator==(const BagSpec& other) const;
-
-  static BagSpec All() { return BagSpec{PackSemantics::kAll, 0, {}, {}}; }
-  static BagSpec First(uint32_t n = 1) { return BagSpec{PackSemantics::kFirstN, n, {}, {}}; }
-  static BagSpec Recent(uint32_t n = 1) { return BagSpec{PackSemantics::kRecentN, n, {}, {}}; }
-  static BagSpec Aggregated(std::vector<std::string> groups, std::vector<AggSpec> aggs) {
-    return BagSpec{PackSemantics::kAggregate, 0, std::move(groups), std::move(aggs)};
-  }
-};
-
 // Wire codec for BagSpec (shared by baggage serialization and the agent
-// command protocol). GetBagSpec rejects a kFirstN/kRecentN limit outside
-// 1..kMaxBagTuples.
+// command protocol): u8 semantics, varint limit, then the plan (PutPlan).
+// GetBagSpec rejects a kFirstN/kRecentN limit outside 1..kMaxBagTuples, and a
+// spec whose semantics and plan disagree: kAggregate with an empty plan, or a
+// retention semantics with group fields or aggregates.
 void PutBagSpec(std::vector<uint8_t>* out, const BagSpec& spec);
 bool GetBagSpec(const uint8_t* data, size_t size, size_t* pos, BagSpec* spec);
-
-// Safety valve: §4 notes that an unrestricted pack "potentially accumulates a
-// new tuple for every tracepoint invocation" — the baggage analogue of a full
-// table scan. No bag retains more tuples than this; tuples a kAll bag (or a
-// larger limit) would have kept beyond it are dropped and counted.
-inline constexpr size_t kMaxBagTuples = 4096;
-
-// One bag: retained tuples under a BagSpec. For kAggregate the retained form
-// is partial aggregate state (see Aggregator::StateTuples).
-class TupleBag {
- public:
-  TupleBag() = default;
-  explicit TupleBag(BagSpec spec);
-
-  const BagSpec& spec() const { return spec_; }
-
-  // Tuples rejected by the kMaxBagTuples safety valve.
-  uint64_t dropped() const { return dropped_; }
-
-  // Packs one tuple under the bag's semantics.
-  void Add(const Tuple& t);
-
-  // Merges another bag, normally of the same spec (branch rejoin / multi-
-  // instance unpack). `other` is treated as later/concurrent: for kFirstN
-  // this bag's tuples win; for kRecentN the other's win. A bag of another
-  // spec, as a peer may send, merges under this bag's spec.
-  void MergeFrom(const TupleBag& other);
-
-  // Wire form: the contents as a result-set (Aggregator::EncodeState for
-  // kAggregate, else PutRows), then the dropped count. Decode fills a fresh
-  // bag of the wire spec; an aggregate bag's name table must equal its
-  // spec's state columns.
-  void Encode(std::vector<uint8_t>* out) const;
-  bool Decode(const uint8_t* data, size_t size, size_t* pos);
-
-  // The externalized contents: retained tuples, or aggregate state tuples.
-  std::vector<Tuple> Contents() const;
-
-  size_t size() const;
-  bool empty() const { return size() == 0; }
-
- private:
-  // The one retention rule: a bag keeps its first Cap() tuples (kRecentN: its
-  // last), and counts the tuples the valve turns away as dropped.
-  // kAll's cap is kMaxBagTuples; every other cap is min(limit, kMaxBagTuples).
-  size_t Cap() const;
-  // Appends `n` tuples under the rule. A full keep-first bag copies nothing,
-  // and a keep-last bag copies at most the last Cap() of them.
-  void Append(const Tuple* in, size_t n);
-  // Trims the bag to its cap; `uncopied` tuples were offered but not copied.
-  void Trim(size_t uncopied);
-
-  BagSpec spec_;
-  std::vector<Tuple> tuples_;      // Retention semantics.
-  uint64_t dropped_ = 0;           // kMaxBagTuples overflow count.
-  std::optional<Aggregator> agg_;  // kAggregate only.
-};
 
 // The baggage proper. Value type: copies are independent (copy-on-branch is
 // exactly the paper's branch semantics).
 class Baggage {
  public:
+  // One bag: its spec and its tuples, a ResultSet built from the spec (so
+  // under the spec's retention rule, or as partial aggregate state).
+  struct Bag {
+    explicit Bag(BagSpec s) : spec(std::move(s)), set(spec) {}
+    BagSpec spec;
+    ResultSet set;
+  };
+
   Baggage() = default;
 
   // ---- Pack / Unpack (Table 4) ----
@@ -217,7 +140,7 @@ class Baggage {
     // *same* snapshot propagated along different branches still deduplicate.
     ItcId id;
     uint64_t gen = 0;
-    std::map<BagKey, TupleBag> bags;
+    std::map<BagKey, Bag> bags;
     // The instance's `[gen][id][bags...]` wire segment, encoded when the
     // instance is frozen or copied from the wire slice it was decoded from.
     // Instances are immutable behind shared_ptr<const>, so it never changes.
@@ -232,7 +155,7 @@ class Baggage {
   // The active instance's contents live directly in the Baggage object.
   ItcId active_id_ = ItcId::Seed();
   uint64_t active_gen_ = 0;
-  std::map<BagKey, TupleBag> active_bags_;
+  std::map<BagKey, Bag> active_bags_;
   // Retained (immutable) instances, chronological order, oldest first.
   // Copy-on-write: Split/Join/copy share them instead of deep-copying.
   std::vector<InstancePtr> inactive_;

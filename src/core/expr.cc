@@ -21,6 +21,7 @@ Expr::Ptr Expr::Field(std::string name) {
 Expr::Ptr Expr::Binary(ExprOp op, Ptr lhs, Ptr rhs) {
   auto e = std::shared_ptr<Expr>(new Expr());
   e->op_ = op;
+  e->depth_ = 1 + std::max(lhs->depth_, rhs->depth_);
   e->lhs_ = std::move(lhs);
   e->rhs_ = std::move(rhs);
   return e;
@@ -29,6 +30,7 @@ Expr::Ptr Expr::Binary(ExprOp op, Ptr lhs, Ptr rhs) {
 Expr::Ptr Expr::Unary(ExprOp op, Ptr operand) {
   auto e = std::shared_ptr<Expr>(new Expr());
   e->op_ = op;
+  e->depth_ = 1 + operand->depth_;
   e->lhs_ = std::move(operand);
   return e;
 }

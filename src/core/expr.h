@@ -39,6 +39,11 @@ enum class ExprOp {
   kNeg,
 };
 
+// The deepest expression tree the system accepts, in edges from the root to
+// the deepest leaf. The parser rejects deeper queries and DecodeExpr deeper
+// weave commands, so every expression the parser accepts can be woven.
+inline constexpr int kMaxExprDepth = 128;
+
 // Immutable expression node. Built once at query-compile time, shared freely
 // across advice instances (all members are const after construction).
 class Expr {
@@ -55,6 +60,8 @@ class Expr {
   const std::string& field_name() const { return field_; }
   const Ptr& lhs() const { return lhs_; }
   const Ptr& rhs() const { return rhs_; }
+  // Edges from this node to its deepest leaf (a leaf's depth is 0).
+  int depth() const { return depth_; }
 
   // Evaluates against `t`; missing fields read as null, comparisons yield
   // int64 0/1, arithmetic type errors yield null.
@@ -97,6 +104,7 @@ class Expr {
   mutable std::atomic<SymbolId> field_id_{kInvalidSymbol};
   Ptr lhs_;
   Ptr rhs_;
+  int depth_ = 0;
 };
 
 }  // namespace pivot

@@ -31,29 +31,12 @@
 
 namespace pivot {
 
-// Where in a method the tracepoint sits (Fig 5 / §5 "Our prototype supports
-// tracepoints at the entry, exit, or exceptional return of any method ... or
-// at specific line numbers"). Metadata only in this implementation.
-enum class TracepointSite : uint8_t {
-  kEntry = 0,
-  kExit = 1,
-  kException = 2,
-  kLine = 3,
-};
-
 // The tracepoint specification: "Tracepoint definitions are not part of the
 // system code, but are rather instructions on where and how to change the
 // system to obtain the exported identifiers" (§2.2).
 struct TracepointDef {
   std::string name;                   // e.g. "DataNodeMetrics.incrBytesRead".
   std::vector<std::string> exports;   // Declared exports, e.g. {"delta"}.
-
-  // Descriptive location (class/method/signature), mirroring Fig 5.
-  std::string class_name;
-  std::string method_name;
-  std::string signature;
-  TracepointSite site = TracepointSite::kEntry;
-  int line = 0;
 
   // Node in the propagation graph whose code this tracepoint fires in
   // (e.g. "NN", "DN", "client"). Empty means unanchored — tracepoints that
@@ -118,11 +101,6 @@ class Tracepoint {
       return;
     }
     InvokeSlow(ctx, set, std::move(exports));
-  }
-
-  // Convenience overload using the thread-local current context.
-  void Invoke(std::vector<Tuple::Field> exports) const {
-    Invoke(CurrentContext(), std::move(exports));
   }
 
   // ---- Self-telemetry (docs/OBSERVABILITY.md) ----

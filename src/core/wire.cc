@@ -46,9 +46,10 @@ bool GetStringList(const uint8_t* data, size_t size, size_t* pos, std::vector<st
   return true;
 }
 
-void PutAggSpecs(std::vector<uint8_t>* out, const std::vector<AggSpec>& aggs) {
-  PutVarint64(out, aggs.size());
-  for (const auto& a : aggs) {
+void PutPlan(std::vector<uint8_t>* out, const ResultPlan& plan) {
+  PutStringList(out, plan.group_fields);
+  PutVarint64(out, plan.aggs.size());
+  for (const auto& a : plan.aggs) {
     out->push_back(static_cast<uint8_t>(a.fn));
     out->push_back(a.from_state ? 1 : 0);
     PutString(out, a.input);
@@ -56,12 +57,13 @@ void PutAggSpecs(std::vector<uint8_t>* out, const std::vector<AggSpec>& aggs) {
   }
 }
 
-bool GetAggSpecs(const uint8_t* data, size_t size, size_t* pos, std::vector<AggSpec>* aggs) {
+bool GetPlan(const uint8_t* data, size_t size, size_t* pos, ResultPlan* plan) {
   uint64_t n = 0;
-  if (!GetVarint64(data, size, pos, &n) || n > size) {
+  if (!GetStringList(data, size, pos, &plan->group_fields) ||
+      !GetVarint64(data, size, pos, &n) || n > size) {
     return false;
   }
-  aggs->clear();
+  plan->aggs.clear();
   for (uint64_t i = 0; i < n; ++i) {
     if (size - *pos < 2) {
       return false;
@@ -76,7 +78,7 @@ bool GetAggSpecs(const uint8_t* data, size_t size, size_t* pos, std::vector<AggS
     if (!GetString(data, size, pos, &a.input) || !GetString(data, size, pos, &a.output)) {
       return false;
     }
-    aggs->push_back(std::move(a));
+    plan->aggs.push_back(std::move(a));
   }
   return true;
 }

@@ -25,15 +25,16 @@ namespace pivot {
 void PutString(std::vector<uint8_t>* out, std::string_view s);
 bool GetString(const uint8_t* data, size_t size, size_t* pos, std::string* s);
 
-// String list: count + strings. Used for column lists in advice, bag specs
-// and result plans.
+// String list: count + strings. Used for column lists in advice and result
+// plans.
 void PutStringList(std::vector<uint8_t>* out, const std::vector<std::string>& v);
 bool GetStringList(const uint8_t* data, size_t size, size_t* pos, std::vector<std::string>* v);
 
-// Aggregate-spec list: count + (fn u8, from_state u8, input, output) per spec.
-// Shared by bag specs (baggage) and result plans (weave commands).
-void PutAggSpecs(std::vector<uint8_t>* out, const std::vector<AggSpec>& aggs);
-bool GetAggSpecs(const uint8_t* data, size_t size, size_t* pos, std::vector<AggSpec>* aggs);
+// Result plan: the group-field string list, then a count + (fn u8,
+// from_state u8, input, output) per aggregate. The one codec of a (group
+// fields, aggregates) pair, shared by weave commands and bag specs.
+void PutPlan(std::vector<uint8_t>* out, const ResultPlan& plan);
+bool GetPlan(const uint8_t* data, size_t size, size_t* pos, ResultPlan* plan);
 
 // Value: 1-byte type tag + payload (zig-zag varint / raw IEEE754 LE / string).
 void PutValue(std::vector<uint8_t>* out, const Value& v);

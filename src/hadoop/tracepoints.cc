@@ -36,15 +36,11 @@ namespace {
 // `component` anchors the tracepoint in the propagation graph
 // (docs/TRACEPOINTS.md); empty means the tracepoint fires in more than one
 // component and stays unanchored (reachability passes skip it).
-TracepointDef Make(const char* name, std::vector<std::string> exports, const char* class_name,
-                   const char* method, TracepointSite site = TracepointSite::kEntry,
+TracepointDef Make(const char* name, std::vector<std::string> exports,
                    const char* component = "") {
   TracepointDef def;
   def.name = name;
   def.exports = std::move(exports);
-  def.class_name = class_name;
-  def.method_name = method;
-  def.site = site;
   def.component = component;
   return def;
 }
@@ -55,112 +51,91 @@ TracepointDef ClientProtocolsDef() {
   // The union of the client protocol entry points of HDFS
   // (DataTransferProtocol), HBase (ClientService) and MapReduce
   // (ApplicationClientProtocol) — the pack site of Q2.
-  return Make(kTpClientProtocols, {"procName", "system"}, "ClientProtocols", "*",
-              TracepointSite::kEntry, "client");
+  return Make(kTpClientProtocols, {"procName", "system"}, "client");
 }
 
 TracepointDef NnGetBlockLocationsDef() {
-  return Make(kTpNnGetBlockLocations, {"src", "replicas"}, "NameNodeRpcServer",
-              "getBlockLocations", TracepointSite::kEntry, "NN");
+  return Make(kTpNnGetBlockLocations, {"src", "replicas"}, "NN");
 }
 
 TracepointDef NnClientProtocolDef() {
-  return Make(kTpNnClientProtocol, {"op", "src"}, "NameNodeRpcServer", "*",
-              TracepointSite::kEntry, "NN");
+  return Make(kTpNnClientProtocol, {"op", "src"}, "NN");
 }
 
 TracepointDef NnClientProtocolDoneDef() {
-  return Make(kTpNnClientProtocolDone, {"op", "lockwait"}, "NameNodeRpcServer", "*",
-              TracepointSite::kExit, "NN");
+  return Make(kTpNnClientProtocolDone, {"op", "lockwait"}, "NN");
 }
 
 TracepointDef DnDataTransferProtocolDef() {
-  return Make(kTpDnDataTransferProtocol, {"op", "src"}, "DataXceiver", "*",
-              TracepointSite::kEntry, "DN");
+  return Make(kTpDnDataTransferProtocol, {"op", "src"}, "DN");
 }
 
 TracepointDef DnTransferDoneDef() {
-  return Make(kTpDnTransferDone, {"op", "transfer", "blocked", "gc"}, "DataXceiver", "*",
-              TracepointSite::kExit, "DN");
+  return Make(kTpDnTransferDone, {"op", "transfer", "blocked", "gc"}, "DN");
 }
 
 TracepointDef IncrBytesReadDef() {
-  return Make(kTpIncrBytesRead, {"delta"}, "DataNodeMetrics", "incrBytesRead",
-              TracepointSite::kEntry, "DN");
+  return Make(kTpIncrBytesRead, {"delta"}, "DN");
 }
 
 TracepointDef IncrBytesWrittenDef() {
-  return Make(kTpIncrBytesWritten, {"delta"}, "DataNodeMetrics", "incrBytesWritten",
-              TracepointSite::kEntry, "DN");
+  return Make(kTpIncrBytesWritten, {"delta"}, "DN");
 }
 
 TracepointDef FileInputStreamReadDef() {
-  return Make(kTpFileInputStreamRead, {"delta", "category"}, "java.io.FileInputStream", "read",
-              TracepointSite::kExit);
+  return Make(kTpFileInputStreamRead, {"delta", "category"});
 }
 
 TracepointDef FileOutputStreamWriteDef() {
-  return Make(kTpFileOutputStreamWrite, {"delta", "category"}, "java.io.FileOutputStream",
-              "write", TracepointSite::kExit);
+  return Make(kTpFileOutputStreamWrite, {"delta", "category"});
 }
 
 TracepointDef StressTestDoNextOpDef() {
-  return Make(kTpStressTestDoNextOp, {"op"}, "StressTest", "doNextOp",
-              TracepointSite::kEntry, "client");
+  return Make(kTpStressTestDoNextOp, {"op"}, "client");
 }
 
 TracepointDef HbaseClientServiceDef() {
-  return Make(kTpHbaseClientService, {"op", "row"}, "RSRpcServices", "*",
-              TracepointSite::kEntry, "RS");
+  return Make(kTpHbaseClientService, {"op", "row"}, "RS");
 }
 
 TracepointDef RsQueueDoneDef() {
-  return Make(kTpRsQueueDone, {"queue"}, "RpcExecutor", "dequeue", TracepointSite::kExit,
-              "RS");
+  return Make(kTpRsQueueDone, {"queue"}, "RS");
 }
 
 TracepointDef RsProcessDoneDef() {
-  return Make(kTpRsProcessDone, {"process"}, "RSRpcServices", "*", TracepointSite::kExit,
-              "RS");
+  return Make(kTpRsProcessDone, {"process"}, "RS");
 }
 
 TracepointDef RsMemstoreFlushDef() {
-  return Make(kTpRsMemstoreFlush, {"bytes"}, "HRegion", "internalFlushcache",
-              TracepointSite::kEntry, "RS");
+  return Make(kTpRsMemstoreFlush, {"bytes"}, "RS");
 }
 
 TracepointDef HbaseRequestSentDef() {
-  return Make(kTpHbaseRequestSent, {"op"}, "HTable", "*", TracepointSite::kEntry, "client");
+  return Make(kTpHbaseRequestSent, {"op"}, "client");
 }
 
 TracepointDef HbaseResponseReceivedDef() {
-  return Make(kTpHbaseResponseReceived, {"op"}, "HTable", "*", TracepointSite::kExit,
-              "client");
+  return Make(kTpHbaseResponseReceived, {"op"}, "client");
 }
 
 TracepointDef MrAppClientProtocolDef() {
-  return Make(kTpMrAppClientProtocol, {"op", "job"}, "MRClientService", "*",
-              TracepointSite::kEntry, "client");
+  return Make(kTpMrAppClientProtocol, {"op", "job"}, "client");
 }
 
 TracepointDef JobCompleteDef() {
-  return Make(kTpJobComplete, {"id"}, "JobImpl", "completed", TracepointSite::kExit,
-              "client");
+  return Make(kTpJobComplete, {"id"}, "client");
 }
 
 TracepointDef YarnContainerStartDef() {
-  return Make(kTpYarnContainerStart, {"container", "job"}, "ContainerManagerImpl",
-              "startContainer", TracepointSite::kEntry, "NM");
+  return Make(kTpYarnContainerStart, {"container", "job"}, "NM");
 }
 
 TracepointDef MapTaskDoneDef() {
-  return Make(kTpMapTaskDone, {"job", "task"}, "MapTask", "run", TracepointSite::kExit,
-              "MRTask");
+  return Make(kTpMapTaskDone, {"job", "task"}, "MRTask");
 }
 
 TracepointDef ReduceTaskDoneDef() {
-  return Make(kTpReduceTaskDone, {"job", "task"}, "ReduceTask", "run", TracepointSite::kExit,
-              "MRTask");
+  return Make(kTpReduceTaskDone, {"job", "task"}, "MRTask");
 }
 
 }  // namespace pivot

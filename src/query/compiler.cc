@@ -25,15 +25,6 @@ const Query* QueryRegistry::Find(std::string_view name) const {
   return it == queries_.end() ? nullptr : &it->second;
 }
 
-std::vector<std::string> QueryRegistry::Names() const {
-  std::vector<std::string> names;
-  names.reserve(queries_.size());
-  for (const auto& [name, q] : queries_) {
-    names.push_back(name);
-  }
-  return names;
-}
-
 bool TracepointPatternMatch(std::string_view pattern, std::string_view name) {
   // Iterative glob match with backtracking ('*' any run, '?' any one char).
   size_t p = 0;
@@ -686,21 +677,10 @@ Result<CompiledQuery> QueryCompiler::Compile(const Query& q, uint64_t query_id) 
       builder.Pack(st.bag, st.pack_spec, st.pack_fields);
     }
     Advice::Ptr advice = builder.Build();
-    // Pre-bind every expression's field references to interned SymbolIds at
-    // compile time, so weaving (AdvicePlan::Compile) and first execution never
-    // pay the name->id resolution — the agent hot path sees bound exprs only.
-    for (const Advice::Op& op : advice->ops()) {
-      if (op.expr != nullptr) {
-        op.expr->Bind();
-      }
-    }
     for (const auto& tp_name : st.source.tracepoints) {
       out.advice.emplace_back(tp_name, advice);
     }
   }
-
-  // Rename streaming output columns: a plain-field select keeps its qualified
-  // name; nothing else to do (Lets already used display names).
   return out;
 }
 
@@ -727,9 +707,9 @@ std::vector<CompiledQuery::PackCost> CompiledQuery::EstimatePackCosts() const {
                            : "<= " + std::to_string(op.bag_spec.limit) + " (RECENTN)";
           break;
         case PackSemantics::kAggregate:
-          cost.bound = op.bag_spec.group_fields.empty()
+          cost.bound = op.bag_spec.plan.group_fields.empty()
                            ? "1 aggregate state"
-                           : "#groups of " + std::to_string(op.bag_spec.group_fields.size()) +
+                           : "#groups of " + std::to_string(op.bag_spec.plan.group_fields.size()) +
                                  " field(s)";
           cost.fields = 0;
           break;

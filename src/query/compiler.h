@@ -49,7 +49,6 @@ class QueryRegistry {
  public:
   Status Register(std::string name, Query q);
   const Query* Find(std::string_view name) const;
-  std::vector<std::string> Names() const;
 
  private:
   std::map<std::string, Query, std::less<>> queries_;

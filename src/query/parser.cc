@@ -374,11 +374,36 @@ class Parser {
 
   Result<Expr::Ptr> ParseExpr() { return ParseOr(); }
 
+  // Expression depth is bounded at kMaxExprDepth twice over: the recursion
+  // through parentheses and prefix operators, so deep input cannot exhaust
+  // the stack, and the depth of every node built, so each accepted tree
+  // decodes on the agents (DecodeExpr). Errors abort the whole parse, so
+  // ParseNested leaves the nesting count raised on failure.
+  Status DepthError() const {
+    return Error("expression nests deeper than " + std::to_string(kMaxExprDepth) + " levels");
+  }
+
+  Result<Expr::Ptr> ParseNested(Result<Expr::Ptr> (Parser::*parse)()) {
+    if (++nesting_ > kMaxExprDepth) {
+      return DepthError();
+    }
+    PIVOT_ASSIGN(Expr::Ptr e, (this->*parse)());
+    --nesting_;
+    return e;
+  }
+
+  Result<Expr::Ptr> Bounded(Expr::Ptr e) const {
+    if (e->depth() > kMaxExprDepth) {
+      return DepthError();
+    }
+    return e;
+  }
+
   Result<Expr::Ptr> ParseOr() {
     PIVOT_ASSIGN(Expr::Ptr lhs, ParseAnd());
     while (Consume(TokenKind::kOr)) {
       PIVOT_ASSIGN(Expr::Ptr rhs, ParseAnd());
-      lhs = Expr::Binary(ExprOp::kOr, std::move(lhs), std::move(rhs));
+      PIVOT_ASSIGN(lhs, Bounded(Expr::Binary(ExprOp::kOr, std::move(lhs), std::move(rhs))));
     }
     return lhs;
   }
@@ -387,7 +412,7 @@ class Parser {
     PIVOT_ASSIGN(Expr::Ptr lhs, ParseEquality());
     while (Consume(TokenKind::kAnd)) {
       PIVOT_ASSIGN(Expr::Ptr rhs, ParseEquality());
-      lhs = Expr::Binary(ExprOp::kAnd, std::move(lhs), std::move(rhs));
+      PIVOT_ASSIGN(lhs, Bounded(Expr::Binary(ExprOp::kAnd, std::move(lhs), std::move(rhs))));
     }
     return lhs;
   }
@@ -397,10 +422,10 @@ class Parser {
     for (;;) {
       if (Consume(TokenKind::kEq)) {
         PIVOT_ASSIGN(Expr::Ptr rhs, ParseComparison());
-        lhs = Expr::Binary(ExprOp::kEq, std::move(lhs), std::move(rhs));
+        PIVOT_ASSIGN(lhs, Bounded(Expr::Binary(ExprOp::kEq, std::move(lhs), std::move(rhs))));
       } else if (Consume(TokenKind::kNe)) {
         PIVOT_ASSIGN(Expr::Ptr rhs, ParseComparison());
-        lhs = Expr::Binary(ExprOp::kNe, std::move(lhs), std::move(rhs));
+        PIVOT_ASSIGN(lhs, Bounded(Expr::Binary(ExprOp::kNe, std::move(lhs), std::move(rhs))));
       } else {
         return lhs;
       }
@@ -424,7 +449,7 @@ class Parser {
       }
       ++pos_;
       PIVOT_ASSIGN(Expr::Ptr rhs, ParseAdditive());
-      lhs = Expr::Binary(op, std::move(lhs), std::move(rhs));
+      PIVOT_ASSIGN(lhs, Bounded(Expr::Binary(op, std::move(lhs), std::move(rhs))));
     }
   }
 
@@ -433,10 +458,10 @@ class Parser {
     for (;;) {
       if (Consume(TokenKind::kPlus)) {
         PIVOT_ASSIGN(Expr::Ptr rhs, ParseMultiplicative());
-        lhs = Expr::Binary(ExprOp::kAdd, std::move(lhs), std::move(rhs));
+        PIVOT_ASSIGN(lhs, Bounded(Expr::Binary(ExprOp::kAdd, std::move(lhs), std::move(rhs))));
       } else if (Consume(TokenKind::kMinus)) {
         PIVOT_ASSIGN(Expr::Ptr rhs, ParseMultiplicative());
-        lhs = Expr::Binary(ExprOp::kSub, std::move(lhs), std::move(rhs));
+        PIVOT_ASSIGN(lhs, Bounded(Expr::Binary(ExprOp::kSub, std::move(lhs), std::move(rhs))));
       } else {
         return lhs;
       }
@@ -458,17 +483,17 @@ class Parser {
       }
       ++pos_;
       PIVOT_ASSIGN(Expr::Ptr rhs, ParseUnary());
-      lhs = Expr::Binary(op, std::move(lhs), std::move(rhs));
+      PIVOT_ASSIGN(lhs, Bounded(Expr::Binary(op, std::move(lhs), std::move(rhs))));
     }
   }
 
   Result<Expr::Ptr> ParseUnary() {
     if (Consume(TokenKind::kBang)) {
-      PIVOT_ASSIGN(Expr::Ptr operand, ParseUnary());
-      return Expr::Unary(ExprOp::kNot, std::move(operand));
+      PIVOT_ASSIGN(Expr::Ptr operand, ParseNested(&Parser::ParseUnary));
+      return Bounded(Expr::Unary(ExprOp::kNot, std::move(operand)));
     }
     if (Consume(TokenKind::kMinus)) {
-      PIVOT_ASSIGN(Expr::Ptr operand, ParseUnary());
+      PIVOT_ASSIGN(Expr::Ptr operand, ParseNested(&Parser::ParseUnary));
       // Fold "-<numeric literal>" into a negative literal so rendering is
       // idempotent and downstream evaluation cheaper.
       if (operand->op() == ExprOp::kLiteral && operand->literal().is_int()) {
@@ -477,7 +502,7 @@ class Parser {
       if (operand->op() == ExprOp::kLiteral && operand->literal().is_double()) {
         return Expr::Literal(Value(-operand->literal().double_value()));
       }
-      return Expr::Unary(ExprOp::kNeg, std::move(operand));
+      return Bounded(Expr::Unary(ExprOp::kNeg, std::move(operand)));
     }
     return ParsePrimary();
   }
@@ -503,7 +528,7 @@ class Parser {
       }
       case TokenKind::kLParen: {
         ++pos_;
-        PIVOT_ASSIGN(Expr::Ptr inner, ParseExpr());
+        PIVOT_ASSIGN(Expr::Ptr inner, ParseNested(&Parser::ParseExpr));
         if (!Consume(TokenKind::kRParen)) {
           return Error("expected ')'");
         }
@@ -518,6 +543,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int nesting_ = 0;  // Open parentheses and prefix operators.
 };
 
 }  // namespace

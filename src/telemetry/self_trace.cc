@@ -7,9 +7,6 @@ TracepointDef BaggageSerializeDef() {
   TracepointDef def;
   def.name = kTpBaggageSerialize;
   def.exports = {"queryId", "bytes", "tuples", "instances"};
-  def.class_name = "pivot::Baggage";
-  def.method_name = "Serialize";
-  def.site = TracepointSite::kExit;
   return def;
 }
 
@@ -17,9 +14,6 @@ TracepointDef AgentFlushDef() {
   TracepointDef def;
   def.name = kTpAgentFlush;
   def.exports = {"queryId", "tuples", "bytes", "suppressed"};
-  def.class_name = "pivot::PTAgent";
-  def.method_name = "Flush";
-  def.site = TracepointSite::kExit;
   return def;
 }
 

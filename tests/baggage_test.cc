@@ -23,92 +23,92 @@ std::vector<std::string> Canonical(const std::vector<Tuple>& tuples) {
 }
 
 // ---------------------------------------------------------------------------
-// TupleBag semantics
+// ResultSet semantics
 
 TEST(TupleBagTest, AllKeepsEverything) {
-  TupleBag bag(BagSpec::All());
+  ResultSet bag(BagSpec::All());
   for (int64_t i = 0; i < 5; ++i) {
-    bag.Add(T("x", i));
+    bag.AddInput(T("x", i));
   }
   EXPECT_EQ(bag.size(), 5u);
 }
 
 TEST(TupleBagTest, FirstKeepsFirst) {
-  TupleBag bag(BagSpec::First(1));
-  bag.Add(T("x", 1));
-  bag.Add(T("x", 2));
-  auto contents = bag.Contents();
+  ResultSet bag(BagSpec::First(1));
+  bag.AddInput(T("x", 1));
+  bag.AddInput(T("x", 2));
+  auto contents = bag.StateRows();
   ASSERT_EQ(contents.size(), 1u);
   EXPECT_EQ(contents[0].Get("x").int_value(), 1);
 }
 
 TEST(TupleBagTest, FirstNKeepsFirstN) {
-  TupleBag bag(BagSpec::First(2));
+  ResultSet bag(BagSpec::First(2));
   for (int64_t i = 1; i <= 4; ++i) {
-    bag.Add(T("x", i));
+    bag.AddInput(T("x", i));
   }
-  auto contents = bag.Contents();
+  auto contents = bag.StateRows();
   ASSERT_EQ(contents.size(), 2u);
   EXPECT_EQ(contents[0].Get("x").int_value(), 1);
   EXPECT_EQ(contents[1].Get("x").int_value(), 2);
 }
 
 TEST(TupleBagTest, RecentKeepsMostRecent) {
-  TupleBag bag(BagSpec::Recent(1));
-  bag.Add(T("x", 1));
-  bag.Add(T("x", 2));
-  auto contents = bag.Contents();
+  ResultSet bag(BagSpec::Recent(1));
+  bag.AddInput(T("x", 1));
+  bag.AddInput(T("x", 2));
+  auto contents = bag.StateRows();
   ASSERT_EQ(contents.size(), 1u);
   EXPECT_EQ(contents[0].Get("x").int_value(), 2);
 }
 
 TEST(TupleBagTest, RecentNKeepsLastNInOrder) {
-  TupleBag bag(BagSpec::Recent(2));
+  ResultSet bag(BagSpec::Recent(2));
   for (int64_t i = 1; i <= 4; ++i) {
-    bag.Add(T("x", i));
+    bag.AddInput(T("x", i));
   }
-  auto contents = bag.Contents();
+  auto contents = bag.StateRows();
   ASSERT_EQ(contents.size(), 2u);
   EXPECT_EQ(contents[0].Get("x").int_value(), 3);
   EXPECT_EQ(contents[1].Get("x").int_value(), 4);
 }
 
 TEST(TupleBagTest, AggregateBagAccumulates) {
-  TupleBag bag(BagSpec::Aggregated({}, {{AggFn::kSum, "x", "SUM(x)", false}}));
-  bag.Add(T("x", 3));
-  bag.Add(T("x", 4));
-  auto contents = bag.Contents();
+  ResultSet bag(BagSpec::Aggregated({}, {{AggFn::kSum, "x", "SUM(x)", false}}));
+  bag.AddInput(T("x", 3));
+  bag.AddInput(T("x", 4));
+  auto contents = bag.StateRows();
   ASSERT_EQ(contents.size(), 1u);
   EXPECT_EQ(contents[0].Get("SUM(x)").int_value(), 7);
 }
 
 TEST(TupleBagTest, MergeFirstPrefersThis) {
-  TupleBag a(BagSpec::First(1));
-  TupleBag b(BagSpec::First(1));
-  a.Add(T("x", 1));
-  b.Add(T("x", 2));
-  a.MergeFrom(b);
-  EXPECT_EQ(a.Contents()[0].Get("x").int_value(), 1);
+  ResultSet a(BagSpec::First(1));
+  ResultSet b(BagSpec::First(1));
+  a.AddInput(T("x", 1));
+  b.AddInput(T("x", 2));
+  a.Absorb(b);
+  EXPECT_EQ(a.StateRows()[0].Get("x").int_value(), 1);
 }
 
 TEST(TupleBagTest, MergeRecentPrefersOther) {
-  TupleBag a(BagSpec::Recent(1));
-  TupleBag b(BagSpec::Recent(1));
-  a.Add(T("x", 1));
-  b.Add(T("x", 2));
-  a.MergeFrom(b);
-  EXPECT_EQ(a.Contents()[0].Get("x").int_value(), 2);
+  ResultSet a(BagSpec::Recent(1));
+  ResultSet b(BagSpec::Recent(1));
+  a.AddInput(T("x", 1));
+  b.AddInput(T("x", 2));
+  a.Absorb(b);
+  EXPECT_EQ(a.StateRows()[0].Get("x").int_value(), 2);
 }
 
 TEST(TupleBagTest, MergeAggregateCombines) {
   BagSpec spec = BagSpec::Aggregated({}, {{AggFn::kCount, "", "COUNT", false}});
-  TupleBag a(spec);
-  TupleBag b(spec);
-  a.Add(T("x", 1));
-  b.Add(T("x", 2));
-  b.Add(T("x", 3));
-  a.MergeFrom(b);
-  EXPECT_EQ(a.Contents()[0].Get("COUNT").int_value(), 3);
+  ResultSet a(spec);
+  ResultSet b(spec);
+  a.AddInput(T("x", 1));
+  b.AddInput(T("x", 2));
+  b.AddInput(T("x", 3));
+  a.Absorb(b);
+  EXPECT_EQ(a.StateRows()[0].Get("COUNT").int_value(), 3);
 }
 
 // Two aggregate specs that disagree on group width and aggregate count, as
@@ -126,26 +126,26 @@ Tuple ABX(int64_t a, int64_t b, int64_t x) {
 }
 
 TEST(TupleBagTest, MergeAggregateOfAnotherSpecMergesByColumnName) {
-  TupleBag narrow(NarrowCountSumSpec());
-  narrow.Add(ABX(1, 2, 7));
-  narrow.Add(ABX(3, 4, 1));
+  ResultSet narrow(NarrowCountSumSpec());
+  narrow.AddInput(ABX(1, 2, 7));
+  narrow.AddInput(ABX(3, 4, 1));
 
   // Into an empty bag (adopt path) and into a populated one (merge path).
-  TupleBag empty_wide(WideSumSpec());
-  empty_wide.MergeFrom(narrow);
-  EXPECT_EQ(Canonical(empty_wide.Contents()),
+  ResultSet empty_wide(WideSumSpec());
+  empty_wide.Absorb(narrow);
+  EXPECT_EQ(Canonical(empty_wide.StateRows()),
             (std::vector<std::string>{"(a=1, b=null, S=7)", "(a=3, b=null, S=1)"}));
 
-  TupleBag wide(WideSumSpec());
-  wide.Add(ABX(1, 2, 5));
-  wide.MergeFrom(narrow);
-  EXPECT_EQ(Canonical(wide.Contents()),
+  ResultSet wide(WideSumSpec());
+  wide.AddInput(ABX(1, 2, 5));
+  wide.Absorb(narrow);
+  EXPECT_EQ(Canonical(wide.StateRows()),
             (std::vector<std::string>{"(a=1, b=2, S=5)", "(a=1, b=null, S=7)",
                                       "(a=3, b=null, S=1)"}));
 
   // And the other way round: the wide state has no C column.
-  narrow.MergeFrom(wide);
-  EXPECT_EQ(Canonical(narrow.Contents()),
+  narrow.Absorb(wide);
+  EXPECT_EQ(Canonical(narrow.StateRows()),
             (std::vector<std::string>{"(a=1, C=1, S=19)", "(a=3, C=1, S=2)"}));
 }
 
@@ -603,6 +603,62 @@ TEST(BaggageTest, AggregateBagDecodeInternsNothing) {
   EXPECT_EQ(errors.value(), errors_before + 1);
   EXPECT_EQ(SymbolTable::Global().size(), symbols);
   EXPECT_EQ(SymbolTable::Global().Find("bagtest.suQ"), kInvalidSymbol);
+}
+
+// A one-bag baggage's bytes: [instance count][gen][seed id][bag count][key]
+// [semantics]..., so the spec's semantics is byte 5.
+constexpr size_t kSemanticsByte = 5;
+
+// A bag spec's semantics and plan must agree: kAggregate needs a plan, and a
+// retention semantics has none. The compiler never emits either mismatch, so
+// a peer's baggage carrying one is rejected and counted.
+TEST(BaggageTest, BagSpecWhoseSemanticsAndPlanDisagreeIsRejected) {
+  const ResultPlan sum_by_g{{"g"}, {{AggFn::kSum, "v", "S", false}}};
+  for (const BagSpec& spec : {BagSpec{PackSemantics::kAggregate, 0, {}},
+                              BagSpec{PackSemantics::kAll, 0, sum_by_g},
+                              BagSpec{PackSemantics::kFirstN, 1, ResultPlan{{"g"}, {}}}}) {
+    std::vector<uint8_t> bytes;
+    PutBagSpec(&bytes, spec);
+    size_t pos = 0;
+    BagSpec decoded;
+    EXPECT_FALSE(GetBagSpec(bytes.data(), bytes.size(), &pos, &decoded));
+  }
+
+  // The same mismatches inside baggage: flip the semantics byte of a First
+  // bag to kAggregate, and of an aggregate bag to kAll.
+  telemetry::Counter& errors = telemetry::Metrics().GetCounter("baggage.deserialize.errors");
+  Baggage first;
+  first.Pack(1, BagSpec::First(1), T("x", 1));
+  Baggage aggregate;
+  aggregate.Pack(1, BagSpec::Aggregated(sum_by_g.group_fields, sum_by_g.aggs),
+                 Tuple{{"g", Value("a")}, {"v", Value(int64_t{5})}});
+  std::vector<uint8_t> no_plan = first.Serialize();
+  std::vector<uint8_t> retained_plan = aggregate.Serialize();
+  ASSERT_EQ(no_plan[kSemanticsByte], static_cast<uint8_t>(PackSemantics::kFirstN));
+  ASSERT_EQ(retained_plan[kSemanticsByte], static_cast<uint8_t>(PackSemantics::kAggregate));
+  no_plan[kSemanticsByte] = static_cast<uint8_t>(PackSemantics::kAggregate);
+  retained_plan[kSemanticsByte] = static_cast<uint8_t>(PackSemantics::kAll);
+  const uint64_t errors_before = errors.value();
+  EXPECT_FALSE(Baggage::Deserialize(no_plan).ok());
+  EXPECT_FALSE(Baggage::Deserialize(retained_plan).ok());
+  EXPECT_EQ(errors.value(), errors_before + 2);
+}
+
+// The encoder writes each bag key of an instance once; a peer's instance
+// that repeats one is malformed.
+TEST(BaggageTest, RepeatedBagKeyIsRejected) {
+  telemetry::Counter& errors = telemetry::Metrics().GetCounter("baggage.deserialize.errors");
+  Baggage b;
+  b.Pack(1, BagSpec::First(1), T("x", 1));
+  const std::vector<uint8_t> wire = b.Serialize();
+  constexpr size_t kBagCountByte = 3;  // [instance count][gen][seed id][bag count]
+  ASSERT_EQ(wire[kBagCountByte], 1);
+  std::vector<uint8_t> repeated(wire.begin(), wire.end());
+  repeated[kBagCountByte] = 2;
+  repeated.insert(repeated.end(), wire.begin() + kBagCountByte + 1, wire.end());
+  const uint64_t errors_before = errors.value();
+  EXPECT_FALSE(Baggage::Deserialize(repeated).ok());
+  EXPECT_EQ(errors.value(), errors_before + 1);
 }
 
 }  // namespace

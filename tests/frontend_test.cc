@@ -473,6 +473,44 @@ TEST_F(FrontendTest, AgentsRefuseEmptyAdviceWeave) {
   }
 }
 
+// A Where clause at the expression depth limit weaves on every agent: the
+// parser accepts exactly the trees the weave command's decoder accepts. One
+// level deeper is refused at install, before anything reaches the bus.
+TEST_F(FrontendTest, QueryAtTheExpressionDepthLimitIsAckedByEveryAgent) {
+  auto query = [](int depth) {
+    std::string where = "incr.delta";
+    for (int i = 1; i < depth; ++i) {
+      where += " + 0";
+    }
+    return "From incr In DataNodeMetrics.incrBytesRead Where " + where + " > 0 Select COUNT";
+  };
+  telemetry::Counter& decode_errors =
+      telemetry::Metrics().GetCounter("agent.command_decode_errors");
+  const uint64_t errors_before = decode_errors.value();
+  Result<uint64_t> q = frontend_.Install(query(kMaxExprDepth));
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  EXPECT_EQ(decode_errors.value(), errors_before);
+  size_t acked = 0;
+  for (const Frontend::QueryStatus& status : frontend_.QueryStatuses()) {
+    if (status.query_id != *q) {
+      continue;
+    }
+    for (const auto& [agent, view] : status.agents) {
+      EXPECT_GE(view.ack_micros, 0) << agent;
+      acked += view.ack_micros >= 0 ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(acked, 3u);
+  RunRequest({{&datanode_b_, 5}, {&datanode_c_, 0}});
+  FlushAll();
+  EXPECT_EQ(CanonicalTuples(frontend_.Results(*q)), (std::vector<std::string>{"(COUNT=1)"}));
+
+  Result<uint64_t> deeper = frontend_.Install(query(kMaxExprDepth + 1));
+  ASSERT_FALSE(deeper.ok());
+  EXPECT_EQ(deeper.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(decode_errors.value(), errors_before);
+}
+
 TEST_F(FrontendTest, EmptyIntervalsPublishNothing) {
   Result<uint64_t> q = frontend_.Install(
       "From incr In DataNodeMetrics.incrBytesRead Select COUNT");

@@ -47,13 +47,13 @@ TEST(BagOverflowTest, DroppedCountSurvivesTheWire) {
 }
 
 TEST(BagOverflowTest, MergeRespectsCap) {
-  TupleBag a(BagSpec::All());
-  TupleBag b(BagSpec::All());
+  ResultSet a(BagSpec::All());
+  ResultSet b(BagSpec::All());
   for (size_t i = 0; i < kMaxBagTuples; ++i) {
-    a.Add(T(1));
-    b.Add(T(2));
+    a.AddInput(T(1));
+    b.AddInput(T(2));
   }
-  a.MergeFrom(b);
+  a.Absorb(b);
   EXPECT_EQ(a.size(), kMaxBagTuples);
   EXPECT_EQ(a.dropped(), kMaxBagTuples);
 }
@@ -76,16 +76,16 @@ TEST(BagOverflowTest, LargeLimitsAreCappedAtTheValve) {
   ASSERT_EQ(first.size(), kMaxBagTuples);
   EXPECT_EQ(first.back().Get("x").int_value(), static_cast<int64_t>(kMaxBagTuples - 1));
 
-  TupleBag a(BagSpec::Recent(1 << 20));
-  TupleBag b(BagSpec::Recent(1 << 20));
+  ResultSet a(BagSpec::Recent(1 << 20));
+  ResultSet b(BagSpec::Recent(1 << 20));
   for (size_t i = 0; i < kMaxBagTuples; ++i) {
-    a.Add(T(1));
-    b.Add(T(2));
+    a.AddInput(T(1));
+    b.AddInput(T(2));
   }
-  a.MergeFrom(b);
+  a.Absorb(b);
   EXPECT_EQ(a.size(), kMaxBagTuples);
   EXPECT_EQ(a.dropped(), kMaxBagTuples);
-  EXPECT_EQ(a.Contents().front().Get("x").int_value(), 2);
+  EXPECT_EQ(a.StateRows().front().Get("x").int_value(), 2);
 }
 
 // A one-bag baggage's bytes: [instance count][gen][seed id][bag count][key]

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rand.h"
+#include "src/core/advice_io.h"
 #include "src/query/parser.h"
 
 namespace pivot {
@@ -85,7 +86,7 @@ class AstGenerator {
     int edits = static_cast<int>(1 + rng_.NextBelow(4));
     for (int i = 0; i < edits && !out.empty(); ++i) {
       size_t at = rng_.NextBelow(out.size());
-      switch (rng_.NextBelow(4)) {
+      switch (rng_.NextBelow(5)) {
         case 0:
           out[at] = static_cast<char>(32 + rng_.NextBelow(95));
           break;
@@ -99,6 +100,29 @@ class AstGenerator {
             digits += ".5";
           }
           out.insert(at, digits);
+          break;
+        }
+        case 3: {
+          // Nesting that straddles kMaxExprDepth, spliced in as the left
+          // operand of the first Where clause (or anywhere, without one).
+          const size_t n = kMaxExprDepth - 30 + rng_.NextBelow(60);
+          std::string deep;
+          switch (rng_.NextBelow(3)) {
+            case 0:
+              deep = std::string(n, '(') + "1" + std::string(n, ')');
+              break;
+            case 1:
+              deep = std::string(n, '!') + "1";
+              break;
+            default:
+              deep = "1";
+              for (size_t k = 0; k < n; ++k) {
+                deep += " + 1";
+              }
+              break;
+          }
+          size_t where = out.find("Where ");
+          out.insert(where == std::string::npos ? at : where + 6, deep + " == ");
           break;
         }
         default:
@@ -179,10 +203,18 @@ TEST_P(ParserMutationFuzz, MutatedTextNeverCrashes) {
   for (int trial = 0; trial < 200; ++trial) {
     Query q = gen.RandomQuery();
     std::string mutated = gen.MutateText(QueryToString(q));
-    // Parse result is irrelevant; it must not crash or hang.
+    // Parse result is irrelevant; it must not crash or hang. An accepted
+    // expression must survive the weave command's codec.
     Result<Query> result = ParseQuery(mutated);
     if (result.ok()) {
       QueryToString(*result);
+      for (const Expr::Ptr& w : result->where) {
+        std::vector<uint8_t> bytes;
+        EncodeExpr(&bytes, w);
+        size_t pos = 0;
+        Expr::Ptr decoded;
+        EXPECT_TRUE(DecodeExpr(bytes.data(), bytes.size(), &pos, &decoded)) << mutated;
+      }
     }
   }
 }

@@ -207,6 +207,64 @@ TEST(ParserTest, SubqueryJoinRecognized) {
 }
 
 // ---------------------------------------------------------------------------
+// Expression depth: each way an expression deepens, at kMaxExprDepth and one
+// past it. The parser accepts exactly the trees DecodeExpr accepts, and bounds
+// its own recursion, so far deeper input fails cleanly instead of exhausting
+// the stack.
+
+std::string Repeat(const std::string& s, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) {
+    out += s;
+  }
+  return out;
+}
+
+struct DeepForm {
+  const char* name;
+  std::string (*where)(int depth);
+};
+
+const DeepForm kDeepForms[] = {
+    {"OperatorChain", [](int n) { return "a.x" + Repeat(" + 1", n); }},
+    {"Parentheses", [](int n) { return Repeat("(", n) + "a.x" + Repeat(")", n); }},
+    {"NotChain", [](int n) { return Repeat("!", n) + "a.x"; }},
+    {"NegationChain", [](int n) { return Repeat("- ", n) + "a.x"; }},
+    {"FoldedNegationChain", [](int n) { return Repeat("- ", n) + "1"; }},
+};
+
+Result<Query> ParseDeep(const DeepForm& form, int depth) {
+  return ParseQuery("From a In X Where " + form.where(depth) + " Select a.x");
+}
+
+TEST(ParserTest, ExpressionDepthIsBoundedAtTheDecodeLimit) {
+  for (const DeepForm& form : kDeepForms) {
+    SCOPED_TRACE(form.name);
+    Result<Query> at = ParseDeep(form, kMaxExprDepth);
+    ASSERT_TRUE(at.ok()) << at.status().ToString();
+    EXPECT_LE(at->where[0]->depth(), kMaxExprDepth);
+    Result<Query> over = ParseDeep(form, kMaxExprDepth + 1);
+    ASSERT_FALSE(over.ok());
+    EXPECT_EQ(over.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(over.status().message().find("deeper than 128 levels (at offset"),
+              std::string::npos)
+        << over.status().ToString();
+  }
+  // The chains build trees exactly as deep as their operator count.
+  EXPECT_EQ(ParseDeep(kDeepForms[0], kMaxExprDepth)->where[0]->depth(), kMaxExprDepth);
+  EXPECT_EQ(ParseDeep(kDeepForms[2], kMaxExprDepth)->where[0]->depth(), kMaxExprDepth);
+}
+
+TEST(ParserTest, FarDeeperExpressionsFailWithoutExhaustingTheStack) {
+  for (const DeepForm& form : kDeepForms) {
+    SCOPED_TRACE(form.name);
+    Result<Query> q = ParseDeep(form, 200000);
+    ASSERT_FALSE(q.ok());
+    EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Errors
 
 struct BadQuery {
