@@ -83,19 +83,19 @@ int Main() {
   add_fsread("FSread64m", 5, 64 << 20, 50 * kMicrosPerMilli, 5, kRunSeconds, 14);
 
   std::vector<std::unique_ptr<HbaseWorkload>> hbase_clients;
-  auto add_hbase = [&](const char* name, int host, bool scan, int64_t think, int64_t start_s,
-                       int64_t stop_s, uint64_t seed) {
+  auto add_hbase = [&](const char* name, int host, HbaseWorkload::Op op, int64_t think,
+                       int64_t start_s, int64_t stop_s, uint64_t seed) {
     SimProcess* proc = cluster.AddClient(cluster.worker(static_cast<size_t>(host)), name);
     hbase_clients.push_back(std::make_unique<HbaseWorkload>(proc, cluster.hbase().servers(),
-                                                            scan, think, seed));
+                                                            op, think, seed));
     HbaseWorkload* w = hbase_clients.back().get();
     world->env()->ScheduleAt(start_s * kMicrosPerSecond,
                              [w, stop_s] { w->Start(stop_s * kMicrosPerSecond); });
   };
-  add_hbase("Hget", 2, false, 5 * kMicrosPerMilli, 0, kRunSeconds, 21);
-  add_hbase("Hget", 6, false, 5 * kMicrosPerMilli, 0, kRunSeconds, 22);
-  add_hbase("Hscan", 3, true, 30 * kMicrosPerMilli, 10, 30, 23);
-  add_hbase("Hscan", 7, true, 30 * kMicrosPerMilli, 10, 30, 24);
+  add_hbase("Hget", 2, HbaseWorkload::Op::kGet, 5 * kMicrosPerMilli, 0, kRunSeconds, 21);
+  add_hbase("Hget", 6, HbaseWorkload::Op::kGet, 5 * kMicrosPerMilli, 0, kRunSeconds, 22);
+  add_hbase("Hscan", 3, HbaseWorkload::Op::kScan, 30 * kMicrosPerMilli, 10, 30, 23);
+  add_hbase("Hscan", 7, HbaseWorkload::Op::kScan, 30 * kMicrosPerMilli, 10, 30, 24);
 
   SimProcess* mr10_client = cluster.AddClient(cluster.master_host(), "MRsort10g");
   MapReduceWorkload mr10(mr10_client, cluster.mapreduce(), "MRsort10g", 256 << 20,

@@ -71,11 +71,11 @@ int Main() {
   for (int h = 0; h < 8; ++h) {
     SimProcess* get_proc = cluster.AddClient(cluster.worker(static_cast<size_t>(h)), "Hget");
     clients.push_back(std::make_unique<HbaseWorkload>(get_proc, cluster.hbase().servers(),
-                                                      /*scan=*/false, 10 * kMicrosPerMilli,
+                                                      HbaseWorkload::Op::kGet, 10 * kMicrosPerMilli,
                                                       seed++));
     SimProcess* scan_proc = cluster.AddClient(cluster.worker(static_cast<size_t>(h)), "Hscan");
     clients.push_back(std::make_unique<HbaseWorkload>(scan_proc, cluster.hbase().servers(),
-                                                      /*scan=*/true, 10 * kMicrosPerMilli,
+                                                      HbaseWorkload::Op::kScan, 10 * kMicrosPerMilli,
                                                       seed++));
   }
   for (auto& c : clients) {
@@ -216,8 +216,8 @@ int RogueGcScenario() {
   std::vector<std::unique_ptr<HbaseWorkload>> clients;
   for (int h = 0; h < 4; ++h) {
     SimProcess* proc = cluster.AddClient(cluster.worker(static_cast<size_t>(h)), "Hget");
-    clients.push_back(std::make_unique<HbaseWorkload>(proc, cluster.hbase().servers(), false,
-                                                      5 * kMicrosPerMilli,
+    clients.push_back(std::make_unique<HbaseWorkload>(proc, cluster.hbase().servers(),
+                                                      HbaseWorkload::Op::kGet, 5 * kMicrosPerMilli,
                                                       900 + static_cast<uint64_t>(h)));
     clients.back()->Start(10 * kMicrosPerSecond);
   }

@@ -50,12 +50,12 @@ int main() {
 
   // ---- Mixed workload: two HBase apps, one MapReduce job, one raw client ----
   SimProcess* hget = cluster.AddClient(cluster.worker(0), "web-frontend");
-  HbaseWorkload hbase_app(hget, cluster.hbase().servers(), /*scan=*/false,
+  HbaseWorkload hbase_app(hget, cluster.hbase().servers(), HbaseWorkload::Op::kGet,
                           5 * kMicrosPerMilli, 1);
   hbase_app.Start(10 * kMicrosPerSecond);
 
   SimProcess* analytics = cluster.AddClient(cluster.worker(1), "analytics-scans");
-  HbaseWorkload scan_app(analytics, cluster.hbase().servers(), /*scan=*/true,
+  HbaseWorkload scan_app(analytics, cluster.hbase().servers(), HbaseWorkload::Op::kScan,
                          20 * kMicrosPerMilli, 2);
   scan_app.Start(10 * kMicrosPerSecond);
 

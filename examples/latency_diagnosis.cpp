@@ -66,7 +66,8 @@ int main() {
   for (int h = 0; h < 4; ++h) {
     SimProcess* proc = cluster.AddClient(cluster.worker(static_cast<size_t>(h)), "Hscan");
     clients.push_back(std::make_unique<HbaseWorkload>(proc, cluster.hbase().servers(),
-                                                      /*scan=*/true, 20 * kMicrosPerMilli,
+                                                      HbaseWorkload::Op::kScan,
+                                                      20 * kMicrosPerMilli,
                                                       100 + static_cast<uint64_t>(h)));
     clients.back()->Start(10 * kMicrosPerSecond);
   }

@@ -71,13 +71,14 @@ struct Shell {
     for (int i = 0; i < 2; ++i) {
       SimProcess* proc = cluster.AddClient(cluster.worker(static_cast<size_t>(2 + i)), "Hget");
       hbase_clients.push_back(std::make_unique<HbaseWorkload>(
-          proc, cluster.hbase().servers(), false, 5 * kMicrosPerMilli,
+          proc, cluster.hbase().servers(), HbaseWorkload::Op::kGet, 5 * kMicrosPerMilli,
           21 + static_cast<uint64_t>(i)));
       hbase_clients.back()->Start(kHorizon);
     }
     SimProcess* scan_proc = cluster.AddClient(cluster.worker(4), "Hscan");
     hbase_clients.push_back(std::make_unique<HbaseWorkload>(
-        scan_proc, cluster.hbase().servers(), true, 50 * kMicrosPerMilli, 31));
+        scan_proc, cluster.hbase().servers(), HbaseWorkload::Op::kScan, 50 * kMicrosPerMilli,
+        31));
     hbase_clients.back()->Start(kHorizon);
 
     SimProcess* job_client = cluster.AddClient(cluster.master_host(), "MRsort10g");

@@ -1,9 +1,9 @@
 #!/bin/sh
-# Grep gates on how src/hadoop crosses process boundaries and on who writes
-# values to the wire, then clang-tidy
-# over the sources (.clang-tidy selects bugprone-*, performance-*,
-# concurrency-*). clang-tidy degrades gracefully: the CI container only ships
-# gcc, so a missing clang-tidy is a skip, not a failure.
+# Grep gates on how src/hadoop crosses process boundaries, on who writes
+# values to the wire and on threads in src, then clang-tidy over the sources
+# (.clang-tidy selects bugprone-*, performance-*, concurrency-*). clang-tidy
+# degrades gracefully: the CI container only ships gcc, so a missing
+# clang-tidy is a skip, not a failure.
 #
 # Usage: scripts/lint.sh [build-dir]
 set -eu
@@ -27,6 +27,17 @@ if grep -rnwE 'PutValue|GetValue' "$repo_root/src" |
   grep -vE '^[^:]*/core/(wire|aggregation|advice_io)\.(h|cc):'; then
   echo "lint: PutValue/GetValue outside wire.cc, aggregation.cc and advice_io.cc;" \
     "encode tuple sets with PutRows or ResultSet."
+  exit 1
+fi
+
+# Thread gate: src owns no thread. Hosts drive PTAgent::Flush and the
+# simulator from their own threads; src may ask hardware_concurrency(), but
+# declaring or constructing a std::thread or std::jthread there fails.
+if grep -rnE '\bstd::j?thread\b' "$repo_root/src" |
+  grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' |
+  sed -E 's/std::j?thread::hardware_concurrency//g' |
+  grep -E '\bstd::j?thread\b'; then
+  echo "lint: src declares or constructs a std::thread; let the host own threads."
   exit 1
 fi
 

@@ -1,10 +1,10 @@
 #include "src/agent/agent.h"
 
-#include <chrono>
 #include <thread>
 #include <utility>
 
 #include "src/analysis/query_linter.h"
+#include "src/common/clock.h"
 #include "src/telemetry/metrics.h"
 
 namespace pivot {
@@ -54,12 +54,6 @@ telemetry::Counter& ShardContentionCounter() {
 telemetry::Counter& BatchReportsCounter() {
   static telemetry::Counter& c = telemetry::Metrics().GetCounter("bus.batch_reports");
   return c;
-}
-
-int64_t MonotonicNanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 // Process-wide dense thread ordinal: thread K gets ordinal K in creation

@@ -1,10 +1,10 @@
 #include "src/agent/frontend.h"
 
 #include <algorithm>
-#include <chrono>
 #include <set>
 #include <sstream>
 
+#include "src/common/clock.h"
 #include "src/core/symbol.h"
 #include "src/query/parser.h"
 #include "src/telemetry/metrics.h"
@@ -65,9 +65,7 @@ int64_t Frontend::NowMicros() const {
   if (now_micros_) {
     return now_micros_();
   }
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
+  return MonotonicMicros();
 }
 
 Status Frontend::RegisterNamedQuery(const std::string& name, std::string_view text) {
@@ -190,6 +188,9 @@ Status Frontend::Uninstall(uint64_t query_id) {
     auto it = queries_.find(query_id);
     if (it == queries_.end()) {
       return NotFoundError("unknown query: " + std::to_string(query_id));
+    }
+    if (!it->second.active) {
+      return Status::Ok();  // Already uninstalled: nothing to publish.
     }
     it->second.active = false;
     it->second.uninstalled_micros = NowMicros();

@@ -62,7 +62,8 @@ class Frontend {
   Frontend& operator=(const Frontend&) = delete;
 
   // Clock used to timestamp query lifecycle events (install/first-tuple/
-  // uninstall). Defaults to the wall clock; the simulator installs simulated
+  // uninstall). Defaults to MonotonicMicros, the clock agents stamp acks
+  // with on a default ProcessRuntime; the simulator installs simulated
   // time so StatusReport lines up with agent report timestamps.
   void set_now_micros(std::function<int64_t()> now_micros);
 
@@ -96,7 +97,8 @@ class Frontend {
   Result<uint64_t> InstallExplain(std::string_view text);
 
   // Removes the query's advice everywhere and stops collecting its results.
-  // Accumulated results remain readable.
+  // Accumulated results remain readable. Uninstalling an uninstalled query is
+  // Ok and does nothing.
   Status Uninstall(uint64_t query_id);
 
   const CompiledQuery* compiled(uint64_t query_id) const;

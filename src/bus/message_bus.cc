@@ -1,7 +1,6 @@
 #include "src/bus/message_bus.h"
 
-#include <chrono>
-
+#include "src/common/clock.h"
 #include "src/telemetry/metrics.h"
 
 namespace pivot {
@@ -28,12 +27,6 @@ telemetry::Counter& NoSubscriberCounter() {
 telemetry::Histogram& CallbackNanosHistogram() {
   static telemetry::Histogram& h = telemetry::Metrics().GetHistogram("bus.callback_nanos");
   return h;
-}
-
-int64_t MonotonicNanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 }  // namespace
@@ -72,7 +65,6 @@ void MessageBus::Publish(BusMessage msg) {
   std::vector<std::shared_ptr<Callback>> callbacks;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ++published_;
     TopicCounters& tc = counters_[msg.topic];
     ++tc.published;
     tc.bytes += msg.payload.size();
@@ -85,7 +77,6 @@ void MessageBus::Publish(BusMessage msg) {
     } else {
       // Nobody listening: the message is silently lost. Count it — on a
       // control topic this is the signature of a dead agent or frontend.
-      ++dropped_;
       ++tc.no_subscriber;
       NoSubscriberCounter().Increment();
     }
@@ -102,24 +93,8 @@ void MessageBus::Publish(BusMessage msg) {
   if (deliveries > 0) {
     // One lock acquisition for the whole fan-out, not one per callback.
     std::lock_guard<std::mutex> lock(mu_);
-    delivered_ += deliveries;
     counters_[msg.topic].delivered += deliveries;
   }
-}
-
-uint64_t MessageBus::published_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return published_;
-}
-
-uint64_t MessageBus::delivered_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return delivered_;
-}
-
-uint64_t MessageBus::dropped_publishes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
 }
 
 std::vector<TopicStats> MessageBus::TopicSnapshot() const {

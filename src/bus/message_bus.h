@@ -35,7 +35,8 @@ struct TopicStats {
   uint64_t published = 0;       // Publish calls on this topic.
   uint64_t delivered = 0;       // Callback invocations.
   uint64_t bytes = 0;           // Payload bytes published.
-  uint64_t no_subscriber = 0;   // Publishes that reached nobody.
+  uint64_t no_subscriber = 0;   // Publishes that reached nobody: on a control
+                                // topic, a dead or missing agent or frontend.
   uint64_t subscribers = 0;     // Current subscription count.
 };
 
@@ -58,14 +59,7 @@ class MessageBus {
   // publish or (un)subscribe reentrantly.
   void Publish(BusMessage msg);
 
-  // Diagnostics.
-  uint64_t published_count() const;
-  uint64_t delivered_count() const;
-  // Publishes to topics with no current subscriber — messages silently lost.
-  // Nonzero on a control topic means a dead/missing agent or frontend.
-  uint64_t dropped_publishes() const;
-
-  // Per-topic accounting, sorted by topic name.
+  // Per-topic accounting, sorted by topic name: the bus's only totals.
   std::vector<TopicStats> TopicSnapshot() const;
 
  private:
@@ -88,9 +82,6 @@ class MessageBus {
   // lookup instead of a scan over every topic's subscriber list.
   std::map<SubscriberId, std::string> subscriber_topics_;
   std::map<std::string, TopicCounters> counters_;
-  uint64_t published_ = 0;
-  uint64_t delivered_ = 0;
-  uint64_t dropped_ = 0;
 };
 
 }  // namespace pivot

@@ -10,7 +10,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace pivot {
 
@@ -64,13 +63,6 @@ class Rng {
   double NextDouble() { return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53; }
 
   bool NextBool(double p_true = 0.5) { return NextDouble() < p_true; }
-
-  // Exponentially distributed with the given mean (for inter-arrival times).
-  double NextExponential(double mean);
-
-  // Picks an index in [0, weights.size()) with probability proportional to its
-  // weight. Weights must be non-negative with a positive sum.
-  size_t NextWeighted(const std::vector<double>& weights);
 
   // Forks an independent stream; child streams do not correlate with the
   // parent's subsequent output.

@@ -18,10 +18,6 @@ std::string StrJoin(const std::vector<std::string>& pieces, std::string_view sep
 // ASCII case-insensitive equality (used by the query language keywords).
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
-// True if `s` starts with / ends with the given prefix/suffix.
-bool StartsWith(std::string_view s, std::string_view prefix);
-bool EndsWith(std::string_view s, std::string_view suffix);
-
 // printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

@@ -310,17 +310,6 @@ void Aggregator::AddInput(const Tuple& t) {
   }
 }
 
-void Aggregator::AddState(const Tuple& t) {
-  const Columns& c = *cols_;
-  const uint32_t group = GroupFor(t);  // May grow accums_.
-  Accum* accums = accums_.data() + size_t{group} * c.specs.size();
-  for (size_t i = 0; i < c.specs.size(); ++i) {
-    const SpecIds& ids = c.spec_ids[i];
-    Combine(&accums[i], c.specs[i].fn, FieldOrNull(t, ids.output),
-            CountOf(FieldOrNull(t, ids.output_n)));
-  }
-}
-
 template <typename Source>
 void Aggregator::MergeGroups(Source& other) {
   constexpr bool kMove = !std::is_const_v<Source>;
@@ -371,16 +360,9 @@ bool Aggregator::SameColumns(const Aggregator& other) const {
          (cols_->group_ids == other.cols_->group_ids && cols_->specs == other.cols_->specs);
 }
 
-void Aggregator::AddStates(const Aggregator& other) {
-  for (const Tuple& st : other.StateTuples()) {
-    AddState(st);
-  }
-}
-
 void Aggregator::Absorb(const Aggregator& other) {
-  if (!SameColumns(other)) {
-    AddStates(other);
-  } else if (empty()) {
+  assert(SameColumns(other));
+  if (empty()) {
     keys_ = other.keys_;
     accums_ = other.accums_;
     hashes_ = other.hashes_;
@@ -391,9 +373,8 @@ void Aggregator::Absorb(const Aggregator& other) {
 }
 
 void Aggregator::Absorb(Aggregator&& other) {
-  if (!SameColumns(other)) {
-    AddStates(other);
-  } else if (empty()) {
+  assert(SameColumns(other));
+  if (empty()) {
     keys_.swap(other.keys_);
     accums_.swap(other.accums_);
     hashes_.swap(other.hashes_);
@@ -554,9 +535,14 @@ void ResultSet::Trim(size_t uncopied) {
   }
 }
 
+bool ResultSet::SamePlan(const ResultSet& other) const {
+  return aggregated_ == other.aggregated_ && (!aggregated_ || agg_.SameColumns(other.agg_));
+}
+
 void ResultSet::Absorb(const ResultSet& other) {
   dropped_ += other.dropped_;
-  if (aggregated_ != other.aggregated_) {
+  if (!SamePlan(other)) {
+    dropped_ += other.size();
     return;
   }
   if (aggregated_) {
@@ -568,7 +554,8 @@ void ResultSet::Absorb(const ResultSet& other) {
 
 void ResultSet::Absorb(ResultSet&& other) {
   dropped_ += std::exchange(other.dropped_, 0);
-  if (aggregated_ != other.aggregated_) {
+  if (!SamePlan(other)) {
+    dropped_ += other.size();
     return;
   }
   if (aggregated_) {

@@ -125,19 +125,6 @@ class Aggregator {
   // Accumulates one raw input tuple.
   void AddInput(const Tuple& t);
 
-  // Combines one state tuple previously produced by StateTuples() on an
-  // aggregator with the same configuration.
-  void AddState(const Tuple& t);
-
-  // Combines every group of `other` by its stored hash (Table 3's combiner,
-  // set to set). The rvalue form moves new groups' keys in, adopts `other`
-  // whole when this aggregator is empty, and leaves `other` empty. An
-  // `other` of a different configuration (say, a bag decoded from a peer
-  // under another spec) is combined by column name through its state
-  // tuples instead, like AddState.
-  void Absorb(const Aggregator& other);
-  void Absorb(Aggregator&& other);
-
   // Externalizes partial state: one tuple per group containing the group
   // fields plus each spec's state columns. Suitable for baggage packing.
   std::vector<Tuple> StateTuples() const;
@@ -214,8 +201,12 @@ class Aggregator {
   // True if `other` has this aggregator's group fields and specs, so its
   // arrays share this layout.
   bool SameColumns(const Aggregator& other) const;
-  // Combines `other`'s StateTuples() by column name; any configuration.
-  void AddStates(const Aggregator& other);
+  // Combines every group of `other`, which has SameColumns, by its stored
+  // hash (Table 3's combiner, set to set). The rvalue form moves new groups'
+  // keys in, adopts `other` whole when this aggregator is empty, and leaves
+  // `other` empty.
+  void Absorb(const Aggregator& other);
+  void Absorb(Aggregator&& other);
   // Combines every group of `other`, which has SameColumns (const: copies;
   // mutable: moves keys and accumulators of new groups).
   template <typename Source>
@@ -267,12 +258,13 @@ class ResultSet {
   // Accumulates one raw emitted (or packed) tuple.
   void AddInput(const Tuple& t);
 
-  // Combines another set into this one; `other` is treated as later or
-  // concurrent, so a keep-first set keeps its own rows and a keep-last set
-  // the other's. The rvalue form adopts `other` whole when this set is empty
-  // and leaves `other` empty. Aggregate state of another plan (a bag decoded
-  // from a peer under another spec) merges by column name; rows and
-  // aggregate state never merge into each other.
+  // Combines another set of the same plan into this one; `other` is treated
+  // as later or concurrent, so a keep-first set keeps its own rows and a
+  // keep-last set the other's. The rvalue form adopts `other` whole when this
+  // set is empty and leaves `other` empty. A set of another plan (streaming
+  // against aggregated, or other group fields or aggregates: a bag decoded
+  // from a peer under another spec) merges nothing: its rows or groups, and
+  // its drops, add to dropped().
   void Absorb(const ResultSet& other);
   void Absorb(ResultSet&& other);
 
@@ -286,7 +278,8 @@ class ResultSet {
   // Groups, or streamed rows.
   size_t size() const { return aggregated_ ? agg_.group_count() : rows_.size(); }
 
-  // Rows the kMaxBagTuples valve turned away, here and in absorbed sets.
+  // Rows the kMaxBagTuples valve turned away, and rows or groups of another
+  // plan refused by Absorb, here and in absorbed sets.
   uint64_t dropped() const { return dropped_; }
   // Adds drops counted elsewhere (a bag's count off the wire).
   void AddDropped(uint64_t n) { dropped_ += n; }
@@ -301,6 +294,9 @@ class ResultSet {
 
  private:
   ResultSet(bool aggregated, Aggregator agg) : aggregated_(aggregated), agg_(std::move(agg)) {}
+
+  // True if `other` has this set's plan, so Absorb merges it.
+  bool SamePlan(const ResultSet& other) const;
 
   // Appends `n` rows starting at `from` under the cap. A full keep-first set
   // copies nothing, and a keep-last set copies at most the last cap_ rows.

@@ -70,7 +70,7 @@ class Baggage {
 
   // Retrieves all tuples for `key`: unpacked from each instance (inactive
   // ones first — they are chronologically older) and combined according to
-  // the bag's semantics.
+  // the oldest bag's semantics. A bag of another plan is left out.
   std::vector<Tuple> Unpack(BagKey key) const;
 
   // ---- Branching (§5) ----
@@ -82,6 +82,8 @@ class Baggage {
 
   // Merges the baggage of two rejoining branches: active instances merge
   // bag-wise under a joined ID; inactive instances are deduplicated by ID.
+  // A bag of `b` whose plan differs from that of `a`'s bag of the same key
+  // (ResultSet::Absorb) merges nothing; its tuples count as dropped.
   static Baggage Join(const Baggage& a, const Baggage& b);
 
   // ---- Serialization (Table 4) ----
@@ -121,8 +123,9 @@ class Baggage {
   // metric for propagation overhead, §4).
   size_t TupleCount() const;
 
-  // Total tuples rejected by the kMaxBagTuples safety valve, across all
-  // instances and bags. Non-zero means a query hit the unbounded-pack guard.
+  // Total tuples rejected by the kMaxBagTuples safety valve or refused by
+  // Join as another plan's, across all instances and bags. Non-zero means a
+  // query hit the unbounded-pack guard or a peer sent a conflicting bag.
   uint64_t DroppedTupleCount() const;
 
   bool IsTrivial() const;

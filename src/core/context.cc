@@ -1,8 +1,8 @@
 #include "src/core/context.h"
 
 #include <cassert>
-#include <chrono>
 
+#include "src/common/clock.h"
 #include "src/core/tracepoint.h"
 
 namespace pivot {
@@ -11,9 +11,7 @@ int64_t ProcessRuntime::NowMicros() const {
   if (now_micros) {
     return now_micros();
   }
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+  return MonotonicMicros();
 }
 
 void ExecutionContext::StartTrace(TraceRecorder* recorder) {

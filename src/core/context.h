@@ -61,7 +61,7 @@ struct MetaTracepoints {
 // Lifetime: outlives every ExecutionContext that points at it.
 struct ProcessRuntime {
   ProcessInfo info;
-  // Timestamp source in microseconds; defaults to the wall clock, the
+  // Timestamp source in microseconds; defaults to MonotonicMicros, the
   // simulator installs simulated time.
   std::function<int64_t()> now_micros;
   // Destination for Emit ops; null drops emitted tuples (tracepoints woven

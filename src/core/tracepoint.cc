@@ -1,20 +1,11 @@
 #include "src/core/tracepoint.h"
 
 #include <array>
-#include <chrono>
 #include <iterator>
 
+#include "src/common/clock.h"
+
 namespace pivot {
-
-namespace {
-
-int64_t MonotonicNanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 namespace {
 

@@ -109,12 +109,6 @@ class Tracepoint {
   uint64_t fires() const { return fires_.load(std::memory_order_relaxed); }
   // Invocations that executed at least one woven advice program (exact).
   uint64_t woven_fires() const { return woven_fires_.load(std::memory_order_relaxed); }
-  // Invocations that took the fast path or fired only for trace recording.
-  uint64_t unwoven_fires() const {
-    uint64_t f = fires();
-    uint64_t w = woven_fires();
-    return f > w ? f - w : 0;  // Racy reads may momentarily invert.
-  }
   // Total wall-clock nanoseconds spent executing woven advice (exact;
   // measured on the slow path only, where advice cost dwarfs the clock read).
   uint64_t advice_nanos() const { return advice_nanos_.load(std::memory_order_relaxed); }

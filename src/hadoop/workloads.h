@@ -86,12 +86,6 @@ class HbaseWorkload {
   HbaseWorkload(SimProcess* proc, std::vector<HbaseRegionServer*> servers, Op op,
                 int64_t think_micros, uint64_t seed);
 
-  // Back-compat convenience: scan=false -> gets, scan=true -> scans.
-  HbaseWorkload(SimProcess* proc, std::vector<HbaseRegionServer*> servers, bool scan,
-                int64_t think_micros, uint64_t seed)
-      : HbaseWorkload(proc, std::move(servers), scan ? Op::kScan : Op::kGet, think_micros,
-                      seed) {}
-
   void Start(int64_t stop_at_micros);
   const WorkloadStats& stats() const { return stats_; }
 

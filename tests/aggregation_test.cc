@@ -14,6 +14,20 @@ Tuple Row(std::string g, int64_t v) {
   return Tuple{{"g", Value(std::move(g))}, {"v", Value(v)}};
 }
 
+std::vector<std::string> Rendered(const std::vector<Tuple>& rows) {
+  std::vector<std::string> out;
+  for (const Tuple& t : rows) {
+    out.push_back(t.ToString());
+  }
+  return out;
+}
+
+std::vector<std::string> CanonicalRows(const std::vector<Tuple>& rows) {
+  std::vector<std::string> out = Rendered(rows);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 TEST(AggregatorTest, CountGrouped) {
   Aggregator agg({"g"}, {{AggFn::kCount, "", "COUNT", false}});
   agg.AddInput(Row("a", 1));
@@ -151,23 +165,37 @@ TEST(AggregatorTest, MissingGroupFieldProjectsToNullGroup) {
 }
 
 TEST(AggregatorTest, StateRoundTripThroughAddState) {
-  const std::vector<AggSpec> specs = {{AggFn::kAverage, "v", "AVG", false},
-                                      {AggFn::kCount, "", "C", false}};
-  Aggregator a({"g"}, specs);
+  // Partial state combines set to set through ResultSet::Absorb: by copy and
+  // by move, into an empty set (which adopts it) and into a populated one
+  // (which merges it group by group).
+  ResultPlan plan;
+  plan.group_fields = {"g"};
+  plan.aggs = {{AggFn::kAverage, "v", "AVG", false}, {AggFn::kCount, "", "C", false}};
+  ResultSet a(plan);
   a.AddInput(Row("x", 10));
   a.AddInput(Row("x", 20));
   a.AddInput(Row("y", 5));
+  const std::vector<std::string> once = {"(g=x, AVG=15.0, C=2)", "(g=y, AVG=5.0, C=1)"};
 
-  Aggregator b({"g"}, specs);
-  for (const auto& st : a.StateTuples()) {
-    b.AddState(st);
-  }
-  auto fa = a.Finalize();
-  auto fb = b.Finalize();
-  ASSERT_EQ(fa.size(), fb.size());
-  for (size_t i = 0; i < fa.size(); ++i) {
-    EXPECT_EQ(fa[i].ToString(), fb[i].ToString());
-  }
+  ResultSet copied(plan);
+  copied.Absorb(a);
+  EXPECT_EQ(Rendered(copied.Finalize()), once);
+  copied.Absorb(a);
+  EXPECT_EQ(Rendered(copied.Finalize()),
+            (std::vector<std::string>{"(g=x, AVG=15.0, C=4)", "(g=y, AVG=5.0, C=2)"}));
+  EXPECT_EQ(Rendered(a.Finalize()), once);
+
+  ResultSet moved(plan);
+  ResultSet source = a;
+  moved.Absorb(std::move(source));
+  EXPECT_EQ(Rendered(moved.Finalize()), once);
+  ResultSet later(plan);
+  later.AddInput(Row("z", 1));
+  later.AddInput(Row("x", 30));
+  moved.Absorb(std::move(later));
+  EXPECT_EQ(Rendered(moved.Finalize()),
+            (std::vector<std::string>{"(g=x, AVG=20.0, C=3)", "(g=y, AVG=5.0, C=1)",
+                                      "(g=z, AVG=1.0, C=1)"}));
 }
 
 TEST(AggregatorTest, FromStateInputCombines) {
@@ -207,20 +235,6 @@ TEST(AggregatorTest, ClearResets) {
 }
 
 // ResultSet: one query's results at one level of the combine tree.
-
-std::vector<std::string> Rendered(const std::vector<Tuple>& rows) {
-  std::vector<std::string> out;
-  for (const Tuple& t : rows) {
-    out.push_back(t.ToString());
-  }
-  return out;
-}
-
-std::vector<std::string> CanonicalRows(const std::vector<Tuple>& rows) {
-  std::vector<std::string> out = Rendered(rows);
-  std::sort(out.begin(), out.end());
-  return out;
-}
 
 TEST(ResultSetTest, StreamingKeepsArrivalOrderAcrossLevels) {
   ResultPlan streaming;  // No group fields, no aggregates.
@@ -338,31 +352,23 @@ TEST_P(CombinePropertyTest, PartitionedEqualsDirect) {
       direct.AddInput(r);
     }
 
-    // Random partition into up to 5 partial aggregators, combined at the end.
-    std::vector<Aggregator> parts;
-    for (int p = 0; p < 5; ++p) {
-      parts.emplace_back(std::vector<std::string>{"g"}, std::vector<AggSpec>{spec});
-    }
+    // Random partition into 5 partial sets, combined at the end through
+    // ResultSet::Absorb, alternately by copy and by move. The first absorb
+    // lands in an empty set.
+    ResultPlan plan{{"g"}, {spec}};
+    std::vector<ResultSet> parts(5, ResultSet(plan));
     for (const auto& r : rows) {
       parts[rng.NextBelow(parts.size())].AddInput(r);
     }
-    Aggregator combined({"g"}, {spec});
-    for (auto& part : parts) {
-      for (const auto& st : part.StateTuples()) {
-        combined.AddState(st);
+    ResultSet combined(plan);
+    for (size_t p = 0; p < parts.size(); ++p) {
+      if (p % 2 == 0) {
+        combined.Absorb(parts[p]);
+      } else {
+        combined.Absorb(std::move(parts[p]));
       }
     }
-
-    auto canonical = [](std::vector<Tuple> rows_in) {
-      std::vector<std::string> strs;
-      strs.reserve(rows_in.size());
-      for (const auto& r : rows_in) {
-        strs.push_back(r.ToString());
-      }
-      std::sort(strs.begin(), strs.end());
-      return strs;
-    };
-    ASSERT_EQ(canonical(direct.Finalize()), canonical(combined.Finalize()))
+    ASSERT_EQ(CanonicalRows(direct.Finalize()), CanonicalRows(combined.Finalize()))
         << "fn=" << AggFnName(fn) << " trial=" << trial;
   }
 }

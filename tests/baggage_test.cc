@@ -111,44 +111,6 @@ TEST(TupleBagTest, MergeAggregateCombines) {
   EXPECT_EQ(a.StateRows()[0].Get("COUNT").int_value(), 3);
 }
 
-// Two aggregate specs that disagree on group width and aggregate count, as
-// two instances of one bag key can when decoded from a malformed peer.
-BagSpec WideSumSpec() {
-  return BagSpec::Aggregated({"a", "b"}, {{AggFn::kSum, "x", "S", false}});
-}
-BagSpec NarrowCountSumSpec() {
-  return BagSpec::Aggregated(
-      {"a"}, {{AggFn::kCount, "", "C", false}, {AggFn::kSum, "x", "S", false}});
-}
-
-Tuple ABX(int64_t a, int64_t b, int64_t x) {
-  return Tuple{{"a", Value(a)}, {"b", Value(b)}, {"x", Value(x)}};
-}
-
-TEST(TupleBagTest, MergeAggregateOfAnotherSpecMergesByColumnName) {
-  ResultSet narrow(NarrowCountSumSpec());
-  narrow.AddInput(ABX(1, 2, 7));
-  narrow.AddInput(ABX(3, 4, 1));
-
-  // Into an empty bag (adopt path) and into a populated one (merge path).
-  ResultSet empty_wide(WideSumSpec());
-  empty_wide.Absorb(narrow);
-  EXPECT_EQ(Canonical(empty_wide.StateRows()),
-            (std::vector<std::string>{"(a=1, b=null, S=7)", "(a=3, b=null, S=1)"}));
-
-  ResultSet wide(WideSumSpec());
-  wide.AddInput(ABX(1, 2, 5));
-  wide.Absorb(narrow);
-  EXPECT_EQ(Canonical(wide.StateRows()),
-            (std::vector<std::string>{"(a=1, b=2, S=5)", "(a=1, b=null, S=7)",
-                                      "(a=3, b=null, S=1)"}));
-
-  // And the other way round: the wide state has no C column.
-  narrow.Absorb(wide);
-  EXPECT_EQ(Canonical(narrow.StateRows()),
-            (std::vector<std::string>{"(a=1, C=1, S=19)", "(a=3, C=1, S=2)"}));
-}
-
 // ---------------------------------------------------------------------------
 // Baggage pack / unpack
 
@@ -168,6 +130,50 @@ TEST(BaggageTest, DistinctBagsAreIsolated) {
   EXPECT_EQ(bag.Unpack(1).size(), 1u);
   EXPECT_EQ(bag.Unpack(2).size(), 1u);
   EXPECT_EQ(bag.Unpack(2)[0].Get("y").int_value(), 9);
+}
+
+// Two aggregate specs that disagree on group width and aggregate count, as
+// one bag key can carry when a malformed peer sends it under another spec.
+BagSpec WideSumSpec() {
+  return BagSpec::Aggregated({"a", "b"}, {{AggFn::kSum, "x", "S", false}});
+}
+BagSpec NarrowCountSumSpec() {
+  return BagSpec::Aggregated(
+      {"a"}, {{AggFn::kCount, "", "C", false}, {AggFn::kSum, "x", "S", false}});
+}
+
+Tuple ABX(int64_t a, int64_t b, int64_t x) {
+  return Tuple{{"a", Value(a)}, {"b", Value(b)}, {"x", Value(x)}};
+}
+
+TEST(BaggageTest, PeerBagUnderAnotherPlanIsDroppedAndCounted) {
+  // A peer's bytes carry our bag key under another plan. Joining them keeps
+  // only our tuples and counts the peer's groups (or rows) as dropped, with
+  // either spec as ours, and for a retention bag against an aggregate one.
+  struct Case {
+    BagSpec ours;
+    BagSpec peer;
+  };
+  const std::vector<Case> cases = {{WideSumSpec(), NarrowCountSumSpec()},
+                                   {NarrowCountSumSpec(), WideSumSpec()},
+                                   {BagSpec::All(), NarrowCountSumSpec()},
+                                   {NarrowCountSumSpec(), BagSpec::All()}};
+  constexpr BagKey kKey = 5;
+  for (size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(i);
+    Baggage ours;
+    ours.Pack(kKey, cases[i].ours, ABX(1, 2, 5));
+    Baggage peer;
+    peer.Pack(kKey, cases[i].peer, ABX(1, 2, 7));
+    peer.Pack(kKey, cases[i].peer, ABX(3, 4, 1));
+    ASSERT_EQ(peer.TupleCount(), 2u);
+
+    Result<Baggage> received = Baggage::Deserialize(peer.Serialize());
+    ASSERT_TRUE(received.ok());
+    Baggage joined = Baggage::Join(ours, *received);
+    EXPECT_EQ(Canonical(joined.Unpack(kKey)), Canonical(ours.Unpack(kKey)));
+    EXPECT_EQ(joined.DroppedTupleCount(), 2u);
+  }
 }
 
 TEST(BaggageTest, TrivialBaggageSerializesToZeroBytes) {
@@ -357,19 +363,21 @@ TEST(BaggageTest, DecodedInstancesWithConflictingAggregateSpecsMergeSafely) {
   left.Pack(1, NarrowCountSumSpec(), ABX(1, 9, 7));
   right.Pack(1, WideSumSpec(), ABX(1, 2, 100));
 
-  // The conflicting spec crosses the wire, then meets the other branch.
+  // The conflicting spec crosses the wire, then meets the other branch. A
+  // bag of another plan merges nothing: Unpack combines under the oldest
+  // instance's spec, and Join counts the refused group as dropped.
   Result<Baggage> shipped = Baggage::Deserialize(left.Serialize());
   ASSERT_TRUE(shipped.ok());
   std::vector<Tuple> unpacked = shipped->Unpack(1);
-  EXPECT_EQ(Canonical(unpacked),
-            (std::vector<std::string>{"(a=1, b=2, S=5)", "(a=1, b=null, S=7)"}));
+  EXPECT_EQ(Canonical(unpacked), (std::vector<std::string>{"(a=1, b=2, S=5)"}));
 
   Baggage joined = Baggage::Join(*shipped, right);
-  EXPECT_EQ(Canonical(joined.Unpack(1)),
-            (std::vector<std::string>{"(a=1, b=2, S=5)", "(a=1, b=null, S=107)"}));
+  EXPECT_EQ(Canonical(joined.Unpack(1)), (std::vector<std::string>{"(a=1, b=2, S=5)"}));
+  EXPECT_EQ(joined.DroppedTupleCount(), 1u);
   Result<Baggage> reshipped = Baggage::Deserialize(joined.Serialize());
   ASSERT_TRUE(reshipped.ok());
   EXPECT_EQ(Canonical(reshipped->Unpack(1)), Canonical(joined.Unpack(1)));
+  EXPECT_EQ(reshipped->DroppedTupleCount(), 1u);
 }
 
 TEST(BaggageTest, TupleCountAndClear) {

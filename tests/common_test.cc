@@ -156,13 +156,6 @@ TEST(StringsTest, EqualsIgnoreCase) {
   EXPECT_FALSE(EqualsIgnoreCase("a", "b"));
 }
 
-TEST(StringsTest, StartsEndsWith) {
-  EXPECT_TRUE(StartsWith("DataNodeMetrics.incrBytesRead", "DataNode"));
-  EXPECT_FALSE(StartsWith("DN", "DataNode"));
-  EXPECT_TRUE(EndsWith("incrBytesRead", "Read"));
-  EXPECT_FALSE(EndsWith("Read", "incrBytesRead"));
-}
-
 TEST(StringsTest, StrFormat) {
   EXPECT_EQ(StrFormat("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(StrFormat("%.2f", 1.5), "1.50");
@@ -214,28 +207,6 @@ TEST(RngTest, NextDoubleInUnitInterval) {
     EXPECT_GE(d, 0.0);
     EXPECT_LT(d, 1.0);
   }
-}
-
-TEST(RngTest, ExponentialMeanApproximate) {
-  Rng rng(13);
-  double sum = 0;
-  constexpr int kSamples = 20000;
-  for (int i = 0; i < kSamples; ++i) {
-    sum += rng.NextExponential(5.0);
-  }
-  EXPECT_NEAR(sum / kSamples, 5.0, 0.2);
-}
-
-TEST(RngTest, WeightedRespectsWeights) {
-  Rng rng(17);
-  std::vector<double> weights = {1.0, 0.0, 3.0};
-  int counts[3] = {0, 0, 0};
-  for (int i = 0; i < 10000; ++i) {
-    ++counts[rng.NextWeighted(weights)];
-  }
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_GT(counts[2], counts[0]);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / counts[0], 3.0, 0.5);
 }
 
 TEST(RngTest, ForkProducesIndependentStream) {

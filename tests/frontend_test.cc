@@ -190,6 +190,59 @@ TEST_F(FrontendTest, UninstallStopsCollection) {
   EXPECT_EQ(frontend_.Results(*q)[0].Get("COUNT").int_value(), 1);
 }
 
+uint64_t CommandsPublished(const MessageBus& bus) {
+  for (const TopicStats& topic : bus.TopicSnapshot()) {
+    if (topic.topic == kCommandTopic) {
+      return topic.published;
+    }
+  }
+  return 0;
+}
+
+TEST_F(FrontendTest, UninstallTwiceIsOkAndChangesNothing) {
+  frontend_.set_now_micros([this] { return clock_.now; });
+  Result<uint64_t> q = frontend_.Install(
+      "From incr In DataNodeMetrics.incrBytesRead Select COUNT");
+  ASSERT_TRUE(q.ok());
+  clock_.now = 100;
+  ASSERT_TRUE(frontend_.Uninstall(*q).ok());
+  const uint64_t commands = CommandsPublished(bus_);
+
+  clock_.now = 200;
+  EXPECT_TRUE(frontend_.Uninstall(*q).ok());
+  EXPECT_EQ(CommandsPublished(bus_), commands);  // No second unweave.
+  std::vector<Frontend::QueryStatus> statuses = frontend_.QueryStatuses();
+  ASSERT_EQ(statuses.size(), 1u);
+  EXPECT_FALSE(statuses[0].active);
+  EXPECT_EQ(statuses[0].uninstalled_micros, 100);
+}
+
+TEST(FrontendClockTest, DefaultClocksStampInstallBeforeFirstAck) {
+  // With no clock installed, the frontend's lifecycle stamps and an agent's
+  // weave-ack stamps (from its ProcessRuntime) come from one clock, so they
+  // order as the events did.
+  MessageBus bus;
+  TracepointRegistry schema;
+  ASSERT_TRUE(schema.Define(Def("X", {"v"})).ok());
+  Frontend frontend(&bus, &schema);
+  TracepointRegistry registry;
+  ProcessRuntime runtime;
+  runtime.info = {"A", "proc", 1};
+  PTAgent agent(&bus, &registry, runtime.info);
+  agent.set_runtime(&runtime);
+  runtime.sink = &agent;
+
+  Result<uint64_t> q = frontend.Install("From e In X Select COUNT");
+  ASSERT_TRUE(q.ok());
+  ASSERT_TRUE(frontend.Uninstall(*q).ok());
+  std::vector<Frontend::QueryStatus> statuses = frontend.QueryStatuses();
+  ASSERT_EQ(statuses.size(), 1u);
+  const Frontend::QueryStatus& s = statuses[0];
+  ASSERT_GE(s.first_ack_micros, 0);
+  EXPECT_LE(s.installed_micros, s.first_ack_micros);
+  EXPECT_LE(s.first_ack_micros, s.uninstalled_micros);
+}
+
 TEST_F(FrontendTest, QueriesImposeNoOverheadWhenUninstalled) {
   // "Pivot Tracing queries impose truly no overhead when disabled" — the
   // tracepoint fast path stays disabled until a weave arrives.

@@ -102,10 +102,12 @@ TEST_F(FullStackTest, AllNinePaperQueriesCoexist) {
   fsread.Start(6 * kMicrosPerSecond);
 
   SimProcess* hget_proc = cluster_->AddClient(cluster_->worker(3), "Hget");
-  HbaseWorkload hget(hget_proc, cluster_->hbase().servers(), false, 10 * kMicrosPerMilli, 602);
+  HbaseWorkload hget(hget_proc, cluster_->hbase().servers(), HbaseWorkload::Op::kGet,
+                     10 * kMicrosPerMilli, 602);
   hget.Start(6 * kMicrosPerSecond);
   SimProcess* hscan_proc = cluster_->AddClient(cluster_->worker(5), "Hscan");
-  HbaseWorkload hscan(hscan_proc, cluster_->hbase().servers(), true, 40 * kMicrosPerMilli, 603);
+  HbaseWorkload hscan(hscan_proc, cluster_->hbase().servers(), HbaseWorkload::Op::kScan,
+                      40 * kMicrosPerMilli, 603);
   hscan.Start(6 * kMicrosPerSecond);
 
   SimProcess* mr_client = cluster_->AddClient(cluster_->master_host(), "MRsort10g");

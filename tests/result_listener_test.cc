@@ -1,13 +1,9 @@
-// Tests for the real-time pieces of a deployment: AgentFlusher (timer-driven
-// agent reporting) and Frontend result listeners (streaming consumption).
+// Tests for Frontend result listeners (streaming consumption of agent
+// reports), driven by explicit PTAgent::Flush calls.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <thread>
-
-#include "src/agent/flusher.h"
+#include "src/agent/agent.h"
 #include "src/agent/frontend.h"
 #include "src/bus/message_bus.h"
 #include "tests/test_util.h"
@@ -39,36 +35,6 @@ struct RealTimeHarness {
     tp = *registry.Define(Def("X", {"v"}));
   }
 };
-
-TEST(AgentFlusherTest, FlushesPeriodicallyAndOnStop) {
-  RealTimeHarness h;
-  Result<uint64_t> q = h.frontend.Install("From e In X Select COUNT");
-  ASSERT_TRUE(q.ok());
-
-  {
-    AgentFlusher flusher(h.agent.get(), std::chrono::milliseconds(5));
-    ExecutionContext ctx(&h.runtime);
-    for (int i = 0; i < 100; ++i) {
-      h.tp->Invoke(&ctx, {{"v", Value(int64_t{i})}});
-      if (i % 10 == 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    }
-    // Destructor stops with a final flush: nothing may be lost.
-  }
-
-  auto rows = h.frontend.Results(*q);
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].Get("COUNT").int_value(), 100);
-}
-
-TEST(AgentFlusherTest, StopIsIdempotent) {
-  RealTimeHarness h;
-  AgentFlusher flusher(h.agent.get(), std::chrono::milliseconds(5));
-  flusher.Stop();
-  flusher.Stop();
-  EXPECT_GE(flusher.flushes(), 1u);
-}
 
 TEST(ResultListenerTest, StreamsIntervalRowsAsTheyArrive) {
   RealTimeHarness h;
