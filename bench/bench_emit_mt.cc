@@ -19,7 +19,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -31,26 +30,21 @@
 #include "bench/bench_util.h"
 #include "src/agent/agent.h"
 #include "src/bus/message_bus.h"
+#include "src/common/clock.h"
 
 namespace pivot {
 namespace {
 
 constexpr uint64_t kQuery = 1;
 
-int64_t NowNanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 double MeasureNs(const std::function<void()>& fn, int iters, int passes = 8) {
   int64_t best = INT64_MAX;
   for (int p = 0; p < passes; ++p) {
-    int64_t start = NowNanos();
+    int64_t start = MonotonicNanos();
     for (int i = 0; i < iters; ++i) {
       fn();
     }
-    int64_t elapsed = NowNanos() - start;
+    int64_t elapsed = MonotonicNanos() - start;
     if (elapsed < best) {
       best = elapsed;
     }
@@ -108,12 +102,12 @@ double MeasureThroughput(PTAgent* agent, int threads, int per_thread) {
   }
   while (ready.load() != threads) {
   }
-  int64_t start = NowNanos();
+  int64_t start = MonotonicNanos();
   go.store(true, std::memory_order_release);
   for (auto& w : workers) {
     w.join();
   }
-  int64_t elapsed = NowNanos() - start;
+  int64_t elapsed = MonotonicNanos() - start;
   agent->Flush(elapsed);  // Reset interval state between passes.
   return static_cast<double>(threads) * per_thread * 1e9 / elapsed;
 }

@@ -1,10 +1,9 @@
 // Hot-path micro-benchmarks for the interned-symbol / pre-resolved-plan /
 // copy-on-write-baggage overhaul (docs/PERFORMANCE.md):
 //
-//   1. Tuple field access: Get/Project by SymbolId vs by string.
-//   2. Advice execution: compiled AdvicePlan::Execute vs the reference
-//      interpreter Advice::Execute on a representative observe/let/filter/
-//      pack/unpack/emit program.
+//   1. Tuple field access: Get by SymbolId vs by string, Project by SymbolId.
+//   2. Advice execution: AdvicePlan::Execute ns/op on a representative
+//      observe/let/filter/unpack/emit program.
 //   3. Baggage serialization: dirty (active instance mutated since the last
 //      serialize) vs clean (memoized encoding reused). check.sh gates the
 //      clean path at --min-serialize-speedup (default 10x): serializing an
@@ -15,7 +14,6 @@
 // bench_telemetry_overhead: no google-benchmark dependency, so the gate runs
 // identically everywhere check.sh does.
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -24,6 +22,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/common/clock.h"
 #include "src/core/advice.h"
 #include "src/core/baggage.h"
 #include "src/core/context.h"
@@ -33,21 +32,15 @@
 namespace pivot {
 namespace {
 
-int64_t NowNanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 // Best-of-passes ns/op for `fn` run `iters` times per pass.
 double MeasureNs(const std::function<void()>& fn, int iters, int passes = 8) {
   int64_t best = INT64_MAX;
   for (int p = 0; p < passes; ++p) {
-    int64_t start = NowNanos();
+    int64_t start = MonotonicNanos();
     for (int i = 0; i < iters; ++i) {
       fn();
     }
-    int64_t elapsed = NowNanos() - start;
+    int64_t elapsed = MonotonicNanos() - start;
     if (elapsed < best) {
       best = elapsed;
     }
@@ -94,23 +87,20 @@ int main(int argc, char** argv) {
     Tuple t = MakeWideTuple(16);
     SymbolId id8 = InternSymbol("col8");
     std::vector<SymbolId> proj_ids = InternSymbols({"col2", "col5", "col11"});
-    std::vector<std::string> proj_names = {"col2", "col5", "col11"};
 
     double get_id = MeasureNs([&] { Keep(t.Get(id8).int_value()); }, kIters);
     double get_str = MeasureNs([&] { Keep(t.Get("col8").int_value()); }, kIters);
     double proj_id = MeasureNs([&] { Keep(t.Project(proj_ids).size()); }, kIters);
-    double proj_str = MeasureNs([&] { Keep(t.Project(proj_names).size()); }, kIters);
 
     printf("Tuple (16 fields):\n");
     printf("  Get         by id %7.1f ns   by string %7.1f ns\n", get_id, get_str);
-    printf("  Project x3  by id %7.1f ns   by string %7.1f ns\n", proj_id, proj_str);
+    printf("  Project x3  by id %7.1f ns\n", proj_id);
     json.Report("tuple_get_by_id", get_id, "ns");
     json.Report("tuple_get_by_string", get_str, "ns");
     json.Report("tuple_project_by_id", proj_id, "ns");
-    json.Report("tuple_project_by_string", proj_str, "ns");
   }
 
-  // ---- 2. Compiled plan vs reference interpreter ----
+  // ---- 2. Advice plan execution ----
   {
     constexpr int kIters = 20'000;
     constexpr BagKey kBag = 42;
@@ -140,15 +130,10 @@ int main(int argc, char** argv) {
     Tuple exports{{"delta", Value(int64_t{4096})},
                   {"host", Value(std::string("dn01"))}};
 
-    double interp = MeasureNs([&] { advice->Execute(&ctx, exports); }, kIters);
     double planned = MeasureNs([&] { plan->Execute(&ctx, exports); }, kIters);
     printf("\nAdvice execution (observe+let+filter+unpack+emit):\n");
-    printf("  reference interpreter %8.1f ns/op\n", interp);
-    printf("  compiled plan         %8.1f ns/op   (%.2fx)\n", planned,
-           interp / planned);
-    json.Report("advice_interpreter", interp, "ns");
+    printf("  advice plan %8.1f ns/op\n", planned);
     json.Report("advice_plan", planned, "ns");
-    json.Report("advice_plan_speedup", interp / planned, "x");
   }
 
   // ---- 3. Serialize: dirty vs clean (memoized encodings) ----
@@ -183,9 +168,9 @@ int main(int argc, char** argv) {
         int64_t total = 0;
         for (int i = 0; i < kIters; ++i) {
           bag.Pack(kBag + 2, BagSpec::Recent(1), dirt);
-          int64_t t0 = NowNanos();
+          int64_t t0 = MonotonicNanos();
           g_sink += bag.Serialize().size();
-          total += NowNanos() - t0;
+          total += MonotonicNanos() - t0;
         }
         if (total < best) {
           best = total;

@@ -16,12 +16,12 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 
 #include "src/analysis/query_linter.h"
 #include "src/analysis/reachability.h"
+#include "src/common/clock.h"
 #include "src/hadoop/cluster.h"
 #include "src/query/compiler.h"
 #include "src/query/parser.h"
@@ -156,14 +156,11 @@ int RunLintGate(double max_lint_micros) {
     CompiledQuery compiled = *compiler.Compile(*ParseQuery(text), 1);
     double best_micros = 1e100;
     for (int pass = 0; pass < kPasses; ++pass) {
-      auto start = std::chrono::steady_clock::now();
+      int64_t start = MonotonicNanos();
       for (int i = 0; i < kIters; ++i) {
         benchmark::DoNotOptimize(LintQuery(compiled, lint_options));
       }
-      double micros = std::chrono::duration<double, std::micro>(
-                          std::chrono::steady_clock::now() - start)
-                          .count() /
-                      kIters;
+      double micros = static_cast<double>(MonotonicNanos() - start) / 1e3 / kIters;
       if (micros < best_micros) {
         best_micros = micros;
       }

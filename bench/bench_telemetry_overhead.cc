@@ -18,7 +18,6 @@
 //                     no real call site looks like this.
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -28,16 +27,11 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/common/clock.h"
 #include "src/core/tracepoint.h"
 
 namespace pivot {
 namespace {
-
-int64_t NowNanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // Replica of the seed Tracepoint fast path: acquire-load the advice pointer,
 // branch, hand off to an out-of-line slow path. No fire counter — this is
@@ -77,16 +71,16 @@ std::pair<double, double> MeasureInterleaved(const std::function<void()>& base,
   int64_t best_base = INT64_MAX;
   int64_t best_variant = INT64_MAX;
   for (int pass = 0; pass < passes; ++pass) {
-    int64_t start = NowNanos();
+    int64_t start = MonotonicNanos();
     for (int i = 0; i < iterations_per_pass; ++i) {
       base();
     }
-    best_base = std::min(best_base, NowNanos() - start);
-    start = NowNanos();
+    best_base = std::min(best_base, MonotonicNanos() - start);
+    start = MonotonicNanos();
     for (int i = 0; i < iterations_per_pass; ++i) {
       variant();
     }
-    best_variant = std::min(best_variant, NowNanos() - start);
+    best_variant = std::min(best_variant, MonotonicNanos() - start);
   }
   return {static_cast<double>(best_base) / iterations_per_pass,
           static_cast<double>(best_variant) / iterations_per_pass};

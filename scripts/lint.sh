@@ -1,6 +1,7 @@
 #!/bin/sh
 # Grep gates on how src/hadoop crosses process boundaries, on who writes
-# values to the wire and on threads in src, then clang-tidy over the sources
+# values to the wire, on threads in src and on who executes advice, then
+# clang-tidy over the sources
 # (.clang-tidy selects bugprone-*, performance-*, concurrency-*). clang-tidy
 # degrades gracefully: the CI container only ships gcc, so a missing
 # clang-tidy is a skip, not a failure.
@@ -38,6 +39,17 @@ if grep -rnE '\bstd::j?thread\b' "$repo_root/src" |
   sed -E 's/std::j?thread::hardware_concurrency//g' |
   grep -E '\bstd::j?thread\b'; then
   echo "lint: src declares or constructs a std::thread; let the host own threads."
+  exit 1
+fi
+
+# Executor gate: AdvicePlan::Execute in src/core/plan.cc is the one advice
+# executor. No other src file defines an Execute that takes an
+# ExecutionContext*; declarations (lines ending in ';') and calls may stay.
+if grep -rnE '\bExecute[[:space:]]*\([^)]*ExecutionContext[[:space:]]*\*' "$repo_root/src" |
+  grep -vE '^[^:]*/core/plan\.cc:' |
+  grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' |
+  grep -vE ';[[:space:]]*$'; then
+  echo "lint: an advice executor outside src/core/plan.cc; run advice as an AdvicePlan."
   exit 1
 fi
 

@@ -1,6 +1,9 @@
 // Advice: the intermediate representation Pivot Tracing queries compile to
-// (§3, Table 2). Advice is woven into tracepoints and runs whenever the
-// tracepoint fires.
+// (§3, Table 2). Advice is the name-form program: the compiler emits it, the
+// weave command carries it (advice_io.h) and the verifier checks it. It runs
+// only as an AdvicePlan (plan.h), bound once when it is woven; binding interns
+// its names into the never-freed symbol table, so an agent binds only advice
+// it has verified.
 //
 // An advice program is a straight-line sequence of operations over a working
 // set of tuples:
@@ -30,9 +33,7 @@
 #include <vector>
 
 #include "src/core/baggage.h"
-#include "src/core/context.h"
 #include "src/core/expr.h"
-#include "src/core/tuple.h"
 
 namespace pivot {
 
@@ -76,41 +77,12 @@ class Advice {
 
   const std::vector<Op>& ops() const { return ops_; }
 
-  // Runs the program against one tracepoint invocation. `exports` holds the
-  // raw exported variables (unqualified names, defaults included). Uses the
-  // context's baggage for Unpack/Pack and the context's process sink for
-  // Emit.
-  //
-  // Safety: besides being loop-free, execution bounds the working set at
-  // kMaxWorkingSet tuples — pathological multi-unpack cartesian joins
-  // truncate (counted by truncation_count()) instead of exhausting memory,
-  // keeping advice overhead bounded even for adversarial queries.
-  void Execute(ExecutionContext* ctx, const Tuple& exports) const;
-
-  // Upper bound on tuples materialized by one advice execution.
-  static constexpr size_t kMaxWorkingSet = 65536;
-
-  // Process-wide count of truncated executions: the advice.truncations
-  // telemetry counter (docs/OBSERVABILITY.md).
-  static uint64_t truncation_count();
-
   // Human-readable listing, e.g. "OBSERVE procName / PACK-FIRST[procName]".
   std::string ToString() const;
 
  private:
   std::vector<Op> ops_;
 };
-
-namespace advice_internal {
-
-// Shared between the reference interpreter (Advice::Execute) and the compiled
-// executor (AdvicePlan::Execute, src/core/plan.cc) so both draw from the same
-// deterministic sampling sequence and truncation counter — a requirement for
-// the fuzz equivalence suite that runs the same program down both paths.
-bool SampleAccept(double rate);
-void CountTruncation();
-
-}  // namespace advice_internal
 
 // Fluent construction of advice programs; used by the query compiler and by
 // tests/examples building advice by hand.

@@ -1,12 +1,37 @@
 #include "src/core/plan.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "src/telemetry/metrics.h"
 
 namespace pivot {
 
 namespace {
+
+// Sampling decision: a global counter hashed through splitmix64 gives a
+// reproducible (single-threaded) yet well-distributed accept/reject sequence
+// without per-advice mutable state.
+bool SampleAccept(double rate) {
+  if (rate >= 1.0) {
+    return true;
+  }
+  if (rate <= 0.0) {
+    return false;
+  }
+  static std::atomic<uint64_t> counter{0};
+  uint64_t z = counter.fetch_add(1, std::memory_order_relaxed) + 0x9E3779B97F4A7C15ULL;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  z ^= z >> 31;
+  return static_cast<double>(z >> 11) * 0x1.0p-53 < rate;
+}
+
+void CountTruncation() {
+  static telemetry::Counter& truncations =
+      telemetry::Metrics().GetCounter("advice.truncations");
+  truncations.Increment();
+}
 
 // Per-thread working-set buffers, reused across invocations so plan execution
 // does no vector allocation in steady state. Indexed by re-entrancy depth:
@@ -93,13 +118,13 @@ void AdvicePlan::Execute(ExecutionContext* ctx, const Tuple& exports) const {
   std::vector<Tuple>& working = scratch.working;
   working.clear();
   // Starts as one empty tuple so a leading Observe replaces it and degenerate
-  // programs still behave sensibly (mirrors Advice::Execute).
+  // programs still behave sensibly.
   working.emplace_back();
 
   for (const Step& step : steps_) {
     switch (step.kind) {
       case Advice::OpKind::kSample: {
-        if (!advice_internal::SampleAccept(step.sample_rate)) {
+        if (!SampleAccept(step.sample_rate)) {
           return;
         }
         break;
@@ -115,15 +140,16 @@ void AdvicePlan::Execute(ExecutionContext* ctx, const Tuple& exports) const {
         break;
       }
       case Advice::OpKind::kUnpack: {
+        // Inner join (§3): an observed t_o and unpacked t_u1, t_u2 give
+        // t_o·t_u1 and t_o·t_u2; an empty bag empties the working set.
         std::vector<Tuple> unpacked = ctx->baggage().Unpack(step.bag);
         std::vector<Tuple>& joined = scratch.spare;
         joined.clear();
-        joined.reserve(
-            std::min(working.size() * unpacked.size(), Advice::kMaxWorkingSet));
+        joined.reserve(std::min(working.size() * unpacked.size(), kMaxWorkingSet));
         bool truncated = false;
         for (const auto& w : working) {
           for (const auto& u : unpacked) {
-            if (joined.size() >= Advice::kMaxWorkingSet) {
+            if (joined.size() >= kMaxWorkingSet) {
               truncated = true;
               break;
             }
@@ -134,7 +160,7 @@ void AdvicePlan::Execute(ExecutionContext* ctx, const Tuple& exports) const {
           }
         }
         if (truncated) {
-          advice_internal::CountTruncation();
+          CountTruncation();
         }
         working.swap(joined);
         break;

@@ -1,15 +1,9 @@
-// AdvicePlan: the weave-time compiled form of an advice program.
-//
-// Advice::Execute (src/core/advice.cc) resolves every column name by string
-// on every tracepoint fire. An AdvicePlan lowers the same straight-line
-// program once, when the advice is woven: observe (export, output) pairs,
-// pack/emit projections, Let output columns, and every Expr field reference
-// are bound to dense SymbolIds, and execution reuses a per-thread working-set
+// AdvicePlan: the one advice executor. TracepointRegistry::WeaveQuery lowers
+// each (tracepoint, advice) pair once, at weave time, off the fire path:
+// observe (export, output) pairs, pack/emit projections, Let output columns
+// and every Expr field reference are bound to dense SymbolIds, so a fire
+// compares integers, never strings. Execution reuses a per-thread working-set
 // buffer instead of constructing fresh vectors per invocation.
-//
-// Execute is semantically identical to Advice::Execute — same op order, same
-// kMaxWorkingSet truncation, same deterministic sampling sequence (shared via
-// advice_internal) — which the fuzz equivalence suite asserts byte-for-byte.
 
 #ifndef PIVOT_SRC_CORE_PLAN_H_
 #define PIVOT_SRC_CORE_PLAN_H_
@@ -37,13 +31,22 @@ class AdvicePlan {
   // counter. Returns nullptr only for null input.
   static Ptr Compile(const Advice::Ptr& advice);
 
-  // Runs the compiled program against one tracepoint invocation. Same
-  // contract as Advice::Execute. Reentrancy-safe: meta-tracepoints fired
-  // during Pack/Emit may re-enter Execute on the same thread (each depth gets
-  // its own scratch buffer).
+  // Runs the program against one tracepoint invocation. `exports` holds the
+  // raw exported variables (unqualified names, defaults included). Uses the
+  // context's baggage for Unpack/Pack and the context's process sink for
+  // Emit; a null context runs nothing. Reentrancy-safe: meta-tracepoints
+  // fired during Pack/Emit may re-enter Execute on the same thread (each
+  // depth gets its own scratch buffer).
+  //
+  // Safety: besides being loop-free, execution bounds the working set at
+  // kMaxWorkingSet tuples — pathological multi-unpack cartesian joins
+  // truncate (counted by the advice.truncations counter) instead of
+  // exhausting memory, keeping advice overhead bounded even for adversarial
+  // queries.
   void Execute(ExecutionContext* ctx, const Tuple& exports) const;
 
-  size_t step_count() const { return steps_.size(); }
+  // Upper bound on tuples materialized by one advice execution.
+  static constexpr size_t kMaxWorkingSet = 65536;
 
  private:
   struct Step {

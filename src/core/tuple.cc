@@ -62,19 +62,6 @@ Tuple Tuple::Project(const std::vector<SymbolId>& ids) const {
   return out;
 }
 
-Tuple Tuple::Project(const std::vector<std::string>& names) const {
-  return Project(InternSymbols(names));
-}
-
-Tuple Tuple::Project(std::initializer_list<std::string_view> names) const {
-  Tuple out;
-  for (std::string_view n : names) {
-    SymbolId id = InternSymbol(n);
-    out.Append(id, Get(id));
-  }
-  return out;
-}
-
 std::string Tuple::ToString() const {
   std::string out = "(";
   for (size_t i = 0; i < fields_.size(); ++i) {

@@ -7,9 +7,9 @@
 //
 // Names are stored interned: a Field holds a dense SymbolId (see
 // src/core/symbol.h), so Get/Project compare integers instead of strings on
-// the advice hot path. String-based accessors remain for
-// compatibility and for cold paths (wire decode, rendering, tests); they
-// intern or look up through the global SymbolTable.
+// the advice hot path. String-based accessors remain for cold paths (wire
+// decode, reading result rows, rendering, tests); they intern or look up
+// through the global SymbolTable.
 
 #ifndef PIVOT_SRC_CORE_TUPLE_H_
 #define PIVOT_SRC_CORE_TUPLE_H_
@@ -76,14 +76,9 @@ class Tuple {
   // `this` followed by fields of `other`.
   Tuple Concat(const Tuple& other) const;
 
-  // Projection Π: restricts to `names`, preserving the given order. Missing
+  // Projection Π: restricts to `ids`, preserving the given order. Missing
   // fields project to null (the analyzer rejects unknown fields up front).
-  // The initializer_list overload keeps braced calls like Project({"a", "b"})
-  // unambiguous (a braced pair of string literals would otherwise match the
-  // vector<SymbolId> iterator-pair constructor).
   Tuple Project(const std::vector<SymbolId>& ids) const;
-  Tuple Project(const std::vector<std::string>& names) const;
-  Tuple Project(std::initializer_list<std::string_view> names) const;
 
   // "(a=1, b=x)" rendering.
   std::string ToString() const;

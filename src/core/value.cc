@@ -42,7 +42,9 @@ std::string Value::ToString() const {
       return std::to_string(int_value());
     case ValueType::kDouble: {
       double d = double_value();
-      if (d == static_cast<int64_t>(d) && std::abs(d) < 1e15) {
+      // The magnitude check comes first: casting 1e300, inf or NaN to int64
+      // is undefined.
+      if (std::abs(d) < 1e15 && d == static_cast<double>(static_cast<int64_t>(d))) {
         return StrFormat("%.1f", d);
       }
       return StrFormat("%g", d);
@@ -100,6 +102,14 @@ NumKind Classify(const Value& a, const Value& b) {
   return (a.is_int() && b.is_int()) ? NumKind::kBothInt : NumKind::kMixed;
 }
 
+// int64 arithmetic follows the JVM `long` rules of the paper's prototype:
+// +, - and * wrap mod 2^64 (computed in uint64_t, so no signed overflow), and
+// INT64_MIN / -1 is INT64_MIN with remainder 0 (the native forms trap).
+// Wrapping keeps SUM's combiner associative and commutative, so partial sums
+// merge exactly in any order.
+int64_t Wrap(uint64_t v) { return static_cast<int64_t>(v); }
+uint64_t Bits(const Value& v) { return static_cast<uint64_t>(v.int_value()); }
+
 }  // namespace
 
 Value ValueAdd(const Value& a, const Value& b) {
@@ -108,7 +118,7 @@ Value ValueAdd(const Value& a, const Value& b) {
   }
   switch (Classify(a, b)) {
     case NumKind::kBothInt:
-      return Value(a.int_value() + b.int_value());
+      return Value(Wrap(Bits(a) + Bits(b)));
     case NumKind::kMixed:
       return Value(a.AsDouble() + b.AsDouble());
     case NumKind::kNonNumeric:
@@ -120,7 +130,7 @@ Value ValueAdd(const Value& a, const Value& b) {
 Value ValueSub(const Value& a, const Value& b) {
   switch (Classify(a, b)) {
     case NumKind::kBothInt:
-      return Value(a.int_value() - b.int_value());
+      return Value(Wrap(Bits(a) - Bits(b)));
     case NumKind::kMixed:
       return Value(a.AsDouble() - b.AsDouble());
     case NumKind::kNonNumeric:
@@ -132,7 +142,7 @@ Value ValueSub(const Value& a, const Value& b) {
 Value ValueMul(const Value& a, const Value& b) {
   switch (Classify(a, b)) {
     case NumKind::kBothInt:
-      return Value(a.int_value() * b.int_value());
+      return Value(Wrap(Bits(a) * Bits(b)));
     case NumKind::kMixed:
       return Value(a.AsDouble() * b.AsDouble());
     case NumKind::kNonNumeric:
@@ -149,6 +159,9 @@ Value ValueDiv(const Value& a, const Value& b) {
     if (b.int_value() == 0) {
       return Value();
     }
+    if (b.int_value() == -1) {
+      return Value(Wrap(0 - Bits(a)));  // INT64_MIN / -1 wraps to INT64_MIN.
+    }
     // Integer division truncates, matching LINQ/C semantics.
     return Value(a.int_value() / b.int_value());
   }
@@ -162,6 +175,9 @@ Value ValueDiv(const Value& a, const Value& b) {
 Value ValueMod(const Value& a, const Value& b) {
   if (!a.is_int() || !b.is_int() || b.int_value() == 0) {
     return Value();
+  }
+  if (b.int_value() == -1) {
+    return Value(int64_t{0});  // INT64_MIN % -1 would trap.
   }
   return Value(a.int_value() % b.int_value());
 }

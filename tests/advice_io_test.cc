@@ -2,6 +2,7 @@
 
 #include "src/common/rand.h"
 #include "src/core/advice_io.h"
+#include "src/core/plan.h"
 
 namespace pivot {
 namespace {
@@ -104,8 +105,9 @@ TEST(AdviceIoTest, DecodedAdviceExecutesIdentically) {
 
   ExecutionContext c1;
   ExecutionContext c2;
-  original->Execute(&c1, Tuple{{"v", Value(int64_t{5})}});
-  decoded->Execute(&c2, Tuple{{"v", Value(int64_t{5})}});
+  AdvicePlan::Compile(original)->Execute(&c1, Tuple{{"v", Value(int64_t{5})}});
+  AdvicePlan::Compile(decoded)->Execute(&c2, Tuple{{"v", Value(int64_t{5})}});
+  EXPECT_EQ(c1.baggage().TupleCount(), 1u);
   EXPECT_EQ(c1.baggage().Serialize(), c2.baggage().Serialize());
 }
 

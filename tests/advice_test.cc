@@ -1,6 +1,10 @@
+// Advice semantics (§3, Table 2), run through AdvicePlan, the one executor.
+
 #include <gtest/gtest.h>
 
 #include "src/core/advice.h"
+#include "src/core/plan.h"
+#include "src/telemetry/metrics.h"
 #include "tests/test_util.h"
 
 namespace pivot {
@@ -20,15 +24,12 @@ TEST_F(AdviceTest, PaperQ2AdvicePair) {
   //   A1: OBSERVE procName; PACK-FIRST procName
   //   A2: OBSERVE delta; UNPACK procName; EMIT procName, SUM(delta)
   // (aggregation of the emit happens in the agent; A2 emits joined tuples).
-  Advice::Ptr a1 = AdviceBuilder()
-                       .Observe({{"procName", "cl.procName"}})
-                       .Pack(100, BagSpec::First(1), {"cl.procName"})
-                       .Build();
-  Advice::Ptr a2 = AdviceBuilder()
-                       .Observe({{"delta", "incr.delta"}})
-                       .Unpack(100)
-                       .Emit(1, {})
-                       .Build();
+  AdvicePlan::Ptr a1 = AdvicePlan::Compile(AdviceBuilder()
+                                               .Observe({{"procName", "cl.procName"}})
+                                               .Pack(100, BagSpec::First(1), {"cl.procName"})
+                                               .Build());
+  AdvicePlan::Ptr a2 = AdvicePlan::Compile(
+      AdviceBuilder().Observe({{"delta", "incr.delta"}}).Unpack(100).Emit(1, {}).Build());
 
   // First tracepoint invocation (ClientProtocols).
   a1->Execute(&ctx_, Tuple{{"procName", Value("FSread4m")}});
@@ -45,10 +46,8 @@ TEST_F(AdviceTest, PaperQ2AdvicePair) {
 }
 
 TEST_F(AdviceTest, PackFirstIgnoresSubsequent) {
-  Advice::Ptr a = AdviceBuilder()
-                      .Observe({{"v", "p.v"}})
-                      .Pack(5, BagSpec::First(1), {"p.v"})
-                      .Build();
+  AdvicePlan::Ptr a = AdvicePlan::Compile(
+      AdviceBuilder().Observe({{"v", "p.v"}}).Pack(5, BagSpec::First(1), {"p.v"}).Build());
   a->Execute(&ctx_, Tuple{{"v", Value(int64_t{1})}});
   a->Execute(&ctx_, Tuple{{"v", Value(int64_t{2})}});
   auto tuples = ctx_.baggage().Unpack(5);
@@ -58,7 +57,8 @@ TEST_F(AdviceTest, PackFirstIgnoresSubsequent) {
 
 TEST_F(AdviceTest, UnpackEmptyBagProducesNothing) {
   // Inner-join semantics: no packed tuples -> nothing emitted downstream.
-  Advice::Ptr a = AdviceBuilder().Observe({{"v", "q.v"}}).Unpack(999).Emit(1, {}).Build();
+  AdvicePlan::Ptr a = AdvicePlan::Compile(
+      AdviceBuilder().Observe({{"v", "q.v"}}).Unpack(999).Emit(1, {}).Build());
   a->Execute(&ctx_, Tuple{{"v", Value(int64_t{1})}});
   EXPECT_EQ(proc_.sink.total(), 0u);
 }
@@ -68,7 +68,8 @@ TEST_F(AdviceTest, UnpackJoinsAllCombinations) {
   // are t_o·t_u1 and t_o·t_u2" (§3).
   ctx_.baggage().Pack(5, BagSpec::All(), Tuple{{"p.v", Value(int64_t{1})}});
   ctx_.baggage().Pack(5, BagSpec::All(), Tuple{{"p.v", Value(int64_t{2})}});
-  Advice::Ptr a = AdviceBuilder().Observe({{"v", "q.v"}}).Unpack(5).Emit(1, {}).Build();
+  AdvicePlan::Ptr a = AdvicePlan::Compile(
+      AdviceBuilder().Observe({{"v", "q.v"}}).Unpack(5).Emit(1, {}).Build());
   a->Execute(&ctx_, Tuple{{"v", Value(int64_t{10})}});
   const auto& emitted = proc_.sink.emitted(1);
   ASSERT_EQ(emitted.size(), 2u);
@@ -81,18 +82,19 @@ TEST_F(AdviceTest, DoubleUnpackIsCartesian) {
   ctx_.baggage().Pack(1, BagSpec::All(), Tuple{{"a.v", Value(int64_t{1})}});
   ctx_.baggage().Pack(1, BagSpec::All(), Tuple{{"a.v", Value(int64_t{2})}});
   ctx_.baggage().Pack(2, BagSpec::All(), Tuple{{"b.v", Value(int64_t{3})}});
-  Advice::Ptr a = AdviceBuilder().Observe({}).Unpack(1).Unpack(2).Emit(1, {}).Build();
+  AdvicePlan::Ptr a = AdvicePlan::Compile(
+      AdviceBuilder().Observe({}).Unpack(1).Unpack(2).Emit(1, {}).Build());
   a->Execute(&ctx_, Tuple());
   EXPECT_EQ(proc_.sink.emitted(1).size(), 2u);  // 2 x 1 combinations.
 }
 
 TEST_F(AdviceTest, FilterDropsNonMatching) {
-  Advice::Ptr a =
+  AdvicePlan::Ptr a = AdvicePlan::Compile(
       AdviceBuilder()
           .Observe({{"v", "q.v"}})
           .Filter(Expr::Binary(ExprOp::kGt, Expr::Field("q.v"), Expr::Literal(Value(int64_t{5}))))
           .Emit(1, {})
-          .Build();
+          .Build());
   a->Execute(&ctx_, Tuple{{"v", Value(int64_t{3})}});
   a->Execute(&ctx_, Tuple{{"v", Value(int64_t{7})}});
   ASSERT_EQ(proc_.sink.emitted(1).size(), 1u);
@@ -102,13 +104,14 @@ TEST_F(AdviceTest, FilterDropsNonMatching) {
 TEST_F(AdviceTest, LetComputesDerivedColumn) {
   // Q8's `response.time - request.time` lowering.
   ctx_.baggage().Pack(1, BagSpec::Recent(1), Tuple{{"request.time", Value(int64_t{100})}});
-  Advice::Ptr a = AdviceBuilder()
-                      .Observe({{"time", "response.time"}})
-                      .Unpack(1)
-                      .Let("latency", Expr::Binary(ExprOp::kSub, Expr::Field("response.time"),
-                                                   Expr::Field("request.time")))
-                      .Emit(1, {"latency"})
-                      .Build();
+  AdvicePlan::Ptr a = AdvicePlan::Compile(
+      AdviceBuilder()
+          .Observe({{"time", "response.time"}})
+          .Unpack(1)
+          .Let("latency", Expr::Binary(ExprOp::kSub, Expr::Field("response.time"),
+                                       Expr::Field("request.time")))
+          .Emit(1, {"latency"})
+          .Build());
   a->Execute(&ctx_, Tuple{{"time", Value(int64_t{250})}});
   ASSERT_EQ(proc_.sink.emitted(1).size(), 1u);
   const Tuple& out = proc_.sink.emitted(1)[0];
@@ -117,10 +120,10 @@ TEST_F(AdviceTest, LetComputesDerivedColumn) {
 }
 
 TEST_F(AdviceTest, PackProjectsFields) {
-  Advice::Ptr a = AdviceBuilder()
-                      .Observe({{"v", "p.v"}, {"w", "p.w"}})
-                      .Pack(5, BagSpec::All(), {"p.v"})
-                      .Build();
+  AdvicePlan::Ptr a = AdvicePlan::Compile(AdviceBuilder()
+                                              .Observe({{"v", "p.v"}, {"w", "p.w"}})
+                                              .Pack(5, BagSpec::All(), {"p.v"})
+                                              .Build());
   a->Execute(&ctx_, Tuple{{"v", Value(int64_t{1})}, {"w", Value(int64_t{2})}});
   auto tuples = ctx_.baggage().Unpack(5);
   ASSERT_EQ(tuples.size(), 1u);
@@ -130,8 +133,8 @@ TEST_F(AdviceTest, PackProjectsFields) {
 
 TEST_F(AdviceTest, AggregatedPackKeepsStateBounded) {
   BagSpec spec = BagSpec::Aggregated({"p.g"}, {{AggFn::kSum, "p.v", "SUM(p.v)", false}});
-  Advice::Ptr a =
-      AdviceBuilder().Observe({{"g", "p.g"}, {"v", "p.v"}}).Pack(5, spec, {}).Build();
+  AdvicePlan::Ptr a = AdvicePlan::Compile(
+      AdviceBuilder().Observe({{"g", "p.g"}, {"v", "p.v"}}).Pack(5, spec, {}).Build());
   for (int i = 0; i < 100; ++i) {
     a->Execute(&ctx_, Tuple{{"g", Value(i % 2 == 0 ? "even" : "odd")},
                             {"v", Value(int64_t{i})}});
@@ -149,20 +152,24 @@ TEST_F(AdviceTest, WorkingSetExplosionTruncates) {
     ctx_.baggage().Pack(1, BagSpec::All(), Tuple{{"a.v", Value(i)}});
     ctx_.baggage().Pack(2, BagSpec::All(), Tuple{{"b.v", Value(i)}});
   }
-  uint64_t before = Advice::truncation_count();
-  Advice::Ptr a = AdviceBuilder().Observe({}).Unpack(1).Unpack(2).Emit(1, {}).Build();
+  telemetry::Counter& truncations = telemetry::Metrics().GetCounter("advice.truncations");
+  uint64_t before = truncations.value();
+  AdvicePlan::Ptr a = AdvicePlan::Compile(
+      AdviceBuilder().Observe({}).Unpack(1).Unpack(2).Emit(1, {}).Build());
   a->Execute(&ctx_, Tuple());
-  EXPECT_EQ(proc_.sink.emitted(1).size(), Advice::kMaxWorkingSet);
-  EXPECT_EQ(Advice::truncation_count(), before + 1);
+  EXPECT_EQ(proc_.sink.emitted(1).size(), AdvicePlan::kMaxWorkingSet);
+  EXPECT_EQ(truncations.value(), before + 1);
 }
 
 TEST_F(AdviceTest, NullContextIsSafe) {
-  Advice::Ptr a = AdviceBuilder().Observe({{"v", "q.v"}}).Emit(1, {}).Build();
+  AdvicePlan::Ptr a =
+      AdvicePlan::Compile(AdviceBuilder().Observe({{"v", "q.v"}}).Emit(1, {}).Build());
   a->Execute(nullptr, Tuple{{"v", Value(int64_t{1})}});  // Must not crash.
 }
 
 TEST_F(AdviceTest, MissingExportObservesNull) {
-  Advice::Ptr a = AdviceBuilder().Observe({{"nope", "q.nope"}}).Emit(1, {}).Build();
+  AdvicePlan::Ptr a =
+      AdvicePlan::Compile(AdviceBuilder().Observe({{"nope", "q.nope"}}).Emit(1, {}).Build());
   a->Execute(&ctx_, Tuple{{"v", Value(int64_t{1})}});
   ASSERT_EQ(proc_.sink.emitted(1).size(), 1u);
   EXPECT_TRUE(proc_.sink.emitted(1)[0].Get("q.nope").is_null());

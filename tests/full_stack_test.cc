@@ -193,6 +193,35 @@ TEST_F(FullStackTest, AllNinePaperQueriesCoexist) {
   }
 }
 
+// INT64_MIN % -1 and INT64_MIN / -1 trap natively on x86. A query that lints
+// clean must not kill the host at its first woven fire: int64 arithmetic
+// follows the JVM `long` rules (remainder 0, quotient INT64_MIN).
+TEST_F(FullStackTest, Int64MinByMinusOneQueriesRunAndReport) {
+  SimProcess* proc = cluster_->AddClient(cluster_->worker(1), "FSread4m");
+  HdfsReadWorkload fsread(proc, cluster_->namenode(), 4 << 20, 30 * kMicrosPerMilli, false, 601);
+  fsread.Start(2 * kMicrosPerSecond);
+  cluster_->world()->StartAgentFlushLoop(2 * kMicrosPerSecond);
+
+  uint64_t mod = Install(
+      "From incr In DataNodeMetrics.incrBytesRead\n"
+      "Where incr.delta > (0 - 9223372036854775807 - 1) % -1\n"
+      "Select SUM(incr.delta)");
+  uint64_t div = Install(
+      "From incr In DataNodeMetrics.incrBytesRead\n"
+      "Where incr.delta != (0 - 9223372036854775807 - 1) / -1\n"
+      "Select SUM(incr.delta)");
+  cluster_->world()->RunUntil(2 * kMicrosPerSecond);
+
+  // Every delta is positive and none is INT64_MIN, so both filters keep
+  // every fire.
+  std::vector<Tuple> by_mod = Results(mod);
+  std::vector<Tuple> by_div = Results(div);
+  ASSERT_EQ(by_mod.size(), 1u);
+  ASSERT_EQ(by_div.size(), 1u);
+  EXPECT_GT(by_mod[0].field(0).value.int_value(), 0);
+  EXPECT_EQ(by_mod[0], by_div[0]);
+}
+
 TEST_F(FullStackTest, TemporalFilterOnFromRejected) {
   Result<uint64_t> q = cluster_->world()->frontend()->Install(
       "From incr In First(DataNodeMetrics.incrBytesRead) Select COUNT");

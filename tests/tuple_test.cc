@@ -40,7 +40,7 @@ TEST(TupleTest, GetReturnsFirstOnDuplicates) {
 
 TEST(TupleTest, ProjectPreservesRequestedOrder) {
   Tuple t{{"a", Value(int64_t{1})}, {"b", Value(int64_t{2})}, {"c", Value(int64_t{3})}};
-  Tuple p = t.Project({"c", "a"});
+  Tuple p = t.Project(InternSymbols({"c", "a"}));
   ASSERT_EQ(p.size(), 2u);
   EXPECT_EQ(p.field(0).name(), "c");
   EXPECT_EQ(p.field(1).name(), "a");
@@ -48,7 +48,7 @@ TEST(TupleTest, ProjectPreservesRequestedOrder) {
 
 TEST(TupleTest, ProjectMissingYieldsNull) {
   Tuple t{{"a", Value(int64_t{1})}};
-  Tuple p = t.Project({"zzz"});
+  Tuple p = t.Project(InternSymbols({"zzz"}));
   ASSERT_EQ(p.size(), 1u);
   EXPECT_TRUE(p.Get("zzz").is_null());
 }

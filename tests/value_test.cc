@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "src/core/value.h"
 
 namespace pivot {
@@ -124,6 +127,37 @@ TEST(ValueArithmeticTest, TypeErrorsYieldNull) {
 TEST(ValueArithmeticTest, Modulo) {
   EXPECT_EQ(ValueMod(Value(int64_t{7}), Value(int64_t{3})).int_value(), 1);
   EXPECT_TRUE(ValueMod(Value(7.0), Value(int64_t{3})).is_null());
+}
+
+// int64 arithmetic follows the JVM `long` rules: it wraps instead of
+// overflowing, and the one quotient that does not fit is INT64_MIN.
+constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+
+TEST(ValueArithmeticTest, Int64OverflowWraps) {
+  EXPECT_EQ(ValueAdd(Value(kMax), Value(int64_t{1})).int_value(), kMin);
+  EXPECT_EQ(ValueAdd(Value(kMin), Value(kMin)).int_value(), 0);
+  EXPECT_EQ(ValueSub(Value(kMin), Value(int64_t{1})).int_value(), kMax);
+  EXPECT_EQ(ValueSub(Value(int64_t{0}), Value(kMin)).int_value(), kMin);  // -INT64_MIN.
+  EXPECT_EQ(ValueMul(Value(kMax), Value(int64_t{2})).int_value(), -2);
+  EXPECT_EQ(ValueMul(Value(kMin), Value(int64_t{-1})).int_value(), kMin);
+}
+
+TEST(ValueArithmeticTest, Int64MinByMinusOneDoesNotTrap) {
+  EXPECT_EQ(ValueDiv(Value(kMin), Value(int64_t{-1})).int_value(), kMin);
+  EXPECT_EQ(ValueMod(Value(kMin), Value(int64_t{-1})).int_value(), 0);
+  EXPECT_EQ(ValueDiv(Value(int64_t{7}), Value(int64_t{-1})).int_value(), -7);
+  EXPECT_EQ(ValueMod(Value(int64_t{7}), Value(int64_t{-1})).int_value(), 0);
+  EXPECT_EQ(ValueDiv(Value(kMin), Value(int64_t{2})).int_value(), kMin / 2);
+}
+
+TEST(ValueTest, OutOfRangeDoublesRender) {
+  EXPECT_EQ(Value(1e300).ToString(), "1e+300");
+  EXPECT_EQ(Value(-1e300).ToString(), "-1e+300");
+  EXPECT_EQ(Value(std::numeric_limits<double>::infinity()).ToString(), "inf");
+  EXPECT_EQ(Value(std::numeric_limits<double>::quiet_NaN()).ToString(), "nan");
+  EXPECT_EQ(Value(1e14).ToString(), "100000000000000.0");
+  EXPECT_EQ(Value(1e15).ToString(), "1e+15");
 }
 
 }  // namespace
