@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "src/common/clock.h"
+#include "src/core/advice_io.h"
 #include "src/core/symbol.h"
 #include "src/query/parser.h"
 #include "src/telemetry/metrics.h"
@@ -16,6 +17,20 @@ namespace {
 telemetry::Counter& DecodeErrorsCounter() {
   static telemetry::Counter& c = telemetry::Metrics().GetCounter("frontend.decode_errors");
   return c;
+}
+
+// The distinct keys `advice` packs, in order of first appearance.
+std::vector<BagKey> PackedBags(const std::vector<std::pair<std::string, Advice::Ptr>>& advice) {
+  std::vector<BagKey> bags;
+  for (const auto& [tp, adv] : advice) {
+    for (const Advice::Op& op : adv->ops()) {
+      if (op.kind == Advice::OpKind::kPack &&
+          std::find(bags.begin(), bags.end(), op.bag) == bags.end()) {
+        bags.push_back(op.bag);
+      }
+    }
+  }
+  return bags;
 }
 
 }  // namespace
@@ -43,21 +58,42 @@ const analysis::PropagationRegistry* Frontend::propagation() const {
   return propagation_;
 }
 
-std::map<BagKey, uint64_t> Frontend::InstalledBagsLocked() const {
-  std::map<BagKey, uint64_t> bags;
-  for (const auto& [id, q] : queries_) {
-    if (!q.active) {
-      continue;
-    }
-    for (const auto& [tp, adv] : q.compiled.advice) {
-      for (const Advice::Op& op : adv->ops()) {
-        if (op.kind == Advice::OpKind::kPack) {
-          bags.emplace(op.bag, id);
-        }
-      }
+void Frontend::ShareLiveBagsLocked(CompiledQuery* compiled) {
+  const uint64_t id = compiled->query_id;
+  std::map<BagKey, BagKey> shared;  // Compiler key -> live key.
+  for (BagKey bag : PackedBags(compiled->advice)) {
+    std::vector<uint8_t> program = PackStageProgram(compiled->advice, bag, shared);
+    auto live = std::find_if(live_bags_.begin(), live_bags_.end(),
+                             [&](const auto& entry) { return entry.second.program == program; });
+    if (live != live_bags_.end()) {
+      shared.emplace(bag, live->first);
+      live->second.queries.push_back(id);
+    } else {
+      live_bags_.emplace(bag, analysis::LiveBag{std::move(program), {id}});
     }
   }
-  return bags;
+  if (shared.empty()) {
+    return;
+  }
+  auto resolve = [&shared](BagKey key) {
+    auto it = shared.find(key);
+    return it == shared.end() ? key : it->second;
+  };
+  // A stage's advice is one program at each of its tracepoints: rewrite it once.
+  std::map<const Advice*, Advice::Ptr> rewritten;
+  for (auto& [tp, adv] : compiled->advice) {
+    Advice::Ptr& copy = rewritten[adv.get()];
+    if (copy == nullptr) {
+      std::vector<Advice::Op> ops = adv->ops();
+      for (Advice::Op& op : ops) {
+        if (op.kind == Advice::OpKind::kPack || op.kind == Advice::OpKind::kUnpack) {
+          op.bag = resolve(op.bag);
+        }
+      }
+      copy = std::make_shared<const Advice>(std::move(ops));
+    }
+    adv = copy;
+  }
 }
 
 int64_t Frontend::NowMicros() const {
@@ -141,11 +177,16 @@ Result<uint64_t> Frontend::InstallExplain(std::string_view text) {
 analysis::QueryLintResult Frontend::LintCompiled(const CompiledQuery& compiled,
                                                  const InstallOptions& options,
                                                  bool lint_projection) const {
-  std::map<BagKey, uint64_t> installed;
+  analysis::LiveBags installed;  // The live bags this query packs: all PT203 reads.
   analysis::LintOptions lint_options;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    installed = InstalledBagsLocked();
+    for (BagKey bag : PackedBags(compiled.advice)) {
+      auto live = live_bags_.find(bag);
+      if (live != live_bags_.end()) {
+        installed.insert(*live);
+      }
+    }
     lint_options.propagation = propagation_;
   }
   lint_options.schema = schema_;
@@ -170,9 +211,11 @@ Result<uint64_t> Frontend::InstallCompiled(CompiledQuery compiled, const Install
   }
 
   const uint64_t query_id = compiled.query_id;
-  std::vector<uint8_t> weave = EncodeWeave(WeaveCommand{query_id, compiled.advice, compiled.plan});
+  std::vector<uint8_t> weave;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    ShareLiveBagsLocked(&compiled);
+    weave = EncodeWeave(WeaveCommand{query_id, compiled.advice, compiled.plan});
     QueryResults results(std::move(compiled));
     results.installed_micros = NowMicros();
     queries_.emplace(query_id, std::move(results));
@@ -194,6 +237,16 @@ Status Frontend::Uninstall(uint64_t query_id) {
     }
     it->second.active = false;
     it->second.uninstalled_micros = NowMicros();
+    for (BagKey bag : PackedBags(it->second.compiled.advice)) {
+      auto live = live_bags_.find(bag);
+      if (live == live_bags_.end()) {
+        continue;
+      }
+      std::erase(live->second.queries, query_id);
+      if (live->second.queries.empty()) {
+        live_bags_.erase(live);
+      }
+    }
   }
   bus_->Publish(BusMessage{kCommandTopic, EncodeUnweave(query_id)});
   return Status::Ok();
@@ -203,6 +256,11 @@ const CompiledQuery* Frontend::compiled(uint64_t query_id) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = queries_.find(query_id);
   return it == queries_.end() ? nullptr : &it->second.compiled;
+}
+
+analysis::LiveBags Frontend::live_bags() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return live_bags_;
 }
 
 void Frontend::HandleReport(const BusMessage& msg) {
@@ -398,6 +456,18 @@ std::vector<Frontend::QueryStatus> Frontend::QueryStatuses() const {
       s.tuples += view.tuples;
     }
     s.agents = q.agents;
+    for (BagKey bag : PackedBags(q.compiled.advice)) {
+      QueryStatus::PackedBag& packed = s.bags.emplace_back();
+      packed.key = bag;
+      auto live = live_bags_.find(bag);
+      if (q.active && live != live_bags_.end()) {
+        for (uint64_t other : live->second.queries) {
+          if (other != id) {
+            packed.shared_with.push_back(other);
+          }
+        }
+      }
+    }
     out.push_back(std::move(s));
   }
   return out;
@@ -477,6 +547,20 @@ std::string Frontend::StatusReport() const {
       AppendMicros(&os, "uninstalled", s.uninstalled_micros);
     }
     os << "\n  totals: reports=" << s.reports << " tuples=" << s.tuples << "\n";
+    if (!s.bags.empty()) {
+      os << "  bags:";
+      for (const auto& bag : s.bags) {
+        os << " " << bag.key;
+        if (!bag.shared_with.empty()) {
+          os << " (shared with";
+          for (uint64_t other : bag.shared_with) {
+            os << " " << other;
+          }
+          os << ")";
+        }
+      }
+      os << "\n";
+    }
     for (const auto& [agent, view] : s.agents) {
       os << "  agent " << agent << ": " << AgentHealth(view) << "  reports=" << view.reports
          << " tuples=" << view.tuples << " suppressed=" << view.reports_suppressed << "  ";
@@ -515,7 +599,17 @@ std::string Frontend::StatusReportJson() const {
        << ",\"first_tuple_micros\":" << s.first_tuple_micros
        << ",\"last_report_micros\":" << s.last_report_micros
        << ",\"uninstalled_micros\":" << s.uninstalled_micros << ",\"reports\":" << s.reports
-       << ",\"tuples\":" << s.tuples << ",\"agents\":{";
+       << ",\"tuples\":" << s.tuples << ",\"bags\":[";
+    for (size_t i = 0; i < s.bags.size(); ++i) {
+      if (i > 0) os << ",";
+      os << "{\"key\":" << s.bags[i].key << ",\"shared_with\":[";
+      for (size_t j = 0; j < s.bags[i].shared_with.size(); ++j) {
+        if (j > 0) os << ",";
+        os << s.bags[i].shared_with[j];
+      }
+      os << "]}";
+    }
+    os << "],\"agents\":{";
     bool first_a = true;
     for (const auto& [agent, view] : s.agents) {
       if (!first_a) os << ",";

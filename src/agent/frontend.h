@@ -79,8 +79,10 @@ class Frontend {
 
   // Parses, compiles and installs a query; returns its id. The install gate
   // lints the compiled query exactly once, against the current install state
-  // (bag collisions with active queries, propagation, budget), and rejects it
-  // as `options` dictates.
+  // (live bags, propagation, budget), and rejects it as `options` dictates.
+  // A pack stage equal to one a live query already packs (same tracepoints,
+  // same program once upstream keys are resolved) takes that stage's bag key,
+  // so the two queries share one bag; compiled(id) shows the shared keys.
   Result<uint64_t> Install(std::string_view text, const InstallOptions& options = {});
 
   // Compiles `text` and runs the same lint as Install's gate WITHOUT
@@ -98,10 +100,15 @@ class Frontend {
 
   // Removes the query's advice everywhere and stops collecting its results.
   // Accumulated results remain readable. Uninstalling an uninstalled query is
-  // Ok and does nothing.
+  // Ok and does nothing. A bag shared with other queries lives on until the
+  // last of them goes.
   Status Uninstall(uint64_t query_id);
 
   const CompiledQuery* compiled(uint64_t query_id) const;
+
+  // The live pack stages: bag key -> its program and the active queries
+  // packing it, the minting query first.
+  analysis::LiveBags live_bags() const;
 
   // ---- Results ----
 
@@ -146,6 +153,13 @@ class Frontend {
     uint64_t reports = 0;
     uint64_t tuples = 0;
     std::map<std::string, AgentQueryView> agents;  // "host/process" -> view.
+    // Bags the query packs; for a shared bag, the other active queries
+    // packing it.
+    struct PackedBag {
+      BagKey key = 0;
+      std::vector<uint64_t> shared_with;
+    };
+    std::vector<PackedBag> bags;
   };
   std::vector<QueryStatus> QueryStatuses() const;
 
@@ -179,8 +193,8 @@ class Frontend {
                                    bool lint_projection);
 
   // The one lint both Install and Lint run: the whole-query linter over
-  // `compiled` with the frontend's schema, the bags of active queries, the
-  // propagation graph and `options.baggage_budget`.
+  // `compiled` with the frontend's schema, the live bags, the propagation
+  // graph and `options.baggage_budget`.
   analysis::QueryLintResult LintCompiled(const CompiledQuery& compiled,
                                          const InstallOptions& options,
                                          bool lint_projection) const;
@@ -192,9 +206,11 @@ class Frontend {
   void HandleBatch(const std::vector<uint8_t>& payload);
   int64_t NowMicros() const;
 
-  // Bags packed by active queries, bag -> owning query id (callers hold mu_).
-  // Context for the linter's cross-query collision check (PT203).
-  std::map<BagKey, uint64_t> InstalledBagsLocked() const;
+  // Walks `compiled`'s pack stages in topological order (the compiler's
+  // advice order). A stage equal to a live one takes its key, in its Pack and
+  // in every downstream Unpack; any other stage registers under its own key.
+  // Advice is rewritten only when some stage is shared.
+  void ShareLiveBagsLocked(CompiledQuery* compiled);
 
   MessageBus* bus_;
   const TracepointRegistry* schema_;
@@ -206,6 +222,7 @@ class Frontend {
   std::function<int64_t()> now_micros_;  // Guarded by mu_ (set once at setup).
   uint64_t next_query_id_ = 1;
   std::map<uint64_t, QueryResults> queries_;
+  analysis::LiveBags live_bags_;
   uint64_t reports_received_ = 0;
   uint64_t tuples_received_ = 0;
 };

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "src/analysis/reachability.h"
+#include "src/core/advice_io.h"
 #include "src/telemetry/metrics.h"
 
 namespace pivot {
@@ -241,7 +242,7 @@ QueryLintResult QueryLinter::Lint(
     verify_stage(i, /*on_cycle=*/true);
   }
 
-  // ---- Bag-key hygiene: range (PT204) and cross-query collisions (PT203) ----
+  // ---- Bag-key hygiene: range (PT204) and live-key programs (PT203) ----
 
   for (const auto& [bag, cols] : result.bags) {
     (void)cols;
@@ -254,11 +255,12 @@ QueryLintResult QueryLinter::Lint(
     }
     if (options_.installed_bags != nullptr) {
       auto it = options_.installed_bags->find(bag);
-      if (it != options_.installed_bags->end() && it->second != query_id) {
+      if (it != options_.installed_bags->end() &&
+          it->second.program != PackStageProgram(advice, bag, {})) {
         report.Add("PT203", Severity::kError, "", -1,
-                   "bag " + std::to_string(bag) + " collides with installed query " +
-                       std::to_string(it->second) +
-                       ": their packed tuples would merge into one bag");
+                   "bag " + std::to_string(bag) +
+                       " is live with a different pack program: their packed tuples would "
+                       "merge into one bag");
       }
     }
   }

@@ -4,12 +4,13 @@
 // properties that only exist *between* programs and against the deployment:
 // every Unpack'd bag is Pack'ed by a causally-earlier stage (PT106 via
 // propagated bag knowledge, PT202 for pack/unpack cycles), bag keys stay
-// inside the owning query's range (PT204) and don't collide with queries
-// already installed (PT203), one bag isn't packed under conflicting specs
-// (PT205), the result plan only consumes columns some advice emits (PT206),
-// packed columns are actually consumed downstream (PT207), and the query's
-// baggage cost is classified bounded / unbounded-but-sampled / unbounded
-// (PT208/PT209, the §4 "full table scan" risk).
+// inside the owning query's range (PT204) and a live key is packed only by
+// the program already filling it (PT203), one bag isn't packed under
+// conflicting specs (PT205), the result plan only consumes columns some
+// advice emits (PT206), packed columns are actually consumed downstream
+// (PT207), and the query's baggage cost is classified bounded /
+// unbounded-but-sampled / unbounded (PT208/PT209, the §4 "full table scan"
+// risk).
 //
 // When a propagation graph is supplied (LintOptions::propagation), the linter
 // additionally checks the query against the *deployment*: every `->` join
@@ -61,6 +62,16 @@ const char* BaggageCostName(BaggageCost c);
 // request). See LintOptions::baggage_budget.
 inline constexpr size_t kDefaultBaggageBudget = 256;
 
+// One live bag: the program of the pack stage that fills it (its
+// PackStageProgram, src/core/advice_io.h) and the active queries packing it,
+// the minting query first. The frontend keeps a table of these, keyed by bag;
+// it is also the context of the PT203 check.
+struct LiveBag {
+  std::vector<uint8_t> program;
+  std::vector<uint64_t> queries;
+};
+using LiveBags = std::map<BagKey, LiveBag>;
+
 struct LintOptions {
   // Tracepoint schema for Observe-source checking (PT105). Null skips: the
   // agent-side re-verify uses its local registry, the frontend the global one.
@@ -71,9 +82,9 @@ struct LintOptions {
   // (equivalence tests, Explain counting shadows).
   bool assume_projection_pushdown = true;
 
-  // Bags of queries already installed, keyed by bag -> owning query id.
-  // Enables the cross-query collision check (PT203).
-  const std::map<BagKey, uint64_t>* installed_bags = nullptr;
+  // Bags live in the deployment. Enables the check that a query packs a live
+  // key only with the program already filling it (PT203).
+  const LiveBags* installed_bags = nullptr;
 
   // The deployment's propagation graph (causality_graph.h). Null — or a
   // graph with no declared boundaries — disables the reachability passes
@@ -95,7 +106,7 @@ struct QueryLintResult {
   BaggageCost cost = BaggageCost::kBounded;
 
   // Everything the query packs, with statically-known column sets (after
-  // cross-stage propagation). Feeds Frontend install bookkeeping for PT203.
+  // cross-stage propagation).
   std::map<BagKey, BagColumns> bags;
 };
 

@@ -1,5 +1,7 @@
 #include "src/core/advice_io.h"
 
+#include <algorithm>
+
 #include "src/common/varint.h"
 #include "src/core/wire.h"
 
@@ -81,7 +83,11 @@ bool DecodeExpr(const uint8_t* data, size_t size, size_t* pos, Expr::Ptr* out) {
   return DecodeExprImpl(data, size, pos, out, 0);
 }
 
-void EncodeAdvice(std::vector<uint8_t>* out, const Advice& advice) {
+namespace {
+
+// EncodeAdvice with every Pack and Unpack key written as `map(key)`.
+template <typename KeyMap>
+void EncodeAdviceMapped(std::vector<uint8_t>* out, const Advice& advice, const KeyMap& map) {
   PutVarint64(out, advice.ops().size());
   for (const Advice::Op& op : advice.ops()) {
     out->push_back(static_cast<uint8_t>(op.kind));
@@ -94,7 +100,7 @@ void EncodeAdvice(std::vector<uint8_t>* out, const Advice& advice) {
         }
         break;
       case Advice::OpKind::kUnpack:
-        PutVarint64(out, op.bag);
+        PutVarint64(out, map(op.bag));
         break;
       case Advice::OpKind::kLet:
         PutString(out, op.let_name);
@@ -104,7 +110,7 @@ void EncodeAdvice(std::vector<uint8_t>* out, const Advice& advice) {
         EncodeExpr(out, op.expr);
         break;
       case Advice::OpKind::kPack:
-        PutVarint64(out, op.bag);
+        PutVarint64(out, map(op.bag));
         PutBagSpec(out, op.bag_spec);
         PutStringList(out, op.fields);
         break;
@@ -117,6 +123,36 @@ void EncodeAdvice(std::vector<uint8_t>* out, const Advice& advice) {
         break;
     }
   }
+}
+
+}  // namespace
+
+void EncodeAdvice(std::vector<uint8_t>* out, const Advice& advice) {
+  EncodeAdviceMapped(out, advice, [](BagKey key) { return key; });
+}
+
+std::vector<uint8_t> PackStageProgram(
+    const std::vector<std::pair<std::string, Advice::Ptr>>& advice, BagKey bag,
+    const std::map<BagKey, BagKey>& resolved) {
+  auto packs_bag = [bag](const Advice::Op& op) {
+    return op.kind == Advice::OpKind::kPack && op.bag == bag;
+  };
+  auto mask = [&](BagKey key) {
+    if (key == bag) {
+      return BagKey{0};
+    }
+    auto it = resolved.find(key);
+    return it == resolved.end() ? key : it->second;
+  };
+  std::vector<uint8_t> content;
+  for (const auto& [tp, adv] : advice) {
+    if (std::none_of(adv->ops().begin(), adv->ops().end(), packs_bag)) {
+      continue;
+    }
+    PutString(&content, tp);
+    EncodeAdviceMapped(&content, *adv, mask);
+  }
+  return content;
 }
 
 bool DecodeAdvice(const uint8_t* data, size_t size, size_t* pos, Advice::Ptr* out) {

@@ -10,6 +10,9 @@
 #define PIVOT_SRC_CORE_ADVICE_IO_H_
 
 #include <cstdint>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/advice.h"
@@ -22,6 +25,15 @@ bool DecodeExpr(const uint8_t* data, size_t size, size_t* pos, Expr::Ptr* out);
 
 void EncodeAdvice(std::vector<uint8_t>* out, const Advice& advice);
 bool DecodeAdvice(const uint8_t* data, size_t size, size_t* pos, Advice::Ptr* out);
+
+// The content of the pack stage that fills `bag`: every (tracepoint, program)
+// pair in `advice` whose program packs `bag`, in order, each program encoded
+// with `bag` itself masked to 0 and every other key mapped through `resolved`
+// (keys it lacks stay). Two stages with equal content fill equal bags, so the
+// frontend lets them share one key. Empty when nothing packs `bag`.
+std::vector<uint8_t> PackStageProgram(
+    const std::vector<std::pair<std::string, Advice::Ptr>>& advice, BagKey bag,
+    const std::map<BagKey, BagKey>& resolved);
 
 }  // namespace pivot
 

@@ -34,9 +34,13 @@ namespace pivot {
 using BagKey = uint64_t;
 
 // Bag-key allocation convention (shared with the query compiler): key =
-// query_id * kBagKeysPerQuery + stage. BagKeyQuery recovers the owning query,
-// which the self-telemetry layer uses to attribute serialized baggage bytes
-// per query (Fig 10's per-query accounting, live).
+// query_id * kBagKeysPerQuery + stage, minted per (query, stage). Queries
+// whose pack stages are equal share the key the first of them minted, while
+// any of them is live (the frontend's live-bag table); a key is never minted
+// again, so it never names two different programs. BagKeyQuery recovers the
+// minting query, which the self-telemetry layer uses to attribute serialized
+// baggage bytes per query (Fig 10's per-query accounting, live); a shared
+// bag is charged to its minting query.
 inline constexpr uint64_t kBagKeysPerQuery = 256;
 inline constexpr uint64_t BagKeyQuery(BagKey key) { return key / kBagKeysPerQuery; }
 

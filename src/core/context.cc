@@ -69,6 +69,8 @@ ContextOnWire Depart(ExecutionContext* ctx) {
   Baggage::SerializeStats stats;
   std::vector<uint8_t> bytes = ctx->baggage().Serialize(fire ? &stats : nullptr);
   uint64_t attributed = 0;
+  // One event per minting query: a bag shared across queries is charged to
+  // the query whose key it carries (BagKeyQuery), never split between them.
   for (const auto& [query_id, share] : stats.queries) {
     attributed += share.bytes;
     tp->Invoke(ctx, {{"queryId", Value(static_cast<int64_t>(query_id))},

@@ -1,9 +1,12 @@
 #include "src/core/tracepoint.h"
 
+#include <algorithm>
 #include <array>
 #include <iterator>
+#include <optional>
 
 #include "src/common/clock.h"
+#include "src/core/advice_io.h"
 
 namespace pivot {
 
@@ -19,6 +22,24 @@ DefaultExportSymbols InternDefaultExports() {
     ids[i] = InternSymbol(kDefaultExports[i].name);
   }
   return ids;
+}
+
+// The key of the first bag `advice` packs, if it packs any.
+std::optional<BagKey> FirstPackedBag(const Advice& advice) {
+  for (const Advice::Op& op : advice.ops()) {
+    if (op.kind == Advice::OpKind::kPack) {
+      return op.bag;
+    }
+  }
+  return std::nullopt;
+}
+
+bool SameProgram(const Advice& a, const Advice& b) {
+  std::vector<uint8_t> a_bytes;
+  std::vector<uint8_t> b_bytes;
+  EncodeAdvice(&a_bytes, a);
+  EncodeAdvice(&b_bytes, b);
+  return a_bytes == b_bytes;
 }
 
 }  // namespace
@@ -115,7 +136,7 @@ Status TracepointRegistry::WeaveQuery(
   auto& plans = woven_[query_id];
   plans.reserve(advice.size());
   for (const auto& [tp_name, adv] : advice) {
-    plans.emplace_back(tp_name, AdvicePlan::Compile(adv));
+    plans.emplace_back(tp_name, ShareOrCompileLocked(tp_name, adv));
   }
   for (const auto& [tp_name, adv] : advice) {
     auto it = tracepoints_.find(tp_name);
@@ -135,6 +156,16 @@ void TracepointRegistry::UnweaveQuery(uint64_t query_id) {
   std::vector<std::string> affected;
   for (const auto& [tp_name, plan] : it->second) {
     affected.push_back(tp_name);
+    // Release the plan's share, if it is one; the last user erases it.
+    for (auto pack = packs_.lower_bound({tp_name, BagKey{0}});
+         pack != packs_.end() && pack->first.first == tp_name; ++pack) {
+      if (pack->second.plan == plan) {
+        if (--pack->second.uses == 0) {
+          packs_.erase(pack);
+        }
+        break;
+      }
+    }
   }
   woven_.erase(it);
   for (const auto& tp_name : affected) {
@@ -165,11 +196,39 @@ std::vector<uint64_t> TracepointRegistry::WovenQueries() const {
   return ids;
 }
 
+std::vector<std::pair<std::string, BagKey>> TracepointRegistry::WovenPacks() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<std::pair<std::string, BagKey>> keys;
+  keys.reserve(packs_.size());
+  for (const auto& [key, pack] : packs_) {
+    keys.push_back(key);
+  }
+  return keys;
+}
+
+AdvicePlan::Ptr TracepointRegistry::ShareOrCompileLocked(const std::string& tp_name,
+                                                         const Advice::Ptr& advice) {
+  std::optional<BagKey> bag = FirstPackedBag(*advice);
+  if (!bag) {
+    return AdvicePlan::Compile(advice);
+  }
+  auto [it, inserted] = packs_.try_emplace({tp_name, *bag});
+  WovenPack& pack = it->second;
+  if (inserted) {
+    pack.advice = advice;
+    pack.plan = AdvicePlan::Compile(advice);
+  } else if (!SameProgram(*pack.advice, *advice)) {
+    return AdvicePlan::Compile(advice);
+  }
+  ++pack.uses;
+  return pack.plan;
+}
+
 void TracepointRegistry::RebuildLocked(Tracepoint* tp) {
   auto set = std::make_unique<AdviceSet>();
   for (const auto& [query_id, plans] : woven_) {
     for (const auto& [tp_name, plan] : plans) {
-      if (tp_name == tp->name()) {
+      if (tp_name == tp->name() && std::find(set->begin(), set->end(), plan) == set->end()) {
         set->push_back(plan);
       }
     }

@@ -62,7 +62,8 @@ inline constexpr DefaultExport kDefaultExports[] = {
 
 // Immutable snapshot of the plans woven at one tracepoint, in weave order.
 // Swapped atomically by the registry; readers only ever see complete sets.
-// Each plan was compiled once, when its query was woven (src/core/plan.h).
+// Each plan was compiled once, when its query was woven (src/core/plan.h),
+// and appears once however many queries share it.
 using AdviceSet = std::vector<AdvicePlan::Ptr>;
 
 class TracepointRegistry;
@@ -78,6 +79,12 @@ class Tracepoint {
 
   // True if any advice is currently woven.
   bool enabled() const { return advice_.load(std::memory_order_relaxed) != nullptr; }
+
+  // Plans in the current advice set; a plan shared by queries counts once.
+  size_t woven_plans() const {
+    const AdviceSet* set = advice_.load(std::memory_order_acquire);
+    return set == nullptr ? 0 : set->size();
+  }
 
   // Fires the tracepoint for the execution in `ctx` with the given exported
   // variables. Fast path (no advice, no trace recording): one atomic load and
@@ -166,20 +173,43 @@ class TracepointRegistry {
   // defined (deferred weaving — standing queries apply to subsystems that
   // initialize later). Fails atomically if the query id is already woven or
   // any advice is null.
+  //
+  // A program that packs a bag shares the plan of an identical program that
+  // another query already wove at the same tracepoint under the same key, so
+  // each fire packs the bag once (the frontend gives identical pack stages
+  // one key). The plan is looked up by (tracepoint, key) and the programs are
+  // compared only on a hit; a different program under a live key gets a plan
+  // of its own.
   Status WeaveQuery(uint64_t query_id,
                     const std::vector<std::pair<std::string, Advice::Ptr>>& advice);
 
-  // Removes all advice woven for `query_id`. Idempotent.
+  // Removes all advice woven for `query_id`. Idempotent. A shared pack plan
+  // stays until the last query holding it is unwoven.
   void UnweaveQuery(uint64_t query_id);
 
   // Ids of currently-woven queries, sorted.
   std::vector<uint64_t> WovenQueries() const;
+
+  // (tracepoint, bag key) of every pack plan open to sharing, sorted.
+  std::vector<std::pair<std::string, BagKey>> WovenPacks() const;
 
   // Per-tracepoint dispatch statistics (fire counts, advice time), sorted by
   // name — the data behind Table 5's per-tracepoint overhead accounting.
   std::vector<TracepointStatsRow> StatsSnapshot() const;
 
  private:
+  // One pack plan open to sharing: the program it was compiled from and the
+  // number of (query, tracepoint) weaves holding it.
+  struct WovenPack {
+    Advice::Ptr advice;
+    AdvicePlan::Ptr plan;
+    size_t uses = 0;
+  };
+
+  // The plan for `advice` at `tp_name`: the shared plan of an identical
+  // pack program under the same key, or a freshly compiled one.
+  AdvicePlan::Ptr ShareOrCompileLocked(const std::string& tp_name, const Advice::Ptr& advice);
+
   // Publishes a fresh advice set for `tp` gathered from woven_.
   void RebuildLocked(Tracepoint* tp);
 
@@ -187,6 +217,8 @@ class TracepointRegistry {
   std::map<std::string, std::unique_ptr<Tracepoint>, std::less<>> tracepoints_;
   // query id -> (tracepoint, plan) pairs, each plan compiled once at weave.
   std::map<uint64_t, std::vector<std::pair<std::string, AdvicePlan::Ptr>>> woven_;
+  // (tracepoint, bag key) -> the pack plan queries share there.
+  std::map<std::pair<std::string, BagKey>, WovenPack> packs_;
   // Every advice set ever published (see class comment).
   std::vector<std::unique_ptr<const AdviceSet>> published_;
 };

@@ -24,7 +24,8 @@
 //     static API, via Depart (context.h). One invocation
 //     per query contributing bags, plus one `queryId = 0` invocation carrying
 //     the framing bytes (instance ids, counts), so SUM(b.bytes) equals the
-//     actual serialized size.
+//     actual serialized size. A bag shared by several queries counts once,
+//     under the `queryId` of the query that minted its key.
 //   PTAgent.Flush — once per (query, flush) in PTAgent::Flush, only when the
 //     agent publishes a non-empty report for the query (`suppressed` counts
 //     the query's quiet intervals so far, which publish nothing).

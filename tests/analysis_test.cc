@@ -12,6 +12,7 @@
 #include "src/analysis/advice_verifier.h"
 #include "src/analysis/query_linter.h"
 #include "src/core/advice.h"
+#include "src/core/advice_io.h"
 #include "src/query/compiler.h"
 #include "src/query/parser.h"
 
@@ -23,6 +24,8 @@ using analysis::BagColumns;
 using analysis::BaggageCost;
 using analysis::JoinStaticTypes;
 using analysis::LintOptions;
+using analysis::LiveBag;
+using analysis::LiveBags;
 using analysis::QueryLinter;
 using analysis::QueryLintResult;
 using analysis::Report;
@@ -375,17 +378,72 @@ TEST_F(BadProgramTest, BagCollisionAcrossInstalledQueries) {
                                     .Emit(kQid, {"a.x", "b.y"})
                                     .Build());
 
-  std::map<BagKey, uint64_t> installed{{kBag, kQid + 10}};
+  // kBag is live, filled by another query's stage that packs a different
+  // column: packing it here would merge two different bags into one.
+  const std::vector<std::pair<std::string, Advice::Ptr>> other{
+      {"tp", AdviceBuilder().Observe({{"y", "a.y"}}).Pack(kBag, BagSpec::First(), {"a.y"}).Build()}};
+  LiveBags installed{{kBag, LiveBag{PackStageProgram(other, kBag, {}), {kQid + 10}}}};
   LintOptions options;
   options.schema = &schema_;
   options.installed_bags = &installed;
   QueryLintResult lint = QueryLinter(options).Lint(cq.query_id, cq.advice, cq.plan);
   EXPECT_TRUE(lint.report.Has("PT203")) << lint.report.ToString();
 
-  // Same bag owned by the same query (a re-lint of an installed query) is fine.
-  installed[kBag] = kQid;
-  QueryLintResult relint = QueryLinter(options).Lint(cq.query_id, cq.advice, cq.plan);
-  EXPECT_FALSE(relint.report.Has("PT203")) << relint.report.ToString();
+  // The same key filled by an identical pack stage is a shared bag, not a
+  // collision.
+  installed[kBag].program = PackStageProgram(cq.advice, kBag, {});
+  QueryLintResult shared = QueryLinter(options).Lint(cq.query_id, cq.advice, cq.plan);
+  EXPECT_FALSE(shared.report.Has("PT203")) << shared.report.ToString();
+}
+
+TEST_F(BadProgramTest, LiveKeyWithDifferentBodyOrSpecIsRejected) {
+  // Each variant packs the live key kBag with a program that differs from
+  // the live stage in one respect: its body, its BagSpec, or its tracepoint.
+  auto stage = [](const std::string& tp, Advice::Ptr pack) {
+    return std::vector<std::pair<std::string, Advice::Ptr>>{
+        {tp, std::move(pack)},
+        {"tp2", AdviceBuilder()
+                    .Unpack(kBag)
+                    .Observe({{"y", "b.y"}})
+                    .Emit(kQid, {"a.x", "b.y"})
+                    .Build()}};
+  };
+  auto live = stage("tp", AdviceBuilder()
+                              .Observe({{"x", "a.x"}})
+                              .Pack(kBag, BagSpec::First(), {"a.x"})
+                              .Build());
+  LiveBags installed{{kBag, LiveBag{PackStageProgram(live, kBag, {}), {kQid + 10}}}};
+  LintOptions options;
+  options.schema = &schema_;
+  options.installed_bags = &installed;
+
+  const std::vector<std::pair<std::string, std::vector<std::pair<std::string, Advice::Ptr>>>>
+      variants{
+          {"filtered body", stage("tp", AdviceBuilder()
+                                            .Observe({{"x", "a.x"}})
+                                            .Filter(Expr::Binary(ExprOp::kGt, Expr::Field("a.x"),
+                                                                 Expr::Literal(Value(int64_t{0}))))
+                                            .Pack(kBag, BagSpec::First(), {"a.x"})
+                                            .Build())},
+          {"Recent spec", stage("tp", AdviceBuilder()
+                                          .Observe({{"x", "a.x"}})
+                                          .Pack(kBag, BagSpec::Recent(1), {"a.x"})
+                                          .Build())},
+          {"All spec", stage("tp", AdviceBuilder()
+                                       .Observe({{"x", "a.x"}})
+                                       .Pack(kBag, BagSpec::All(), {"a.x"})
+                                       .Build())},
+          {"other tracepoint", stage("tp2", AdviceBuilder()
+                                                .Observe({{"y", "a.x"}})
+                                                .Pack(kBag, BagSpec::First(), {"a.x"})
+                                                .Build())},
+      };
+  for (const auto& [name, advice] : variants) {
+    QueryLintResult lint = QueryLinter(options).Lint(kQid, advice, ResultPlan{});
+    EXPECT_TRUE(lint.report.Has("PT203")) << name << ":\n" << lint.report.ToString();
+  }
+  // The live stage itself passes.
+  EXPECT_FALSE(QueryLinter(options).Lint(kQid, live, ResultPlan{}).report.Has("PT203"));
 }
 
 // ---------------------------------------------------------------------------

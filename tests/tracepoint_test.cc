@@ -202,6 +202,72 @@ TEST_F(TracepointTest, SameQueryWeavesMultipleTracepoints) {
   EXPECT_EQ(proc_.sink.emitted(1)[0].Get("b.w").int_value(), 4);
 }
 
+// An identical kAll pack woven by two queries under one bag key: the shape
+// the frontend gives two queries whose pack stages are equal.
+Advice::Ptr PackAll(BagKey bag) {
+  return AdviceBuilder().Observe({{"v", "a.v"}}).Pack(bag, BagSpec::All(), {"a.v"}).Build();
+}
+
+TEST_F(TracepointTest, IdenticalPackProgramsShareOnePlan) {
+  Tracepoint* tp = *registry_.Define(Def("X", {"v"}));
+  ASSERT_TRUE(registry_.WeaveQuery(1, {{"X", PackAll(256)}}).ok());
+  telemetry::Counter& binds = telemetry::Metrics().GetCounter("plan.bind_count");
+  const uint64_t before = binds.value();
+  ASSERT_TRUE(registry_.WeaveQuery(2, {{"X", PackAll(256)}}).ok());
+  EXPECT_EQ(binds.value(), before);  // Shared, not compiled again.
+  EXPECT_EQ(tp->woven_plans(), 1u);
+  EXPECT_EQ(registry_.WovenPacks(), (std::vector<std::pair<std::string, BagKey>>{{"X", 256}}));
+
+  // Two packers would put the tuple into the bag twice.
+  tp->Invoke(&ctx_, {{"v", Value(int64_t{7})}});
+  ASSERT_EQ(ctx_.baggage().Unpack(256).size(), 1u);
+  EXPECT_EQ(ctx_.baggage().Unpack(256)[0].Get("a.v").int_value(), 7);
+}
+
+TEST_F(TracepointTest, SharedPackPlanOutlivesAllButItsLastQuery) {
+  for (bool minter_first : {true, false}) {
+    SCOPED_TRACE(minter_first ? "minting query unwoven first" : "sharing query unwoven first");
+    TracepointRegistry registry;
+    Tracepoint* tp = *registry.Define(Def("X", {"v"}));
+    ASSERT_TRUE(registry.WeaveQuery(1, {{"X", PackAll(256)}}).ok());
+    ASSERT_TRUE(registry.WeaveQuery(2, {{"X", PackAll(256)}}).ok());
+
+    registry.UnweaveQuery(minter_first ? 1 : 2);
+    EXPECT_EQ(tp->woven_plans(), 1u);
+    EXPECT_EQ(registry.WovenPacks().size(), 1u);
+    ExecutionContext ctx(&proc_.runtime);
+    tp->Invoke(&ctx, {{"v", Value(int64_t{1})}});
+    EXPECT_EQ(ctx.baggage().Unpack(256).size(), 1u);
+
+    registry.UnweaveQuery(minter_first ? 2 : 1);
+    EXPECT_FALSE(tp->enabled());
+    EXPECT_TRUE(registry.WovenPacks().empty());
+    EXPECT_TRUE(registry.WovenQueries().empty());
+  }
+}
+
+TEST_F(TracepointTest, DifferentProgramUnderSameKeyIsNotShared) {
+  Tracepoint* tp = *registry_.Define(Def("X", {"v"}));
+  Advice::Ptr filtered = AdviceBuilder()
+                             .Observe({{"v", "a.v"}})
+                             .Filter(Expr::Binary(ExprOp::kGt, Expr::Field("a.v"),
+                                                  Expr::Literal(Value(int64_t{0}))))
+                             .Pack(256, BagSpec::All(), {"a.v"})
+                             .Build();
+  ASSERT_TRUE(registry_.WeaveQuery(1, {{"X", PackAll(256)}}).ok());
+  ASSERT_TRUE(registry_.WeaveQuery(2, {{"X", filtered}}).ok());
+  EXPECT_EQ(tp->woven_plans(), 2u);
+  tp->Invoke(&ctx_, {{"v", Value(int64_t{5})}});
+  EXPECT_EQ(ctx_.baggage().Unpack(256).size(), 2u);  // Each program packed once.
+
+  // Unweaving the unshared program leaves the indexed one in place.
+  registry_.UnweaveQuery(2);
+  EXPECT_EQ(tp->woven_plans(), 1u);
+  EXPECT_EQ(registry_.WovenPacks().size(), 1u);
+  registry_.UnweaveQuery(1);
+  EXPECT_TRUE(registry_.WovenPacks().empty());
+}
+
 TEST_F(TracepointTest, InvokeWithNullContextIsSafe) {
   Tracepoint* tp = *registry_.Define(Def("X", {"v"}));
   Advice::Ptr advice = AdviceBuilder().Observe({{"v", "x.v"}}).Emit(1, {}).Build();
