@@ -56,8 +56,9 @@ void BM_Pack1Tuple(benchmark::State& state) {
 void BM_UnpackAll(benchmark::State& state) {
   Rng rng(2);
   Baggage baggage = MakeBaggage(static_cast<int>(state.range(0)), &rng);
+  std::vector<Tuple> buffer;
   for (auto _ : state) {
-    auto tuples = baggage.Unpack(kBag);
+    const std::vector<Tuple>& tuples = baggage.Unpack(kBag, &buffer);
     benchmark::DoNotOptimize(tuples);
   }
 }

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Grep gates on how src/hadoop crosses process boundaries, on who writes
-# values to the wire, on threads in src and on who executes advice, then
+# values to the wire, on threads in src, on who executes advice and on
+# process-wide atomics in src/core and src/agent, then
 # clang-tidy over the sources
 # (.clang-tidy selects bugprone-*, performance-*, concurrency-*). clang-tidy
 # degrades gracefully: the CI container only ships gcc, so a missing
@@ -50,6 +51,21 @@ if grep -rnE '\bExecute[[:space:]]*\([^)]*ExecutionContext[[:space:]]*\*' "$repo
   grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' |
   grep -vE ';[[:space:]]*$'; then
   echo "lint: an advice executor outside src/core/plan.cc; run advice as an AdvicePlan."
+  exit 1
+fi
+
+# Shared-counter gate: a process-wide atomic is one cache line that every
+# request of every thread writes. Per-request counts go through striped
+# telemetry (src/telemetry/metrics.h) or per-thread slots (ThreadOrdinal), so
+# no src/core or src/agent file declares a namespace-scope or static
+# std::atomic; members of objects (a tracepoint's slots, a shard's count)
+# stay allowed.
+if grep -rnE '(^((inline|constinit|const|extern)[[:space:]]+)*std::atomic|\bstatic\b[^;(]*\bstd::atomic)' \
+  "$repo_root/src/core" "$repo_root/src/agent" |
+  grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' |
+  grep -vE '\bthread_local\b'; then
+  echo "lint: a static or namespace-scope std::atomic in src/core or src/agent;" \
+    "count per thread (striped telemetry or per-thread slots)."
   exit 1
 fi
 

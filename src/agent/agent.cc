@@ -56,16 +56,6 @@ telemetry::Counter& BatchReportsCounter() {
   return c;
 }
 
-// Process-wide dense thread ordinal: thread K gets ordinal K in creation
-// order, so `ordinal % shard_count` spreads emitters evenly across shards
-// and a single-threaded process always lands in shard 0 (keeping the
-// simulator and sequential tests byte-for-byte deterministic).
-size_t ThreadOrdinal() {
-  static std::atomic<size_t> next{0};
-  thread_local size_t ordinal = next.fetch_add(1, std::memory_order_relaxed);
-  return ordinal;
-}
-
 size_t DefaultShardCount() {
   unsigned hw = std::thread::hardware_concurrency();
   if (hw == 0) {

@@ -34,6 +34,7 @@
 
 #include "src/agent/protocol.h"
 #include "src/bus/message_bus.h"
+#include "src/common/thread_ordinal.h"
 #include "src/core/aggregation.h"
 #include "src/core/context.h"
 #include "src/core/tracepoint.h"
@@ -135,11 +136,12 @@ class PTAgent : public EmitSink {
   };
 
   // One emission shard: its own lock plus per-query partial results. Threads
-  // map onto shards by a process-wide thread ordinal, so two threads only
-  // share a shard when there are more emitting threads than shards.
+  // map onto shards by the process-wide ThreadOrdinal, so two threads only
+  // share a shard when there are more emitting threads than shards; each
+  // shard starts a cache line of its own.
   // Lock ordering: mu_ before shard.mu; EmitTuple takes only shard.mu. The
   // map itself changes only under both locks (weave, unweave).
-  struct Shard {
+  struct alignas(kCacheLine) Shard {
     std::mutex mu;
     std::map<uint64_t, Slot> queries;
     // Tuples this shard took in. Written only under `mu` (a plain load and

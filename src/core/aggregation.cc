@@ -59,32 +59,20 @@ namespace {
 
 // Index probes performed across all aggregators in the process (one count per
 // slot inspected, hit or miss) — the observable cost of the hashed group
-// index (docs/OBSERVABILITY.md).
+// index (docs/OBSERVABILITY.md). Striped per thread, so concurrent emitters
+// count every tuple without sharing a cache line.
 telemetry::Counter& GroupProbeCounter() {
   static telemetry::Counter& c = telemetry::Metrics().GetCounter("agg.group_probe_count");
   return c;
 }
 
-// Per-tuple probes batch in a thread-local tally, so concurrent emitters do
-// not contend on the shared counter's cache line. The tally reaches the
-// counter every kProbeBatch probes and when the thread exits.
-constexpr uint64_t kProbeBatch = 1024;
-
-struct ProbeTally {
-  uint64_t pending = 0;
-  ~ProbeTally() { GroupProbeCounter().Increment(pending); }
-};
-
-void CountProbes(uint64_t probes) {
-  thread_local ProbeTally tally;
-  tally.pending += probes;
-  if (tally.pending >= kProbeBatch) {
-    GroupProbeCounter().Increment(tally.pending);
-    tally.pending = 0;
-  }
-}
-
 constexpr size_t kInitialSlots = 16;
+
+// MergeGroups' prefetch distances, in incoming groups: far enough ahead to
+// cover a memory miss, near enough that the lines are still cached when
+// the merge reaches them.
+constexpr size_t kSlotAhead = 16;
+constexpr size_t kGroupAhead = 8;
 
 // Load factor bound of the group index: at most 7/8 full, counting one
 // group about to be inserted.
@@ -245,7 +233,7 @@ uint32_t Aggregator::GroupFor(const Tuple& t) {
         return true;
       },
       &probes);
-  CountProbes(probes);
+  GroupProbeCounter().Increment(probes);
   if (inserted) {
     for (SymbolId id : ids) {
       keys_.push_back(FieldOrNull(t, id));
@@ -313,13 +301,31 @@ void Aggregator::AddInput(const Tuple& t) {
 template <typename Source>
 void Aggregator::MergeGroups(Source& other) {
   constexpr bool kMove = !std::is_const_v<Source>;
-  assert(&other != this && other.key_width() == key_width() &&
+  assert(&other != this && !empty() && other.key_width() == key_width() &&
          other.spec_count() == spec_count());
   const std::vector<AggSpec>& specs = cols_->specs;
   const size_t width = key_width();
   const size_t nspecs = specs.size();
+  const size_t groups = other.hashes_.size();
   uint64_t probes = 0;
-  for (size_t g = 0; g < other.hashes_.size(); ++g) {
+  for (size_t g = 0; g < groups; ++g) {
+    // The incoming hashes are known up front, so hide the index's cache
+    // misses behind the merge: the home slot of the group kSlotAhead on,
+    // then the key and accumulators of the group that slot names, for the
+    // group kGroupAhead on (its slot was fetched kSlotAhead - kGroupAhead
+    // groups ago). A big total (the frontend's) outgrows the cache.
+    const size_t mask = slots_.size() - 1;
+    if (g + kSlotAhead < groups) {
+      __builtin_prefetch(&slots_[static_cast<size_t>(other.hashes_[g + kSlotAhead]) & mask]);
+    }
+    if (g + kGroupAhead < groups) {
+      const uint32_t ahead =
+          slots_[static_cast<size_t>(other.hashes_[g + kGroupAhead]) & mask].group;
+      if (ahead != kEmptySlot) {
+        __builtin_prefetch(keys_.data() + size_t{ahead} * width);
+        __builtin_prefetch(accums_.data() + size_t{ahead} * nspecs);
+      }
+    }
     auto* src_key = other.keys_.data() + g * width;
     auto* src_accums = other.accums_.data() + g * nspecs;
     auto [group, inserted] = FindOrInsert(

@@ -273,6 +273,8 @@ class ResultSet {
   std::vector<Tuple> StateRows() const;
   // Final rows: group fields then aggregate outputs, or the streamed rows.
   std::vector<Tuple> Finalize() const;
+  // A streaming set's retained rows in place; null for an aggregated set.
+  const std::vector<Tuple>* rows() const { return aggregated_ ? nullptr : &rows_; }
 
   bool empty() const { return aggregated_ ? agg_.empty() : rows_.empty(); }
   // Groups, or streamed rows.

@@ -1,6 +1,7 @@
 #include "src/core/baggage.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "src/core/wire.h"
 #include "src/telemetry/metrics.h"
@@ -68,38 +69,40 @@ void Baggage::Pack(BagKey key, const BagSpec& spec, const Tuple& t) {
   active_bags_.try_emplace(key, spec).first->second.set.AddInput(t);
 }
 
-std::vector<Tuple> Baggage::Unpack(BagKey key) const {
+const std::vector<Tuple>& Baggage::Unpack(BagKey key, std::vector<Tuple>* buffer) const {
   // Gather the bag from every instance, oldest first, then combine under the
   // bag's semantics ("tuples are unpacked from each instance then combined
-  // according to query logic", §5).
-  const ResultSet* first = nullptr;
-  std::vector<const ResultSet*> rest;
+  // according to query logic", §5). One holder is read in place.
+  const ResultSet* only = nullptr;
+  std::optional<ResultSet> combined;
   auto gather = [&](const std::map<BagKey, Bag>& bags) {
     auto it = bags.find(key);
     if (it == bags.end()) {
       return;
     }
-    if (first == nullptr) {
-      first = &it->second.set;
-    } else {
-      rest.push_back(&it->second.set);
+    if (only == nullptr) {
+      only = &it->second.set;
+      return;
     }
+    if (!combined) {
+      combined.emplace(*only);
+    }
+    combined->Absorb(it->second.set);
   };
   for (const auto& inst : inactive_) {
     gather(inst->bags);
   }
   gather(active_bags_);
-  if (first == nullptr) {
-    return {};
+  if (combined) {
+    *buffer = combined->StateRows();
+  } else if (only == nullptr) {
+    buffer->clear();
+  } else if (const std::vector<Tuple>* rows = only->rows()) {
+    return *rows;
+  } else {
+    *buffer = only->StateRows();
   }
-  if (rest.empty()) {
-    return first->StateRows();
-  }
-  ResultSet combined = *first;
-  for (const ResultSet* set : rest) {
-    combined.Absorb(*set);
-  }
-  return combined.StateRows();
+  return *buffer;
 }
 
 std::pair<Baggage, Baggage> Baggage::Split() const {
@@ -192,7 +195,7 @@ size_t Baggage::TupleCount() const {
 }
 
 bool Baggage::IsTrivial() const {
-  if (!inactive_.empty() || active_gen_ != 0 || active_id_ != ItcId::Seed()) {
+  if (!inactive_.empty() || active_gen_ != 0 || !active_id_.IsOne()) {
     return false;
   }
   for (const auto& [key, bag] : active_bags_) {

@@ -72,10 +72,13 @@ class Baggage {
   // `spec` on first use.
   void Pack(BagKey key, const BagSpec& spec, const Tuple& t);
 
-  // Retrieves all tuples for `key`: unpacked from each instance (inactive
-  // ones first — they are chronologically older) and combined according to
-  // the oldest bag's semantics. A bag of another plan is left out.
-  std::vector<Tuple> Unpack(BagKey key) const;
+  // Reads all tuples for `key`: unpacked from each instance (inactive ones
+  // first — they are chronologically older) and combined according to the
+  // oldest bag's semantics. A bag of another plan is left out. When one
+  // instance holds a retention bag, returns its rows in place; otherwise
+  // combines them into `*buffer` and returns it. The result stays valid
+  // until this baggage or `*buffer` changes.
+  const std::vector<Tuple>& Unpack(BagKey key, std::vector<Tuple>* buffer) const;
 
   // ---- Branching (§5) ----
 

@@ -125,10 +125,11 @@ void ThreadBaggage::Pack(BagKey key, const BagSpec& spec, const Tuple& t) {
 }
 
 std::vector<Tuple> ThreadBaggage::Unpack(BagKey key) {
+  std::vector<Tuple> buffer;
   if (ExecutionContext* ctx = CurrentContext()) {
-    return ctx->baggage().Unpack(key);
+    return ctx->baggage().Unpack(key, &buffer);  // A copy the caller owns.
   }
-  return {};
+  return buffer;
 }
 
 std::vector<uint8_t> ThreadBaggage::Serialize() {
@@ -140,10 +141,11 @@ std::vector<uint8_t> ThreadBaggage::Serialize() {
 
 void ThreadBaggage::Deserialize(const std::vector<uint8_t>& bytes) {
   if (ExecutionContext* ctx = CurrentContext()) {
+    // As in Arrive: bytes that fail to decode (counted by
+    // baggage.deserialize_errors) yield pristine baggage, never the previous
+    // request's tuples.
     Result<Baggage> b = Baggage::Deserialize(bytes);
-    if (b.ok()) {
-      ctx->set_baggage(std::move(b).value());
-    }
+    ctx->set_baggage(b.ok() ? std::move(b).value() : Baggage());
   }
 }
 

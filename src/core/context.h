@@ -180,6 +180,8 @@ struct ThreadBaggage {
   static void Pack(BagKey key, const BagSpec& spec, const Tuple& t);
   static std::vector<Tuple> Unpack(BagKey key);
   static std::vector<uint8_t> Serialize();
+  // Replaces the current baggage; bytes that fail to decode leave it
+  // pristine, as Arrive does.
   static void Deserialize(const std::vector<uint8_t>& bytes);
 
   // Table 4's split(): divides the current baggage for a branching execution.

@@ -1,6 +1,5 @@
 #include "src/core/itc.h"
 
-
 namespace pivot {
 
 // Leaf nodes have left == right == nullptr and `value` 0 or 1. Interior nodes
@@ -20,22 +19,19 @@ using Node = ItcId::Node;
 
 }  // namespace
 
-// Shared singleton leaves: every zero/one leaf in every tree aliases these.
+// Immortal singleton leaves: every zero/one leaf in every tree aliases one
+// static node through a shared_ptr with no owner, so copying a leaf — the
+// seed ID each fresh baggage starts from, ItcId() — touches no reference
+// count and no cache line another thread writes.
 static const std::shared_ptr<const Node>& ZeroLeaf() {
-  static const std::shared_ptr<const Node> kZero = [] {
-    auto n = std::make_shared<Node>();
-    n->value = 0;
-    return n;
-  }();
+  static const Node kZeroNode{};
+  static const std::shared_ptr<const Node> kZero(std::shared_ptr<const Node>(), &kZeroNode);
   return kZero;
 }
 
 static const std::shared_ptr<const Node>& OneLeaf() {
-  static const std::shared_ptr<const Node> kOne = [] {
-    auto n = std::make_shared<Node>();
-    n->value = 1;
-    return n;
-  }();
+  static const Node kOneNode{1, nullptr, nullptr};
+  static const std::shared_ptr<const Node> kOne(std::shared_ptr<const Node>(), &kOneNode);
   return kOne;
 }
 

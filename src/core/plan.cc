@@ -1,7 +1,7 @@
 #include "src/core/plan.h"
 
-#include <algorithm>
 #include <atomic>
+#include <utility>
 
 #include "src/telemetry/metrics.h"
 
@@ -9,18 +9,17 @@ namespace pivot {
 
 namespace {
 
-// Sampling decision: a global counter hashed through splitmix64 gives a
-// reproducible (single-threaded) yet well-distributed accept/reject sequence
-// without per-advice mutable state.
-bool SampleAccept(double rate) {
+// Sampling decision: the plan's fire sequence hashed through splitmix64
+// gives a well-distributed accept/reject sequence whose accepted count over
+// N fires is the same however the fires spread over threads.
+bool SampleAccept(double rate, std::atomic<uint64_t>* sequence) {
   if (rate >= 1.0) {
     return true;
   }
   if (rate <= 0.0) {
     return false;
   }
-  static std::atomic<uint64_t> counter{0};
-  uint64_t z = counter.fetch_add(1, std::memory_order_relaxed) + 0x9E3779B97F4A7C15ULL;
+  uint64_t z = sequence->fetch_add(1, std::memory_order_relaxed) + 0x9E3779B97F4A7C15ULL;
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   z ^= z >> 31;
@@ -33,14 +32,15 @@ void CountTruncation() {
   truncations.Increment();
 }
 
-// Per-thread working-set buffers, reused across invocations so plan execution
-// does no vector allocation in steady state. Indexed by re-entrancy depth:
+// Per-thread working tuples, reused with their capacity across invocations
+// so a steady-state fire allocates nothing. Indexed by re-entrancy depth:
 // meta-tracepoints (e.g. Baggage.Serialize fired from an agent flush) can
-// re-enter Execute on the same thread, and each nesting level needs its own
-// buffers.
+// re-enter Execute on the same thread, and each nesting level needs its own.
 struct Scratch {
-  std::vector<Tuple> working;
-  std::vector<Tuple> spare;
+  std::vector<Tuple> rows;    // rows[0, live) is the working set.
+  std::vector<Tuple> joined;  // Unpack's join output, swapped with rows.
+  std::vector<Tuple> bag;     // Unpack's buffer when a bag is not read in place.
+  Tuple out;                  // Pack/Emit projection.
 };
 
 Scratch& AcquireScratch(size_t depth) {
@@ -49,6 +49,15 @@ Scratch& AcquireScratch(size_t depth) {
     pool.push_back(std::make_unique<Scratch>());
   }
   return *pool[depth];
+}
+
+// Row `i` of `rows`, appended when `rows` is that short. Its old contents stay
+// for the caller to overwrite or clear.
+Tuple& RowAt(std::vector<Tuple>* rows, size_t i) {
+  if (i == rows->size()) {
+    rows->emplace_back();
+  }
+  return (*rows)[i];
 }
 
 struct DepthGuard {
@@ -60,6 +69,17 @@ struct DepthGuard {
   ~DepthGuard() { --Depth(); }
   size_t depth;
 };
+
+// The tuple a Pack or Emit step hands on: `row` itself, or its projection
+// built in `*out`.
+const Tuple& Projected(bool project, const std::vector<SymbolId>& fields, const Tuple& row,
+                       Tuple* out) {
+  if (!project) {
+    return row;
+  }
+  row.ProjectInto(fields, out);
+  return *out;
+}
 
 }  // namespace
 
@@ -109,87 +129,90 @@ AdvicePlan::Ptr AdvicePlan::Compile(const Advice::Ptr& advice) {
   return plan;
 }
 
-void AdvicePlan::Execute(ExecutionContext* ctx, const Tuple& exports) const {
+void AdvicePlan::Execute(ExecutionContext* ctx, const ExportView& exports) const {
   if (ctx == nullptr) {
     return;
   }
   DepthGuard guard;
   Scratch& scratch = AcquireScratch(guard.depth);
-  std::vector<Tuple>& working = scratch.working;
-  working.clear();
-  // Starts as one empty tuple so a leading Observe replaces it and degenerate
+  std::vector<Tuple>& rows = scratch.rows;
+  // Starts as one empty tuple so a leading Observe fills it and degenerate
   // programs still behave sensibly.
-  working.emplace_back();
+  RowAt(&rows, 0).Clear();
+  size_t live = 1;
 
   for (const Step& step : steps_) {
     switch (step.kind) {
       case Advice::OpKind::kSample: {
-        if (!SampleAccept(step.sample_rate)) {
+        if (!SampleAccept(step.sample_rate, &sample_sequence_)) {
           return;
         }
         break;
       }
       case Advice::OpKind::kObserve: {
-        Tuple observed;
-        for (const auto& [from, to] : step.observe) {
-          observed.Append(to, exports.Get(from));
+        // Appends the observed exports to every row (t_w · t_o). The first
+        // row reads the exports; the others copy what it appended.
+        Tuple& first = rows[0];
+        const size_t from = first.size();
+        for (const auto& [export_id, column] : step.observe) {
+          first.Append(column, exports.Get(export_id));
         }
-        for (auto& w : working) {
-          w = w.Concat(observed);
+        for (size_t r = 1; r < live; ++r) {
+          for (size_t f = from; f < first.size(); ++f) {
+            rows[r].Append(first.field(f).id, first.field(f).value);
+          }
         }
         break;
       }
       case Advice::OpKind::kUnpack: {
         // Inner join (§3): an observed t_o and unpacked t_u1, t_u2 give
-        // t_o·t_u1 and t_o·t_u2; an empty bag empties the working set.
-        std::vector<Tuple> unpacked = ctx->baggage().Unpack(step.bag);
-        std::vector<Tuple>& joined = scratch.spare;
-        joined.clear();
-        joined.reserve(std::min(working.size() * unpacked.size(), kMaxWorkingSet));
+        // t_o·t_u1 and t_o·t_u2; an empty bag empties the working set. The
+        // bag's rows are read in place.
+        const std::vector<Tuple>& unpacked = ctx->baggage().Unpack(step.bag, &scratch.bag);
+        size_t joined = 0;
         bool truncated = false;
-        for (const auto& w : working) {
-          for (const auto& u : unpacked) {
-            if (joined.size() >= kMaxWorkingSet) {
+        for (size_t r = 0; r < live && !truncated; ++r) {
+          for (const Tuple& u : unpacked) {
+            if (joined >= kMaxWorkingSet) {
               truncated = true;
               break;
             }
-            joined.push_back(w.Concat(u));
-          }
-          if (truncated) {
-            break;
+            Tuple& row = RowAt(&scratch.joined, joined++);
+            row = rows[r];
+            row.AppendAll(u);
           }
         }
         if (truncated) {
           CountTruncation();
         }
-        working.swap(joined);
+        rows.swap(scratch.joined);
+        live = joined;
         break;
       }
       case Advice::OpKind::kLet: {
-        for (auto& w : working) {
-          w.Append(step.let_id, step.expr->Eval(w));
+        for (size_t r = 0; r < live; ++r) {
+          rows[r].Append(step.let_id, step.expr->Eval(rows[r]));
         }
         break;
       }
       case Advice::OpKind::kFilter: {
-        std::vector<Tuple>& kept = scratch.spare;
-        kept.clear();
-        kept.reserve(working.size());
-        for (auto& w : working) {
-          if (step.expr->Eval(w).AsBool()) {
-            kept.push_back(std::move(w));
+        // Compacts in place; dropped rows keep their capacity past `live`.
+        size_t kept = 0;
+        for (size_t r = 0; r < live; ++r) {
+          if (step.expr->Eval(rows[r]).AsBool()) {
+            if (kept != r) {
+              std::swap(rows[kept], rows[r]);
+            }
+            ++kept;
           }
         }
-        working.swap(kept);
+        live = kept;
         break;
       }
       case Advice::OpKind::kPack: {
-        for (const auto& w : working) {
-          if (step.project) {
-            ctx->baggage().Pack(step.bag, step.bag_spec, w.Project(step.fields));
-          } else {
-            ctx->baggage().Pack(step.bag, step.bag_spec, w);
-          }
+        for (size_t r = 0; r < live; ++r) {
+          ctx->baggage().Pack(step.bag, step.bag_spec,
+                              Projected(step.project, step.fields, rows[r], &scratch.out));
         }
         break;
       }
@@ -198,17 +221,14 @@ void AdvicePlan::Execute(ExecutionContext* ctx, const Tuple& exports) const {
         if (sink == nullptr) {
           break;
         }
-        for (const auto& w : working) {
-          if (step.project) {
-            sink->EmitTuple(step.query_id, w.Project(step.fields));
-          } else {
-            sink->EmitTuple(step.query_id, w);
-          }
+        for (size_t r = 0; r < live; ++r) {
+          sink->EmitTuple(step.query_id,
+                          Projected(step.project, step.fields, rows[r], &scratch.out));
         }
         break;
       }
     }
-    if (working.empty()) {
+    if (live == 0) {
       return;
     }
   }

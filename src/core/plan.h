@@ -2,20 +2,26 @@
 // each (tracepoint, advice) pair once, at weave time, off the fire path:
 // observe (export, output) pairs, pack/emit projections, Let output columns
 // and every Expr field reference are bound to dense SymbolIds, so a fire
-// compares integers, never strings. Execution reuses a per-thread working-set
-// buffer instead of constructing fresh vectors per invocation.
+// compares integers, never strings. Execution reads the fire's exports in
+// place (ExportView) and keeps per-thread working tuples, with their
+// capacity, across fires, so a steady-state fire allocates nothing of its
+// own: only a bag's storage on Pack and whatever the sink keeps.
 
 #ifndef PIVOT_SRC_CORE_PLAN_H_
 #define PIVOT_SRC_CORE_PLAN_H_
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/common/thread_ordinal.h"
 #include "src/core/advice.h"
 #include "src/core/baggage.h"
 #include "src/core/context.h"
+#include "src/core/exports.h"
 #include "src/core/expr.h"
 #include "src/core/symbol.h"
 #include "src/core/tuple.h"
@@ -31,19 +37,19 @@ class AdvicePlan {
   // counter. Returns nullptr only for null input.
   static Ptr Compile(const Advice::Ptr& advice);
 
-  // Runs the program against one tracepoint invocation. `exports` holds the
-  // raw exported variables (unqualified names, defaults included). Uses the
-  // context's baggage for Unpack/Pack and the context's process sink for
-  // Emit; a null context runs nothing. Reentrancy-safe: meta-tracepoints
-  // fired during Pack/Emit may re-enter Execute on the same thread (each
-  // depth gets its own scratch buffer).
+  // Runs the program against one tracepoint invocation. `exports` reads the
+  // raw exported variables (unqualified names, defaults included); a Tuple
+  // converts to it. Uses the context's baggage for Unpack/Pack and the
+  // context's process sink for Emit; a null context runs nothing.
+  // Reentrancy-safe: meta-tracepoints fired during Pack/Emit may re-enter
+  // Execute on the same thread (each depth gets its own scratch tuples).
   //
   // Safety: besides being loop-free, execution bounds the working set at
   // kMaxWorkingSet tuples — pathological multi-unpack cartesian joins
   // truncate (counted by the advice.truncations counter) instead of
   // exhausting memory, keeping advice overhead bounded even for adversarial
   // queries.
-  void Execute(ExecutionContext* ctx, const Tuple& exports) const;
+  void Execute(ExecutionContext* ctx, const ExportView& exports) const;
 
   // Upper bound on tuples materialized by one advice execution.
   static constexpr size_t kMaxWorkingSet = 65536;
@@ -78,6 +84,11 @@ class AdvicePlan {
   AdvicePlan() = default;
 
   std::vector<Step> steps_;
+  // Fires that reached a kSample step with a rate below 1. One sequence per
+  // plan, shared by threads, so how many fires a plan samples does not
+  // depend on how its fires spread over threads (counts stay reproducible).
+  // It sits on a cache line of its own, off the steps every fire reads.
+  alignas(kCacheLine) mutable std::atomic<uint64_t> sample_sequence_{0};
 };
 
 }  // namespace pivot

@@ -1,8 +1,6 @@
 #include "src/core/tracepoint.h"
 
 #include <algorithm>
-#include <array>
-#include <iterator>
 #include <optional>
 
 #include "src/common/clock.h"
@@ -11,18 +9,6 @@
 namespace pivot {
 
 namespace {
-
-// Pre-interned ids of kDefaultExports, in table order, so the per-fire
-// appends below skip the interner's hash lookup.
-using DefaultExportSymbols = std::array<SymbolId, std::size(kDefaultExports)>;
-
-DefaultExportSymbols InternDefaultExports() {
-  DefaultExportSymbols ids{};
-  for (size_t i = 0; i < ids.size(); ++i) {
-    ids[i] = InternSymbol(kDefaultExports[i].name);
-  }
-  return ids;
-}
 
 // The key of the first bag `advice` packs, if it packs any.
 std::optional<BagKey> FirstPackedBag(const Advice& advice) {
@@ -45,37 +31,24 @@ bool SameProgram(const Advice& a, const Advice& b) {
 }  // namespace
 
 void Tracepoint::InvokeSlow(ExecutionContext* ctx, const AdviceSet* set,
-                            std::vector<Tuple::Field> exports) const {
-  static const DefaultExportSymbols sym = InternDefaultExports();
-  // Default exports (§3), appended in kDefaultExports order.
-  int64_t now = 0;
-  if (ctx != nullptr && ctx->runtime() != nullptr) {
-    const ProcessRuntime& rt = *ctx->runtime();
-    now = rt.NowMicros();
-    exports.push_back({sym[0], Value(rt.info.host)});
-    exports.push_back({sym[1], Value(rt.info.process_name)});
-    exports.push_back({sym[2], Value(rt.info.process_id)});
-  }
-  exports.push_back({sym[3], Value(now)});
-  exports.push_back({sym[4], Value(now)});
-  exports.push_back({sym[5], Value(def_.name)});
-  Tuple tuple(std::move(exports));
-
+                            const std::vector<Tuple::Field>& exports) const {
+  ExportView view(exports, def_.name, ctx != nullptr ? ctx->runtime() : nullptr);
   if (ctx != nullptr && ctx->recorder() != nullptr) {
     EventId ev = ctx->AdvanceEvent();
-    ctx->recorder()->Record(ObservedEvent{ctx->trace_id(), ev, def_.name, tuple});
+    ctx->recorder()->Record(ObservedEvent{ctx->trace_id(), ev, def_.name, view.Materialize()});
   }
 
   if (set != nullptr) {
-    woven_fires_.fetch_add(1, std::memory_order_relaxed);
+    CounterSlot& slot = Slot();
+    slot.woven_fires.fetch_add(1, std::memory_order_relaxed);
     // Advice execution time is real wall clock even under simulated time:
     // it is the probe effect on the host, the quantity Table 5 bounds.
     int64_t start = MonotonicNanos();
     for (const AdvicePlan::Ptr& plan : *set) {
-      plan->Execute(ctx, tuple);
+      plan->Execute(ctx, view);
     }
-    advice_nanos_.fetch_add(static_cast<uint64_t>(MonotonicNanos() - start),
-                            std::memory_order_relaxed);
+    slot.advice_nanos.fetch_add(static_cast<uint64_t>(MonotonicNanos() - start),
+                                std::memory_order_relaxed);
   }
 }
 

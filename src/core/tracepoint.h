@@ -12,6 +12,7 @@
 #ifndef PIVOT_SRC_CORE_TRACEPOINT_H_
 #define PIVOT_SRC_CORE_TRACEPOINT_H_
 
+#include <array>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -22,8 +23,10 @@
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/common/thread_ordinal.h"
 #include "src/core/advice.h"
 #include "src/core/context.h"
+#include "src/core/exports.h"
 #include "src/core/plan.h"
 #include "src/core/symbol.h"
 #include "src/core/tuple.h"
@@ -43,21 +46,6 @@ struct TracepointDef {
   // fire in several components stay empty and are skipped by the
   // reachability passes (src/analysis/causality_graph.h).
   std::string component;
-};
-
-// The exports every tracepoint appends to each invocation (§3), in append
-// order, with the type of value each carries. "time" aliases "timestamp" —
-// §6.2 queries use the built-in `time` variable. host, procname and procid
-// need a process runtime on the execution context; the rest are always
-// appended. The query compiler and the advice verifier read this table.
-struct DefaultExport {
-  const char* name;
-  ValueType type;
-};
-inline constexpr DefaultExport kDefaultExports[] = {
-    {"host", ValueType::kString},  {"procname", ValueType::kString},
-    {"procid", ValueType::kInt},   {"timestamp", ValueType::kInt},
-    {"time", ValueType::kInt},     {"tracepoint", ValueType::kString},
 };
 
 // Immutable snapshot of the plans woven at one tracepoint, in weave order.
@@ -91,46 +79,65 @@ class Tracepoint {
   // a branch — the "zero-probe-effect" analogue measured in Table 5 — plus a
   // plain-increment fire counter (see below).
   //
-  // The slow path appends the default exports (host, timestamp/time, procid,
-  // procname, tracepoint; §3), advances the ground-truth trace if recording,
-  // and executes each woven advice program.
-  void Invoke(ExecutionContext* ctx, std::vector<Tuple::Field> exports) const {
+  // The slow path runs each woven plan against an ExportView of `exports`
+  // and the default exports (host, timestamp/time, procid, procname,
+  // tracepoint; §3), read in place, and records the materialized tuple when
+  // a ground-truth trace is recording.
+  void Invoke(ExecutionContext* ctx, const std::vector<Tuple::Field>& exports) const {
     const AdviceSet* set = advice_.load(std::memory_order_acquire);
-    // Self-telemetry fire counter. Deliberately a relaxed load+add+store
-    // (plain increment) rather than fetch_add: no lock-prefixed RMW on the
-    // fast path, so Table 5's probe-effect bound survives with telemetry
-    // compiled in (bench_telemetry_overhead). Concurrent racing increments
-    // may lose counts; monitoring tolerates that, correctness never reads it.
-    // Sequenced after the advice load so the branch is never waiting on the
-    // counter's store-to-load-forwarded dependency chain.
-    fires_.store(fires_.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+    // Self-telemetry fire counter, in the calling thread's slot. Deliberately
+    // a relaxed load+add+store (plain increment) rather than fetch_add: no
+    // lock-prefixed RMW on the fast path, so Table 5's probe-effect bound
+    // survives with telemetry compiled in (bench_telemetry_overhead). Threads
+    // sharing a slot may lose counts; monitoring tolerates that, correctness
+    // never reads it. Sequenced after the advice load so the branch is never
+    // waiting on the counter's store-to-load-forwarded dependency chain.
+    std::atomic<uint64_t>& fires = Slot().fires;
+    fires.store(fires.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
     if (set == nullptr && (ctx == nullptr || ctx->recorder() == nullptr)) {
       return;
     }
-    InvokeSlow(ctx, set, std::move(exports));
+    InvokeSlow(ctx, set, exports);
   }
 
   // ---- Self-telemetry (docs/OBSERVABILITY.md) ----
+  //
+  // Counts live in per-thread slots (ThreadSlot), each on cache lines of
+  // its own and off the line that holds the advice pointer, so threads
+  // firing one tracepoint write no shared line. Reads sum the slots.
 
-  // Total invocations, woven or not. Lossy under write races (see Invoke).
-  uint64_t fires() const { return fires_.load(std::memory_order_relaxed); }
+  // Total invocations, woven or not. Lossy when threads share a slot.
+  uint64_t fires() const { return SumSlots(&CounterSlot::fires); }
   // Invocations that executed at least one woven advice program (exact).
-  uint64_t woven_fires() const { return woven_fires_.load(std::memory_order_relaxed); }
+  uint64_t woven_fires() const { return SumSlots(&CounterSlot::woven_fires); }
   // Total wall-clock nanoseconds spent executing woven advice (exact;
   // measured on the slow path only, where advice cost dwarfs the clock read).
-  uint64_t advice_nanos() const { return advice_nanos_.load(std::memory_order_relaxed); }
+  uint64_t advice_nanos() const { return SumSlots(&CounterSlot::advice_nanos); }
 
  private:
   friend class TracepointRegistry;
 
+  // Per-thread counters, one slot per ThreadSlot.
+  struct alignas(kCacheLine) CounterSlot {
+    std::atomic<uint64_t> fires{0};
+    std::atomic<uint64_t> woven_fires{0};   // fetch_add: exact even when shared.
+    std::atomic<uint64_t> advice_nanos{0};  // fetch_add: exact even when shared.
+  };
+  CounterSlot& Slot() const { return slots_[ThreadSlot()]; }
+  uint64_t SumSlots(std::atomic<uint64_t> CounterSlot::*count) const {
+    uint64_t total = 0;
+    for (const CounterSlot& slot : slots_) {
+      total += (slot.*count).load(std::memory_order_relaxed);
+    }
+    return total;
+  }
+
   void InvokeSlow(ExecutionContext* ctx, const AdviceSet* set,
-                  std::vector<Tuple::Field> exports) const;
+                  const std::vector<Tuple::Field>& exports) const;
 
   TracepointDef def_;
   std::atomic<const AdviceSet*> advice_{nullptr};
-  mutable std::atomic<uint64_t> fires_{0};
-  mutable std::atomic<uint64_t> woven_fires_{0};
-  mutable std::atomic<uint64_t> advice_nanos_{0};
+  mutable std::array<CounterSlot, kThreadSlots> slots_{};
 };
 
 // One row of TracepointRegistry::StatsSnapshot().

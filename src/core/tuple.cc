@@ -55,11 +55,16 @@ Tuple Tuple::Concat(const Tuple& other) const {
 
 Tuple Tuple::Project(const std::vector<SymbolId>& ids) const {
   Tuple out;
-  out.fields_.reserve(ids.size());
-  for (SymbolId id : ids) {
-    out.Append(id, Get(id));
-  }
+  ProjectInto(ids, &out);
   return out;
+}
+
+void Tuple::ProjectInto(const std::vector<SymbolId>& ids, Tuple* out) const {
+  out->Clear();
+  out->fields_.reserve(ids.size());
+  for (SymbolId id : ids) {
+    out->Append(id, Get(id));
+  }
 }
 
 std::string Tuple::ToString() const {

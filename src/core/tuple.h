@@ -61,6 +61,12 @@ class Tuple {
   void Append(std::string_view name, Value value) {
     Append(InternSymbol(name), std::move(value));
   }
+  // Appends every field of `other` (in place: `this · other`).
+  void AppendAll(const Tuple& other) {
+    fields_.insert(fields_.end(), other.fields_.begin(), other.fields_.end());
+  }
+  // Drops every field, keeping the capacity for reuse.
+  void Clear() { fields_.clear(); }
 
   // Returns the named field's value, or null if absent. The string overloads
   // compare against each field's interned name (lock-free; no table growth
@@ -79,6 +85,8 @@ class Tuple {
   // Projection Π: restricts to `ids`, preserving the given order. Missing
   // fields project to null (the analyzer rejects unknown fields up front).
   Tuple Project(const std::vector<SymbolId>& ids) const;
+  // The same projection into `*out`, reusing its capacity.
+  void ProjectInto(const std::vector<SymbolId>& ids, Tuple* out) const;
 
   // "(a=1, b=x)" rendering.
   std::string ToString() const;

@@ -6,6 +6,20 @@
 namespace pivot {
 namespace telemetry {
 
+uint64_t Counter::value() const {
+  uint64_t total = 0;
+  for (const Stripe& s : stripes_) {
+    total += s.value.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+void Counter::Reset() {
+  for (Stripe& s : stripes_) {
+    s.value.store(0, std::memory_order_relaxed);
+  }
+}
+
 uint64_t Histogram::BucketUpperBound(int i) {
   if (i <= 0) {
     return 0;
@@ -45,11 +59,13 @@ uint64_t Histogram::QuantileUpperBound(double q) const {
 }
 
 void Histogram::Reset() {
-  for (auto& b : buckets_) {
-    b.store(0, std::memory_order_relaxed);
+  for (Stripe& s : stripes_) {
+    for (auto& b : s.buckets) {
+      b.store(0, std::memory_order_relaxed);
+    }
+    s.count.store(0, std::memory_order_relaxed);
+    s.sum.store(0, std::memory_order_relaxed);
   }
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
 }
 
 Counter& MetricsRegistry::GetCounter(std::string_view name) {

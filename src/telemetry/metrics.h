@@ -7,14 +7,16 @@
 // histograms behind relaxed atomics, cheap enough to leave on everywhere.
 //
 // Hot-path contract:
-//  * Counter::Increment / Histogram::Observe are lock-free relaxed RMWs and
-//    never allocate.
+//  * Counter::Increment / Histogram::Observe are lock-free relaxed RMWs on
+//    the calling thread's stripe and never allocate; no two threads write
+//    one cache line while threads do not outnumber the stripes.
 //  * Registration (GetCounter / GetHistogram) takes a mutex and may allocate;
 //    call it once at startup (or via a function-local static) and cache the
 //    returned reference — it is stable for the registry's lifetime.
 //
-// Values race benignly across threads: a snapshot taken mid-increment may be
-// off by in-flight operations, which is the standard monitoring trade.
+// Counts are exact. Reads sum the stripes, so a snapshot taken
+// mid-increment may be off by in-flight operations, which is the standard
+// monitoring trade.
 
 #ifndef PIVOT_SRC_TELEMETRY_METRICS_H_
 #define PIVOT_SRC_TELEMETRY_METRICS_H_
@@ -29,28 +31,42 @@
 #include <string_view>
 #include <vector>
 
+#include "src/common/thread_ordinal.h"
+
 namespace pivot {
 namespace telemetry {
 
-// Monotonic event counter. Exact under concurrency (fetch_add).
+// Counter and Histogram keep kThreadSlots stripes: a writer updates the
+// stripe of its ThreadSlot, and each stripe fills whole cache lines, so
+// concurrent writers on different threads share no line. Reads sum the
+// stripes. Threads that share a stripe (more threads than stripes) still
+// count exactly, because every update is an atomic read-modify-write.
+
+// Monotonic event counter. Exact under concurrency.
 class Counter {
  public:
   Counter() = default;
   Counter(const Counter&) = delete;
   Counter& operator=(const Counter&) = delete;
 
-  void Increment(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
+  void Increment(uint64_t n = 1) {
+    stripes_[ThreadSlot()].value.fetch_add(n, std::memory_order_relaxed);
+  }
+  uint64_t value() const;
+  void Reset();
 
  private:
-  std::atomic<uint64_t> value_{0};
+  struct alignas(kCacheLine) Stripe {
+    std::atomic<uint64_t> value{0};
+  };
+  std::array<Stripe, kThreadSlots> stripes_{};
 };
 
 // Latency/size histogram with fixed power-of-two buckets: bucket i counts
 // observations v with bit_width(v) == i (bucket 0 is v == 0). 65 buckets
 // cover the full uint64 range, so there is no configuration and no
-// allocation — one Observe is three relaxed fetch_adds.
+// allocation — one Observe is three relaxed fetch_adds on the caller's
+// stripe.
 class Histogram {
  public:
   static constexpr int kBuckets = 65;
@@ -60,14 +76,21 @@ class Histogram {
   Histogram& operator=(const Histogram&) = delete;
 
   void Observe(uint64_t v) {
-    buckets_[BucketOf(v)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
+    Stripe& s = stripes_[ThreadSlot()];
+    s.buckets[BucketOf(v)].fetch_add(1, std::memory_order_relaxed);
+    s.count.fetch_add(1, std::memory_order_relaxed);
+    s.sum.fetch_add(v, std::memory_order_relaxed);
   }
 
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
-  uint64_t bucket(int i) const { return buckets_[i].load(std::memory_order_relaxed); }
+  uint64_t count() const {
+    return SumStripes([](const Stripe& s) -> const auto& { return s.count; });
+  }
+  uint64_t sum() const {
+    return SumStripes([](const Stripe& s) -> const auto& { return s.sum; });
+  }
+  uint64_t bucket(int i) const {
+    return SumStripes([i](const Stripe& s) -> const auto& { return s.buckets[i]; });
+  }
 
   // Upper bound of bucket i's value range (inclusive): 0, 1, 3, 7, ...
   static uint64_t BucketUpperBound(int i);
@@ -80,9 +103,23 @@ class Histogram {
   void Reset();
 
  private:
-  std::array<std::atomic<uint64_t>, kBuckets> buckets_{};
-  std::atomic<uint64_t> count_{0};
-  std::atomic<uint64_t> sum_{0};
+  struct alignas(kCacheLine) Stripe {
+    std::array<std::atomic<uint64_t>, kBuckets> buckets{};
+    std::atomic<uint64_t> count{0};
+    std::atomic<uint64_t> sum{0};
+  };
+
+  // The sum over the stripes of the cell `cell(stripe)` names.
+  template <typename Cell>
+  uint64_t SumStripes(Cell cell) const {
+    uint64_t total = 0;
+    for (const Stripe& s : stripes_) {
+      total += cell(s).load(std::memory_order_relaxed);
+    }
+    return total;
+  }
+
+  std::array<Stripe, kThreadSlots> stripes_{};
 };
 
 // Point-in-time copies for reporting.

@@ -236,7 +236,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AdviceGarbageFuzz,
 // Both sides must agree on the emitted (query, row) sequence, value types
 // included, on the serialized baggage bytes, on the bytes' Deserialize/
 // Serialize round trip, and on the number of truncated executions. Sampling
-// in (0,1) draws from a process-global counter, so programs here use only
+// in (0,1) draws from the plan's fire sequence, so programs here use only
 // rates that decide without it.
 
 using Row = std::vector<std::pair<std::string, Value>>;
@@ -338,7 +338,8 @@ int RunOracle(const Advice& advice, const Row& exports, Baggage* baggage, Emitte
         break;
       case Advice::OpKind::kUnpack: {
         std::vector<Row> unpacked;
-        for (const Tuple& t : baggage->Unpack(op.bag)) {
+        std::vector<Tuple> buffer;
+        for (const Tuple& t : baggage->Unpack(op.bag, &buffer)) {
           unpacked.push_back(ToRow(t));
         }
         std::vector<Row> joined;

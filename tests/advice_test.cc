@@ -50,7 +50,7 @@ TEST_F(AdviceTest, PackFirstIgnoresSubsequent) {
       AdviceBuilder().Observe({{"v", "p.v"}}).Pack(5, BagSpec::First(1), {"p.v"}).Build());
   a->Execute(&ctx_, Tuple{{"v", Value(int64_t{1})}});
   a->Execute(&ctx_, Tuple{{"v", Value(int64_t{2})}});
-  auto tuples = ctx_.baggage().Unpack(5);
+  auto tuples = UnpackCopy(ctx_.baggage(), 5);
   ASSERT_EQ(tuples.size(), 1u);
   EXPECT_EQ(tuples[0].Get("p.v").int_value(), 1);
 }
@@ -125,7 +125,7 @@ TEST_F(AdviceTest, PackProjectsFields) {
                                               .Pack(5, BagSpec::All(), {"p.v"})
                                               .Build());
   a->Execute(&ctx_, Tuple{{"v", Value(int64_t{1})}, {"w", Value(int64_t{2})}});
-  auto tuples = ctx_.baggage().Unpack(5);
+  auto tuples = UnpackCopy(ctx_.baggage(), 5);
   ASSERT_EQ(tuples.size(), 1u);
   EXPECT_TRUE(tuples[0].Has("p.v"));
   EXPECT_FALSE(tuples[0].Has("p.w"));
@@ -139,7 +139,7 @@ TEST_F(AdviceTest, AggregatedPackKeepsStateBounded) {
     a->Execute(&ctx_, Tuple{{"g", Value(i % 2 == 0 ? "even" : "odd")},
                             {"v", Value(int64_t{i})}});
   }
-  auto tuples = ctx_.baggage().Unpack(5);
+  auto tuples = UnpackCopy(ctx_.baggage(), 5);
   ASSERT_EQ(tuples.size(), 2u);  // Bounded by group count, not invocation count.
   EXPECT_EQ(ctx_.baggage().TupleCount(), 2u);
 }

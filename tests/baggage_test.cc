@@ -6,6 +6,7 @@
 #include "src/core/baggage.h"
 #include "src/core/wire.h"
 #include "src/telemetry/metrics.h"
+#include "tests/test_util.h"
 
 namespace pivot {
 namespace {
@@ -118,18 +119,18 @@ TEST(BaggageTest, PackUnpack) {
   Baggage bag;
   bag.Pack(1, BagSpec::All(), T("x", 1));
   bag.Pack(1, BagSpec::All(), T("x", 2));
-  auto tuples = bag.Unpack(1);
+  auto tuples = UnpackCopy(bag, 1);
   ASSERT_EQ(tuples.size(), 2u);
-  EXPECT_TRUE(bag.Unpack(999).empty());
+  EXPECT_TRUE(UnpackCopy(bag, 999).empty());
 }
 
 TEST(BaggageTest, DistinctBagsAreIsolated) {
   Baggage bag;
   bag.Pack(1, BagSpec::All(), T("x", 1));
   bag.Pack(2, BagSpec::All(), T("y", 9));
-  EXPECT_EQ(bag.Unpack(1).size(), 1u);
-  EXPECT_EQ(bag.Unpack(2).size(), 1u);
-  EXPECT_EQ(bag.Unpack(2)[0].Get("y").int_value(), 9);
+  EXPECT_EQ(UnpackCopy(bag, 1).size(), 1u);
+  EXPECT_EQ(UnpackCopy(bag, 2).size(), 1u);
+  EXPECT_EQ(UnpackCopy(bag, 2)[0].Get("y").int_value(), 9);
 }
 
 // Two aggregate specs that disagree on group width and aggregate count, as
@@ -171,7 +172,7 @@ TEST(BaggageTest, PeerBagUnderAnotherPlanIsDroppedAndCounted) {
     Result<Baggage> received = Baggage::Deserialize(peer.Serialize());
     ASSERT_TRUE(received.ok());
     Baggage joined = Baggage::Join(ours, *received);
-    EXPECT_EQ(Canonical(joined.Unpack(kKey)), Canonical(ours.Unpack(kKey)));
+    EXPECT_EQ(Canonical(UnpackCopy(joined, kKey)), Canonical(UnpackCopy(ours, kKey)));
     EXPECT_EQ(joined.DroppedTupleCount(), 2u);
   }
 }
@@ -200,8 +201,8 @@ TEST(BaggageTest, SerializeRoundTripPreservesTuples) {
 
   Result<Baggage> decoded = Baggage::Deserialize(bytes);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(Canonical(decoded->Unpack(7)), Canonical(bag.Unpack(7)));
-  EXPECT_EQ(Canonical(decoded->Unpack(9)), Canonical(bag.Unpack(9)));
+  EXPECT_EQ(Canonical(UnpackCopy(*decoded, 7)), Canonical(UnpackCopy(bag, 7)));
+  EXPECT_EQ(Canonical(UnpackCopy(*decoded, 9)), Canonical(UnpackCopy(bag, 9)));
   // Re-serialization is stable.
   EXPECT_EQ(decoded->Serialize(), bytes);
 }
@@ -269,8 +270,8 @@ TEST(BaggageTest, SplitIsolatesBranches) {
   right.Pack(1, BagSpec::All(), T("x", 200));
 
   // Both branches see the pre-split tuple plus their own only.
-  EXPECT_EQ(Canonical(left.Unpack(1)), (std::vector<std::string>{"(x=1)", "(x=100)"}));
-  EXPECT_EQ(Canonical(right.Unpack(1)), (std::vector<std::string>{"(x=1)", "(x=200)"}));
+  EXPECT_EQ(Canonical(UnpackCopy(left, 1)), (std::vector<std::string>{"(x=1)", "(x=100)"}));
+  EXPECT_EQ(Canonical(UnpackCopy(right, 1)), (std::vector<std::string>{"(x=1)", "(x=200)"}));
 }
 
 TEST(BaggageTest, JoinMergesBranchesAndDeduplicatesHistory) {
@@ -282,7 +283,7 @@ TEST(BaggageTest, JoinMergesBranchesAndDeduplicatesHistory) {
 
   Baggage joined = Baggage::Join(left, right);
   // The pre-split tuple appears once (duplicate inactive instances dropped).
-  EXPECT_EQ(Canonical(joined.Unpack(1)),
+  EXPECT_EQ(Canonical(UnpackCopy(joined, 1)),
             (std::vector<std::string>{"(x=1)", "(x=100)", "(x=200)"}));
   // ID recovered: split then join restores the seed interval.
   EXPECT_EQ(joined.active_id(), ItcId::Seed());
@@ -296,7 +297,7 @@ TEST(BaggageTest, NestedSplitJoin) {
   b.Pack(1, BagSpec::All(), T("x", 2));
   c.Pack(1, BagSpec::All(), T("x", 3));
   Baggage joined = Baggage::Join(a, Baggage::Join(b, c));
-  EXPECT_EQ(Canonical(joined.Unpack(1)),
+  EXPECT_EQ(Canonical(UnpackCopy(joined, 1)),
             (std::vector<std::string>{"(x=1)", "(x=2)", "(x=3)"}));
   EXPECT_EQ(joined.active_id(), ItcId::Seed());
 }
@@ -318,7 +319,7 @@ TEST(BaggageTest, SplitSerializesAndSurvivesWire) {
   ASSERT_TRUE(shipped.ok());
   Baggage joined = Baggage::Join(*shipped, right);
   // FIRST semantics across instances: the pre-split tuple (oldest) wins.
-  auto tuples = joined.Unpack(1);
+  auto tuples = UnpackCopy(joined, 1);
   ASSERT_EQ(tuples.size(), 1u);
   EXPECT_EQ(tuples[0].Get("x").int_value(), 7);
 }
@@ -328,7 +329,7 @@ TEST(BaggageTest, FirstSemanticsAcrossSplitPrefersOldest) {
   root.Pack(1, BagSpec::First(1), T("x", 1));
   auto [left, right] = root.Split();
   left.Pack(1, BagSpec::First(1), T("x", 2));
-  auto tuples = left.Unpack(1);
+  auto tuples = UnpackCopy(left, 1);
   ASSERT_EQ(tuples.size(), 1u);
   EXPECT_EQ(tuples[0].Get("x").int_value(), 1);
 }
@@ -338,7 +339,7 @@ TEST(BaggageTest, RecentSemanticsAcrossSplitPrefersNewest) {
   root.Pack(1, BagSpec::Recent(1), T("x", 1));
   auto [left, right] = root.Split();
   left.Pack(1, BagSpec::Recent(1), T("x", 2));
-  auto tuples = left.Unpack(1);
+  auto tuples = UnpackCopy(left, 1);
   ASSERT_EQ(tuples.size(), 1u);
   EXPECT_EQ(tuples[0].Get("x").int_value(), 2);
 }
@@ -351,7 +352,7 @@ TEST(BaggageTest, AggregateAcrossSplitCombines) {
   left.Pack(1, spec, T("x", 10));
   right.Pack(1, spec, T("x", 100));
   Baggage joined = Baggage::Join(left, right);
-  auto tuples = joined.Unpack(1);
+  auto tuples = UnpackCopy(joined, 1);
   ASSERT_EQ(tuples.size(), 1u);
   EXPECT_EQ(tuples[0].Get("S").int_value(), 111);
 }
@@ -368,15 +369,15 @@ TEST(BaggageTest, DecodedInstancesWithConflictingAggregateSpecsMergeSafely) {
   // instance's spec, and Join counts the refused group as dropped.
   Result<Baggage> shipped = Baggage::Deserialize(left.Serialize());
   ASSERT_TRUE(shipped.ok());
-  std::vector<Tuple> unpacked = shipped->Unpack(1);
+  std::vector<Tuple> unpacked = UnpackCopy(*shipped, 1);
   EXPECT_EQ(Canonical(unpacked), (std::vector<std::string>{"(a=1, b=2, S=5)"}));
 
   Baggage joined = Baggage::Join(*shipped, right);
-  EXPECT_EQ(Canonical(joined.Unpack(1)), (std::vector<std::string>{"(a=1, b=2, S=5)"}));
+  EXPECT_EQ(Canonical(UnpackCopy(joined, 1)), (std::vector<std::string>{"(a=1, b=2, S=5)"}));
   EXPECT_EQ(joined.DroppedTupleCount(), 1u);
   Result<Baggage> reshipped = Baggage::Deserialize(joined.Serialize());
   ASSERT_TRUE(reshipped.ok());
-  EXPECT_EQ(Canonical(reshipped->Unpack(1)), Canonical(joined.Unpack(1)));
+  EXPECT_EQ(Canonical(UnpackCopy(*reshipped, 1)), Canonical(UnpackCopy(joined, 1)));
   EXPECT_EQ(reshipped->DroppedTupleCount(), 1u);
 }
 
@@ -580,7 +581,7 @@ TEST(BaggageTest, MultiTupleBagWritesNamesOnce) {
   EXPECT_EQ(five.Serialize().size(), one.Serialize().size() + 4 * (4 + 3));
   Result<Baggage> decoded = Baggage::Deserialize(five.Serialize());
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->Unpack(1), five.Unpack(1));
+  EXPECT_EQ(UnpackCopy(*decoded, 1), UnpackCopy(five, 1));
 }
 
 TEST(BaggageTest, AggregateBagDecodeInternsNothing) {
@@ -594,7 +595,7 @@ TEST(BaggageTest, AggregateBagDecodeInternsNothing) {
   for (int i = 0; i < 3; ++i) {
     Result<Baggage> decoded = Baggage::Deserialize(wire);
     ASSERT_TRUE(decoded.ok());
-    EXPECT_EQ(decoded->Unpack(1), b.Unpack(1));
+    EXPECT_EQ(UnpackCopy(*decoded, 1), UnpackCopy(b, 1));
   }
   EXPECT_EQ(SymbolTable::Global().size(), symbols);
 

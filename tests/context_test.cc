@@ -3,6 +3,7 @@
 #include <thread>
 
 #include "src/core/context.h"
+#include "src/telemetry/metrics.h"
 #include "tests/test_util.h"
 
 namespace pivot {
@@ -33,13 +34,13 @@ TEST(ContextTest, ForkSplitsBaggage) {
   ctx.baggage().Pack(1, BagSpec::All(), Tuple{{"x", Value(int64_t{2})}});
   other.baggage().Pack(1, BagSpec::All(), Tuple{{"x", Value(int64_t{3})}});
 
-  EXPECT_EQ(CanonicalTuples(ctx.baggage().Unpack(1)),
+  EXPECT_EQ(CanonicalTuples(UnpackCopy(ctx.baggage(), 1)),
             (std::vector<std::string>{"(x=1)", "(x=2)"}));
-  EXPECT_EQ(CanonicalTuples(other.baggage().Unpack(1)),
+  EXPECT_EQ(CanonicalTuples(UnpackCopy(other.baggage(), 1)),
             (std::vector<std::string>{"(x=1)", "(x=3)"}));
 
   ctx.Join(std::move(other));
-  EXPECT_EQ(CanonicalTuples(ctx.baggage().Unpack(1)),
+  EXPECT_EQ(CanonicalTuples(UnpackCopy(ctx.baggage(), 1)),
             (std::vector<std::string>{"(x=1)", "(x=2)", "(x=3)"}));
 }
 
@@ -115,6 +116,21 @@ TEST(ContextTest, ThreadBaggageTable4Api) {
   EXPECT_EQ(ThreadBaggage::Unpack(5).size(), 1u);
 }
 
+TEST(ContextTest, ThreadBaggageDeserializeOfBadBytesLeavesPristineBaggage) {
+  // Like Arrive: bytes that fail to decode must not leave the previous
+  // request's tuples behind to join into this one.
+  ExecutionContext ctx;
+  ScopedContext scope(&ctx);
+  ThreadBaggage::Pack(5, BagSpec::First(1), Tuple{{"procName", Value("HGET")}});
+  ASSERT_EQ(ThreadBaggage::Unpack(5).size(), 1u);
+  telemetry::Counter& errors = telemetry::Metrics().GetCounter("baggage.deserialize.errors");
+  const uint64_t errors_before = errors.value();
+  ThreadBaggage::Deserialize({0xFF, 0xFF, 0xFF});
+  EXPECT_TRUE(ThreadBaggage::Unpack(5).empty());
+  EXPECT_TRUE(ctx.baggage().IsTrivial());
+  EXPECT_EQ(errors.value(), errors_before + 1);
+}
+
 TEST(ContextTest, BaggagePropagatesAcrossRealThreads) {
   // The real-thread analogue of the paper's instrumented Thread/Runnable:
   // serialize on the parent, deserialize on the child, join the halves.
@@ -137,7 +153,7 @@ TEST(ContextTest, BaggagePropagatesAcrossRealThreads) {
   ASSERT_TRUE(child_result.ok());
   child_ctx.set_baggage(std::move(child_result).value());
   parent.Join(std::move(child_ctx));
-  EXPECT_EQ(CanonicalTuples(parent.baggage().Unpack(1)),
+  EXPECT_EQ(CanonicalTuples(UnpackCopy(parent.baggage(), 1)),
             (std::vector<std::string>{"(x=1)", "(x=99)"}));
 }
 

@@ -19,7 +19,7 @@ TEST(BagOverflowTest, UnboundedBagCapsAndCounts) {
   }
   EXPECT_EQ(baggage.TupleCount(), kMaxBagTuples);
   EXPECT_EQ(baggage.DroppedTupleCount(), 100u);
-  EXPECT_EQ(baggage.Unpack(1).size(), kMaxBagTuples);
+  EXPECT_EQ(UnpackCopy(baggage, 1).size(), kMaxBagTuples);
 }
 
 TEST(BagOverflowTest, BoundedSemanticsNeverDrop) {
@@ -30,8 +30,8 @@ TEST(BagOverflowTest, BoundedSemanticsNeverDrop) {
                  T(static_cast<int64_t>(i)));
   }
   EXPECT_EQ(baggage.DroppedTupleCount(), 0u);
-  EXPECT_EQ(baggage.Unpack(1).size(), 4u);
-  EXPECT_EQ(baggage.Unpack(2)[0].Get("C").int_value(),
+  EXPECT_EQ(UnpackCopy(baggage, 1).size(), 4u);
+  EXPECT_EQ(UnpackCopy(baggage, 2)[0].Get("C").int_value(),
             static_cast<int64_t>(kMaxBagTuples + 100));
 }
 
@@ -68,11 +68,11 @@ TEST(BagOverflowTest, LargeLimitsAreCappedAtTheValve) {
   }
   EXPECT_EQ(baggage.TupleCount(), 2 * kMaxBagTuples);
   EXPECT_EQ(baggage.DroppedTupleCount(), 200u);
-  std::vector<Tuple> recent = baggage.Unpack(1);
+  std::vector<Tuple> recent = UnpackCopy(baggage, 1);
   ASSERT_EQ(recent.size(), kMaxBagTuples);
   EXPECT_EQ(recent.front().Get("x").int_value(), 100);
   EXPECT_EQ(recent.back().Get("x").int_value(), static_cast<int64_t>(kMaxBagTuples + 99));
-  std::vector<Tuple> first = baggage.Unpack(2);
+  std::vector<Tuple> first = UnpackCopy(baggage, 2);
   ASSERT_EQ(first.size(), kMaxBagTuples);
   EXPECT_EQ(first.back().Get("x").int_value(), static_cast<int64_t>(kMaxBagTuples - 1));
 
@@ -123,7 +123,7 @@ TEST(BagOverflowTest, DecodedBagIsTrimmedToItsSpec) {
   bytes[kLimitByte] = 2;
   Result<Baggage> decoded = Baggage::Deserialize(bytes);
   ASSERT_TRUE(decoded.ok());
-  std::vector<Tuple> kept = decoded->Unpack(1);
+  std::vector<Tuple> kept = UnpackCopy(*decoded, 1);
   ASSERT_EQ(kept.size(), 2u);
   EXPECT_EQ(kept[0].Get("x").int_value(), 2);
   EXPECT_EQ(kept[1].Get("x").int_value(), 3);
@@ -157,11 +157,11 @@ TEST(ThreadBaggageSplitJoinTest, SplitIsolatesAndJoinMerges) {
   }
 
   // ...but the parent's concurrent pack is not, until join.
-  EXPECT_EQ(CanonicalTuples(ctx.baggage().Unpack(1)),
+  EXPECT_EQ(CanonicalTuples(UnpackCopy(ctx.baggage(), 1)),
             (std::vector<std::string>{"(x=1)", "(x=2)"}));
 
   ThreadBaggage::Join(branch_result);
-  EXPECT_EQ(CanonicalTuples(ctx.baggage().Unpack(1)),
+  EXPECT_EQ(CanonicalTuples(UnpackCopy(ctx.baggage(), 1)),
             (std::vector<std::string>{"(x=1)", "(x=2)", "(x=3)"}));
   // The interval returns whole after the join.
   EXPECT_EQ(ctx.baggage().active_id(), ItcId::Seed());
@@ -177,7 +177,7 @@ TEST(ThreadBaggageSplitJoinTest, MalformedBranchBytesIgnored) {
   ScopedContext scope(&ctx);
   ThreadBaggage::Pack(1, BagSpec::All(), T(1));
   ThreadBaggage::Join({0xFF, 0x00, 0x13});
-  EXPECT_EQ(ctx.baggage().Unpack(1).size(), 1u);  // Unchanged.
+  EXPECT_EQ(UnpackCopy(ctx.baggage(), 1).size(), 1u);  // Unchanged.
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include "src/simsys/sim_resource.h"
 #include "src/simsys/sim_rpc.h"
 #include "src/simsys/sim_world.h"
+#include "tests/test_util.h"
 
 namespace pivot {
 namespace {
@@ -213,7 +214,7 @@ TEST(SimRpcTest, BaggageCrossesTheWire) {
   SimRpcCall(
       client, server, ctx, 100,
       [&](CtxPtr sctx, RpcRespond respond) {
-        auto tuples = sctx->baggage().Unpack(1);
+        auto tuples = UnpackCopy(sctx->baggage(), 1);
         server_saw_baggage = tuples.size() == 1 &&
                              tuples[0].Get("procName").string_value() == "client";
         // Server adds its own tuple; the client must see it on return.
@@ -222,8 +223,8 @@ TEST(SimRpcTest, BaggageCrossesTheWire) {
       },
       [&](CtxPtr back) {
         client_resumed = true;
-        EXPECT_EQ(back->baggage().Unpack(2).size(), 1u);
-        EXPECT_EQ(back->baggage().Unpack(1).size(), 1u);
+        EXPECT_EQ(UnpackCopy(back->baggage(), 2).size(), 1u);
+        EXPECT_EQ(UnpackCopy(back->baggage(), 1).size(), 1u);
       });
   world.env()->RunAll();
   EXPECT_TRUE(server_saw_baggage);

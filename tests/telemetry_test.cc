@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/clock.h"
 #include "src/core/tracepoint.h"
 #include "src/telemetry/metrics.h"
 
@@ -23,8 +24,8 @@ TEST(CounterTest, IncrementAndValue) {
 }
 
 TEST(CounterTest, ConcurrentIncrementsAreExact) {
-  // Registry counters use fetch_add: unlike the tracepoint fire counter
-  // (lossy by design), these must not lose counts under contention.
+  // Registry counters use fetch_add on per-thread stripes: unlike the
+  // tracepoint fire counter (lossy by design), these must not lose counts.
   Counter c;
   constexpr int kThreads = 8;
   constexpr int kPerThread = 100'000;
@@ -87,6 +88,91 @@ TEST(HistogramTest, ConcurrentObserves) {
     t.join();
   }
   EXPECT_EQ(h.count(), static_cast<uint64_t>(kThreads) * kPerThread);
+}
+
+// Runs `body(thread_index)` on `threads` threads and joins them.
+template <typename Body>
+void RunThreads(int threads, Body body) {
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&body, t] { body(t); });
+  }
+  for (auto& w : workers) {
+    w.join();
+  }
+}
+
+TEST(StripedTelemetryTest, FourThreadsOfAMillionUpdatesStayExact) {
+  // Each thread writes its own stripe; reads sum them, losing nothing.
+  Counter c;
+  Histogram h;
+  constexpr int kThreads = 4;
+  constexpr uint64_t kPerThread = 1'000'000;
+  RunThreads(kThreads, [&](int t) {
+    for (uint64_t i = 0; i < kPerThread; ++i) {
+      c.Increment();
+      h.Observe(i % 2 == 0 ? 0 : uint64_t{1} << (t * 8));  // Buckets 0 and 8t+1.
+    }
+  });
+  const uint64_t total = kThreads * kPerThread;
+  EXPECT_EQ(c.value(), total);
+  EXPECT_EQ(h.count(), total);
+  uint64_t sum = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    sum += (kPerThread / 2) << (t * 8);
+    EXPECT_EQ(h.bucket(t * 8 + 1), kPerThread / 2) << t;
+  }
+  EXPECT_EQ(h.sum(), sum);
+  EXPECT_EQ(h.bucket(0), total / 2);
+  EXPECT_EQ(h.QuantileUpperBound(0.5), 0u);
+}
+
+TEST(StripedTelemetryTest, ThreadsSharingAStripeStayExact) {
+  // More threads than stripes: some share one, and still count exactly.
+  Counter c;
+  Histogram h;
+  const int threads = static_cast<int>(2 * kThreadSlots + 1);
+  constexpr uint64_t kPerThread = 20'000;
+  RunThreads(threads, [&](int) {
+    for (uint64_t i = 0; i < kPerThread; ++i) {
+      c.Increment(2);
+      h.Observe(3);
+    }
+  });
+  EXPECT_EQ(c.value(), 2 * kPerThread * threads);
+  EXPECT_EQ(h.count(), kPerThread * threads);
+  EXPECT_EQ(h.sum(), 3 * kPerThread * threads);
+  EXPECT_EQ(h.bucket(2), kPerThread * threads);
+  c.Reset();
+  h.Reset();
+  EXPECT_EQ(c.value(), 0u);
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.bucket(2), 0u);
+}
+
+TEST(StripedTelemetryTest, TracepointWovenCountsStayExactUnderThreads) {
+  TracepointRegistry registry;
+  TracepointDef def;
+  def.name = "T";
+  Tracepoint* tp = *registry.Define(std::move(def));
+  ASSERT_TRUE(
+      registry.WeaveQuery(1, {{"T", std::make_shared<Advice>(std::vector<Advice::Op>{})}}).ok());
+  ProcessRuntime runtime;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 100'000;
+  std::atomic<int64_t> wall_nanos{0};
+  RunThreads(kThreads, [&](int) {
+    ExecutionContext ctx(&runtime);
+    const int64_t start = MonotonicNanos();
+    for (int i = 0; i < kPerThread; ++i) {
+      tp->Invoke(&ctx, {});
+    }
+    wall_nanos.fetch_add(MonotonicNanos() - start);
+  });
+  EXPECT_EQ(tp->woven_fires(), static_cast<uint64_t>(kThreads) * kPerThread);
+  // Advice time is a part of the threads' wall time, never more.
+  EXPECT_GT(tp->advice_nanos(), 0u);
+  EXPECT_LE(tp->advice_nanos(), static_cast<uint64_t>(wall_nanos.load()));
 }
 
 TEST(MetricsRegistryTest, ReturnsStableReferences) {

@@ -62,6 +62,13 @@ struct FakeProcess {
   }
 };
 
+// Bag `key`'s tuples as a copy the test owns (Baggage::Unpack reads them in
+// place).
+inline std::vector<Tuple> UnpackCopy(const Baggage& baggage, BagKey key) {
+  std::vector<Tuple> buffer;
+  return baggage.Unpack(key, &buffer);
+}
+
 // Canonical (sorted string) form for order-insensitive tuple comparison.
 inline std::vector<std::string> CanonicalTuples(const std::vector<Tuple>& tuples) {
   std::vector<std::string> out;

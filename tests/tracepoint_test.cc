@@ -95,6 +95,117 @@ TEST_F(TracepointTest, WovenFireCarriesExactlyTheDefaultExports) {
   }
 }
 
+// Woven advice reads exports through an ExportView; these pin that the view
+// reads what the materialized tuple (site fields, then kDefaultExports)
+// holds, and that the clock is read at most once per fire.
+Advice::Ptr ObserveAndEmit(uint64_t query, std::vector<std::pair<std::string, std::string>> vars) {
+  return AdviceBuilder().Observe(std::move(vars)).Emit(query, {}).Build();
+}
+
+std::vector<std::pair<std::string, std::string>> AllDefaults(const std::string& alias) {
+  std::vector<std::pair<std::string, std::string>> vars;
+  for (const DefaultExport& d : kDefaultExports) {
+    vars.emplace_back(d.name, alias + "." + d.name);
+  }
+  return vars;
+}
+
+TEST_F(TracepointTest, EachDefaultExportReadsTheMaterializedValue) {
+  Tracepoint* tp = *registry_.Define(Def("X", {}));
+  ASSERT_TRUE(registry_.WeaveQuery(1, {{"X", ObserveAndEmit(1, AllDefaults("x"))}}).ok());
+  TraceRecorder recorder;
+  ctx_.StartTrace(&recorder);
+  clock_.now = 4242;
+  tp->Invoke(&ctx_, {});
+  ASSERT_EQ(proc_.sink.emitted(1).size(), 1u);
+  ASSERT_EQ(recorder.observed().size(), 1u);
+  const Tuple& read = proc_.sink.emitted(1)[0];
+  const Tuple& materialized = recorder.observed()[0].exports;
+  ASSERT_EQ(read.size(), std::size(kDefaultExports));
+  for (size_t i = 0; i < read.size(); ++i) {
+    EXPECT_EQ(read.field(i).value, materialized.Get(kDefaultExports[i].name))
+        << kDefaultExports[i].name;
+    EXPECT_EQ(read.field(i).value.type(), kDefaultExports[i].type) << kDefaultExports[i].name;
+  }
+  EXPECT_EQ(read.Get("x.host"), Value("A"));
+  EXPECT_EQ(read.Get("x.procname"), Value("DataNode"));
+  EXPECT_EQ(read.Get("x.procid"), Value(int64_t{1}));
+  EXPECT_EQ(read.Get("x.timestamp"), Value(int64_t{4242}));
+  EXPECT_EQ(read.Get("x.time"), Value(int64_t{4242}));
+  EXPECT_EQ(read.Get("x.tracepoint"), Value("X"));
+}
+
+TEST_F(TracepointTest, OneClockReadPerFireSharedByEveryPlan) {
+  // A clock that moves on every read: two reads in one fire would disagree.
+  int clock_reads = 0;
+  proc_.runtime.now_micros = [&clock_reads] { return int64_t{1000} * ++clock_reads; };
+  Tracepoint* tp = *registry_.Define(Def("X", {}));
+  ASSERT_TRUE(registry_
+                  .WeaveQuery(1, {{"X", ObserveAndEmit(1, {{"timestamp", "a.ts"},
+                                                           {"time", "a.time"}})}})
+                  .ok());
+  ASSERT_TRUE(registry_
+                  .WeaveQuery(2, {{"X", ObserveAndEmit(2, {{"time", "b.time"},
+                                                           {"timestamp", "b.ts"}})}})
+                  .ok());
+  for (int fire = 1; fire <= 3; ++fire) {
+    tp->Invoke(&ctx_, {});
+    EXPECT_EQ(clock_reads, fire);
+  }
+  for (uint64_t query : {1, 2}) {
+    ASSERT_EQ(proc_.sink.emitted(query).size(), 3u);
+    for (size_t fire = 0; fire < 3; ++fire) {
+      const Tuple& t = proc_.sink.emitted(query)[fire];
+      const Value expected(static_cast<int64_t>(1000 * (fire + 1)));
+      EXPECT_EQ(t.field(0).value, expected) << "query " << query << " fire " << fire;
+      EXPECT_EQ(t.field(1).value, expected) << "query " << query << " fire " << fire;
+    }
+  }
+}
+
+TEST_F(TracepointTest, FireThatReadsNoTimeNeverReadsTheClock) {
+  int clock_reads = 0;
+  proc_.runtime.now_micros = [&clock_reads] { return int64_t{++clock_reads}; };
+  Tracepoint* tp = *registry_.Define(Def("X", {"v"}));
+  ASSERT_TRUE(registry_
+                  .WeaveQuery(1, {{"X", ObserveAndEmit(1, {{"v", "x.v"},
+                                                           {"host", "x.host"},
+                                                           {"tracepoint", "x.tp"}})}})
+                  .ok());
+  tp->Invoke(&ctx_, {{"v", Value(int64_t{3})}});
+  tp->Invoke(&ctx_, {{"v", Value(int64_t{4})}});
+  EXPECT_EQ(proc_.sink.emitted(1).size(), 2u);
+  EXPECT_EQ(clock_reads, 0);
+}
+
+TEST_F(TracepointTest, SiteExportShadowsTheDefaultOfTheSameName) {
+  Tracepoint* tp = *registry_.Define(Def("X", {"host", "time"}));
+  ASSERT_TRUE(registry_
+                  .WeaveQuery(1, {{"X", ObserveAndEmit(1, {{"host", "x.host"},
+                                                           {"time", "x.time"},
+                                                           {"procname", "x.procname"}})}})
+                  .ok());
+  clock_.now = 99;
+  tp->Invoke(&ctx_, {{"host", Value("site-host")}, {"time", Value(int64_t{7})}});
+  ASSERT_EQ(proc_.sink.emitted(1).size(), 1u);
+  const Tuple& t = proc_.sink.emitted(1)[0];
+  EXPECT_EQ(t.Get("x.host"), Value("site-host"));
+  EXPECT_EQ(t.Get("x.time"), Value(int64_t{7}));
+  EXPECT_EQ(t.Get("x.procname"), Value("DataNode"));  // Not shadowed.
+}
+
+TEST_F(TracepointTest, RecorderRecordsEveryDefaultAfterTheSiteFields) {
+  Tracepoint* tp = *registry_.Define(Def("X", {"v"}));
+  ASSERT_TRUE(registry_.WeaveQuery(1, {{"X", ObserveAndEmit(1, {{"v", "x.v"}})}}).ok());
+  TraceRecorder recorder;
+  ctx_.StartTrace(&recorder);
+  clock_.now = 55;
+  tp->Invoke(&ctx_, {{"v", Value(int64_t{8})}});
+  ASSERT_EQ(recorder.observed().size(), 1u);
+  EXPECT_EQ(recorder.observed()[0].exports.ToString(),
+            "(v=8, host=A, procname=DataNode, procid=1, timestamp=55, time=55, tracepoint=X)");
+}
+
 TEST_F(TracepointTest, WeavingCompilesOnlyTheNewQuerysAdvice) {
   ASSERT_TRUE(registry_.Define(Def("X", {"v"})).ok());
   ASSERT_TRUE(registry_.Define(Def("Y", {"w"})).ok());
@@ -220,8 +331,8 @@ TEST_F(TracepointTest, IdenticalPackProgramsShareOnePlan) {
 
   // Two packers would put the tuple into the bag twice.
   tp->Invoke(&ctx_, {{"v", Value(int64_t{7})}});
-  ASSERT_EQ(ctx_.baggage().Unpack(256).size(), 1u);
-  EXPECT_EQ(ctx_.baggage().Unpack(256)[0].Get("a.v").int_value(), 7);
+  ASSERT_EQ(UnpackCopy(ctx_.baggage(), 256).size(), 1u);
+  EXPECT_EQ(UnpackCopy(ctx_.baggage(), 256)[0].Get("a.v").int_value(), 7);
 }
 
 TEST_F(TracepointTest, SharedPackPlanOutlivesAllButItsLastQuery) {
@@ -237,7 +348,7 @@ TEST_F(TracepointTest, SharedPackPlanOutlivesAllButItsLastQuery) {
     EXPECT_EQ(registry.WovenPacks().size(), 1u);
     ExecutionContext ctx(&proc_.runtime);
     tp->Invoke(&ctx, {{"v", Value(int64_t{1})}});
-    EXPECT_EQ(ctx.baggage().Unpack(256).size(), 1u);
+    EXPECT_EQ(UnpackCopy(ctx.baggage(), 256).size(), 1u);
 
     registry.UnweaveQuery(minter_first ? 2 : 1);
     EXPECT_FALSE(tp->enabled());
@@ -258,7 +369,7 @@ TEST_F(TracepointTest, DifferentProgramUnderSameKeyIsNotShared) {
   ASSERT_TRUE(registry_.WeaveQuery(2, {{"X", filtered}}).ok());
   EXPECT_EQ(tp->woven_plans(), 2u);
   tp->Invoke(&ctx_, {{"v", Value(int64_t{5})}});
-  EXPECT_EQ(ctx_.baggage().Unpack(256).size(), 2u);  // Each program packed once.
+  EXPECT_EQ(UnpackCopy(ctx_.baggage(), 256).size(), 2u);  // Each program packed once.
 
   // Unweaving the unshared program leaves the indexed one in place.
   registry_.UnweaveQuery(2);
