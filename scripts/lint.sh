@@ -1,7 +1,8 @@
 #!/bin/sh
 # Grep gates on how src/hadoop crosses process boundaries, on who writes
-# values to the wire, on threads in src, on who executes advice and on
-# process-wide atomics in src/core and src/agent, then
+# values to the wire, on threads in src, on who executes advice, on
+# process-wide atomics in src/core and src/agent and on thread-local state
+# in src, then
 # clang-tidy over the sources
 # (.clang-tidy selects bugprone-*, performance-*, concurrency-*). clang-tidy
 # degrades gracefully: the CI container only ships gcc, so a missing
@@ -66,6 +67,18 @@ if grep -rnE '(^((inline|constinit|const|extern)[[:space:]]+)*std::atomic|\bstat
   grep -vE '\bthread_local\b'; then
   echo "lint: a static or namespace-scope std::atomic in src/core or src/agent;" \
     "count per thread (striped telemetry or per-thread slots)."
+  exit 1
+fi
+
+# Request-state gate: a request's state travels in its ExecutionContext,
+# handed on explicitly (Fork/Join, Depart/Arrive), never in a thread-local
+# that a hop or a branch could leave behind. thread_local may appear in src
+# only in common/thread_ordinal.h (the thread's slot index) and core/plan.cc
+# (the advice plans' per-thread scratch).
+if grep -rnw 'thread_local' "$repo_root/src" |
+  grep -vE '^[^:]*/(common/thread_ordinal\.h|core/plan\.cc):'; then
+  echo "lint: thread_local outside common/thread_ordinal.h and core/plan.cc;" \
+    "carry request state in the ExecutionContext."
   exit 1
 fi
 

@@ -65,8 +65,8 @@ telemetry::Histogram& SerializeTuplesHistogram() {
 
 void Baggage::Pack(BagKey key, const BagSpec& spec, const Tuple& t) {
   PackCounter().Increment();
-  active_bytes_valid_ = false;  // The only mutation of the active instance.
-  active_bags_.try_emplace(key, spec).first->second.set.AddInput(t);
+  active_.encoded = false;  // The only mutation of the active instance.
+  active_.bags.try_emplace(key, spec).first->second.set.AddInput(t);
 }
 
 const std::vector<Tuple>& Baggage::Unpack(BagKey key, std::vector<Tuple>* buffer) const {
@@ -75,9 +75,9 @@ const std::vector<Tuple>& Baggage::Unpack(BagKey key, std::vector<Tuple>* buffer
   // according to query logic", §5). One holder is read in place.
   const ResultSet* only = nullptr;
   std::optional<ResultSet> combined;
-  auto gather = [&](const std::map<BagKey, Bag>& bags) {
-    auto it = bags.find(key);
-    if (it == bags.end()) {
+  ForEachInstance([&](const Instance& inst) {
+    auto it = inst.bags.find(key);
+    if (it == inst.bags.end()) {
       return;
     }
     if (only == nullptr) {
@@ -88,11 +88,7 @@ const std::vector<Tuple>& Baggage::Unpack(BagKey key, std::vector<Tuple>* buffer
       combined.emplace(*only);
     }
     combined->Absorb(it->second.set);
-  };
-  for (const auto& inst : inactive_) {
-    gather(inst->bags);
-  }
-  gather(active_bags_);
+  });
   if (combined) {
     *buffer = combined->StateRows();
   } else if (only == nullptr) {
@@ -107,25 +103,27 @@ const std::vector<Tuple>& Baggage::Unpack(BagKey key, std::vector<Tuple>* buffer
 
 std::pair<Baggage, Baggage> Baggage::Split() const {
   SplitCounter().Increment();
-  auto [id1, id2] = active_id_.Split();
+  auto [id1, id2] = active_.id.Split();
 
   // Each side retains the current contents as an inactive instance and gets a
   // fresh empty active instance with its half of the ID. The snapshot is
   // frozen once and shared — neither side deep-copies retained tuples, and
-  // the existing inactive list is shared by pointer.
-  InstancePtr frozen = FreezeActive();
+  // the existing inactive list is shared by pointer. A stale memo is
+  // re-encoded in the frozen copy, never in this baggage.
+  auto frozen = std::make_shared<Instance>(active_);
+  frozen->Encode();
 
   Baggage side1;
   side1.inactive_ = inactive_;
   side1.inactive_.push_back(frozen);
-  side1.active_id_ = id1;
-  side1.active_gen_ = active_gen_ + 1;
+  side1.active_.id = id1;
+  side1.active_.gen = active_.gen + 1;
 
   Baggage side2;
   side2.inactive_ = inactive_;
   side2.inactive_.push_back(std::move(frozen));
-  side2.active_id_ = id2;
-  side2.active_gen_ = active_gen_ + 1;
+  side2.active_.id = id2;
+  side2.active_.gen = active_.gen + 1;
 
   return {std::move(side1), std::move(side2)};
 }
@@ -133,15 +131,15 @@ std::pair<Baggage, Baggage> Baggage::Split() const {
 Baggage Baggage::Join(const Baggage& a, const Baggage& b) {
   JoinCounter().Increment();
   Baggage out;
-  out.active_id_ = ItcId::Join(a.active_id_, b.active_id_);
-  out.active_gen_ = std::max(a.active_gen_, b.active_gen_) + 1;
+  out.active_.id = ItcId::Join(a.active_.id, b.active_.id);
+  out.active_.gen = std::max(a.active_.gen, b.active_.gen) + 1;
 
   // Merge the two active instances' contents bag-wise.
-  out.active_bags_ = a.active_bags_;
-  for (const auto& [key, bag] : b.active_bags_) {
-    auto it = out.active_bags_.find(key);
-    if (it == out.active_bags_.end()) {
-      out.active_bags_.emplace(key, bag);
+  out.active_.bags = a.active_.bags;
+  for (const auto& [key, bag] : b.active_.bags) {
+    auto it = out.active_.bags.find(key);
+    if (it == out.active_.bags.end()) {
+      out.active_.bags.emplace(key, bag);
     } else {
       it->second.set.Absorb(bag.set);
     }
@@ -170,35 +168,29 @@ Baggage Baggage::Join(const Baggage& a, const Baggage& b) {
 
 uint64_t Baggage::DroppedTupleCount() const {
   uint64_t n = 0;
-  for (const auto& [key, bag] : active_bags_) {
-    n += bag.set.dropped();
-  }
-  for (const auto& inst : inactive_) {
-    for (const auto& [key, bag] : inst->bags) {
+  ForEachInstance([&](const Instance& inst) {
+    for (const auto& [key, bag] : inst.bags) {
       n += bag.set.dropped();
     }
-  }
+  });
   return n;
 }
 
 size_t Baggage::TupleCount() const {
   size_t n = 0;
-  for (const auto& [key, bag] : active_bags_) {
-    n += bag.set.size();
-  }
-  for (const auto& inst : inactive_) {
-    for (const auto& [key, bag] : inst->bags) {
+  ForEachInstance([&](const Instance& inst) {
+    for (const auto& [key, bag] : inst.bags) {
       n += bag.set.size();
     }
-  }
+  });
   return n;
 }
 
 bool Baggage::IsTrivial() const {
-  if (!inactive_.empty() || active_gen_ != 0 || !active_id_.IsOne()) {
+  if (!inactive_.empty() || active_.gen != 0 || !active_.id.IsOne()) {
     return false;
   }
-  for (const auto& [key, bag] : active_bags_) {
+  for (const auto& [key, bag] : active_.bags) {
     if (!bag.set.empty()) {
       return false;
     }
@@ -207,12 +199,12 @@ bool Baggage::IsTrivial() const {
 }
 
 void Baggage::Clear() {
-  active_id_ = ItcId::Seed();
-  active_gen_ = 0;
-  active_bags_.clear();
+  active_.id = ItcId::Seed();
+  active_.gen = 0;
+  active_.bags.clear();
+  active_.bytes.clear();
+  active_.encoded = false;
   inactive_.clear();
-  active_bytes_.clear();
-  active_bytes_valid_ = false;
 }
 
 // ---------------------------------------------------------------------------
@@ -220,8 +212,9 @@ void Baggage::Clear() {
 //
 // Layout (all varints unless noted):
 //   [instance count]
-//   per instance (active instance first):
-//     [itc id (canonical bytes)] [bag count]
+//   per instance (active instance first, then the retained ones, oldest
+//   first):
+//     [gen] [itc id (canonical bytes)] [bag count]
 //     per bag: [key] [spec] [result-set] [dropped]
 //   spec: [semantics u8] [limit] [plan (PutPlan)]
 // A pristine baggage serializes to zero bytes.
@@ -297,28 +290,30 @@ bool GetBags(const uint8_t* data, size_t size, size_t* pos,
   return true;
 }
 
-// Encodes one instance's `[gen][id][bags...]` segment into `out`.
-void EncodeInstance(uint64_t gen, const ItcId& id, const std::map<BagKey, Baggage::Bag>& bags,
-                    std::vector<uint8_t>* out) {
-  out->clear();
-  PutVarint64(out, gen);
-  id.Encode(out);
-  PutBags(out, bags, nullptr);
-}
-
 }  // namespace
 
-Baggage::InstancePtr Baggage::FreezeActive() const {
-  auto frozen = std::make_shared<Instance>();
-  frozen->id = active_id_;
-  frozen->gen = active_gen_;
-  frozen->bags = active_bags_;
-  if (active_bytes_valid_) {
-    frozen->bytes = active_bytes_;
-  } else {
-    EncodeInstance(active_gen_, active_id_, active_bags_, &frozen->bytes);
+const std::vector<uint8_t>& Baggage::Instance::Encode() const {
+  if (!encoded) {
+    bytes.clear();
+    PutVarint64(&bytes, gen);
+    id.Encode(&bytes);
+    PutBags(&bytes, bags, nullptr);
+    encoded = true;
   }
-  return frozen;
+  return bytes;
+}
+
+bool Baggage::Instance::Decode(const uint8_t* data, size_t size, size_t* pos) {
+  const size_t start = *pos;
+  if (!GetVarint64(data, size, pos, &gen) || !ItcId::Decode(data, size, pos, &id) ||
+      !GetBags(data, size, pos, &bags)) {
+    return false;
+  }
+  // Our encoder is canonical (ordered maps, minimal varints), so for bytes we
+  // produced the wire slice equals what a re-encode would emit.
+  bytes.assign(data + start, data + *pos);
+  encoded = true;
+  return true;
 }
 
 std::vector<uint8_t> Baggage::Serialize(SerializeStats* stats) const {
@@ -332,16 +327,11 @@ std::vector<uint8_t> Baggage::Serialize(SerializeStats* stats) const {
     return {};
   }
 
-  // Active instance: re-encode only if dirty (Pack since the last encode).
-  // Inactive instances were encoded when they froze or were decoded.
-  if (active_bytes_valid_) {
-    SerializeCacheHitCounter().Increment();
-  } else {
-    EncodeInstance(active_gen_, active_id_, active_bags_, &active_bytes_);
-    active_bytes_valid_ = true;
-    SerializeCacheMissCounter().Increment();
-  }
-  size_t total = active_bytes_.size();
+  // The active instance re-encodes only if Pack made its memo stale; the
+  // retained ones were encoded when they froze or were decoded.
+  (active_.encoded ? SerializeCacheHitCounter() : SerializeCacheMissCounter()).Increment();
+  const std::vector<uint8_t>& active = active_.Encode();
+  size_t total = active.size();
   for (const auto& inst : inactive_) {
     SerializeCacheHitCounter().Increment();
     total += inst->bytes.size();
@@ -349,8 +339,8 @@ std::vector<uint8_t> Baggage::Serialize(SerializeStats* stats) const {
 
   std::vector<uint8_t> out;
   out.reserve(10 + total);
-  PutVarint64(&out, 1 + inactive_.size());
-  out.insert(out.end(), active_bytes_.begin(), active_bytes_.end());
+  PutVarint64(&out, instance_count());
+  out.insert(out.end(), active.begin(), active.end());
   for (const auto& inst : inactive_) {
     out.insert(out.end(), inst->bytes.begin(), inst->bytes.end());
   }
@@ -361,11 +351,10 @@ std::vector<uint8_t> Baggage::Serialize(SerializeStats* stats) const {
     // Per-query attribution, computed on demand: re-encode each instance's
     // bags into a scratch buffer, which yields the same bytes as `out` holds.
     std::vector<uint8_t> scratch;
-    PutBags(&scratch, active_bags_, &stats->queries);
-    for (const auto& inst : inactive_) {
+    ForEachInstance([&](const Instance& inst) {
       scratch.clear();
-      PutBags(&scratch, inst->bags, &stats->queries);
-    }
+      PutBags(&scratch, inst.bags, &stats->queries);
+    });
     stats->bytes = out.size();
     stats->tuples = tuples;
   }
@@ -384,35 +373,17 @@ Result<Baggage> Baggage::Deserialize(const uint8_t* data, size_t size) {
     DeserializeErrorCounter().Increment();
     return DataLossError("baggage: bad instance count");
   }
-  // Each instance's bytes are seeded with the wire slice it was decoded from,
-  // so re-serializing an unmodified baggage — the response leg of an RPC hop —
-  // copies cached bytes instead of re-encoding every bag. Our encoder is
-  // canonical (ordered maps, minimal varints), so for bytes we produced the
-  // slice equals what a re-encode would emit.
-  size_t active_start = pos;
-  if (!GetVarint64(data, size, &pos, &out.active_gen_) ||
-      !ItcId::Decode(data, size, &pos, &out.active_id_) ||
-      !GetBags(data, size, &pos, &out.active_bags_)) {
-    DeserializeErrorCounter().Increment();
-    return DataLossError("baggage: bad active instance");
-  }
-  out.active_bytes_.assign(data + active_start, data + pos);
-  out.active_bytes_valid_ = true;
-  for (uint64_t i = 1; i < ninst; ++i) {
+  // The active instance comes first on the wire, then the retained ones,
+  // oldest first.
+  bool ok = out.active_.Decode(data, size, &pos);
+  for (uint64_t i = 1; ok && i < ninst; ++i) {
     auto inst = std::make_shared<Instance>();
-    size_t inst_start = pos;
-    if (!GetVarint64(data, size, &pos, &inst->gen) ||
-        !ItcId::Decode(data, size, &pos, &inst->id) ||
-        !GetBags(data, size, &pos, &inst->bags)) {
-      DeserializeErrorCounter().Increment();
-      return DataLossError("baggage: bad inactive instance");
-    }
-    inst->bytes.assign(data + inst_start, data + pos);
+    ok = inst->Decode(data, size, &pos);
     out.inactive_.push_back(std::move(inst));
   }
-  if (pos != size) {
+  if (!ok || pos != size) {
     DeserializeErrorCounter().Increment();
-    return DataLossError("baggage: trailing bytes");
+    return DataLossError(ok ? "baggage: trailing bytes" : "baggage: bad instance");
   }
   return out;
 }

@@ -123,7 +123,7 @@ class Baggage {
 
   // ---- Introspection ----
 
-  const ItcId& active_id() const { return active_id_; }
+  const ItcId& active_id() const { return active_.id; }
   size_t instance_count() const { return 1 + inactive_.size(); }
 
   // Total retained tuples across all instances and bags (the paper's cost
@@ -141,6 +141,7 @@ class Baggage {
   void Clear();
 
  private:
+  // One instance: the active one, which Pack writes, or a retained one.
   struct Instance {
     // Instance identity is (id, gen): the interval-tree ID alone is not
     // globally unique over time because joining the two halves of a split
@@ -148,34 +149,41 @@ class Baggage {
     // seed ID). The generation counter increases at every split/join, so
     // snapshots taken in different epochs never collide, while copies of the
     // *same* snapshot propagated along different branches still deduplicate.
-    ItcId id;
+    ItcId id = ItcId::Seed();
     uint64_t gen = 0;
     std::map<BagKey, Bag> bags;
-    // The instance's `[gen][id][bags...]` wire segment, encoded when the
-    // instance is frozen or copied from the wire slice it was decoded from.
-    // Instances are immutable behind shared_ptr<const>, so it never changes.
-    std::vector<uint8_t> bytes;
+    // Memo of the instance's `[gen][id][bags...]` wire segment, current
+    // while `encoded`. Pack clears `encoded` on the active instance; a
+    // retained instance is encoded when it is frozen or copied from the wire
+    // slice it was decoded from, and is immutable behind shared_ptr<const>,
+    // so its memo never goes stale. Serializing an unchanged baggage — e.g.
+    // on the response leg of an RPC — thus copies cached bytes rather than
+    // re-encoding.
+    mutable std::vector<uint8_t> bytes;
+    mutable bool encoded = false;
+
+    // The wire segment, encoded into the memo first if it is stale.
+    const std::vector<uint8_t>& Encode() const;
+    // Decodes a wire segment from data[*pos..size), seeding the memo with
+    // the slice it was decoded from.
+    bool Decode(const uint8_t* data, size_t size, size_t* pos);
   };
   using InstancePtr = std::shared_ptr<const Instance>;
 
-  // Freezes the active instance (id/gen/bags snapshot, encoded) for
-  // retention on both sides of a split. Does not touch this baggage.
-  InstancePtr FreezeActive() const;
+  // Calls `fn` on every instance, oldest first: the retained ones in
+  // chronological order, then the active one.
+  template <typename Fn>
+  void ForEachInstance(Fn&& fn) const {
+    for (const InstancePtr& inst : inactive_) {
+      fn(*inst);
+    }
+    fn(active_);
+  }
 
-  // The active instance's contents live directly in the Baggage object.
-  ItcId active_id_ = ItcId::Seed();
-  uint64_t active_gen_ = 0;
-  std::map<BagKey, Bag> active_bags_;
+  Instance active_;
   // Retained (immutable) instances, chronological order, oldest first.
   // Copy-on-write: Split/Join/copy share them instead of deep-copying.
   std::vector<InstancePtr> inactive_;
-
-  // Memoized encoding of the active instance; invalidated by Pack (the only
-  // mutation of active_bags_) and seeded by Deserialize, so serializing an
-  // unchanged baggage — e.g. on the response leg of an RPC — is a copy of
-  // cached bytes rather than a re-encode.
-  mutable std::vector<uint8_t> active_bytes_;
-  mutable bool active_bytes_valid_ = false;
 };
 
 }  // namespace pivot

@@ -104,70 +104,4 @@ ExecutionContext Arrive(ContextOnWire wire, ProcessRuntime* to) {
   return ctx;
 }
 
-namespace {
-
-thread_local ExecutionContext* g_current_context = nullptr;
-
-}  // namespace
-
-ExecutionContext* CurrentContext() { return g_current_context; }
-
-ScopedContext::ScopedContext(ExecutionContext* ctx) : previous_(g_current_context) {
-  g_current_context = ctx;
-}
-
-ScopedContext::~ScopedContext() { g_current_context = previous_; }
-
-void ThreadBaggage::Pack(BagKey key, const BagSpec& spec, const Tuple& t) {
-  if (ExecutionContext* ctx = CurrentContext()) {
-    ctx->baggage().Pack(key, spec, t);
-  }
-}
-
-std::vector<Tuple> ThreadBaggage::Unpack(BagKey key) {
-  std::vector<Tuple> buffer;
-  if (ExecutionContext* ctx = CurrentContext()) {
-    return ctx->baggage().Unpack(key, &buffer);  // A copy the caller owns.
-  }
-  return buffer;
-}
-
-std::vector<uint8_t> ThreadBaggage::Serialize() {
-  if (ExecutionContext* ctx = CurrentContext()) {
-    return Depart(ctx).baggage;
-  }
-  return {};
-}
-
-void ThreadBaggage::Deserialize(const std::vector<uint8_t>& bytes) {
-  if (ExecutionContext* ctx = CurrentContext()) {
-    // As in Arrive: bytes that fail to decode (counted by
-    // baggage.deserialize_errors) yield pristine baggage, never the previous
-    // request's tuples.
-    Result<Baggage> b = Baggage::Deserialize(bytes);
-    ctx->set_baggage(b.ok() ? std::move(b).value() : Baggage());
-  }
-}
-
-std::vector<uint8_t> ThreadBaggage::Split() {
-  ExecutionContext* ctx = CurrentContext();
-  if (ctx == nullptr) {
-    return {};
-  }
-  auto [mine, theirs] = ctx->baggage().Split();
-  ctx->set_baggage(std::move(mine));
-  return theirs.Serialize();
-}
-
-void ThreadBaggage::Join(const std::vector<uint8_t>& branch_bytes) {
-  ExecutionContext* ctx = CurrentContext();
-  if (ctx == nullptr) {
-    return;
-  }
-  Result<Baggage> branch = Baggage::Deserialize(branch_bytes);
-  if (branch.ok()) {
-    ctx->set_baggage(Baggage::Join(ctx->baggage(), *branch));
-  }
-}
-
 }  // namespace pivot

@@ -8,12 +8,12 @@
 // source, and (optionally) records the happened-before DAG for ground-truth
 // evaluation.
 //
-// Two propagation styles are supported:
-//  * explicit: the simulator hands contexts from task to task and across
-//    simulated RPCs (Depart/Arrive serialize the baggage onto the wire);
-//  * thread-local: real multi-threaded applications install a context with
-//    ScopedContext and fork/join it across std::thread boundaries, mirroring
-//    Table 4's static API.
+// Contexts travel explicitly: the caller hands a context from task to task,
+// Fork/Join it at branch points and Depart/Arrive it across a process
+// boundary (the simulator's SimRpcCall and SimWorld::Cross; a real-thread
+// host passes the forked context or its serialized baggage to the worker).
+// Table 4's pack/unpack/serialize/deserialize are Baggage members; its
+// split/join are Fork/Join here.
 
 #ifndef PIVOT_SRC_CORE_CONTEXT_H_
 #define PIVOT_SRC_CORE_CONTEXT_H_
@@ -153,46 +153,6 @@ ContextOnWire Depart(ExecutionContext* ctx);
 // counted by baggage.deserialize_errors and yield pristine baggage (debug
 // builds assert: the simulator never corrupts the wire).
 ExecutionContext Arrive(ContextOnWire wire, ProcessRuntime* to);
-
-// ---- Thread-local current context (the paper's thread-local baggage) ----
-
-// Returns the context installed on this thread, or nullptr.
-ExecutionContext* CurrentContext();
-
-// RAII installation of a context on the current thread. Non-owning: the
-// context must outlive the scope. Nests; restores the previous context.
-class ScopedContext {
- public:
-  explicit ScopedContext(ExecutionContext* ctx);
-  ~ScopedContext();
-
-  ScopedContext(const ScopedContext&) = delete;
-  ScopedContext& operator=(const ScopedContext&) = delete;
-
- private:
-  ExecutionContext* previous_;
-};
-
-// Static baggage API over the current thread's context, mirroring Table 4:
-// pack / unpack / serialize / deserialize / split / join. All methods are
-// no-ops / return empty when no context is installed.
-struct ThreadBaggage {
-  static void Pack(BagKey key, const BagSpec& spec, const Tuple& t);
-  static std::vector<Tuple> Unpack(BagKey key);
-  static std::vector<uint8_t> Serialize();
-  // Replaces the current baggage; bytes that fail to decode leave it
-  // pristine, as Arrive does.
-  static void Deserialize(const std::vector<uint8_t>& bytes);
-
-  // Table 4's split(): divides the current baggage for a branching execution.
-  // The calling thread keeps one half; the returned bytes are the other
-  // half, ready to hand to the branch (deserialize there).
-  static std::vector<uint8_t> Split();
-
-  // Table 4's join(b1, b2): merges a completed branch's serialized baggage
-  // back into the current thread's half.
-  static void Join(const std::vector<uint8_t>& branch_bytes);
-};
 
 }  // namespace pivot
 

@@ -106,10 +106,11 @@ Status TracepointRegistry::WeaveQuery(
   //
   // Weave-time plan compilation: all name resolution happens here, once per
   // (tracepoint, advice) pair, off the fire path. Rebuilds only share plans.
-  auto& plans = woven_[query_id];
-  plans.reserve(advice.size());
+  auto& entries = woven_[query_id];
+  entries.reserve(advice.size());
   for (const auto& [tp_name, adv] : advice) {
-    plans.emplace_back(tp_name, ShareOrCompileLocked(tp_name, adv));
+    entries.push_back({tp_name, ShareOrCompileLocked(tp_name, adv),
+                       FirstPackedBag(*adv) ? adv : nullptr});
   }
   for (const auto& [tp_name, adv] : advice) {
     auto it = tracepoints_.find(tp_name);
@@ -127,18 +128,8 @@ void TracepointRegistry::UnweaveQuery(uint64_t query_id) {
     return;
   }
   std::vector<std::string> affected;
-  for (const auto& [tp_name, plan] : it->second) {
-    affected.push_back(tp_name);
-    // Release the plan's share, if it is one; the last user erases it.
-    for (auto pack = packs_.lower_bound({tp_name, BagKey{0}});
-         pack != packs_.end() && pack->first.first == tp_name; ++pack) {
-      if (pack->second.plan == plan) {
-        if (--pack->second.uses == 0) {
-          packs_.erase(pack);
-        }
-        break;
-      }
-    }
+  for (const WovenAdvice& entry : it->second) {
+    affected.push_back(entry.tracepoint);
   }
   woven_.erase(it);
   for (const auto& tp_name : affected) {
@@ -169,40 +160,29 @@ std::vector<uint64_t> TracepointRegistry::WovenQueries() const {
   return ids;
 }
 
-std::vector<std::pair<std::string, BagKey>> TracepointRegistry::WovenPacks() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<std::string, BagKey>> keys;
-  keys.reserve(packs_.size());
-  for (const auto& [key, pack] : packs_) {
-    keys.push_back(key);
-  }
-  return keys;
-}
-
 AdvicePlan::Ptr TracepointRegistry::ShareOrCompileLocked(const std::string& tp_name,
                                                          const Advice::Ptr& advice) {
   std::optional<BagKey> bag = FirstPackedBag(*advice);
-  if (!bag) {
-    return AdvicePlan::Compile(advice);
+  if (bag) {
+    for (const auto& [query_id, entries] : woven_) {
+      for (const WovenAdvice& entry : entries) {
+        if (entry.pack != nullptr && entry.tracepoint == tp_name &&
+            FirstPackedBag(*entry.pack) == bag && SameProgram(*entry.pack, *advice)) {
+          return entry.plan;
+        }
+      }
+    }
   }
-  auto [it, inserted] = packs_.try_emplace({tp_name, *bag});
-  WovenPack& pack = it->second;
-  if (inserted) {
-    pack.advice = advice;
-    pack.plan = AdvicePlan::Compile(advice);
-  } else if (!SameProgram(*pack.advice, *advice)) {
-    return AdvicePlan::Compile(advice);
-  }
-  ++pack.uses;
-  return pack.plan;
+  return AdvicePlan::Compile(advice);
 }
 
 void TracepointRegistry::RebuildLocked(Tracepoint* tp) {
   auto set = std::make_unique<AdviceSet>();
-  for (const auto& [query_id, plans] : woven_) {
-    for (const auto& [tp_name, plan] : plans) {
-      if (tp_name == tp->name() && std::find(set->begin(), set->end(), plan) == set->end()) {
-        set->push_back(plan);
+  for (const auto& [query_id, entries] : woven_) {
+    for (const WovenAdvice& entry : entries) {
+      if (entry.tracepoint == tp->name() &&
+          std::find(set->begin(), set->end(), entry.plan) == set->end()) {
+        set->push_back(entry.plan);
       }
     }
   }

@@ -182,39 +182,37 @@ class TracepointRegistry {
   // any advice is null.
   //
   // A program that packs a bag shares the plan of an identical program that
-  // another query already wove at the same tracepoint under the same key, so
+  // is already woven at the same tracepoint under the same first bag key, so
   // each fire packs the bag once (the frontend gives identical pack stages
-  // one key). The plan is looked up by (tracepoint, key) and the programs are
-  // compared only on a hit; a different program under a live key gets a plan
-  // of its own.
+  // one key). Programs are compared only when tracepoint and key match; a
+  // different program under a live key gets a plan of its own.
   Status WeaveQuery(uint64_t query_id,
                     const std::vector<std::pair<std::string, Advice::Ptr>>& advice);
 
   // Removes all advice woven for `query_id`. Idempotent. A shared pack plan
-  // stays until the last query holding it is unwoven.
+  // stays while any other woven query holds it.
   void UnweaveQuery(uint64_t query_id);
 
   // Ids of currently-woven queries, sorted.
   std::vector<uint64_t> WovenQueries() const;
-
-  // (tracepoint, bag key) of every pack plan open to sharing, sorted.
-  std::vector<std::pair<std::string, BagKey>> WovenPacks() const;
 
   // Per-tracepoint dispatch statistics (fire counts, advice time), sorted by
   // name — the data behind Table 5's per-tracepoint overhead accounting.
   std::vector<TracepointStatsRow> StatsSnapshot() const;
 
  private:
-  // One pack plan open to sharing: the program it was compiled from and the
-  // number of (query, tracepoint) weaves holding it.
-  struct WovenPack {
-    Advice::Ptr advice;
+  // One piece of a query's advice as woven: the tracepoint, the plan it runs
+  // as (compiled for it, or shared with an identical pack) and, when it packs
+  // a bag, the program, which a later identical pack is compared with. Other
+  // programs are never shared, so they are not kept.
+  struct WovenAdvice {
+    std::string tracepoint;
     AdvicePlan::Ptr plan;
-    size_t uses = 0;
+    Advice::Ptr pack;
   };
 
-  // The plan for `advice` at `tp_name`: the shared plan of an identical
-  // pack program under the same key, or a freshly compiled one.
+  // The plan for `advice` at `tp_name`: the plan of a woven identical
+  // program packing the same first bag there, or a freshly compiled one.
   AdvicePlan::Ptr ShareOrCompileLocked(const std::string& tp_name, const Advice::Ptr& advice);
 
   // Publishes a fresh advice set for `tp` gathered from woven_.
@@ -222,10 +220,8 @@ class TracepointRegistry {
 
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Tracepoint>, std::less<>> tracepoints_;
-  // query id -> (tracepoint, plan) pairs, each plan compiled once at weave.
-  std::map<uint64_t, std::vector<std::pair<std::string, AdvicePlan::Ptr>>> woven_;
-  // (tracepoint, bag key) -> the pack plan queries share there.
-  std::map<std::pair<std::string, BagKey>, WovenPack> packs_;
+  // query id -> its woven advice, each plan compiled or shared at weave.
+  std::map<uint64_t, std::vector<WovenAdvice>> woven_;
   // Every advice set ever published (see class comment).
   std::vector<std::unique_ptr<const AdviceSet>> published_;
 };

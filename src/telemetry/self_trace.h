@@ -20,9 +20,9 @@
 // woven/unwoven at any time.
 //
 // Fire sites:
-//   Baggage.Serialize — wire crossings (sim RPC) and ThreadBaggage's Table 4
-//     static API, via Depart (context.h). One invocation
-//     per query contributing bags, plus one `queryId = 0` invocation carrying
+//   Baggage.Serialize — every process-boundary crossing, via Depart
+//     (context.h; the simulator's RPCs). One invocation per query
+//     contributing bags, plus one `queryId = 0` invocation carrying
 //     the framing bytes (instance ids, counts), so SUM(b.bytes) equals the
 //     actual serialized size. A bag shared by several queries counts once,
 //     under the `queryId` of the query that minted its key.

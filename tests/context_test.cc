@@ -3,7 +3,6 @@
 #include <thread>
 
 #include "src/core/context.h"
-#include "src/telemetry/metrics.h"
 #include "tests/test_util.h"
 
 namespace pivot {
@@ -76,61 +75,6 @@ TEST(ContextTest, ForkCreatesConcurrentEvents) {
   EXPECT_TRUE(g.HappenedBefore(b, joined));
 }
 
-TEST(ContextTest, ScopedContextInstallsAndRestores) {
-  EXPECT_EQ(CurrentContext(), nullptr);
-  ExecutionContext outer;
-  {
-    ScopedContext scope(&outer);
-    EXPECT_EQ(CurrentContext(), &outer);
-    ExecutionContext inner;
-    {
-      ScopedContext nested(&inner);
-      EXPECT_EQ(CurrentContext(), &inner);
-    }
-    EXPECT_EQ(CurrentContext(), &outer);
-  }
-  EXPECT_EQ(CurrentContext(), nullptr);
-}
-
-TEST(ContextTest, ThreadBaggageNoopsWithoutContext) {
-  EXPECT_TRUE(ThreadBaggage::Unpack(1).empty());
-  EXPECT_TRUE(ThreadBaggage::Serialize().empty());
-  ThreadBaggage::Pack(1, BagSpec::All(), Tuple{{"x", Value(int64_t{1})}});  // No crash.
-}
-
-TEST(ContextTest, ThreadBaggageTable4Api) {
-  ExecutionContext ctx;
-  ScopedContext scope(&ctx);
-  ThreadBaggage::Pack(5, BagSpec::First(1), Tuple{{"procName", Value("HGET")}});
-  auto tuples = ThreadBaggage::Unpack(5);
-  ASSERT_EQ(tuples.size(), 1u);
-  EXPECT_EQ(tuples[0].Get("procName").string_value(), "HGET");
-
-  std::vector<uint8_t> bytes = ThreadBaggage::Serialize();
-  EXPECT_FALSE(bytes.empty());
-
-  ExecutionContext ctx2;
-  ScopedContext scope2(&ctx2);
-  EXPECT_TRUE(ThreadBaggage::Unpack(5).empty());
-  ThreadBaggage::Deserialize(bytes);
-  EXPECT_EQ(ThreadBaggage::Unpack(5).size(), 1u);
-}
-
-TEST(ContextTest, ThreadBaggageDeserializeOfBadBytesLeavesPristineBaggage) {
-  // Like Arrive: bytes that fail to decode must not leave the previous
-  // request's tuples behind to join into this one.
-  ExecutionContext ctx;
-  ScopedContext scope(&ctx);
-  ThreadBaggage::Pack(5, BagSpec::First(1), Tuple{{"procName", Value("HGET")}});
-  ASSERT_EQ(ThreadBaggage::Unpack(5).size(), 1u);
-  telemetry::Counter& errors = telemetry::Metrics().GetCounter("baggage.deserialize.errors");
-  const uint64_t errors_before = errors.value();
-  ThreadBaggage::Deserialize({0xFF, 0xFF, 0xFF});
-  EXPECT_TRUE(ThreadBaggage::Unpack(5).empty());
-  EXPECT_TRUE(ctx.baggage().IsTrivial());
-  EXPECT_EQ(errors.value(), errors_before + 1);
-}
-
 TEST(ContextTest, BaggagePropagatesAcrossRealThreads) {
   // The real-thread analogue of the paper's instrumented Thread/Runnable:
   // serialize on the parent, deserialize on the child, join the halves.
@@ -141,11 +85,10 @@ TEST(ContextTest, BaggagePropagatesAcrossRealThreads) {
 
   std::vector<uint8_t> returned;
   std::thread worker([&child_bytes, &returned] {
-    ExecutionContext ctx;
-    ScopedContext scope(&ctx);
-    ThreadBaggage::Deserialize(child_bytes);
-    ThreadBaggage::Pack(1, BagSpec::All(), Tuple{{"x", Value(int64_t{99})}});
-    returned = ThreadBaggage::Serialize();
+    Result<Baggage> baggage = Baggage::Deserialize(child_bytes);
+    ASSERT_TRUE(baggage.ok());
+    baggage->Pack(1, BagSpec::All(), Tuple{{"x", Value(int64_t{99})}});
+    returned = baggage->Serialize();
   });
   worker.join();
 
@@ -155,27 +98,6 @@ TEST(ContextTest, BaggagePropagatesAcrossRealThreads) {
   parent.Join(std::move(child_ctx));
   EXPECT_EQ(CanonicalTuples(UnpackCopy(parent.baggage(), 1)),
             (std::vector<std::string>{"(x=1)", "(x=99)"}));
-}
-
-TEST(ContextTest, ConcurrentThreadsHaveIndependentCurrentContext) {
-  constexpr int kThreads = 8;
-  std::vector<std::thread> threads;
-  std::vector<int> ok(kThreads, 0);
-  for (int i = 0; i < kThreads; ++i) {
-    threads.emplace_back([i, &ok] {
-      ExecutionContext ctx;
-      ScopedContext scope(&ctx);
-      ThreadBaggage::Pack(1, BagSpec::All(), Tuple{{"i", Value(int64_t{i})}});
-      auto tuples = ThreadBaggage::Unpack(1);
-      ok[i] = tuples.size() == 1 && tuples[0].Get("i").int_value() == i;
-    });
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
-  for (int i = 0; i < kThreads; ++i) {
-    EXPECT_TRUE(ok[i]) << "thread " << i;
-  }
 }
 
 }  // namespace

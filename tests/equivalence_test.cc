@@ -445,7 +445,7 @@ TEST(SharedBagTest, OverlappingLifetimesMatchNaiveInEveryUninstallOrder) {
     EXPECT_TRUE(d.frontend().live_bags().empty());
     for (const auto& proc : d.processes()) {
       EXPECT_TRUE(proc->registry.WovenQueries().empty());
-      EXPECT_TRUE(proc->registry.WovenPacks().empty());
+      EXPECT_EQ(proc->registry.Find(kDoNextOp)->woven_plans(), 0u);
       EXPECT_FALSE(proc->registry.Find(kDoNextOp)->enabled());
     }
     ++orders;

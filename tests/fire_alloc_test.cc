@@ -3,6 +3,9 @@
 // nothing of its own: plans read the exports in place, keep their working
 // tuples across fires and join against a bag's rows by reference. The only
 // allocations left are a packed bag's own storage.
+//
+// The same counter bounds the baggage operations a request runs between
+// fires (Table 4's serialize, deserialize, split and join).
 
 #include <gtest/gtest.h>
 
@@ -75,6 +78,24 @@ double AllocationsPerFire(Fire fire) {
     fire();
   }
   g_counting.store(false);
+  return static_cast<double>(g_allocations.load()) / kMeasuredFires;
+}
+
+// Mean heap allocations per call of `op` on a fresh state made by `make`,
+// counting `op` only.
+template <typename Make, typename Op>
+double AllocationsPerOp(Make make, Op op) {
+  for (int i = 0; i < kWarmupFires; ++i) {
+    auto state = make();
+    op(state);
+  }
+  g_allocations.store(0);
+  for (int i = 0; i < kMeasuredFires; ++i) {
+    auto state = make();
+    g_counting.store(true);
+    op(state);
+    g_counting.store(false);
+  }
   return static_cast<double>(g_allocations.load()) / kMeasuredFires;
 }
 
@@ -157,6 +178,49 @@ TEST_F(FireAllocTest, PackSideAllocatesOnlyTheBagsStorage) {
     client->Invoke(&ctx, exports);
   });
   EXPECT_LE(per_fire, 3.0);
+}
+
+// ---- Baggage operations on a one-bag First baggage ----
+//
+// Upper bounds, pinned at the counts these operations read when the guard
+// was added. A Split that encoded into the source's stale memo and then
+// copied it into the frozen instance would cost Fork+Join one more.
+
+ExecutionContext OneBagContext(ProcessRuntime* runtime) {
+  ExecutionContext ctx(runtime);
+  ctx.baggage().Pack(256, BagSpec::First(1), Tuple{{"c.op", Value("get")}});
+  return ctx;
+}
+
+TEST_F(FireAllocTest, SerializeOfAnUnchangedBaggageAllocatesOnlyItsBytes) {
+  ExecutionContext ctx = OneBagContext(&runtime_);
+  ASSERT_FALSE(ctx.baggage().Serialize().empty());  // Fills the memo.
+  EXPECT_LE(AllocationsPerFire([&] { ctx.baggage().Serialize(); }), 1.0);
+}
+
+TEST_F(FireAllocTest, DeserializeOfAOneBagBaggage) {
+  const std::vector<uint8_t> bytes = OneBagContext(&runtime_).baggage().Serialize();
+  EXPECT_LE(AllocationsPerFire([&] { ASSERT_TRUE(Baggage::Deserialize(bytes).ok()); }), 5.0);
+}
+
+TEST_F(FireAllocTest, OneDepartArriveHop) {
+  ExecutionContext ctx = OneBagContext(&runtime_);
+  EXPECT_LE(AllocationsPerFire([&] {
+              ExecutionContext server = Arrive(Depart(&ctx), &runtime_);
+              ASSERT_EQ(server.baggage().TupleCount(), 1u);
+            }),
+            6.0);
+}
+
+TEST_F(FireAllocTest, ForkJoinSerialize) {
+  // A freshly packed baggage: the memo is stale when Fork freezes it.
+  EXPECT_LE(AllocationsPerOp([&] { return OneBagContext(&runtime_); },
+                             [](ExecutionContext& ctx) {
+                               ExecutionContext branch = ctx.Fork();
+                               ctx.Join(std::move(branch));
+                               ctx.baggage().Serialize();
+                             }),
+            20.0);
 }
 
 }  // namespace

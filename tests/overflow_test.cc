@@ -131,53 +131,32 @@ TEST(BagOverflowTest, DecodedBagIsTrimmedToItsSpec) {
 }
 
 // ---------------------------------------------------------------------------
-// Table 4 static split/join
+// Table 4 split/join, with the branch crossing a process boundary
 
-TEST(ThreadBaggageSplitJoinTest, SplitIsolatesAndJoinMerges) {
+TEST(SplitJoinTest, ForkIsolatesAndJoinMerges) {
   ExecutionContext ctx;
-  ScopedContext scope(&ctx);
-  ThreadBaggage::Pack(1, BagSpec::All(), T(1));
+  ctx.baggage().Pack(1, BagSpec::All(), T(1));
 
-  std::vector<uint8_t> branch = ThreadBaggage::Split();
-  ASSERT_FALSE(branch.empty());
+  // Branch side: its half of the baggage, carried over the wire.
+  ExecutionContext forked = ctx.Fork();
+  ExecutionContext branch = Arrive(Depart(&forked), nullptr);
 
   // Parent packs on its half.
-  ThreadBaggage::Pack(1, BagSpec::All(), T(2));
+  ctx.baggage().Pack(1, BagSpec::All(), T(2));
 
-  // Branch side: its own context, deserialized baggage, its own pack.
-  std::vector<uint8_t> branch_result;
-  {
-    ExecutionContext branch_ctx;
-    ScopedContext branch_scope(&branch_ctx);
-    ThreadBaggage::Deserialize(branch);
-    // The pre-split tuple is visible to the branch...
-    EXPECT_EQ(ThreadBaggage::Unpack(1).size(), 1u);
-    ThreadBaggage::Pack(1, BagSpec::All(), T(3));
-    branch_result = ThreadBaggage::Serialize();
-  }
+  // The pre-split tuple is visible to the branch...
+  EXPECT_EQ(UnpackCopy(branch.baggage(), 1).size(), 1u);
+  branch.baggage().Pack(1, BagSpec::All(), T(3));
 
   // ...but the parent's concurrent pack is not, until join.
   EXPECT_EQ(CanonicalTuples(UnpackCopy(ctx.baggage(), 1)),
             (std::vector<std::string>{"(x=1)", "(x=2)"}));
 
-  ThreadBaggage::Join(branch_result);
+  ctx.Join(Arrive(Depart(&branch), nullptr));
   EXPECT_EQ(CanonicalTuples(UnpackCopy(ctx.baggage(), 1)),
             (std::vector<std::string>{"(x=1)", "(x=2)", "(x=3)"}));
   // The interval returns whole after the join.
   EXPECT_EQ(ctx.baggage().active_id(), ItcId::Seed());
-}
-
-TEST(ThreadBaggageSplitJoinTest, NoContextIsNoop) {
-  EXPECT_TRUE(ThreadBaggage::Split().empty());
-  ThreadBaggage::Join({1, 2, 3});  // No crash.
-}
-
-TEST(ThreadBaggageSplitJoinTest, MalformedBranchBytesIgnored) {
-  ExecutionContext ctx;
-  ScopedContext scope(&ctx);
-  ThreadBaggage::Pack(1, BagSpec::All(), T(1));
-  ThreadBaggage::Join({0xFF, 0x00, 0x13});
-  EXPECT_EQ(UnpackCopy(ctx.baggage(), 1).size(), 1u);  // Unchanged.
 }
 
 }  // namespace

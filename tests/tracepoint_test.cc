@@ -327,7 +327,7 @@ TEST_F(TracepointTest, IdenticalPackProgramsShareOnePlan) {
   ASSERT_TRUE(registry_.WeaveQuery(2, {{"X", PackAll(256)}}).ok());
   EXPECT_EQ(binds.value(), before);  // Shared, not compiled again.
   EXPECT_EQ(tp->woven_plans(), 1u);
-  EXPECT_EQ(registry_.WovenPacks(), (std::vector<std::pair<std::string, BagKey>>{{"X", 256}}));
+  EXPECT_EQ(registry_.WovenQueries(), (std::vector<uint64_t>{1, 2}));
 
   // Two packers would put the tuple into the bag twice.
   tp->Invoke(&ctx_, {{"v", Value(int64_t{7})}});
@@ -345,14 +345,14 @@ TEST_F(TracepointTest, SharedPackPlanOutlivesAllButItsLastQuery) {
 
     registry.UnweaveQuery(minter_first ? 1 : 2);
     EXPECT_EQ(tp->woven_plans(), 1u);
-    EXPECT_EQ(registry.WovenPacks().size(), 1u);
+    EXPECT_EQ(registry.WovenQueries(), std::vector<uint64_t>{minter_first ? 2u : 1u});
     ExecutionContext ctx(&proc_.runtime);
     tp->Invoke(&ctx, {{"v", Value(int64_t{1})}});
     EXPECT_EQ(UnpackCopy(ctx.baggage(), 256).size(), 1u);
 
     registry.UnweaveQuery(minter_first ? 2 : 1);
     EXPECT_FALSE(tp->enabled());
-    EXPECT_TRUE(registry.WovenPacks().empty());
+    EXPECT_EQ(tp->woven_plans(), 0u);
     EXPECT_TRUE(registry.WovenQueries().empty());
   }
 }
@@ -371,12 +371,32 @@ TEST_F(TracepointTest, DifferentProgramUnderSameKeyIsNotShared) {
   tp->Invoke(&ctx_, {{"v", Value(int64_t{5})}});
   EXPECT_EQ(UnpackCopy(ctx_.baggage(), 256).size(), 2u);  // Each program packed once.
 
-  // Unweaving the unshared program leaves the indexed one in place.
+  // Unweaving one program leaves the other in place.
   registry_.UnweaveQuery(2);
   EXPECT_EQ(tp->woven_plans(), 1u);
-  EXPECT_EQ(registry_.WovenPacks().size(), 1u);
+  EXPECT_EQ(registry_.WovenQueries(), std::vector<uint64_t>{1});
   registry_.UnweaveQuery(1);
-  EXPECT_TRUE(registry_.WovenPacks().empty());
+  EXPECT_FALSE(tp->enabled());
+  EXPECT_TRUE(registry_.WovenQueries().empty());
+}
+
+TEST_F(TracepointTest, IdenticalProgramSharesWithAnyWovenEntry) {
+  // The program that first packed the key is gone; an identical copy of the
+  // one still woven under that key shares its plan.
+  Tracepoint* tp = *registry_.Define(Def("X", {"v"}));
+  Advice::Ptr filtered = AdviceBuilder()
+                             .Observe({{"v", "a.v"}})
+                             .Filter(Expr::Binary(ExprOp::kGt, Expr::Field("a.v"),
+                                                  Expr::Literal(Value(int64_t{0}))))
+                             .Pack(256, BagSpec::All(), {"a.v"})
+                             .Build();
+  ASSERT_TRUE(registry_.WeaveQuery(1, {{"X", PackAll(256)}}).ok());
+  ASSERT_TRUE(registry_.WeaveQuery(2, {{"X", filtered}}).ok());
+  registry_.UnweaveQuery(1);
+  ASSERT_TRUE(registry_.WeaveQuery(3, {{"X", filtered}}).ok());
+  EXPECT_EQ(tp->woven_plans(), 1u);
+  tp->Invoke(&ctx_, {{"v", Value(int64_t{5})}});
+  EXPECT_EQ(UnpackCopy(ctx_.baggage(), 256).size(), 1u);
 }
 
 TEST_F(TracepointTest, InvokeWithNullContextIsSafe) {
