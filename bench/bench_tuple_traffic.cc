@@ -48,7 +48,6 @@ struct RunStats {
   uint64_t requests = 0;
   uint64_t emitted = 0;           // Advice -> agent (in-process).
   uint64_t reported = 0;          // Agent -> frontend (crosses the network).
-  uint64_t reports = 0;
   uint64_t baggage_bytes = 0;     // Total serialized baggage on the wire.
   uint64_t rpc_calls = 0;
   std::vector<Tuple> results;
@@ -103,7 +102,6 @@ RunStats RunWorkload(const char* query_text, const QueryCompiler::Options& optio
   for (const auto& proc : world->processes()) {
     stats.emitted += proc->agent()->emitted_tuples();
     stats.reported += proc->agent()->reported_tuples();
-    stats.reports += proc->agent()->reports_published();
   }
   stats.baggage_bytes = RpcStats::total_baggage_bytes;
   stats.rpc_calls = RpcStats::total_calls;
@@ -191,21 +189,19 @@ int Main() {
          static_cast<double>(q7.baggage_bytes) / static_cast<double>(q7.requests),
          static_cast<unsigned long long>(q7.requests));
 
-  // ---- §4 "explain": static pack-cost estimate + live tuple counting ----
+  // ---- §4 "explain": static preview + live tuple counting ----
   {
-    printf("Static pack-cost estimate for Q7 (the query optimizer's preview):\n");
+    printf("Static preview of Q7: each PACK's retention and the linter's baggage cost:\n");
     TracepointRegistry schema;
     RegisterHadoopTracepointDefs(&schema);
     QueryRegistry named;
     QueryCompiler compiler(&schema, &named);
     Result<Query> ast = ParseQuery(kQ7);
     Result<CompiledQuery> cq = compiler.Compile(*ast, 1);
-    for (const auto& cost : cq->EstimatePackCosts()) {
-      printf("  pack at %-28s bag %-6llu bound: %-28s fields/tuple: %zu\n",
-             cost.tracepoint.c_str(), static_cast<unsigned long long>(cost.bag),
-             cost.bound.c_str(), cost.fields);
-    }
-    printf("\n");
+    printf("%s", cq->Explain().c_str());
+    analysis::QueryLintResult lint =
+        analysis::QueryLinter().Lint(cq->query_id, cq->advice, cq->plan);
+    printf("  baggage cost: %s\n\n", analysis::BaggageCostName(lint.cost));
   }
 
   RunStats explain =

@@ -108,10 +108,11 @@ struct Shell {
     installed.push_back(*q);
     printf("installed query %llu%s\n", static_cast<unsigned long long>(*q),
            explain ? " (explain/counting mode)" : "");
-    printf("%s", frontend->compiled(*q)->Explain().c_str());
-    for (const auto& cost : frontend->compiled(*q)->EstimatePackCosts()) {
-      printf("  baggage cost at %s: %s\n", cost.tracepoint.c_str(), cost.bound.c_str());
-    }
+    const CompiledQuery* compiled = frontend->compiled(*q);
+    printf("%s", compiled->Explain().c_str());
+    analysis::QueryLintResult lint =
+        analysis::QueryLinter().Lint(*q, compiled->advice, compiled->plan);
+    printf("  baggage cost: %s\n", analysis::BaggageCostName(lint.cost));
   }
 
   void Lint(const std::string& text) {

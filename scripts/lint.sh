@@ -1,8 +1,8 @@
 #!/bin/sh
 # Grep gates on how src/hadoop crosses process boundaries, on who writes
 # values to the wire, on threads in src, on who executes advice, on
-# process-wide atomics in src/core and src/agent and on thread-local state
-# in src, then
+# process-wide atomics in src/core and src/agent, on thread-local state in
+# src and on who registers each metric name, then
 # clang-tidy over the sources
 # (.clang-tidy selects bugprone-*, performance-*, concurrency-*). clang-tidy
 # degrades gracefully: the CI container only ships gcc, so a missing
@@ -79,6 +79,20 @@ if grep -rnw 'thread_local' "$repo_root/src" |
   grep -vE '^[^:]*/(common/thread_ordinal\.h|core/plan\.cc):'; then
   echo "lint: thread_local outside common/thread_ordinal.h and core/plan.cc;" \
     "carry request state in the ExecutionContext."
+  exit 1
+fi
+
+# Metric-owner gate: one owner per fact. Each metric name passed as a string
+# literal to GetCounter or GetHistogram appears in exactly one src file, the
+# one that records it. A second file that registers the same name is a
+# mirror or a copy; read the owner's accessor or the telemetry dump instead.
+metric_owners=$(grep -rnoE 'Get(Counter|Histogram)\([[:space:]]*"[^"]+"' "$repo_root/src" |
+  sed -E 's/^([^:]*):[0-9]+:.*"([^"]+)"$/\2 \1/' | sort -u |
+  awk '{ n[$1]++; files[$1] = files[$1] " " $2 } END { for (m in n) if (n[m] > 1) print m ":" files[m] }')
+if [ -n "$metric_owners" ]; then
+  echo "$metric_owners"
+  echo "lint: a metric name is registered in more than one src file;" \
+    "keep one owner per metric."
   exit 1
 fi
 

@@ -112,7 +112,6 @@ void PTAgent::HandleCommand(const BusMessage& msg) {
             analysis::QueryLinter(lint_options).Lint(cmd.query_id, cmd.advice, cmd.plan);
         if (lint.report.has_errors()) {
           WeavesRefusedCounter().Increment();
-          weaves_refused_.fetch_add(1, std::memory_order_relaxed);
           return;
         }
       }
@@ -171,7 +170,6 @@ void PTAgent::EmitTuple(uint64_t query_id, const Tuple& t) {
   }
   auto it = shard.queries.find(query_id);
   if (it == shard.queries.end()) {
-    dropped_total_.fetch_add(1, std::memory_order_relaxed);
     DroppedTuplesCounter().Increment();
     return;  // Query was unwoven concurrently; drop.
   }
@@ -234,7 +232,6 @@ void PTAgent::Flush(int64_t now_micros) {
       report.results.Absorb(std::move(state.results));  // Adopts the set whole.
       state.suppressed_since_heartbeat = 0;
       reported_total_.fetch_add(report.results.size(), std::memory_order_relaxed);
-      reports_published_.fetch_add(1, std::memory_order_relaxed);
       flushed_meta.emplace_back(query_id, state.reports_suppressed);
       batch.reports.push_back(std::move(report));
     }
@@ -279,14 +276,6 @@ uint64_t PTAgent::emitted_tuples() const {
 uint64_t PTAgent::reported_tuples() const {
   return reported_total_.load(std::memory_order_relaxed);
 }
-
-uint64_t PTAgent::reports_published() const {
-  return reports_published_.load(std::memory_order_relaxed);
-}
-
-uint64_t PTAgent::dropped_tuples() const { return dropped_total_.load(std::memory_order_relaxed); }
-
-uint64_t PTAgent::weaves_refused() const { return weaves_refused_.load(std::memory_order_relaxed); }
 
 uint64_t PTAgent::shard_contentions() const {
   return shard_contentions_.load(std::memory_order_relaxed);

@@ -89,21 +89,20 @@ class PTAgent : public EmitSink {
 
   // ---- Statistics (used by the overhead/traffic benches) ----
 
-  // Tuples handed to the agent by advice since construction.
+  // Reports published, tuples emitted for queries the agent does not track
+  // and weaves refused by re-verification (tampered or corrupted advice) are
+  // counted only by the agent.reports, agent.tuples_dropped and
+  // agent.weaves_refused counters (docs/OBSERVABILITY.md).
+
+  // Tuples handed to the agent by advice since construction. Each flush
+  // adds them to agent.tuples_emitted.
   uint64_t emitted_tuples() const;
   // Tuples shipped to the frontend in reports (post partial aggregation).
   uint64_t reported_tuples() const;
-  uint64_t reports_published() const;
-  // Tuples emitted for queries this agent does not (or no longer) track.
-  uint64_t dropped_tuples() const;
-  // Weave commands refused because the decoded advice failed re-verification
-  // (the eBPF rule: never weave what you didn't verify). Tampered or
-  // corrupted wire bytes land here instead of in the tracepoint registry.
-  uint64_t weaves_refused() const;
 
   // EmitTuple calls that found their shard lock held (try_lock failed and
   // had to block) — should stay ~0 when emitters outnumber shards only
-  // transiently. Mirrored by the agent.emit_shard_contention counter.
+  // transiently. Also counted by agent.emit_shard_contention.
   uint64_t shard_contentions() const;
   size_t shard_count() const { return shards_.size(); }
 
@@ -162,9 +161,6 @@ class PTAgent : public EmitSink {
   mutable std::mutex mu_;
   std::map<uint64_t, QueryState> queries_;
   std::atomic<uint64_t> reported_total_{0};
-  std::atomic<uint64_t> reports_published_{0};
-  std::atomic<uint64_t> dropped_total_{0};
-  std::atomic<uint64_t> weaves_refused_{0};
   std::atomic<uint64_t> shard_contentions_{0};
 };
 

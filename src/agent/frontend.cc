@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "src/common/clock.h"
+#include "src/common/strings.h"
 #include "src/core/advice_io.h"
 #include "src/core/symbol.h"
 #include "src/query/parser.h"
@@ -16,6 +17,11 @@ namespace {
 
 telemetry::Counter& DecodeErrorsCounter() {
   static telemetry::Counter& c = telemetry::Metrics().GetCounter("frontend.decode_errors");
+  return c;
+}
+
+telemetry::Counter& ReportsDroppedCounter() {
+  static telemetry::Counter& c = telemetry::Metrics().GetCounter("frontend.reports_dropped");
   return c;
 }
 
@@ -31,6 +37,16 @@ std::vector<BagKey> PackedBags(const std::vector<std::pair<std::string, Advice::
     }
   }
   return bags;
+}
+
+// The sum of one count over a query's agent views.
+uint64_t SumOverAgents(const std::map<std::string, AgentQueryView>& agents,
+                       uint64_t AgentQueryView::*count) {
+  uint64_t sum = 0;
+  for (const auto& [agent, view] : agents) {
+    sum += view.*count;
+  }
+  return sum;
 }
 
 }  // namespace
@@ -51,11 +67,6 @@ void Frontend::set_now_micros(std::function<int64_t()> now_micros) {
 void Frontend::set_propagation(const analysis::PropagationRegistry* propagation) {
   std::lock_guard<std::mutex> lock(mu_);
   propagation_ = propagation;
-}
-
-const analysis::PropagationRegistry* Frontend::propagation() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return propagation_;
 }
 
 void Frontend::ShareLiveBagsLocked(CompiledQuery* compiled) {
@@ -217,7 +228,15 @@ Result<uint64_t> Frontend::InstallCompiled(CompiledQuery compiled, const Install
     ShareLiveBagsLocked(&compiled);
     weave = EncodeWeave(WeaveCommand{query_id, compiled.advice, compiled.plan});
     QueryResults results(std::move(compiled));
-    results.installed_micros = NowMicros();
+    QueryStatus& status = results.status;
+    status.query_id = query_id;
+    status.aggregated = results.compiled.plan.aggregated();
+    std::set<std::string> tps;
+    for (const auto& [tp, adv] : results.compiled.advice) {
+      tps.insert(tp);
+    }
+    status.tracepoints.assign(tps.begin(), tps.end());
+    status.installed_micros = NowMicros();
     queries_.emplace(query_id, std::move(results));
   }
 
@@ -232,11 +251,12 @@ Status Frontend::Uninstall(uint64_t query_id) {
     if (it == queries_.end()) {
       return NotFoundError("unknown query: " + std::to_string(query_id));
     }
-    if (!it->second.active) {
+    QueryStatus& status = it->second.status;
+    if (!status.active) {
       return Status::Ok();  // Already uninstalled: nothing to publish.
     }
-    it->second.active = false;
-    it->second.uninstalled_micros = NowMicros();
+    status.active = false;
+    status.uninstalled_micros = NowMicros();
     for (BagKey bag : PackedBags(it->second.compiled.advice)) {
       auto live = live_bags_.find(bag);
       if (live == live_bags_.end()) {
@@ -282,7 +302,7 @@ void Frontend::HandleReport(const BusMessage& msg) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       for (const auto& [id, q] : queries_) {
-        if (q.active) {
+        if (q.status.active) {
           replays.push_back(EncodeWeave(WeaveCommand{id, q.compiled.advice, q.compiled.plan}));
         }
       }
@@ -299,7 +319,7 @@ void Frontend::HandleReport(const BusMessage& msg) {
     if (it == queries_.end()) {
       return;
     }
-    QueryResults& q = it->second;
+    QueryStatus& q = it->second.status;
     if (q.first_ack_micros < 0) {
       q.first_ack_micros = ack.timestamp_micros;
     }
@@ -314,32 +334,40 @@ void Frontend::HandleBatch(const std::vector<uint8_t>& payload) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     // Each report decodes straight into a set of its query's plan; reports
-    // for unknown or uninstalled queries are skipped. A malformed frame, or a
-    // report whose names do not match its plan, is dropped whole.
+    // for unknown or uninstalled queries are skipped and counted as dropped.
+    // A malformed frame, or a report whose names do not match its plan, is
+    // dropped whole.
+    uint64_t skipped = 0;
     Result<ControlMessage> decoded =
-        DecodeControlMessage(payload, [this](uint64_t query_id) -> const ResultSet* {
+        DecodeControlMessage(payload, [this, &skipped](uint64_t query_id) -> const ResultSet* {
           auto it = queries_.find(query_id);
-          return it == queries_.end() || !it->second.active ? nullptr : &it->second.total;
+          if (it == queries_.end() || !it->second.status.active) {
+            ++skipped;
+            return nullptr;
+          }
+          return &it->second.total;
         });
     if (!decoded.ok()) {
       DecodeErrorsCounter().Increment();
       return;
+    }
+    if (skipped != 0) {
+      ReportsDroppedCounter().Increment(skipped);
     }
     ReportBatch& batch = decoded->batch;
     ts = batch.timestamp_micros;
     const std::string agent = batch.host + "/" + batch.process_name;
     for (AgentReport& report : batch.reports) {
       QueryResults& q = queries_.at(report.query_id);
+      QueryStatus& status = q.status;
       const size_t tuples = report.results.size();
-      ++reports_received_;
-      tuples_received_ += tuples;
       if (tuples != 0) {
-        if (q.first_tuple_micros < 0) {
-          q.first_tuple_micros = ts;
+        if (status.first_tuple_micros < 0) {
+          status.first_tuple_micros = ts;
         }
-        q.last_report_micros = std::max(q.last_report_micros, ts);
+        status.last_report_micros = std::max(status.last_report_micros, ts);
       }
-      AgentQueryView& view = q.agents[agent];
+      AgentQueryView& view = status.agents[agent];
       view.last_report_micros = std::max(view.last_report_micros, ts);
       ++view.reports;
       view.tuples += tuples;
@@ -362,7 +390,7 @@ void Frontend::HandleBatch(const std::vector<uint8_t>& payload) {
       if (it == queries_.end()) {
         continue;
       }
-      AgentQueryView& view = it->second.agents[agent];
+      AgentQueryView& view = it->second.status.agents[agent];
       view.last_heartbeat_micros = ts;
       view.reports_suppressed = stats.reports_suppressed;
     }
@@ -424,12 +452,20 @@ void Frontend::TrimSeriesBefore(uint64_t query_id, int64_t before_micros) {
 
 uint64_t Frontend::reports_received() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return reports_received_;
+  uint64_t sum = 0;
+  for (const auto& [id, q] : queries_) {
+    sum += SumOverAgents(q.status.agents, &AgentQueryView::reports);
+  }
+  return sum;
 }
 
 uint64_t Frontend::tuples_received() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return tuples_received_;
+  uint64_t sum = 0;
+  for (const auto& [id, q] : queries_) {
+    sum += SumOverAgents(q.status.agents, &AgentQueryView::tuples);
+  }
+  return sum;
 }
 
 std::vector<Frontend::QueryStatus> Frontend::QueryStatuses() const {
@@ -437,30 +473,14 @@ std::vector<Frontend::QueryStatus> Frontend::QueryStatuses() const {
   std::vector<QueryStatus> out;
   out.reserve(queries_.size());
   for (const auto& [id, q] : queries_) {
-    QueryStatus s;
-    s.query_id = id;
-    s.active = q.active;
-    s.aggregated = q.compiled.plan.aggregated();
-    std::set<std::string> tps;
-    for (const auto& [tp, adv] : q.compiled.advice) {
-      tps.insert(tp);
-    }
-    s.tracepoints.assign(tps.begin(), tps.end());
-    s.installed_micros = q.installed_micros;
-    s.first_ack_micros = q.first_ack_micros;
-    s.first_tuple_micros = q.first_tuple_micros;
-    s.last_report_micros = q.last_report_micros;
-    s.uninstalled_micros = q.uninstalled_micros;
-    for (const auto& [key, view] : q.agents) {
-      s.reports += view.reports;
-      s.tuples += view.tuples;
-    }
-    s.agents = q.agents;
+    QueryStatus& s = out.emplace_back(q.status);
+    s.reports = SumOverAgents(s.agents, &AgentQueryView::reports);
+    s.tuples = SumOverAgents(s.agents, &AgentQueryView::tuples);
     for (BagKey bag : PackedBags(q.compiled.advice)) {
       QueryStatus::PackedBag& packed = s.bags.emplace_back();
       packed.key = bag;
       auto live = live_bags_.find(bag);
-      if (q.active && live != live_bags_.end()) {
+      if (s.active && live != live_bags_.end()) {
         for (uint64_t other : live->second.queries) {
           if (other != id) {
             packed.shared_with.push_back(other);
@@ -468,7 +488,6 @@ std::vector<Frontend::QueryStatus> Frontend::QueryStatuses() const {
         }
       }
     }
-    out.push_back(std::move(s));
   }
   return out;
 }
@@ -500,16 +519,20 @@ void AppendMicros(std::ostringstream* os, const char* label, int64_t micros) {
   }
 }
 
+// Host and process names arrive over the bus, so any byte may occur: RFC 8259
+// requires every control character (U+0000-U+001F) to be escaped.
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 2);
   for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
+    const auto byte = static_cast<unsigned char>(c);
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (byte < 0x20) {
+      out += StrFormat("\\u%04x", byte);
+    } else {
+      out += c;
     }
   }
   return out;
@@ -524,9 +547,6 @@ std::string Frontend::StatusReport() const {
   os << "queries: " << statuses.size() << "  reports: " << reports_received()
      << "  tuples: " << tuples_received()
      << "  symbols: " << SymbolTable::Global().size() << "\n";
-  os << "emission: shard_contention=" << telemetry::Metrics().GetCounter("agent.emit_shard_contention").value()
-     << " group_probes=" << telemetry::Metrics().GetCounter("agg.group_probe_count").value()
-     << " batch_reports=" << telemetry::Metrics().GetCounter("bus.batch_reports").value() << "\n";
   for (const auto& s : statuses) {
     os << "\nquery " << s.query_id << " [" << (s.active ? "active" : "uninstalled") << ", "
        << (s.aggregated ? "aggregated" : "streaming") << "]\n";
@@ -633,11 +653,7 @@ std::string Frontend::StatusReportJson() const {
        << ",\"no_subscriber\":" << t.no_subscriber << ",\"subscribers\":" << t.subscribers << "}";
   }
   os << "],\"symbols\":" << SymbolTable::Global().size()
-     << ",\"emission\":{\"shard_contention\":"
-     << telemetry::Metrics().GetCounter("agent.emit_shard_contention").value()
-     << ",\"group_probes\":" << telemetry::Metrics().GetCounter("agg.group_probe_count").value()
-     << ",\"batch_reports\":" << telemetry::Metrics().GetCounter("bus.batch_reports").value()
-     << "},\"telemetry\":" << telemetry::Metrics().RenderJson() << "}";
+     << ",\"telemetry\":" << telemetry::Metrics().RenderJson() << "}";
   return os.str();
 }
 

@@ -75,7 +75,6 @@ class Frontend {
   // Null (the default) skips those passes. Not owned; must outlive the
   // frontend. The simulator wires the SimWorld's registry here.
   void set_propagation(const analysis::PropagationRegistry* propagation);
-  const analysis::PropagationRegistry* propagation() const;
 
   // Parses, compiles and installs a query; returns its id. The install gate
   // lints the compiled query exactly once, against the current install state
@@ -136,6 +135,9 @@ class Frontend {
 
   // ---- Statistics ----
 
+  // Reports and tuples received for installed queries: the sums of the
+  // per-agent views below. Reports for unknown or uninstalled queries are
+  // dropped and counted by frontend.reports_dropped.
   uint64_t reports_received() const;
   uint64_t tuples_received() const;
 
@@ -150,7 +152,7 @@ class Frontend {
     int64_t first_tuple_micros = -1;   // First report carrying tuples.
     int64_t last_report_micros = -1;   // Most recent non-empty report.
     int64_t uninstalled_micros = -1;
-    uint64_t reports = 0;
+    uint64_t reports = 0;  // Sums of the agent views' counts.
     uint64_t tuples = 0;
     std::map<std::string, AgentQueryView> agents;  // "host/process" -> view.
     // Bags the query packs; for a shared bag, the other active queries
@@ -173,17 +175,12 @@ class Frontend {
   struct QueryResults {
     explicit QueryResults(CompiledQuery c) : compiled(std::move(c)), total(compiled.plan) {}
     CompiledQuery compiled;
-    bool active = true;
     ResultListener listener;
     ResultSet total;                         // Since installation.
     std::map<int64_t, ResultSet> intervals;  // Keyed by report timestamp.
-    // Lifecycle (frontend clock; agent report timestamps for report events).
-    int64_t installed_micros = -1;
-    int64_t first_ack_micros = -1;
-    int64_t first_tuple_micros = -1;
-    int64_t last_report_micros = -1;
-    int64_t uninstalled_micros = -1;
-    std::map<std::string, AgentQueryView> agents;
+    // Lifecycle (frontend clock; agent report timestamps for report events)
+    // and agent views. QueryStatuses fills in the totals and bags.
+    QueryStatus status;
   };
 
   // The install gate: lints `compiled` (whose id this frontend minted) and
@@ -223,8 +220,6 @@ class Frontend {
   uint64_t next_query_id_ = 1;
   std::map<uint64_t, QueryResults> queries_;
   analysis::LiveBags live_bags_;
-  uint64_t reports_received_ = 0;
-  uint64_t tuples_received_ = 0;
 };
 
 }  // namespace pivot

@@ -7,23 +7,8 @@ namespace pivot {
 
 namespace {
 
-// Global-registry mirrors of the bus counters, so StatusReport and the
-// telemetry dump see bus traffic without holding a bus pointer.
-telemetry::Counter& PublishCounter() {
-  static telemetry::Counter& c = telemetry::Metrics().GetCounter("bus.publish.count");
-  return c;
-}
-
-telemetry::Counter& PublishBytesCounter() {
-  static telemetry::Counter& c = telemetry::Metrics().GetCounter("bus.publish.bytes");
-  return c;
-}
-
-telemetry::Counter& NoSubscriberCounter() {
-  static telemetry::Counter& c = telemetry::Metrics().GetCounter("bus.publish.no_subscriber");
-  return c;
-}
-
+// Subscriber callback wall time. Traffic counts are kept per topic only
+// (TopicSnapshot); the telemetry registry holds no copy of them.
 telemetry::Histogram& CallbackNanosHistogram() {
   static telemetry::Histogram& h = telemetry::Metrics().GetHistogram("bus.callback_nanos");
   return h;
@@ -78,11 +63,8 @@ void MessageBus::Publish(BusMessage msg) {
       // Nobody listening: the message is silently lost. Count it — on a
       // control topic this is the signature of a dead agent or frontend.
       ++tc.no_subscriber;
-      NoSubscriberCounter().Increment();
     }
   }
-  PublishCounter().Increment();
-  PublishBytesCounter().Increment(msg.payload.size());
   uint64_t deliveries = 0;
   for (const auto& cb : callbacks) {
     int64_t start = MonotonicNanos();

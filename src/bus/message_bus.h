@@ -28,8 +28,10 @@ struct BusMessage {
 inline constexpr char kCommandTopic[] = "pivottracing/commands";
 inline constexpr char kReportTopic[] = "pivottracing/reports";
 
-// Per-topic traffic accounting (docs/OBSERVABILITY.md). Snapshots are taken
-// under the bus lock, so counts within one topic are mutually consistent.
+// Per-topic traffic accounting (docs/OBSERVABILITY.md): the bus's only
+// traffic counts, which the telemetry registry does not repeat. Snapshots are
+// taken under the bus lock, so counts within one topic are mutually
+// consistent.
 struct TopicStats {
   std::string topic;
   uint64_t published = 0;       // Publish calls on this topic.
@@ -59,7 +61,9 @@ class MessageBus {
   // publish or (un)subscribe reentrantly.
   void Publish(BusMessage msg);
 
-  // Per-topic accounting, sorted by topic name: the bus's only totals.
+  // Per-topic accounting, sorted by topic name: the bus's only totals. A
+  // bus-wide count is the sum over its topics; Frontend::StatusReport prints
+  // this snapshot.
   std::vector<TopicStats> TopicSnapshot() const;
 
  private:

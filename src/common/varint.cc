@@ -40,13 +40,4 @@ bool GetVarintSigned64(const uint8_t* data, size_t size, size_t* pos, int64_t* v
   return true;
 }
 
-size_t VarintLength(uint64_t value) {
-  size_t len = 1;
-  while (value >= 0x80) {
-    value >>= 7;
-    ++len;
-  }
-  return len;
-}
-
 }  // namespace pivot

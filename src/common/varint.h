@@ -29,9 +29,6 @@ bool GetVarint64(const uint8_t* data, size_t size, size_t* pos, uint64_t* value)
 // Zig-zag decoding counterpart of PutVarintSigned64.
 bool GetVarintSigned64(const uint8_t* data, size_t size, size_t* pos, int64_t* value);
 
-// Number of bytes PutVarint64 would append for `value`.
-size_t VarintLength(uint64_t value);
-
 inline uint64_t ZigZagEncode(int64_t v) {
   return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
 }

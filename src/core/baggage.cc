@@ -24,10 +24,6 @@ telemetry::Counter& JoinCounter() {
   static telemetry::Counter& c = telemetry::Metrics().GetCounter("baggage.join.count");
   return c;
 }
-telemetry::Counter& SerializeCounter() {
-  static telemetry::Counter& c = telemetry::Metrics().GetCounter("baggage.serialize.count");
-  return c;
-}
 telemetry::Counter& DeserializeCounter() {
   static telemetry::Counter& c = telemetry::Metrics().GetCounter("baggage.deserialize.count");
   return c;
@@ -317,7 +313,6 @@ bool Baggage::Instance::Decode(const uint8_t* data, size_t size, size_t* pos) {
 }
 
 std::vector<uint8_t> Baggage::Serialize(SerializeStats* stats) const {
-  SerializeCounter().Increment();
   if (stats != nullptr) {
     *stats = SerializeStats{};
     stats->instances = instance_count();

@@ -1,7 +1,5 @@
 #include "src/core/symbol.h"
 
-#include "src/telemetry/metrics.h"
-
 namespace pivot {
 
 SymbolId SymbolTable::Intern(std::string_view name) {
@@ -24,10 +22,6 @@ SymbolId SymbolTable::Intern(std::string_view name) {
   // Publish after the name is in place so lock-free NameOf readers racing with
   // this insert either see id >= size() or a fully-constructed string.
   count_.store(id + 1, std::memory_order_release);
-  if (this == &Global()) {
-    static telemetry::Counter& interned = telemetry::Metrics().GetCounter("symbols.interned");
-    interned.Increment();
-  }
   return id;
 }
 

@@ -25,24 +25,6 @@ Value Tuple::Get(std::string_view name) const {
   return Value();
 }
 
-bool Tuple::Has(SymbolId id) const {
-  if (id == kInvalidSymbol) return false;
-  for (const auto& f : fields_) {
-    if (f.id == id) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool Tuple::Has(std::string_view name) const {
-  for (const auto& f : fields_) {
-    if (f.name() == name) {
-      return true;
-    }
-  }
-  return false;
-}
 
 Tuple Tuple::Concat(const Tuple& other) const {
   Tuple out = *this;

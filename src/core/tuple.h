@@ -75,8 +75,6 @@ class Tuple {
   // The named field's value in place, or nullptr if absent.
   const Value* Find(SymbolId id) const;
   Value Get(std::string_view name) const;
-  bool Has(SymbolId id) const;
-  bool Has(std::string_view name) const;
 
   // Concatenation `t1 · t2`, the joined-tuple construction of §3: fields of
   // `this` followed by fields of `other`.

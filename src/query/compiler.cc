@@ -684,46 +684,6 @@ Result<CompiledQuery> QueryCompiler::Compile(const Query& q, uint64_t query_id) 
   return out;
 }
 
-std::vector<CompiledQuery::PackCost> CompiledQuery::EstimatePackCosts() const {
-  std::vector<PackCost> out;
-  for (const auto& [tp, adv] : advice) {
-    for (const Advice::Op& op : adv->ops()) {
-      if (op.kind != Advice::OpKind::kPack) {
-        continue;
-      }
-      PackCost cost;
-      cost.tracepoint = tp;
-      cost.bag = op.bag;
-      cost.fields = op.fields.size();
-      switch (op.bag_spec.semantics) {
-        case PackSemantics::kFirstN:
-          cost.bound = op.bag_spec.limit == 1
-                           ? "1 (FIRST)"
-                           : "<= " + std::to_string(op.bag_spec.limit) + " (FIRSTN)";
-          break;
-        case PackSemantics::kRecentN:
-          cost.bound = op.bag_spec.limit == 1
-                           ? "1 (RECENT)"
-                           : "<= " + std::to_string(op.bag_spec.limit) + " (RECENTN)";
-          break;
-        case PackSemantics::kAggregate:
-          cost.bound = op.bag_spec.plan.group_fields.empty()
-                           ? "1 aggregate state"
-                           : "#groups of " + std::to_string(op.bag_spec.plan.group_fields.size()) +
-                                 " field(s)";
-          cost.fields = 0;
-          break;
-        case PackSemantics::kAll:
-          cost.bound = "unbounded (one per invocation)";
-          cost.unbounded = true;
-          break;
-      }
-      out.push_back(std::move(cost));
-    }
-  }
-  return out;
-}
-
 CompiledQuery MakeCountingQuery(const CompiledQuery& original, uint64_t shadow_id) {
   CompiledQuery out;
   out.query_id = shadow_id;

@@ -65,20 +65,11 @@ struct CompiledQuery {
   // Result-side plan; streaming (Q8-style) queries have !plan.aggregated().
   ResultPlan plan;
 
-  // Human-readable per-tracepoint advice listing plus the packing cost class
-  // of every bag (the §4 "explain"-style overhead preview).
+  // Human-readable per-tracepoint advice listing (the §4 "explain"-style
+  // overhead preview): every Pack shows what its bag retains (PACK-FIRST,
+  // PACK-RECENT(3), PACK-AGG(...)). The linter classifies the query's
+  // baggage cost (QueryLintResult::cost).
   std::string Explain() const;
-
-  // Static cost estimate: one entry per Pack op, classifying how the §4
-  // optimizations bound the number of tuples propagated in the baggage.
-  struct PackCost {
-    std::string tracepoint;
-    BagKey bag = 0;
-    std::string bound;      // "1 (FIRST)", "<= 3 (RECENT)", "#groups", "unbounded".
-    bool unbounded = false; // The "full table scan" risk case (§4).
-    size_t fields = 0;      // Columns carried per tuple (0 = aggregate state).
-  };
-  std::vector<PackCost> EstimatePackCosts() const;
 };
 
 // Builds the §4 "explain" shadow of a compiled query: the same tracepoints,

@@ -6,23 +6,6 @@
 
 namespace pivot {
 
-double TimeSeries::total() const {
-  double sum = 0;
-  for (const auto& [sec, v] : buckets_) {
-    sum += v;
-  }
-  return sum;
-}
-
-double TimeSeries::SumRange(int64_t from_sec, int64_t to_sec) const {
-  double sum = 0;
-  for (auto it = buckets_.lower_bound(from_sec); it != buckets_.end() && it->first < to_sec;
-       ++it) {
-    sum += it->second;
-  }
-  return sum;
-}
-
 SimResource::SimResource(SimEnvironment* env, std::string name, double bytes_per_sec)
     : env_(env), name_(std::move(name)), bytes_per_sec_(bytes_per_sec), throughput_(env) {
   assert(bytes_per_sec_ > 0);

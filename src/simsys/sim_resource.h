@@ -31,10 +31,6 @@ class TimeSeries {
   // second index -> sum of added values in that second.
   const std::map<int64_t, double>& buckets() const { return buckets_; }
 
-  double total() const;
-  // Sum over [from_sec, to_sec).
-  double SumRange(int64_t from_sec, int64_t to_sec) const;
-
  private:
   const SimEnvironment* env_;
   std::map<int64_t, double> buckets_;

@@ -250,8 +250,6 @@ TEST(CausalityGateTest, TamperedWeaveWithUnsatisfiableJoinRefusedByAgents) {
   // registry anchors DefineTracepoint recorded. Both agents must refuse.
   EXPECT_TRUE(t.a->registry()->WovenQueries().empty());
   EXPECT_TRUE(t.b->registry()->WovenQueries().empty());
-  EXPECT_EQ(t.a->agent()->weaves_refused(), 1u);
-  EXPECT_EQ(t.b->agent()->weaves_refused(), 1u);
   EXPECT_EQ(refused.value() - before, 2u);
 }
 

@@ -168,9 +168,9 @@ TEST(ConcurrencyTest, FlusherRacesEmittersAndQueryChurn) {
   EXPECT_GT(invocations.load(), 0u);
   EXPECT_FALSE(tp->enabled());  // Last unweave left the tracepoint quiescent.
   // Nothing woven survives, so a final flush publishes nothing new.
-  uint64_t reports_before = agent.reports_published();
+  uint64_t reported_before = agent.reported_tuples();
   agent.Flush(1'000'000'000);
-  EXPECT_EQ(agent.reports_published(), reports_before);
+  EXPECT_EQ(agent.reported_tuples(), reported_before);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include "src/agent/agent.h"
 #include "src/agent/frontend.h"
+#include "src/analysis/query_linter.h"
 #include "src/bus/message_bus.h"
 #include "src/query/compiler.h"
 #include "src/query/parser.h"
@@ -178,7 +179,7 @@ TEST_F(FeaturesTest, ExplainShadowCoexistsWithRealQuery) {
   EXPECT_FALSE(frontend_.Results(*shadow).empty());
 }
 
-TEST(PackCostTest, ClassifiesBounds) {
+TEST(PackRetentionTest, ClassifiesBounds) {
   TracepointRegistry registry;
   ASSERT_TRUE(registry.Define(Def("A", {"x"})).ok());
   ASSERT_TRUE(registry.Define(Def("B", {"y"})).ok());
@@ -192,19 +193,40 @@ TEST(PackCostTest, ClassifiesBounds) {
     return std::move(cq).value();
   };
 
+  // The pack's retention comes from the compiled BagSpec (Explain renders
+  // it); the cost class from the linter, as pivot_lint prints it.
+  auto pack_spec = [](const CompiledQuery& cq) {
+    std::vector<BagSpec> specs;
+    for (const auto& [tp, adv] : cq.advice) {
+      for (const Advice::Op& op : adv->ops()) {
+        if (op.kind == Advice::OpKind::kPack) {
+          specs.push_back(op.bag_spec);
+        }
+      }
+    }
+    EXPECT_EQ(specs.size(), 1u);
+    return specs.empty() ? BagSpec{} : specs[0];
+  };
+  auto cost = [](const CompiledQuery& cq) {
+    return analysis::QueryLinter().Lint(cq.query_id, cq.advice, cq.plan).cost;
+  };
+
   auto first = compile("From b In B Join a In First(A) On a -> b Select a.x, b.y");
-  ASSERT_EQ(first.EstimatePackCosts().size(), 1u);
-  EXPECT_EQ(first.EstimatePackCosts()[0].bound, "1 (FIRST)");
-  EXPECT_FALSE(first.EstimatePackCosts()[0].unbounded);
+  EXPECT_TRUE(pack_spec(first) == BagSpec::First());
+  EXPECT_EQ(cost(first), analysis::BaggageCost::kBounded);
 
   auto recent = compile("From b In B Join a In MostRecentN(3, A) On a -> b Select a.x, b.y");
-  EXPECT_EQ(recent.EstimatePackCosts()[0].bound, "<= 3 (RECENTN)");
+  EXPECT_TRUE(pack_spec(recent) == BagSpec::Recent(3));
+  EXPECT_EQ(cost(recent), analysis::BaggageCost::kBounded);
 
   auto agg = compile("From b In B Join a In A On a -> b Select SUM(a.x)");
-  EXPECT_EQ(agg.EstimatePackCosts()[0].bound, "1 aggregate state");
+  EXPECT_EQ(pack_spec(agg).semantics, PackSemantics::kAggregate);
+  EXPECT_TRUE(pack_spec(agg).plan.group_fields.empty());
+  EXPECT_EQ(cost(agg), analysis::BaggageCost::kBounded);
 
   auto unbounded = compile("From b In B Join a In A On a -> b Select a.x, b.y");
-  EXPECT_TRUE(unbounded.EstimatePackCosts()[0].unbounded);
+  EXPECT_TRUE(pack_spec(unbounded) == BagSpec::All());
+  EXPECT_EQ(cost(unbounded), analysis::BaggageCost::kUnbounded);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 
 #include "src/agent/agent.h"
@@ -373,6 +374,60 @@ TEST_F(FrontendTest, ReportNotMatchingItsPlanIsCountedAndDropped) {
   EXPECT_TRUE(frontend_.Results(*counted).empty());
 }
 
+TEST_F(FrontendTest, ReportsForUnknownOrUninstalledQueriesAreCountedAndDropped) {
+  Result<uint64_t> q =
+      frontend_.Install("From incr In DataNodeMetrics.incrBytesRead Select COUNT");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  RunRequest({{&datanode_b_, 10}});
+  FlushAll();
+  ASSERT_TRUE(frontend_.Uninstall(*q).ok());
+  const std::vector<std::string> results = CanonicalTuples(frontend_.Results(*q));
+  ASSERT_EQ(results, (std::vector<std::string>{"(COUNT=1)"}));
+  const uint64_t reports = frontend_.reports_received();
+
+  // One report for a query id nobody installed, one for the uninstalled
+  // query, in one well-formed frame.
+  ReportBatch batch;
+  batch.host = "B";
+  batch.process_name = "DataNode";
+  batch.timestamp_micros = 9'000'000;
+  for (uint64_t id : {uint64_t{999}, *q}) {
+    AgentReport& report =
+        batch.reports.emplace_back(AgentReport{id, ResultSet(frontend_.compiled(*q)->plan)});
+    report.results.AddInput(Tuple{});
+  }
+  telemetry::Counter& dropped = telemetry::Metrics().GetCounter("frontend.reports_dropped");
+  telemetry::Counter& decode_errors = telemetry::Metrics().GetCounter("frontend.decode_errors");
+  const uint64_t dropped_before = dropped.value();
+  const uint64_t decode_errors_before = decode_errors.value();
+  bus_.Publish(BusMessage{kReportTopic, EncodeReportBatch(batch)});
+
+  EXPECT_EQ(dropped.value() - dropped_before, 2u);
+  EXPECT_EQ(decode_errors.value(), decode_errors_before);
+  EXPECT_EQ(CanonicalTuples(frontend_.Results(*q)), results);
+  EXPECT_EQ(frontend_.reports_received(), reports);
+}
+
+TEST_F(FrontendTest, StatusJsonEscapesControlBytesInAgentNames) {
+  // Host and process names come off the bus: a weave ack from host "h\r\x01"
+  // must leave no raw control byte in the JSON (RFC 8259).
+  Result<uint64_t> q =
+      frontend_.Install("From incr In DataNodeMetrics.incrBytesRead Select COUNT");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  WeaveAck ack;
+  ack.query_id = *q;
+  ack.host = "h\r\x01";
+  ack.process_name = "p";
+  bus_.Publish(BusMessage{kReportTopic, EncodeWeaveAck(ack)});
+
+  const std::string json = frontend_.StatusReportJson();
+  EXPECT_EQ(std::count_if(json.begin(), json.end(),
+                          [](char c) { return static_cast<unsigned char>(c) < 0x20; }),
+            0)
+      << json;
+  EXPECT_NE(json.find("\"h\\u000d\\u0001/p\":"), std::string::npos) << json;
+}
+
 TEST_F(FrontendTest, InstallRejectsBadQueries) {
   EXPECT_FALSE(frontend_.Install("not a query").ok());
   EXPECT_FALSE(frontend_.Install("From e In NoSuchTracepoint Select e.host").ok());
@@ -485,12 +540,14 @@ TEST_F(FrontendTest, AgentsRefuseTamperedWireAdvice) {
                               .Observe({{"delta", "incr.delta"}})
                               .Emit(99, {"incr.delta"})
                               .Build());
+  telemetry::Counter& refused = telemetry::Metrics().GetCounter("agent.weaves_refused");
+  const uint64_t refused_before = refused.value();
   bus_.Publish(BusMessage{kCommandTopic, EncodeWeave(cmd)});
 
   for (MiniProcess* proc : {&client_, &datanode_b_, &datanode_c_}) {
     EXPECT_TRUE(proc->registry.WovenQueries().empty());
-    EXPECT_EQ(proc->agent->weaves_refused(), 1u);
   }
+  EXPECT_EQ(refused.value() - refused_before, 3u);  // One per agent.
   // Nothing fires, nothing is emitted.
   RunRequest({{&datanode_b_, 10}});
   FlushAll();
@@ -509,8 +566,8 @@ TEST_F(FrontendTest, AgentsRefuseTamperedWireAdvice) {
   bus_.Publish(BusMessage{kCommandTopic, EncodeWeave(good)});
   for (MiniProcess* proc : {&client_, &datanode_b_, &datanode_c_}) {
     EXPECT_EQ(proc->registry.WovenQueries(), std::vector<uint64_t>{42});
-    EXPECT_EQ(proc->agent->weaves_refused(), 1u);
   }
+  EXPECT_EQ(refused.value() - refused_before, 3u);
 }
 
 TEST_F(FrontendTest, AgentsRefuseEmptyAdviceWeave) {
@@ -519,11 +576,13 @@ TEST_F(FrontendTest, AgentsRefuseEmptyAdviceWeave) {
   WeaveCommand cmd;
   cmd.query_id = 43;
   cmd.advice.emplace_back("DataNodeMetrics.incrBytesRead", AdviceBuilder().Build());
+  telemetry::Counter& refused = telemetry::Metrics().GetCounter("agent.weaves_refused");
+  const uint64_t refused_before = refused.value();
   bus_.Publish(BusMessage{kCommandTopic, EncodeWeave(cmd)});
   for (MiniProcess* proc : {&client_, &datanode_b_, &datanode_c_}) {
     EXPECT_TRUE(proc->registry.WovenQueries().empty());
-    EXPECT_EQ(proc->agent->weaves_refused(), 1u);
   }
+  EXPECT_EQ(refused.value() - refused_before, 3u);  // One per agent.
 }
 
 // A Where clause at the expression depth limit weaves on every agent: the

@@ -9,6 +9,14 @@
 namespace pivot {
 namespace {
 
+double Total(const TimeSeries& ts) {
+  double sum = 0;
+  for (const auto& [sec, v] : ts.buckets()) {
+    sum += v;
+  }
+  return sum;
+}
+
 TEST(SimEnvTest, RunsEventsInTimeOrder) {
   SimEnvironment env;
   std::vector<int> order;
@@ -65,8 +73,7 @@ TEST(TimeSeriesTest, BucketsBySecond) {
   ts.AddAt(kMicrosPerSecond, 5.0);
   EXPECT_EQ(ts.buckets().at(0), 3.0);
   EXPECT_EQ(ts.buckets().at(1), 5.0);
-  EXPECT_EQ(ts.total(), 8.0);
-  EXPECT_EQ(ts.SumRange(1, 2), 5.0);
+  EXPECT_EQ(ts.buckets().size(), 2u);
 }
 
 TEST(SimResourceTest, TransferTimeMatchesRate) {
@@ -111,7 +118,7 @@ TEST(SimResourceTest, ThroughputSeriesAccountsBytes) {
   disk.Transfer(500, [] {});
   env.RunAll();
   EXPECT_EQ(disk.total_bytes(), 500u);
-  EXPECT_NEAR(disk.throughput().total(), 500.0, 1e-6);
+  EXPECT_NEAR(Total(disk.throughput()), 500.0, 1e-6);
 }
 
 TEST(SimResourceTest, MultiSecondTransferSpreadsAcrossBuckets) {
@@ -119,9 +126,9 @@ TEST(SimResourceTest, MultiSecondTransferSpreadsAcrossBuckets) {
   SimResource disk(&env, "disk", 1000.0);
   disk.Transfer(3000, [] {});  // 3 seconds.
   env.RunAll();
-  EXPECT_NEAR(disk.throughput().SumRange(0, 1), 1000.0, 1.0);
-  EXPECT_NEAR(disk.throughput().SumRange(1, 2), 1000.0, 1.0);
-  EXPECT_NEAR(disk.throughput().total(), 3000.0, 1e-6);
+  EXPECT_NEAR(disk.throughput().buckets().at(0), 1000.0, 1.0);
+  EXPECT_NEAR(disk.throughput().buckets().at(1), 1000.0, 1.0);
+  EXPECT_NEAR(Total(disk.throughput()), 3000.0, 1e-6);
 }
 
 TEST(SimResourceTest, OccupySerializesCriticalSections) {

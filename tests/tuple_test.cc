@@ -10,7 +10,7 @@ TEST(TupleTest, EmptyTuple) {
   EXPECT_TRUE(t.empty());
   EXPECT_EQ(t.size(), 0u);
   EXPECT_TRUE(t.Get("missing").is_null());
-  EXPECT_FALSE(t.Has("missing"));
+  EXPECT_EQ(t.Find(InternSymbol("missing")), nullptr);
 }
 
 TEST(TupleTest, AppendAndGet) {
@@ -20,7 +20,8 @@ TEST(TupleTest, AppendAndGet) {
   EXPECT_EQ(t.size(), 2u);
   EXPECT_EQ(t.Get("host").string_value(), "A");
   EXPECT_EQ(t.Get("delta").int_value(), 100);
-  EXPECT_TRUE(t.Has("host"));
+  ASSERT_NE(t.Find(InternSymbol("host")), nullptr);
+  EXPECT_EQ(t.Find(InternSymbol("host"))->string_value(), "A");
 }
 
 TEST(TupleTest, ConcatJoinsFieldsInOrder) {
