@@ -1,6 +1,6 @@
 #!/bin/sh
 # Grep gates on how src/hadoop crosses process boundaries, on who writes
-# values to the wire, on threads in src, on who executes advice, on
+# values to the wire, on what baggage decode may call, on threads in src, on who executes advice, on
 # process-wide atomics in src/core and src/agent, on thread-local state in
 # src and on who registers each metric name, then
 # clang-tidy over the sources
@@ -30,6 +30,18 @@ if grep -rnwE 'PutValue|GetValue' "$repo_root/src" |
   grep -vE '^[^:]*/core/(wire|aggregation|advice_io)\.(h|cc):'; then
   echo "lint: PutValue/GetValue outside wire.cc, aggregation.cc and advice_io.cc;" \
     "encode tuple sets with PutRows or ResultSet."
+  exit 1
+fi
+
+# Baggage gate: a bag travels as bare values and is decoded only by a step
+# holding the schema bound into it at weave time, so baggage.cc writes and
+# reads no spec and no names, and interns nothing: it calls no PutBagSpec or
+# GetBagSpec (the weave command's codec, advice_io.cc), no PutRows or GetRows
+# (the report codec) and no Intern.
+if grep -nE '\b(PutBagSpec|GetBagSpec|PutRows|GetRows)\b|Intern' "$repo_root/src/core/baggage.cc" |
+  grep -vE '^[0-9]+:[[:space:]]*//'; then
+  echo "lint: src/core/baggage.cc encodes a spec or names, or interns;" \
+    "decode bags under the step's BagSchema."
   exit 1
 fi
 

@@ -40,7 +40,7 @@ bool IsDefiniteNumeric(StaticType t) {
 struct ExprCheck {
   const std::map<std::string, StaticType>* env;
   // When true, reads of columns absent from `env` are unverifiable (an
-  // upstream bag had an open column set) and must not be blamed.
+  // unpacked bag's provenance is unknown) and must not be blamed.
   bool open_env;
   Report* report;
   const std::string* tracepoint;
@@ -286,9 +286,6 @@ VerifyResult AdviceVerifier::Verify(const Advice& advice) const {
           break;
         }
         const BagColumns& bag = it->second;
-        if (bag.open_columns) {
-          env_open = true;
-        }
         for (const auto& [name, type] : bag.columns) {
           auto [pos, inserted] = env.emplace(name, type);
           if (!inserted) {
@@ -374,11 +371,8 @@ VerifyResult AdviceVerifier::Verify(const Advice& advice) const {
               packed.columns[state[s]] = StaticType::kInt;
             }
           }
-        } else if (op.fields.empty()) {
-          // Pack everything: the packed set is whatever is live here.
-          packed.columns = env;
-          packed.open_columns = env_open;
         } else {
+          // A retention bag keeps exactly its projection.
           for (const auto& f : op.fields) {
             auto it = env.find(f);
             if (it == env.end() && !env_open) {
@@ -392,7 +386,6 @@ VerifyResult AdviceVerifier::Verify(const Advice& advice) const {
         if (pos == result.packed.end()) {
           result.packed.emplace(op.bag, std::move(packed));
         } else {
-          pos->second.open_columns |= packed.open_columns;
           for (const auto& [name, type] : packed.columns) {
             auto [cpos, cinserted] = pos->second.columns.emplace(name, type);
             if (!cinserted) {

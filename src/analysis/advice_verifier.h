@@ -56,10 +56,6 @@ struct BagColumns {
   // kAggregate bags these are the group fields plus the aggregate state
   // columns (AggSpec::StateColumns).
   std::map<std::string, StaticType> columns;
-  // True when the bag was packed with an empty projection (pack everything):
-  // the unpacked column set is then open-ended and reads from it cannot be
-  // checked.
-  bool open_columns = false;
 };
 
 // Everything the verifier may know about the context an advice program runs

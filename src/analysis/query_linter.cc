@@ -20,9 +20,21 @@ struct StageInfo {
   std::vector<BagKey> packs;
   std::vector<BagKey> unpacks;
   bool sampled = false;    // Carries a Sample op with a rate in (0, 1).
-  bool reads_all = false;  // Packs or emits with an empty projection.
+  bool reads_all = false;  // Emits with an empty projection.
   std::set<std::string> reads;  // Columns the stage consumes by name.
 };
+
+// The projection of `advice`'s first Pack of `bag`: a retention bag's
+// columns on the wire.
+const std::vector<std::string>& PackedFields(const Advice& advice, BagKey bag) {
+  static const std::vector<std::string> kNone;
+  for (const Advice::Op& op : advice.ops()) {
+    if (op.kind == Advice::OpKind::kPack && op.bag == bag) {
+      return op.fields;
+    }
+  }
+  return kNone;
+}
 
 StageInfo CollectStage(const std::string& tracepoint, const Advice& advice) {
   StageInfo info;
@@ -52,8 +64,6 @@ StageInfo CollectStage(const std::string& tracepoint, const Advice& advice) {
               }
             }
           }
-        } else if (op.fields.empty()) {
-          info.reads_all = true;
         } else {
           info.reads.insert(op.fields.begin(), op.fields.end());
         }
@@ -194,6 +204,9 @@ QueryLintResult QueryLinter::Lint(
 
   bool all_emitted = false;
   std::set<std::string> emitted;
+  // The stage that first packed each bag, whose projection later packers
+  // must repeat.
+  std::map<BagKey, const Advice*> first_packer;
   auto verify_stage = [&](size_t i, bool on_cycle) {
     const StageInfo& stage = stages[i];
     VerifyContext ctx;
@@ -217,14 +230,21 @@ QueryLintResult QueryLinter::Lint(
       auto pos = result.bags.find(bag);
       if (pos == result.bags.end()) {
         result.bags.emplace(bag, std::move(cols));
+        first_packer.emplace(bag, stage.advice);
         continue;
       }
       if (!(pos->second.spec == cols.spec)) {
         report.Add("PT205", Severity::kError, *stage.tracepoint, -1,
                    "bag " + std::to_string(bag) +
                        " is packed under conflicting specs by different stages");
+      } else if (cols.spec.semantics != PackSemantics::kAggregate &&
+                 PackedFields(*first_packer.at(bag), bag) != PackedFields(*stage.advice, bag)) {
+        report.Add("PT205", Severity::kError, *stage.tracepoint, -1,
+                   "bag " + std::to_string(bag) +
+                       " is packed with different columns by different stages; its values "
+                       "travel by position, so every packer must project the same columns "
+                       "in the same order");
       }
-      pos->second.open_columns |= cols.open_columns;
       for (const auto& [name, type] : cols.columns) {
         auto [cpos, inserted] = pos->second.columns.emplace(name, type);
         if (!inserted) {
@@ -462,8 +482,7 @@ QueryLintResult QueryLinter::Lint(
           continue;
         }
         size_t crossings = std::max<size_t>(1, LongestForwardingPathFrom(*graph, there));
-        size_t width =
-            cols.open_columns ? size_t{8} : std::max<size_t>(1, cols.columns.size());
+        size_t width = std::max<size_t>(1, cols.columns.size());
         size_t bound = crossings * width;
         if (bound > options_.baggage_budget) {
           report.Add("PT305", Severity::kError, *stages[i].tracepoint, -1,

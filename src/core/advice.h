@@ -52,8 +52,9 @@ class Advice {
     BagKey bag = 0;
     // kPack: the bag's retention/aggregation semantics.
     BagSpec bag_spec;
-    // kPack: columns to project before packing (empty = pack everything —
-    // only used for kAggregate bags, which bound size themselves).
+    // kPack: the columns a retention bag keeps, in order — the bag's schema,
+    // since its values travel by position (none keeps only the row); an
+    // aggregate bag's spec fixes its columns, so they are ignored.
     // kEmit: columns to project before emitting (empty = emit everything).
     std::vector<std::string> fields;
 

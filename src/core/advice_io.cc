@@ -59,6 +59,33 @@ bool DecodeExprImpl(const uint8_t* data, size_t size, size_t* pos, Expr::Ptr* ou
 
 }  // namespace
 
+void PutBagSpec(std::vector<uint8_t>* out, const BagSpec& spec) {
+  out->push_back(static_cast<uint8_t>(spec.semantics));
+  PutVarint64(out, spec.limit);
+  PutPlan(out, spec.plan);
+}
+
+bool GetBagSpec(const uint8_t* data, size_t size, size_t* pos, BagSpec* spec) {
+  if (*pos >= size) {
+    return false;
+  }
+  uint8_t sem = data[(*pos)++];
+  if (sem > static_cast<uint8_t>(PackSemantics::kAggregate)) {
+    return false;
+  }
+  spec->semantics = static_cast<PackSemantics>(sem);
+  uint64_t limit = 0;
+  const bool limited = spec->semantics == PackSemantics::kFirstN ||
+                       spec->semantics == PackSemantics::kRecentN;
+  if (!GetVarint64(data, size, pos, &limit) || limit > UINT32_MAX ||
+      (limited && (limit == 0 || limit > kMaxBagTuples))) {
+    return false;
+  }
+  spec->limit = static_cast<uint32_t>(limit);
+  return GetPlan(data, size, pos, &spec->plan) &&
+         spec->plan.aggregated() == (spec->semantics == PackSemantics::kAggregate);
+}
+
 void EncodeExpr(std::vector<uint8_t>* out, const Expr::Ptr& e) {
   out->push_back(static_cast<uint8_t>(e->op()));
   switch (e->op()) {

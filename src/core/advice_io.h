@@ -23,6 +23,14 @@ namespace pivot {
 void EncodeExpr(std::vector<uint8_t>* out, const Expr::Ptr& e);
 bool DecodeExpr(const uint8_t* data, size_t size, size_t* pos, Expr::Ptr* out);
 
+// BagSpec, the spec of a Pack op: u8 semantics, varint limit, then the plan
+// (PutPlan). GetBagSpec rejects a kFirstN/kRecentN limit outside
+// 1..kMaxBagTuples, and a spec whose semantics and plan disagree: kAggregate
+// with an empty plan, or a retention semantics with group fields or
+// aggregates. Baggage carries no spec: each step binds its bag's at weave.
+void PutBagSpec(std::vector<uint8_t>* out, const BagSpec& spec);
+bool GetBagSpec(const uint8_t* data, size_t size, size_t* pos, BagSpec* spec);
+
 void EncodeAdvice(std::vector<uint8_t>* out, const Advice& advice);
 bool DecodeAdvice(const uint8_t* data, size_t size, size_t* pos, Advice::Ptr* out);
 

@@ -546,11 +546,8 @@ bool ResultSet::SamePlan(const ResultSet& other) const {
 }
 
 void ResultSet::Absorb(const ResultSet& other) {
+  assert(SamePlan(other));
   dropped_ += other.dropped_;
-  if (!SamePlan(other)) {
-    dropped_ += other.size();
-    return;
-  }
   if (aggregated_) {
     agg_.Absorb(other.agg_);
   } else {
@@ -559,11 +556,8 @@ void ResultSet::Absorb(const ResultSet& other) {
 }
 
 void ResultSet::Absorb(ResultSet&& other) {
+  assert(SamePlan(other));
   dropped_ += std::exchange(other.dropped_, 0);
-  if (!SamePlan(other)) {
-    dropped_ += other.size();
-    return;
-  }
   if (aggregated_) {
     agg_.Absorb(std::move(other.agg_));
     return;
@@ -575,6 +569,16 @@ void ResultSet::Absorb(ResultSet&& other) {
     Append(std::make_move_iterator(other.rows_.begin()), other.rows_.size());
   }
   other.rows_.clear();
+}
+
+std::vector<SymbolId> ResultSet::Columns() const {
+  std::vector<SymbolId> ids;
+  if (!aggregated_ && !rows_.empty()) {
+    for (const Tuple::Field& f : rows_.front().fields()) {
+      ids.push_back(f.id);
+    }
+  }
+  return ids;
 }
 
 std::vector<Tuple> ResultSet::StateRows() const {
@@ -646,12 +650,17 @@ bool GetRow(const uint8_t* data, size_t size, size_t* pos, const SetHeader& h,
 
 void Aggregator::EncodeState(std::vector<uint8_t>* out) const {
   const Columns& c = *cols_;
-  const size_t width = key_width();
   PutVarint64(out, uint64_t{c.state_names.size()} << 1 | 1);  // Always dense.
   for (const std::string& name : c.state_names) {
     PutString(out, name);
   }
   PutVarint64(out, group_count());
+  EncodeStateRows(out);
+}
+
+void Aggregator::EncodeStateRows(std::vector<uint8_t>* out) const {
+  const Columns& c = *cols_;
+  const size_t width = key_width();
   for (size_t g = 0; g < group_count(); ++g) {
     for (size_t i = 0; i < width; ++i) {
       PutValue(out, keys_[g * width + i]);
@@ -678,17 +687,25 @@ bool Aggregator::DecodeState(const uint8_t* data, size_t size, size_t* pos) {
       !h.dense || h.names != columns.size()) {
     return false;
   }
-  // Size the arrays once. A dense row is at least one tag byte per column,
-  // so the remaining bytes bound how many rows can follow.
-  Reserve(group_count() +
-          std::min<uint64_t>(h.rows, (size - *pos) / std::max<size_t>(columns.size(), 1)));
-  std::vector<Value> row(columns.size());
+  return DecodeStateRows(h.rows, data, size, pos);
+}
+
+bool Aggregator::DecodeStateRows(uint64_t rows, const uint8_t* data, size_t size, size_t* pos) {
+  // Every value takes at least its tag byte, so the remaining bytes bound
+  // how many rows can follow; the arrays are sized once.
+  const size_t width = cols_->state_names.size();
+  if (width == 0 || rows > (size - *pos) / width) {
+    return false;
+  }
+  Reserve(group_count() + rows);
+  std::vector<Value> row(width);
   uint64_t probes = 0;
   bool ok = true;
-  for (uint64_t r = 0; ok && r < h.rows; ++r) {
-    ok = GetRow(data, size, pos, h,
-                [&row](size_t index, Value&& v) { row[index] = std::move(v); }) &&
-         AddStateRow(&row, &probes);
+  for (uint64_t r = 0; ok && r < rows; ++r) {
+    for (size_t i = 0; ok && i < width; ++i) {
+      ok = GetValue(data, size, pos, &row[i]);
+    }
+    ok = ok && AddStateRow(&row, &probes);
   }
   GroupProbeCounter().Increment(probes);
   return ok;
@@ -785,5 +802,123 @@ bool ResultSet::Skip(const uint8_t* data, size_t size, size_t* pos) {
   }
   return true;
 }
+
+// Baggage payload form: dense rows, no names, no counts (the bag's framing
+// carries the row count and the payload length).
+
+namespace {
+
+bool SameColumns(const Tuple& row, const std::vector<SymbolId>& columns) {
+  if (row.size() != columns.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < columns.size(); ++i) {
+    if (row.field(i).id != columns[i]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Reads `n` dense rows of `columns` that fill data[0, size) exactly. Rows
+// [skip, skip + take) are decoded into row_at(0..take); the others are
+// validated and stepped over. Interns nothing.
+template <typename RowAt>
+bool GetDenseRows(const std::vector<SymbolId>& columns, uint64_t n, uint64_t skip, uint64_t take,
+                  const uint8_t* data, size_t size, RowAt row_at) {
+  if (columns.empty()) {
+    // Rows without values: nothing to read, and only the kept ones are made.
+    for (uint64_t i = 0; i < take; ++i) {
+      row_at(i).Clear();
+    }
+    return size == 0;
+  }
+  if (n > size / columns.size()) {
+    return false;  // Every value takes at least its tag byte.
+  }
+  size_t pos = 0;
+  Value v;
+  for (uint64_t r = 0; r < n; ++r) {
+    Tuple* row = r >= skip && r - skip < take ? &row_at(r - skip) : nullptr;
+    if (row != nullptr && SameColumns(*row, columns)) {
+      // A reused row of these columns is refilled in place.
+      for (size_t i = 0; i < columns.size(); ++i) {
+        if (!GetValue(data, size, &pos, row->mutable_value(i))) {
+          return false;
+        }
+      }
+      continue;
+    }
+    if (row != nullptr) {
+      row->Clear();
+    }
+    for (SymbolId id : columns) {
+      if (!GetValue(data, size, &pos, &v)) {
+        return false;
+      }
+      if (row != nullptr) {
+        row->Append(id, std::move(v));
+      }
+    }
+  }
+  return pos == size;
+}
+
+}  // namespace
+
+void ResultSet::EncodeValues(std::vector<uint8_t>* out) const {
+  if (aggregated_) {
+    agg_.EncodeStateRows(out);
+    return;
+  }
+  if (rows_.empty()) {
+    return;
+  }
+  // Rows a step packs all hold its projection, in order; anything else is
+  // looked up by id.
+  const Tuple& first = rows_.front();
+  for (const Tuple& row : rows_) {
+    for (size_t i = 0; i < first.size(); ++i) {
+      const SymbolId id = first.field(i).id;
+      const Value* v = i < row.size() && row.field(i).id == id ? &row.field(i).value : row.Find(id);
+      PutValue(out, v != nullptr ? *v : NullValue());
+    }
+  }
+}
+
+bool ResultSet::DecodeValues(const std::vector<SymbolId>& columns, uint64_t rows,
+                             const uint8_t* data, size_t size) {
+  if (aggregated_) {
+    size_t pos = 0;
+    return agg_.DecodeStateRows(rows, data, size, &pos) && pos == size;
+  }
+  // Append's rule: a keep-first set takes what fits, a keep-last set the
+  // last cap_ rows; the rest are only validated.
+  const uint64_t take =
+      std::min<uint64_t>(rows, keep_last_ ? cap_ : cap_ - std::min(cap_, rows_.size()));
+  rows_.reserve(rows_.size() + take);
+  if (!GetDenseRows(columns, rows, keep_last_ ? rows - take : 0, take, data, size,
+                    [this](uint64_t) -> Tuple& { return rows_.emplace_back(); })) {
+    return false;
+  }
+  Trim(rows - take);
+  return true;
+}
+
+bool ResultSet::DecodeRowsInto(const std::vector<SymbolId>& columns, uint64_t rows,
+                               const uint8_t* data, size_t size, std::vector<Tuple>* out) const {
+  assert(!aggregated_);
+  const uint64_t take = std::min<uint64_t>(rows, cap_);
+  const bool ok = GetDenseRows(columns, rows, keep_last_ ? rows - take : 0, take, data, size,
+                               [out](uint64_t i) -> Tuple& {
+                                 if (i == out->size()) {
+                                   out->emplace_back();
+                                 }
+                                 return (*out)[i];
+                               });
+  out->resize(ok ? take : 0);
+  return ok;
+}
+
 
 }  // namespace pivot

@@ -91,7 +91,8 @@ inline constexpr size_t kMaxBagTuples = 4096;
 // Static description of a baggage bag: its semantics plus, for kAggregate,
 // the pushed-down plan (Table 3). Pack-side and unpack-side advice compiled
 // from the same query share the same spec. A retention semantics has an
-// empty plan; kAggregate has a non-empty one (GetBagSpec enforces both).
+// empty plan; kAggregate has a non-empty one (GetBagSpec, advice_io.h,
+// enforces both).
 struct BagSpec {
   PackSemantics semantics = PackSemantics::kAll;
   uint32_t limit = 1;  // kFirstN / kRecentN.
@@ -138,6 +139,11 @@ class Aggregator {
   // interns nothing and rejects any other name table.
   void EncodeState(std::vector<uint8_t>* out) const;
   bool DecodeState(const uint8_t* data, size_t size, size_t* pos);
+  // The state rows alone, without name table or row count (a baggage bag's
+  // payload): one value per state column, group fields first.
+  // DecodeStateRows merges `rows` of them.
+  void EncodeStateRows(std::vector<uint8_t>* out) const;
+  bool DecodeStateRows(uint64_t rows, const uint8_t* data, size_t size, size_t* pos);
 
   // Empties the aggregator, keeping its array capacity.
   void Clear();
@@ -226,11 +232,12 @@ class Aggregator {
   std::vector<IndexSlot> slots_;  // Empty until the first group; 2^k sized.
 };
 
-// The one wire form of a tuple set, shared by report frames and baggage bags
+// The self-describing wire form of a tuple set, used by report frames
 // (docs/WIRE_FORMAT.md, "result-set"): a name table, then one row per tuple.
 // A row is dense (one value per name, in table order) when every row carries
 // exactly the name table, else sparse ((name index, value) pairs). GetRows
-// appends the decoded rows and interns each name-table entry once.
+// appends the decoded rows and interns each name-table entry once. Baggage
+// bags carry no names: see ResultSet::EncodeValues.
 void PutRows(std::vector<uint8_t>* out, const std::vector<Tuple>& rows);
 bool GetRows(const uint8_t* data, size_t size, size_t* pos, std::vector<Tuple>* rows);
 
@@ -261,10 +268,8 @@ class ResultSet {
   // Combines another set of the same plan into this one; `other` is treated
   // as later or concurrent, so a keep-first set keeps its own rows and a
   // keep-last set the other's. The rvalue form adopts `other` whole when this
-  // set is empty and leaves `other` empty. A set of another plan (streaming
-  // against aggregated, or other group fields or aggregates: a bag decoded
-  // from a peer under another spec) merges nothing: its rows or groups, and
-  // its drops, add to dropped().
+  // set is empty and leaves `other` empty. Both sets must have one plan: a
+  // bag key names one program, so every set of one key does.
   void Absorb(const ResultSet& other);
   void Absorb(ResultSet&& other);
 
@@ -276,12 +281,18 @@ class ResultSet {
   // A streaming set's retained rows in place; null for an aggregated set.
   const std::vector<Tuple>* rows() const { return aggregated_ ? nullptr : &rows_; }
 
+  bool aggregated() const { return aggregated_; }
+  // True when rows past the cap count as dropped (the kMaxBagTuples valve).
+  bool valve() const { return valve_; }
+  // A streaming set's columns on the wire (EncodeValues): its first row's.
+  // Empty for an aggregated set, whose state fixes its layout.
+  std::vector<SymbolId> Columns() const;
+
   bool empty() const { return aggregated_ ? agg_.empty() : rows_.empty(); }
   // Groups, or streamed rows.
   size_t size() const { return aggregated_ ? agg_.group_count() : rows_.size(); }
 
-  // Rows the kMaxBagTuples valve turned away, and rows or groups of another
-  // plan refused by Absorb, here and in absorbed sets.
+  // Rows the kMaxBagTuples valve turned away, here and in absorbed sets.
   uint64_t dropped() const { return dropped_; }
   // Adds drops counted elsewhere (a bag's count off the wire).
   void AddDropped(uint64_t n) { dropped_ += n; }
@@ -294,10 +305,27 @@ class ResultSet {
   bool Decode(const uint8_t* data, size_t size, size_t* pos);
   static bool Skip(const uint8_t* data, size_t size, size_t* pos);
 
+  // A baggage bag's payload (docs/WIRE_FORMAT.md, "Baggage"): size() dense
+  // rows and no names: aggregate state rows (Aggregator::EncodeStateRows),
+  // or one value per column of Columns() (a row that lacks one of its first
+  // row's columns writes null there). DecodeValues merges `rows` such rows
+  // of `columns` (ignored for an aggregated set), which must fill
+  // data[0, size) exactly, as Absorb would merge a set holding them: the
+  // same retention rule and valve drops. It interns nothing; on false the
+  // set holds part of the input and should be dropped.
+  void EncodeValues(std::vector<uint8_t>* out) const;
+  bool DecodeValues(const std::vector<SymbolId>& columns, uint64_t rows, const uint8_t* data,
+                    size_t size);
+  // Streaming sets only: the rows an empty set like this one keeps of such
+  // an encoding, written to (*out)[0, kept) reusing its tuples' capacity, so
+  // a steady-state decode allocates nothing. On false `*out` is empty.
+  bool DecodeRowsInto(const std::vector<SymbolId>& columns, uint64_t rows, const uint8_t* data,
+                      size_t size, std::vector<Tuple>* out) const;
+
  private:
   ResultSet(bool aggregated, Aggregator agg) : aggregated_(aggregated), agg_(std::move(agg)) {}
 
-  // True if `other` has this set's plan, so Absorb merges it.
+  // True if `other` has this set's plan (Absorb's precondition).
   bool SamePlan(const ResultSet& other) const;
 
   // Appends `n` rows starting at `from` under the cap. A full keep-first set

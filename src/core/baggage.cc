@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <optional>
 
-#include "src/core/wire.h"
+#include "src/common/varint.h"
 #include "src/telemetry/metrics.h"
 
 namespace pivot {
@@ -59,41 +59,141 @@ telemetry::Histogram& SerializeTuplesHistogram() {
 // ---------------------------------------------------------------------------
 // Baggage
 
-void Baggage::Pack(BagKey key, const BagSpec& spec, const Tuple& t) {
-  PackCounter().Increment();
-  active_.encoded = false;  // The only mutation of the active instance.
-  active_.bags.try_emplace(key, spec).first->second.set.AddInput(t);
+size_t Baggage::Bag::TupleCount() const {
+  if (decoded) {
+    return set.size();
+  }
+  return valve ? std::min<uint64_t>(rows, kMaxBagTuples) : rows;
 }
 
-const std::vector<Tuple>& Baggage::Unpack(BagKey key, std::vector<Tuple>* buffer) const {
+uint64_t Baggage::Bag::DroppedCount() const {
+  if (decoded) {
+    return set.dropped();
+  }
+  return dropped + (valve && rows > kMaxBagTuples ? rows - kMaxBagTuples : 0);
+}
+
+ResultSet Baggage::Decoded(const Bag& bag, const ResultSet& like,
+                           const std::vector<SymbolId>& columns) {
+  ResultSet set = like.EmptyLike();
+  if (!set.DecodeValues(columns, bag.rows, bag.values(), bag.payload.size())) {
+    DeserializeErrorCounter().Increment();
+    set = like.EmptyLike();  // A bad bag reads as empty.
+  }
+  set.AddDropped(bag.dropped);
+  return set;
+}
+
+void Baggage::Pack(BagKey key, const BagSchema& schema, const Tuple& t) {
+  PackCounter().Increment();
+  active_.encoded = false;  // The only mutation of the active instance.
+  auto [it, inserted] = active_.bags.try_emplace(key);
+  Bag& bag = it->second;
+  if (!bag.decoded) {
+    if (inserted) {
+      // Every bag of a key has one program, so a new bag follows a decoded
+      // bag of the key in an older instance.
+      const ResultSet* like = &schema.empty;
+      for (const InstancePtr& inst : inactive_) {
+        auto older = inst->bags.find(key);
+        if (older != inst->bags.end() && older->second.decoded) {
+          like = &older->second.set;
+          break;
+        }
+      }
+      bag.set = like->EmptyLike();
+    } else {
+      bag.set = Decoded(bag, schema.empty, schema.columns);  // It arrived encoded.
+      bag.payload.clear();
+    }
+    bag.decoded = true;
+  }
+  bag.set.AddInput(t);
+}
+
+void Baggage::Pack(BagKey key, const BagSpec& spec, const Tuple& t) {
+  auto it = active_.bags.find(key);
+  if (it != active_.bags.end() && it->second.decoded) {
+    PackCounter().Increment();
+    active_.encoded = false;
+    it->second.set.AddInput(t);
+    return;
+  }
+  std::vector<SymbolId> columns;
+  columns.reserve(t.size());
+  for (const Tuple::Field& f : t.fields()) {
+    columns.push_back(f.id);
+  }
+  Pack(key, BagSchema(spec, std::move(columns)), t);
+}
+
+const std::vector<Tuple>& Baggage::Unpack(BagKey key, const BagSchema* schema,
+                                          std::vector<Tuple>* buffer) const {
   // Gather the bag from every instance, oldest first, then combine under the
   // bag's semantics ("tuples are unpacked from each instance then combined
-  // according to query logic", §5). One holder is read in place.
-  const ResultSet* only = nullptr;
+  // according to query logic", §5). A lone holder is read in place or
+  // decoded straight into `*buffer`.
+  const Bag* only = nullptr;
+  const Bag* decoded = nullptr;
+  size_t holders = 0;
+  ForEachInstance([&](const Instance& inst) {
+    auto it = inst.bags.find(key);
+    if (it == inst.bags.end()) {
+      return;
+    }
+    if (holders++ == 0) {
+      only = &it->second;
+    }
+    if (decoded == nullptr && it->second.decoded) {
+      decoded = &it->second;
+    }
+  });
+  if (holders == 1 && only->decoded) {
+    if (const std::vector<Tuple>* rows = only->set.rows()) {
+      return *rows;
+    }
+    *buffer = only->set.StateRows();
+    return *buffer;
+  }
+  // Encoded holders read under the step's schema, else as a decoded holder
+  // reads.
+  const ResultSet* like = schema != nullptr ? &schema->empty : nullptr;
+  const std::vector<SymbolId>* columns = schema != nullptr ? &schema->columns : nullptr;
+  std::vector<SymbolId> decoded_columns;
+  if (like == nullptr && decoded != nullptr) {
+    like = &decoded->set;
+    decoded_columns = decoded->set.Columns();
+    columns = &decoded_columns;
+  }
+  if (holders == 0 || like == nullptr) {
+    buffer->clear();
+    return *buffer;
+  }
+  if (holders == 1) {
+    if (like->aggregated()) {
+      *buffer = Decoded(*only, *like, *columns).StateRows();
+    } else if (!like->DecodeRowsInto(*columns, only->rows, only->values(), only->payload.size(),
+                                     buffer)) {
+      DeserializeErrorCounter().Increment();  // Read as empty.
+    }
+    return *buffer;
+  }
   std::optional<ResultSet> combined;
   ForEachInstance([&](const Instance& inst) {
     auto it = inst.bags.find(key);
     if (it == inst.bags.end()) {
       return;
     }
-    if (only == nullptr) {
-      only = &it->second.set;
-      return;
-    }
+    const Bag& bag = it->second;
     if (!combined) {
-      combined.emplace(*only);
+      combined.emplace(bag.decoded ? bag.set : Decoded(bag, *like, *columns));
+    } else if (bag.decoded) {
+      combined->Absorb(bag.set);
+    } else {
+      combined->Absorb(Decoded(bag, *like, *columns));
     }
-    combined->Absorb(it->second.set);
   });
-  if (combined) {
-    *buffer = combined->StateRows();
-  } else if (only == nullptr) {
-    buffer->clear();
-  } else if (const std::vector<Tuple>* rows = only->rows()) {
-    return *rows;
-  } else {
-    *buffer = only->StateRows();
-  }
+  *buffer = combined->StateRows();
   return *buffer;
 }
 
@@ -130,14 +230,33 @@ Baggage Baggage::Join(const Baggage& a, const Baggage& b) {
   out.active_.id = ItcId::Join(a.active_.id, b.active_.id);
   out.active_.gen = std::max(a.active_.gen, b.active_.gen) + 1;
 
-  // Merge the two active instances' contents bag-wise.
+  // Merge the two active instances' contents bag-wise, `a`'s side first. Two
+  // encoded bags concatenate: decoding the joined values appends `b`'s rows
+  // after `a`'s under the retention rule, or merges `b`'s groups after
+  // `a`'s, which is what Absorb does with the decoded sets; drops add up,
+  // and rows past the valve count when read. Otherwise the encoded side is
+  // read as the decoded side's set reads.
   out.active_.bags = a.active_.bags;
   for (const auto& [key, bag] : b.active_.bags) {
-    auto it = out.active_.bags.find(key);
-    if (it == out.active_.bags.end()) {
-      out.active_.bags.emplace(key, bag);
+    auto [it, inserted] = out.active_.bags.try_emplace(key, bag);
+    if (inserted) {
+      continue;
+    }
+    Bag& mine = it->second;
+    if (!mine.decoded && !bag.decoded) {
+      mine.rows += bag.rows;
+      mine.dropped += bag.dropped;
+      mine.valve = mine.valve || bag.valve;
+      mine.payload += bag.payload;
+    } else if (!mine.decoded) {
+      mine.set = Decoded(mine, bag.set, bag.set.Columns());
+      mine.set.Absorb(bag.set);
+      mine.decoded = true;
+      mine.payload.clear();
+    } else if (!bag.decoded) {
+      mine.set.Absorb(Decoded(bag, mine.set, mine.set.Columns()));
     } else {
-      it->second.set.Absorb(bag.set);
+      mine.set.Absorb(bag.set);
     }
   }
 
@@ -166,7 +285,7 @@ uint64_t Baggage::DroppedTupleCount() const {
   uint64_t n = 0;
   ForEachInstance([&](const Instance& inst) {
     for (const auto& [key, bag] : inst.bags) {
-      n += bag.set.dropped();
+      n += bag.DroppedCount();
     }
   });
   return n;
@@ -176,7 +295,7 @@ size_t Baggage::TupleCount() const {
   size_t n = 0;
   ForEachInstance([&](const Instance& inst) {
     for (const auto& [key, bag] : inst.bags) {
-      n += bag.set.size();
+      n += bag.TupleCount();
     }
   });
   return n;
@@ -187,7 +306,7 @@ bool Baggage::IsTrivial() const {
     return false;
   }
   for (const auto& [key, bag] : active_.bags) {
-    if (!bag.set.empty()) {
+    if (bag.TupleCount() != 0) {
       return false;
     }
   }
@@ -211,86 +330,50 @@ void Baggage::Clear() {
 //   per instance (active instance first, then the retained ones, oldest
 //   first):
 //     [gen] [itc id (canonical bytes)] [bag count]
-//     per bag: [key] [spec] [result-set] [dropped]
-//   spec: [semantics u8] [limit] [plan (PutPlan)]
+//     per bag, keys ascending:
+//       [key] [row count << 1 | valve] [dropped] [payload length] [payload]
+//   payload: row count dense rows of values, in the columns' order (the
+//   packing step's projection, or the aggregate's state columns).
 // A pristine baggage serializes to zero bytes.
 
-void PutBagSpec(std::vector<uint8_t>* out, const BagSpec& spec) {
-  out->push_back(static_cast<uint8_t>(spec.semantics));
-  PutVarint64(out, spec.limit);
-  PutPlan(out, spec.plan);
-}
-
-bool GetBagSpec(const uint8_t* data, size_t size, size_t* pos, BagSpec* spec) {
-  if (*pos >= size) {
-    return false;
-  }
-  uint8_t sem = data[(*pos)++];
-  if (sem > static_cast<uint8_t>(PackSemantics::kAggregate)) {
-    return false;
-  }
-  spec->semantics = static_cast<PackSemantics>(sem);
-  uint64_t limit = 0;
-  const bool limited = spec->semantics == PackSemantics::kFirstN ||
-                       spec->semantics == PackSemantics::kRecentN;
-  if (!GetVarint64(data, size, pos, &limit) || limit > UINT32_MAX ||
-      (limited && (limit == 0 || limit > kMaxBagTuples))) {
-    return false;
-  }
-  spec->limit = static_cast<uint32_t>(limit);
-  return GetPlan(data, size, pos, &spec->plan) &&
-         spec->plan.aggregated() == (spec->semantics == PackSemantics::kAggregate);
-}
-
-namespace {
-
-void PutBags(std::vector<uint8_t>* out, const std::map<BagKey, Baggage::Bag>& bags,
-             std::map<uint64_t, Baggage::SerializeStats::QueryShare>* shares) {
+void Baggage::PutBags(std::vector<uint8_t>* out, const Bags& bags,
+                      std::map<uint64_t, SerializeStats::QueryShare>* shares) {
   PutVarint64(out, bags.size());
   for (const auto& [key, bag] : bags) {
-    size_t bag_start = out->size();
+    const size_t bag_start = out->size();
     PutVarint64(out, key);
-    PutBagSpec(out, bag.spec);
-    bag.set.Encode(out);
-    PutVarint64(out, bag.set.dropped());
+    if (!bag.decoded) {
+      // Untouched since it arrived: written back byte for byte.
+      PutVarint64(out, bag.rows << 1 | (bag.valve ? 1 : 0));
+      PutVarint64(out, bag.dropped);
+      PutVarint64(out, bag.payload.size());
+      out->insert(out->end(), bag.values(), bag.values() + bag.payload.size());
+    } else {
+      PutVarint64(out, uint64_t{bag.set.size()} << 1 | (bag.set.valve() ? 1 : 0));
+      PutVarint64(out, bag.set.dropped());
+      // The length precedes the values: encode them, append the length and
+      // rotate it in front.
+      const size_t values_start = out->size();
+      bag.set.EncodeValues(out);
+      const size_t length_start = out->size();
+      PutVarint64(out, length_start - values_start);
+      std::rotate(out->begin() + static_cast<ptrdiff_t>(values_start),
+                  out->begin() + static_cast<ptrdiff_t>(length_start), out->end());
+    }
     if (shares != nullptr) {
       auto& share = (*shares)[BagKeyQuery(key)];
       share.bytes += out->size() - bag_start;
-      share.tuples += bag.set.size();
+      share.tuples += bag.TupleCount();
     }
   }
 }
-
-bool GetBags(const uint8_t* data, size_t size, size_t* pos,
-             std::map<BagKey, Baggage::Bag>* bags) {
-  uint64_t nbags = 0;
-  if (!GetVarint64(data, size, pos, &nbags) || nbags > size) {
-    return false;
-  }
-  for (uint64_t i = 0; i < nbags; ++i) {
-    uint64_t key = 0;
-    BagSpec spec;
-    if (!GetVarint64(data, size, pos, &key) || !GetBagSpec(data, size, pos, &spec)) {
-      return false;
-    }
-    // Decoded in place. A repeated key is malformed: the encoder writes each
-    // key once, in order.
-    auto [it, inserted] = bags->try_emplace(key, std::move(spec));
-    uint64_t dropped = 0;
-    if (!inserted || !it->second.set.Decode(data, size, pos) ||
-        !GetVarint64(data, size, pos, &dropped)) {
-      return false;
-    }
-    it->second.set.AddDropped(dropped);
-  }
-  return true;
-}
-
-}  // namespace
 
 const std::vector<uint8_t>& Baggage::Instance::Encode() const {
   if (!encoded) {
+    // One allocation covers a typical instance; byte-at-a-time growth from
+    // empty would reallocate at 1, 2, 4, 8 and 16 bytes.
     bytes.clear();
+    bytes.reserve(64);
     PutVarint64(&bytes, gen);
     id.Encode(&bytes);
     PutBags(&bytes, bags, nullptr);
@@ -301,9 +384,30 @@ const std::vector<uint8_t>& Baggage::Instance::Encode() const {
 
 bool Baggage::Instance::Decode(const uint8_t* data, size_t size, size_t* pos) {
   const size_t start = *pos;
+  uint64_t nbags = 0;
   if (!GetVarint64(data, size, pos, &gen) || !ItcId::Decode(data, size, pos, &id) ||
-      !GetBags(data, size, pos, &bags)) {
+      !GetVarint64(data, size, pos, &nbags) || nbags > size) {
     return false;
+  }
+  // Only the framing is parsed: each bag keeps its values encoded until a
+  // step holding its schema reads it. Keys ascend, as the encoder writes
+  // them; a repeated or out-of-order key is malformed.
+  for (uint64_t i = 0; i < nbags; ++i) {
+    uint64_t key = 0;
+    uint64_t rows = 0;
+    uint64_t dropped = 0;
+    uint64_t length = 0;
+    if (!GetVarint64(data, size, pos, &key) || !GetVarint64(data, size, pos, &rows) ||
+        !GetVarint64(data, size, pos, &dropped) || !GetVarint64(data, size, pos, &length) ||
+        length > size - *pos || (!bags.empty() && key <= bags.rbegin()->first)) {
+      return false;
+    }
+    Bag& bag = bags.try_emplace(bags.end(), key)->second;
+    bag.rows = rows >> 1;
+    bag.valve = (rows & 1) != 0;
+    bag.dropped = dropped;
+    bag.payload.assign(reinterpret_cast<const char*>(data + *pos), length);
+    *pos += length;
   }
   // Our encoder is canonical (ordered maps, minimal varints), so for bytes we
   // produced the wire slice equals what a re-encode would emit.

@@ -188,14 +188,6 @@ bool ItcId::Overlaps(const ItcId& a, const ItcId& b) { return NodesOverlap(a.roo
 
 bool ItcId::operator==(const ItcId& other) const { return NodesEqual(root_, other.root_); }
 
-bool ItcId::operator<(const ItcId& other) const {
-  std::vector<uint8_t> ea;
-  std::vector<uint8_t> eb;
-  Encode(&ea);
-  other.Encode(&eb);
-  return ea < eb;
-}
-
 void ItcId::Encode(std::vector<uint8_t>* out) const { EncodeNode(root_, out); }
 
 bool ItcId::Decode(const uint8_t* data, size_t size, size_t* pos, ItcId* out) {

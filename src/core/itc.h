@@ -53,10 +53,6 @@ class ItcId {
   bool operator==(const ItcId& other) const;
   bool operator!=(const ItcId& other) const { return !(*this == other); }
 
-  // Total order for use as a map key / deduplication (lexicographic over the
-  // canonical encoding).
-  bool operator<(const ItcId& other) const;
-
   // Compact binary encoding appended to `out`; decoding consumes from
   // data[*pos..size). The encoding is canonical: equal IDs encode equally.
   void Encode(std::vector<uint8_t>* out) const;

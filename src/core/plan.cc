@@ -81,11 +81,32 @@ const Tuple& Projected(bool project, const std::vector<SymbolId>& fields, const 
   return *out;
 }
 
+// The schema a Pack op gives its bag: its spec and projection.
+BagSchemaPtr SchemaOf(const Advice::Op& op) {
+  return std::make_shared<const BagSchema>(op.bag_spec, InternSymbols(op.fields));
+}
+
 }  // namespace
 
-AdvicePlan::Ptr AdvicePlan::Compile(const Advice::Ptr& advice) {
+void AdvicePlan::AddBagSchemas(const Advice& advice, BagSchemas* schemas) {
+  for (const Advice::Op& op : advice.ops()) {
+    if (op.kind == Advice::OpKind::kPack && schemas->count(op.bag) == 0) {
+      schemas->emplace(op.bag, SchemaOf(op));
+    }
+  }
+}
+
+AdvicePlan::Ptr AdvicePlan::Compile(const Advice::Ptr& advice, const BagSchemas& schemas) {
   if (advice == nullptr) {
     return nullptr;
+  }
+  // Keys `schemas` lacks take this advice's own Pack of them.
+  BagSchemas own;
+  for (const Advice::Op& op : advice->ops()) {
+    if (op.kind == Advice::OpKind::kPack && schemas.count(op.bag) == 0 &&
+        own.count(op.bag) == 0) {
+      own.emplace(op.bag, SchemaOf(op));
+    }
   }
   auto plan = std::shared_ptr<AdvicePlan>(new AdvicePlan());
   plan->steps_.reserve(advice->ops().size());
@@ -93,21 +114,27 @@ AdvicePlan::Ptr AdvicePlan::Compile(const Advice::Ptr& advice) {
     Step step;
     step.kind = op.kind;
     step.bag = op.bag;
-    step.bag_spec = op.bag_spec;
+    if (op.kind == Advice::OpKind::kPack || op.kind == Advice::OpKind::kUnpack) {
+      if (auto it = schemas.find(op.bag); it != schemas.end()) {
+        step.bag_schema = it->second;
+      } else if (auto mine = own.find(op.bag); mine != own.end()) {
+        step.bag_schema = mine->second;
+      }
+    }
     step.query_id = op.query_id;
     step.sample_rate = op.sample_rate;
     step.observe.reserve(op.observe.size());
     for (const auto& [from, to] : op.observe) {
       step.observe.emplace_back(InternSymbol(from), InternSymbol(to));
     }
-    step.fields.reserve(op.fields.size());
-    for (const auto& f : op.fields) {
-      step.fields.push_back(InternSymbol(f));
+    if (op.kind == Advice::OpKind::kPack) {
+      step.fields = step.bag_schema->columns;  // A Pack projects onto its bag's schema.
+    } else {
+      step.fields = InternSymbols(op.fields);
     }
     switch (op.kind) {
       case Advice::OpKind::kPack:
-        step.project = !op.fields.empty() &&
-                       op.bag_spec.semantics != PackSemantics::kAggregate;
+        step.project = op.bag_spec.semantics != PackSemantics::kAggregate;
         break;
       case Advice::OpKind::kEmit:
         step.project = !op.fields.empty();
@@ -167,8 +194,9 @@ void AdvicePlan::Execute(ExecutionContext* ctx, const ExportView& exports) const
       case Advice::OpKind::kUnpack: {
         // Inner join (§3): an observed t_o and unpacked t_u1, t_u2 give
         // t_o·t_u1 and t_o·t_u2; an empty bag empties the working set. The
-        // bag's rows are read in place.
-        const std::vector<Tuple>& unpacked = ctx->baggage().Unpack(step.bag, &scratch.bag);
+        // bag's rows are read in place, or decoded into the scratch buffer.
+        const std::vector<Tuple>& unpacked =
+            ctx->baggage().Unpack(step.bag, step.bag_schema.get(), &scratch.bag);
         size_t joined = 0;
         bool truncated = false;
         for (size_t r = 0; r < live && !truncated; ++r) {
@@ -211,7 +239,7 @@ void AdvicePlan::Execute(ExecutionContext* ctx, const ExportView& exports) const
       }
       case Advice::OpKind::kPack: {
         for (size_t r = 0; r < live; ++r) {
-          ctx->baggage().Pack(step.bag, step.bag_spec,
+          ctx->baggage().Pack(step.bag, *step.bag_schema,
                               Projected(step.project, step.fields, rows[r], &scratch.out));
         }
         break;

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -31,11 +32,21 @@ namespace pivot {
 class AdvicePlan {
  public:
   using Ptr = std::shared_ptr<const AdvicePlan>;
+  // Bag key -> the schema a query's Pack op gives that bag.
+  using BagSchemas = std::map<BagKey, BagSchemaPtr>;
+
+  // Adds the schema of each bag `advice` packs, from its first Pack op of
+  // the key, to `*schemas`; keys already present keep theirs. Interns the
+  // packed columns.
+  static void AddBagSchemas(const Advice& advice, BagSchemas* schemas);
 
   // Lowers `advice` into an executable plan. Interns all column names and
   // binds expression trees; counted by the `plan.bind_count` telemetry
-  // counter. Returns nullptr only for null input.
-  static Ptr Compile(const Advice::Ptr& advice);
+  // counter. Each Pack and Unpack step binds its bag's schema from
+  // `schemas` (WeaveQuery passes the query's own Pack ops), else from this
+  // advice's Pack of the key; an Unpack of a key neither names reads only
+  // bags decoded in this process. Returns nullptr only for null input.
+  static Ptr Compile(const Advice::Ptr& advice, const BagSchemas& schemas = {});
 
   // Runs the program against one tracepoint invocation. `exports` reads the
   // raw exported variables (unqualified names, defaults included); a Tuple
@@ -61,12 +72,13 @@ class AdvicePlan {
     // kObserve: (exported variable, output column) ids.
     std::vector<std::pair<SymbolId, SymbolId>> observe;
 
-    // kUnpack / kPack: which bag; kPack: its semantics.
+    // kUnpack / kPack: which bag, and its schema (null for an Unpack of a
+    // bag no Pack names).
     BagKey bag = 0;
-    BagSpec bag_spec;
+    BagSchemaPtr bag_schema;
 
     // kPack / kEmit: projection columns; `project` precomputes whether the
-    // projection applies (non-empty and, for Pack, not an aggregate bag).
+    // projection applies (a retention Pack, or an Emit that names columns).
     std::vector<SymbolId> fields;
     bool project = false;
 

@@ -10,12 +10,12 @@
 // Concurrency contract:
 //  * Intern() takes a mutex and may allocate — call it at compile/weave time
 //    (or on first use) and keep the id.
-//  * NameOf() / Find() / size() are safe concurrently with Intern(): names
-//    live in fixed-size chunks whose pointer slots are published with
+//  * NameOf() / size() are safe concurrently with Intern(): names live in
+//    fixed-size chunks whose pointer slots are published with
 //    release/acquire, so readers never observe a moving string.
-//  * Ids are process-local and never cross the wire; the wire codec writes
-//    names and re-interns on decode (symbol tables on two hosts need not
-//    agree).
+//  * Ids are process-local and never cross the wire; report frames write
+//    names and re-intern on decode (symbol tables on two hosts need not
+//    agree), and baggage carries no names at all.
 
 #ifndef PIVOT_SRC_CORE_SYMBOL_H_
 #define PIVOT_SRC_CORE_SYMBOL_H_
@@ -48,10 +48,6 @@ class SymbolTable {
   // takes the table mutex.
   SymbolId Intern(std::string_view name);
 
-  // Returns the id of `name` if already interned, else kInvalidSymbol.
-  // Takes the table mutex (lookups share the map with writers).
-  SymbolId Find(std::string_view name) const;
-
   // The name behind `id`; empty view for kInvalidSymbol / out-of-range.
   // Lock-free: safe on hot paths (serialization, rendering).
   std::string_view NameOf(SymbolId id) const;
@@ -78,9 +74,6 @@ class SymbolTable {
 // Shorthands over SymbolTable::Global().
 inline SymbolId InternSymbol(std::string_view name) {
   return SymbolTable::Global().Intern(name);
-}
-inline SymbolId FindSymbol(std::string_view name) {
-  return SymbolTable::Global().Find(name);
 }
 inline std::string_view SymbolName(SymbolId id) {
   return SymbolTable::Global().NameOf(id);

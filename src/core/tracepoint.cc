@@ -106,10 +106,16 @@ Status TracepointRegistry::WeaveQuery(
   //
   // Weave-time plan compilation: all name resolution happens here, once per
   // (tracepoint, advice) pair, off the fire path. Rebuilds only share plans.
+  // Every Pack and Unpack step of the query binds the schema its own Pack op
+  // gives the bag, so a bag off the wire decodes without names or spec.
+  AdvicePlan::BagSchemas schemas;
+  for (const auto& [tp_name, adv] : advice) {
+    AdvicePlan::AddBagSchemas(*adv, &schemas);
+  }
   auto& entries = woven_[query_id];
   entries.reserve(advice.size());
   for (const auto& [tp_name, adv] : advice) {
-    entries.push_back({tp_name, ShareOrCompileLocked(tp_name, adv),
+    entries.push_back({tp_name, ShareOrCompileLocked(tp_name, adv, schemas),
                        FirstPackedBag(*adv) ? adv : nullptr});
   }
   for (const auto& [tp_name, adv] : advice) {
@@ -161,7 +167,8 @@ std::vector<uint64_t> TracepointRegistry::WovenQueries() const {
 }
 
 AdvicePlan::Ptr TracepointRegistry::ShareOrCompileLocked(const std::string& tp_name,
-                                                         const Advice::Ptr& advice) {
+                                                         const Advice::Ptr& advice,
+                                                         const AdvicePlan::BagSchemas& schemas) {
   std::optional<BagKey> bag = FirstPackedBag(*advice);
   if (bag) {
     for (const auto& [query_id, entries] : woven_) {
@@ -173,7 +180,7 @@ AdvicePlan::Ptr TracepointRegistry::ShareOrCompileLocked(const std::string& tp_n
       }
     }
   }
-  return AdvicePlan::Compile(advice);
+  return AdvicePlan::Compile(advice, schemas);
 }
 
 void TracepointRegistry::RebuildLocked(Tracepoint* tp) {

@@ -213,7 +213,9 @@ class TracepointRegistry {
 
   // The plan for `advice` at `tp_name`: the plan of a woven identical
   // program packing the same first bag there, or a freshly compiled one.
-  AdvicePlan::Ptr ShareOrCompileLocked(const std::string& tp_name, const Advice::Ptr& advice);
+  // A compiled plan binds `schemas`, the query's bag schemas.
+  AdvicePlan::Ptr ShareOrCompileLocked(const std::string& tp_name, const Advice::Ptr& advice,
+                                       const AdvicePlan::BagSchemas& schemas);
 
   // Publishes a fresh advice set for `tp` gathered from woven_.
   void RebuildLocked(Tracepoint* tp);

@@ -67,6 +67,9 @@ class Tuple {
   }
   // Drops every field, keeping the capacity for reuse.
   void Clear() { fields_.clear(); }
+  // Field `i`'s value, for a decoder that refills a row of the same columns
+  // in place.
+  Value* mutable_value(size_t i) { return &fields_[i].value; }
 
   // Returns the named field's value, or null if absent. The string overloads
   // compare against each field's interned name (lock-free; no table growth

@@ -339,7 +339,7 @@ int RunOracle(const Advice& advice, const Row& exports, Baggage* baggage, Emitte
       case Advice::OpKind::kUnpack: {
         std::vector<Row> unpacked;
         std::vector<Tuple> buffer;
-        for (const Tuple& t : baggage->Unpack(op.bag, &buffer)) {
+        for (const Tuple& t : baggage->Unpack(op.bag, nullptr, &buffer)) {
           unpacked.push_back(ToRow(t));
         }
         std::vector<Row> joined;
@@ -375,8 +375,7 @@ int RunOracle(const Advice& advice, const Row& exports, Baggage* baggage, Emitte
       }
       case Advice::OpKind::kPack:
         for (const auto& w : working) {
-          bool project =
-              !op.fields.empty() && op.bag_spec.semantics != PackSemantics::kAggregate;
+          bool project = op.bag_spec.semantics != PackSemantics::kAggregate;
           baggage->Pack(op.bag, op.bag_spec, ToTuple(project ? Project(w, op.fields) : w));
         }
         break;

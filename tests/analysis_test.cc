@@ -284,6 +284,28 @@ TEST_F(BadProgramTest, CorpusTriggersExpectedDiagnostics) {
                       return cq;
                     }});
 
+  corpus.push_back({"packers project different columns", "PT205", Severity::kError, [] {
+                      // One spec, but the bag's values travel by position:
+                      // a.x from one stage and b.y from the other would land
+                      // in the same column.
+                      CompiledQuery cq;
+                      cq.query_id = kQid;
+                      cq.advice.emplace_back("tp", AdviceBuilder()
+                                                       .Observe({{"x", "a.x"}})
+                                                       .Pack(kBag, BagSpec::First(), {"a.x"})
+                                                       .Build());
+                      cq.advice.emplace_back("tp2", AdviceBuilder()
+                                                        .Observe({{"y", "b.y"}})
+                                                        .Pack(kBag, BagSpec::First(), {"b.y"})
+                                                        .Build());
+                      cq.advice.emplace_back("tp", AdviceBuilder()
+                                                       .Unpack(kBag)
+                                                       .Observe({{"x", "c.x"}})
+                                                       .Emit(kQid, {"c.x"})
+                                                       .Build());
+                      return cq;
+                    }});
+
   corpus.push_back({"plan consumes never-emitted column", "PT206", Severity::kError, [] {
                       CompiledQuery cq = Single(AdviceBuilder()
                                                     .Observe({{"x", "t.x"}})

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/rand.h"
+#include "src/core/advice_io.h"
 #include "src/core/baggage.h"
 #include "src/core/wire.h"
 #include "src/telemetry/metrics.h"
@@ -133,50 +134,6 @@ TEST(BaggageTest, DistinctBagsAreIsolated) {
   EXPECT_EQ(UnpackCopy(bag, 2)[0].Get("y").int_value(), 9);
 }
 
-// Two aggregate specs that disagree on group width and aggregate count, as
-// one bag key can carry when a malformed peer sends it under another spec.
-BagSpec WideSumSpec() {
-  return BagSpec::Aggregated({"a", "b"}, {{AggFn::kSum, "x", "S", false}});
-}
-BagSpec NarrowCountSumSpec() {
-  return BagSpec::Aggregated(
-      {"a"}, {{AggFn::kCount, "", "C", false}, {AggFn::kSum, "x", "S", false}});
-}
-
-Tuple ABX(int64_t a, int64_t b, int64_t x) {
-  return Tuple{{"a", Value(a)}, {"b", Value(b)}, {"x", Value(x)}};
-}
-
-TEST(BaggageTest, PeerBagUnderAnotherPlanIsDroppedAndCounted) {
-  // A peer's bytes carry our bag key under another plan. Joining them keeps
-  // only our tuples and counts the peer's groups (or rows) as dropped, with
-  // either spec as ours, and for a retention bag against an aggregate one.
-  struct Case {
-    BagSpec ours;
-    BagSpec peer;
-  };
-  const std::vector<Case> cases = {{WideSumSpec(), NarrowCountSumSpec()},
-                                   {NarrowCountSumSpec(), WideSumSpec()},
-                                   {BagSpec::All(), NarrowCountSumSpec()},
-                                   {NarrowCountSumSpec(), BagSpec::All()}};
-  constexpr BagKey kKey = 5;
-  for (size_t i = 0; i < cases.size(); ++i) {
-    SCOPED_TRACE(i);
-    Baggage ours;
-    ours.Pack(kKey, cases[i].ours, ABX(1, 2, 5));
-    Baggage peer;
-    peer.Pack(kKey, cases[i].peer, ABX(1, 2, 7));
-    peer.Pack(kKey, cases[i].peer, ABX(3, 4, 1));
-    ASSERT_EQ(peer.TupleCount(), 2u);
-
-    Result<Baggage> received = Baggage::Deserialize(peer.Serialize());
-    ASSERT_TRUE(received.ok());
-    Baggage joined = Baggage::Join(ours, *received);
-    EXPECT_EQ(Canonical(UnpackCopy(joined, kKey)), Canonical(UnpackCopy(ours, kKey)));
-    EXPECT_EQ(joined.DroppedTupleCount(), 2u);
-  }
-}
-
 TEST(BaggageTest, TrivialBaggageSerializesToZeroBytes) {
   // "By default, Pivot Tracing propagates an empty baggage with a serialized
   // size of 0 bytes" (§6.3).
@@ -201,8 +158,13 @@ TEST(BaggageTest, SerializeRoundTripPreservesTuples) {
 
   Result<Baggage> decoded = Baggage::Deserialize(bytes);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(Canonical(UnpackCopy(*decoded, 7)), Canonical(UnpackCopy(bag, 7)));
-  EXPECT_EQ(Canonical(UnpackCopy(*decoded, 9)), Canonical(UnpackCopy(bag, 9)));
+  // The values travel bare: the receiving steps' schemas read them.
+  BagSchemaPtr first = Schema(BagSpec::First(2), {"cl.procName"});
+  BagSchemaPtr sum = Schema(BagSpec::Aggregated({"g"}, {{AggFn::kSum, "v", "S", false}}));
+  EXPECT_EQ(Canonical(UnpackCopy(*decoded, 7, first)), Canonical(UnpackCopy(bag, 7)));
+  EXPECT_EQ(Canonical(UnpackCopy(*decoded, 9, sum)), Canonical(UnpackCopy(bag, 9)));
+  // Without a schema an encoded bag reads as empty.
+  EXPECT_TRUE(UnpackCopy(*decoded, 7).empty());
   // Re-serialization is stable.
   EXPECT_EQ(decoded->Serialize(), bytes);
 }
@@ -231,19 +193,185 @@ TEST(BaggageTest, DeserializeRejectsTrailingBytes) {
   EXPECT_FALSE(Baggage::Deserialize(bytes).ok());
 }
 
+// Schemas a hostile peer's bags meet at Unpack: a retention bag of two
+// columns and an aggregate bag of three state columns.
+BagSchemaPtr HostileRetentionSchema() {
+  return Schema(BagSpec::Recent(4), {"hostile.a", "hostile.b"});
+}
+BagSchemaPtr HostileAggregateSchema() {
+  return Schema(
+      BagSpec::Aggregated({"hostile.g"}, {{AggFn::kAverage, "hostile.v", "hostile.avg", false}}));
+}
+
 TEST(BaggageTest, DeserializeFuzzDoesNotCrash) {
+  telemetry::Counter& errors = telemetry::Metrics().GetCounter("baggage.deserialize.errors");
+  const BagSchemaPtr schemas[] = {HostileRetentionSchema(), HostileAggregateSchema()};
+  const size_t symbols = SymbolTable::Global().size();
   Rng rng(404);
   for (int trial = 0; trial < 500; ++trial) {
     std::vector<uint8_t> junk(rng.NextBelow(64));
     for (auto& b : junk) {
       b = static_cast<uint8_t>(rng.NextBelow(256));
     }
-    // Must either fail cleanly or produce a usable baggage; never crash.
+    // Must either fail cleanly or produce a usable baggage; never crash. A
+    // failed decode counts once; a decoded one's bags are read under each
+    // schema, and each instance's bag that does not fit counts at most once.
+    const uint64_t before = errors.value();
     Result<Baggage> result = Baggage::Deserialize(junk);
-    if (result.ok()) {
-      result->TupleCount();
+    if (!result.ok()) {
+      EXPECT_EQ(errors.value(), before + 1);
+      continue;
+    }
+    result->TupleCount();
+    result->DroppedTupleCount();
+    if (!result->IsTrivial()) {
+      EXPECT_EQ(result->Serialize(), junk);  // Forwarded untouched.
+    }
+    for (BagKey key = 0; key < 4; ++key) {
+      const uint64_t unpack_before = errors.value();
+      UnpackCopy(*result, key, schemas[key % 2]);
+      EXPECT_LE(errors.value() - unpack_before, result->instance_count());
     }
   }
+  EXPECT_EQ(SymbolTable::Global().size(), symbols);
+}
+
+// One-instance baggage bytes holding the given bags, each
+// (key, rows << 1 | valve, dropped, payload), framed by hand so that counts
+// can disagree with the values.
+struct WireBag {
+  BagKey key;
+  uint64_t rows;
+  uint64_t dropped;
+  std::vector<uint8_t> payload;
+};
+std::vector<uint8_t> HandFramed(const std::vector<WireBag>& bags) {
+  std::vector<uint8_t> out;
+  PutVarint64(&out, 1);  // Instances.
+  PutVarint64(&out, 0);  // Generation.
+  ItcId::Seed().Encode(&out);
+  PutVarint64(&out, bags.size());
+  for (const WireBag& bag : bags) {
+    PutVarint64(&out, bag.key);
+    PutVarint64(&out, bag.rows << 1);
+    PutVarint64(&out, bag.dropped);
+    PutVarint64(&out, bag.payload.size());
+    out.insert(out.end(), bag.payload.begin(), bag.payload.end());
+  }
+  return out;
+}
+
+// A random value: null, int, double or a string of up to 40 random bytes,
+// the bare values a peer's bag carries in place of names.
+Value RandomValue(Rng* rng) {
+  switch (rng->NextBelow(4)) {
+    case 0:
+      return Value();
+    case 1:
+      return Value(static_cast<int64_t>(rng->NextUint64()));
+    case 2:
+      return Value(static_cast<double>(rng->NextInt(-1000, 1000)) / 7.0);
+    default: {
+      std::string s(rng->NextBelow(41), ' ');
+      for (char& c : s) {
+        c = static_cast<char>(rng->NextBelow(256));
+      }
+      return Value(s);
+    }
+  }
+}
+
+// Decode now happens at Unpack, so a peer's values meet a schema only there.
+// Over 10k hostile bags — random bytes, truncated baggage, bags whose row
+// count disagrees with their values, and bags under keys no schema names —
+// nothing crashes, nothing is interned, every bad payload counts exactly
+// once in baggage.deserialize.errors, and a bad bag reads as empty.
+TEST(BaggageTest, HostileBagsGrowNothing) {
+  telemetry::Counter& errors = telemetry::Metrics().GetCounter("baggage.deserialize.errors");
+  const BagSchemaPtr schemas[] = {HostileRetentionSchema(), HostileAggregateSchema()};
+  constexpr BagKey kKey = 5;
+  const size_t symbols = SymbolTable::Global().size();
+  const uint64_t errors_at_start = errors.value();
+  uint64_t expected_errors = 0;
+  Rng rng(2718);
+  for (int trial = 0; trial < 10000; ++trial) {
+    SCOPED_TRACE(trial);
+    const BagSchema& schema = *schemas[trial % 2];
+    const size_t columns = schema.empty.aggregated() ? 3 : schema.columns.size();
+    // A well-formed payload of `rows` rows for this schema. Aggregate state
+    // needs an int (or null) count in its Average's count column.
+    const uint64_t rows = rng.NextBelow(6);
+    std::vector<uint8_t> payload;
+    for (uint64_t r = 0; r < rows * columns; ++r) {
+      PutValue(&payload, schema.empty.aggregated() && r % columns == columns - 1
+                             ? Value(rng.NextInt(0, 9))
+                             : RandomValue(&rng));
+    }
+    const uint64_t before = errors.value();
+    switch ((trial / 2) % 5) {
+      case 0: {  // Random bytes.
+        std::vector<uint8_t> junk(rng.NextBelow(64));
+        for (auto& b : junk) {
+          b = static_cast<uint8_t>(rng.NextBelow(256));
+        }
+        Result<Baggage> decoded = Baggage::Deserialize(junk);
+        if (decoded.ok()) {
+          UnpackCopy(*decoded, kKey, schemas[trial % 2]);
+          EXPECT_LE(errors.value() - before, decoded->instance_count());
+          expected_errors += errors.value() - before;
+        } else {
+          EXPECT_EQ(errors.value(), before + 1);
+          ++expected_errors;
+        }
+        break;
+      }
+      case 1: {  // Truncated: every cut of framed bytes fails to deserialize.
+        const std::vector<uint8_t> wire = HandFramed({{kKey, rows, 0, payload}});
+        const size_t cut = 1 + rng.NextBelow(wire.size() - 1);
+        EXPECT_FALSE(Baggage::Deserialize(wire.data(), cut).ok());
+        EXPECT_EQ(errors.value(), before + 1);
+        ++expected_errors;
+        break;
+      }
+      case 2: {  // Miscounted: the framing parses, the values do not fit.
+        const uint64_t claimed = rows + 1 + rng.NextBelow(3);
+        const uint64_t miscount = rows > 0 && rng.NextBool(0.5) ? rows - 1 : claimed;
+        Result<Baggage> decoded = Baggage::Deserialize(HandFramed({{kKey, miscount, 0, payload}}));
+        ASSERT_TRUE(decoded.ok());
+        EXPECT_EQ(errors.value(), before);
+        EXPECT_TRUE(UnpackCopy(*decoded, kKey, schemas[trial % 2]).empty());
+        EXPECT_EQ(errors.value(), before + 1);
+        ++expected_errors;
+        break;
+      }
+      case 3: {  // Unknown key: forwarded untouched, never read.
+        std::vector<uint8_t> garbage(rng.NextBelow(32));
+        for (auto& b : garbage) {
+          b = static_cast<uint8_t>(rng.NextBelow(256));
+        }
+        const std::vector<uint8_t> wire =
+            HandFramed({{kKey + 1 + rng.NextBelow(1000), 1 + rng.NextBelow(1 << 20), 0, garbage}});
+        Result<Baggage> decoded = Baggage::Deserialize(wire);
+        ASSERT_TRUE(decoded.ok());
+        EXPECT_TRUE(UnpackCopy(*decoded, kKey, schemas[trial % 2]).empty());
+        EXPECT_EQ(decoded->Serialize(), wire);
+        EXPECT_EQ(errors.value(), before);
+        break;
+      }
+      default: {  // Well formed: reads every row, counts nothing.
+        Result<Baggage> decoded = Baggage::Deserialize(HandFramed({{kKey, rows, 0, payload}}));
+        ASSERT_TRUE(decoded.ok());
+        const std::vector<Tuple> read = UnpackCopy(*decoded, kKey, schemas[trial % 2]);
+        EXPECT_EQ(errors.value(), before);
+        if (!schema.empty.aggregated()) {
+          EXPECT_EQ(read.size(), std::min<uint64_t>(rows, 4));  // Recent(4).
+        }
+        break;
+      }
+    }
+  }
+  EXPECT_EQ(errors.value() - errors_at_start, expected_errors);
+  EXPECT_EQ(SymbolTable::Global().size(), symbols);
 }
 
 TEST(BaggageTest, TruncatedRealBaggageFailsCleanly) {
@@ -319,7 +447,7 @@ TEST(BaggageTest, SplitSerializesAndSurvivesWire) {
   ASSERT_TRUE(shipped.ok());
   Baggage joined = Baggage::Join(*shipped, right);
   // FIRST semantics across instances: the pre-split tuple (oldest) wins.
-  auto tuples = UnpackCopy(joined, 1);
+  auto tuples = UnpackCopy(joined, 1, Schema(BagSpec::First(1), {"x"}));
   ASSERT_EQ(tuples.size(), 1u);
   EXPECT_EQ(tuples[0].Get("x").int_value(), 7);
 }
@@ -357,28 +485,62 @@ TEST(BaggageTest, AggregateAcrossSplitCombines) {
   EXPECT_EQ(tuples[0].Get("S").int_value(), 111);
 }
 
-TEST(BaggageTest, DecodedInstancesWithConflictingAggregateSpecsMergeSafely) {
-  Baggage root;
-  root.Pack(1, WideSumSpec(), ABX(1, 2, 5));
-  auto [left, right] = root.Split();
-  left.Pack(1, NarrowCountSumSpec(), ABX(1, 9, 7));
-  right.Pack(1, WideSumSpec(), ABX(1, 2, 100));
+// Join of two baggages that arrived encoded concatenates each shared bag's
+// values. Read under the bag's schema, that equals joining the decoded
+// baggages (ResultSet::Absorb): the same rows in the same order and the same
+// drops, under every retention rule and for aggregate state, whichever side
+// is decoded, and again one hop later.
+TEST(BaggageTest, JoinOfEncodedBagsMatchesJoinOfDecodedOnes) {
+  struct Case {
+    BagSpec spec;
+    int left;
+    int right;
+  };
+  const std::vector<Case> cases = {
+      {BagSpec::All(), 3000, 3000},          // Past the valve: 1904 dropped.
+      {BagSpec::All(), kMaxBagTuples + 4, 10},  // Left already dropped 4.
+      {BagSpec::All(), 5, 7},
+      {BagSpec::First(3), 2, 5},
+      {BagSpec::First(kMaxBagTuples), 3000, 3000},
+      {BagSpec::Recent(3), 5, 2},
+      {BagSpec::Recent(3), 1, 1},
+      {BagSpec::Aggregated({"j.k"}, {{AggFn::kSum, "j.v", "S", false},
+                                     {AggFn::kAverage, "j.v", "A", false}}),
+       40, 25},
+  };
+  constexpr BagKey kKey = 9;
+  for (size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(i);
+    const Case& c = cases[i];
+    const BagSchemaPtr schema = Schema(c.spec, {"j.k", "j.v"});
+    Baggage root;
+    root.Pack(kKey, *schema, Tuple{{"j.k", Value(int64_t{-1})}, {"j.v", Value(int64_t{1})}});
+    auto [left, right] = root.Split();
+    for (int n = 0; n < c.left; ++n) {
+      left.Pack(kKey, *schema, Tuple{{"j.k", Value(int64_t{n % 7})}, {"j.v", Value(int64_t{n})}});
+    }
+    for (int n = 0; n < c.right; ++n) {
+      right.Pack(kKey, *schema,
+                 Tuple{{"j.k", Value(int64_t{n % 5})}, {"j.v", Value(int64_t{1000 + n})}});
+    }
+    Result<Baggage> left_in = Baggage::Deserialize(left.Serialize());
+    Result<Baggage> right_in = Baggage::Deserialize(right.Serialize());
+    ASSERT_TRUE(left_in.ok());
+    ASSERT_TRUE(right_in.ok());
 
-  // The conflicting spec crosses the wire, then meets the other branch. A
-  // bag of another plan merges nothing: Unpack combines under the oldest
-  // instance's spec, and Join counts the refused group as dropped.
-  Result<Baggage> shipped = Baggage::Deserialize(left.Serialize());
-  ASSERT_TRUE(shipped.ok());
-  std::vector<Tuple> unpacked = UnpackCopy(*shipped, 1);
-  EXPECT_EQ(Canonical(unpacked), (std::vector<std::string>{"(a=1, b=2, S=5)"}));
-
-  Baggage joined = Baggage::Join(*shipped, right);
-  EXPECT_EQ(Canonical(UnpackCopy(joined, 1)), (std::vector<std::string>{"(a=1, b=2, S=5)"}));
-  EXPECT_EQ(joined.DroppedTupleCount(), 1u);
-  Result<Baggage> reshipped = Baggage::Deserialize(joined.Serialize());
-  ASSERT_TRUE(reshipped.ok());
-  EXPECT_EQ(Canonical(UnpackCopy(*reshipped, 1)), Canonical(UnpackCopy(joined, 1)));
-  EXPECT_EQ(reshipped->DroppedTupleCount(), 1u);
+    const Baggage decoded = Baggage::Join(left, right);
+    const std::vector<Tuple> want = UnpackCopy(decoded, kKey, schema);
+    ASSERT_FALSE(want.empty());
+    for (const Baggage& joined : {Baggage::Join(*left_in, *right_in), Baggage::Join(left, *right_in),
+                                  Baggage::Join(*left_in, right)}) {
+      EXPECT_EQ(UnpackCopy(joined, kKey, schema), want);
+      EXPECT_EQ(joined.DroppedTupleCount(), decoded.DroppedTupleCount());
+      Result<Baggage> next_hop = Baggage::Deserialize(joined.Serialize());
+      ASSERT_TRUE(next_hop.ok());
+      EXPECT_EQ(UnpackCopy(*next_hop, kKey, schema), want);
+      EXPECT_EQ(next_hop->DroppedTupleCount(), decoded.DroppedTupleCount());
+    }
+  }
 }
 
 TEST(BaggageTest, TupleCountAndClear) {
@@ -499,10 +661,10 @@ TEST(BaggageTest, SerializeStatsAttributionSurvivesWireRoundTrip) {
 // measure; a codec change must keep them unless it means to move them.
 //
 // Framing of a one-instance baggage is 4 bytes: instance count, gen, the
-// seed ITC id and the bag count. A retention bag spec is 4 bytes (semantics,
-// limit, empty group list, empty aggregate list); a key below 128 and the
-// dropped count take one byte each. A one-tuple bag's contents cost 2 bytes
-// plus each field's name and value.
+// seed ITC id and the bag count. A bag with a key below 128, fewer than 64
+// rows, a drop count below 128 and under 128 bytes of values adds 4 bytes
+// of framing (key, row count and valve flag, dropped, payload length), then
+// only its values: no names and no spec travel.
 
 // Serialized size, checked against SerializeStats: the per-query shares plus
 // `framing` must add up to it.
@@ -524,34 +686,31 @@ size_t PinnedSize(const Baggage& b, uint64_t framing) {
 }
 
 TEST(BaggageTest, OneTupleBagSizesArePinned) {
-  // Field "a" = "xy": name 2 bytes, value 4 (tag, length, 2 chars): 6 bytes.
-  // A second field "bb" = "z": name 3, value 3: 6 bytes.
+  // Value "xy": 4 bytes (tag, length, 2 chars). A second value "z": 3 bytes.
   const Tuple one{{"a", Value("xy")}};
   const Tuple two{{"a", Value("xy")}, {"bb", Value("z")}};
   for (const BagSpec& spec : {BagSpec::All(), BagSpec::First(1), BagSpec::Recent(1)}) {
     Baggage b1;
     b1.Pack(1, spec, one);
-    EXPECT_EQ(PinnedSize(b1, 4), 4u + (1 + 4 + 2 + 6 + 1));
+    EXPECT_EQ(PinnedSize(b1, 4), 4u + (4 + 4));
     Baggage b2;
     b2.Pack(1, spec, two);
-    EXPECT_EQ(PinnedSize(b2, 4), 4u + (1 + 4 + 2 + 12 + 1));
+    EXPECT_EQ(PinnedSize(b2, 4), 4u + (4 + 4 + 3));
   }
 }
 
 TEST(BaggageTest, OneGroupAggregateBagSizeIsPinned) {
-  // Spec: semantics, limit, ["g"] (3 bytes), [SUM v -> S] (1 + fn + from_state
-  // + "v" 2 + "S" 2 = 7 bytes): 12 bytes. Contents: g = "a" (2 + 3) and
-  // S = 5 (2 + 2), plus 2: 11 bytes.
+  // One state row: g = "a" (3 bytes) and S = 5 (2 bytes).
   Baggage b;
   b.Pack(1, BagSpec::Aggregated({"g"}, {{AggFn::kSum, "v", "S", false}}),
          Tuple{{"g", Value("a")}, {"v", Value(int64_t{5})}});
-  EXPECT_EQ(PinnedSize(b, 4), 4u + (1 + 12 + 11 + 1));
+  EXPECT_EQ(PinnedSize(b, 4), 4u + (4 + 3 + 2));
 }
 
 TEST(BaggageTest, Q2AndQ7ShapedBaggageSizeIsPinned) {
   // Q2 packs First(cl.procName); Q7 packs st.host into one kAll bag, then
   // (st.host, getloc.replicas) into its second stage. Query ids of 2 and 7
-  // make two-byte keys.
+  // make two-byte keys, so each bag's framing is 5 bytes.
   const BagKey q2 = 2 * kBagKeysPerQuery;
   const BagKey q7 = 7 * kBagKeysPerQuery;
   Baggage b;
@@ -559,18 +718,16 @@ TEST(BaggageTest, Q2AndQ7ShapedBaggageSizeIsPinned) {
   b.Pack(q7, BagSpec::All(), Tuple{{"st.host", Value("host-3")}});
   b.Pack(q7 + 1, BagSpec::All(),
          Tuple{{"st.host", Value("host-3")}, {"getloc.replicas", Value(int64_t{3})}});
-  // cl.procName: name 12 + value 11. st.host: name 8 + value 8.
-  // getloc.replicas: name 16 + value 2.
-  const size_t q2_bag = 2 + 4 + 2 + (12 + 11) + 1;
-  const size_t q7_bag0 = 2 + 4 + 2 + (8 + 8) + 1;
-  const size_t q7_bag1 = 2 + 4 + 2 + (8 + 8) + (16 + 2) + 1;
+  // Values: "DFSClient" 11, "host-3" 8, 3 is 2.
+  const size_t q2_bag = 5 + 11;
+  const size_t q7_bag0 = 5 + 8;
+  const size_t q7_bag1 = 5 + 8 + 2;
   EXPECT_EQ(PinnedSize(b, 4), 4 + q2_bag + q7_bag0 + q7_bag1);
 }
 
-
 TEST(BaggageTest, MultiTupleBagWritesNamesOnce) {
-  // Every tuple after the first costs only its values (4 + 3 bytes): the
-  // bag's rows are dense under one name table.
+  // No names travel at all: every tuple after the first costs only its
+  // values (4 + 3 bytes).
   const Tuple t{{"a", Value("xy")}, {"bb", Value("z")}};
   Baggage one;
   Baggage five;
@@ -581,46 +738,43 @@ TEST(BaggageTest, MultiTupleBagWritesNamesOnce) {
   EXPECT_EQ(five.Serialize().size(), one.Serialize().size() + 4 * (4 + 3));
   Result<Baggage> decoded = Baggage::Deserialize(five.Serialize());
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(UnpackCopy(*decoded, 1), UnpackCopy(five, 1));
+  EXPECT_EQ(UnpackCopy(*decoded, 1, Schema(BagSpec::All(), {"a", "bb"})), UnpackCopy(five, 1));
 }
 
 TEST(BaggageTest, AggregateBagDecodeInternsNothing) {
   telemetry::Counter& errors = telemetry::Metrics().GetCounter("baggage.deserialize.errors");
+  const BagSpec spec =
+      BagSpec::Aggregated({"bagtest.g"}, {{AggFn::kSum, "bagtest.v", "bagtest.sum", false}});
+  const BagSchemaPtr schema = Schema(spec);
   Baggage b;
-  b.Pack(1, BagSpec::Aggregated({"bagtest.g"}, {{AggFn::kSum, "bagtest.v", "bagtest.sum", false}}),
-         Tuple{{"bagtest.g", Value("a")}, {"bagtest.v", Value(int64_t{5})}});
+  b.Pack(1, spec, Tuple{{"bagtest.g", Value("a")}, {"bagtest.v", Value(int64_t{5})}});
   const std::vector<uint8_t> wire = b.Serialize();
   const size_t symbols = SymbolTable::Global().size();
   const uint64_t errors_before = errors.value();
   for (int i = 0; i < 3; ++i) {
     Result<Baggage> decoded = Baggage::Deserialize(wire);
     ASSERT_TRUE(decoded.ok());
-    EXPECT_EQ(UnpackCopy(*decoded, 1), UnpackCopy(b, 1));
+    EXPECT_EQ(UnpackCopy(*decoded, 1, schema), UnpackCopy(b, 1));
   }
   EXPECT_EQ(SymbolTable::Global().size(), symbols);
+  EXPECT_EQ(errors.value(), errors_before);
 
-  // The state name table follows the spec; rename its "bagtest.sum" entry to
-  // a name nothing has interned. The table no longer matches the spec's
-  // state columns, so the bag is rejected, counted, and the name never
-  // reaches the symbol table.
-  const std::string sum = "bagtest.sum";
-  auto at = std::find_end(wire.begin(), wire.end(), sum.begin(), sum.end());
-  ASSERT_NE(at, wire.end());
-  std::vector<uint8_t> renamed = wire;
-  renamed[static_cast<size_t>(at - wire.begin()) + sum.size() - 1] = 'Q';
-  EXPECT_FALSE(Baggage::Deserialize(renamed).ok());
+  // The same values read under a schema of another width (a third state
+  // column) do not fit it: the bag reads as empty, is counted once, and
+  // nothing reaches the symbol table.
+  const BagSchemaPtr wider = Schema(BagSpec::Aggregated(
+      {"bagtest.g"}, {{AggFn::kAverage, "bagtest.v", "bagtest.avg", false}}));
+  const size_t symbols_with_wider = SymbolTable::Global().size();
+  Result<Baggage> decoded = Baggage::Deserialize(wire);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_TRUE(UnpackCopy(*decoded, 1, wider).empty());
   EXPECT_EQ(errors.value(), errors_before + 1);
-  EXPECT_EQ(SymbolTable::Global().size(), symbols);
-  EXPECT_EQ(SymbolTable::Global().Find("bagtest.suQ"), kInvalidSymbol);
+  EXPECT_EQ(SymbolTable::Global().size(), symbols_with_wider);
 }
-
-// A one-bag baggage's bytes: [instance count][gen][seed id][bag count][key]
-// [semantics]..., so the spec's semantics is byte 5.
-constexpr size_t kSemanticsByte = 5;
 
 // A bag spec's semantics and plan must agree: kAggregate needs a plan, and a
 // retention semantics has none. The compiler never emits either mismatch, so
-// a peer's baggage carrying one is rejected and counted.
+// a weave command's Pack op carrying one is rejected.
 TEST(BaggageTest, BagSpecWhoseSemanticsAndPlanDisagreeIsRejected) {
   const ResultPlan sum_by_g{{"g"}, {{AggFn::kSum, "v", "S", false}}};
   for (const BagSpec& spec : {BagSpec{PackSemantics::kAggregate, 0, {}},
@@ -633,23 +787,25 @@ TEST(BaggageTest, BagSpecWhoseSemanticsAndPlanDisagreeIsRejected) {
     EXPECT_FALSE(GetBagSpec(bytes.data(), bytes.size(), &pos, &decoded));
   }
 
-  // The same mismatches inside baggage: flip the semantics byte of a First
-  // bag to kAggregate, and of an aggregate bag to kAll.
+  // No spec travels in baggage, so the analogous mismatch there is a bag
+  // read under the other kind of schema: a First bag's values under the
+  // aggregate schema, and the aggregate bag's state under the First schema.
+  // Neither fits; each reads as empty and counts once.
   telemetry::Counter& errors = telemetry::Metrics().GetCounter("baggage.deserialize.errors");
   Baggage first;
   first.Pack(1, BagSpec::First(1), T("x", 1));
   Baggage aggregate;
   aggregate.Pack(1, BagSpec::Aggregated(sum_by_g.group_fields, sum_by_g.aggs),
                  Tuple{{"g", Value("a")}, {"v", Value(int64_t{5})}});
-  std::vector<uint8_t> no_plan = first.Serialize();
-  std::vector<uint8_t> retained_plan = aggregate.Serialize();
-  ASSERT_EQ(no_plan[kSemanticsByte], static_cast<uint8_t>(PackSemantics::kFirstN));
-  ASSERT_EQ(retained_plan[kSemanticsByte], static_cast<uint8_t>(PackSemantics::kAggregate));
-  no_plan[kSemanticsByte] = static_cast<uint8_t>(PackSemantics::kAggregate);
-  retained_plan[kSemanticsByte] = static_cast<uint8_t>(PackSemantics::kAll);
+  Result<Baggage> first_received = Baggage::Deserialize(first.Serialize());
+  Result<Baggage> aggregate_received = Baggage::Deserialize(aggregate.Serialize());
+  ASSERT_TRUE(first_received.ok());
+  ASSERT_TRUE(aggregate_received.ok());
   const uint64_t errors_before = errors.value();
-  EXPECT_FALSE(Baggage::Deserialize(no_plan).ok());
-  EXPECT_FALSE(Baggage::Deserialize(retained_plan).ok());
+  EXPECT_TRUE(UnpackCopy(*first_received, 1,
+                         Schema(BagSpec::Aggregated(sum_by_g.group_fields, sum_by_g.aggs)))
+                  .empty());
+  EXPECT_TRUE(UnpackCopy(*aggregate_received, 1, Schema(BagSpec::First(1), {"x"})).empty());
   EXPECT_EQ(errors.value(), errors_before + 2);
 }
 

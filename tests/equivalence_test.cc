@@ -466,16 +466,16 @@ TEST(SharedBagTest, FourQueriesCarryOneStHostBag) {
   ExecutionContext ctx(&client.runtime);
   client.registry.Find(kDoNextOp)->Invoke(&ctx, {});
 
-  // One 25 B bag, charged to Q4, its minting query: key 2 + spec 4 + names
-  // and row 2 + st.host (name 8 + value "host-3" 8) + dropped count 1.
-  // Four unshared bags were 4 x 25 B.
+  // One 13 B bag, charged to Q4, its minting query: key 2 + row count,
+  // dropped count and payload length 3 + the value "host-3" 8. Four
+  // unshared bags were 4 x 13 B.
   Baggage::SerializeStats stats;
   std::vector<uint8_t> wire = ctx.baggage().Serialize(&stats);
   ASSERT_EQ(stats.queries.size(), 1u);
   EXPECT_EQ(stats.queries.begin()->first, ids[0]);
-  EXPECT_EQ(stats.queries.begin()->second.bytes, 2u + 4 + 2 + (8 + 8) + 1);
+  EXPECT_EQ(stats.queries.begin()->second.bytes, 2u + 3 + 8);
   EXPECT_EQ(stats.queries.begin()->second.tuples, 1u);
-  EXPECT_EQ(wire.size(), 4u + 25);
+  EXPECT_EQ(wire.size(), 4u + 13);
 
   // StatusReport lists the shared key under every query.
   const std::string json = d.frontend().StatusReportJson();

@@ -99,12 +99,6 @@ TEST(ItcTest, DecodeRejectsDeepNesting) {
   EXPECT_FALSE(ItcId::Decode(buf.data(), buf.size(), &pos, &decoded));
 }
 
-TEST(ItcTest, OrderingIsTotalOnDistinctIds) {
-  auto [l, r] = ItcId::Seed().Split();
-  EXPECT_TRUE((l < r) != (r < l));
-  EXPECT_FALSE(l < l);
-}
-
 // Property test: arbitrary split/join trees preserve the two ITC invariants
 // the baggage layer depends on — concurrently-held IDs are pairwise disjoint,
 // and joining everything back recovers the seed.

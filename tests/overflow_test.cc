@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/advice_io.h"
 #include "src/core/baggage.h"
 #include "src/core/context.h"
 #include "tests/test_util.h"
@@ -88,42 +89,33 @@ TEST(BagOverflowTest, LargeLimitsAreCappedAtTheValve) {
   EXPECT_EQ(a.StateRows().front().Get("x").int_value(), 2);
 }
 
-// A one-bag baggage's bytes: [instance count][gen][seed id][bag count][key]
-// [semantics][limit]... so the spec's semantics and limit are bytes 5 and 6.
-constexpr size_t kSemanticsByte = 5;
-constexpr size_t kLimitByte = 6;
-
+// The weave command's Pack op carries the spec (advice_io); its decoder
+// rejects a firstN/recentN limit outside 1..kMaxBagTuples.
 TEST(BagOverflowTest, DecodeRejectsLimitsOutsideTheValve) {
-  for (const BagSpec& spec : {BagSpec::Recent(1 << 20), BagSpec::First(kMaxBagTuples + 1)}) {
-    Baggage baggage;
-    baggage.Pack(1, spec, T(1));
-    EXPECT_FALSE(Baggage::Deserialize(baggage.Serialize()).ok());
-  }
-  Baggage at_cap;
-  at_cap.Pack(1, BagSpec::Recent(kMaxBagTuples), T(1));
-  EXPECT_TRUE(Baggage::Deserialize(at_cap.Serialize()).ok());
-  Baggage first;
-  first.Pack(1, BagSpec::First(1), T(1));
-  std::vector<uint8_t> bytes = first.Serialize();
-  ASSERT_EQ(bytes[kLimitByte], 1);
-  bytes[kLimitByte] = 0;
-  EXPECT_FALSE(Baggage::Deserialize(bytes).ok());
+  auto decodes = [](const BagSpec& spec) {
+    std::vector<uint8_t> bytes;
+    PutBagSpec(&bytes, spec);
+    size_t pos = 0;
+    BagSpec decoded;
+    return GetBagSpec(bytes.data(), bytes.size(), &pos, &decoded) && decoded == spec;
+  };
+  EXPECT_FALSE(decodes(BagSpec::Recent(1 << 20)));
+  EXPECT_FALSE(decodes(BagSpec::First(kMaxBagTuples + 1)));
+  EXPECT_FALSE(decodes(BagSpec::First(0)));
+  EXPECT_TRUE(decodes(BagSpec::Recent(kMaxBagTuples)));
+  EXPECT_TRUE(decodes(BagSpec::First(1)));
 }
 
 TEST(BagOverflowTest, DecodedBagIsTrimmedToItsSpec) {
-  // A peer's bag holding more tuples than its spec keeps: three tuples under
-  // RecentN(2) decode as the last two.
+  // A peer's bag holding more tuples than the receiving schema keeps: three
+  // tuples read under RecentN(2) decode as the last two.
   Baggage baggage;
   for (int64_t i = 1; i <= 3; ++i) {
     baggage.Pack(1, BagSpec::All(), T(i));
   }
-  std::vector<uint8_t> bytes = baggage.Serialize();
-  ASSERT_EQ(bytes[kSemanticsByte], static_cast<uint8_t>(PackSemantics::kAll));
-  bytes[kSemanticsByte] = static_cast<uint8_t>(PackSemantics::kRecentN);
-  bytes[kLimitByte] = 2;
-  Result<Baggage> decoded = Baggage::Deserialize(bytes);
+  Result<Baggage> decoded = Baggage::Deserialize(baggage.Serialize());
   ASSERT_TRUE(decoded.ok());
-  std::vector<Tuple> kept = UnpackCopy(*decoded, 1);
+  std::vector<Tuple> kept = UnpackCopy(*decoded, 1, Schema(BagSpec::Recent(2), {"x"}));
   ASSERT_EQ(kept.size(), 2u);
   EXPECT_EQ(kept[0].Get("x").int_value(), 2);
   EXPECT_EQ(kept[1].Get("x").int_value(), 3);
@@ -145,7 +137,7 @@ TEST(SplitJoinTest, ForkIsolatesAndJoinMerges) {
   ctx.baggage().Pack(1, BagSpec::All(), T(2));
 
   // The pre-split tuple is visible to the branch...
-  EXPECT_EQ(UnpackCopy(branch.baggage(), 1).size(), 1u);
+  EXPECT_EQ(UnpackCopy(branch.baggage(), 1, Schema(BagSpec::All(), {"x"})).size(), 1u);
   branch.baggage().Pack(1, BagSpec::All(), T(3));
 
   // ...but the parent's concurrent pack is not, until join.

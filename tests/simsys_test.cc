@@ -221,7 +221,7 @@ TEST(SimRpcTest, BaggageCrossesTheWire) {
   SimRpcCall(
       client, server, ctx, 100,
       [&](CtxPtr sctx, RpcRespond respond) {
-        auto tuples = UnpackCopy(sctx->baggage(), 1);
+        auto tuples = UnpackCopy(sctx->baggage(), 1, Schema(BagSpec::First(1), {"procName"}));
         server_saw_baggage = tuples.size() == 1 &&
                              tuples[0].Get("procName").string_value() == "client";
         // Server adds its own tuple; the client must see it on return.
@@ -230,8 +230,9 @@ TEST(SimRpcTest, BaggageCrossesTheWire) {
       },
       [&](CtxPtr back) {
         client_resumed = true;
-        EXPECT_EQ(UnpackCopy(back->baggage(), 2).size(), 1u);
-        EXPECT_EQ(UnpackCopy(back->baggage(), 1).size(), 1u);
+        EXPECT_EQ(UnpackCopy(back->baggage(), 2, Schema(BagSpec::All(), {"server"})).size(), 1u);
+        EXPECT_EQ(UnpackCopy(back->baggage(), 1, Schema(BagSpec::First(1), {"procName"})).size(),
+                  1u);
       });
   world.env()->RunAll();
   EXPECT_TRUE(server_saw_baggage);

@@ -62,11 +62,18 @@ struct FakeProcess {
   }
 };
 
+// A bag schema of `spec` over the named columns (ignored for an aggregate
+// spec), as a woven Pack or Unpack step binds it.
+inline BagSchemaPtr Schema(const BagSpec& spec, const std::vector<std::string>& columns = {}) {
+  return std::make_shared<const BagSchema>(spec, InternSymbols(columns));
+}
+
 // Bag `key`'s tuples as a copy the test owns (Baggage::Unpack reads them in
-// place).
-inline std::vector<Tuple> UnpackCopy(const Baggage& baggage, BagKey key) {
+// place). A bag that arrived encoded needs its schema.
+inline std::vector<Tuple> UnpackCopy(const Baggage& baggage, BagKey key,
+                                     const BagSchemaPtr& schema = nullptr) {
   std::vector<Tuple> buffer;
-  return baggage.Unpack(key, &buffer);
+  return baggage.Unpack(key, schema.get(), &buffer);
 }
 
 // Canonical (sorted string) form for order-insensitive tuple comparison.
