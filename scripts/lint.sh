@@ -25,20 +25,22 @@ fi
 
 # Codec gate: values reach the wire only through the tuple-set codec
 # (aggregation.cc), the advice codec (advice_io.cc) and wire.cc itself, so a
-# tuple set has one wire form.
+# tuple set has one wire form, the same in a bag and in a report.
 if grep -rnwE 'PutValue|GetValue' "$repo_root/src" |
   grep -vE '^[^:]*/core/(wire|aggregation|advice_io)\.(h|cc):'; then
   echo "lint: PutValue/GetValue outside wire.cc, aggregation.cc and advice_io.cc;" \
-    "encode tuple sets with PutRows or ResultSet."
+    "encode tuple sets with ResultSet::Encode and read them with SetFrame."
   exit 1
 fi
 
 # Baggage gate: a bag travels as bare values and is decoded only by a step
 # holding the schema bound into it at weave time, so baggage.cc writes and
 # reads no spec and no names, and interns nothing: it calls no PutBagSpec or
-# GetBagSpec (the weave command's codec, advice_io.cc), no PutRows or GetRows
-# (the report codec) and no Intern.
-if grep -nE '\b(PutBagSpec|GetBagSpec|PutRows|GetRows)\b|Intern' "$repo_root/src/core/baggage.cc" |
+# GetBagSpec (the weave command's codec, advice_io.cc), none of the report's
+# name-table calls (PutStringList, GetStringList, ResultSet::ColumnNames and
+# DecodeNamed) and no Intern.
+if grep -nE '\b(PutBagSpec|GetBagSpec|PutStringList|GetStringList|ColumnNames|DecodeNamed)\b|Intern' \
+  "$repo_root/src/core/baggage.cc" |
   grep -vE '^[0-9]+:[[:space:]]*//'; then
   echo "lint: src/core/baggage.cc encodes a spec or names, or interns;" \
     "decode bags under the step's BagSchema."

@@ -55,6 +55,7 @@ std::vector<uint8_t> EncodeReportBatch(const ReportBatch& batch, std::vector<siz
   for (const auto& r : batch.reports) {
     size_t start = out.size();
     PutVarint64(&out, r.query_id);
+    PutStringList(&out, r.results.ColumnNames());
     r.results.Encode(&out);
     if (report_bytes != nullptr) {
       report_bytes->push_back(out.size() - start);
@@ -128,20 +129,26 @@ Result<ControlMessage> DecodeControlMessage(const std::vector<uint8_t>& payload,
           !GetVarint64(data, size, &pos, &nreports) || nreports > size) {
         return DataLossError("bad batch header");
       }
+      std::vector<std::string> names;
       for (uint64_t i = 0; i < nreports; ++i) {
+        // A row of no columns takes no bytes, so the row count is bounded
+        // by the frame's size, like every other count.
         uint64_t query_id = 0;
-        if (!GetVarint64(data, size, &pos, &query_id)) {
-          return DataLossError("bad batch report header");
+        SetFrame frame;
+        if (!GetVarint64(data, size, &pos, &query_id) ||
+            !GetStringList(data, size, &pos, &names) || !SetFrame::Get(data, size, &pos, &frame) ||
+            frame.rows > size) {
+          return DataLossError("bad batch report");
         }
         const ResultSet* like = report_sets ? report_sets(query_id) : nullptr;
         if (like == nullptr) {
-          if (!ResultSet::Skip(data, size, &pos)) {
+          if (!frame.Fits(names.size())) {
             return DataLossError("bad batch report");
           }
           continue;
         }
         AgentReport& r = b.reports.emplace_back(AgentReport{query_id, like->EmptyLike()});
-        if (!r.results.Decode(data, size, &pos)) {
+        if (!r.results.DecodeNamed(names, frame)) {
           return DataLossError("bad batch report, or its names do not match the query's plan");
         }
       }

@@ -3,8 +3,8 @@
 // Three message kinds flow over the bus (Fig 2):
 //   Weave    frontend → agents: query id, per-tracepoint advice, result plan
 //   Unweave  frontend → agents: query id
-//   Report   agent → frontend: one interval's partial results for one query,
-//            its field names sent once per report
+//   Report   agent → frontend: one interval's partial results for one query:
+//            its column names once, then the set in a baggage bag's form
 //
 // Reports and heartbeats travel only inside a ReportBatch (kBatch): one frame
 // per agent flush carrying every query's report, so bus traffic scales with
@@ -37,8 +37,9 @@ struct WeaveCommand {
 
 // One query's partial results for the interval a ReportBatch covers: the
 // agent's interval set (aggregate state or streamed rows, as the query's
-// ResultPlan says), shipped in the set's wire form and decoded straight into
-// a set of the receiver's plan.
+// ResultPlan says). It travels as its ColumnNames() and then its one wire
+// form (ResultSet::Encode, the same bytes a baggage bag holds) and is decoded
+// straight into a set of the receiver's plan.
 struct AgentReport {
   uint64_t query_id = 0;
   ResultSet results;
@@ -100,8 +101,9 @@ std::vector<uint8_t> EncodeReportBatch(const ReportBatch& batch,
 
 // How a receiver decodes kBatch reports: maps a report's query id to a set of
 // that query (the receiver's running total, say). The report decodes into an
-// empty set like it, and its name table must match that set's plan. Null
-// skips the report, as does decoding without a lookup.
+// empty set like it (ResultSet::DecodeNamed), so an aggregate's names must be
+// that set's state columns. Null skips the report, as does decoding without a
+// lookup; a skipped report's values are still checked against its names.
 using ReportSetLookup = std::function<const ResultSet*(uint64_t query_id)>;
 
 // Decoded union; `type` selects the valid member.

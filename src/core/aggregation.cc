@@ -589,75 +589,6 @@ std::vector<Tuple> ResultSet::Finalize() const {
   return aggregated_ ? agg_.Finalize() : rows_;
 }
 
-// Wire form:
-//   result-set := varint (name-count << 1 | dense), string*, varint row-count, row*
-//   row        := value{name-count}                           if dense
-//               | varint field-count, { varint name-index, value }*  otherwise
-
-namespace {
-
-// A count read from the wire; every counted item takes at least one byte.
-bool GetCount(const uint8_t* data, size_t size, size_t* pos, uint64_t* n) {
-  return GetVarint64(data, size, pos, n) && *n <= size - *pos;
-}
-
-struct SetHeader {
-  uint64_t names = 0;
-  bool dense = false;
-  uint64_t rows = 0;
-};
-
-// Reads a result-set's header, handing each name-table entry to `on_name`,
-// which returns false to reject it.
-template <typename OnName>
-bool GetHeader(const uint8_t* data, size_t size, size_t* pos, SetHeader* h, OnName on_name) {
-  uint64_t flagged = 0;
-  if (!GetVarint64(data, size, pos, &flagged)) {
-    return false;
-  }
-  h->names = flagged >> 1;
-  h->dense = (flagged & 1) != 0;
-  std::string name;
-  for (uint64_t i = 0; i < h->names; ++i) {
-    if (!GetString(data, size, pos, &name) || !on_name(i, name)) {
-      return false;
-    }
-  }
-  return GetCount(data, size, pos, &h->rows);
-}
-
-// Reads one row, handing each (name index, value) pair to `on_field`.
-template <typename OnField>
-bool GetRow(const uint8_t* data, size_t size, size_t* pos, const SetHeader& h,
-            OnField on_field) {
-  uint64_t fields = h.names;
-  if (!h.dense && !GetCount(data, size, pos, &fields)) {
-    return false;
-  }
-  Value v;
-  for (uint64_t i = 0; i < fields; ++i) {
-    uint64_t index = i;
-    if ((!h.dense && (!GetVarint64(data, size, pos, &index) || index >= h.names)) ||
-        !GetValue(data, size, pos, &v)) {
-      return false;
-    }
-    on_field(static_cast<size_t>(index), std::move(v));
-  }
-  return true;
-}
-
-}  // namespace
-
-void Aggregator::EncodeState(std::vector<uint8_t>* out) const {
-  const Columns& c = *cols_;
-  PutVarint64(out, uint64_t{c.state_names.size()} << 1 | 1);  // Always dense.
-  for (const std::string& name : c.state_names) {
-    PutString(out, name);
-  }
-  PutVarint64(out, group_count());
-  EncodeStateRows(out);
-}
-
 void Aggregator::EncodeStateRows(std::vector<uint8_t>* out) const {
   const Columns& c = *cols_;
   const size_t width = key_width();
@@ -673,21 +604,6 @@ void Aggregator::EncodeStateRows(std::vector<uint8_t>* out) const {
       }
     }
   }
-}
-
-bool Aggregator::DecodeState(const uint8_t* data, size_t size, size_t* pos) {
-  // The name table must be exactly the state columns, so each row value
-  // lands in its column without a lookup or an intern.
-  const std::vector<std::string>& columns = cols_->state_names;
-  SetHeader h;
-  if (!GetHeader(data, size, pos, &h,
-                 [&columns](uint64_t i, const std::string& name) {
-                   return i < columns.size() && name == columns[i];
-                 }) ||
-      !h.dense || h.names != columns.size()) {
-    return false;
-  }
-  return DecodeStateRows(h.rows, data, size, pos);
 }
 
 bool Aggregator::DecodeStateRows(uint64_t rows, const uint8_t* data, size_t size, size_t* pos) {
@@ -711,100 +627,49 @@ bool Aggregator::DecodeStateRows(uint64_t rows, const uint8_t* data, size_t size
   return ok;
 }
 
-void PutRows(std::vector<uint8_t>* out, const std::vector<Tuple>& rows) {
-  // The name table holds every name in first-seen order; rows are dense when
-  // each carries exactly the table, in order.
-  std::vector<SymbolId> names;
-  auto index_of = [&names](SymbolId id) {
-    return static_cast<uint64_t>(std::find(names.begin(), names.end(), id) - names.begin());
-  };
-  for (const Tuple& row : rows) {
-    for (const Tuple::Field& f : row.fields()) {
-      if (index_of(f.id) == names.size()) {
-        names.push_back(f.id);
-      }
-    }
-  }
-  const bool dense = !names.empty() && std::all_of(rows.begin(), rows.end(), [&](const Tuple& row) {
-    return std::equal(row.fields().begin(), row.fields().end(), names.begin(), names.end(),
-                      [](const Tuple::Field& f, SymbolId id) { return f.id == id; });
-  });
-  PutVarint64(out, uint64_t{names.size()} << 1 | (dense ? 1 : 0));
-  for (SymbolId id : names) {
-    PutString(out, SymbolName(id));
-  }
-  PutVarint64(out, rows.size());
-  for (const Tuple& row : rows) {
-    if (!dense) {
-      PutVarint64(out, row.size());
-    }
-    for (const Tuple::Field& f : row.fields()) {
-      if (!dense) {
-        PutVarint64(out, index_of(f.id));
-      }
-      PutValue(out, f.value);
-    }
-  }
+// Wire form (docs/WIRE_FORMAT.md, "Tuple sets"):
+//   set := varint (rows << 1 | valve), varint dropped, varint length, payload
+//   payload := rows dense rows of values, in the columns' order (a retention
+//              set's Columns(), or an aggregate's state columns); no names.
+
+void SetFrame::Put(std::vector<uint8_t>* out) const {
+  PutVarint64(out, rows << 1 | (valve ? 1 : 0));
+  PutVarint64(out, dropped);
+  PutVarint64(out, length);
+  out->insert(out->end(), payload, payload + length);
 }
 
-bool GetRows(const uint8_t* data, size_t size, size_t* pos, std::vector<Tuple>* rows) {
-  std::vector<SymbolId> ids;
-  SetHeader h;
-  if (!GetHeader(data, size, pos, &h, [&ids](uint64_t, const std::string& name) {
-        ids.push_back(InternSymbol(name));
-        return true;
-      })) {
+bool SetFrame::Get(const uint8_t* data, size_t size, size_t* pos, SetFrame* frame) {
+  uint64_t flagged = 0;
+  uint64_t length = 0;
+  if (!GetVarint64(data, size, pos, &flagged) || !GetVarint64(data, size, pos, &frame->dropped) ||
+      !GetVarint64(data, size, pos, &length) || length > size - *pos) {
     return false;
   }
-  for (uint64_t r = 0; r < h.rows; ++r) {
-    std::vector<Tuple::Field> fields;
-    if (h.dense) {
-      fields.reserve(h.names);  // Bounded: a dense row holds a value per name.
-    }
-    if (!GetRow(data, size, pos, h, [&](size_t index, Value&& v) {
-          fields.emplace_back(ids[index], std::move(v));
-        })) {
-      return false;
-    }
-    rows->emplace_back(std::move(fields));
-  }
+  frame->rows = flagged >> 1;
+  frame->valve = (flagged & 1) != 0;
+  frame->payload = data + *pos;
+  frame->length = length;
+  *pos += length;
   return true;
 }
 
-void ResultSet::Encode(std::vector<uint8_t>* out) const {
-  if (aggregated_) {
-    agg_.EncodeState(out);
-  } else {
-    PutRows(out, rows_);
+bool SetFrame::Fits(size_t width) const {
+  if (width == 0) {
+    return length == 0;
   }
-}
-
-bool ResultSet::Decode(const uint8_t* data, size_t size, size_t* pos) {
-  if (aggregated_) {
-    return agg_.DecodeState(data, size, pos);
+  if (rows > length / width) {
+    return false;  // Every value takes at least its tag byte.
   }
-  if (!GetRows(data, size, pos, &rows_)) {
-    return false;
-  }
-  Trim(0);  // A peer's bag may hold more than this spec keeps.
-  return true;
-}
-
-bool ResultSet::Skip(const uint8_t* data, size_t size, size_t* pos) {
-  SetHeader h;
-  if (!GetHeader(data, size, pos, &h, [](uint64_t, const std::string&) { return true; })) {
-    return false;
-  }
-  for (uint64_t r = 0; r < h.rows; ++r) {
-    if (!GetRow(data, size, pos, h, [](size_t, Value&&) {})) {
+  size_t pos = 0;
+  Value v;
+  for (uint64_t i = 0; i < rows * width; ++i) {
+    if (!GetValue(payload, length, &pos, &v)) {
       return false;
     }
   }
-  return true;
+  return pos == length;
 }
-
-// Baggage payload form: dense rows, no names, no counts (the bag's framing
-// carries the row count and the payload length).
 
 namespace {
 
@@ -866,50 +731,61 @@ bool GetDenseRows(const std::vector<SymbolId>& columns, uint64_t n, uint64_t ski
 
 }  // namespace
 
-void ResultSet::EncodeValues(std::vector<uint8_t>* out) const {
+void ResultSet::Encode(std::vector<uint8_t>* out) const {
+  PutVarint64(out, uint64_t{size()} << 1 | (valve_ ? 1 : 0));
+  PutVarint64(out, dropped_);
+  // The length precedes the values: encode them, append the length and
+  // rotate it in front.
+  const size_t values_start = out->size();
   if (aggregated_) {
     agg_.EncodeStateRows(out);
-    return;
-  }
-  if (rows_.empty()) {
-    return;
-  }
-  // Rows a step packs all hold its projection, in order; anything else is
-  // looked up by id.
-  const Tuple& first = rows_.front();
-  for (const Tuple& row : rows_) {
-    for (size_t i = 0; i < first.size(); ++i) {
-      const SymbolId id = first.field(i).id;
-      const Value* v = i < row.size() && row.field(i).id == id ? &row.field(i).value : row.Find(id);
-      PutValue(out, v != nullptr ? *v : NullValue());
+  } else if (!rows_.empty()) {
+    // Rows a step packs or emits all hold its projection, in order; anything
+    // else is looked up by id.
+    const Tuple& first = rows_.front();
+    for (const Tuple& row : rows_) {
+      for (size_t i = 0; i < first.size(); ++i) {
+        const SymbolId id = first.field(i).id;
+        const Value* v =
+            i < row.size() && row.field(i).id == id ? &row.field(i).value : row.Find(id);
+        PutValue(out, v != nullptr ? *v : NullValue());
+      }
     }
   }
+  const size_t length_start = out->size();
+  PutVarint64(out, length_start - values_start);
+  std::rotate(out->begin() + static_cast<ptrdiff_t>(values_start),
+              out->begin() + static_cast<ptrdiff_t>(length_start), out->end());
 }
 
-bool ResultSet::DecodeValues(const std::vector<SymbolId>& columns, uint64_t rows,
-                             const uint8_t* data, size_t size) {
+bool ResultSet::Decode(const std::vector<SymbolId>& columns, const SetFrame& frame) {
+  dropped_ += frame.dropped;
+  const uint64_t rows = frame.rows;
   if (aggregated_) {
     size_t pos = 0;
-    return agg_.DecodeStateRows(rows, data, size, &pos) && pos == size;
+    return agg_.DecodeStateRows(rows, frame.payload, frame.length, &pos) && pos == frame.length;
   }
   // Append's rule: a keep-first set takes what fits, a keep-last set the
-  // last cap_ rows; the rest are only validated.
+  // last cap_ rows; the rest are only validated. A row with values takes a
+  // byte or more, so the payload bounds what is reserved before decoding.
   const uint64_t take =
       std::min<uint64_t>(rows, keep_last_ ? cap_ : cap_ - std::min(cap_, rows_.size()));
-  rows_.reserve(rows_.size() + take);
-  if (!GetDenseRows(columns, rows, keep_last_ ? rows - take : 0, take, data, size,
-                    [this](uint64_t) -> Tuple& { return rows_.emplace_back(); })) {
+  rows_.reserve(rows_.size() + std::min<uint64_t>(take, frame.length));
+  if (!GetDenseRows(columns, rows, keep_last_ ? rows - take : 0, take, frame.payload,
+                    frame.length, [this](uint64_t) -> Tuple& { return rows_.emplace_back(); })) {
     return false;
   }
   Trim(rows - take);
   return true;
 }
 
-bool ResultSet::DecodeRowsInto(const std::vector<SymbolId>& columns, uint64_t rows,
-                               const uint8_t* data, size_t size, std::vector<Tuple>* out) const {
+bool ResultSet::DecodeRowsInto(const std::vector<SymbolId>& columns, const SetFrame& frame,
+                               std::vector<Tuple>* out) const {
   assert(!aggregated_);
+  const uint64_t rows = frame.rows;
   const uint64_t take = std::min<uint64_t>(rows, cap_);
-  const bool ok = GetDenseRows(columns, rows, keep_last_ ? rows - take : 0, take, data, size,
+  const bool ok = GetDenseRows(columns, rows, keep_last_ ? rows - take : 0, take, frame.payload,
+                               frame.length,
                                [out](uint64_t i) -> Tuple& {
                                  if (i == out->size()) {
                                    out->emplace_back();
@@ -920,5 +796,24 @@ bool ResultSet::DecodeRowsInto(const std::vector<SymbolId>& columns, uint64_t ro
   return ok;
 }
 
+std::vector<std::string> ResultSet::ColumnNames() const {
+  if (aggregated_) {
+    return agg_.cols_->state_names;
+  }
+  std::vector<std::string> names;
+  for (SymbolId id : Columns()) {
+    names.emplace_back(SymbolName(id));
+  }
+  return names;
+}
+
+bool ResultSet::DecodeNamed(const std::vector<std::string>& names, const SetFrame& frame) {
+  if (aggregated_) {
+    // The names must be exactly the state columns, so each value lands in
+    // its column without a lookup or an intern.
+    return names == agg_.cols_->state_names && Decode({}, frame);
+  }
+  return Decode(InternSymbols(names), frame);
+}
 
 }  // namespace pivot

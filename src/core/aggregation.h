@@ -5,9 +5,9 @@
 //   2. process-local aggregation of emitted tuples in the PT agent (§5);
 //   3. global merging of agent reports in the frontend.
 // Stages 2 and 3 combine *partial* aggregates, so every aggregator carries a
-// combiner ("for Count, the combiner is Sum"): baggage bags and agent reports
-// ship partial state in one wire form (EncodeState/DecodeState), and every
-// level, from a baggage bag to the frontend, is one ResultSet.
+// combiner ("for Count, the combiner is Sum"). Every level, from a baggage
+// bag to the frontend, is one ResultSet, and bags and agent reports ship it
+// in one wire form (ResultSet::Encode, docs/WIRE_FORMAT.md "Tuple sets").
 
 #ifndef PIVOT_SRC_CORE_AGGREGATION_H_
 #define PIVOT_SRC_CORE_AGGREGATION_H_
@@ -134,14 +134,9 @@ class Aggregator {
   // `output` column (Average divides here).
   std::vector<Tuple> Finalize() const;
 
-  // Wire form of the state: a dense result-set whose name table is the state
-  // columns. DecodeState merges an encoded state of this configuration; it
-  // interns nothing and rejects any other name table.
-  void EncodeState(std::vector<uint8_t>* out) const;
-  bool DecodeState(const uint8_t* data, size_t size, size_t* pos);
-  // The state rows alone, without name table or row count (a baggage bag's
-  // payload): one value per state column, group fields first.
-  // DecodeStateRows merges `rows` of them.
+  // The state rows as a set's payload (ResultSet::Encode): one value per
+  // state column, group fields first, and no names. DecodeStateRows merges
+  // `rows` of them.
   void EncodeStateRows(std::vector<uint8_t>* out) const;
   bool DecodeStateRows(uint64_t rows, const uint8_t* data, size_t size, size_t* pos);
 
@@ -232,14 +227,27 @@ class Aggregator {
   std::vector<IndexSlot> slots_;  // Empty until the first group; 2^k sized.
 };
 
-// The self-describing wire form of a tuple set, used by report frames
-// (docs/WIRE_FORMAT.md, "result-set"): a name table, then one row per tuple.
-// A row is dense (one value per name, in table order) when every row carries
-// exactly the name table, else sparse ((name index, value) pairs). GetRows
-// appends the decoded rows and interns each name-table entry once. Baggage
-// bags carry no names: see ResultSet::EncodeValues.
-void PutRows(std::vector<uint8_t>* out, const std::vector<Tuple>& rows);
-bool GetRows(const uint8_t* data, size_t size, size_t* pos, std::vector<Tuple>* rows);
+// The framing of an encoded tuple set, the one wire form of a ResultSet that
+// baggage bags and agent reports share (docs/WIRE_FORMAT.md, "Tuple sets"):
+//   set := varint (rows << 1 | valve), varint dropped, varint length, payload
+// The payload holds `rows` dense rows of values and no names: only a reader
+// that knows the columns (a bag's schema, a report's name table) can decode
+// it.
+struct SetFrame {
+  uint64_t rows = 0;
+  bool valve = false;
+  uint64_t dropped = 0;
+  const uint8_t* payload = nullptr;  // `length` bytes.
+  size_t length = 0;
+
+  // Appends the frame and its payload.
+  void Put(std::vector<uint8_t>* out) const;
+  // Reads a frame from data[*pos, size), pointing `payload` into `data`, and
+  // steps over its payload without reading it.
+  static bool Get(const uint8_t* data, size_t size, size_t* pos, SetFrame* frame);
+  // True if the payload is exactly `rows` rows of `width` values.
+  bool Fits(size_t width) const;
+};
 
 // One tuple set at one level of the combine tree (§5): a baggage bag, an
 // agent's emission shard, the agent's interval, a report on the wire, the
@@ -284,7 +292,7 @@ class ResultSet {
   bool aggregated() const { return aggregated_; }
   // True when rows past the cap count as dropped (the kMaxBagTuples valve).
   bool valve() const { return valve_; }
-  // A streaming set's columns on the wire (EncodeValues): its first row's.
+  // A streaming set's columns on the wire (Encode): its first row's.
   // Empty for an aggregated set, whose state fixes its layout.
   std::vector<SymbolId> Columns() const;
 
@@ -297,30 +305,28 @@ class ResultSet {
   // Adds drops counted elsewhere (a bag's count off the wire).
   void AddDropped(uint64_t n) { dropped_ += n; }
 
-  // Wire form: Aggregator::EncodeState, or PutRows of the streamed rows.
-  // Decode merges the encoded set into this one under its cap. Skip validates
-  // and steps over an encoded set of any plan. Both return false on malformed
-  // input, after which a decoded set holds part of it and should be dropped.
+  // Appends the set's SetFrame. Its payload is size() rows: aggregate state
+  // rows (Aggregator::EncodeStateRows), or one value per column of Columns()
+  // (a row that lacks one of its first row's columns writes null there).
   void Encode(std::vector<uint8_t>* out) const;
-  bool Decode(const uint8_t* data, size_t size, size_t* pos);
-  static bool Skip(const uint8_t* data, size_t size, size_t* pos);
-
-  // A baggage bag's payload (docs/WIRE_FORMAT.md, "Baggage"): size() dense
-  // rows and no names: aggregate state rows (Aggregator::EncodeStateRows),
-  // or one value per column of Columns() (a row that lacks one of its first
-  // row's columns writes null there). DecodeValues merges `rows` such rows
-  // of `columns` (ignored for an aggregated set), which must fill
-  // data[0, size) exactly, as Absorb would merge a set holding them: the
-  // same retention rule and valve drops. It interns nothing; on false the
-  // set holds part of the input and should be dropped.
-  void EncodeValues(std::vector<uint8_t>* out) const;
-  bool DecodeValues(const std::vector<SymbolId>& columns, uint64_t rows, const uint8_t* data,
-                    size_t size);
+  // Merges an encoded set whose rows hold `columns` (ignored for an
+  // aggregated set) and fill its payload exactly, as Absorb would merge a
+  // set holding them: the same retention rule and valve drops, plus the
+  // frame's drop count. It interns nothing; on false the set holds part of
+  // the input and should be dropped.
+  bool Decode(const std::vector<SymbolId>& columns, const SetFrame& frame);
   // Streaming sets only: the rows an empty set like this one keeps of such
   // an encoding, written to (*out)[0, kept) reusing its tuples' capacity, so
   // a steady-state decode allocates nothing. On false `*out` is empty.
-  bool DecodeRowsInto(const std::vector<SymbolId>& columns, uint64_t rows, const uint8_t* data,
-                      size_t size, std::vector<Tuple>* out) const;
+  bool DecodeRowsInto(const std::vector<SymbolId>& columns, const SetFrame& frame,
+                      std::vector<Tuple>* out) const;
+
+  // The names of an encoded set's columns, as a report carries them: an
+  // aggregated set's state columns, or the names of Columns().
+  std::vector<std::string> ColumnNames() const;
+  // Decode, for rows named by `names`. An aggregated set requires exactly its
+  // state columns and interns nothing; a streaming set interns each name.
+  bool DecodeNamed(const std::vector<std::string>& names, const SetFrame& frame);
 
  private:
   ResultSet(bool aggregated, Aggregator agg) : aggregated_(aggregated), agg_(std::move(agg)) {}

@@ -48,11 +48,6 @@ telemetry::Histogram& SerializeBytesHistogram() {
       telemetry::Metrics().GetHistogram("baggage.serialize.bytes");
   return h;
 }
-telemetry::Histogram& SerializeTuplesHistogram() {
-  static telemetry::Histogram& h =
-      telemetry::Metrics().GetHistogram("baggage.serialize.tuples");
-  return h;
-}
 
 }  // namespace
 
@@ -76,11 +71,11 @@ uint64_t Baggage::Bag::DroppedCount() const {
 ResultSet Baggage::Decoded(const Bag& bag, const ResultSet& like,
                            const std::vector<SymbolId>& columns) {
   ResultSet set = like.EmptyLike();
-  if (!set.DecodeValues(columns, bag.rows, bag.values(), bag.payload.size())) {
+  if (!set.Decode(columns, bag.frame())) {
     DeserializeErrorCounter().Increment();
     set = like.EmptyLike();  // A bad bag reads as empty.
+    set.AddDropped(bag.dropped);
   }
-  set.AddDropped(bag.dropped);
   return set;
 }
 
@@ -172,8 +167,7 @@ const std::vector<Tuple>& Baggage::Unpack(BagKey key, const BagSchema* schema,
   if (holders == 1) {
     if (like->aggregated()) {
       *buffer = Decoded(*only, *like, *columns).StateRows();
-    } else if (!like->DecodeRowsInto(*columns, only->rows, only->values(), only->payload.size(),
-                                     buffer)) {
+    } else if (!like->DecodeRowsInto(*columns, only->frame(), buffer)) {
       DeserializeErrorCounter().Increment();  // Read as empty.
     }
     return *buffer;
@@ -330,10 +324,10 @@ void Baggage::Clear() {
 //   per instance (active instance first, then the retained ones, oldest
 //   first):
 //     [gen] [itc id (canonical bytes)] [bag count]
-//     per bag, keys ascending:
-//       [key] [row count << 1 | valve] [dropped] [payload length] [payload]
-//   payload: row count dense rows of values, in the columns' order (the
-//   packing step's projection, or the aggregate's state columns).
+//     per bag, keys ascending: [key] [set]
+//   set: the tuple set's SetFrame (core/aggregation.h), whose payload holds
+//   dense rows of values in the columns' order (the packing step's
+//   projection, or the aggregate's state columns).
 // A pristine baggage serializes to zero bytes.
 
 void Baggage::PutBags(std::vector<uint8_t>* out, const Bags& bags,
@@ -342,23 +336,10 @@ void Baggage::PutBags(std::vector<uint8_t>* out, const Bags& bags,
   for (const auto& [key, bag] : bags) {
     const size_t bag_start = out->size();
     PutVarint64(out, key);
-    if (!bag.decoded) {
-      // Untouched since it arrived: written back byte for byte.
-      PutVarint64(out, bag.rows << 1 | (bag.valve ? 1 : 0));
-      PutVarint64(out, bag.dropped);
-      PutVarint64(out, bag.payload.size());
-      out->insert(out->end(), bag.values(), bag.values() + bag.payload.size());
+    if (bag.decoded) {
+      bag.set.Encode(out);
     } else {
-      PutVarint64(out, uint64_t{bag.set.size()} << 1 | (bag.set.valve() ? 1 : 0));
-      PutVarint64(out, bag.set.dropped());
-      // The length precedes the values: encode them, append the length and
-      // rotate it in front.
-      const size_t values_start = out->size();
-      bag.set.EncodeValues(out);
-      const size_t length_start = out->size();
-      PutVarint64(out, length_start - values_start);
-      std::rotate(out->begin() + static_cast<ptrdiff_t>(values_start),
-                  out->begin() + static_cast<ptrdiff_t>(length_start), out->end());
+      bag.frame().Put(out);  // Untouched since it arrived: byte for byte.
     }
     if (shares != nullptr) {
       auto& share = (*shares)[BagKeyQuery(key)];
@@ -394,20 +375,16 @@ bool Baggage::Instance::Decode(const uint8_t* data, size_t size, size_t* pos) {
   // them; a repeated or out-of-order key is malformed.
   for (uint64_t i = 0; i < nbags; ++i) {
     uint64_t key = 0;
-    uint64_t rows = 0;
-    uint64_t dropped = 0;
-    uint64_t length = 0;
-    if (!GetVarint64(data, size, pos, &key) || !GetVarint64(data, size, pos, &rows) ||
-        !GetVarint64(data, size, pos, &dropped) || !GetVarint64(data, size, pos, &length) ||
-        length > size - *pos || (!bags.empty() && key <= bags.rbegin()->first)) {
+    SetFrame frame;
+    if (!GetVarint64(data, size, pos, &key) || !SetFrame::Get(data, size, pos, &frame) ||
+        (!bags.empty() && key <= bags.rbegin()->first)) {
       return false;
     }
     Bag& bag = bags.try_emplace(bags.end(), key)->second;
-    bag.rows = rows >> 1;
-    bag.valve = (rows & 1) != 0;
-    bag.dropped = dropped;
-    bag.payload.assign(reinterpret_cast<const char*>(data + *pos), length);
-    *pos += length;
+    bag.rows = frame.rows;
+    bag.valve = frame.valve;
+    bag.dropped = frame.dropped;
+    bag.payload.assign(reinterpret_cast<const char*>(frame.payload), frame.length);
   }
   // Our encoder is canonical (ordered maps, minimal varints), so for bytes we
   // produced the wire slice equals what a re-encode would emit.
@@ -428,11 +405,16 @@ std::vector<uint8_t> Baggage::Serialize(SerializeStats* stats) const {
 
   // The active instance re-encodes only if Pack made its memo stale; the
   // retained ones were encoded when they froze or were decoded.
-  (active_.encoded ? SerializeCacheHitCounter() : SerializeCacheMissCounter()).Increment();
+  if (!active_.encoded) {
+    SerializeCacheMissCounter().Increment();
+  }
+  const uint64_t hits = inactive_.size() + (active_.encoded ? 1 : 0);
+  if (hits != 0) {
+    SerializeCacheHitCounter().Increment(hits);
+  }
   const std::vector<uint8_t>& active = active_.Encode();
   size_t total = active.size();
   for (const auto& inst : inactive_) {
-    SerializeCacheHitCounter().Increment();
     total += inst->bytes.size();
   }
 
@@ -443,9 +425,7 @@ std::vector<uint8_t> Baggage::Serialize(SerializeStats* stats) const {
   for (const auto& inst : inactive_) {
     out.insert(out.end(), inst->bytes.begin(), inst->bytes.end());
   }
-  const size_t tuples = TupleCount();
   SerializeBytesHistogram().Observe(out.size());
-  SerializeTuplesHistogram().Observe(tuples);
   if (stats != nullptr) {
     // Per-query attribution, computed on demand: re-encode each instance's
     // bags into a scratch buffer, which yields the same bytes as `out` holds.
@@ -455,7 +435,7 @@ std::vector<uint8_t> Baggage::Serialize(SerializeStats* stats) const {
       PutBags(&scratch, inst.bags, &stats->queries);
     });
     stats->bytes = out.size();
-    stats->tuples = tuples;
+    stats->tuples = TupleCount();
   }
   return out;
 }

@@ -173,7 +173,10 @@ class Baggage {
     uint64_t dropped = 0;
     std::string payload;
 
-    const uint8_t* values() const { return reinterpret_cast<const uint8_t*>(payload.data()); }
+    SetFrame frame() const {
+      return SetFrame{rows, valve, dropped, reinterpret_cast<const uint8_t*>(payload.data()),
+                      payload.size()};
+    }
 
     size_t TupleCount() const;
     uint64_t DroppedCount() const;

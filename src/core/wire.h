@@ -1,5 +1,6 @@
 // Binary wire codec for values, strings and spec lists: the building blocks of
-// the tuple-set codec (PutRows, Aggregator::EncodeState), baggage and advice.
+// the one tuple-set codec (ResultSet::Encode, SetFrame), baggage, reports and
+// advice.
 //
 // The paper's prototype serialized baggage with protocol buffers; this repo
 // substitutes a hand-rolled varint + length-prefix codec with the same

@@ -297,6 +297,19 @@ TEST(ResultSetTest, AbsorbMoveLeavesTheSourceEmpty) {
   }
 }
 
+// Reads one encoded set from data[*pos, size) into `set` as a report reader
+// does: its frame, then its values under the set's own column names.
+bool Decode(ResultSet* set, const uint8_t* data, size_t size, size_t* pos) {
+  SetFrame frame;
+  return SetFrame::Get(data, size, pos, &frame) && set->DecodeNamed(set->ColumnNames(), frame);
+}
+
+// Steps over one encoded set of `width` columns, validating its values.
+bool Skip(size_t width, const uint8_t* data, size_t size, size_t* pos) {
+  SetFrame frame;
+  return SetFrame::Get(data, size, pos, &frame) && frame.Fits(width);
+}
+
 TEST(ResultSetTest, WireRoundTripKeepsGroupsAndOrder) {
   ResultPlan plan;
   plan.group_fields = {"g", "h"};
@@ -310,21 +323,22 @@ TEST(ResultSetTest, WireRoundTripKeepsGroupsAndOrder) {
   set.Encode(&bytes);
   ResultSet decoded = set.EmptyLike();
   size_t pos = 0;
-  ASSERT_TRUE(decoded.Decode(bytes.data(), bytes.size(), &pos));
+  ASSERT_TRUE(Decode(&decoded, bytes.data(), bytes.size(), &pos));
   EXPECT_EQ(pos, bytes.size());
   EXPECT_EQ(Rendered(decoded.Finalize()), Rendered(set.Finalize()));
   EXPECT_EQ(Rendered(decoded.Finalize()),
             (std::vector<std::string>{"(g=z, h=1.5, AVG=6.0, MIN=4)", "(g=null, h=null, AVG=2.0, MIN=2)",
                                       "(g=1, h=null, AVG=null, MIN=null)"}));
+  const size_t width = set.ColumnNames().size();
   pos = 0;
-  EXPECT_TRUE(ResultSet::Skip(bytes.data(), bytes.size(), &pos));
+  EXPECT_TRUE(Skip(width, bytes.data(), bytes.size(), &pos));
   EXPECT_EQ(pos, bytes.size());
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
     ResultSet partial = set.EmptyLike();
     pos = 0;
-    EXPECT_FALSE(partial.Decode(bytes.data(), cut, &pos)) << "cut=" << cut;
+    EXPECT_FALSE(Decode(&partial, bytes.data(), cut, &pos)) << "cut=" << cut;
     pos = 0;
-    EXPECT_FALSE(ResultSet::Skip(bytes.data(), cut, &pos)) << "cut=" << cut;
+    EXPECT_FALSE(Skip(width, bytes.data(), cut, &pos)) << "cut=" << cut;
   }
 }
 
@@ -380,15 +394,18 @@ TEST(ResultSetTest, DecodeRejectsNonIntAverageCount) {
   set.AddInput(Tuple{{"v", Value(int64_t{4})}});
   std::vector<uint8_t> bytes;
   set.Encode(&bytes);
-  // The one dense row ends with its "AVG#n" column, int 1; make the count a
-  // string.
+  // The set is (one row, no drops, payload length, payload), and the one
+  // row ends with its "AVG#n" column, int 1; make the count a string, one
+  // byte longer.
+  ASSERT_EQ(bytes[2], bytes.size() - 3);
   const std::vector<uint8_t> count = {1, 2};
   ASSERT_TRUE(std::equal(count.begin(), count.end(), bytes.end() - count.size()));
   bytes.resize(bytes.size() - 2);
   bytes.insert(bytes.end(), {3, 1, 'x'});
+  ++bytes[2];
   ResultSet decoded = set.EmptyLike();
   size_t pos = 0;
-  EXPECT_FALSE(decoded.Decode(bytes.data(), bytes.size(), &pos));
+  EXPECT_FALSE(Decode(&decoded, bytes.data(), bytes.size(), &pos));
 }
 
 // Keys that stress the index: strings sharing a 100-byte prefix, the int,
@@ -479,7 +496,7 @@ TEST_P(CombinePropertyTest, SetToSetAbsorbEqualsDirect) {
           parts[p].Encode(&bytes);
           ResultSet decoded = parts[p].EmptyLike();
           size_t pos = 0;
-          ASSERT_TRUE(decoded.Decode(bytes.data(), bytes.size(), &pos));
+          ASSERT_TRUE(Decode(&decoded, bytes.data(), bytes.size(), &pos));
           middle.Absorb(std::move(decoded));
         }
       }

@@ -6,7 +6,10 @@
 
 #include "src/agent/protocol.h"
 #include "src/common/rand.h"
+#include "src/common/varint.h"
+#include "src/core/baggage.h"
 #include "src/core/symbol.h"
+#include "src/core/wire.h"
 
 namespace pivot {
 namespace {
@@ -119,10 +122,10 @@ TEST(ProtocolTest, ReportBatchRoundTrip) {
   std::vector<size_t> report_bytes;
   std::vector<uint8_t> encoded = EncodeReportBatch(batch, &report_bytes);
   // The exact frame. Host, process and timestamp appear once, in the header;
-  // a report is (query id, name table, row count, rows), and a heartbeat is
-  // (query id, suppressed count), with nothing else per entry. Both reports'
-  // rows carry exactly their name table, so they are dense: one value per
-  // name, with no field count or name index.
+  // a report is (query id, name list, set), and a heartbeat is (query id,
+  // suppressed count), with nothing else per entry. The set is a baggage
+  // bag's: (row count << 1 | valve, dropped, payload length), then one value
+  // per name and row, with no field count or name index.
   const std::vector<uint8_t> expected = {
       0x07,                                       // kBatch.
       1, 'C',                                     // host.
@@ -130,22 +133,22 @@ TEST(ProtocolTest, ReportBatchRoundTrip) {
       0x80, 0x9B, 0xEE, 0x02,                     // timestamp 3'000'000 (zig-zag).
       2,                                          // Report count.
       7,                                          // r1: query 7.
-      2 << 1 | 1,                                 //   Two names, dense.
+      2,                                          //   Two names:
       9, 'i', 'n', 'c', 'r', '.', 'h', 'o', 's', 't',
       15, 'S', 'U', 'M', '(', 'i', 'n', 'c', 'r', '.', 'd', 'e', 'l', 't', 'a', ')',
-      1,                                          //   One row:
+      1 << 1, 0, 7,                               //   One row, no drops, 7 bytes:
       3, 1, 'C',                                  //     "C",
       1, 0xF2, 0xC0, 0x01,                        //     int 12345 (zig-zag).
       9,                                          // r2: query 9.
-      1 << 1 | 1, 3, 'x', '.', 'v',               //   One name, dense.
-      2,                                          //   Two rows:
+      1, 3, 'x', '.', 'v',                        //   One name.
+      2 << 1, 0, 4,                               //   Two rows, no drops, 4 bytes:
       1, 2,                                       //     {x.v: 1},
       1, 4,                                       //     {x.v: 2}.
       1,                                          // Heartbeat count.
       11, 10,                                     // Query 11, 10 suppressed.
   };
   EXPECT_EQ(encoded, expected);
-  EXPECT_EQ(report_bytes, (std::vector<size_t>{36, 11}));
+  EXPECT_EQ(report_bytes, (std::vector<size_t>{38, 13}));
 
   PlanLookup plans;
   Result<ControlMessage> decoded = DecodeControlMessage(encoded, plans.lookup());
@@ -164,6 +167,58 @@ TEST(ProtocolTest, ReportBatchRoundTrip) {
   ASSERT_EQ(b.heartbeats.size(), 1u);
   EXPECT_EQ(b.heartbeats[0].query_id, 11u);
   EXPECT_EQ(b.heartbeats[0].reports_suppressed, 10u);
+}
+
+TEST(ProtocolTest, ReportAndBagCarryOneSetEncoding) {
+  // One set, as a baggage bag (key, set) and as a report (query id, names,
+  // set): the set's bytes are the same in both, an aggregate's state
+  // (AVERAGE included) and a streaming set's rows alike.
+  ResultPlan avg_by_g;
+  avg_by_g.group_fields = {"g"};
+  avg_by_g.aggs = {{AggFn::kAverage, "v", "AVG(v)", false}, {AggFn::kCount, "", "COUNT", false}};
+  struct Case {
+    BagSpec spec;
+    std::vector<std::string> names;
+    std::vector<Tuple> tuples;
+  };
+  const std::vector<Case> cases = {
+      {BagSpec::Aggregated(avg_by_g.group_fields, avg_by_g.aggs),
+       {"g", "AVG(v)", "AVG(v)#n", "COUNT"},
+       {Tuple{{"g", Value("a")}, {"v", Value(int64_t{1})}},
+        Tuple{{"g", Value("b")}, {"v", Value(2.5)}},
+        Tuple{{"g", Value("a")}, {"v", Value(int64_t{4})}}}},
+      {BagSpec::First(8),
+       {"x", "y"},
+       {Tuple{{"x", Value(int64_t{1})}, {"y", Value("s")}},
+        Tuple{{"x", Value(int64_t{2})}, {"y", Value("t")}}}},
+  };
+  constexpr BagKey kKey = 300;
+  for (const Case& c : cases) {
+    ResultSet set(c.spec);
+    Baggage baggage;
+    for (const Tuple& t : c.tuples) {
+      set.AddInput(t);
+      baggage.Pack(kKey, c.spec, t);
+    }
+    std::vector<uint8_t> set_bytes;
+    set.Encode(&set_bytes);
+
+    // One instance (generation 0, the seed id) holding one bag.
+    std::vector<uint8_t> bag = {1, 0};
+    ItcId::Seed().Encode(&bag);
+    bag.push_back(1);
+    PutVarint64(&bag, kKey);
+    bag.insert(bag.end(), set_bytes.begin(), set_bytes.end());
+    EXPECT_EQ(baggage.Serialize(), bag) << c.names[0];
+
+    ReportBatch batch;
+    batch.reports.push_back(AgentReport{7, set});
+    std::vector<uint8_t> report = {0x07, 0, 0, 0, 1, 7};  // No host, process or time; one report.
+    PutStringList(&report, c.names);
+    report.insert(report.end(), set_bytes.begin(), set_bytes.end());
+    report.push_back(0);  // No heartbeats.
+    EXPECT_EQ(EncodeReportBatch(batch), report) << c.names[0];
+  }
 }
 
 TEST(ProtocolTest, EmptyBatchRoundTrip) {
@@ -219,20 +274,63 @@ TEST(ProtocolTest, ReportNamesMustMatchThePlan) {
   EXPECT_TRUE(skipped->batch.reports.empty());
 }
 
-TEST(ProtocolTest, OutOfRangeNameIndexRejected) {
+TEST(ProtocolTest, ReportOneValueShortRejected) {
+  // A report's set must hold exactly rows x names values, whether it is
+  // decoded or skipped: drop the last value of query 9's second row and
+  // patch the payload length to match.
   ReportBatch batch;
-  // An empty second row makes the report sparse, so rows carry name indexes.
-  batch.reports.push_back(Report(9, ResultPlan{}, {Tuple{{"x.v", Value(int64_t{1})}}, Tuple()}));
+  batch.reports.push_back(
+      Report(9, ResultPlan{}, {Tuple{{"x.v", Value(int64_t{1})}}, Tuple{{"x.v", Value(int64_t{2})}}}));
   std::vector<uint8_t> encoded = EncodeReportBatch(batch);
-  // The frame ends: ... two rows {field count 1, name index 0, int 1} and
-  // {field count 0}, then no heartbeats. Point the first row's only field
-  // past the one-entry name table.
-  const std::vector<uint8_t> tail = {2, 1, 0, 1, 2, 0, 0};
-  ASSERT_TRUE(std::equal(tail.begin(), tail.end(), encoded.end() - tail.size()));
-  encoded[encoded.size() - 5] = 1;
   PlanLookup plans;
+  ASSERT_TRUE(DecodeControlMessage(encoded, plans.lookup()).ok());
+  ASSERT_TRUE(DecodeControlMessage(encoded).ok());
+  // The frame ends: ... two rows, no drops, 4 bytes {int 1, int 2}, then no
+  // heartbeats.
+  const std::vector<uint8_t> tail = {2 << 1, 0, 4, 1, 2, 1, 4, 0};
+  ASSERT_TRUE(std::equal(tail.begin(), tail.end(), encoded.end() - tail.size()));
+  encoded.erase(encoded.end() - 3, encoded.end() - 1);
+  encoded[encoded.size() - 4] = 2;
   EXPECT_FALSE(DecodeControlMessage(encoded, plans.lookup()).ok());
   EXPECT_FALSE(DecodeControlMessage(encoded).ok());  // Skipping checks it too.
+}
+
+TEST(ProtocolTest, StreamingRowsFollowTheFirstRowsColumns) {
+  // A streaming report names its first row's columns once; a later row
+  // travels in that order, null where it lacks a column.
+  ReportBatch batch;
+  batch.reports.push_back(Report(9, ResultPlan{}, {Tuple{{"x.v", Value(int64_t{1})}, {"x.w", Value("a")}},
+                                                   Tuple{{"x.w", Value("b")}},
+                                                   Tuple{{"x.w", Value("c")}, {"x.v", Value(int64_t{3})}}}));
+  PlanLookup plans;
+  Result<ControlMessage> decoded = DecodeControlMessage(EncodeReportBatch(batch), plans.lookup());
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_EQ(decoded->batch.reports.size(), 1u);
+  EXPECT_EQ(Rendered(decoded->batch.reports[0].results),
+            (std::vector<std::string>{"(x.v=1, x.w=a)", "(x.v=null, x.w=b)", "(x.v=3, x.w=c)"}));
+}
+
+TEST(ProtocolTest, ReportRowCountIsBoundedByTheFrame) {
+  // Rows of no columns take no payload bytes, so a report may not claim more
+  // of them than the frame has bytes.
+  ReportBatch batch;
+  batch.reports.push_back(Report(9, ResultPlan{}, {Tuple(), Tuple()}));
+  std::vector<uint8_t> encoded = EncodeReportBatch(batch);
+  PlanLookup plans;
+  Result<ControlMessage> decoded = DecodeControlMessage(encoded, plans.lookup());
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_EQ(decoded->batch.reports.size(), 1u);
+  EXPECT_EQ(decoded->batch.reports[0].results.size(), 2u);
+  // The frame ends: ... no names, two rows, no drops, no payload, then no
+  // heartbeats. Claim 2^40 rows.
+  const std::vector<uint8_t> tail = {0, 2 << 1, 0, 0, 0};
+  ASSERT_TRUE(std::equal(tail.begin(), tail.end(), encoded.end() - tail.size()));
+  encoded.erase(encoded.end() - 4);
+  std::vector<uint8_t> rows;
+  PutVarint64(&rows, uint64_t{1} << 41);
+  encoded.insert(encoded.end() - 3, rows.begin(), rows.end());
+  EXPECT_FALSE(DecodeControlMessage(encoded, plans.lookup()).ok());
+  EXPECT_FALSE(DecodeControlMessage(encoded).ok());
 }
 
 TEST(ProtocolTest, DecodeInternsAtMostTheNameTable) {

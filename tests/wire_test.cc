@@ -87,97 +87,122 @@ TEST(WireTest, ValueRejectsTruncatedDouble) {
   EXPECT_FALSE(GetValue(buf.data(), buf.size(), &pos, &v));
 }
 
-// Tuple sets travel in one codec, PutRows/GetRows (the result-set wire form
-// of report frames and baggage bags).
+// Tuple sets travel in one codec, ResultSet::Encode (the SetFrame of report
+// frames and baggage bags). A streaming set's rows are read back under its
+// column names, as a report carries them.
 std::vector<Tuple> RoundTripRows(const std::vector<Tuple>& rows) {
+  ResultSet set{ResultPlan{}};
+  for (const Tuple& t : rows) {
+    set.AddInput(t);
+  }
   std::vector<uint8_t> buf;
-  PutRows(&buf, rows);
+  set.Encode(&buf);
+  const std::vector<std::string> names = set.ColumnNames();
   size_t pos = 0;
-  std::vector<Tuple> decoded;
-  EXPECT_TRUE(GetRows(buf.data(), buf.size(), &pos, &decoded));
+  SetFrame frame;
+  EXPECT_TRUE(SetFrame::Get(buf.data(), buf.size(), &pos, &frame));
   EXPECT_EQ(pos, buf.size());
-  EXPECT_TRUE(ResultSet::Skip(buf.data(), buf.size(), &(pos = 0)));
-  EXPECT_EQ(pos, buf.size());
-  return decoded;
+  EXPECT_TRUE(frame.Fits(names.size()));
+  ResultSet decoded = set.EmptyLike();
+  EXPECT_TRUE(decoded.DecodeNamed(names, frame));
+  return decoded.Finalize();
+}
+
+// Encodes `rows` as a streaming set.
+std::vector<uint8_t> Encoded(const std::vector<Tuple>& rows) {
+  ResultSet set{ResultPlan{}};
+  for (const Tuple& t : rows) {
+    set.AddInput(t);
+  }
+  std::vector<uint8_t> buf;
+  set.Encode(&buf);
+  return buf;
 }
 
 TEST(WireTest, TupleRoundTrip) {
   Tuple t{{"host", Value("A")}, {"delta", Value(int64_t{4096})}, {"f", Value(0.5)}};
   EXPECT_EQ(RoundTripRows({t}), std::vector<Tuple>{t});
-  // Rows with the same columns in the same order are dense: one value per
-  // column, and no field count or name index.
-  std::vector<uint8_t> one;
-  std::vector<uint8_t> two;
-  PutRows(&one, {t});
-  PutRows(&two, {t, t});
-  EXPECT_EQ(one[0], 3 << 1 | 1);
+  // Rows are dense: one value per column, and no field count or name index.
+  std::vector<uint8_t> one = Encoded({t});
+  std::vector<uint8_t> two = Encoded({t, t});
+  EXPECT_EQ(one[0], 1 << 1);  // One row, no valve.
   EXPECT_EQ(two.size() - one.size(), 3 + 3 + 9);  // "A", 4096, 0.5.
   EXPECT_EQ(RoundTripRows({t, t}), (std::vector<Tuple>{t, t}));
 }
 
 TEST(WireTest, EmptyTupleRoundTrip) {
   EXPECT_TRUE(RoundTripRows({}).empty());
-  // Empty rows have no name table, so they travel sparse: one field count
-  // of zero each.
-  std::vector<uint8_t> buf;
-  PutRows(&buf, {Tuple(), Tuple()});
-  EXPECT_EQ(buf, (std::vector<uint8_t>{0, 2, 0, 0}));
+  // Empty rows have no columns, so they take no payload bytes: only the
+  // frame's row count records them.
+  EXPECT_EQ(Encoded({Tuple(), Tuple()}), (std::vector<uint8_t>{2 << 1, 0, 0}));
   std::vector<Tuple> decoded = RoundTripRows({Tuple(), Tuple()});
   ASSERT_EQ(decoded.size(), 2u);
   EXPECT_TRUE(decoded[0].empty());
   EXPECT_TRUE(decoded[1].empty());
 }
 
-TEST(WireTest, MixedColumnsTravelSparse) {
-  // Different columns, or the same columns in another order, make the set
-  // sparse: a name table of every name in first-seen order, then (name
-  // index, value) pairs per row.
+TEST(WireTest, MixedColumnsFollowTheFirstRow) {
+  // A set's columns are its first row's: a later row is written in that
+  // order, with null for a column it lacks and without columns it adds.
   Tuple ab{{"a", Value(int64_t{1})}, {"b", Value("x")}};
   Tuple ba{{"b", Value("y")}, {"a", Value(int64_t{2})}};
-  Tuple c{{"c", Value()}};
-  std::vector<uint8_t> buf;
-  PutRows(&buf, {ab, ba, c});
-  EXPECT_EQ(buf[0], 3 << 1);
-  EXPECT_EQ(RoundTripRows({ab, ba, c}), (std::vector<Tuple>{ab, ba, c}));
-  EXPECT_EQ(RoundTripRows({ab, Tuple(), ab}), (std::vector<Tuple>{ab, Tuple(), ab}));
+  Tuple c{{"c", Value()}, {"a", Value(int64_t{3})}};
+  Tuple a2{{"a", Value(int64_t{2})}, {"b", Value("y")}};
+  Tuple a3{{"a", Value(int64_t{3})}, {"b", Value()}};
+  EXPECT_EQ(RoundTripRows({ab, ba, c}), (std::vector<Tuple>{ab, a2, a3}));
+  EXPECT_EQ(Encoded({ab, ba}), Encoded({ab, a2}));
 }
 
 TEST(WireTest, TupleRejectsAbsurdFieldCount) {
-  std::vector<Tuple> rows;
   size_t pos = 0;
-  // A name table longer than the input.
-  std::vector<uint8_t> names;
-  PutVarint64(&names, 1ull << 41);
-  EXPECT_FALSE(GetRows(names.data(), names.size(), &pos, &rows));
-  // More rows than bytes.
-  std::vector<uint8_t> row_count = {0};
-  PutVarint64(&row_count, 1ull << 40);
-  EXPECT_FALSE(GetRows(row_count.data(), row_count.size(), &(pos = 0), &rows));
-  // A sparse row claiming more fields than bytes.
-  std::vector<uint8_t> fields = {0, 1};
-  PutVarint64(&fields, 1ull << 40);
-  EXPECT_FALSE(GetRows(fields.data(), fields.size(), &(pos = 0), &rows));
-  // A name index past the table.
-  std::vector<uint8_t> index = {2, 1, 'a', 1, 1, 1, static_cast<uint8_t>(ValueType::kNull)};
-  EXPECT_FALSE(GetRows(index.data(), index.size(), &(pos = 0), &rows));
-  index[4] = 0;
-  EXPECT_TRUE(GetRows(index.data(), index.size(), &(pos = 0), &rows));
-  for (const auto* bad : {&names, &row_count, &fields}) {
-    EXPECT_FALSE(ResultSet::Skip(bad->data(), bad->size(), &(pos = 0)));
-  }
+  SetFrame frame;
+  // A payload longer than the input.
+  std::vector<uint8_t> length = {1 << 1, 0};
+  PutVarint64(&length, 1ull << 40);
+  EXPECT_FALSE(SetFrame::Get(length.data(), length.size(), &pos, &frame));
+  // More rows than values.
+  std::vector<uint8_t> rows;
+  PutVarint64(&rows, 1ull << 41);
+  rows.insert(rows.end(), {0, 2, static_cast<uint8_t>(ValueType::kNull),
+                           static_cast<uint8_t>(ValueType::kNull)});
+  ASSERT_TRUE(SetFrame::Get(rows.data(), rows.size(), &(pos = 0), &frame));
+  EXPECT_FALSE(frame.Fits(1));
+  ResultSet set{ResultPlan{}};
+  EXPECT_FALSE(set.Decode({InternSymbol("a")}, frame));
+  // Values that do not fill whole rows, or are followed by stray bytes.
+  std::vector<uint8_t> odd = {2 << 1, 0, 3, static_cast<uint8_t>(ValueType::kNull),
+                              static_cast<uint8_t>(ValueType::kNull),
+                              static_cast<uint8_t>(ValueType::kNull)};
+  ASSERT_TRUE(SetFrame::Get(odd.data(), odd.size(), &(pos = 0), &frame));
+  EXPECT_FALSE(frame.Fits(2));
+  EXPECT_FALSE(frame.Fits(1));
+  EXPECT_TRUE((SetFrame{3, false, 0, frame.payload, frame.length}.Fits(1)));
+  // Rows of no columns carry no values.
+  EXPECT_FALSE(frame.Fits(0));
+  EXPECT_TRUE((SetFrame{1ull << 40, false, 0, nullptr, 0}.Fits(0)));
 }
 
 TEST(WireTest, TruncatedRowsRejected) {
   for (const std::vector<Tuple>& rows :
        {std::vector<Tuple>{Tuple{{"a", Value("xyz")}, {"b", Value(1.5)}}},
-        std::vector<Tuple>{Tuple{{"a", Value("xyz")}}, Tuple{{"b", Value(int64_t{7})}}}}) {
-    std::vector<uint8_t> buf;
-    PutRows(&buf, rows);
+        std::vector<Tuple>{Tuple{{"a", Value("xyz")}}, Tuple{{"a", Value(int64_t{7})}}}}) {
+    const std::vector<uint8_t> buf = Encoded(rows);
+    std::vector<std::string> names;
+    for (const Tuple::Field& f : rows.front().fields()) {
+      names.emplace_back(SymbolName(f.id));
+    }
     for (size_t cut = 0; cut < buf.size(); ++cut) {
       size_t pos = 0;
-      std::vector<Tuple> decoded;
-      EXPECT_FALSE(GetRows(buf.data(), cut, &pos, &decoded)) << "cut=" << cut;
-      EXPECT_FALSE(ResultSet::Skip(buf.data(), cut, &(pos = 0))) << "cut=" << cut;
+      SetFrame frame;
+      EXPECT_FALSE(SetFrame::Get(buf.data(), cut, &pos, &frame)) << "cut=" << cut;
+    }
+    // The payload cut short, with the frame's length patched to match (the
+    // frame is three one-byte varints).
+    for (size_t cut = 3; cut < buf.size(); ++cut) {
+      const SetFrame frame{rows.size(), false, 0, buf.data() + 3, cut - 3};
+      ResultSet set{ResultPlan{}};
+      EXPECT_FALSE(frame.Fits(names.size())) << "cut=" << cut;
+      EXPECT_FALSE(set.DecodeNamed(names, frame)) << "cut=" << cut;
     }
   }
 }
@@ -185,15 +210,16 @@ TEST(WireTest, TruncatedRowsRejected) {
 TEST(WireTest, TupleFuzzRoundTrip) {
   Rng rng(31337);
   for (int trial = 0; trial < 200; ++trial) {
-    // Half the sets share one column list (dense), half draw each row's
-    // columns afresh (usually sparse).
-    const bool shared = rng.NextBelow(2) == 0;
-    const int shared_fields = static_cast<int>(rng.NextBelow(8));
+    // Every row of a set has its first row's columns; the columns, their
+    // count and their values are random.
+    const int fields = static_cast<int>(rng.NextBelow(8));
+    std::vector<std::string> names;
+    for (int i = 0; i < fields; ++i) {
+      names.push_back("f" + std::to_string(rng.NextBelow(10)) + "." + std::to_string(i));
+    }
     std::vector<Tuple> rows(rng.NextBelow(5));
     for (Tuple& t : rows) {
-      int fields = shared ? shared_fields : static_cast<int>(rng.NextBelow(8));
-      for (int i = 0; i < fields; ++i) {
-        std::string name = "f" + std::to_string(shared ? i : rng.NextBelow(10));
+      for (const std::string& name : names) {
         switch (rng.NextBelow(4)) {
           case 0:
             t.Append(name, Value());
