@@ -1,5 +1,7 @@
 #include "src/agent/protocol.h"
 
+#include <algorithm>
+
 #include "src/common/varint.h"
 #include "src/core/advice_io.h"
 #include "src/core/baggage.h"
@@ -130,15 +132,23 @@ Result<ControlMessage> DecodeControlMessage(const std::vector<uint8_t>& payload,
         return DataLossError("bad batch header");
       }
       std::vector<std::string> names;
+      // A row of values takes a byte or more, but a row of no columns takes
+      // none. So that the rows a frame decodes stay bounded by its size, like
+      // every other count, the frame keeps at most `size` rows of no columns
+      // in all and counts the rest as dropped, as the bag valve does.
+      uint64_t empty_rows = size;
       for (uint64_t i = 0; i < nreports; ++i) {
-        // A row of no columns takes no bytes, so the row count is bounded
-        // by the frame's size, like every other count.
         uint64_t query_id = 0;
         SetFrame frame;
         if (!GetVarint64(data, size, &pos, &query_id) ||
-            !GetStringList(data, size, &pos, &names) || !SetFrame::Get(data, size, &pos, &frame) ||
-            frame.rows > size) {
+            !GetStringList(data, size, &pos, &names) || !SetFrame::Get(data, size, &pos, &frame)) {
           return DataLossError("bad batch report");
+        }
+        if (names.empty()) {
+          const uint64_t kept = std::min(frame.rows, empty_rows);
+          empty_rows -= kept;
+          frame.dropped += frame.rows - kept;
+          frame.rows = kept;
         }
         const ResultSet* like = report_sets ? report_sets(query_id) : nullptr;
         if (like == nullptr) {

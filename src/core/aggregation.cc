@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdlib>
 #include <cstring>
 #include <iterator>
 #include <type_traits>
@@ -63,6 +64,15 @@ namespace {
 // count every tuple without sharing a cache line.
 telemetry::Counter& GroupProbeCounter() {
   static telemetry::Counter& c = telemetry::Metrics().GetCounter("agg.group_probe_count");
+  return c;
+}
+
+// Streaming rows a set's encoding wrote in columns they did not hold: the
+// set's first row's (docs/WIRE_FORMAT.md, "Tuple sets"). A row drops the
+// columns it adds and reads null where it lacks one. A compiled query's rows
+// share one projection, so this stays 0 unless hand-built advice mixes them.
+telemetry::Counter& MismatchedRowsCounter() {
+  static telemetry::Counter& c = telemetry::Metrics().GetCounter("agg.encode_mismatched_rows");
   return c;
 }
 
@@ -654,23 +664,6 @@ bool SetFrame::Get(const uint8_t* data, size_t size, size_t* pos, SetFrame* fram
   return true;
 }
 
-bool SetFrame::Fits(size_t width) const {
-  if (width == 0) {
-    return length == 0;
-  }
-  if (rows > length / width) {
-    return false;  // Every value takes at least its tag byte.
-  }
-  size_t pos = 0;
-  Value v;
-  for (uint64_t i = 0; i < rows * width; ++i) {
-    if (!GetValue(payload, length, &pos, &v)) {
-      return false;
-    }
-  }
-  return pos == length;
-}
-
 namespace {
 
 bool SameColumns(const Tuple& row, const std::vector<SymbolId>& columns) {
@@ -731,6 +724,11 @@ bool GetDenseRows(const std::vector<SymbolId>& columns, uint64_t n, uint64_t ski
 
 }  // namespace
 
+bool SetFrame::Fits(size_t width) const {
+  return GetDenseRows(std::vector<SymbolId>(width), rows, 0, 0, payload, length,
+                      [](uint64_t) -> Tuple& { std::abort(); });
+}
+
 void ResultSet::Encode(std::vector<uint8_t>* out) const {
   PutVarint64(out, uint64_t{size()} << 1 | (valve_ ? 1 : 0));
   PutVarint64(out, dropped_);
@@ -741,15 +739,21 @@ void ResultSet::Encode(std::vector<uint8_t>* out) const {
     agg_.EncodeStateRows(out);
   } else if (!rows_.empty()) {
     // Rows a step packs or emits all hold its projection, in order; anything
-    // else is looked up by id.
+    // else is looked up by id and counted.
     const Tuple& first = rows_.front();
+    uint64_t mismatched = 0;
     for (const Tuple& row : rows_) {
+      bool same = row.size() == first.size();
       for (size_t i = 0; i < first.size(); ++i) {
         const SymbolId id = first.field(i).id;
-        const Value* v =
-            i < row.size() && row.field(i).id == id ? &row.field(i).value : row.Find(id);
+        same = same && row.field(i).id == id;
+        const Value* v = same ? &row.field(i).value : row.Find(id);
         PutValue(out, v != nullptr ? *v : NullValue());
       }
+      mismatched += same ? 0 : 1;
+    }
+    if (mismatched != 0) {
+      MismatchedRowsCounter().Increment(mismatched);
     }
   }
   const size_t length_start = out->size();

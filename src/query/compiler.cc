@@ -315,11 +315,14 @@ Result<CompiledQuery> QueryCompiler::Compile(const Query& q, uint64_t query_id) 
 
   // Without projection pushdown (ablation baseline), every stage observes all
   // of its tracepoints' exports plus the defaults — Π is not pushed toward
-  // the source, so whole tuples flow through packs and emits.
-  if (!options_.push_projection && registry_ != nullptr) {
+  // the source, so whole tuples flow through packs and emits. A query with
+  // neither Select nor GroupBy projects everything it observes, so it too
+  // observes whole tuples, as the naive evaluator's rows are.
+  const bool select_all = flat.select.empty() && flat.group_by.empty();
+  if ((!options_.push_projection && registry_ != nullptr) || select_all) {
     for (Stage& st : stages) {
       for (const auto& tp_name : st.source.tracepoints) {
-        const Tracepoint* tp = registry_->Find(tp_name);
+        const Tracepoint* tp = registry_ != nullptr ? registry_->Find(tp_name) : nullptr;
         if (tp == nullptr) {
           continue;
         }
@@ -537,7 +540,6 @@ Result<CompiledQuery> QueryCompiler::Compile(const Query& q, uint64_t query_id) 
         }
       }
     }
-    const bool emit_needs_everything = flat.select.empty() && flat.group_by.empty();
 
     for (size_t pos = 0; pos < topo.size(); ++pos) {
       size_t idx = topo[pos];
@@ -545,7 +547,7 @@ Result<CompiledQuery> QueryCompiler::Compile(const Query& q, uint64_t query_id) 
       if (st.is_final || st.agg_pushed) {
         continue;
       }
-      if (!options_.push_projection || emit_needs_everything) {
+      if (!options_.push_projection || select_all) {
         st.pack_fields = st.available;
       } else {
         std::vector<std::string> needed_after = emit_needs;

@@ -175,6 +175,27 @@ TEST_F(FrontendTest, StreamingQueryDeliversRows) {
             (std::vector<std::string>{"(incr.delta=5)", "(incr.delta=6)"}));
 }
 
+TEST_F(FrontendTest, QueryWithoutSelectReportsWholeTuples) {
+  // No Select projects everything observed: every export and default of the
+  // source, never a row of no columns, however often the source fires.
+  Result<uint64_t> q = frontend_.Install("From incr In DataNodeMetrics.incrBytesRead");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  telemetry::Counter& decode_errors = telemetry::Metrics().GetCounter("frontend.decode_errors");
+  const uint64_t errors_before = decode_errors.value();
+  constexpr int kFires = 300;
+  for (int i = 0; i < kFires; ++i) {
+    RunRequest({{&datanode_b_, i}});
+  }
+  FlushAll();
+  EXPECT_EQ(decode_errors.value(), errors_before);
+  const std::vector<Tuple> rows = frontend_.Results(*q);
+  ASSERT_EQ(rows.size(), static_cast<size_t>(kFires));
+  for (int i = 0; i < kFires; ++i) {
+    EXPECT_EQ(rows[i].Get("incr.delta").int_value(), i);
+    EXPECT_EQ(rows[i].Get("incr.host").string_value(), "B");
+  }
+}
+
 TEST_F(FrontendTest, UninstallStopsCollection) {
   Result<uint64_t> q = frontend_.Install(
       "From incr In DataNodeMetrics.incrBytesRead Select COUNT");

@@ -311,26 +311,37 @@ TEST(ProtocolTest, StreamingRowsFollowTheFirstRowsColumns) {
 }
 
 TEST(ProtocolTest, ReportRowCountIsBoundedByTheFrame) {
-  // Rows of no columns take no payload bytes, so a report may not claim more
-  // of them than the frame has bytes.
+  // Rows of no columns take no payload bytes. A frame keeps at most as many
+  // of them as it has bytes and counts the rest as dropped; the frame and
+  // its other reports still decode.
   ReportBatch batch;
   batch.reports.push_back(Report(9, ResultPlan{}, {Tuple(), Tuple()}));
+  batch.reports.push_back(Report(9, ResultPlan{}, {Tuple{{"x.v", Value(int64_t{1})}}}));
   std::vector<uint8_t> encoded = EncodeReportBatch(batch);
   PlanLookup plans;
   Result<ControlMessage> decoded = DecodeControlMessage(encoded, plans.lookup());
   ASSERT_TRUE(decoded.ok());
-  ASSERT_EQ(decoded->batch.reports.size(), 1u);
+  ASSERT_EQ(decoded->batch.reports.size(), 2u);
   EXPECT_EQ(decoded->batch.reports[0].results.size(), 2u);
-  // The frame ends: ... no names, two rows, no drops, no payload, then no
-  // heartbeats. Claim 2^40 rows.
-  const std::vector<uint8_t> tail = {0, 2 << 1, 0, 0, 0};
-  ASSERT_TRUE(std::equal(tail.begin(), tail.end(), encoded.end() - tail.size()));
-  encoded.erase(encoded.end() - 4);
+  EXPECT_EQ(decoded->batch.reports[0].results.dropped(), 0u);
+  // The first report is: query 9, no names, two rows, no drops, no payload.
+  // Claim 2^41 rows.
+  const std::vector<uint8_t> first = {9, 0, 2 << 1, 0, 0};
+  const auto at = std::search(encoded.begin(), encoded.end(), first.begin(), first.end());
+  ASSERT_NE(at, encoded.end());
   std::vector<uint8_t> rows;
-  PutVarint64(&rows, uint64_t{1} << 41);
-  encoded.insert(encoded.end() - 3, rows.begin(), rows.end());
-  EXPECT_FALSE(DecodeControlMessage(encoded, plans.lookup()).ok());
-  EXPECT_FALSE(DecodeControlMessage(encoded).ok());
+  PutVarint64(&rows, uint64_t{1} << 42);
+  encoded.erase(at + 2);
+  encoded.insert(at + 2, rows.begin(), rows.end());
+  decoded = DecodeControlMessage(encoded, plans.lookup());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->batch.reports.size(), 2u);
+  const ResultSet& empties = decoded->batch.reports[0].results;
+  EXPECT_EQ(empties.size(), encoded.size());
+  EXPECT_EQ(empties.size() + empties.dropped(), uint64_t{1} << 41);
+  EXPECT_EQ(Rendered(decoded->batch.reports[1].results),
+            (std::vector<std::string>{"(x.v=1)"}));
+  EXPECT_TRUE(DecodeControlMessage(encoded).ok());
 }
 
 TEST(ProtocolTest, DecodeInternsAtMostTheNameTable) {
