@@ -38,6 +38,7 @@ const char* kBranchSafeQueries[] = {
     "GroupBy a.x, b.x Select a.x, b.x, COUNT",
     "From b In B, D Join a In A On a -> b GroupBy a.y Select a.y, COUNT",
     "From b In B Join a In A On a -> b GroupBy a.x, b.x Select a.x, b.x, AVERAGE(b.y)",
+    "From b In B",
 };
 
 // Additional queries valid only on linear executions.
