@@ -1,6 +1,7 @@
 #include "src/agent/frontend.h"
 
 #include <algorithm>
+#include <cassert>
 #include <set>
 #include <sstream>
 
@@ -8,6 +9,7 @@
 #include "src/common/strings.h"
 #include "src/core/advice_io.h"
 #include "src/core/symbol.h"
+#include "src/core/wire.h"
 #include "src/query/parser.h"
 #include "src/telemetry/metrics.h"
 
@@ -37,6 +39,26 @@ std::vector<BagKey> PackedBags(const std::vector<std::pair<std::string, Advice::
     }
   }
   return bags;
+}
+
+// Decodes `slices`, a run of `names, set` slices, into an empty set like
+// `like`, as HandleBatch decodes each report. The slices decoded once when
+// they arrived (or were sealed from a set), so none fails here.
+ResultSet DecodeSlices(const ResultSet& like, const std::vector<uint8_t>& slices) {
+  ResultSet set = like.EmptyLike();
+  std::vector<std::string> names;
+  size_t pos = 0;
+  while (pos < slices.size()) {
+    SetFrame frame;
+    const bool ok = GetStringList(slices.data(), slices.size(), &pos, &names) &&
+                    SetFrame::Get(slices.data(), slices.size(), &pos, &frame) &&
+                    set.DecodeNamed(names, frame);
+    assert(ok);
+    if (!ok) {
+      break;
+    }
+  }
+  return set;
 }
 
 // The sum of one count over a query's agent views.
@@ -257,6 +279,9 @@ Status Frontend::Uninstall(uint64_t query_id) {
     }
     status.active = false;
     status.uninstalled_micros = NowMicros();
+    ResultSet& total = it->second.total;
+    total.EncodeNamed(&it->second.sealed);
+    total = total.EmptyLike();
     for (BagKey bag : PackedBags(it->second.compiled.advice)) {
       auto live = live_bags_.find(bag);
       if (live == live_bags_.end()) {
@@ -372,17 +397,18 @@ void Frontend::HandleBatch(const std::vector<uint8_t>& payload) {
       ++view.reports;
       view.tuples += tuples;
 
-      // One merge into the total. The report becomes the interval's set
-      // when it is the interval's first, and merges into it otherwise.
-      q.total.Absorb(report.results);
+      // One merge, into the total. The interval keeps the report's bytes:
+      // they become its slices when it is the interval's first report, and
+      // are appended otherwise.
       if (q.listener) {
         deliveries.emplace_back(q.listener, report.results.Finalize());
       }
-      auto slot = q.intervals.lower_bound(ts);
-      if (slot != q.intervals.end() && slot->first == ts) {
-        slot->second.Absorb(std::move(report.results));
+      q.total.Absorb(std::move(report.results));
+      std::vector<uint8_t>& interval = q.intervals[ts];
+      if (interval.empty()) {
+        interval = std::move(report.wire);
       } else {
-        q.intervals.emplace_hint(slot, ts, std::move(report.results));
+        interval.insert(interval.end(), report.wire.begin(), report.wire.end());
       }
     }
     for (const AgentStats& stats : batch.heartbeats) {
@@ -417,7 +443,8 @@ std::vector<Tuple> Frontend::Results(uint64_t query_id) const {
   if (it == queries_.end()) {
     return {};
   }
-  return it->second.total.Finalize();
+  const QueryResults& q = it->second;
+  return q.status.active ? q.total.Finalize() : DecodeSlices(q.total, q.sealed).Finalize();
 }
 
 std::map<int64_t, std::vector<Tuple>> Frontend::Series(uint64_t query_id) const {
@@ -427,8 +454,8 @@ std::map<int64_t, std::vector<Tuple>> Frontend::Series(uint64_t query_id) const 
     return {};
   }
   std::map<int64_t, std::vector<Tuple>> out;
-  for (const auto& [ts, interval] : it->second.intervals) {
-    out.emplace(ts, interval.Finalize());
+  for (const auto& [ts, slices] : it->second.intervals) {
+    out.emplace_hint(out.end(), ts, DecodeSlices(it->second.total, slices).Finalize());
   }
   return out;
 }
@@ -476,6 +503,10 @@ std::vector<Frontend::QueryStatus> Frontend::QueryStatuses() const {
     QueryStatus& s = out.emplace_back(q.status);
     s.reports = SumOverAgents(s.agents, &AgentQueryView::reports);
     s.tuples = SumOverAgents(s.agents, &AgentQueryView::tuples);
+    s.held_bytes = q.sealed.size();
+    for (const auto& [ts, slices] : q.intervals) {
+      s.held_bytes += slices.size();
+    }
     for (BagKey bag : PackedBags(q.compiled.advice)) {
       QueryStatus::PackedBag& packed = s.bags.emplace_back();
       packed.key = bag;
@@ -566,7 +597,8 @@ std::string Frontend::StatusReport() const {
       os << "  ";
       AppendMicros(&os, "uninstalled", s.uninstalled_micros);
     }
-    os << "\n  totals: reports=" << s.reports << " tuples=" << s.tuples << "\n";
+    os << "\n  totals: reports=" << s.reports << " tuples=" << s.tuples
+       << " held_bytes=" << s.held_bytes << "\n";
     if (!s.bags.empty()) {
       os << "  bags:";
       for (const auto& bag : s.bags) {
@@ -619,7 +651,8 @@ std::string Frontend::StatusReportJson() const {
        << ",\"first_tuple_micros\":" << s.first_tuple_micros
        << ",\"last_report_micros\":" << s.last_report_micros
        << ",\"uninstalled_micros\":" << s.uninstalled_micros << ",\"reports\":" << s.reports
-       << ",\"tuples\":" << s.tuples << ",\"bags\":[";
+       << ",\"tuples\":" << s.tuples << ",\"held_bytes\":" << s.held_bytes
+       << ",\"bags\":[";
     for (size_t i = 0; i < s.bags.size(); ++i) {
       if (i > 0) os << ",";
       os << "{\"key\":" << s.bags[i].key << ",\"shared_with\":[";

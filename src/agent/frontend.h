@@ -2,8 +2,9 @@
 //
 // Users hand the frontend query text; it parses, optimizes and compiles the
 // query to advice, publishes a weave command to every agent, and merges the
-// streaming partial results the agents report back — per reporting interval
-// (for time-series views like Fig 1a) and cumulatively (for totals).
+// streaming partial results the agents report back cumulatively (for
+// totals), keeping each reporting interval's reports as received (for
+// time-series views like Fig 1a).
 
 #ifndef PIVOT_SRC_AGENT_FRONTEND_H_
 #define PIVOT_SRC_AGENT_FRONTEND_H_
@@ -98,9 +99,11 @@ class Frontend {
   Result<uint64_t> InstallExplain(std::string_view text);
 
   // Removes the query's advice everywhere and stops collecting its results.
-  // Accumulated results remain readable. Uninstalling an uninstalled query is
-  // Ok and does nothing. A bag shared with other queries lives on until the
-  // last of them goes.
+  // Accumulated results remain readable: the total is sealed into its wire
+  // form (ResultSet::EncodeNamed) and the merged set released, so an
+  // uninstalled query holds bytes, not decoded groups. Uninstalling an
+  // uninstalled query is Ok and does nothing. A bag shared with other queries
+  // lives on until the last of them goes.
   Status Uninstall(uint64_t query_id);
 
   const CompiledQuery* compiled(uint64_t query_id) const;
@@ -112,11 +115,13 @@ class Frontend {
   // ---- Results ----
 
   // Cumulative results since installation: finalized aggregates (group fields
-  // + aggregate columns) or all streamed rows.
+  // + aggregate columns) or all streamed rows. An uninstalled query's rows
+  // are decoded from its sealed total on each call.
   std::vector<Tuple> Results(uint64_t query_id) const;
 
   // Per-interval results keyed by the agents' report timestamp (micros) —
-  // the data behind the paper's time-series plots.
+  // the data behind the paper's time-series plots. Each interval is decoded
+  // from the reports it received, on each call.
   std::map<int64_t, std::vector<Tuple>> Series(uint64_t query_id) const;
 
   // Streaming consumption: `listener` is invoked for every agent report that
@@ -154,6 +159,9 @@ class Frontend {
     int64_t uninstalled_micros = -1;
     uint64_t reports = 0;  // Sums of the agent views' counts.
     uint64_t tuples = 0;
+    // Encoded result bytes the frontend keeps for the query: its intervals'
+    // report slices plus, once uninstalled, its sealed total.
+    uint64_t held_bytes = 0;
     std::map<std::string, AgentQueryView> agents;  // "host/process" -> view.
     // Bags the query packs; for a shared bag, the other active queries
     // packing it.
@@ -176,8 +184,15 @@ class Frontend {
     explicit QueryResults(CompiledQuery c) : compiled(std::move(c)), total(compiled.plan) {}
     CompiledQuery compiled;
     ResultListener listener;
-    ResultSet total;                         // Since installation.
-    std::map<int64_t, ResultSet> intervals;  // Keyed by report timestamp.
+    // Since installation, merged report by report; once uninstalled, an empty
+    // set of the plan, and the total is `sealed`.
+    ResultSet total;
+    // An uninstalled query's total as `names, set` slices (EncodeNamed).
+    std::vector<uint8_t> sealed;
+    // Keyed by report timestamp: the interval's reports as received, their
+    // `names, set` slices (AgentReport::wire) in arrival order. Merged only
+    // when Series decodes them.
+    std::map<int64_t, std::vector<uint8_t>> intervals;
     // Lifecycle (frontend clock; agent report timestamps for report events)
     // and agent views. QueryStatuses fills in the totals and bags.
     QueryStatus status;

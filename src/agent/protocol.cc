@@ -140,14 +140,19 @@ Result<ControlMessage> DecodeControlMessage(const std::vector<uint8_t>& payload,
       for (uint64_t i = 0; i < nreports; ++i) {
         uint64_t query_id = 0;
         SetFrame frame;
-        if (!GetVarint64(data, size, &pos, &query_id) ||
-            !GetStringList(data, size, &pos, &names) || !SetFrame::Get(data, size, &pos, &frame)) {
+        if (!GetVarint64(data, size, &pos, &query_id)) {
           return DataLossError("bad batch report");
         }
+        const size_t slice = pos;
+        if (!GetStringList(data, size, &pos, &names) || !SetFrame::Get(data, size, &pos, &frame)) {
+          return DataLossError("bad batch report");
+        }
+        bool capped = false;
         if (names.empty()) {
           const uint64_t kept = std::min(frame.rows, empty_rows);
           empty_rows -= kept;
           frame.dropped += frame.rows - kept;
+          capped = kept != frame.rows;
           frame.rows = kept;
         }
         const ResultSet* like = report_sets ? report_sets(query_id) : nullptr;
@@ -160,6 +165,12 @@ Result<ControlMessage> DecodeControlMessage(const std::vector<uint8_t>& payload,
         AgentReport& r = b.reports.emplace_back(AgentReport{query_id, like->EmptyLike()});
         if (!r.results.DecodeNamed(names, frame)) {
           return DataLossError("bad batch report, or its names do not match the query's plan");
+        }
+        if (capped) {
+          PutStringList(&r.wire, names);
+          frame.Put(&r.wire);
+        } else {
+          r.wire.assign(data + slice, data + pos);
         }
       }
       uint64_t nstats = 0;

@@ -41,8 +41,15 @@ struct WeaveCommand {
 // form (ResultSet::Encode, the same bytes a baggage bag holds) and is decoded
 // straight into a set of the receiver's plan.
 struct AgentReport {
+  AgentReport(uint64_t id, ResultSet set) : query_id(id), results(std::move(set)) {}
+
   uint64_t query_id = 0;
   ResultSet results;
+  // A decoded report's `names, set` bytes as received, so a receiver can keep
+  // the report in its wire form (docs/WIRE_FORMAT.md "Control plane"); the
+  // frame is re-Put only when the batch's empty-row bound capped its rows.
+  // Encoding ignores it.
+  std::vector<uint8_t> wire;
 };
 
 // Agent -> frontend: acknowledges that a weave command was applied locally.

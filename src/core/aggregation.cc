@@ -729,37 +729,82 @@ bool SetFrame::Fits(size_t width) const {
                       [](uint64_t) -> Tuple& { std::abort(); });
 }
 
-void ResultSet::Encode(std::vector<uint8_t>* out) const {
-  PutVarint64(out, uint64_t{size()} << 1 | (valve_ ? 1 : 0));
-  PutVarint64(out, dropped_);
-  // The length precedes the values: encode them, append the length and
-  // rotate it in front.
+namespace {
+
+// Appends a set's framing around the payload `put_payload` appends. The
+// length precedes the values: they are encoded first, then the length is
+// appended and rotated in front of them.
+template <typename PutPayload>
+void PutFramed(uint64_t rows, bool valve, uint64_t dropped, std::vector<uint8_t>* out,
+               PutPayload put_payload) {
+  PutVarint64(out, rows << 1 | (valve ? 1 : 0));
+  PutVarint64(out, dropped);
   const size_t values_start = out->size();
-  if (aggregated_) {
-    agg_.EncodeStateRows(out);
-  } else if (!rows_.empty()) {
-    // Rows a step packs or emits all hold its projection, in order; anything
-    // else is looked up by id and counted.
-    const Tuple& first = rows_.front();
-    uint64_t mismatched = 0;
-    for (const Tuple& row : rows_) {
-      bool same = row.size() == first.size();
-      for (size_t i = 0; i < first.size(); ++i) {
-        const SymbolId id = first.field(i).id;
-        same = same && row.field(i).id == id;
-        const Value* v = same ? &row.field(i).value : row.Find(id);
-        PutValue(out, v != nullptr ? *v : NullValue());
-      }
-      mismatched += same ? 0 : 1;
-    }
-    if (mismatched != 0) {
-      MismatchedRowsCounter().Increment(mismatched);
-    }
-  }
+  put_payload();
   const size_t length_start = out->size();
   PutVarint64(out, length_start - values_start);
   std::rotate(out->begin() + static_cast<ptrdiff_t>(values_start),
               out->begin() + static_cast<ptrdiff_t>(length_start), out->end());
+}
+
+// Appends rows [first, last) as dense values in the first row's columns.
+// Rows a step packs or emits all hold its projection, in order; anything
+// else is looked up by id and counted.
+void PutDenseRows(const Tuple* first, const Tuple* last, std::vector<uint8_t>* out) {
+  uint64_t mismatched = 0;
+  for (const Tuple* row = first; row != last; ++row) {
+    bool same = row->size() == first->size();
+    for (size_t i = 0; i < first->size(); ++i) {
+      const SymbolId id = first->field(i).id;
+      same = same && row->field(i).id == id;
+      const Value* v = same ? &row->field(i).value : row->Find(id);
+      PutValue(out, v != nullptr ? *v : NullValue());
+    }
+    mismatched += same ? 0 : 1;
+  }
+  if (mismatched != 0) {
+    MismatchedRowsCounter().Increment(mismatched);
+  }
+}
+
+}  // namespace
+
+void ResultSet::Encode(std::vector<uint8_t>* out) const {
+  PutFramed(size(), valve_, dropped_, out, [&] {
+    if (aggregated_) {
+      agg_.EncodeStateRows(out);
+    } else {
+      PutDenseRows(rows_.data(), rows_.data() + rows_.size(), out);
+    }
+  });
+}
+
+void ResultSet::EncodeNamed(std::vector<uint8_t>* out) const {
+  if (aggregated_ || rows_.empty()) {
+    PutStringList(out, ColumnNames());
+    Encode(out);
+    return;
+  }
+  uint64_t dropped = dropped_;  // Carried by the first slice.
+  std::vector<SymbolId> columns;
+  std::vector<std::string> names;
+  for (size_t begin = 0; begin < rows_.size();) {
+    const Tuple& first = rows_[begin];
+    columns.clear();
+    names.clear();
+    for (const Tuple::Field& f : first.fields()) {
+      columns.push_back(f.id);
+      names.emplace_back(f.name());
+    }
+    size_t end = begin + 1;
+    while (end < rows_.size() && SameColumns(rows_[end], columns)) {
+      ++end;
+    }
+    PutStringList(out, names);
+    PutFramed(end - begin, valve_, std::exchange(dropped, 0), out,
+              [&] { PutDenseRows(&first, rows_.data() + end, out); });
+    begin = end;
+  }
 }
 
 bool ResultSet::Decode(const std::vector<SymbolId>& columns, const SetFrame& frame) {

@@ -250,8 +250,9 @@ struct SetFrame {
 };
 
 // One tuple set at one level of the combine tree (§5): a baggage bag, an
-// agent's emission shard, the agent's interval, a report on the wire, the
-// frontend's total or one of its intervals. An aggregated plan keeps
+// agent's emission shard, the agent's interval, a report on the wire or the
+// frontend's total. (The frontend keeps its intervals, and an uninstalled
+// query's total, as encoded `names, set` slices.) An aggregated plan keeps
 // Aggregator state, a streaming plan keeps rows in arrival order. Each level
 // absorbs the level below set to set: groups merge through the combiner
 // (Table 3), rows append.
@@ -324,6 +325,12 @@ class ResultSet {
   // The names of an encoded set's columns, as a report carries them: an
   // aggregated set's state columns, or the names of Columns().
   std::vector<std::string> ColumnNames() const;
+  // Appends the set as `names, set` slices, the form a report carries
+  // (ColumnNames, then Encode), that DecodeNamed in order into an empty set
+  // like this one turns back into this set, drops included: one slice for an
+  // aggregated set, one per run of rows sharing columns for a streaming set,
+  // so no row loses a column.
+  void EncodeNamed(std::vector<uint8_t>* out) const;
   // Decode, for rows named by `names`. An aggregated set requires exactly its
   // state columns and interns nothing; a streaming set interns each name.
   bool DecodeNamed(const std::vector<std::string>& names, const SetFrame& frame);

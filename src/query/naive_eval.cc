@@ -15,6 +15,7 @@ namespace {
 struct NStage {
   SourceRef source;
   std::vector<size_t> succs;           // Stage indices this one happens before.
+  std::vector<size_t> preds;           // Stage indices happening before this one.
   std::vector<LetBinding> lets;
 };
 
@@ -53,11 +54,11 @@ Result<NaiveResult> EvaluateNaive(const Query& q, const TraceRecorder& recorder,
   std::map<std::string, size_t> alias_to_stage;
   for (const auto& j : flat.joins) {
     alias_to_stage[j.source.alias] = stages.size();
-    stages.push_back(NStage{j.source, {}, {}});
+    stages.push_back(NStage{j.source, {}, {}, {}});
   }
   size_t final_idx = stages.size();
   alias_to_stage[flat.from.alias] = final_idx;
-  stages.push_back(NStage{flat.from, {}, {}});
+  stages.push_back(NStage{flat.from, {}, {}, {}});
 
   std::vector<std::pair<size_t, size_t>> edges;  // (earlier, later)
   for (const auto& j : flat.joins) {
@@ -68,6 +69,7 @@ Result<NaiveResult> EvaluateNaive(const Query& q, const TraceRecorder& recorder,
     }
     edges.emplace_back(li->second, ri->second);
     stages[li->second].succs.push_back(ri->second);
+    stages[ri->second].preds.push_back(li->second);
   }
   for (const auto& let : flat.lets) {
     auto it = alias_to_stage.find(let.alias);
@@ -107,6 +109,28 @@ Result<NaiveResult> EvaluateNaive(const Query& q, const TraceRecorder& recorder,
     topo.push_back(final_idx);
   }
   std::vector<size_t> reverse_topo(topo.rbegin(), topo.rend());
+
+  // Row column order, the compiled one: a stage's own columns (its Observe),
+  // then each stage it joins, in On order, with what that stage packed (its
+  // Unpack), depth first. The From source comes first.
+  std::vector<size_t> row_order;
+  {
+    std::vector<bool> seen(stages.size(), false);
+    std::function<void(size_t)> visit = [&](size_t idx) {
+      if (seen[idx]) {
+        return;
+      }
+      seen[idx] = true;
+      row_order.push_back(idx);
+      for (size_t p : stages[idx].preds) {
+        visit(p);
+      }
+    };
+    visit(final_idx);
+    for (size_t idx : topo) {
+      visit(idx);  // Stages not feeding the From source (a query the compiler rejects).
+    }
+  }
 
   NaiveResult result;
 
@@ -152,9 +176,9 @@ Result<NaiveResult> EvaluateNaive(const Query& q, const TraceRecorder& recorder,
 
     std::function<void(size_t)> choose = [&](size_t rpos) {
       if (rpos == reverse_topo.size()) {
-        // Complete: concatenate in topo order.
+        // Complete: concatenate in row order.
         Tuple row;
-        for (size_t idx : topo) {
+        for (size_t idx : row_order) {
           row = row.Concat(per_stage[idx][assignment[idx]].tuple);
         }
         joined_rows.push_back(std::move(row));

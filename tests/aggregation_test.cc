@@ -6,6 +6,7 @@
 
 #include "src/common/rand.h"
 #include "src/core/aggregation.h"
+#include "src/core/wire.h"
 
 namespace pivot {
 namespace {
@@ -339,6 +340,66 @@ TEST(ResultSetTest, WireRoundTripKeepsGroupsAndOrder) {
     EXPECT_FALSE(Decode(&partial, bytes.data(), cut, &pos)) << "cut=" << cut;
     pos = 0;
     EXPECT_FALSE(Skip(width, bytes.data(), cut, &pos)) << "cut=" << cut;
+  }
+}
+
+// Decodes every `names, set` slice of `bytes`, in order, into `set`.
+bool DecodeNamedSlices(const std::vector<uint8_t>& bytes, ResultSet* set) {
+  std::vector<std::string> names;
+  size_t pos = 0;
+  while (pos < bytes.size()) {
+    SetFrame frame;
+    if (!GetStringList(bytes.data(), bytes.size(), &pos, &names) ||
+        !SetFrame::Get(bytes.data(), bytes.size(), &pos, &frame) ||
+        !set->DecodeNamed(names, frame)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(ResultSetTest, EncodeNamedRoundTripsEveryRowAndDrop) {
+  // A streaming set whose rows change columns seals into one slice per run;
+  // Encode alone would write every row in the first row's columns.
+  ResultSet rows{ResultPlan{}};
+  rows.AddInput(Tuple{{"a", Value(int64_t{1})}, {"b", Value("x")}});
+  rows.AddInput(Tuple{{"a", Value(int64_t{2})}, {"b", Value("y")}});
+  rows.AddInput(Tuple{{"b", Value("z")}});
+  rows.AddInput(Tuple());
+  rows.AddInput(Tuple{{"b", Value(int64_t{3})}, {"a", Value(0.5)}});
+  rows.AddInput(Tuple{{"a", Value(int64_t{4})}, {"b", Value("w")}});
+  rows.AddDropped(7);
+  std::vector<uint8_t> bytes;
+  rows.EncodeNamed(&bytes);
+  ResultSet decoded = rows.EmptyLike();
+  ASSERT_TRUE(DecodeNamedSlices(bytes, &decoded));
+  EXPECT_EQ(Rendered(decoded.Finalize()), Rendered(rows.Finalize()));
+  EXPECT_EQ(decoded.dropped(), 7u);
+
+  ResultPlan plan;
+  plan.group_fields = {"g"};
+  plan.aggs = {{AggFn::kAverage, "v", "AVG", false}, {AggFn::kCount, "", "COUNT", false}};
+  ResultSet groups(plan);
+  for (int i = 0; i < 20; ++i) {
+    groups.AddInput(Row(std::to_string(i % 6), i));
+  }
+  groups.AddDropped(3);
+  bytes.clear();
+  groups.EncodeNamed(&bytes);
+  ResultSet merged = groups.EmptyLike();
+  ASSERT_TRUE(DecodeNamedSlices(bytes, &merged));
+  EXPECT_EQ(Rendered(merged.Finalize()), Rendered(groups.Finalize()));
+  EXPECT_EQ(merged.dropped(), 3u);
+
+  // Empty sets seal too, and decode back to empty sets.
+  for (const ResultSet* set : {&rows, &groups}) {
+    ResultSet empty = set->EmptyLike();
+    bytes.clear();
+    empty.EncodeNamed(&bytes);
+    ResultSet back = set->EmptyLike();
+    ASSERT_TRUE(DecodeNamedSlices(bytes, &back));
+    EXPECT_EQ(Rendered(back.Finalize()), Rendered(empty.Finalize()));
+    EXPECT_EQ(back.dropped(), 0u);
   }
 }
 

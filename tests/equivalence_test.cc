@@ -39,6 +39,8 @@ const char* kBranchSafeQueries[] = {
     "From b In B, D Join a In A On a -> b GroupBy a.y Select a.y, COUNT",
     "From b In B Join a In A On a -> b GroupBy a.x, b.x Select a.x, b.x, AVERAGE(b.y)",
     "From b In B",
+    "From b In B Join a In A On a -> b",
+    "From c In C Join b In B On b -> c Join a In A On a -> b",
 };
 
 // Additional queries valid only on linear executions.

@@ -344,6 +344,70 @@ TEST(ProtocolTest, ReportRowCountIsBoundedByTheFrame) {
   EXPECT_TRUE(DecodeControlMessage(encoded).ok());
 }
 
+// Decodes `wire`, one report's `names, set` slice, into an empty set like
+// `like`; false unless the slice is exactly one well-formed report.
+bool DecodeSlice(const std::vector<uint8_t>& wire, const ResultSet& like, ResultSet* out) {
+  std::vector<std::string> names;
+  SetFrame frame;
+  size_t pos = 0;
+  *out = like.EmptyLike();
+  return GetStringList(wire.data(), wire.size(), &pos, &names) &&
+         SetFrame::Get(wire.data(), wire.size(), &pos, &frame) && pos == wire.size() &&
+         out->DecodeNamed(names, frame);
+}
+
+TEST(ProtocolTest, DecodedReportKeepsItsReceivedBytes) {
+  // A decoded report carries its `names, set` bytes exactly as they arrived,
+  // and they decode again into the same rows.
+  ReportBatch batch;
+  batch.reports.push_back(
+      Report(7, SumByHost(),
+             {Tuple{{"incr.host", Value("C")}, {"incr.delta", Value(int64_t{3})}},
+              Tuple{{"incr.host", Value("D")}, {"incr.delta", Value(int64_t{4})}}}));
+  batch.reports.push_back(Report(9, ResultPlan{}, {Tuple{{"x.v", Value(int64_t{1})}}}));
+  std::vector<size_t> report_bytes;
+  const std::vector<uint8_t> encoded = EncodeReportBatch(batch, &report_bytes);
+  PlanLookup plans;
+  Result<ControlMessage> decoded = DecodeControlMessage(encoded, plans.lookup());
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_EQ(decoded->batch.reports.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    const AgentReport& r = decoded->batch.reports[i];
+    // The report's bytes less its one-byte query id.
+    ASSERT_EQ(r.wire.size(), report_bytes[i] - 1);
+    EXPECT_NE(std::search(encoded.begin(), encoded.end(), r.wire.begin(), r.wire.end()),
+              encoded.end());
+    ResultSet again(ResultPlan{});
+    ASSERT_TRUE(DecodeSlice(r.wire, r.results, &again));
+    EXPECT_EQ(Rendered(again), Rendered(r.results));
+  }
+  // Decoding without a lookup keeps nothing.
+  Result<ControlMessage> skipped = DecodeControlMessage(encoded);
+  ASSERT_TRUE(skipped.ok());
+  EXPECT_TRUE(skipped->batch.reports.empty());
+}
+
+TEST(ProtocolTest, CappedReportKeepsTheRowsItDecoded) {
+  // A report whose rows of no columns the frame capped keeps bytes that
+  // decode to what the frame kept: the capped row count and the larger drop
+  // count.
+  ReportBatch batch;
+  std::vector<Tuple> empties(5000);
+  batch.reports.push_back(Report(9, ResultPlan{}, empties));
+  const std::vector<uint8_t> encoded = EncodeReportBatch(batch);
+  PlanLookup plans;
+  Result<ControlMessage> decoded = DecodeControlMessage(encoded, plans.lookup());
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_EQ(decoded->batch.reports.size(), 1u);
+  const AgentReport& r = decoded->batch.reports[0];
+  ASSERT_LT(r.results.size(), 5000u);
+  ASSERT_EQ(r.results.size() + r.results.dropped(), 5000u);
+  ResultSet again(ResultPlan{});
+  ASSERT_TRUE(DecodeSlice(r.wire, r.results, &again));
+  EXPECT_EQ(again.size(), r.results.size());
+  EXPECT_EQ(again.dropped(), r.results.dropped());
+}
+
 TEST(ProtocolTest, DecodeInternsAtMostTheNameTable) {
   // A streaming report interns each name-table entry once, however many rows
   // repeat it; an aggregated report matches names against its plan and
