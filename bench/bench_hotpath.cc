@@ -9,6 +9,9 @@
 //      clean path at --min-serialize-speedup (default 10x): serializing an
 //      unchanged baggage — the response leg of every RPC — must be an order
 //      of magnitude cheaper than a re-encode.
+//   4. Aggregate merge (informational, no gate): ns per row to decode a
+//      ~6k-row COUNT report into a fresh set and to merge it into a
+//      64k-group total, the frontend's two steps per report on rpc_storm.
 //
 // Hand-rolled timing (interleaved passes, best-of-N) like
 // bench_telemetry_overhead: no google-benchmark dependency, so the gate runs
@@ -24,7 +27,9 @@
 
 #include "bench/bench_util.h"
 #include "src/common/clock.h"
+#include "src/common/rand.h"
 #include "src/core/advice.h"
+#include "src/core/aggregation.h"
 #include "src/core/baggage.h"
 #include "src/core/context.h"
 #include "src/core/plan.h"
@@ -197,6 +202,52 @@ int main(int argc, char** argv) {
     json.Report("serialize_dirty", dirty, "ns");
     json.Report("serialize_clean", clean, "ns");
     json.Report("serialize_clean_speedup", serialize_speedup, "x");
+  }
+
+  // ---- 4. Aggregate merge: decode a report, merge it into the total ----
+  {
+    constexpr int kTotalGroups = 1 << 16;
+    constexpr int kReportRows = 6'000;
+    constexpr int kIters = 20;
+    const ResultPlan plan{{"s.key"}, {{AggFn::kCount, "", "COUNT", false}}};
+    auto key = [](uint64_t i) { return Value("key-" + std::to_string(100'000 + i)); };
+    ResultSet total(plan);
+    for (int i = 0; i < kTotalGroups; ++i) {
+      total.AddInput(Tuple{{"s.key", key(static_cast<uint64_t>(i))}});
+    }
+    // A report of distinct keys drawn from the total's, each counted a few
+    // times, as an agent's interval is.
+    Rng rng(25);
+    ResultSet interval(plan);
+    while (interval.size() < static_cast<size_t>(kReportRows)) {
+      const Tuple t{{"s.key", key(rng.NextBelow(kTotalGroups))}};
+      for (uint64_t n = 1 + rng.NextBelow(4); n > 0; --n) {
+        interval.AddInput(t);
+      }
+    }
+    std::vector<uint8_t> report;
+    interval.Encode(&report);
+    const std::vector<std::string> names = interval.ColumnNames();
+    SetFrame frame;
+    size_t pos = 0;
+    if (!SetFrame::Get(report.data(), report.size(), &pos, &frame)) {
+      return 1;
+    }
+    auto decoded = [&] {
+      ResultSet set = total.EmptyLike();
+      g_sink += set.DecodeNamed(names, frame) ? set.size() : 0;
+      return set;
+    };
+    const double decode = MeasureNs([&] { decoded(); }, kIters) / kReportRows;
+    const double decode_merge =
+        MeasureNs([&] { total.Absorb(decoded()); }, kIters) / kReportRows;
+    const double merge = decode_merge - decode;
+    printf("\nAggregate merge (%d-row COUNT report, %d-group total):\n", kReportRows,
+           kTotalGroups);
+    printf("  decode into a fresh set %7.1f ns/row\n", decode);
+    printf("  merge into the total    %7.1f ns/row\n", merge);
+    json.Report("agg_report_decode_ns_per_row", decode, "ns");
+    json.Report("agg_merge_ns_per_row", merge, "ns");
   }
 
   json.Write();

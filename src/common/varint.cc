@@ -31,6 +31,18 @@ bool GetVarint64(const uint8_t* data, size_t size, size_t* pos, uint64_t* value)
   return false;
 }
 
+bool GetCanonicalVarint64(const uint8_t* data, size_t size, size_t* pos, uint64_t* value) {
+  const size_t start = *pos;
+  if (!GetVarint64(data, size, pos, value)) {
+    return false;
+  }
+  // The last byte carries the top bits: zero only when it is the only byte,
+  // and a tenth byte holds bit 63 alone.
+  const size_t n = *pos - start;
+  const uint8_t last = data[*pos - 1];
+  return (n == 1 || last != 0) && (n < 10 || last == 1);
+}
+
 bool GetVarintSigned64(const uint8_t* data, size_t size, size_t* pos, int64_t* value) {
   uint64_t raw = 0;
   if (!GetVarint64(data, size, pos, &raw)) {

@@ -26,6 +26,11 @@ void PutVarintSigned64(std::vector<uint8_t>* out, int64_t value);
 // unspecified.
 bool GetVarint64(const uint8_t* data, size_t size, size_t* pos, uint64_t* value);
 
+// GetVarint64 that accepts only the bytes PutVarint64 writes: no overlong
+// form (a trailing zero byte) and no bits past the 64th. Where values are
+// compared as their bytes, this keeps one value to one spelling.
+bool GetCanonicalVarint64(const uint8_t* data, size_t size, size_t* pos, uint64_t* value);
+
 // Zig-zag decoding counterpart of PutVarintSigned64.
 bool GetVarintSigned64(const uint8_t* data, size_t size, size_t* pos, int64_t* value);
 

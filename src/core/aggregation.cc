@@ -41,6 +41,7 @@ Aggregator::Aggregator(std::vector<std::string> group_fields, std::vector<AggSpe
   cols->group_ids = InternSymbols(group_fields);
   cols->state_names = std::move(group_fields);
   cols->spec_ids.reserve(specs.size());
+  cols->word_width = (specs.size() + 63) / 64;  // The has-value bits lead.
   for (const AggSpec& spec : specs) {
     SpecIds ids;
     ids.input = InternSymbol(spec.input);
@@ -48,6 +49,14 @@ Aggregator::Aggregator(std::vector<std::string> group_fields, std::vector<AggSpe
     ids.output = InternSymbol(spec.output);
     ids.output_n = InternSymbol(spec.output + "#n");
     cols->spec_ids.push_back(ids);
+    StateSlot slot;
+    if (spec.fn == AggFn::kCount || spec.fn == AggFn::kAverage) {
+      slot.word = static_cast<uint32_t>(cols->word_width++);
+    }
+    if (spec.fn != AggFn::kCount) {
+      slot.value = static_cast<uint32_t>(cols->value_width++);
+    }
+    cols->state.push_back(slot);
     for (std::string& name : spec.StateColumns()) {
       cols->state_names.push_back(std::move(name));
     }
@@ -83,10 +92,20 @@ constexpr size_t kInitialSlots = 16;
 // the merge reaches them.
 constexpr size_t kSlotAhead = 16;
 constexpr size_t kGroupAhead = 8;
+constexpr size_t kKeyAhead = 4;
 
 // Load factor bound of the group index: at most 7/8 full, counting one
 // group about to be inserted.
 bool IndexFits(size_t groups, size_t slots) { return (groups + 1) * 8 <= slots * 7; }
+
+// Reserves room for `n` elements, at least doubling a capacity it grows, so
+// a run of small reservations reallocates logarithmically often.
+template <typename T>
+void ReserveGeometric(std::vector<T>* v, size_t n) {
+  if (n > v->capacity()) {
+    v->reserve(std::max(n, 2 * v->capacity()));
+  }
+}
 
 const Value& NullValue() {
   static const Value null;
@@ -99,75 +118,25 @@ const Value& FieldOrNull(const Tuple& t, SymbolId id) {
   return v != nullptr ? *v : NullValue();
 }
 
-// Type-tagged FNV-1a over the group values, one value at a time. Must stay
-// consistent with GroupValueEquals below: bit-identical values hash
-// identically. The type tag keeps int 1 / double 1.0 / string "1" in distinct
-// buckets: they are distinct groups, even though Value's operator== holds
-// numerically-equal ints and doubles equal.
-constexpr uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
-constexpr uint64_t kFnvPrime = 0x100000001B3ULL;
-
-uint64_t HashBytes(uint64_t h, const void* data, size_t n) {
-  const auto* p = static_cast<const uint8_t*>(data);
+// FNV-1a over a group key's bytes.
+uint64_t HashKey(const uint8_t* p, size_t n) {
+  uint64_t h = 0xCBF29CE484222325ULL;
   for (size_t i = 0; i < n; ++i) {
-    h = (h ^ p[i]) * kFnvPrime;
+    h = (h ^ p[i]) * 0x100000001B3ULL;
   }
   return h;
 }
 
-uint64_t MixValue(uint64_t h, const Value& v) {
-  h = (h ^ static_cast<uint8_t>(v.type())) * kFnvPrime;
-  switch (v.type()) {
-    case ValueType::kNull:
-      break;
-    case ValueType::kInt: {
-      int64_t i = v.int_value();
-      h = HashBytes(h, &i, sizeof(i));
-      break;
-    }
-    case ValueType::kDouble: {
-      double d = v.double_value();
-      h = HashBytes(h, &d, sizeof(d));
-      break;
-    }
-    case ValueType::kString:
-      h = HashBytes(h, v.string_value().data(), v.string_value().size());
-      break;
-  }
-  return h;
+// Spec `spec`'s has-value bit in a group's words.
+bool HasValue(const uint64_t* words, size_t spec) {
+  return ((words[spec / 64] >> (spec % 64)) & 1) != 0;
 }
+void MarkValue(uint64_t* words, size_t spec) { words[spec / 64] |= uint64_t{1} << (spec % 64); }
 
-// Group-key equality: same type and exactly the same value. Doubles compare
-// bitwise (consistent with hashing their raw bytes), NOT through
-// Value::Compare's cross-type numeric ordering.
-bool GroupValueEquals(const Value& a, const Value& b) {
-  if (a.type() != b.type()) {
-    return false;
-  }
-  switch (a.type()) {
-    case ValueType::kNull:
-      return true;
-    case ValueType::kInt:
-      return a.int_value() == b.int_value();
-    case ValueType::kDouble: {
-      double da = a.double_value();
-      double db = b.double_value();
-      return std::memcmp(&da, &db, sizeof(da)) == 0;
-    }
-    case ValueType::kString:
-      return a.string_value() == b.string_value();
-  }
-  return false;
-}
+Value CountValue(uint64_t word) { return Value(static_cast<int64_t>(word)); }
 
-bool KeysEqual(const Value* a, const Value* b, size_t width) {
-  for (size_t i = 0; i < width; ++i) {
-    if (!GroupValueEquals(a[i], b[i])) {
-      return false;
-    }
-  }
-  return true;
-}
+// An Average's companion count: absent or non-int counts contribute nothing.
+int64_t CountOf(const Value& n) { return n.is_int() ? n.int_value() : 0; }
 
 }  // namespace
 
@@ -197,10 +166,34 @@ std::pair<uint32_t, bool> Aggregator::FindOrInsert(uint64_t hash, SameKey same_k
   return {group, true};
 }
 
+void Aggregator::AppendState() {
+  words_.resize(words_.size() + cols_->word_width);
+  values_.resize(values_.size() + cols_->value_width);
+}
+
+std::pair<uint32_t, bool> Aggregator::GroupForKey(const uint8_t* key, size_t size,
+                                                  uint64_t hash, uint64_t* probes) {
+  auto [group, inserted] = FindOrInsert(
+      hash,
+      [&](uint32_t g) {
+        const size_t begin = KeyBegin(g);
+        return key_ends_[g] - begin == size &&
+               (size == 0 || std::memcmp(key_bytes_.data() + begin, key, size) == 0);
+      },
+      probes);
+  if (inserted) {
+    key_bytes_.insert(key_bytes_.end(), key, key + size);
+    key_ends_.push_back(key_bytes_.size());
+    AppendState();
+  }
+  return {group, inserted};
+}
+
 void Aggregator::Reserve(size_t groups) {
-  keys_.reserve(groups * key_width());
-  accums_.reserve(groups * spec_count());
-  hashes_.reserve(groups);
+  ReserveGeometric(&key_ends_, groups);
+  ReserveGeometric(&words_, groups * cols_->word_width);
+  ReserveGeometric(&values_, groups * cols_->value_width);
+  ReserveGeometric(&hashes_, groups);
   size_t slots = std::max(slots_.size(), kInitialSlots);
   while (!IndexFits(groups, slots)) {
     slots *= 2;
@@ -224,86 +217,89 @@ void Aggregator::Rehash(size_t slot_count) {
 }
 
 uint32_t Aggregator::GroupFor(const Tuple& t) {
-  const std::vector<SymbolId>& ids = cols_->group_ids;
-  const size_t width = ids.size();
-  uint64_t hash = kFnvOffset;
-  for (SymbolId id : ids) {
-    hash = MixValue(hash, FieldOrNull(t, id));
+  // The key is written to the end of the arena, then looked up there: a new
+  // group keeps it, an existing one takes it back off.
+  const size_t key = key_bytes_.size();
+  for (SymbolId id : cols_->group_ids) {
+    PutValue(&key_bytes_, FieldOrNull(t, id));
   }
+  const size_t size = key_bytes_.size() - key;
   uint64_t probes = 0;
   auto [group, inserted] = FindOrInsert(
-      hash,
+      HashKey(key_bytes_.data() + key, size),
       [&](uint32_t g) {
-        const Value* key = keys_.data() + size_t{g} * width;
-        for (size_t i = 0; i < width; ++i) {
-          if (!GroupValueEquals(key[i], FieldOrNull(t, ids[i]))) {
-            return false;
-          }
-        }
-        return true;
+        const size_t begin = KeyBegin(g);
+        return key_ends_[g] - begin == size &&
+               (size == 0 ||
+                std::memcmp(key_bytes_.data() + begin, key_bytes_.data() + key, size) == 0);
       },
       &probes);
   GroupProbeCounter().Increment(probes);
   if (inserted) {
-    for (SymbolId id : ids) {
-      keys_.push_back(FieldOrNull(t, id));
-    }
-    accums_.resize(accums_.size() + spec_count());
+    key_ends_.push_back(key_bytes_.size());
+    AppendState();
+  } else {
+    key_bytes_.resize(key);
   }
   return group;
 }
 
-void Aggregator::Combine(Accum* a, AggFn fn, const Value& v, int64_t n) {
-  if (v.is_null()) {
+void Aggregator::Combine(size_t i, uint64_t* words, Value* values, const Value& v,
+                         int64_t n) const {
+  const AggFn fn = cols_->specs[i].fn;
+  const StateSlot slot = cols_->state[i];
+  if (v.is_null() || (fn == AggFn::kCount && !v.is_int())) {
     return;
   }
+  if (fn == AggFn::kCount) {
+    // The combiner for Count is Sum (Table 3), wrapping as ValueAdd does.
+    words[slot.word] += static_cast<uint64_t>(v.int_value());
+    MarkValue(words, i);
+    return;
+  }
+  Value& acc = values[slot.value];
+  const bool has = HasValue(words, i);
   switch (fn) {
-    case AggFn::kCount:  // Combiner for Count is Sum (Table 3).
     case AggFn::kSum:
-      a->value = a->has_value ? ValueAdd(a->value, v) : v;
+    case AggFn::kAverage:
+      acc = has ? ValueAdd(acc, v) : v;
       break;
     case AggFn::kMin:
-      if (!a->has_value || v.Compare(a->value) < 0) {
-        a->value = v;
+      if (!has || v.Compare(acc) < 0) {
+        acc = v;
       }
       break;
     case AggFn::kMax:
-      if (!a->has_value || v.Compare(a->value) > 0) {
-        a->value = v;
+      if (!has || v.Compare(acc) > 0) {
+        acc = v;
       }
       break;
-    case AggFn::kAverage:
-      a->value = a->has_value ? ValueAdd(a->value, v) : v;
-      a->count += n;
+    case AggFn::kCount:
       break;
   }
-  a->has_value = true;
+  if (fn == AggFn::kAverage) {
+    words[slot.word] += static_cast<uint64_t>(n);
+  }
+  MarkValue(words, i);
 }
-
-namespace {
-
-// An Average's companion count: absent or non-int counts contribute nothing.
-int64_t CountOf(const Value& n) { return n.is_int() ? n.int_value() : 0; }
-
-}  // namespace
 
 void Aggregator::AddInput(const Tuple& t) {
   // A raw input is a partial aggregate of one tuple: a count of 1, or the
   // input value with an Average count of 1. Null inputs contribute nothing.
   static const Value kOne(int64_t{1});
   const Columns& c = *cols_;
-  const uint32_t group = GroupFor(t);  // May grow accums_.
-  Accum* accums = accums_.data() + size_t{group} * c.specs.size();
+  const uint32_t group = GroupFor(t);  // May grow the state rows.
+  uint64_t* words = words_.data() + size_t{group} * c.word_width;
+  Value* values = values_.data() + size_t{group} * c.value_width;
   for (size_t i = 0; i < c.specs.size(); ++i) {
     const AggSpec& spec = c.specs[i];
     const SpecIds& ids = c.spec_ids[i];
     if (spec.from_state) {
-      Combine(&accums[i], spec.fn, FieldOrNull(t, ids.input),
-              CountOf(FieldOrNull(t, ids.input_n)));
+      Combine(i, words, values, FieldOrNull(t, ids.input), CountOf(FieldOrNull(t, ids.input_n)));
     } else if (spec.fn == AggFn::kCount) {
-      Combine(&accums[i], spec.fn, kOne, 0);
+      Combine(i, words, values, kOne, 0);
     } else {
-      Combine(&accums[i], spec.fn, FieldOrNull(t, ids.input), 1);
+      Combine(i, words, values, FieldOrNull(t, ids.input), 1);
     }
   }
 }
@@ -313,58 +309,70 @@ void Aggregator::MergeGroups(Source& other) {
   constexpr bool kMove = !std::is_const_v<Source>;
   assert(&other != this && !empty() && other.key_width() == key_width() &&
          other.spec_count() == spec_count());
-  const std::vector<AggSpec>& specs = cols_->specs;
-  const size_t width = key_width();
-  const size_t nspecs = specs.size();
+  const Columns& c = *cols_;
+  const size_t word_width = c.word_width;
+  const size_t value_width = c.value_width;
   const size_t groups = other.hashes_.size();
   uint64_t probes = 0;
   for (size_t g = 0; g < groups; ++g) {
     // The incoming hashes are known up front, so hide the index's cache
     // misses behind the merge: the home slot of the group kSlotAhead on,
-    // then the key and accumulators of the group that slot names, for the
-    // group kGroupAhead on (its slot was fetched kSlotAhead - kGroupAhead
-    // groups ago). A big total (the frontend's) outgrows the cache.
+    // then the key end and state rows of the group that slot names, for the
+    // group kGroupAhead on, then that group's key bytes kKeyAhead on. A big
+    // total (the frontend's) outgrows the cache.
     const size_t mask = slots_.size() - 1;
+    auto ahead = [&](size_t distance) {
+      return slots_[static_cast<size_t>(other.hashes_[g + distance]) & mask].group;
+    };
     if (g + kSlotAhead < groups) {
       __builtin_prefetch(&slots_[static_cast<size_t>(other.hashes_[g + kSlotAhead]) & mask]);
     }
     if (g + kGroupAhead < groups) {
-      const uint32_t ahead =
-          slots_[static_cast<size_t>(other.hashes_[g + kGroupAhead]) & mask].group;
-      if (ahead != kEmptySlot) {
-        __builtin_prefetch(keys_.data() + size_t{ahead} * width);
-        __builtin_prefetch(accums_.data() + size_t{ahead} * nspecs);
+      if (const uint32_t a = ahead(kGroupAhead); a != kEmptySlot) {
+        __builtin_prefetch(&key_ends_[a == 0 ? 0 : a - 1]);
+        __builtin_prefetch(words_.data() + size_t{a} * word_width);
+        __builtin_prefetch(values_.data() + size_t{a} * value_width);
       }
     }
-    auto* src_key = other.keys_.data() + g * width;
-    auto* src_accums = other.accums_.data() + g * nspecs;
-    auto [group, inserted] = FindOrInsert(
-        other.hashes_[g],
-        [&](uint32_t mine) {
-          return KeysEqual(keys_.data() + size_t{mine} * width, src_key, width);
-        },
-        &probes);
-    if (inserted) {
-      for (size_t i = 0; i < width; ++i) {
-        if constexpr (kMove) {
-          keys_.push_back(std::move(src_key[i]));
-        } else {
-          keys_.push_back(src_key[i]);
-        }
+    if (g + kKeyAhead < groups) {
+      if (const uint32_t a = ahead(kKeyAhead); a != kEmptySlot) {
+        __builtin_prefetch(key_bytes_.data() + KeyBegin(a));
       }
-      for (size_t i = 0; i < nspecs; ++i) {
+    }
+    const size_t key = other.KeyBegin(g);
+    const auto [group, inserted] = GroupForKey(
+        other.key_bytes_.data() + key, other.key_ends_[g] - key, other.hashes_[g], &probes);
+    uint64_t* words = words_.data() + size_t{group} * word_width;
+    Value* values = values_.data() + size_t{group} * value_width;
+    auto* src_words = other.words_.data() + g * word_width;
+    auto* src_values = other.values_.data() + g * value_width;
+    if (inserted) {
+      std::copy(src_words, src_words + word_width, words);
+      for (size_t i = 0; i < value_width; ++i) {
         if constexpr (kMove) {
-          accums_.push_back(std::move(src_accums[i]));
+          values[i] = std::move(src_values[i]);
         } else {
-          accums_.push_back(src_accums[i]);
+          values[i] = src_values[i];
         }
       }
       continue;
     }
-    Accum* accums = accums_.data() + size_t{group} * nspecs;
-    for (size_t i = 0; i < nspecs; ++i) {
-      if (src_accums[i].has_value) {
-        Combine(&accums[i], specs[i].fn, src_accums[i].value, src_accums[i].count);
+    for (size_t i = 0; i < c.specs.size(); ++i) {
+      if (!HasValue(src_words, i)) {
+        continue;
+      }
+      const StateSlot slot = c.state[i];
+      switch (c.specs[i].fn) {
+        case AggFn::kCount:
+          words[slot.word] += src_words[slot.word];
+          MarkValue(words, i);
+          break;
+        case AggFn::kAverage:
+          Combine(i, words, values, src_values[slot.value],
+                  static_cast<int64_t>(src_words[slot.word]));
+          break;
+        default:
+          Combine(i, words, values, src_values[slot.value], 0);
       }
     }
   }
@@ -379,8 +387,10 @@ bool Aggregator::SameColumns(const Aggregator& other) const {
 void Aggregator::Absorb(const Aggregator& other) {
   assert(SameColumns(other));
   if (empty()) {
-    keys_ = other.keys_;
-    accums_ = other.accums_;
+    key_bytes_ = other.key_bytes_;
+    key_ends_ = other.key_ends_;
+    words_ = other.words_;
+    values_ = other.values_;
     hashes_ = other.hashes_;
     slots_ = other.slots_;
   } else {
@@ -391,8 +401,10 @@ void Aggregator::Absorb(const Aggregator& other) {
 void Aggregator::Absorb(Aggregator&& other) {
   assert(SameColumns(other));
   if (empty()) {
-    keys_.swap(other.keys_);
-    accums_.swap(other.accums_);
+    key_bytes_.swap(other.key_bytes_);
+    key_ends_.swap(other.key_ends_);
+    words_.swap(other.words_);
+    values_.swap(other.values_);
     hashes_.swap(other.hashes_);
     slots_.swap(other.slots_);
   } else {
@@ -401,58 +413,66 @@ void Aggregator::Absorb(Aggregator&& other) {
   other.Clear();
 }
 
-bool Aggregator::AddStateRow(std::vector<Value>* row, uint64_t* probes) {
-  const Columns& c = *cols_;
-  const size_t width = key_width();
-  uint64_t hash = kFnvOffset;
-  for (size_t i = 0; i < width; ++i) {
-    hash = MixValue(hash, (*row)[i]);
-  }
-  auto [group, inserted] = FindOrInsert(
-      hash, [&](uint32_t g) { return KeysEqual(keys_.data() + size_t{g} * width, row->data(), width); },
-      probes);
-  if (inserted) {
-    for (size_t i = 0; i < width; ++i) {
-      keys_.push_back(std::move((*row)[i]));
+void Aggregator::AppendKey(size_t g, std::vector<Tuple::Field>* fields) const {
+  // Read straight from the arena, without GetValue's checks: every key
+  // there was written by PutValue or passed SkipCanonicalValue.
+  const uint8_t* p = key_bytes_.data() + KeyBegin(g);
+  for (SymbolId id : cols_->group_ids) {
+    const auto type = static_cast<ValueType>(*p++);
+    if (type == ValueType::kNull) {
+      fields->emplace_back(id, Value());
+      continue;
     }
-    accums_.resize(accums_.size() + c.specs.size());
-  }
-  Accum* accums = accums_.data() + size_t{group} * c.specs.size();
-  size_t col = width;
-  for (size_t i = 0; i < c.specs.size(); ++i) {
-    int64_t n = 0;
-    if (c.specs[i].fn == AggFn::kAverage) {
-      const Value& count = (*row)[col + 1];
-      if (!count.is_null() && !count.is_int()) {
-        return false;  // The caller drops the whole set.
+    if (type == ValueType::kDouble) {
+      double d = 0;
+      std::memcpy(&d, p, sizeof(d));
+      p += sizeof(d);
+      fields->emplace_back(id, Value(d));
+      continue;
+    }
+    uint64_t n = 0;  // The int, or the string's length.
+    for (int shift = 0;; shift += 7) {
+      n |= static_cast<uint64_t>(*p & 0x7F) << shift;
+      if ((*p++ & 0x80) == 0) {
+        break;
       }
-      n = CountOf(count);
     }
-    Combine(&accums[i], c.specs[i].fn, (*row)[col], n);
-    col += c.specs[i].fn == AggFn::kAverage ? 2 : 1;
+    if (type == ValueType::kInt) {
+      fields->emplace_back(id, Value(ZigZagDecode(n)));
+    } else {
+      fields->emplace_back(id, Value(std::string_view(reinterpret_cast<const char*>(p), n)));
+      p += n;
+    }
   }
-  return true;
+}
+
+template <typename Put>
+void Aggregator::ForEachState(size_t g, Put put) const {
+  const Columns& c = *cols_;
+  const uint64_t* words = words_.data() + g * c.word_width;
+  const Value* values = values_.data() + g * c.value_width;
+  for (size_t i = 0; i < c.specs.size(); ++i) {
+    const StateSlot slot = c.state[i];
+    const SpecIds& ids = c.spec_ids[i];
+    if (c.specs[i].fn == AggFn::kCount) {
+      put(ids.output, HasValue(words, i) ? CountValue(words[slot.word]) : NullValue());
+      continue;
+    }
+    put(ids.output, values[slot.value]);
+    if (c.specs[i].fn == AggFn::kAverage) {
+      put(ids.output_n, CountValue(words[slot.word]));
+    }
+  }
 }
 
 std::vector<Tuple> Aggregator::StateTuples() const {
-  const Columns& c = *cols_;
-  const size_t width = key_width();
   std::vector<Tuple> out;
   out.reserve(group_count());
   for (size_t g = 0; g < group_count(); ++g) {
     std::vector<Tuple::Field> fields;
-    fields.reserve(c.state_names.size());
-    for (size_t i = 0; i < width; ++i) {
-      fields.emplace_back(c.group_ids[i], keys_[g * width + i]);
-    }
-    const Accum* accums = accums_.data() + g * c.specs.size();
-    for (size_t i = 0; i < c.specs.size(); ++i) {
-      const Accum& a = accums[i];
-      fields.emplace_back(c.spec_ids[i].output, a.has_value ? a.value : Value());
-      if (c.specs[i].fn == AggFn::kAverage) {
-        fields.emplace_back(c.spec_ids[i].output_n, Value(a.count));
-      }
-    }
+    fields.reserve(cols_->state_names.size());
+    AppendKey(g, &fields);
+    ForEachState(g, [&fields](SymbolId id, const Value& v) { fields.emplace_back(id, v); });
     out.emplace_back(std::move(fields));
   }
   return out;
@@ -460,29 +480,32 @@ std::vector<Tuple> Aggregator::StateTuples() const {
 
 std::vector<Tuple> Aggregator::Finalize() const {
   const Columns& c = *cols_;
-  const size_t width = key_width();
   std::vector<Tuple> out;
   out.reserve(group_count());
   for (size_t g = 0; g < group_count(); ++g) {
     std::vector<Tuple::Field> fields;
-    fields.reserve(width + c.specs.size());
-    for (size_t i = 0; i < width; ++i) {
-      fields.emplace_back(c.group_ids[i], keys_[g * width + i]);
-    }
-    const Accum* accums = accums_.data() + g * c.specs.size();
+    fields.reserve(key_width() + c.specs.size());
+    AppendKey(g, &fields);
+    const uint64_t* words = words_.data() + g * c.word_width;
+    const Value* values = values_.data() + g * c.value_width;
     for (size_t i = 0; i < c.specs.size(); ++i) {
-      const AggSpec& spec = c.specs[i];
-      const Accum& a = accums[i];
+      const StateSlot slot = c.state[i];
       const SymbolId output = c.spec_ids[i].output;
-      if (!a.has_value) {
-        // COUNT of an empty group is 0; other aggregates of nothing are null.
-        fields.emplace_back(output, spec.fn == AggFn::kCount ? Value(int64_t{0}) : Value());
-      } else if (spec.fn == AggFn::kAverage) {
-        fields.emplace_back(output, a.count == 0 ? Value()
-                                                 : Value(a.value.AsDouble() /
-                                                         static_cast<double>(a.count)));
-      } else {
-        fields.emplace_back(output, a.value);
+      switch (c.specs[i].fn) {
+        case AggFn::kCount:  // COUNT of an empty group is 0.
+          fields.emplace_back(output, static_cast<int64_t>(words[slot.word]));
+          break;
+        case AggFn::kAverage: {
+          const auto count = static_cast<int64_t>(words[slot.word]);
+          if (!HasValue(words, i) || count == 0) {
+            fields.emplace_back(output, NullValue());
+          } else {
+            fields.emplace_back(output, values[slot.value].AsDouble() / static_cast<double>(count));
+          }
+          break;
+        }
+        default:  // Other aggregates of nothing are null.
+          fields.emplace_back(output, values[slot.value]);
       }
     }
     out.emplace_back(std::move(fields));
@@ -490,9 +513,66 @@ std::vector<Tuple> Aggregator::Finalize() const {
   return out;
 }
 
+void Aggregator::EncodeStateRows(std::vector<uint8_t>* out) const {
+  for (size_t g = 0; g < group_count(); ++g) {
+    out->insert(out->end(), key_bytes_.begin() + static_cast<ptrdiff_t>(KeyBegin(g)),
+                key_bytes_.begin() + static_cast<ptrdiff_t>(key_ends_[g]));
+    ForEachState(g, [out](SymbolId, const Value& v) { PutValue(out, v); });
+  }
+}
+
+bool Aggregator::DecodeStateRows(uint64_t rows, const uint8_t* data, size_t size, size_t* pos) {
+  // Every value takes at least its tag byte, so the remaining bytes bound
+  // how many rows can follow, and how many key bytes.
+  const Columns& c = *cols_;
+  const size_t width = c.state_names.size();
+  if (width == 0 || rows > (size - *pos) / width) {
+    return false;
+  }
+  Reserve(group_count() + rows);
+  if (key_width() != 0) {
+    ReserveGeometric(&key_bytes_, key_bytes_.size() + (size - *pos));
+  }
+  uint64_t probes = 0;
+  Value v;
+  Value n;
+  bool ok = true;
+  for (uint64_t r = 0; ok && r < rows; ++r) {
+    // The key is copied as it arrives, once its spelling is checked.
+    const size_t key = *pos;
+    for (size_t i = 0; ok && i < key_width(); ++i) {
+      ok = SkipCanonicalValue(data, size, pos);
+    }
+    if (!ok) {
+      break;
+    }
+    const uint32_t group =
+        GroupForKey(data + key, *pos - key, HashKey(data + key, *pos - key), &probes)
+            .first;
+    uint64_t* words = words_.data() + size_t{group} * c.word_width;
+    Value* values = values_.data() + size_t{group} * c.value_width;
+    for (size_t i = 0; ok && i < c.specs.size(); ++i) {
+      // A COUNT, or an Average's count, that is neither an int nor null is
+      // refused (the caller drops the whole set).
+      const AggFn fn = c.specs[i].fn;
+      ok = GetValue(data, size, pos, &v) && (fn != AggFn::kCount || v.is_null() || v.is_int());
+      if (ok && fn == AggFn::kAverage) {
+        ok = GetValue(data, size, pos, &n) && (n.is_null() || n.is_int());
+      }
+      if (ok) {
+        Combine(i, words, values, v, fn == AggFn::kAverage ? CountOf(n) : 0);
+      }
+    }
+  }
+  GroupProbeCounter().Increment(probes);
+  return ok;
+}
+
 void Aggregator::Clear() {
-  keys_.clear();
-  accums_.clear();
+  key_bytes_.clear();
+  key_ends_.clear();
+  words_.clear();
+  values_.clear();
   hashes_.clear();
   slots_.clear();
 }
@@ -597,44 +677,6 @@ std::vector<Tuple> ResultSet::StateRows() const {
 
 std::vector<Tuple> ResultSet::Finalize() const {
   return aggregated_ ? agg_.Finalize() : rows_;
-}
-
-void Aggregator::EncodeStateRows(std::vector<uint8_t>* out) const {
-  const Columns& c = *cols_;
-  const size_t width = key_width();
-  for (size_t g = 0; g < group_count(); ++g) {
-    for (size_t i = 0; i < width; ++i) {
-      PutValue(out, keys_[g * width + i]);
-    }
-    const Accum* accums = accums_.data() + g * c.specs.size();
-    for (size_t i = 0; i < c.specs.size(); ++i) {
-      PutValue(out, accums[i].has_value ? accums[i].value : NullValue());
-      if (c.specs[i].fn == AggFn::kAverage) {
-        PutValue(out, Value(accums[i].count));
-      }
-    }
-  }
-}
-
-bool Aggregator::DecodeStateRows(uint64_t rows, const uint8_t* data, size_t size, size_t* pos) {
-  // Every value takes at least its tag byte, so the remaining bytes bound
-  // how many rows can follow; the arrays are sized once.
-  const size_t width = cols_->state_names.size();
-  if (width == 0 || rows > (size - *pos) / width) {
-    return false;
-  }
-  Reserve(group_count() + rows);
-  std::vector<Value> row(width);
-  uint64_t probes = 0;
-  bool ok = true;
-  for (uint64_t r = 0; ok && r < rows; ++r) {
-    for (size_t i = 0; ok && i < width; ++i) {
-      ok = GetValue(data, size, pos, &row[i]);
-    }
-    ok = ok && AddStateRow(&row, &probes);
-  }
-  GroupProbeCounter().Increment(probes);
-  return ok;
 }
 
 // Wire form (docs/WIRE_FORMAT.md, "Tuple sets"):

@@ -112,13 +112,18 @@ struct BagSpec {
 // with no group fields there is a single implicit group (plain Aggregate).
 // Output order is group-insertion order, which keeps results deterministic.
 //
-// Groups live in flat arrays — key values, accumulators and each group's key
-// hash — indexed by an open-addressed table of (hash tag, group) slots, so a
-// group costs no allocation of its own and is hashed once, on insertion:
-// merges, rehashes and report decoding reuse the stored hash. Keys are
-// type-distinguishing: int 1, double 1.0 and string "1" land in three
-// different groups; doubles compare bitwise (so -0.0 and 0.0 are distinct
-// groups, and only bit-identical NaNs coalesce).
+// Groups live in flat arrays indexed by an open-addressed table of (hash
+// tag, group) slots, so a group costs no allocation of its own and is hashed
+// once, on insertion: merges, rehashes and report decoding reuse the stored
+// hash. A group's key is kept as the bytes PutValue writes for its columns,
+// in one arena, so a key is hashed, compared and merged as bytes, and copied
+// off the wire as it arrives; only Finalize and StateTuples build Values.
+// Byte equality is group equality: int 1, double 1.0 and string "1" land in
+// three different groups, doubles compare bitwise (-0.0 and 0.0 are
+// distinct groups, and only bit-identical NaNs coalesce). The aggregate
+// state is columns chosen per function: an int64 word for COUNT and for
+// Average's count, a Value for SUM, MIN, MAX and Average's sum, and one
+// has-value bit per aggregate.
 class Aggregator {
  public:
   Aggregator(std::vector<std::string> group_fields, std::vector<AggSpec> specs);
@@ -136,7 +141,8 @@ class Aggregator {
 
   // The state rows as a set's payload (ResultSet::Encode): one value per
   // state column, group fields first, and no names. DecodeStateRows merges
-  // `rows` of them.
+  // `rows` of them; it refuses a key value not spelled as PutValue spells it
+  // (SkipCanonicalValue), and a COUNT or Average count that is not an int.
   void EncodeStateRows(std::vector<uint8_t>* out) const;
   bool DecodeStateRows(uint64_t rows, const uint8_t* data, size_t size, size_t* pos);
 
@@ -148,12 +154,6 @@ class Aggregator {
  private:
   friend class ResultSet;  // Shares its columns with EmptyLike() siblings.
 
-  struct Accum {
-    bool has_value = false;
-    Value value;       // Count: running count. Sum/Min/Max: value. Average: sum.
-    int64_t count = 0;  // Average only.
-  };
-
   // Column references resolved once per configuration and shared by copies
   // and EmptyLike() siblings, so the per-tuple path reads tuples by SymbolId
   // and creating another aggregator of the plan interns nothing.
@@ -163,11 +163,19 @@ class Aggregator {
     SymbolId output = kInvalidSymbol;    // spec.output
     SymbolId output_n = kInvalidSymbol;  // spec.output + "#n" (Average state)
   };
+  // Where a spec's state lives in its group's rows.
+  struct StateSlot {
+    uint32_t word = 0;   // In words_: COUNT's or Average's count.
+    uint32_t value = 0;  // In values_: SUM's, MIN's, MAX's or Average's sum.
+  };
   struct Columns {
     std::vector<SymbolId> group_ids;
     std::vector<AggSpec> specs;
     std::vector<SpecIds> spec_ids;
+    std::vector<StateSlot> state;
     std::vector<std::string> state_names;  // Group fields, then state columns.
+    size_t word_width = 0;   // Per group: has-value bit words, then counts.
+    size_t value_width = 0;  // Per group: Value states.
   };
 
   // Open-addressed linear probing over (high 32 hash bits, group). Power-of-
@@ -182,49 +190,63 @@ class Aggregator {
   // holds one, and never calls it.
   explicit Aggregator(std::shared_ptr<const Columns> cols) : cols_(std::move(cols)) {}
 
-  // Combines one partial aggregate `v` (companion count `n`, Average only)
-  // into `a`: the combiner of Table 3. A raw input is a partial aggregate of
-  // one tuple.
-  static void Combine(Accum* a, AggFn fn, const Value& v, int64_t n);
+  // Combines one partial aggregate of spec `i` into a group's state rows:
+  // `v` (COUNT's count, or the value), with Average's companion count `n`.
+  // The combiner of Table 3; a raw input is a partial aggregate of one
+  // tuple. A null, or a COUNT that is not an int, contributes nothing.
+  void Combine(size_t i, uint64_t* words, Value* values, const Value& v, int64_t n) const;
 
   // The group whose key `same_key(group)` confirms under `hash`, and whether
   // it was just inserted; adds the slots inspected to `*probes`. An insert
   // records the hash and the index slot; the caller then appends the group's
-  // key values and accumulators.
+  // key bytes and state rows.
   template <typename SameKey>
   std::pair<uint32_t, bool> FindOrInsert(uint64_t hash, SameKey same_key, uint64_t* probes);
-  // Sizes the arrays and the index for `groups` groups.
+  // The group of the key bytes [key, key + size) under `hash`, and whether
+  // it was just inserted with fresh state.
+  std::pair<uint32_t, bool> GroupForKey(const uint8_t* key, size_t size, uint64_t hash,
+                                        uint64_t* probes);
+  // Appends a fresh group's empty state rows.
+  void AppendState();
+  // Sizes the arrays and the index for `groups` groups, growing capacity
+  // geometrically, so decoding many small sets into one stays linear.
   void Reserve(size_t groups);
   // Rebuilds the index with `slot_count` slots (a power of two).
   void Rehash(size_t slot_count);
-  // The group of `t`'s projected key, inserted with fresh accumulators if new.
+  // The group of `t`'s projected key, inserted with fresh state if new.
   uint32_t GroupFor(const Tuple& t);
   // True if `other` has this aggregator's group fields and specs, so its
   // arrays share this layout.
   bool SameColumns(const Aggregator& other) const;
   // Combines every group of `other`, which has SameColumns, by its stored
   // hash (Table 3's combiner, set to set). The rvalue form moves new groups'
-  // keys in, adopts `other` whole when this aggregator is empty, and leaves
-  // `other` empty.
+  // Value states in, adopts `other` whole when this aggregator is empty, and
+  // leaves `other` empty.
   void Absorb(const Aggregator& other);
   void Absorb(Aggregator&& other);
   // Combines every group of `other`, which has SameColumns (const: copies;
-  // mutable: moves keys and accumulators of new groups).
+  // mutable: moves the Value states of new groups).
   template <typename Source>
   void MergeGroups(Source& other);
-  // Merges one decoded state row: group key values then state columns, in
-  // Columns::state_names order. False if an Average count is not an int,
-  // possibly after inserting the row's group.
-  bool AddStateRow(std::vector<Value>* row, uint64_t* probes);
 
+  // Calls put(column, value) for each of group g's state columns after its
+  // key (AggSpec::StateColumns, spec by spec).
+  template <typename Put>
+  void ForEachState(size_t g, Put put) const;
+  // Appends group g's key columns, decoded from its bytes.
+  void AppendKey(size_t g, std::vector<Tuple::Field>* fields) const;
+  // Group g's key bytes: [KeyBegin(g), key_ends_[g]).
+  size_t KeyBegin(size_t g) const { return g == 0 ? 0 : key_ends_[g - 1]; }
   size_t key_width() const { return cols_->group_ids.size(); }
   size_t spec_count() const { return cols_->specs.size(); }
 
   std::shared_ptr<const Columns> cols_;
-  std::vector<Value> keys_;       // group_count x key_width, row-major.
-  std::vector<Accum> accums_;     // group_count x spec_count, row-major.
-  std::vector<uint64_t> hashes_;  // Per group: hash of its key values.
-  std::vector<IndexSlot> slots_;  // Empty until the first group; 2^k sized.
+  std::vector<uint8_t> key_bytes_;  // Every group's key, as PutValue writes it.
+  std::vector<size_t> key_ends_;    // Per group: the end of its key bytes.
+  std::vector<uint64_t> words_;     // group_count x word_width, row-major.
+  std::vector<Value> values_;       // group_count x value_width, row-major.
+  std::vector<uint64_t> hashes_;    // Per group: hash of its key bytes.
+  std::vector<IndexSlot> slots_;    // Empty until the first group; 2^k sized.
 };
 
 // The framing of an encoded tuple set, the one wire form of a ResultSet that

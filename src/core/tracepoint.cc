@@ -64,7 +64,11 @@ Result<Tracepoint*> TracepointRegistry::Define(TracepointDef def) {
   Tracepoint* raw = tp.get();
   tracepoints_.emplace(raw->name(), std::move(tp));
   // Deferred weaving: advice targeting this name may already be registered
-  // (a standing query installed before this subsystem initialized).
+  // (a standing query installed before this subsystem initialized). Its
+  // plans are bound now.
+  for (auto& [query_id, entries] : woven_) {
+    BindLocked(&entries);
+  }
   RebuildLocked(raw);
   return raw;
 }
@@ -104,20 +108,15 @@ Status TracepointRegistry::WeaveQuery(
   // after standing queries were installed. Compile-time validation against
   // the schema registry catches genuinely unknown names.
   //
-  // Weave-time plan compilation: all name resolution happens here, once per
-  // (tracepoint, advice) pair, off the fire path. Rebuilds only share plans.
-  // Every Pack and Unpack step of the query binds the schema its own Pack op
-  // gives the bag, so a bag off the wire decodes without names or spec.
-  AdvicePlan::BagSchemas schemas;
-  for (const auto& [tp_name, adv] : advice) {
-    AdvicePlan::AddBagSchemas(*adv, &schemas);
-  }
+  // Plan compilation: all name resolution happens when a plan is bound,
+  // once per (tracepoint, advice) pair, off the fire path: here, or in
+  // Define for a deferred tracepoint. Rebuilds only share plans.
   auto& entries = woven_[query_id];
   entries.reserve(advice.size());
   for (const auto& [tp_name, adv] : advice) {
-    entries.push_back({tp_name, ShareOrCompileLocked(tp_name, adv, schemas),
-                       FirstPackedBag(*adv) ? adv : nullptr});
+    entries.push_back({tp_name, adv, nullptr});
   }
+  BindLocked(&entries);
   for (const auto& [tp_name, adv] : advice) {
     auto it = tracepoints_.find(tp_name);
     if (it != tracepoints_.end()) {
@@ -125,6 +124,24 @@ Status TracepointRegistry::WeaveQuery(
     }
   }
   return Status::Ok();
+}
+
+void TracepointRegistry::BindLocked(std::vector<WovenAdvice>* entries) {
+  // Every Pack and Unpack step of the query binds the schema its own Pack op
+  // gives the bag, so a bag off the wire decodes without names or spec.
+  std::optional<AdvicePlan::BagSchemas> schemas;
+  for (WovenAdvice& entry : *entries) {
+    if (entry.plan != nullptr || tracepoints_.count(entry.tracepoint) == 0) {
+      continue;
+    }
+    if (!schemas) {
+      schemas.emplace();
+      for (const WovenAdvice& other : *entries) {
+        AdvicePlan::AddBagSchemas(*other.advice, &*schemas);
+      }
+    }
+    entry.plan = ShareOrCompileLocked(entry.tracepoint, entry.advice, *schemas);
+  }
 }
 
 void TracepointRegistry::UnweaveQuery(uint64_t query_id) {
@@ -173,8 +190,8 @@ AdvicePlan::Ptr TracepointRegistry::ShareOrCompileLocked(const std::string& tp_n
   if (bag) {
     for (const auto& [query_id, entries] : woven_) {
       for (const WovenAdvice& entry : entries) {
-        if (entry.pack != nullptr && entry.tracepoint == tp_name &&
-            FirstPackedBag(*entry.pack) == bag && SameProgram(*entry.pack, *advice)) {
+        if (entry.plan != nullptr && entry.tracepoint == tp_name &&
+            FirstPackedBag(*entry.advice) == bag && SameProgram(*entry.advice, *advice)) {
           return entry.plan;
         }
       }
@@ -187,7 +204,7 @@ void TracepointRegistry::RebuildLocked(Tracepoint* tp) {
   auto set = std::make_unique<AdviceSet>();
   for (const auto& [query_id, entries] : woven_) {
     for (const WovenAdvice& entry : entries) {
-      if (entry.tracepoint == tp->name() &&
+      if (entry.tracepoint == tp->name() && entry.plan != nullptr &&
           std::find(set->begin(), set->end(), entry.plan) == set->end()) {
         set->push_back(entry.plan);
       }

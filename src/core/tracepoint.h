@@ -176,10 +176,10 @@ class TracepointRegistry {
 
   // Weaves a query's advice: each element names a tracepoint and the advice
   // to install there. Advice naming tracepoints this registry does not (yet)
-  // define is retained and weaves automatically when the tracepoint is
-  // defined (deferred weaving — standing queries apply to subsystems that
-  // initialize later). Fails atomically if the query id is already woven or
-  // any advice is null.
+  // define is retained, uncompiled, and weaves automatically when the
+  // tracepoint is defined (deferred weaving — standing queries apply to
+  // subsystems that initialize later). Fails atomically if the query id is
+  // already woven or any advice is null.
   //
   // A program that packs a bag shares the plan of an identical program that
   // is already woven at the same tracepoint under the same first bag key, so
@@ -201,15 +201,19 @@ class TracepointRegistry {
   std::vector<TracepointStatsRow> StatsSnapshot() const;
 
  private:
-  // One piece of a query's advice as woven: the tracepoint, the plan it runs
-  // as (compiled for it, or shared with an identical pack) and, when it packs
-  // a bag, the program, which a later identical pack is compared with. Other
-  // programs are never shared, so they are not kept.
+  // One piece of a query's advice as woven: the tracepoint, the program and
+  // the plan it runs as (compiled for it, or shared with an identical pack).
+  // The plan is bound only once this registry defines the tracepoint, so a
+  // process that hosts none of a query's tracepoints compiles nothing.
   struct WovenAdvice {
     std::string tracepoint;
-    AdvicePlan::Ptr plan;
-    Advice::Ptr pack;
+    Advice::Ptr advice;
+    AdvicePlan::Ptr plan;  // Null until the tracepoint is defined.
   };
+
+  // Binds a plan to each of a query's unbound `entries` whose tracepoint is
+  // defined. The query's bag schemas are built only if one is bound.
+  void BindLocked(std::vector<WovenAdvice>* entries);
 
   // The plan for `advice` at `tp_name`: the plan of a woven identical
   // program packing the same first bag there, or a freshly compiled one.
@@ -222,7 +226,8 @@ class TracepointRegistry {
 
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Tracepoint>, std::less<>> tracepoints_;
-  // query id -> its woven advice, each plan compiled or shared at weave.
+  // query id -> its woven advice, each plan compiled or shared once its
+  // tracepoint is defined.
   std::map<uint64_t, std::vector<WovenAdvice>> woven_;
   // Every advice set ever published (see class comment).
   std::vector<std::unique_ptr<const AdviceSet>> published_;

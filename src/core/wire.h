@@ -41,6 +41,12 @@ bool GetPlan(const uint8_t* data, size_t size, size_t* pos, ResultPlan* plan);
 void PutValue(std::vector<uint8_t>* out, const Value& v);
 bool GetValue(const uint8_t* data, size_t size, size_t* pos, Value* v);
 
+// Steps over one value spelled exactly as PutValue spells it: a known tag,
+// and ints and string lengths as minimal varints (GetCanonicalVarint64). A
+// group key is compared as its bytes, so one read off the wire must have
+// the one spelling, or one key could split into two groups.
+bool SkipCanonicalValue(const uint8_t* data, size_t size, size_t* pos);
+
 }  // namespace pivot
 
 #endif  // PIVOT_SRC_CORE_WIRE_H_

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -467,6 +468,169 @@ TEST(ResultSetTest, DecodeRejectsNonIntAverageCount) {
   ResultSet decoded = set.EmptyLike();
   size_t pos = 0;
   EXPECT_FALSE(Decode(&decoded, bytes.data(), bytes.size(), &pos));
+}
+
+TEST(ResultSetTest, DecodeRejectsNonIntCountState) {
+  ResultPlan plan;
+  plan.aggs = {{AggFn::kCount, "", "COUNT", false}};
+  ResultSet set(plan);
+  set.AddInput(Tuple{});
+  std::vector<uint8_t> bytes;
+  set.Encode(&bytes);
+  // The set is (one row, no drops, payload length, payload), and the one
+  // row is its "COUNT" column, int 1. A null count decodes as no count; a
+  // double or a string count is refused.
+  ASSERT_EQ(bytes[2], bytes.size() - 3);
+  const std::vector<uint8_t> count = {1, 2};
+  ASSERT_TRUE(std::equal(count.begin(), count.end(), bytes.end() - count.size()));
+  bytes.resize(bytes.size() - 2);
+  const size_t header = bytes.size();
+  for (const Value& state : {Value(), Value(1.0), Value("1")}) {
+    bytes.resize(header);
+    PutValue(&bytes, state);
+    bytes[2] = static_cast<uint8_t>(bytes.size() - 3);
+    ResultSet decoded = set.EmptyLike();
+    size_t pos = 0;
+    EXPECT_EQ(Decode(&decoded, bytes.data(), bytes.size(), &pos), state.is_null())
+        << state.ToString();
+  }
+}
+
+// A key off the wire must be spelled as PutValue spells it: an int or a
+// string length in an overlong varint would split one key into two groups.
+TEST(ResultSetTest, DecodeRejectsOverlongKeyVarint) {
+  ResultPlan plan;
+  plan.group_fields = {"g"};
+  plan.aggs = {{AggFn::kCount, "", "COUNT", false}};
+  // One row's payload: the key's bytes, then COUNT int 1.
+  auto frame = [](std::vector<uint8_t> key) {
+    key.insert(key.end(), {1, 2});
+    std::vector<uint8_t> bytes;
+    SetFrame{1, false, 0, key.data(), key.size()}.Put(&bytes);
+    return bytes;
+  };
+  const std::vector<uint8_t> canonical[] = {{1, 10}, {3, 2, 'a', 'b'}};  // 5, "ab".
+  const std::vector<uint8_t> overlong[] = {{1, 0x8A, 0x00}, {3, 0x82, 0x00, 'a', 'b'}};
+  for (int i = 0; i < 2; ++i) {
+    ResultSet set(plan);
+    std::vector<uint8_t> bytes = frame(canonical[i]);
+    size_t pos = 0;
+    ASSERT_TRUE(Decode(&set, bytes.data(), bytes.size(), &pos));
+    EXPECT_EQ(set.size(), 1u);
+    ResultSet refused(plan);
+    bytes = frame(overlong[i]);
+    pos = 0;
+    EXPECT_FALSE(Decode(&refused, bytes.data(), bytes.size(), &pos));
+  }
+}
+
+// A typed key rendering that tells every distinct key apart: the type, and a
+// double's bits (two NaNs, and -0.0 and 0.0, print alike).
+std::string KeyString(const Value& v) {
+  std::string out = std::to_string(static_cast<int>(v.type())) + ":";
+  if (v.is_double()) {
+    uint64_t bits = 0;
+    const double d = v.double_value();
+    std::memcpy(&bits, &d, sizeof(bits));
+    return out + std::to_string(bits);
+  }
+  return out + v.ToString();
+}
+
+// Group equality, spelled out on Values: the same type and the same value,
+// doubles bitwise.
+bool SameKeyValue(const Value& a, const Value& b) { return KeyString(a) == KeyString(b); }
+
+// Keys of every type and their edges: null; ints at the varint length steps,
+// negative, and INT64_MIN/MAX; doubles including -0.0, 0.0 and two NaN bit
+// patterns; strings including empty and 1 kB ones differing in the last byte.
+Value EdgeKey(Rng* rng) {
+  static const std::vector<Value> kKeys = [] {
+    std::vector<Value> keys = {Value(), Value(int64_t{0}), Value(int64_t{1}), Value(int64_t{-1}),
+                               Value(int64_t{63}), Value(int64_t{64}), Value(int64_t{-64}),
+                               Value(int64_t{-65}), Value(INT64_MIN), Value(INT64_MAX),
+                               Value(0.0), Value(-0.0), Value(1.0), Value(""), Value("1"),
+                               Value(std::string(1024, 'k')), Value(std::string(1023, 'k') + "l")};
+    for (uint64_t bits : {0x7FF8000000000000ULL, 0x7FF8000000000001ULL}) {
+      double nan = 0;
+      std::memcpy(&nan, &bits, sizeof(nan));
+      keys.emplace_back(nan);
+    }
+    return keys;
+  }();
+  if (rng->NextBool(0.2)) {
+    return Value(rng->NextInt(INT64_MIN / 2, INT64_MAX / 2));
+  }
+  return kKeys[rng->NextBelow(kKeys.size())];
+}
+
+// Property: keys kept as their wire bytes group exactly as typed Values do.
+// Random two-column keys of every type go through AddInput on split sets,
+// Absorb by move and by copy, and an EncodeNamed/DecodeNamed round trip
+// (into an empty set and into a populated one); the total equals a
+// Value-keyed reference, COUNT and SUM per key.
+TEST(ResultSetTest, ByteKeysGroupAsTypedValues) {
+  Rng rng(1701);
+  ResultPlan plan;
+  plan.group_fields = {"g", "h"};
+  plan.aggs = {{AggFn::kCount, "", "COUNT", false}, {AggFn::kSum, "v", "SUM", false}};
+  for (int trial = 0; trial < 40; ++trial) {
+    struct RefGroup {
+      Value g;
+      Value h;
+      int64_t count = 0;
+      int64_t sum = 0;
+    };
+    std::vector<RefGroup> reference;
+    std::vector<ResultSet> parts(4, ResultSet(plan));
+    const int n = static_cast<int>(rng.NextBelow(200));
+    for (int i = 0; i < n; ++i) {
+      Value g = EdgeKey(&rng);
+      Value h = EdgeKey(&rng);
+      const int64_t v = rng.NextInt(-9, 9);
+      Tuple t;
+      if (!g.is_null() || rng.NextBool()) {  // A null key is absent or null.
+        t.Append("g", g);
+      }
+      t.Append("h", h);
+      t.Append("v", Value(v));
+      parts[rng.NextBelow(parts.size())].AddInput(t);
+      auto it = std::find_if(reference.begin(), reference.end(), [&](const RefGroup& r) {
+        return SameKeyValue(r.g, g) && SameKeyValue(r.h, h);
+      });
+      if (it == reference.end()) {
+        it = reference.insert(reference.end(), RefGroup{g, h});
+      }
+      ++it->count;
+      it->sum += v;
+    }
+    ResultSet total(plan);
+    total.Absorb(std::move(parts[0]));
+    total.Absorb(parts[1]);
+    // Part 2 decodes straight into the populated total; part 3 into an
+    // empty set, which the total then absorbs.
+    for (size_t p = 2; p < parts.size(); ++p) {
+      std::vector<uint8_t> bytes;
+      parts[p].EncodeNamed(&bytes);
+      ResultSet decoded = parts[p].EmptyLike();
+      ASSERT_TRUE(DecodeNamedSlices(bytes, p == 2 ? &total : &decoded));
+      total.Absorb(std::move(decoded));
+    }
+    std::vector<std::string> want;
+    for (const RefGroup& r : reference) {
+      want.push_back(KeyString(r.g) + " " + KeyString(r.h) + " " + std::to_string(r.count) +
+                     " " + std::to_string(r.sum));
+    }
+    std::vector<std::string> got;
+    for (const Tuple& t : total.Finalize()) {
+      got.push_back(KeyString(t.Get("g")) + " " + KeyString(t.Get("h")) + " " +
+                    std::to_string(t.Get("COUNT").int_value()) + " " +
+                    std::to_string(t.Get("SUM").int_value()));
+    }
+    std::sort(want.begin(), want.end());
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want) << "trial=" << trial;
+  }
 }
 
 // Keys that stress the index: strings sharing a 100-byte prefix, the int,

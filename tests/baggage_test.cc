@@ -772,6 +772,29 @@ TEST(BaggageTest, AggregateBagDecodeInternsNothing) {
   EXPECT_EQ(SymbolTable::Global().size(), symbols_with_wider);
 }
 
+// An aggregated bag whose group key is spelled with an overlong varint (an
+// int, or a string's length) does not fit its schema, since one key could
+// otherwise split into two groups: it reads as empty and counts once.
+TEST(BaggageTest, DecodeRejectsOverlongKeyVarint) {
+  telemetry::Counter& errors = telemetry::Metrics().GetCounter("baggage.deserialize.errors");
+  const BagSchemaPtr schema =
+      Schema(BagSpec::Aggregated({"bagtest.g"}, {{AggFn::kCount, "", "bagtest.c", false}}));
+  const std::vector<uint8_t> canonical[] = {{1, 10}, {3, 2, 'a', 'b'}};  // 5, "ab".
+  const std::vector<uint8_t> overlong[] = {{1, 0x8A, 0x00}, {3, 0x82, 0x00, 'a', 'b'}};
+  for (int i = 0; i < 2; ++i) {
+    for (bool bad : {false, true}) {
+      SCOPED_TRACE(std::to_string(i) + (bad ? " overlong" : " canonical"));
+      std::vector<uint8_t> payload = bad ? overlong[i] : canonical[i];
+      payload.insert(payload.end(), {1, 2});  // The count: int 1.
+      Result<Baggage> decoded = Baggage::Deserialize(HandFramed({{1, 1, 0, payload}}));
+      ASSERT_TRUE(decoded.ok());
+      const uint64_t before = errors.value();
+      EXPECT_EQ(UnpackCopy(*decoded, 1, schema).size(), bad ? 0u : 1u);
+      EXPECT_EQ(errors.value() - before, bad ? 1u : 0u);
+    }
+  }
+}
+
 // A bag spec's semantics and plan must agree: kAggregate needs a plan, and a
 // retention semantics has none. The compiler never emits either mismatch, so
 // a weave command's Pack op carrying one is rejected.

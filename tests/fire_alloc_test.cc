@@ -5,7 +5,8 @@
 // allocations left are a packed bag's own storage.
 //
 // The same counter bounds the baggage operations a request runs between
-// fires (Table 4's serialize, deserialize, split and join).
+// fires (Table 4's serialize, deserialize, split and join), and the growth of
+// a set that many small sets decode into.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "src/agent/agent.h"
 #include "src/agent/frontend.h"
 #include "src/bus/message_bus.h"
+#include "src/core/aggregation.h"
 #include "src/core/tracepoint.h"
 
 namespace {
@@ -246,6 +248,35 @@ TEST_F(FireAllocTest, ForkJoinSerialize) {
                                ctx.baggage().Serialize();
                              }),
             20.0);
+}
+
+// Decoding many small sets into one (a query's series read back interval by
+// interval) grows the set's arrays geometrically: 1,000 one-row slices of
+// new groups allocate a logarithmic number of times, not once per slice.
+TEST(DecodeAllocTest, ManyOneRowSetsDecodeIntoOneWithLogarithmicAllocations) {
+  const ResultPlan plan{{"g"}, {{AggFn::kCount, "", "COUNT", false}}};
+  constexpr int kSlices = 1000;
+  std::vector<std::vector<uint8_t>> slices(kSlices);
+  for (int i = 0; i < kSlices; ++i) {
+    ResultSet one(plan);
+    one.AddInput(Tuple{{"g", Value(int64_t{i})}});
+    one.Encode(&slices[i]);
+  }
+  ResultSet total(plan);
+  const std::vector<std::string> names = total.ColumnNames();
+  g_allocations.store(0);
+  g_counting.store(true);
+  for (const std::vector<uint8_t>& slice : slices) {
+    SetFrame frame;
+    size_t pos = 0;
+    ASSERT_TRUE(SetFrame::Get(slice.data(), slice.size(), &pos, &frame) &&
+                total.DecodeNamed(names, frame));
+  }
+  g_counting.store(false);
+  EXPECT_EQ(total.size(), static_cast<size_t>(kSlices));
+  // Each of the group arrays and the index doubles about log2(1000) = 10
+  // times.
+  EXPECT_LE(g_allocations.load(), 80u);
 }
 
 }  // namespace

@@ -373,6 +373,57 @@ TEST_F(FrontendTest, UndecodableReportFramesAreCounted) {
   EXPECT_EQ(frontend_.reports_received(), 0u);
 }
 
+// A report whose group key is spelled with an overlong varint (an int, or a
+// string's length) is refused whole: it counts in frontend.decode_errors and
+// the query's total keeps what it had.
+TEST_F(FrontendTest, DecodeRejectsOverlongKeyVarint) {
+  struct Case {
+    const char* query;
+    const char* column;
+    Value key;
+    std::vector<uint8_t> canonical;
+    std::vector<uint8_t> overlong;
+  };
+  const Case cases[] = {
+      {"From incr In DataNodeMetrics.incrBytesRead GroupBy incr.delta Select incr.delta, COUNT",
+       "incr.delta", Value(int64_t{5}), {1, 10}, {1, 0x8A, 0x00}},
+      {"From incr In DataNodeMetrics.incrBytesRead GroupBy incr.host Select incr.host, COUNT",
+       "incr.host", Value("ab"), {3, 2, 'a', 'b'}, {3, 0x82, 0x00, 'a', 'b'}},
+  };
+  telemetry::Counter& decode_errors = telemetry::Metrics().GetCounter("frontend.decode_errors");
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.column);
+    Result<uint64_t> q = frontend_.Install(c.query);
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    ReportBatch batch;
+    batch.host = "B";
+    batch.process_name = "DataNode";
+    batch.timestamp_micros = 5'000'000;
+    AgentReport report{*q, ResultSet(frontend_.compiled(*q)->plan)};
+    report.results.AddInput(Tuple{{c.column, c.key}});
+    batch.reports.push_back(std::move(report));
+    const std::vector<uint8_t> good = EncodeReportBatch(batch);
+    // The batch ends with the report's one row, (key, COUNT int 1), then
+    // no heartbeats; the byte before the row is the payload's length.
+    std::vector<uint8_t> row = c.canonical;
+    row.insert(row.end(), {1, 2, 0});
+    ASSERT_TRUE(std::equal(row.begin(), row.end(), good.end() - row.size()));
+    bus_.Publish(BusMessage{kReportTopic, good});
+    const std::vector<std::string> total = CanonicalTuples(frontend_.Results(*q));
+    ASSERT_EQ(total.size(), 1u);
+
+    std::vector<uint8_t> bad(good.begin(), good.end() - row.size());
+    ASSERT_EQ(bad.back(), row.size() - 1);
+    bad.back() += c.overlong.size() - c.canonical.size();
+    bad.insert(bad.end(), c.overlong.begin(), c.overlong.end());
+    bad.insert(bad.end(), {1, 2, 0});
+    const uint64_t before = decode_errors.value();
+    bus_.Publish(BusMessage{kReportTopic, bad});
+    EXPECT_EQ(decode_errors.value() - before, 1u);
+    EXPECT_EQ(CanonicalTuples(frontend_.Results(*q)), total);
+  }
+}
+
 TEST_F(FrontendTest, ReportNotMatchingItsPlanIsCountedAndDropped) {
   // A report whose name table is not the query's plan (here SUM state for a
   // COUNT query) is a decode error, and nothing of its frame is merged.

@@ -289,6 +289,41 @@ TEST_F(TracepointTest, DeferredWeavingAppliesOnLateDefinition) {
   EXPECT_EQ(proc_.sink.emitted(1).size(), 1u);
 }
 
+// Every process receives a query's full advice but hosts only some of its
+// tracepoints. Advice at a tracepoint the registry does not define binds no
+// bag schema and compiles no plan; it is bound when the tracepoint arrives,
+// under the schema the query's own pack gives its bag.
+TEST_F(TracepointTest, WeaveCompilesNothingForUndefinedTracepoints) {
+  telemetry::Counter& binds = telemetry::Metrics().GetCounter("plan.bind_count");
+  Advice::Ptr pack = AdviceBuilder()
+                         .Observe({{"v", "a.v"}})
+                         .Pack(100, BagSpec::First(1), {"a.v"})
+                         .Build();
+  Advice::Ptr emit = AdviceBuilder().Observe({{"w", "b.w"}}).Unpack(100).Emit(1, {}).Build();
+  const uint64_t before = binds.value();
+  ASSERT_TRUE(registry_.WeaveQuery(1, {{"X", pack}, {"Y", emit}}).ok());
+  EXPECT_EQ(binds.value(), before);
+  EXPECT_EQ(registry_.WovenQueries(), std::vector<uint64_t>{1});
+
+  // The unpacking side arrives first, then the packing side.
+  Tracepoint* y = *registry_.Define(Def("Y", {"w"}));
+  EXPECT_EQ(binds.value() - before, 1u);
+  EXPECT_EQ(y->woven_plans(), 1u);
+  Tracepoint* x = *registry_.Define(Def("X", {"v"}));
+  EXPECT_EQ(binds.value() - before, 2u);
+
+  // The bag crosses the wire between the two, so Y reads it by its schema.
+  x->Invoke(&ctx_, {{"v", Value(int64_t{3})}});
+  Result<Baggage> arrived = Baggage::Deserialize(ctx_.baggage().Serialize());
+  ASSERT_TRUE(arrived.ok());
+  ExecutionContext remote(&proc_.runtime);
+  remote.set_baggage(std::move(arrived).value());
+  y->Invoke(&remote, {{"w", Value(int64_t{4})}});
+  ASSERT_EQ(proc_.sink.emitted(1).size(), 1u);
+  EXPECT_EQ(proc_.sink.emitted(1)[0].Get("a.v").int_value(), 3);
+  EXPECT_EQ(proc_.sink.emitted(1)[0].Get("b.w").int_value(), 4);
+}
+
 TEST_F(TracepointTest, DuplicateQueryIdRejected) {
   ASSERT_TRUE(registry_.Define(Def("X", {"v"})).ok());
   Advice::Ptr advice = AdviceBuilder().Observe({{"v", "x.v"}}).Emit(1, {}).Build();
