@@ -1,9 +1,12 @@
 // Automated problem detection and drill-down — the §8 future-work idea
 // ("We leave it to future work to explore the use of Pivot Tracing for
 // automatic problem detection and exploration") built from the library's
-// primitives: a watchdog keeps one cheap standing query running, and when its
-// result listener sees an anomaly it *automatically* installs progressively
-// deeper diagnosis queries, ending with a root-cause verdict.
+// primitives: a watchdog keeps one cheap standing query running, and when the
+// query's per-interval results show an anomaly it *automatically* installs
+// progressively deeper diagnosis queries, ending with a root-cause verdict.
+// The simulation runs one second at a time; after each second's agent flush,
+// the watchdog checks the interval just reported with the current stage's
+// query.
 //
 // The injected fault is the §6.1 replica-selection bug; the watchdog
 // rediscovers it without a human in the loop:
@@ -35,9 +38,25 @@ class Watchdog {
   void Start() {
     q3_ = *frontend_->Install(
         "From dnop In DN.DataTransferProtocol GroupBy dnop.host Select dnop.host, COUNT");
-    (void)frontend_->SetResultListener(
-        q3_, [this](int64_t ts, const std::vector<Tuple>&) { OnQ3Interval(ts); });
     printf("[watchdog] standing query installed: per-DataNode op counts (Q3)\n");
+  }
+
+  // Runs the current stage's check on the interval the agents flushed at
+  // `ts` (simulated micros).
+  void Tick(int64_t ts) {
+    switch (stage_) {
+      case 1:
+        OnQ3Interval(ts);
+        break;
+      case 2:
+        OnQ6Interval(ts);
+        break;
+      case 3:
+        OnQ7Interval(ts);
+        break;
+      default:
+        break;
+    }
   }
 
   bool diagnosed() const { return diagnosed_; }
@@ -45,9 +64,6 @@ class Watchdog {
  private:
   // Stage 1: look for sustained load skew in the per-interval Q3 results.
   void OnQ3Interval(int64_t ts) {
-    if (stage_ != 1) {
-      return;
-    }
     auto series = frontend_->Series(q3_);
     auto it = series.find(ts);
     if (it == series.end() || it->second.size() < 4) {
@@ -79,15 +95,10 @@ class Watchdog {
         "From DNop In DN.DataTransferProtocol\n"
         "Join st In StressTest.DoNextOp On st -> DNop\n"
         "GroupBy st.host, DNop.host Select st.host, DNop.host, COUNT");
-    (void)frontend_->SetResultListener(
-        q6_, [this](int64_t ts, const std::vector<Tuple>&) { OnQ6Interval(ts); });
     printf("[watchdog] drill-down installed: client x selected DataNode (Q6)\n");
   }
 
   void OnQ6Interval(int64_t ts) {
-    if (stage_ != 2) {
-      return;
-    }
     // Accumulate a couple of intervals, then test for column concentration
     // among non-local selections.
     if (++q6_intervals_ < 2) {
@@ -129,13 +140,11 @@ class Watchdog {
         "Join st In StressTest.DoNextOp On st -> getloc\n"
         "Where st.host != DNop.host\n"
         "GroupBy DNop.host, getloc.replicas Select DNop.host, getloc.replicas, COUNT");
-    (void)frontend_->SetResultListener(
-        q7_, [this](int64_t ts, const std::vector<Tuple>&) { OnQ7Interval(ts); });
     printf("[watchdog] drill-down installed: chosen replica vs offered set (Q7)\n");
   }
 
   void OnQ7Interval(int64_t ts) {
-    if (stage_ != 3 || ++q7_intervals_ < 2) {
+    if (++q7_intervals_ < 2) {
       return;
     }
     // Pairwise win rates; a total order (all 0% or 100%) convicts a
@@ -221,7 +230,14 @@ int main() {
     }
   }
 
-  cluster.world()->StartAgentFlushLoop(30 * kMicrosPerSecond);
+  // Step one simulated second at a time: RunUntil(t) runs the agents'
+  // flush at t, so the interval the watchdog checks is complete.
+  constexpr int64_t kRunSeconds = 30;
+  cluster.world()->StartAgentFlushLoop(kRunSeconds * kMicrosPerSecond);
+  for (int64_t t = kMicrosPerSecond; t <= kRunSeconds * kMicrosPerSecond; t += kMicrosPerSecond) {
+    cluster.world()->RunUntil(t);
+    watchdog.Tick(t);
+  }
   cluster.world()->env()->RunAll();
 
   if (!watchdog.diagnosed()) {

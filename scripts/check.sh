@@ -1,6 +1,6 @@
 #!/bin/sh
 # Tier-1 verification: configure, build, run the full test suite, then four
-# bench gates:
+# bench gates (all four always run; the exit status is 1 if any failed):
 #   1. telemetry probe effect: the unwoven tracepoint fast path stays within
 #      MAX_OVERHEAD_PCT of the seed implementation (docs/OBSERVABILITY.md);
 #   2. install-time analysis: static analysis of one query on the full Hadoop
@@ -72,26 +72,49 @@ if [ -n "$sanitize" ]; then
   exit 0
 fi
 
+# Every gate runs even when an earlier one fails; each prints its verdict,
+# and the script exits 1 if any gate failed.
+failed_gates=""
+# run_gate NAME COMMAND...: runs one bench gate and records its verdict.
+run_gate() {
+  gate=$1
+  shift
+  if "$@"; then
+    echo "--- gate '$gate': PASS"
+  else
+    echo "--- gate '$gate': FAIL"
+    failed_gates="$failed_gates $gate"
+  fi
+}
+
 echo
 echo "=== telemetry overhead gate (<= ${max_overhead}%) ==="
-"$build_dir/bench/bench_telemetry_overhead" --max-overhead-pct="$max_overhead"
+run_gate telemetry-overhead \
+  "$build_dir/bench/bench_telemetry_overhead" --max-overhead-pct="$max_overhead"
 
 max_lint_micros=${MAX_LINT_MICROS:-1000}
 echo
 echo "=== install-time analysis gate (<= ${max_lint_micros} us/query) ==="
-"$build_dir/bench/bench_lint_overhead" --benchmark_min_time=0.01s \
+run_gate lint-overhead \
+  "$build_dir/bench/bench_lint_overhead" --benchmark_min_time=0.01s \
   --max-lint-micros="$max_lint_micros"
 
 echo
 echo "=== serialize memoization gate (clean >= ${min_serialize_speedup}x faster than dirty) ==="
-"$build_dir/bench/bench_hotpath" --min-serialize-speedup="$min_serialize_speedup"
+run_gate serialize-memo \
+  "$build_dir/bench/bench_hotpath" --min-serialize-speedup="$min_serialize_speedup"
 
 echo
 echo "=== emission scaling gate (sharded >= ${min_mt_speedup}x at 8 threads, st ratio <= ${max_st_ratio}x) ==="
 # The MT gate self-skips on < 4 hardware threads (the contention it measures
 # cannot exist on one core); the single-thread ratio gate always runs.
-"$build_dir/bench/bench_emit_mt" --min-mt-speedup="$min_mt_speedup" \
+run_gate emission-scaling \
+  "$build_dir/bench/bench_emit_mt" --min-mt-speedup="$min_mt_speedup" \
   --max-st-ratio="$max_st_ratio"
 
 echo
+if [ -n "$failed_gates" ]; then
+  echo "FAILED gates:$failed_gates. Bench results: $PIVOT_BENCH_JSON_DIR/BENCH_*.json"
+  exit 1
+fi
 echo "All checks passed. Bench results: $PIVOT_BENCH_JSON_DIR/BENCH_*.json"

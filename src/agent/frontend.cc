@@ -353,88 +353,66 @@ void Frontend::HandleReport(const BusMessage& msg) {
 }
 
 void Frontend::HandleBatch(const std::vector<uint8_t>& payload) {
-  // (listener, finalized rows) per report that has a listener, in order.
-  std::vector<std::pair<ResultListener, std::vector<Tuple>>> deliveries;
-  int64_t ts = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Each report decodes straight into a set of its query's plan; reports
-    // for unknown or uninstalled queries are skipped and counted as dropped.
-    // A malformed frame, or a report whose names do not match its plan, is
-    // dropped whole.
-    uint64_t skipped = 0;
-    Result<ControlMessage> decoded =
-        DecodeControlMessage(payload, [this, &skipped](uint64_t query_id) -> const ResultSet* {
-          auto it = queries_.find(query_id);
-          if (it == queries_.end() || !it->second.status.active) {
-            ++skipped;
-            return nullptr;
-          }
-          return &it->second.total;
-        });
-    if (!decoded.ok()) {
-      DecodeErrorsCounter().Increment();
-      return;
-    }
-    if (skipped != 0) {
-      ReportsDroppedCounter().Increment(skipped);
-    }
-    ReportBatch& batch = decoded->batch;
-    ts = batch.timestamp_micros;
-    const std::string agent = batch.host + "/" + batch.process_name;
-    for (AgentReport& report : batch.reports) {
-      QueryResults& q = queries_.at(report.query_id);
-      QueryStatus& status = q.status;
-      const size_t tuples = report.results.size();
-      if (tuples != 0) {
-        if (status.first_tuple_micros < 0) {
-          status.first_tuple_micros = ts;
-        }
-        status.last_report_micros = std::max(status.last_report_micros, ts);
-      }
-      AgentQueryView& view = status.agents[agent];
-      view.last_report_micros = std::max(view.last_report_micros, ts);
-      ++view.reports;
-      view.tuples += tuples;
-
-      // One merge, into the total. The interval keeps the report's bytes:
-      // they become its slices when it is the interval's first report, and
-      // are appended otherwise.
-      if (q.listener) {
-        deliveries.emplace_back(q.listener, report.results.Finalize());
-      }
-      q.total.Absorb(std::move(report.results));
-      std::vector<uint8_t>& interval = q.intervals[ts];
-      if (interval.empty()) {
-        interval = std::move(report.wire);
-      } else {
-        interval.insert(interval.end(), report.wire.begin(), report.wire.end());
-      }
-    }
-    for (const AgentStats& stats : batch.heartbeats) {
-      auto it = queries_.find(stats.query_id);
-      if (it == queries_.end()) {
-        continue;
-      }
-      AgentQueryView& view = it->second.status.agents[agent];
-      view.last_heartbeat_micros = ts;
-      view.reports_suppressed = stats.reports_suppressed;
-    }
-  }
-  // Invoke outside the lock so listeners may call back into the frontend.
-  for (const auto& [listener, rows] : deliveries) {
-    listener(ts, rows);
-  }
-}
-
-Status Frontend::SetResultListener(uint64_t query_id, ResultListener listener) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = queries_.find(query_id);
-  if (it == queries_.end()) {
-    return NotFoundError("unknown query: " + std::to_string(query_id));
+  // Each report decodes straight into a set of its query's plan; reports
+  // for unknown or uninstalled queries are skipped and counted as dropped.
+  // A malformed frame, or a report whose names do not match its plan, is
+  // dropped whole.
+  uint64_t skipped = 0;
+  Result<ControlMessage> decoded =
+      DecodeControlMessage(payload, [this, &skipped](uint64_t query_id) -> const ResultSet* {
+        auto it = queries_.find(query_id);
+        if (it == queries_.end() || !it->second.status.active) {
+          ++skipped;
+          return nullptr;
+        }
+        return &it->second.total;
+      });
+  if (!decoded.ok()) {
+    DecodeErrorsCounter().Increment();
+    return;
   }
-  it->second.listener = std::move(listener);
-  return Status::Ok();
+  if (skipped != 0) {
+    ReportsDroppedCounter().Increment(skipped);
+  }
+  ReportBatch& batch = decoded->batch;
+  const int64_t ts = batch.timestamp_micros;
+  const std::string agent = batch.host + "/" + batch.process_name;
+  for (AgentReport& report : batch.reports) {
+    QueryResults& q = queries_.at(report.query_id);
+    QueryStatus& status = q.status;
+    const size_t tuples = report.results.size();
+    if (tuples != 0) {
+      if (status.first_tuple_micros < 0) {
+        status.first_tuple_micros = ts;
+      }
+      status.last_report_micros = std::max(status.last_report_micros, ts);
+    }
+    AgentQueryView& view = status.agents[agent];
+    view.last_report_micros = std::max(view.last_report_micros, ts);
+    ++view.reports;
+    view.tuples += tuples;
+
+    // One merge, into the total. The interval keeps the report's bytes:
+    // they become its slices when it is the interval's first report, and
+    // are appended otherwise.
+    q.total.Absorb(std::move(report.results));
+    std::vector<uint8_t>& interval = q.intervals[ts];
+    if (interval.empty()) {
+      interval = std::move(report.wire);
+    } else {
+      interval.insert(interval.end(), report.wire.begin(), report.wire.end());
+    }
+  }
+  for (const AgentStats& stats : batch.heartbeats) {
+    auto it = queries_.find(stats.query_id);
+    if (it == queries_.end()) {
+      continue;
+    }
+    AgentQueryView& view = it->second.status.agents[agent];
+    view.last_heartbeat_micros = ts;
+    view.reports_suppressed = stats.reports_suppressed;
+  }
 }
 
 std::vector<Tuple> Frontend::Results(uint64_t query_id) const {

@@ -2,9 +2,10 @@
 //
 // Users hand the frontend query text; it parses, optimizes and compiles the
 // query to advice, publishes a weave command to every agent, and merges the
-// streaming partial results the agents report back cumulatively (for
-// totals), keeping each reporting interval's reports as received (for
-// time-series views like Fig 1a).
+// streaming partial results the agents report back cumulatively (Results),
+// keeping each reporting interval's reports as received: Series is the
+// streaming dataset of results (§1), one entry per interval, behind
+// time-series views like Fig 1a.
 
 #ifndef PIVOT_SRC_AGENT_FRONTEND_H_
 #define PIVOT_SRC_AGENT_FRONTEND_H_
@@ -124,14 +125,6 @@ class Frontend {
   // from the reports it received, on each call.
   std::map<int64_t, std::vector<Tuple>> Series(uint64_t query_id) const;
 
-  // Streaming consumption: `listener` is invoked for every agent report that
-  // arrives for the query, with the report's interval timestamp and its
-  // finalized rows ("returning a streaming dataset of results", §1). Called
-  // on the reporting thread; keep it cheap. One listener per query.
-  using ResultListener = std::function<void(int64_t timestamp_micros,
-                                            const std::vector<Tuple>& rows)>;
-  Status SetResultListener(uint64_t query_id, ResultListener listener);
-
   // Drops per-interval results older than `before_micros` for one query (or
   // for all queries when query_id is 0). Cumulative totals are unaffected.
   // Standing queries otherwise accumulate one interval entry per second
@@ -183,7 +176,6 @@ class Frontend {
   struct QueryResults {
     explicit QueryResults(CompiledQuery c) : compiled(std::move(c)), total(compiled.plan) {}
     CompiledQuery compiled;
-    ResultListener listener;
     // Since installation, merged report by report; once uninstalled, an empty
     // set of the plan, and the total is `sealed`.
     ResultSet total;
@@ -213,8 +205,7 @@ class Frontend {
 
   void HandleReport(const BusMessage& msg);
   // Decodes and merges one agent flush (a kBatch frame): every report and
-  // heartbeat under a single hold of mu_, then each report's listener, in
-  // report order, after the lock is released.
+  // heartbeat under a single hold of mu_.
   void HandleBatch(const std::vector<uint8_t>& payload);
   int64_t NowMicros() const;
 

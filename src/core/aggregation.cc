@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
-#include <type_traits>
 #include <utility>
 
 #include "src/core/wire.h"
@@ -304,9 +303,7 @@ void Aggregator::AddInput(const Tuple& t) {
   }
 }
 
-template <typename Source>
-void Aggregator::MergeGroups(Source& other) {
-  constexpr bool kMove = !std::is_const_v<Source>;
+void Aggregator::MergeGroups(Aggregator& other) {
   assert(&other != this && !empty() && other.key_width() == key_width() &&
          other.spec_count() == spec_count());
   const Columns& c = *cols_;
@@ -348,13 +345,7 @@ void Aggregator::MergeGroups(Source& other) {
     auto* src_values = other.values_.data() + g * value_width;
     if (inserted) {
       std::copy(src_words, src_words + word_width, words);
-      for (size_t i = 0; i < value_width; ++i) {
-        if constexpr (kMove) {
-          values[i] = std::move(src_values[i]);
-        } else {
-          values[i] = src_values[i];
-        }
-      }
+      std::move(src_values, src_values + value_width, values);
       continue;
     }
     for (size_t i = 0; i < c.specs.size(); ++i) {
@@ -382,20 +373,6 @@ void Aggregator::MergeGroups(Source& other) {
 bool Aggregator::SameColumns(const Aggregator& other) const {
   return cols_ == other.cols_ ||
          (cols_->group_ids == other.cols_->group_ids && cols_->specs == other.cols_->specs);
-}
-
-void Aggregator::Absorb(const Aggregator& other) {
-  assert(SameColumns(other));
-  if (empty()) {
-    key_bytes_ = other.key_bytes_;
-    key_ends_ = other.key_ends_;
-    words_ = other.words_;
-    values_ = other.values_;
-    hashes_ = other.hashes_;
-    slots_ = other.slots_;
-  } else {
-    MergeGroups(other);
-  }
 }
 
 void Aggregator::Absorb(Aggregator&& other) {
@@ -639,7 +616,7 @@ void ResultSet::Absorb(const ResultSet& other) {
   assert(SamePlan(other));
   dropped_ += other.dropped_;
   if (aggregated_) {
-    agg_.Absorb(other.agg_);
+    agg_.Absorb(Aggregator(other.agg_));
   } else {
     Append(other.rows_.begin(), other.rows_.size());
   }

@@ -219,15 +219,12 @@ class Aggregator {
   // arrays share this layout.
   bool SameColumns(const Aggregator& other) const;
   // Combines every group of `other`, which has SameColumns, by its stored
-  // hash (Table 3's combiner, set to set). The rvalue form moves new groups'
-  // Value states in, adopts `other` whole when this aggregator is empty, and
-  // leaves `other` empty.
-  void Absorb(const Aggregator& other);
+  // hash (Table 3's combiner, set to set): adopts `other` whole when this
+  // aggregator is empty, else merges its groups in, and leaves `other` empty.
   void Absorb(Aggregator&& other);
-  // Combines every group of `other`, which has SameColumns (const: copies;
-  // mutable: moves the Value states of new groups).
-  template <typename Source>
-  void MergeGroups(Source& other);
+  // Combines every group of `other`, which has SameColumns, moving the
+  // Value states of new groups in.
+  void MergeGroups(Aggregator& other);
 
   // Calls put(column, value) for each of group g's state columns after its
   // key (AggSpec::StateColumns, spec by spec).
@@ -299,7 +296,8 @@ class ResultSet {
   // Combines another set of the same plan into this one; `other` is treated
   // as later or concurrent, so a keep-first set keeps its own rows and a
   // keep-last set the other's. The rvalue form adopts `other` whole when this
-  // set is empty and leaves `other` empty. Both sets must have one plan: a
+  // set is empty and leaves `other` empty; the const form of an aggregated
+  // set merges a copy of `other`'s groups. Both sets must have one plan: a
   // bag key names one program, so every set of one key does.
   void Absorb(const ResultSet& other);
   void Absorb(ResultSet&& other);

@@ -168,7 +168,7 @@ std::vector<TracepointStatsRow> TracepointRegistry::StatsSnapshot() const {
   std::vector<TracepointStatsRow> rows;
   rows.reserve(tracepoints_.size());
   for (const auto& [name, tp] : tracepoints_) {
-    rows.push_back({name, tp->fires(), tp->woven_fires(), tp->advice_nanos()});
+    rows.push_back({name, tp->woven_fires(), tp->advice_nanos()});
   }
   return rows;
 }

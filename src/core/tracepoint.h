@@ -76,8 +76,7 @@ class Tracepoint {
 
   // Fires the tracepoint for the execution in `ctx` with the given exported
   // variables. Fast path (no advice, no trace recording): one atomic load and
-  // a branch — the "zero-probe-effect" analogue measured in Table 5 — plus a
-  // plain-increment fire counter (see below).
+  // a branch — the "zero-probe-effect" analogue measured in Table 5.
   //
   // The slow path runs each woven plan against an ExportView of `exports`
   // and the default exports (host, timestamp/time, procid, procname,
@@ -85,15 +84,6 @@ class Tracepoint {
   // a ground-truth trace is recording.
   void Invoke(ExecutionContext* ctx, const std::vector<Tuple::Field>& exports) const {
     const AdviceSet* set = advice_.load(std::memory_order_acquire);
-    // Self-telemetry fire counter, in the calling thread's slot. Deliberately
-    // a relaxed load+add+store (plain increment) rather than fetch_add: no
-    // lock-prefixed RMW on the fast path, so Table 5's probe-effect bound
-    // survives with telemetry compiled in (bench_telemetry_overhead). Threads
-    // sharing a slot may lose counts; monitoring tolerates that, correctness
-    // never reads it. Sequenced after the advice load so the branch is never
-    // waiting on the counter's store-to-load-forwarded dependency chain.
-    std::atomic<uint64_t>& fires = Slot().fires;
-    fires.store(fires.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
     if (set == nullptr && (ctx == nullptr || ctx->recorder() == nullptr)) {
       return;
     }
@@ -102,12 +92,11 @@ class Tracepoint {
 
   // ---- Self-telemetry (docs/OBSERVABILITY.md) ----
   //
-  // Counts live in per-thread slots (ThreadSlot), each on cache lines of
-  // its own and off the line that holds the advice pointer, so threads
-  // firing one tracepoint write no shared line. Reads sum the slots.
+  // Counted on the slow path only, in per-thread slots (ThreadSlot), each on
+  // cache lines of its own and off the line that holds the advice pointer,
+  // so threads firing one tracepoint write no shared line. Reads sum the
+  // slots.
 
-  // Total invocations, woven or not. Lossy when threads share a slot.
-  uint64_t fires() const { return SumSlots(&CounterSlot::fires); }
   // Invocations that executed at least one woven advice program (exact).
   uint64_t woven_fires() const { return SumSlots(&CounterSlot::woven_fires); }
   // Total wall-clock nanoseconds spent executing woven advice (exact;
@@ -119,7 +108,6 @@ class Tracepoint {
 
   // Per-thread counters, one slot per ThreadSlot.
   struct alignas(kCacheLine) CounterSlot {
-    std::atomic<uint64_t> fires{0};
     std::atomic<uint64_t> woven_fires{0};   // fetch_add: exact even when shared.
     std::atomic<uint64_t> advice_nanos{0};  // fetch_add: exact even when shared.
   };
@@ -143,7 +131,6 @@ class Tracepoint {
 // One row of TracepointRegistry::StatsSnapshot().
 struct TracepointStatsRow {
   std::string name;
-  uint64_t fires = 0;
   uint64_t woven_fires = 0;
   uint64_t advice_nanos = 0;
 };
@@ -196,7 +183,7 @@ class TracepointRegistry {
   // Ids of currently-woven queries, sorted.
   std::vector<uint64_t> WovenQueries() const;
 
-  // Per-tracepoint dispatch statistics (fire counts, advice time), sorted by
+  // Per-tracepoint dispatch statistics (woven fires, advice time), sorted by
   // name — the data behind Table 5's per-tracepoint overhead accounting.
   std::vector<TracepointStatsRow> StatsSnapshot() const;
 

@@ -14,12 +14,6 @@ uint64_t Counter::value() const {
   return total;
 }
 
-void Counter::Reset() {
-  for (Stripe& s : stripes_) {
-    s.value.store(0, std::memory_order_relaxed);
-  }
-}
-
 uint64_t Histogram::BucketUpperBound(int i) {
   if (i <= 0) {
     return 0;
@@ -56,16 +50,6 @@ uint64_t Histogram::QuantileUpperBound(double q) const {
     }
   }
   return BucketUpperBound(kBuckets - 1);
-}
-
-void Histogram::Reset() {
-  for (Stripe& s : stripes_) {
-    for (auto& b : s.buckets) {
-      b.store(0, std::memory_order_relaxed);
-    }
-    s.count.store(0, std::memory_order_relaxed);
-    s.sum.store(0, std::memory_order_relaxed);
-  }
 }
 
 Counter& MetricsRegistry::GetCounter(std::string_view name) {
@@ -148,16 +132,6 @@ std::string MetricsRegistry::RenderJson() const {
   }
   out += "}}";
   return out;
-}
-
-void MetricsRegistry::ResetAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, c] : counters_) {
-    c->Reset();
-  }
-  for (auto& [name, h] : histograms_) {
-    h->Reset();
-  }
 }
 
 MetricsRegistry& MetricsRegistry::Global() {

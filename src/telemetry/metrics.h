@@ -53,7 +53,6 @@ class Counter {
     stripes_[ThreadSlot()].value.fetch_add(n, std::memory_order_relaxed);
   }
   uint64_t value() const;
-  void Reset();
 
  private:
   struct alignas(kCacheLine) Stripe {
@@ -99,8 +98,6 @@ class Histogram {
   // Estimated quantile (q in [0,1]): the upper bound of the bucket containing
   // the q-th observation. Coarse by design (factor-of-two resolution).
   uint64_t QuantileUpperBound(double q) const;
-
-  void Reset();
 
  private:
   struct alignas(kCacheLine) Stripe {
@@ -155,10 +152,6 @@ class MetricsRegistry {
   // Human-readable dump (one metric per line) / JSON object.
   std::string RenderText() const;
   std::string RenderJson() const;
-
-  // Zeroes every metric without invalidating cached references. Intended for
-  // tests and benches sharing the global registry.
-  void ResetAll();
 
   // The process-wide registry every subsystem reports into.
   static MetricsRegistry& Global();

@@ -308,62 +308,6 @@ TEST_F(FrontendTest, PartialAggregationReducesReportedTuples) {
   EXPECT_EQ(frontend_.Results(*q)[0].Get("SUM(incr.delta)").int_value(), 50);
 }
 
-TEST_F(FrontendTest, OneBatchFrameRunsEachListenerOnce) {
-  // A hand-built kBatch frame carries reports for two queries that both have
-  // listeners. The frontend merges the whole frame, then runs each listener
-  // once with its rows, in report order, after releasing its lock: a
-  // listener that reads Results() must not deadlock.
-  Result<uint64_t> counted =
-      frontend_.Install("From incr In DataNodeMetrics.incrBytesRead Select COUNT");
-  Result<uint64_t> streamed =
-      frontend_.Install("From incr In DataNodeMetrics.incrBytesRead Select incr.delta");
-  ASSERT_TRUE(counted.ok()) << counted.status().ToString();
-  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-
-  struct Call {
-    uint64_t query;
-    int64_t ts;
-    std::vector<std::string> rows;
-    std::vector<std::string> results;
-  };
-  std::vector<Call> calls;
-  auto listen = [&](uint64_t id) {
-    return [&, id](int64_t ts, const std::vector<Tuple>& rows) {
-      calls.push_back({id, ts, CanonicalTuples(rows), CanonicalTuples(frontend_.Results(id))});
-    };
-  };
-  ASSERT_TRUE(frontend_.SetResultListener(*counted, listen(*counted)).ok());
-  ASSERT_TRUE(frontend_.SetResultListener(*streamed, listen(*streamed)).ok());
-
-  // The aggregated query ships combinable state; build it the way an agent
-  // does, from the query's own result plan.
-  AgentReport partial{*counted, ResultSet(frontend_.compiled(*counted)->plan)};
-  for (int i = 0; i < 3; ++i) {
-    partial.results.AddInput(Tuple{});
-  }
-  AgentReport rows{*streamed, ResultSet(frontend_.compiled(*streamed)->plan)};
-  rows.results.AddInput(Tuple{{"incr.delta", Value(int64_t{5})}});
-  rows.results.AddInput(Tuple{{"incr.delta", Value(int64_t{6})}});
-  ReportBatch batch;
-  batch.host = "B";
-  batch.process_name = "DataNode";
-  batch.timestamp_micros = 5'000'000;
-  batch.reports.push_back(std::move(partial));
-  batch.reports.push_back(std::move(rows));
-  bus_.Publish(BusMessage{kReportTopic, EncodeReportBatch(batch)});
-
-  ASSERT_EQ(calls.size(), 2u);
-  EXPECT_EQ(calls[0].query, *counted);
-  EXPECT_EQ(calls[0].ts, 5'000'000);
-  EXPECT_EQ(calls[0].rows, (std::vector<std::string>{"(COUNT=3)"}));
-  EXPECT_EQ(calls[0].results, (std::vector<std::string>{"(COUNT=3)"}));
-  EXPECT_EQ(calls[1].query, *streamed);
-  EXPECT_EQ(calls[1].ts, 5'000'000);
-  EXPECT_EQ(calls[1].rows, (std::vector<std::string>{"(incr.delta=5)", "(incr.delta=6)"}));
-  EXPECT_EQ(calls[1].results, calls[1].rows);
-  EXPECT_EQ(frontend_.reports_received(), 2u);
-}
-
 TEST_F(FrontendTest, UndecodableReportFramesAreCounted) {
   telemetry::Counter& decode_errors = telemetry::Metrics().GetCounter("frontend.decode_errors");
   const uint64_t before = decode_errors.value();

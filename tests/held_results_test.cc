@@ -83,7 +83,6 @@ class HeldResultsTest : public ::testing::Test {
     EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
     for (AgentReport& report : decoded->batch.reports) {
       const int64_t ts = decoded->batch.timestamp_micros;
-      reports_[report.query_id].emplace_back(ts, Rendered(report.results.Finalize()));
       totals_.at(report.query_id).Absorb(report.results);
       auto& intervals = intervals_[report.query_id];
       auto slot = intervals.find(ts);
@@ -120,8 +119,6 @@ class HeldResultsTest : public ::testing::Test {
   Frontend frontend_;
   std::map<uint64_t, ResultSet> totals_;
   std::map<uint64_t, std::map<int64_t, ResultSet>> intervals_;
-  // Per query, each report as decoded: (timestamp, finalized rows).
-  std::map<uint64_t, std::vector<std::pair<int64_t, std::vector<std::string>>>> reports_;
 };
 
 TEST_F(HeldResultsTest, SeriesAndResultsEqualASetMergeBeforeAndAfterUninstall) {
@@ -131,16 +128,6 @@ TEST_F(HeldResultsTest, SeriesAndResultsEqualASetMergeBeforeAndAfterUninstall) {
   ASSERT_NE(rows, 0u);
   Track(agg);
   Track(rows);
-
-  std::map<uint64_t, std::vector<std::pair<int64_t, std::vector<std::string>>>> heard;
-  for (uint64_t id : {agg, rows}) {
-    ASSERT_TRUE(frontend_
-                    .SetResultListener(id,
-                                       [&heard, id](int64_t ts, const std::vector<Tuple>& r) {
-                                         heard[id].emplace_back(ts, Rendered(r));
-                                       })
-                    .ok());
-  }
 
   // Three agents, three intervals. The aggregated query's groups overlap
   // across agents and intervals; the streaming query's agents report
@@ -199,9 +186,6 @@ TEST_F(HeldResultsTest, SeriesAndResultsEqualASetMergeBeforeAndAfterUninstall) {
   // The capped report kept fewer rows than were sent.
   EXPECT_LT(intervals_[rows].at(3'000'000).size(), 6u + 5000u);
   EXPECT_GT(intervals_[rows].at(3'000'000).dropped(), 0u);
-  // Each listener ran once per report, with that report's rows.
-  EXPECT_EQ(heard[agg], reports_[agg]);
-  EXPECT_EQ(heard[rows], reports_[rows]);
 
   // Active: the intervals hold the report slices, no more than arrived.
   const uint64_t agg_held = HeldBytes(agg);
@@ -220,15 +204,13 @@ TEST_F(HeldResultsTest, SeriesAndResultsEqualASetMergeBeforeAndAfterUninstall) {
   EXPECT_GT(HeldBytes(agg), agg_held);
   EXPECT_GT(HeldBytes(rows), rows_held);
 
-  // Reports that arrive after Uninstall change nothing and reach no listener.
-  const size_t heard_before = heard[agg].size();
+  // Reports that arrive after Uninstall change nothing.
   ReportBatch late;
   late.host = "A";
   late.process_name = "proc";
   late.timestamp_micros = 4'000'000;
   late.reports.emplace_back(agg, EmptySet(agg)).results.AddInput(Tuple{{"t.k", Value(int64_t{1})}});
   bus_.Publish(BusMessage{kReportTopic, EncodeReportBatch(late)});
-  EXPECT_EQ(heard[agg].size(), heard_before);
   EXPECT_EQ(Rendered(frontend_.Results(agg)), agg_results);
 
   // Trimming drops whole intervals and leaves the sealed total alone.

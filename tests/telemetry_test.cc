@@ -19,13 +19,11 @@ TEST(CounterTest, IncrementAndValue) {
   c.Increment();
   c.Increment(41);
   EXPECT_EQ(c.value(), 42u);
-  c.Reset();
-  EXPECT_EQ(c.value(), 0u);
 }
 
 TEST(CounterTest, ConcurrentIncrementsAreExact) {
-  // Registry counters use fetch_add on per-thread stripes: unlike the
-  // tracepoint fire counter (lossy by design), these must not lose counts.
+  // Registry counters use fetch_add on per-thread stripes: they must not
+  // lose counts.
   Counter c;
   constexpr int kThreads = 8;
   constexpr int kPerThread = 100'000;
@@ -143,11 +141,6 @@ TEST(StripedTelemetryTest, ThreadsSharingAStripeStayExact) {
   EXPECT_EQ(h.count(), kPerThread * threads);
   EXPECT_EQ(h.sum(), 3 * kPerThread * threads);
   EXPECT_EQ(h.bucket(2), kPerThread * threads);
-  c.Reset();
-  h.Reset();
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.bucket(2), 0u);
 }
 
 TEST(StripedTelemetryTest, TracepointWovenCountsStayExactUnderThreads) {
@@ -207,10 +200,6 @@ TEST(MetricsRegistryTest, SnapshotsAndRender) {
   std::string json = registry.RenderJson();
   EXPECT_NE(json.find("\"alpha\""), std::string::npos);
   EXPECT_NE(json.find("\"beta\""), std::string::npos);
-
-  registry.ResetAll();
-  EXPECT_EQ(registry.Counters()[0].value, 0u);
-  EXPECT_EQ(registry.Histograms()[0].count, 0u);
 }
 
 TEST(MetricsRegistryTest, GlobalIsSingleton) {
@@ -225,13 +214,11 @@ TEST(TracepointStatsTest, CountsFiresWovenAndUnwoven) {
   Result<Tracepoint*> tp = registry.Define(std::move(def));
   ASSERT_TRUE(tp.ok());
 
-  // Single-threaded, so the lossy fire counter is exact.
+  // Unwoven fires take the fast path and count nothing.
   for (int i = 0; i < 5; ++i) {
     (*tp)->Invoke(nullptr, {});
   }
-  EXPECT_EQ((*tp)->fires(), 5u);
   EXPECT_EQ((*tp)->woven_fires(), 0u);
-  EXPECT_EQ((*tp)->fires() - (*tp)->woven_fires(), 5u);  // Unwoven.
   EXPECT_EQ((*tp)->advice_nanos(), 0u);
 
   // Weave trivial (empty-program) advice: woven fires start counting.
@@ -240,46 +227,17 @@ TEST(TracepointStatsTest, CountsFiresWovenAndUnwoven) {
   for (int i = 0; i < 3; ++i) {
     (*tp)->Invoke(nullptr, {});
   }
-  EXPECT_EQ((*tp)->fires(), 8u);
   EXPECT_EQ((*tp)->woven_fires(), 3u);
-  EXPECT_EQ((*tp)->fires() - (*tp)->woven_fires(), 5u);
 
   auto rows = registry.StatsSnapshot();
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].name, "T");
-  EXPECT_EQ(rows[0].fires, 8u);
   EXPECT_EQ(rows[0].woven_fires, 3u);
+  EXPECT_EQ(rows[0].advice_nanos, (*tp)->advice_nanos());
 
   registry.UnweaveQuery(1);
   (*tp)->Invoke(nullptr, {});
-  EXPECT_EQ((*tp)->fires(), 9u);
   EXPECT_EQ((*tp)->woven_fires(), 3u);
-}
-
-TEST(TracepointStatsTest, ConcurrentFiresDoNotTearOrCrash) {
-  TracepointRegistry registry;
-  TracepointDef def;
-  def.name = "T";
-  Result<Tracepoint*> tp = registry.Define(std::move(def));
-  ASSERT_TRUE(tp.ok());
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 50'000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&tp] {
-      for (int i = 0; i < kPerThread; ++i) {
-        (*tp)->Invoke(nullptr, {});
-      }
-    });
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
-  // The fire counter is deliberately lossy under contention (plain relaxed
-  // increment, see tracepoint.h) but must stay within the issued total and
-  // make real progress.
-  EXPECT_LE((*tp)->fires(), static_cast<uint64_t>(kThreads) * kPerThread);
-  EXPECT_GE((*tp)->fires(), static_cast<uint64_t>(kPerThread));
 }
 
 }  // namespace
