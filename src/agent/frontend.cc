@@ -281,6 +281,7 @@ Status Frontend::Uninstall(uint64_t query_id) {
     status.uninstalled_micros = NowMicros();
     ResultSet& total = it->second.total;
     total.EncodeNamed(&it->second.sealed);
+    it->second.sealed.shrink_to_fit();  // Held until the frontend goes: no slack.
     total = total.EmptyLike();
     for (BagKey bag : PackedBags(it->second.compiled.advice)) {
       auto live = live_bags_.find(bag);

@@ -179,7 +179,8 @@ class Frontend {
     // Since installation, merged report by report; once uninstalled, an empty
     // set of the plan, and the total is `sealed`.
     ResultSet total;
-    // An uninstalled query's total as `names, set` slices (EncodeNamed).
+    // An uninstalled query's total as `names, set` slices (EncodeNamed),
+    // stored at its exact size.
     std::vector<uint8_t> sealed;
     // Keyed by report timestamp: the interval's reports as received, their
     // `names, set` slices (AgentReport::wire) in arrival order. Merged only

@@ -5,6 +5,7 @@
 
 #include "src/common/clock.h"
 #include "src/core/advice_io.h"
+#include "src/telemetry/metrics.h"
 
 namespace pivot {
 
@@ -20,6 +21,16 @@ std::optional<BagKey> FirstPackedBag(const Advice& advice) {
   return std::nullopt;
 }
 
+telemetry::Counter& SetsRetiredCounter() {
+  static telemetry::Counter& c = telemetry::Metrics().GetCounter("core.advice_sets_retired");
+  return c;
+}
+
+telemetry::Counter& SetsFreedCounter() {
+  static telemetry::Counter& c = telemetry::Metrics().GetCounter("core.advice_sets_freed");
+  return c;
+}
+
 bool SameProgram(const Advice& a, const Advice& b) {
   std::vector<uint8_t> a_bytes;
   std::vector<uint8_t> b_bytes;
@@ -30,8 +41,13 @@ bool SameProgram(const Advice& a, const Advice& b) {
 
 }  // namespace
 
-void Tracepoint::InvokeSlow(ExecutionContext* ctx, const AdviceSet* set,
+void Tracepoint::InvokeSlow(ExecutionContext* ctx,
                             const std::vector<Tuple::Field>& exports) const {
+  // The fast path's load only chose this path; the set read here is loaded
+  // again once the slot is in flight, so the registry cannot free it early.
+  CounterSlot& slot = Slot();
+  InFlight reading(slot);
+  const AdviceSet* set = advice_.load(std::memory_order_seq_cst);
   ExportView view(exports, def_.name, ctx != nullptr ? ctx->runtime() : nullptr);
   if (ctx != nullptr && ctx->recorder() != nullptr) {
     EventId ev = ctx->AdvanceEvent();
@@ -39,8 +55,7 @@ void Tracepoint::InvokeSlow(ExecutionContext* ctx, const AdviceSet* set,
   }
 
   if (set != nullptr) {
-    CounterSlot& slot = Slot();
-    slot.woven_fires.fetch_add(1, std::memory_order_relaxed);
+    reading.fired = true;
     // Advice execution time is real wall clock even under simulated time:
     // it is the probe effect on the host, the quantity Table 5 bounds.
     int64_t start = MonotonicNanos();
@@ -50,6 +65,12 @@ void Tracepoint::InvokeSlow(ExecutionContext* ctx, const AdviceSet* set,
     slot.advice_nanos.fetch_add(static_cast<uint64_t>(MonotonicNanos() - start),
                                 std::memory_order_relaxed);
   }
+}
+
+TracepointRegistry::TracepointRegistry() {
+  // Registered up front, so StatusReport lists both before any churn.
+  SetsRetiredCounter();
+  SetsFreedCounter();
 }
 
 TracepointRegistry::~TracepointRegistry() = default;
@@ -123,6 +144,7 @@ Status TracepointRegistry::WeaveQuery(
       RebuildLocked(it->second.get());
     }
   }
+  ReclaimLocked();
   return Status::Ok();
 }
 
@@ -161,6 +183,7 @@ void TracepointRegistry::UnweaveQuery(uint64_t query_id) {
       RebuildLocked(tp_it->second.get());
     }
   }
+  ReclaimLocked();
 }
 
 std::vector<TracepointStatsRow> TracepointRegistry::StatsSnapshot() const {
@@ -210,13 +233,36 @@ void TracepointRegistry::RebuildLocked(Tracepoint* tp) {
       }
     }
   }
-  const AdviceSet* next = set->empty() ? nullptr : set.get();
-  // The displaced set stays in published_: in-flight invocations may still be
-  // reading it (see class comment on the quiescence shortcut).
-  tp->advice_.store(next, std::memory_order_release);
-  if (next != nullptr) {
-    published_.push_back(std::move(set));
+  if (set->empty()) {
+    set.reset();
   }
+  // seq_cst: the store half of the Dekker pair with InvokeSlow (see
+  // Tracepoint::InFlight); ReclaimLocked's reads of the slots come after it.
+  tp->advice_.store(set.get(), std::memory_order_seq_cst);
+  std::unique_ptr<const AdviceSet> displaced = std::exchange(tp->current_, std::move(set));
+  if (displaced != nullptr) {  // Invocations may still be reading it.
+    retired_.push_back({tp, std::move(displaced), (uint32_t{1} << kThreadSlots) - 1});
+    SetsRetiredCounter().Increment();
+  }
+}
+
+void TracepointRegistry::ReclaimLocked() {
+  std::erase_if(retired_, [](RetiredSet& retired) {
+    for (size_t i = 0; i < kThreadSlots; ++i) {
+      // An idle slot has finished every invocation that started before the
+      // set was displaced, so it need not be read again for this set.
+      if ((retired.busy_slots >> i & 1) != 0 &&
+          (retired.tp->slots_[i].fires_in_flight.load(std::memory_order_seq_cst) &
+           Tracepoint::kInFlightMask) == 0) {
+        retired.busy_slots &= ~(uint32_t{1} << i);
+      }
+    }
+    if (retired.busy_slots != 0) {
+      return false;
+    }
+    SetsFreedCounter().Increment();
+    return true;  // Erasing frees the set, and any plan only it still held.
+  });
 }
 
 }  // namespace pivot

@@ -51,7 +51,10 @@ struct TracepointDef {
 // Immutable snapshot of the plans woven at one tracepoint, in weave order.
 // Swapped atomically by the registry; readers only ever see complete sets.
 // Each plan was compiled once, when its query was woven (src/core/plan.h),
-// and appears once however many queries share it.
+// and appears once however many queries share it. A tracepoint owns its
+// current set; a displaced set is retired and freed once no invocation can
+// still read it (TracepointRegistry), and with the last set holding a plan
+// goes the plan and its bag schemas.
 using AdviceSet = std::vector<AdvicePlan::Ptr>;
 
 class TracepointRegistry;
@@ -69,8 +72,10 @@ class Tracepoint {
   bool enabled() const { return advice_.load(std::memory_order_relaxed) != nullptr; }
 
   // Plans in the current advice set; a plan shared by queries counts once.
+  // Safe against a concurrent unweave: the read is in flight like a fire.
   size_t woven_plans() const {
-    const AdviceSet* set = advice_.load(std::memory_order_acquire);
+    InFlight reading(Slot());
+    const AdviceSet* set = advice_.load(std::memory_order_seq_cst);
     return set == nullptr ? 0 : set->size();
   }
 
@@ -83,11 +88,11 @@ class Tracepoint {
   // tracepoint; §3), read in place, and records the materialized tuple when
   // a ground-truth trace is recording.
   void Invoke(ExecutionContext* ctx, const std::vector<Tuple::Field>& exports) const {
-    const AdviceSet* set = advice_.load(std::memory_order_acquire);
-    if (set == nullptr && (ctx == nullptr || ctx->recorder() == nullptr)) {
+    if (advice_.load(std::memory_order_acquire) == nullptr &&
+        (ctx == nullptr || ctx->recorder() == nullptr)) {
       return;
     }
-    InvokeSlow(ctx, set, exports);
+    InvokeSlow(ctx, exports);
   }
 
   // ---- Self-telemetry (docs/OBSERVABILITY.md) ----
@@ -98,33 +103,68 @@ class Tracepoint {
   // slots.
 
   // Invocations that executed at least one woven advice program (exact).
-  uint64_t woven_fires() const { return SumSlots(&CounterSlot::woven_fires); }
+  uint64_t woven_fires() const {
+    return SumSlots(&CounterSlot::fires_in_flight, kInFlightBits);
+  }
   // Total wall-clock nanoseconds spent executing woven advice (exact;
   // measured on the slow path only, where advice cost dwarfs the clock read).
-  uint64_t advice_nanos() const { return SumSlots(&CounterSlot::advice_nanos); }
+  uint64_t advice_nanos() const { return SumSlots(&CounterSlot::advice_nanos, 0); }
 
  private:
   friend class TracepointRegistry;
 
-  // Per-thread counters, one slot per ThreadSlot.
+  // fires_in_flight holds the slot's woven fires above its low kInFlightBits
+  // bits and, in those bits, its reads of an advice set now in progress: a
+  // count, not a flag, since threads beyond kThreadSlots share the slot and
+  // a fire may re-enter another on its thread (at most 2^16 - 1 at once).
+  // One word, so a fire leaves and counts itself in one fetch_add.
+  static constexpr unsigned kInFlightBits = 16;
+  static constexpr uint64_t kOneFire = uint64_t{1} << kInFlightBits;
+  static constexpr uint64_t kInFlightMask = kOneFire - 1;
+
+  // Per-thread counters, one slot per ThreadSlot; fetch_add keeps them exact
+  // even when threads share a slot.
   struct alignas(kCacheLine) CounterSlot {
-    std::atomic<uint64_t> woven_fires{0};   // fetch_add: exact even when shared.
-    std::atomic<uint64_t> advice_nanos{0};  // fetch_add: exact even when shared.
+    std::atomic<uint64_t> fires_in_flight{0};
+    std::atomic<uint64_t> advice_nanos{0};
   };
   CounterSlot& Slot() const { return slots_[ThreadSlot()]; }
-  uint64_t SumSlots(std::atomic<uint64_t> CounterSlot::*count) const {
+  uint64_t SumSlots(std::atomic<uint64_t> CounterSlot::*count, unsigned shift) const {
     uint64_t total = 0;
     for (const CounterSlot& slot : slots_) {
-      total += (slot.*count).load(std::memory_order_relaxed);
+      total += (slot.*count).load(std::memory_order_relaxed) >> shift;
     }
     return total;
   }
 
-  void InvokeSlow(ExecutionContext* ctx, const AdviceSet* set,
-                  const std::vector<Tuple::Field>& exports) const;
+  // Marks `slot` in flight for a scope that loads advice_ after it starts,
+  // and counts a woven fire when it ends if `fired` was set. The seq_cst
+  // increment and the seq_cst load of advice_ that follows form a Dekker
+  // pair with RebuildLocked's seq_cst store and the registry's seq_cst read
+  // of the count: a reclaimer that reads 0 after displacing a set knows every
+  // reader that loaded it has left (the release decrement orders the
+  // reader's last use before the free).
+  struct InFlight {
+    explicit InFlight(CounterSlot& s) : slot(s) {
+      slot.fires_in_flight.fetch_add(1, std::memory_order_seq_cst);
+    }
+    ~InFlight() {
+      slot.fires_in_flight.fetch_add(fired ? kOneFire - 1 : ~uint64_t{0},
+                                     std::memory_order_release);
+    }
+    InFlight(const InFlight&) = delete;
+    InFlight& operator=(const InFlight&) = delete;
+    CounterSlot& slot;
+    bool fired = false;
+  };
+
+  void InvokeSlow(ExecutionContext* ctx, const std::vector<Tuple::Field>& exports) const;
 
   TracepointDef def_;
+  // The current set as readers load it; owned by `current_`, which only the
+  // registry touches, under its mutex.
   std::atomic<const AdviceSet*> advice_{nullptr};
+  std::unique_ptr<const AdviceSet> current_;
   mutable std::array<CounterSlot, kThreadSlots> slots_{};
 };
 
@@ -138,14 +178,20 @@ struct TracepointStatsRow {
 // Owns tracepoints and manages weaving. One registry per instrumented system
 // (the simulated cluster shares one; a real process would own one).
 //
-// Thread-safe. Every advice set ever published is kept until registry
-// destruction rather than reference-counted, trading a small leak for a
-// single-load fast path (the standard quiescence shortcut; weaving is rare
-// and human-driven). A set holds only shared plan pointers, so a superseded
-// set costs one pointer per plan, never a plan copy.
+// Thread-safe. A tracepoint owns only its current advice set. Publishing a
+// new one retires the set it displaces. A pass at the end of every weave and
+// unweave (the one that displaced the set, or a later one) frees a retired
+// set once each of the tracepoint's counter slots has been seen with no
+// invocation in flight since the set was displaced: every invocation that
+// could have loaded it has returned (epoch-style reclamation, as in Fraser's
+// "Practical lock-freedom" or userspace RCU, with per-slot in-flight counts
+// for epochs). The unwoven fast path stays one load; a woven fire pays one
+// more fetch_add on its own slot than counting itself did before (the mark;
+// clearing it also counts the fire). Counted by `core.advice_sets_retired`
+// and `core.advice_sets_freed`, so retired - freed is what is still held.
 class TracepointRegistry {
  public:
-  TracepointRegistry() = default;
+  TracepointRegistry();
   ~TracepointRegistry();
 
   TracepointRegistry(const TracepointRegistry&) = delete;
@@ -208,16 +254,30 @@ class TracepointRegistry {
   AdvicePlan::Ptr ShareOrCompileLocked(const std::string& tp_name, const Advice::Ptr& advice,
                                        const AdvicePlan::BagSchemas& schemas);
 
-  // Publishes a fresh advice set for `tp` gathered from woven_.
+  // Publishes a fresh advice set for `tp` gathered from woven_ and retires
+  // the set it displaces.
   void RebuildLocked(Tracepoint* tp);
+
+  // Frees each retired set no invocation can still be reading.
+  void ReclaimLocked();
+
+  // A displaced advice set and the counter slots of its tracepoint not yet
+  // seen idle since it was displaced (bit i: slot i).
+  struct RetiredSet {
+    const Tracepoint* tp;
+    std::unique_ptr<const AdviceSet> set;
+    uint32_t busy_slots;
+  };
+  static_assert(kThreadSlots < 32, "RetiredSet::busy_slots holds one bit per slot");
 
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Tracepoint>, std::less<>> tracepoints_;
   // query id -> its woven advice, each plan compiled or shared once its
   // tracepoint is defined.
   std::map<uint64_t, std::vector<WovenAdvice>> woven_;
-  // Every advice set ever published (see class comment).
-  std::vector<std::unique_ptr<const AdviceSet>> published_;
+  // Displaced sets some invocation may still be reading (see class comment).
+  // Declared after tracepoints_, so it is destroyed first.
+  std::vector<RetiredSet> retired_;
 };
 
 }  // namespace pivot

@@ -11,6 +11,7 @@
 #include "src/agent/agent.h"
 #include "src/agent/frontend.h"
 #include "src/bus/message_bus.h"
+#include "src/telemetry/metrics.h"
 #include "tests/test_util.h"
 
 namespace pivot {
@@ -171,6 +172,80 @@ TEST(ConcurrencyTest, FlusherRacesEmittersAndQueryChurn) {
   uint64_t reported_before = agent.reported_tuples();
   agent.Flush(1'000'000'000);
   EXPECT_EQ(agent.reported_tuples(), reported_before);
+}
+
+// Counts what advice emits; safe to share across threads.
+class CountingSink : public EmitSink {
+ public:
+  void EmitTuple(uint64_t, const Tuple&) override {
+    emits.fetch_add(1, std::memory_order_relaxed);
+  }
+  std::atomic<uint64_t> emits{0};
+};
+
+TEST(ConcurrencyTest, PackingFiresRaceAdviceSetReclamation) {
+  // 4 threads fire a tracepoint whose advice packs a bag and emits, while
+  // the control thread weaves and unweaves 1k times, so sets are displaced
+  // and freed under running fires. Freeing a set a fire still reads is a
+  // use-after-free under ASan and a race under TSan.
+  TracepointRegistry registry;
+  CountingSink sink;
+  ProcessRuntime runtime;
+  runtime.info = {"A", "proc", 1};
+  runtime.sink = &sink;
+  Tracepoint* tp = *registry.Define(Def("X", {"v"}));
+  auto advice = [](uint64_t q) {
+    return AdviceBuilder()
+        .Observe({{"v", "x.v"}})
+        .Pack(q * kBagKeysPerQuery, BagSpec::First(), {"x.v"})
+        .Emit(q, {"x.v"})
+        .Build();
+  };
+  telemetry::Counter& retired = telemetry::Metrics().GetCounter("core.advice_sets_retired");
+  telemetry::Counter& freed = telemetry::Metrics().GetCounter("core.advice_sets_freed");
+  const uint64_t retired_before = retired.value();
+  const uint64_t freed_before = freed.value();
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> invocations{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t) {
+    workers.emplace_back([&, t] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        ExecutionContext ctx(&runtime);
+        tp->Invoke(&ctx, {{"v", Value(int64_t{t})}});
+        invocations.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  while (invocations.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
+
+  constexpr uint64_t kCycles = 1000;
+  for (uint64_t q = 1; q <= kCycles; ++q) {
+    ASSERT_TRUE(registry.WeaveQuery(q, {{"X", advice(q)}}).ok());
+    // Let some fire run the woven set before it is displaced.
+    const uint64_t fired = tp->woven_fires();
+    for (int spin = 0; spin < 1000 && tp->woven_fires() == fired; ++spin) {
+      std::this_thread::yield();
+    }
+    registry.UnweaveQuery(q);
+  }
+  stop.store(true);
+  for (auto& w : workers) {
+    w.join();
+  }
+
+  EXPECT_FALSE(tp->enabled());
+  EXPECT_GT(sink.emits.load(), 0u);
+  // One more weave and unweave, with no fire in flight, frees what the
+  // churn left retired.
+  ASSERT_TRUE(registry.WeaveQuery(kCycles + 1, {{"X", advice(kCycles + 1)}}).ok());
+  registry.UnweaveQuery(kCycles + 1);
+  // Each unweave displaced a set; each weave found the tracepoint unwoven.
+  EXPECT_EQ(retired.value() - retired_before, kCycles + 1);
+  EXPECT_EQ(freed.value() - freed_before, retired.value() - retired_before);
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "src/core/tracepoint.h"
 #include "src/telemetry/metrics.h"
 #include "tests/test_util.h"
@@ -432,6 +435,120 @@ TEST_F(TracepointTest, IdenticalProgramSharesWithAnyWovenEntry) {
   EXPECT_EQ(tp->woven_plans(), 1u);
   tp->Invoke(&ctx_, {{"v", Value(int64_t{5})}});
   EXPECT_EQ(UnpackCopy(ctx_.baggage(), 256).size(), 1u);
+}
+
+telemetry::Counter& SetsRetired() {
+  return telemetry::Metrics().GetCounter("core.advice_sets_retired");
+}
+telemetry::Counter& SetsFreed() { return telemetry::Metrics().GetCounter("core.advice_sets_freed"); }
+
+// Retired advice sets not yet freed, process-wide.
+int64_t HeldRetiredSets() {
+  return static_cast<int64_t>(SetsRetired().value()) - static_cast<int64_t>(SetsFreed().value());
+}
+
+Advice::Ptr EmitV(uint64_t query_id) {
+  return AdviceBuilder().Observe({{"v", "x.v"}}).Emit(query_id, {}).Build();
+}
+
+TEST_F(TracepointTest, ChurnKeepsOnlyTheCurrentSets) {
+  Tracepoint* x = *registry_.Define(Def("X", {"v"}));
+  Tracepoint* y = *registry_.Define(Def("Y", {"v"}));
+  ASSERT_TRUE(registry_.WeaveQuery(1, {{"X", PackAll(256)}, {"Y", EmitV(1)}}).ok());
+  const uint64_t retired_before = SetsRetired().value();
+  const uint64_t freed_before = SetsFreed().value();
+
+  constexpr uint64_t kCycles = 10'000;
+  for (uint64_t q = 2; q < 2 + kCycles; ++q) {
+    ASSERT_TRUE(
+        registry_.WeaveQuery(q, {{"X", PackAll(q * kBagKeysPerQuery)}, {"Y", EmitV(q)}}).ok());
+    ExecutionContext ctx(&proc_.runtime);
+    x->Invoke(&ctx, {{"v", Value(int64_t{1})}});
+    y->Invoke(&ctx, {{"v", Value(int64_t{1})}});
+    registry_.UnweaveQuery(q);
+  }
+
+  // Each weave and each unweave displaced the set of X and the set of Y,
+  // and every displaced set was freed: the registry holds the two current
+  // sets only.
+  const uint64_t retired = SetsRetired().value() - retired_before;
+  EXPECT_EQ(retired, 4 * kCycles);
+  EXPECT_EQ(SetsFreed().value() - freed_before, retired);
+  EXPECT_EQ(x->woven_plans(), 1u);
+  EXPECT_EQ(y->woven_plans(), 1u);
+  EXPECT_EQ(registry_.WovenQueries(), std::vector<uint64_t>{1});
+  EXPECT_EQ(proc_.sink.emitted(1).size(), kCycles);
+  EXPECT_EQ(proc_.sink.total(), 2 * kCycles);
+}
+
+// A sink that holds the first tuple emitted into it until released, keeping
+// that fire in flight.
+class HoldingSink : public EmitSink {
+ public:
+  void EmitTuple(uint64_t, const Tuple&) override {
+    if (armed_.exchange(false)) {
+      holding_.store(true);
+      while (!released_.load()) {
+        std::this_thread::yield();
+      }
+    }
+  }
+  void WaitUntilHolding() const {
+    while (!holding_.load()) {
+      std::this_thread::yield();
+    }
+  }
+  void Release() { released_.store(true); }
+
+ private:
+  std::atomic<bool> armed_{true};
+  std::atomic<bool> holding_{false};
+  std::atomic<bool> released_{false};
+};
+
+TEST_F(TracepointTest, DisplacedSetLivesUntilItsReadersReturn) {
+  Tracepoint* tp = *registry_.Define(Def("X", {"v"}));
+  HoldingSink sink;
+  ProcessRuntime runtime;
+  runtime.sink = &sink;
+  ASSERT_TRUE(registry_.WeaveQuery(1, {{"X", EmitV(1)}}).ok());
+
+  size_t reader_slot = 0;
+  std::thread reader([&] {
+    reader_slot = ThreadSlot();
+    ExecutionContext ctx(&runtime);
+    tp->Invoke(&ctx, {{"v", Value(int64_t{1})}});
+  });
+  sink.WaitUntilHolding();
+  const int64_t held_before = HeldRetiredSets();
+  registry_.UnweaveQuery(1);  // Displaces the set the reader is running.
+  EXPECT_EQ(HeldRetiredSets() - held_before, 1);
+
+  // A thread sharing the reader's slot fires and returns. The slot is still
+  // in flight for the reader, so neither displaced set may be freed.
+  ASSERT_TRUE(registry_.WeaveQuery(2, {{"X", EmitV(2)}}).ok());
+  bool shared = false;
+  for (size_t i = 0; i < 2 * kThreadSlots && !shared; ++i) {
+    std::thread([&] {
+      if (ThreadSlot() == reader_slot) {
+        shared = true;
+        ExecutionContext ctx(&runtime);
+        tp->Invoke(&ctx, {{"v", Value(int64_t{2})}});
+      }
+    }).join();
+  }
+  ASSERT_TRUE(shared);
+  registry_.UnweaveQuery(2);
+  EXPECT_EQ(HeldRetiredSets() - held_before, 2);
+
+  // Once the reader returns, the next weave frees both.
+  sink.Release();
+  reader.join();
+  ASSERT_TRUE(registry_.WeaveQuery(3, {{"X", EmitV(3)}}).ok());
+  EXPECT_EQ(HeldRetiredSets() - held_before, 0);
+  EXPECT_EQ(tp->woven_plans(), 1u);
+  registry_.UnweaveQuery(3);
+  EXPECT_EQ(HeldRetiredSets() - held_before, 0);
 }
 
 TEST_F(TracepointTest, InvokeWithNullContextIsSafe) {
