@@ -3,11 +3,11 @@
 //
 //   1. Single-thread ns/tuple: an 8-shard agent vs a 1-shard agent (the
 //      1-shard configuration is the old global-lock path: one mutex, one
-//      aggregator). Sharding must not tax the sequential caller — gated by
-//      --max-st-ratio (sharded/baseline, check.sh passes 1.25).
+//      aggregator). Sharding must not tax the sequential caller — gated at
+//      kMaxStRatio (sharded/baseline, 1.25x).
 //   2. 1→8-thread scaling: aggregate tuples/s through both configurations.
 //      On multi-core hardware the sharded intake must reach
-//      --min-mt-speedup (3x, per ISSUE) over the global lock at 8 threads.
+//      kMinMtSpeedup (3x) over the global lock at 8 threads.
 //      On boxes with < 4 hardware threads the contention being measured
 //      physically cannot materialize (one core interleaves the "contending"
 //      threads), so the MT gate self-skips with a SKIP line; CI's multi-core
@@ -20,8 +20,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -36,6 +34,10 @@ namespace pivot {
 namespace {
 
 constexpr uint64_t kQuery = 1;
+// The gates: sharded single-thread cost at most kMaxStRatio times the global
+// lock's, and sharded 8-thread throughput at least kMinMtSpeedup times it.
+constexpr double kMaxStRatio = 1.25;
+constexpr double kMinMtSpeedup = 3.0;
 
 double MeasureNs(const std::function<void()>& fn, int iters, int passes = 8) {
   int64_t best = INT64_MAX;
@@ -121,18 +123,8 @@ double Median(std::vector<double> v) {
 }  // namespace
 }  // namespace pivot
 
-int main(int argc, char** argv) {
+int main() {
   using namespace pivot;
-
-  double max_st_ratio = 0.0;    // 0 = report only.
-  double min_mt_speedup = 0.0;  // 0 = report only.
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--max-st-ratio=", 15) == 0) {
-      max_st_ratio = std::atof(argv[i] + 15);
-    } else if (std::strncmp(argv[i], "--min-mt-speedup=", 17) == 0) {
-      min_mt_speedup = std::atof(argv[i] + 17);
-    }
-  }
 
   const unsigned hw = std::thread::hardware_concurrency();
   BenchJson json("emit_mt");
@@ -206,32 +198,28 @@ int main(int argc, char** argv) {
 
   // ---- Gates ----
   bool fail = false;
-  if (max_st_ratio > 0.0) {
-    if (st_ratio > max_st_ratio) {
-      printf("\nFAIL: sharded single-thread intake %.2fx the global-lock cost (max %.2fx)\n",
-             st_ratio, max_st_ratio);
-      fail = true;
-    } else {
-      printf("\nPASS: sharded single-thread intake %.2fx the global-lock cost (<= %.2fx)\n",
-             st_ratio, max_st_ratio);
-    }
+  if (st_ratio > kMaxStRatio) {
+    printf("\nFAIL: sharded single-thread intake %.2fx the global-lock cost (max %.2fx)\n",
+           st_ratio, kMaxStRatio);
+    fail = true;
+  } else {
+    printf("\nPASS: sharded single-thread intake %.2fx the global-lock cost (<= %.2fx)\n",
+           st_ratio, kMaxStRatio);
   }
-  if (min_mt_speedup > 0.0) {
-    if (hw < 4) {
-      // One core interleaves all "concurrent" emitters, so the global lock is
-      // never actually contended and sharding has nothing to win. The ratio is
-      // unmeasurable here, not violated: skip rather than fail, and let the
-      // multi-core CI runner enforce it.
-      printf("SKIP: multi-thread scaling gate needs >= 4 hardware threads (have %u)\n", hw);
-      json.Report("mt_gate_skipped", 1.0, "bool");
-    } else if (mt_speedup < min_mt_speedup) {
-      printf("FAIL: sharded intake only %.2fx global lock at 8 threads (need >= %.2fx)\n",
-             mt_speedup, min_mt_speedup);
-      fail = true;
-    } else {
-      printf("PASS: sharded intake %.2fx global lock at 8 threads (>= %.2fx required)\n",
-             mt_speedup, min_mt_speedup);
-    }
+  if (hw < 4) {
+    // One core interleaves all "concurrent" emitters, so the global lock is
+    // never actually contended and sharding has nothing to win. The ratio is
+    // unmeasurable here, not violated: skip rather than fail, and let the
+    // multi-core CI runner enforce it.
+    printf("SKIP: multi-thread scaling gate needs >= 4 hardware threads (have %u)\n", hw);
+    json.Report("mt_gate_skipped", 1.0, "bool");
+  } else if (mt_speedup < kMinMtSpeedup) {
+    printf("FAIL: sharded intake only %.2fx global lock at 8 threads (need >= %.2fx)\n",
+           mt_speedup, kMinMtSpeedup);
+    fail = true;
+  } else {
+    printf("PASS: sharded intake %.2fx global lock at 8 threads (>= %.2fx required)\n",
+           mt_speedup, kMinMtSpeedup);
   }
 
   json.Write();

@@ -5,8 +5,8 @@
 //   2. Advice execution: AdvicePlan::Execute ns/op on a representative
 //      observe/let/filter/unpack/emit program.
 //   3. Baggage serialization: dirty (active instance mutated since the last
-//      serialize) vs clean (memoized encoding reused). check.sh gates the
-//      clean path at --min-serialize-speedup (default 10x): serializing an
+//      serialize) vs clean (memoized encoding reused). The run fails unless
+//      the clean path is kMinSerializeSpeedup (10x) faster: serializing an
 //      unchanged baggage — the response leg of every RPC — must be an order
 //      of magnitude cheaper than a re-encode.
 //   4. Aggregate merge (informational, no gate): ns per row to decode a
@@ -19,8 +19,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
@@ -37,6 +35,9 @@
 
 namespace pivot {
 namespace {
+
+// The gate: a clean serialize must be this many times faster than a dirty one.
+constexpr double kMinSerializeSpeedup = 10.0;
 
 // Best-of-passes ns/op for `fn` run `iters` times per pass.
 double MeasureNs(const std::function<void()>& fn, int iters, int passes = 8) {
@@ -74,15 +75,8 @@ Tuple MakeWideTuple(int fields) {
 }  // namespace
 }  // namespace pivot
 
-int main(int argc, char** argv) {
+int main() {
   using namespace pivot;
-
-  double min_serialize_speedup = 0.0;  // 0 = report only, no gate.
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--min-serialize-speedup=", 24) == 0) {
-      min_serialize_speedup = std::atof(argv[i] + 24);
-    }
-  }
 
   BenchJson json("hotpath");
   printf("Hot-path micro-benchmarks (interned symbols / advice plans / COW baggage)\n\n");
@@ -252,14 +246,12 @@ int main(int argc, char** argv) {
 
   json.Write();
 
-  if (min_serialize_speedup > 0.0 && serialize_speedup < min_serialize_speedup) {
+  if (serialize_speedup < kMinSerializeSpeedup) {
     printf("\nFAIL: clean serialize only %.1fx faster than dirty (need >= %.1fx)\n",
-           serialize_speedup, min_serialize_speedup);
+           serialize_speedup, kMinSerializeSpeedup);
     return 1;
   }
-  if (min_serialize_speedup > 0.0) {
-    printf("\nPASS: clean serialize %.1fx faster than dirty (>= %.1fx required)\n",
-           serialize_speedup, min_serialize_speedup);
-  }
+  printf("\nPASS: clean serialize %.1fx faster than dirty (>= %.1fx required)\n",
+         serialize_speedup, kMinSerializeSpeedup);
   return 0;
 }

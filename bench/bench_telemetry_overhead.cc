@@ -6,7 +6,7 @@
 // (woven fires and advice time). This bench proves it: a local replica of the
 // *seed* Invoke (advice load + branch only) is measured against the real
 // Tracepoint::Invoke, interleaved best-of-passes, and the run fails if the
-// realistic-exports case exceeds --max-overhead-pct (default 10).
+// realistic-exports case exceeds kMaxOverheadPct (10%).
 //
 // Two cases:
 //   exports=1 field   what instrumented call sites actually do — building the
@@ -20,8 +20,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -33,6 +31,9 @@
 
 namespace pivot {
 namespace {
+
+// The gate: the real fast path may cost at most this much over the seed's.
+constexpr double kMaxOverheadPct = 10.0;
 
 // Replica of the seed Tracepoint fast path: acquire-load the advice pointer,
 // branch, hand off to an out-of-line slow path. This is what the real fast
@@ -93,15 +94,8 @@ std::pair<double, double> MeasureInterleaved(const std::function<void()>& base,
 }  // namespace
 }  // namespace pivot
 
-int main(int argc, char** argv) {
+int main() {
   using namespace pivot;
-
-  double max_overhead_pct = 10.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--max-overhead-pct=", 19) == 0) {
-      max_overhead_pct = std::atof(argv[i] + 19);
-    }
-  }
 
   TracepointRegistry registry;
   TracepointDef def;
@@ -143,11 +137,11 @@ int main(int argc, char** argv) {
               "pct");
   json.Write();
 
-  if (overhead > max_overhead_pct) {
+  if (overhead > kMaxOverheadPct) {
     printf("\nFAIL: %.1f%% > %.1f%% allowed on the realistic-exports fast path\n", overhead,
-           max_overhead_pct);
+           kMaxOverheadPct);
     return 1;
   }
-  printf("\nPASS: within %.1f%% of the seed fast path\n", max_overhead_pct);
+  printf("\nPASS: within %.1f%% of the seed fast path\n", kMaxOverheadPct);
   return 0;
 }

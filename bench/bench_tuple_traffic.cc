@@ -160,10 +160,7 @@ int Main() {
          "two-orders-of-magnitude collapse.\n\n");
 
   // ---- Ablation: §4 rewrites disabled ----
-  QueryCompiler::Options no_opt;
-  no_opt.push_projection = false;
-  no_opt.push_selection = false;
-  no_opt.push_aggregation = false;
+  const QueryCompiler::Options no_opt{.pushdown = false};
   RunStats unoptimized = RunWorkload(kQ2, no_opt, /*record=*/false);
 
   printf("Baggage on the wire for Q2 (%llu requests, %llu RPCs):\n",

@@ -95,6 +95,15 @@ void PTAgent::HandleCommand(const BusMessage& msg) {
   switch (decoded->type) {
     case ControlMessageType::kWeave: {
       const WeaveCommand& cmd = decoded->weave;
+      // A late agent's Hello replays every active weave to every agent: drop
+      // a duplicate before linting it (and again below, under the same lock
+      // that admits the query).
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (queries_.count(cmd.query_id) != 0) {
+          return;
+        }
+      }
       // Re-verify before anything touches the registry (the weave trust
       // boundary): the bytes came off the wire, and a frontend that linted
       // them is an assumption, not a guarantee. Like an eBPF verifier, the

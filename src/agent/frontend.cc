@@ -145,71 +145,54 @@ Status Frontend::RegisterNamedQuery(const std::string& name, std::string_view te
   return named_queries_.Register(name, std::move(q).value());
 }
 
-Result<uint64_t> Frontend::Install(std::string_view text, const InstallOptions& options) {
+Result<CompiledQuery> Frontend::CompileText(std::string_view text,
+                                            const QueryCompiler::Options& options,
+                                            uint64_t mint) const {
   Result<Query> parsed = ParseQuery(text);
   if (!parsed.ok()) {
     return parsed.status();
   }
-  QueryCompiler compiler(schema_, &named_queries_, options.compiler);
-
   uint64_t query_id;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    query_id = next_query_id_++;
+    query_id = next_query_id_;
+    next_query_id_ += mint;
   }
-  Result<CompiledQuery> compiled = compiler.Compile(parsed.value(), query_id);
+  return QueryCompiler(schema_, &named_queries_, options).Compile(parsed.value(), query_id);
+}
+
+Result<uint64_t> Frontend::Install(std::string_view text, const InstallOptions& options) {
+  Result<CompiledQuery> compiled = CompileText(text, options.compiler, 1);
   if (!compiled.ok()) {
     return compiled.status();
   }
-  return InstallCompiled(std::move(compiled).value(), options, options.compiler.push_projection);
+  return InstallCompiled(std::move(compiled).value(), options);
 }
 
 Result<analysis::QueryLintResult> Frontend::Lint(std::string_view text,
                                                  const InstallOptions& options) const {
-  Result<Query> parsed = ParseQuery(text);
-  if (!parsed.ok()) {
-    return parsed.status();
-  }
-  QueryCompiler compiler(schema_, &named_queries_, options.compiler);
-
-  uint64_t prospective_id;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    prospective_id = next_query_id_;  // Peek only: nothing is installed.
-  }
-  Result<CompiledQuery> compiled = compiler.Compile(parsed.value(), prospective_id);
+  // Peeks at the next id: nothing is installed.
+  Result<CompiledQuery> compiled = CompileText(text, options.compiler, 0);
   if (!compiled.ok()) {
     return compiled.status();
   }
-  return LintCompiled(*compiled, options, options.compiler.push_projection);
+  return LintCompiled(*compiled, options);
 }
 
 Result<uint64_t> Frontend::InstallExplain(std::string_view text) {
-  Result<Query> parsed = ParseQuery(text);
-  if (!parsed.ok()) {
-    return parsed.status();
-  }
-  QueryCompiler compiler(schema_, &named_queries_);
-  uint64_t real_id;
-  uint64_t shadow_id;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    real_id = next_query_id_++;
-    shadow_id = next_query_id_++;
-  }
-  Result<CompiledQuery> compiled = compiler.Compile(parsed.value(), real_id);
+  // The shadow takes the id after the query's.
+  Result<CompiledQuery> compiled = CompileText(text, {}, 2);
   if (!compiled.ok()) {
     return compiled.status();
   }
   // The counting shadow keeps the original packs but consumes only "$stage",
-  // so skip the dead-packed-column lint.
-  return InstallCompiled(MakeCountingQuery(*compiled, shadow_id), InstallOptions{},
-                         /*lint_projection=*/false);
+  // so it is linted as an unpushed query: no dead-packed-column lint.
+  return InstallCompiled(MakeCountingQuery(*compiled, compiled->query_id + 1),
+                         {.compiler = {.pushdown = false}});
 }
 
 analysis::QueryLintResult Frontend::LintCompiled(const CompiledQuery& compiled,
-                                                 const InstallOptions& options,
-                                                 bool lint_projection) const {
+                                                 const InstallOptions& options) const {
   analysis::LiveBags installed;  // The live bags this query packs: all PT203 reads.
   analysis::LintOptions lint_options;
   {
@@ -223,18 +206,17 @@ analysis::QueryLintResult Frontend::LintCompiled(const CompiledQuery& compiled,
     lint_options.propagation = propagation_;
   }
   lint_options.schema = schema_;
-  lint_options.assume_projection_pushdown = lint_projection;
+  lint_options.assume_projection_pushdown = options.compiler.pushdown;
   lint_options.installed_bags = &installed;
   lint_options.baggage_budget = options.baggage_budget;
   return analysis::QueryLinter(lint_options).Lint(compiled.query_id, compiled.advice,
                                                   compiled.plan);
 }
 
-Result<uint64_t> Frontend::InstallCompiled(CompiledQuery compiled, const InstallOptions& options,
-                                           bool lint_projection) {
+Result<uint64_t> Frontend::InstallCompiled(CompiledQuery compiled, const InstallOptions& options) {
   // Install-time gate (the query-text trust boundary): errors always reject,
   // warnings reject unless forced, infos never block.
-  analysis::QueryLintResult lint = LintCompiled(compiled, options, lint_projection);
+  analysis::QueryLintResult lint = LintCompiled(compiled, options);
   if (lint.report.has_errors() || (lint.report.has_warnings() && !options.force)) {
     std::string message = "query rejected by static analysis:\n" + lint.report.ToString();
     if (!lint.report.has_errors()) {

@@ -31,9 +31,9 @@ namespace pivot {
 // install: error-severity findings always reject, warning-severity findings
 // reject unless `force` is set (the --force escape hatch), infos never block.
 struct InstallOptions {
-  // The §4 optimizations (toggled by the ablation benches). Compiling without
-  // projection pushdown deliberately produces fat packs, so the
-  // dead-packed-column lint (PT207) follows `compiler.push_projection`.
+  // The §4 optimizations (off in the ablation benches). Compiling without
+  // pushdown deliberately produces fat packs, so the dead-packed-column lint
+  // (PT207) follows `compiler.pushdown`.
   QueryCompiler::Options compiler;
   // Accept the query despite warning-severity diagnostics.
   bool force = false;
@@ -191,18 +191,22 @@ class Frontend {
     QueryStatus status;
   };
 
+  // Parses `text` and compiles it with `options` under the next query id,
+  // then advances that id by `mint` (0 only peeks). Text that does not parse
+  // mints nothing.
+  Result<CompiledQuery> CompileText(std::string_view text, const QueryCompiler::Options& options,
+                                    uint64_t mint) const;
+
   // The install gate: lints `compiled` (whose id this frontend minted) and
   // publishes its weave command unless the lint rejects it.
-  // `lint_projection` enables the dead-packed-column lint (PT207).
-  Result<uint64_t> InstallCompiled(CompiledQuery compiled, const InstallOptions& options,
-                                   bool lint_projection);
+  Result<uint64_t> InstallCompiled(CompiledQuery compiled, const InstallOptions& options);
 
   // The one lint both Install and Lint run: the whole-query linter over
   // `compiled` with the frontend's schema, the live bags, the propagation
-  // graph and `options.baggage_budget`.
+  // graph and `options.baggage_budget`; the dead-packed-column lint (PT207)
+  // runs when `options.compiler.pushdown` is on.
   analysis::QueryLintResult LintCompiled(const CompiledQuery& compiled,
-                                         const InstallOptions& options,
-                                         bool lint_projection) const;
+                                         const InstallOptions& options) const;
 
   void HandleReport(const BusMessage& msg);
   // Decodes and merges one agent flush (a kBatch frame): every report and
@@ -224,7 +228,7 @@ class Frontend {
 
   mutable std::mutex mu_;
   std::function<int64_t()> now_micros_;  // Guarded by mu_ (set once at setup).
-  uint64_t next_query_id_ = 1;
+  mutable uint64_t next_query_id_ = 1;  // Guarded by mu_; minted by CompileText.
   std::map<uint64_t, QueryResults> queries_;
   analysis::LiveBags live_bags_;
 };

@@ -1,6 +1,7 @@
 #include "src/agent/protocol.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include "src/common/varint.h"
 #include "src/core/advice_io.h"
@@ -132,6 +133,11 @@ Result<ControlMessage> DecodeControlMessage(const std::vector<uint8_t>& payload,
         return DataLossError("bad batch header");
       }
       std::vector<std::string> names;
+      // Reports come from outside the process, and the symbol table is never
+      // freed. So only a query's first rows (none in its set, no other report
+      // of it in the frame) may name columns not yet interned, and they decode,
+      // interning those, once the rest of the frame has proved well formed.
+      std::vector<std::tuple<size_t, std::vector<std::string>, SetFrame>> naming;
       // A row of values takes a byte or more, but a row of no columns takes
       // none. So that the rows a frame decodes stay bounded by its size, like
       // every other count, the frame keeps at most `size` rows of no columns
@@ -163,7 +169,17 @@ Result<ControlMessage> DecodeControlMessage(const std::vector<uint8_t>& payload,
           continue;
         }
         AgentReport& r = b.reports.emplace_back(AgentReport{query_id, like->EmptyLike()});
-        if (!r.results.DecodeNamed(names, frame)) {
+        if (!like->aggregated() && frame.rows != 0 &&
+            !std::all_of(names.begin(), names.end(), [](const std::string& name) {
+              return SymbolTable::Global().Find(name) != kInvalidSymbol;
+            })) {
+          if (!like->empty() || !frame.Fits(names.size()) ||
+              std::count_if(b.reports.begin(), b.reports.end(),
+                            [&](const AgentReport& o) { return o.query_id == query_id; }) != 1) {
+            return DataLossError("bad batch report, or it names unknown columns");
+          }
+          naming.emplace_back(b.reports.size() - 1, names, frame);
+        } else if (!r.results.DecodeNamed(names, frame)) {
           return DataLossError("bad batch report, or its names do not match the query's plan");
         }
         if (capped) {
@@ -184,6 +200,11 @@ Result<ControlMessage> DecodeControlMessage(const std::vector<uint8_t>& payload,
           return DataLossError("bad batch heartbeat");
         }
         b.heartbeats.push_back(std::move(s));
+      }
+      for (const auto& [index, report_names, report_frame] : naming) {
+        if (!b.reports[index].results.DecodeNamed(report_names, report_frame)) {
+          return DataLossError("bad batch report");
+        }
       }
       return msg;
     }

@@ -109,8 +109,10 @@ std::vector<uint8_t> EncodeReportBatch(const ReportBatch& batch,
 // How a receiver decodes kBatch reports: maps a report's query id to a set of
 // that query (the receiver's running total, say). The report decodes into an
 // empty set like it (ResultSet::DecodeNamed), so an aggregate's names must be
-// that set's state columns. Null skips the report, as does decoding without a
-// lookup; a skipped report's values are still checked against its names.
+// that set's state columns, and a streaming report may name a column not yet
+// interned only while that set is empty. Null skips the report, as does
+// decoding without a lookup; a skipped report's values are still checked
+// against its names.
 using ReportSetLookup = std::function<const ResultSet*(uint64_t query_id)>;
 
 // Decoded union; `type` selects the valid member.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/core/exports.h"
+
 namespace pivot {
 namespace analysis {
 
@@ -20,16 +22,6 @@ StaticType StaticTypeOf(ValueType t) {
       return StaticType::kString;
   }
   return StaticType::kUnknown;
-}
-
-// The tracepoint's default export named `name` (tracepoint.h), or nullptr.
-const DefaultExport* FindDefaultExport(const std::string& name) {
-  for (const auto& d : kDefaultExports) {
-    if (name == d.name) {
-      return &d;
-    }
-  }
-  return nullptr;
 }
 
 bool IsDefiniteNumeric(StaticType t) {

@@ -881,7 +881,7 @@ bool ResultSet::DecodeNamed(const std::vector<std::string>& names, const SetFram
     // its column without a lookup or an intern.
     return names == agg_.cols_->state_names && Decode({}, frame);
   }
-  return Decode(InternSymbols(names), frame);
+  return Decode(frame.rows == 0 ? std::vector<SymbolId>{} : InternSymbols(names), frame);
 }
 
 }  // namespace pivot

@@ -352,7 +352,8 @@ class ResultSet {
   // so no row loses a column.
   void EncodeNamed(std::vector<uint8_t>* out) const;
   // Decode, for rows named by `names`. An aggregated set requires exactly its
-  // state columns and interns nothing; a streaming set interns each name.
+  // state columns and interns nothing; a streaming set interns each name of
+  // a frame that has rows.
   bool DecodeNamed(const std::vector<std::string>& names, const SetFrame& frame);
 
  private:

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/context.h"
@@ -36,6 +37,16 @@ inline constexpr DefaultExport kDefaultExports[] = {
     {"procid", ValueType::kInt},   {"timestamp", ValueType::kInt},
     {"time", ValueType::kInt},     {"tracepoint", ValueType::kString},
 };
+
+// The default export named `name`, or nullptr.
+inline const DefaultExport* FindDefaultExport(std::string_view name) {
+  for (const DefaultExport& d : kDefaultExports) {
+    if (name == d.name) {
+      return &d;
+    }
+  }
+  return nullptr;
+}
 
 // Read-only view of one invocation's exports. A site field shadows a default
 // export of the same name (the first match wins, as in a tuple of the site's

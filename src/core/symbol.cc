@@ -25,6 +25,12 @@ SymbolId SymbolTable::Intern(std::string_view name) {
   return id;
 }
 
+SymbolId SymbolTable::Find(std::string_view name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = ids_.find(name);
+  return it == ids_.end() ? kInvalidSymbol : it->second;
+}
+
 std::string_view SymbolTable::NameOf(SymbolId id) const {
   if (id >= count_.load(std::memory_order_acquire)) return {};
   const Chunk* chunk = chunks_[id >> kChunkBits].load(std::memory_order_acquire);

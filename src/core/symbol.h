@@ -48,6 +48,10 @@ class SymbolTable {
   // takes the table mutex.
   SymbolId Intern(std::string_view name);
 
+  // The id of `name` if it is interned, else kInvalidSymbol. Never interns;
+  // takes the table mutex.
+  SymbolId Find(std::string_view name) const;
+
   // The name behind `id`; empty view for kInvalidSymbol / out-of-range.
   // Lock-free: safe on hot paths (serialization, rendering).
   std::string_view NameOf(SymbolId id) const;

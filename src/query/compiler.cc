@@ -1,8 +1,8 @@
 #include "src/query/compiler.h"
 
 #include <algorithm>
-#include <functional>
-#include <set>
+#include <iterator>
+#include <optional>
 
 #include "src/common/strings.h"
 #include "src/query/flatten.h"
@@ -56,15 +56,6 @@ namespace {
 // ---------------------------------------------------------------------------
 // Stage model
 
-bool IsDefaultExport(std::string_view name) {
-  for (const auto& d : kDefaultExports) {
-    if (name == d.name) {
-      return true;
-    }
-  }
-  return false;
-}
-
 struct Stage {
   SourceRef source;
   std::vector<size_t> preds;
@@ -90,6 +81,32 @@ void AddUnique(std::vector<std::string>* v, const std::string& s) {
 
 bool Contains(const std::vector<std::string>& v, const std::string& s) {
   return std::find(v.begin(), v.end(), s) != v.end();
+}
+
+// Adds each field `e` reads to `*fields`, once.
+void AddFieldsOf(const Expr::Ptr& e, std::vector<std::string>* fields) {
+  std::vector<std::string> fs;
+  e->CollectFields(&fs);
+  for (const auto& f : fs) {
+    AddUnique(fields, f);
+  }
+}
+
+// What a packing stage's bag retains, from its source's temporal filter.
+BagSpec RetentionSpec(const SourceRef& source) {
+  switch (source.temporal) {
+    case TemporalFilter::kAll:
+      break;
+    case TemporalFilter::kFirst:
+      return BagSpec::First(1);
+    case TemporalFilter::kFirstN:
+      return BagSpec::First(source.n);
+    case TemporalFilter::kMostRecent:
+      return BagSpec::Recent(1);
+    case TemporalFilter::kMostRecentN:
+      return BagSpec::Recent(source.n);
+  }
+  return BagSpec::All();
 }
 
 }  // namespace
@@ -263,7 +280,7 @@ Result<CompiledQuery> QueryCompiler::Compile(const Query& q, uint64_t query_id) 
       return InvalidArgumentError("field references unknown alias: " + field);
     }
     std::string member = field.substr(dot + 1);
-    if (!IsDefaultExport(member) && registry_ != nullptr) {
+    if (FindDefaultExport(member) == nullptr && registry_ != nullptr) {
       for (const auto& tp_name : stages[it->second].source.tracepoints) {
         const Tracepoint* tp = registry_->Find(tp_name);
         if (tp != nullptr && !Contains(tp->def().exports, member)) {
@@ -277,27 +294,20 @@ Result<CompiledQuery> QueryCompiler::Compile(const Query& q, uint64_t query_id) 
 
   // ---- 4. Collect referenced fields and attribute them. ----
   std::vector<std::string> all_fields;
-  auto collect_expr = [&](const Expr::Ptr& e) {
-    std::vector<std::string> fs;
-    e->CollectFields(&fs);
-    for (auto& f : fs) {
-      AddUnique(&all_fields, f);
-    }
-  };
   for (const auto& w : flat.where) {
-    collect_expr(w);
+    AddFieldsOf(w, &all_fields);
   }
   for (const auto& g : flat.group_by) {
     AddUnique(&all_fields, g);
   }
   for (const auto& s : flat.select) {
     if (s.expr != nullptr) {
-      collect_expr(s.expr);
+      AddFieldsOf(s.expr, &all_fields);
     }
   }
   for (const auto& st : stages) {
     for (const auto& let : st.lets) {
-      collect_expr(let.expr);
+      AddFieldsOf(let.expr, &all_fields);
     }
   }
 
@@ -313,13 +323,13 @@ Result<CompiledQuery> QueryCompiler::Compile(const Query& q, uint64_t query_id) 
     AddUnique(&stages[*owner].observe, f);
   }
 
-  // Without projection pushdown (ablation baseline), every stage observes all
-  // of its tracepoints' exports plus the defaults — Π is not pushed toward
-  // the source, so whole tuples flow through packs and emits. A query with
+  // Without pushdown (the ablation baseline), every stage observes all of its
+  // tracepoints' exports plus the defaults — Π is not pushed toward the
+  // source, so whole tuples flow through packs and emits. A query with
   // neither Select nor GroupBy projects everything it observes, so it too
   // observes whole tuples, as the naive evaluator's rows are.
   const bool select_all = flat.select.empty() && flat.group_by.empty();
-  if ((!options_.push_projection && registry_ != nullptr) || select_all) {
+  if ((!options_.pushdown && registry_ != nullptr) || select_all) {
     for (Stage& st : stages) {
       for (const auto& tp_name : st.source.tracepoints) {
         const Tracepoint* tp = registry_ != nullptr ? registry_->Find(tp_name) : nullptr;
@@ -351,36 +361,20 @@ Result<CompiledQuery> QueryCompiler::Compile(const Query& q, uint64_t query_id) 
   }
 
   // Each Where clause runs at the earliest stage (topo order) where all its
-  // fields are available; without selection pushdown everything runs at the
-  // final stage (whose availability is a superset by construction).
+  // fields are available; without pushdown everything runs at the final
+  // stage (whose availability is a superset by construction).
   for (const auto& w : flat.where) {
-    bool placed = false;
-    if (options_.push_selection) {
-      for (size_t idx : topo) {
-        if (w->FieldsSubsetOf(stages[idx].available)) {
-          stages[idx].filters.push_back(w);
-          placed = true;
-          break;
-        }
-      }
-    } else if (w->FieldsSubsetOf(stages[final_idx].available)) {
-      stages[final_idx].filters.push_back(w);
-      placed = true;
-    }
-    if (!placed) {
+    auto at = std::find_if(options_.pushdown ? topo.begin() : topo.end() - 1, topo.end(),
+                           [&](size_t idx) { return w->FieldsSubsetOf(stages[idx].available); });
+    if (at == topo.end()) {
       return InvalidArgumentError("Where clause references unavailable fields: " + w->ToString());
     }
+    stages[*at].filters.push_back(w);
   }
 
   // ---- 6. Select / GroupBy consistency. ----
-  const bool has_aggs = [&] {
-    for (const auto& s : flat.select) {
-      if (s.is_aggregate) {
-        return true;
-      }
-    }
-    return false;
-  }();
+  const bool has_aggs = std::any_of(flat.select.begin(), flat.select.end(),
+                                    [](const SelectItem& s) { return s.is_aggregate; });
   const bool aggregated = has_aggs || !flat.group_by.empty();
 
   for (const auto& g : flat.group_by) {
@@ -406,99 +400,76 @@ Result<CompiledQuery> QueryCompiler::Compile(const Query& q, uint64_t query_id) 
     }
   }
 
+  // Fields read strictly after topo position `pos`: by the filters and lets
+  // of later stages, and by a later pushed aggregation's lets and inputs.
+  auto used_after = [&](size_t pos) {
+    std::vector<std::string> used;
+    for (size_t later = pos + 1; later < topo.size(); ++later) {
+      const Stage& st = stages[topo[later]];
+      for (const auto& f : st.filters) {
+        AddFieldsOf(f, &used);
+      }
+      for (const auto& let : st.lets) {
+        AddFieldsOf(let.expr, &used);
+      }
+      for (const auto& let : st.agg_lets) {
+        AddFieldsOf(let.expr, &used);
+      }
+      for (const auto& spec : st.pushed_aggs) {
+        if (!spec.input.empty()) {
+          AddUnique(&used, spec.input);
+        }
+      }
+    }
+    return used;
+  };
+
   // ---- 7. Aggregation pushdown (Table 3 A/GA rules). ----
   // Strict, always-correct rule: push iff (a) every select aggregate's inputs
   // are fully available at one shared non-final stage `s`, (b) `s` feeds the
   // final stage directly and nothing else, (c) no COUNT (its multiplicity
   // depends on the un-collapsed join), (d) s's temporal filter is kAll, and
-  // (e) every field of `s`'s subtree needed downstream is a group-by field.
-  size_t pushed_stage = SIZE_MAX;
-  if (options_.push_aggregation && has_aggs) {
-    bool eligible = true;
-    size_t candidate = SIZE_MAX;
+  // (e) every field of `s`'s subtree read by a later stage is a group-by
+  // field. Non-aggregate Select items are group-by fields (step 6), which an
+  // aggregated bag keeps as groups.
+  auto pushdown_stage = [&]() -> std::optional<size_t> {
+    if (!options_.pushdown || !has_aggs) {
+      return std::nullopt;
+    }
+    size_t pos = SIZE_MAX;  // The stage's topo position.
     for (const auto& s : flat.select) {
       if (!s.is_aggregate) {
         continue;
       }
       if (s.fn == AggFn::kCount && s.expr == nullptr) {
-        eligible = false;  // (c)
-        break;
+        return std::nullopt;  // (c)
       }
       // Earliest stage whose availability covers the aggregate's inputs.
-      size_t origin = SIZE_MAX;
-      for (size_t idx : topo) {
-        if (s.expr->FieldsSubsetOf(stages[idx].available)) {
-          origin = idx;
-          break;
-        }
+      auto origin = std::find_if(topo.begin(), topo.end() - 1, [&](size_t idx) {
+        return s.expr->FieldsSubsetOf(stages[idx].available);
+      });
+      const size_t origin_pos = origin - topo.begin();
+      if (origin == topo.end() - 1 || (pos != SIZE_MAX && pos != origin_pos)) {
+        return std::nullopt;  // At the final stage, or (a).
       }
-      if (origin == SIZE_MAX || origin == final_idx) {
-        eligible = false;
-        break;
-      }
-      if (candidate == SIZE_MAX) {
-        candidate = origin;
-      } else if (candidate != origin) {
-        eligible = false;  // (a): all aggregates at one stage.
-        break;
+      pos = origin_pos;
+    }
+    const Stage& st = stages[topo[pos]];
+    if (st.succs.size() != 1 || st.succs[0] != final_idx ||
+        st.source.temporal != TemporalFilter::kAll) {
+      return std::nullopt;  // (b), (d)
+    }
+    for (const auto& f : used_after(pos)) {
+      if (Contains(st.available, f) && !Contains(flat.group_by, f)) {
+        return std::nullopt;  // (e)
       }
     }
-    if (eligible && candidate != SIZE_MAX) {
-      const Stage& st = stages[candidate];
-      if (st.succs.size() != 1 || st.succs[0] != final_idx ||
-          st.source.temporal != TemporalFilter::kAll) {
-        eligible = false;  // (b), (d)
-      }
-    }
-    if (eligible && candidate != SIZE_MAX) {
-      // (e): fields from this stage's subtree needed downstream, excluding
-      // aggregate inputs, must all be group-by fields.
-      std::set<std::string> downstream_needs;
-      auto note_expr = [&](const Expr::Ptr& e) {
-        std::vector<std::string> fs;
-        e->CollectFields(&fs);
-        for (auto& f : fs) {
-          downstream_needs.insert(std::move(f));
-        }
-      };
-      for (size_t idx : topo) {
-        // Only stages after `candidate` matter; approximate with "not in
-        // candidate's ancestry" by checking topo position.
-        if (idx == candidate) {
-          continue;
-        }
-        bool is_after = std::find(topo.begin(), topo.end(), idx) >
-                        std::find(topo.begin(), topo.end(), candidate);
-        if (!is_after) {
-          continue;
-        }
-        for (const auto& f : stages[idx].filters) {
-          note_expr(f);
-        }
-        for (const auto& let : stages[idx].lets) {
-          note_expr(let.expr);
-        }
-      }
-      // Group-by fields are exempt: an aggregated bag keeps them as groups.
-      for (const auto& s : flat.select) {
-        if (!s.is_aggregate && s.expr != nullptr) {
-          note_expr(s.expr);
-        }
-      }
-      for (const auto& f : downstream_needs) {
-        if (Contains(stages[candidate].available, f) && !Contains(flat.group_by, f)) {
-          eligible = false;
-          break;
-        }
-      }
-      if (eligible) {
-        pushed_stage = candidate;
-      }
-    }
-  }
+    return topo[pos];
+  };
+  const std::optional<size_t> pushed_stage = pushdown_stage();
 
-  if (pushed_stage != SIZE_MAX) {
-    Stage& st = stages[pushed_stage];
+  if (pushed_stage) {
+    Stage& st = stages[*pushed_stage];
     st.agg_pushed = true;
     std::vector<std::string> bag_groups;
     for (const auto& g : flat.group_by) {
@@ -524,88 +495,26 @@ Result<CompiledQuery> QueryCompiler::Compile(const Query& q, uint64_t query_id) 
   }
 
   // ---- 8. Projection pushdown: pack only what later stages need. ----
-  // needed_after(i): fields consumed strictly after stage i.
-  {
-    // Fields the final emit consumes.
-    std::vector<std::string> emit_needs;
-    for (const auto& g : flat.group_by) {
-      AddUnique(&emit_needs, g);
+  std::vector<std::string> emit_reads = flat.group_by;  // Fields the final emit reads.
+  for (const auto& s : flat.select) {
+    if (s.expr != nullptr) {
+      AddFieldsOf(s.expr, &emit_reads);
     }
-    for (const auto& s : flat.select) {
-      if (s.expr != nullptr) {
-        std::vector<std::string> fs;
-        s.expr->CollectFields(&fs);
-        for (auto& f : fs) {
-          AddUnique(&emit_needs, f);
-        }
-      }
+  }
+  for (size_t pos = 0; pos < topo.size(); ++pos) {
+    Stage& st = stages[topo[pos]];
+    if (st.is_final || st.agg_pushed) {
+      continue;
     }
-
-    for (size_t pos = 0; pos < topo.size(); ++pos) {
-      size_t idx = topo[pos];
-      Stage& st = stages[idx];
-      if (st.is_final || st.agg_pushed) {
-        continue;
-      }
-      if (!options_.push_projection || select_all) {
-        st.pack_fields = st.available;
-      } else {
-        std::vector<std::string> needed_after = emit_needs;
-        for (size_t later = pos + 1; later < topo.size(); ++later) {
-          const Stage& lst = stages[topo[later]];
-          for (const auto& f : lst.filters) {
-            std::vector<std::string> fs;
-            f->CollectFields(&fs);
-            for (auto& x : fs) {
-              AddUnique(&needed_after, x);
-            }
-          }
-          for (const auto& let : lst.lets) {
-            std::vector<std::string> fs;
-            let.expr->CollectFields(&fs);
-            for (auto& x : fs) {
-              AddUnique(&needed_after, x);
-            }
-          }
-          // A later pushed-aggregation stage consumes its raw inputs.
-          for (const auto& let : lst.agg_lets) {
-            std::vector<std::string> fs;
-            let.expr->CollectFields(&fs);
-            for (auto& x : fs) {
-              AddUnique(&needed_after, x);
-            }
-          }
-          for (const auto& spec : lst.pushed_aggs) {
-            if (!spec.input.empty()) {
-              AddUnique(&needed_after, spec.input);
-            }
-          }
-        }
-        for (const auto& f : st.available) {
-          if (Contains(needed_after, f)) {
-            st.pack_fields.push_back(f);
-          }
-        }
-      }
-      // Retention semantics from the source's temporal filter.
-      switch (st.source.temporal) {
-        case TemporalFilter::kAll:
-          st.pack_spec = BagSpec::All();
-          break;
-        case TemporalFilter::kFirst:
-          st.pack_spec = BagSpec::First(1);
-          break;
-        case TemporalFilter::kFirstN:
-          st.pack_spec = BagSpec::First(st.source.n);
-          break;
-        case TemporalFilter::kMostRecent:
-          st.pack_spec = BagSpec::Recent(1);
-          break;
-        case TemporalFilter::kMostRecentN:
-          st.pack_spec = BagSpec::Recent(st.source.n);
-          break;
-      }
+    st.pack_spec = RetentionSpec(st.source);
+    if (!options_.pushdown || select_all) {
+      st.pack_fields = st.available;
+      continue;
     }
+    std::vector<std::string> needed = used_after(pos);
+    needed.insert(needed.end(), emit_reads.begin(), emit_reads.end());
+    std::copy_if(st.available.begin(), st.available.end(), std::back_inserter(st.pack_fields),
+                 [&](const std::string& f) { return Contains(needed, f); });
   }
 
   // ---- 9. Generate advice. ----
@@ -619,7 +528,7 @@ Result<CompiledQuery> QueryCompiler::Compile(const Query& q, uint64_t query_id) 
 
   for (const auto& s : flat.select) {
     if (s.is_aggregate) {
-      if (pushed_stage != SIZE_MAX) {
+      if (pushed_stage) {
         plan.aggs.push_back(AggSpec{s.fn, s.display, s.display, /*from_state=*/true});
       } else if (s.fn == AggFn::kCount && s.expr == nullptr) {
         plan.aggs.push_back(AggSpec{AggFn::kCount, "", s.display, false});
@@ -697,42 +606,28 @@ CompiledQuery MakeCountingQuery(const CompiledQuery& original, uint64_t shadow_i
 
   for (const auto& [tp, adv] : original.advice) {
     std::vector<Advice::Op> ops;
+    // Reports one ($stage, COUNT) row per tuple reaching here.
+    auto count_as = [&](const std::string& stage) {
+      Advice::Op& let = ops.emplace_back();
+      let.kind = Advice::OpKind::kLet;
+      let.let_name = "$stage";
+      let.expr = Expr::Literal(Value(stage + "@" + tp));
+      Advice::Op& emit = ops.emplace_back();
+      emit.kind = Advice::OpKind::kEmit;
+      emit.fields = {"$stage"};
+      emit.query_id = shadow_id;
+    };
     for (const Advice::Op& op : adv->ops()) {
-      Advice::Op copy = op;
-      switch (op.kind) {
-        case Advice::OpKind::kUnpack:
-        case Advice::OpKind::kPack:
-          copy.bag = remap_bag(op.bag);
-          break;
-        case Advice::OpKind::kEmit: {
-          // The final stage reports one count row per would-be emitted tuple.
-          Advice::Op let;
-          let.kind = Advice::OpKind::kLet;
-          let.let_name = "$stage";
-          let.expr = Expr::Literal(Value("emit@" + tp));
-          ops.push_back(std::move(let));
-          copy.query_id = shadow_id;
-          copy.fields = {"$stage"};
-          ops.push_back(std::move(copy));
-          continue;
-        }
-        default:
-          break;
+      if (op.kind == Advice::OpKind::kEmit) {
+        count_as("emit");  // The final stage counts each would-be emitted tuple.
+        continue;
       }
-      bool was_pack = op.kind == Advice::OpKind::kPack;
-      ops.push_back(std::move(copy));
-      if (was_pack) {
-        // Count each tuple entering the baggage at this stage.
-        Advice::Op let;
-        let.kind = Advice::OpKind::kLet;
-        let.let_name = "$stage";
-        let.expr = Expr::Literal(Value("pack@" + tp));
-        ops.push_back(std::move(let));
-        Advice::Op emit;
-        emit.kind = Advice::OpKind::kEmit;
-        emit.query_id = shadow_id;
-        emit.fields = {"$stage"};
-        ops.push_back(std::move(emit));
+      Advice::Op& copy = ops.emplace_back(op);
+      if (op.kind == Advice::OpKind::kUnpack || op.kind == Advice::OpKind::kPack) {
+        copy.bag = remap_bag(op.bag);
+      }
+      if (op.kind == Advice::OpKind::kPack) {
+        count_as("pack");  // Counts each tuple entering the baggage here.
       }
     }
     out.advice.emplace_back(tp, std::make_shared<const Advice>(std::move(ops)));
@@ -743,42 +638,17 @@ CompiledQuery MakeCountingQuery(const CompiledQuery& original, uint64_t shadow_i
 std::string CompiledQuery::Explain() const {
   std::string out = "Query " + std::to_string(query_id) + ":\n";
   for (const auto& [tp, adv] : advice) {
-    out += "  at " + tp + ":\n";
-    std::string listing = adv->ToString();
-    // Indent each line.
-    size_t start = 0;
-    while (start < listing.size()) {
-      size_t end = listing.find('\n', start);
-      if (end == std::string::npos) {
-        end = listing.size();
-      }
-      out += "    " + listing.substr(start, end - start) + "\n";
-      start = end + 1;
-    }
+    out += "  at " + tp + ":\n    " + StrJoin(StrSplit(adv->ToString(), '\n'), "\n    ") + "\n";
   }
-  if (plan.aggregated()) {
-    out += "  result: group by [";
-    for (size_t i = 0; i < plan.group_fields.size(); ++i) {
-      if (i != 0) {
-        out += ", ";
-      }
-      out += plan.group_fields[i];
-    }
-    out += "], aggregates [";
-    for (size_t i = 0; i < plan.aggs.size(); ++i) {
-      if (i != 0) {
-        out += ", ";
-      }
-      out += plan.aggs[i].output;
-      if (plan.aggs[i].from_state) {
-        out += " (combined from packed state)";
-      }
-    }
-    out += "]\n";
-  } else {
-    out += "  result: streaming tuples\n";
+  if (!plan.aggregated()) {
+    return out + "  result: streaming tuples\n";
   }
-  return out;
+  std::vector<std::string> aggs;
+  for (const AggSpec& agg : plan.aggs) {
+    aggs.push_back(agg.output + (agg.from_state ? " (combined from packed state)" : ""));
+  }
+  return out + "  result: group by [" + StrJoin(plan.group_fields, ", ") + "], aggregates [" +
+         StrJoin(aggs, ", ") + "]\n";
 }
 
 }  // namespace pivot

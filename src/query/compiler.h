@@ -15,7 +15,8 @@
 // output. Static analysis runs at the two trust boundaries instead — the
 // frontend install gate and the agent's weave re-verify (docs/ANALYSIS.md).
 //
-// Optimizations (each independently toggleable for the ablation benches):
+// Optimizations (one switch, Options::pushdown, turns all three off for the
+// ablation benches):
 //   * projection pushdown  — pack only columns needed downstream (Π rules);
 //   * selection pushdown   — evaluate each Where at the earliest stage where
 //                            all its columns exist (σ rules);
@@ -93,9 +94,8 @@ bool TracepointPatternMatch(std::string_view pattern, std::string_view name);
 class QueryCompiler {
  public:
   struct Options {
-    bool push_projection = true;
-    bool push_selection = true;
-    bool push_aggregation = true;
+    // The §4 rewrites, on or off together (off: the ablation baseline).
+    bool pushdown = true;
   };
 
   // `registry` validates tracepoints/exports; `named_queries` resolves

@@ -165,9 +165,7 @@ TEST_F(CompilerTest, SelectionPushdownRunsWhereAtEarliestStage) {
 TEST_F(CompilerTest, SelectionPushdownDisabledRunsWhereAtFinalStage) {
   Result<Query> q = ParseQuery("From b In B Join a In A On a -> b Where a.x == 1 Select b.y");
   ASSERT_TRUE(q.ok());
-  QueryCompiler::Options options;
-  options.push_selection = false;
-  QueryCompiler compiler(&registry_, &named_, options);
+  QueryCompiler compiler(&registry_, &named_, {.pushdown = false});
   auto cq = compiler.Compile(*q, 1);
   ASSERT_TRUE(cq.ok());
   const Advice* a_side = AdviceAt(*cq, "A");
@@ -183,8 +181,7 @@ TEST_F(CompilerTest, ProjectionPushdownDisabledPacksEverything) {
   ASSERT_TRUE(q.ok());
 
   QueryCompiler::Options narrow;
-  QueryCompiler::Options wide;
-  wide.push_projection = false;
+  QueryCompiler::Options wide{.pushdown = false};
   auto count_pack_fields = [&](const QueryCompiler::Options& opt) {
     QueryCompiler compiler(&registry_, &named_, opt);
     auto cq = compiler.Compile(*q, 1);

@@ -248,10 +248,7 @@ class AblationEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(AblationEquivalenceTest, OptimizationsPreserveSemantics) {
   EquivalenceHarness harness(GetParam());
-  QueryCompiler::Options no_opt;
-  no_opt.push_projection = false;
-  no_opt.push_selection = false;
-  no_opt.push_aggregation = false;
+  const QueryCompiler::Options no_opt{.pushdown = false};
 
   std::vector<std::pair<uint64_t, const char*>> installed;
   for (const char* text : kBranchSafeQueries) {

@@ -10,6 +10,8 @@
 #include "src/agent/frontend.h"
 #include "src/agent/protocol.h"
 #include "src/bus/message_bus.h"
+#include "src/core/symbol.h"
+#include "src/core/wire.h"
 #include "src/telemetry/metrics.h"
 #include "tests/test_util.h"
 
@@ -368,6 +370,65 @@ TEST_F(FrontendTest, DecodeRejectsOverlongKeyVarint) {
   }
 }
 
+// One kBatch frame holding one report of `query`: `rows` rows of an int per
+// name. Built by hand, so the test interns none of the names.
+std::vector<uint8_t> StreamingFrame(uint64_t query, const std::vector<std::string>& names,
+                                    uint64_t rows) {
+  std::vector<uint8_t> payload;
+  for (uint64_t r = 0; r < rows * names.size(); ++r) {
+    PutValue(&payload, Value(int64_t{1}));
+  }
+  std::vector<uint8_t> out{static_cast<uint8_t>(ControlMessageType::kBatch)};
+  PutString(&out, "B");
+  PutString(&out, "DataNode");
+  PutVarintSigned64(&out, 5'000'000);
+  PutVarint64(&out, 1);
+  PutVarint64(&out, query);
+  PutStringList(&out, names);
+  SetFrame{rows, false, 0, payload.data(), payload.size()}.Put(&out);
+  PutVarint64(&out, 0);
+  return out;
+}
+
+// Reports come from outside the process and the symbol table is never freed.
+// Only a streaming query's first rows may name columns not yet interned, and
+// only in a frame that is accepted: 10k frames of fresh names intern at most
+// one report's names, and the rest are decode errors.
+TEST_F(FrontendTest, StreamingReportNamesCannotGrowTheSymbolTable) {
+  Result<uint64_t> q =
+      frontend_.Install("From incr In DataNodeMetrics.incrBytesRead Select incr.delta");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  telemetry::Counter& decode_errors = telemetry::Metrics().GetCounter("frontend.decode_errors");
+  const uint64_t errors_before = decode_errors.value();
+  const size_t symbols_before = SymbolTable::Global().size();
+
+  // A frame that fails after its report decodes (here, a heartbeat count
+  // with no heartbeat) interns nothing.
+  std::vector<uint8_t> truncated = StreamingFrame(*q, {"hostile.truncated"}, 1);
+  truncated.back() = 1;
+  bus_.Publish(BusMessage{kReportTopic, truncated});
+  EXPECT_EQ(decode_errors.value() - errors_before, 1u);
+  EXPECT_EQ(SymbolTable::Global().size(), symbols_before);
+  // Nor does a report without rows.
+  bus_.Publish(BusMessage{kReportTopic, StreamingFrame(*q, {"hostile.no_rows"}, 0)});
+  EXPECT_EQ(decode_errors.value() - errors_before, 1u);
+  EXPECT_EQ(SymbolTable::Global().size(), symbols_before);
+
+  constexpr uint64_t kFrames = 10'000;
+  for (uint64_t i = 0; i < kFrames; ++i) {
+    bus_.Publish(BusMessage{kReportTopic, StreamingFrame(*q, {"hostile." + std::to_string(i)}, 1)});
+  }
+  EXPECT_EQ(SymbolTable::Global().size() - symbols_before, 1u);
+  EXPECT_EQ(decode_errors.value() - errors_before, 1 + kFrames - 1);
+  EXPECT_EQ(frontend_.Results(*q).size(), 1u);
+
+  // Reports naming interned columns still merge.
+  bus_.Publish(BusMessage{kReportTopic, StreamingFrame(*q, {"hostile.0"}, 2)});
+  bus_.Publish(BusMessage{kReportTopic, StreamingFrame(*q, {"incr.delta"}, 1)});
+  EXPECT_EQ(decode_errors.value() - errors_before, kFrames);
+  EXPECT_EQ(frontend_.Results(*q).size(), 4u);
+}
+
 TEST_F(FrontendTest, ReportNotMatchingItsPlanIsCountedAndDropped) {
   // A report whose name table is not the query's plan (here SUM state for a
   // COUNT query) is a decode error, and nothing of its frame is merged.
@@ -532,6 +593,17 @@ TEST_F(FrontendTest, EachInstallLintsOncePerTrustBoundary) {
             1u);
   EXPECT_EQ(lints_during([&] { EXPECT_TRUE(frontend_.Lint(clean).ok()); }), 1u);
   EXPECT_EQ(lints_during([&] { EXPECT_FALSE(frontend_.Install("not a query").ok()); }), 0u);
+}
+
+TEST_F(FrontendTest, AgentsDropDuplicateWeavesBeforeLinting) {
+  // A late agent's Hello replays every active weave to every agent. Only the
+  // new agent lints them: the others already have both queries.
+  ASSERT_TRUE(frontend_.Install("From incr In DataNodeMetrics.incrBytesRead Select COUNT").ok());
+  ASSERT_TRUE(frontend_.Install("From cl In ClientProtocols Select COUNT").ok());
+  telemetry::Counter& lints = telemetry::Metrics().GetCounter("analysis.query_lints");
+  const uint64_t before = lints.value();
+  MiniProcess late(&bus_, &clock_, "D", "DataNode");
+  EXPECT_EQ(lints.value() - before, 2u);
 }
 
 TEST_F(FrontendTest, LintReportsWithoutInstalling) {
