@@ -13,9 +13,9 @@
 //      threads), so the MT gate self-skips with a SKIP line; CI's multi-core
 //      runners enforce it.
 //
-// Hand-rolled timing like bench_hotpath (best-of-passes single-threaded,
-// medians of interleaved pairs for scaling): no benchmark library, so the
-// gate runs identically everywhere check.sh does.
+// Hand-rolled timing (medians of interleaved passes single-threaded, of
+// interleaved pairs for scaling): no benchmark library, so the gate runs
+// identically everywhere check.sh does.
 
 #include <algorithm>
 #include <atomic>
@@ -39,19 +39,13 @@ constexpr uint64_t kQuery = 1;
 constexpr double kMaxStRatio = 1.25;
 constexpr double kMinMtSpeedup = 3.0;
 
-double MeasureNs(const std::function<void()>& fn, int iters, int passes = 8) {
-  int64_t best = INT64_MAX;
-  for (int p = 0; p < passes; ++p) {
-    int64_t start = MonotonicNanos();
-    for (int i = 0; i < iters; ++i) {
-      fn();
-    }
-    int64_t elapsed = MonotonicNanos() - start;
-    if (elapsed < best) {
-      best = elapsed;
-    }
+// ns per call of `fn` over one pass of `iters` calls.
+double PassNs(const std::function<void()>& fn, int iters) {
+  const int64_t start = MonotonicNanos();
+  for (int i = 0; i < iters; ++i) {
+    fn();
   }
-  return static_cast<double>(best) / iters;
+  return static_cast<double>(MonotonicNanos() - start) / iters;
 }
 
 // A woven grouped-COUNT query (8 groups), the common aggregated-intake shape.
@@ -136,20 +130,36 @@ int main() {
          single.agent->shard_count());
 
   // ---- 1. Single-thread ns/tuple ----
+  // The two configurations run in interleaved passes, alternating which goes
+  // first, so one noisy pass cannot decide the gate: each side's figure is
+  // the median of its passes. A flush after each pass resets the interval.
   double st_single;
   double st_sharded;
   {
     constexpr int kIters = 100'000;
+    constexpr int kPasses = 15;
     const std::vector<Tuple> rows = MakeRows();
-    int i = 0;
-    st_single = MeasureNs([&] { single.agent->EmitTuple(kQuery, rows[i++ & 7]); }, kIters);
-    single.agent->Flush(1'000);
-    i = 0;
-    st_sharded = MeasureNs([&] { sharded.agent->EmitTuple(kQuery, rows[i++ & 7]); }, kIters);
-    sharded.agent->Flush(1'000);
+    std::vector<double> single_ns;
+    std::vector<double> sharded_ns;
+    auto pass = [&](Harness& h, std::vector<double>* ns) {
+      int i = 0;
+      ns->push_back(PassNs([&] { h.agent->EmitTuple(kQuery, rows[i++ & 7]); }, kIters));
+      h.agent->Flush(1'000);
+    };
+    for (int p = 0; p < kPasses; ++p) {
+      if (p % 2 == 0) {
+        pass(single, &single_ns);
+        pass(sharded, &sharded_ns);
+      } else {
+        pass(sharded, &sharded_ns);
+        pass(single, &single_ns);
+      }
+    }
+    st_single = Median(single_ns);
+    st_sharded = Median(sharded_ns);
   }
   double st_ratio = st_sharded / st_single;
-  printf("Single-thread EmitTuple:\n");
+  printf("Single-thread EmitTuple (median of interleaved passes):\n");
   printf("  global-lock (1 shard) %7.1f ns/tuple\n", st_single);
   printf("  sharded (8 shards)    %7.1f ns/tuple   (ratio %.2fx)\n\n", st_sharded, st_ratio);
   json.Report("st_ns_global_lock", st_single, "ns");

@@ -103,7 +103,7 @@ def run_all(work, seconds, log):
     for name, gbench in executables(os.path.join(ROOT, "bench", "CMakeLists.txt")):
         cmd = [os.path.join(work, "main", "bench", name)]
         if gbench:
-            cmd.append("--benchmark_min_time=0.01s")
+            cmd.append("--benchmark_min_time=0.01")
         print("running: " + name, file=sys.stderr)
         run(cmd, log, cwd=work, env=env)
 

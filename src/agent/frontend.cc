@@ -9,7 +9,6 @@
 #include "src/common/strings.h"
 #include "src/core/advice_io.h"
 #include "src/core/symbol.h"
-#include "src/core/wire.h"
 #include "src/query/parser.h"
 #include "src/telemetry/metrics.h"
 
@@ -42,22 +41,13 @@ std::vector<BagKey> PackedBags(const std::vector<std::pair<std::string, Advice::
 }
 
 // Decodes `slices`, a run of `names, set` slices, into an empty set like
-// `like`, as HandleBatch decodes each report. The slices decoded once when
-// they arrived (or were sealed from a set), so none fails here.
+// `like`. The slices were merged once when they arrived (or were sealed from
+// a set), so none fails here.
 ResultSet DecodeSlices(const ResultSet& like, const std::vector<uint8_t>& slices) {
   ResultSet set = like.EmptyLike();
-  std::vector<std::string> names;
-  size_t pos = 0;
-  while (pos < slices.size()) {
-    SetFrame frame;
-    const bool ok = GetStringList(slices.data(), slices.size(), &pos, &names) &&
-                    SetFrame::Get(slices.data(), slices.size(), &pos, &frame) &&
-                    set.DecodeNamed(names, frame);
-    assert(ok);
-    if (!ok) {
-      break;
-    }
-  }
+  const bool ok = set.DecodeSlices(slices);
+  assert(ok);
+  (void)ok;
   return set;
 }
 
@@ -337,10 +327,10 @@ void Frontend::HandleReport(const BusMessage& msg) {
 
 void Frontend::HandleBatch(const std::vector<uint8_t>& payload) {
   std::lock_guard<std::mutex> lock(mu_);
-  // Each report decodes straight into a set of its query's plan; reports
-  // for unknown or uninstalled queries are skipped and counted as dropped.
-  // A malformed frame, or a report whose names do not match its plan, is
-  // dropped whole.
+  // Every report is checked against its query's total before any merges;
+  // reports for unknown or uninstalled queries are skipped and counted as
+  // dropped. A malformed frame, or a report whose names do not match its
+  // plan, is dropped whole.
   uint64_t skipped = 0;
   Result<ControlMessage> decoded =
       DecodeControlMessage(payload, [this, &skipped](uint64_t query_id) -> const ResultSet* {
@@ -358,14 +348,13 @@ void Frontend::HandleBatch(const std::vector<uint8_t>& payload) {
   if (skipped != 0) {
     ReportsDroppedCounter().Increment(skipped);
   }
-  ReportBatch& batch = decoded->batch;
+  ReceivedBatch& batch = decoded->batch;
   const int64_t ts = batch.timestamp_micros;
   const std::string agent = batch.host + "/" + batch.process_name;
-  for (AgentReport& report : batch.reports) {
+  for (ReceivedReport& report : batch.reports) {
     QueryResults& q = queries_.at(report.query_id);
     QueryStatus& status = q.status;
-    const size_t tuples = report.results.size();
-    if (tuples != 0) {
+    if (report.rows != 0) {
       if (status.first_tuple_micros < 0) {
         status.first_tuple_micros = ts;
       }
@@ -374,12 +363,15 @@ void Frontend::HandleBatch(const std::vector<uint8_t>& payload) {
     AgentQueryView& view = status.agents[agent];
     view.last_report_micros = std::max(view.last_report_micros, ts);
     ++view.reports;
-    view.tuples += tuples;
+    view.tuples += report.rows;
 
-    // One merge, into the total. The interval keeps the report's bytes:
-    // they become its slices when it is the interval's first report, and
-    // are appended otherwise.
-    q.total.Absorb(std::move(report.results));
+    // The report merges from its bytes straight into the total; it was
+    // checked against the total's plan, so the merge cannot fail. The
+    // interval keeps the bytes: they become its slices when it is the
+    // interval's first report, and are appended otherwise.
+    const bool merged = q.total.DecodeSlices(report.wire);
+    assert(merged);
+    (void)merged;
     std::vector<uint8_t>& interval = q.intervals[ts];
     if (interval.empty()) {
       interval = std::move(report.wire);

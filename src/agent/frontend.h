@@ -183,7 +183,7 @@ class Frontend {
     // stored at its exact size.
     std::vector<uint8_t> sealed;
     // Keyed by report timestamp: the interval's reports as received, their
-    // `names, set` slices (AgentReport::wire) in arrival order. Merged only
+    // `names, set` slices (ReceivedReport::wire) in arrival order. Merged only
     // when Series decodes them.
     std::map<int64_t, std::vector<uint8_t>> intervals;
     // Lifecycle (frontend clock; agent report timestamps for report events)

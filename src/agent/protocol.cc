@@ -1,7 +1,6 @@
 #include "src/agent/protocol.h"
 
 #include <algorithm>
-#include <tuple>
 
 #include "src/common/varint.h"
 #include "src/core/advice_io.h"
@@ -125,7 +124,7 @@ Result<ControlMessage> DecodeControlMessage(const std::vector<uint8_t>& payload,
     }
     case ControlMessageType::kBatch: {
       msg.type = ControlMessageType::kBatch;
-      ReportBatch& b = msg.batch;
+      ReceivedBatch& b = msg.batch;
       uint64_t nreports = 0;
       if (!GetString(data, size, &pos, &b.host) || !GetString(data, size, &pos, &b.process_name) ||
           !GetVarintSigned64(data, size, &pos, &b.timestamp_micros) ||
@@ -133,13 +132,8 @@ Result<ControlMessage> DecodeControlMessage(const std::vector<uint8_t>& payload,
         return DataLossError("bad batch header");
       }
       std::vector<std::string> names;
-      // Reports come from outside the process, and the symbol table is never
-      // freed. So only a query's first rows (none in its set, no other report
-      // of it in the frame) may name columns not yet interned, and they decode,
-      // interning those, once the rest of the frame has proved well formed.
-      std::vector<std::tuple<size_t, std::vector<std::string>, SetFrame>> naming;
       // A row of values takes a byte or more, but a row of no columns takes
-      // none. So that the rows a frame decodes stay bounded by its size, like
+      // none. So that the rows a frame carries stay bounded by its size, like
       // every other count, the frame keeps at most `size` rows of no columns
       // in all and counts the rest as dropped, as the bag valve does.
       uint64_t empty_rows = size;
@@ -168,20 +162,24 @@ Result<ControlMessage> DecodeControlMessage(const std::vector<uint8_t>& payload,
           }
           continue;
         }
-        AgentReport& r = b.reports.emplace_back(AgentReport{query_id, like->EmptyLike()});
+        // Reports come from outside the process, and the symbol table is
+        // never freed. So only a query's first rows may name columns not yet
+        // interned.
         if (!like->aggregated() && frame.rows != 0 &&
+            (!like->empty() ||
+             std::any_of(b.reports.begin(), b.reports.end(),
+                         [&](const ReceivedReport& o) { return o.query_id == query_id; })) &&
             !std::all_of(names.begin(), names.end(), [](const std::string& name) {
               return SymbolTable::Global().Find(name) != kInvalidSymbol;
             })) {
-          if (!like->empty() || !frame.Fits(names.size()) ||
-              std::count_if(b.reports.begin(), b.reports.end(),
-                            [&](const AgentReport& o) { return o.query_id == query_id; }) != 1) {
-            return DataLossError("bad batch report, or it names unknown columns");
-          }
-          naming.emplace_back(b.reports.size() - 1, names, frame);
-        } else if (!r.results.DecodeNamed(names, frame)) {
+          return DataLossError("bad batch report: it names unknown columns");
+        }
+        if (!like->Accepts(names, frame)) {
           return DataLossError("bad batch report, or its names do not match the query's plan");
         }
+        ReceivedReport& r = b.reports.emplace_back();
+        r.query_id = query_id;
+        r.rows = frame.rows;
         if (capped) {
           PutStringList(&r.wire, names);
           frame.Put(&r.wire);
@@ -200,11 +198,6 @@ Result<ControlMessage> DecodeControlMessage(const std::vector<uint8_t>& payload,
           return DataLossError("bad batch heartbeat");
         }
         b.heartbeats.push_back(std::move(s));
-      }
-      for (const auto& [index, report_names, report_frame] : naming) {
-        if (!b.reports[index].results.DecodeNamed(report_names, report_frame)) {
-          return DataLossError("bad batch report");
-        }
       }
       return msg;
     }

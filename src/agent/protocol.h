@@ -38,17 +38,22 @@ struct WeaveCommand {
 // One query's partial results for the interval a ReportBatch covers: the
 // agent's interval set (aggregate state or streamed rows, as the query's
 // ResultPlan says). It travels as its ColumnNames() and then its one wire
-// form (ResultSet::Encode, the same bytes a baggage bag holds) and is decoded
-// straight into a set of the receiver's plan.
+// form (ResultSet::Encode, the same bytes a baggage bag holds).
 struct AgentReport {
   AgentReport(uint64_t id, ResultSet set) : query_id(id), results(std::move(set)) {}
 
   uint64_t query_id = 0;
   ResultSet results;
-  // A decoded report's `names, set` bytes as received, so a receiver can keep
-  // the report in its wire form (docs/WIRE_FORMAT.md "Control plane"); the
-  // frame is re-Put only when the batch's empty-row bound capped its rows.
-  // Encoding ignores it.
+};
+
+// A report as DecodeControlMessage hands it over: its `names, set` bytes as
+// received, checked against a set of its query (docs/WIRE_FORMAT.md "Control
+// plane"). The receiver merges them into a set of the query, and may keep
+// them: ResultSet::DecodeSlices reads them. The frame is re-Put only when
+// the batch's empty-row bound capped its rows.
+struct ReceivedReport {
+  uint64_t query_id = 0;
+  uint64_t rows = 0;  // The rows of its set, after the empty-row bound.
   std::vector<uint8_t> wire;
 };
 
@@ -73,14 +78,18 @@ struct AgentStats {
 // Agent -> frontend: everything one Flush produced, in a single frame. The
 // agent identity and interval timestamp are sent once, in the batch header
 // (every report/heartbeat of one flush shares them), so the wire cost of a
-// flush is one bus publish regardless of how many queries reported.
-struct ReportBatch {
+// flush is one bus publish regardless of how many queries reported. An agent
+// sends a ReportBatch of AgentReports; a receiver decodes a ReceivedBatch.
+template <typename Report>
+struct Batch {
   std::string host;
   std::string process_name;
   int64_t timestamp_micros = 0;  // End of the interval this flush covers.
-  std::vector<AgentReport> reports;
+  std::vector<Report> reports;
   std::vector<AgentStats> heartbeats;
 };
+using ReportBatch = Batch<AgentReport>;
+using ReceivedBatch = Batch<ReceivedReport>;
 
 enum class ControlMessageType : uint8_t {
   kWeave = 1,
@@ -106,13 +115,16 @@ std::vector<uint8_t> EncodeWeaveAck(const WeaveAck& ack);
 std::vector<uint8_t> EncodeReportBatch(const ReportBatch& batch,
                                        std::vector<size_t>* report_bytes = nullptr);
 
-// How a receiver decodes kBatch reports: maps a report's query id to a set of
-// that query (the receiver's running total, say). The report decodes into an
-// empty set like it (ResultSet::DecodeNamed), so an aggregate's names must be
-// that set's state columns, and a streaming report may name a column not yet
-// interned only while that set is empty. Null skips the report, as does
-// decoding without a lookup; a skipped report's values are still checked
-// against its names.
+// How a receiver checks kBatch reports: maps a report's query id to a set of
+// that query (the receiver's running total, say). A report is kept only if
+// DecodeNamed would take it into an empty set like that one
+// (ResultSet::Accepts), so an aggregate's names must be that set's state
+// columns. A streaming report may name a column not yet interned only while
+// that set is empty, and only as its query's first report in the frame;
+// nothing is interned until the receiver merges the report. Null skips the
+// report, as does decoding without a lookup; a skipped report's values are
+// still checked against its names. A frame with any bad report is refused
+// whole, so a receiver merges all of a frame's reports or none.
 using ReportSetLookup = std::function<const ResultSet*(uint64_t query_id)>;
 
 // Decoded union; `type` selects the valid member.
@@ -121,7 +133,7 @@ struct ControlMessage {
   WeaveCommand weave;
   uint64_t unweave_query_id = 0;
   WeaveAck weave_ack;
-  ReportBatch batch;
+  ReceivedBatch batch;
 };
 
 Result<ControlMessage> DecodeControlMessage(const std::vector<uint8_t>& payload,

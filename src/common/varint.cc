@@ -14,7 +14,7 @@ void PutVarintSigned64(std::vector<uint8_t>* out, int64_t value) {
   PutVarint64(out, ZigZagEncode(value));
 }
 
-bool GetVarint64(const uint8_t* data, size_t size, size_t* pos, uint64_t* value) {
+bool GetLongVarint64(const uint8_t* data, size_t size, size_t* pos, uint64_t* value) {
   uint64_t result = 0;
   int shift = 0;
   size_t p = *pos;
@@ -29,27 +29,6 @@ bool GetVarint64(const uint8_t* data, size_t size, size_t* pos, uint64_t* value)
     shift += 7;
   }
   return false;
-}
-
-bool GetCanonicalVarint64(const uint8_t* data, size_t size, size_t* pos, uint64_t* value) {
-  const size_t start = *pos;
-  if (!GetVarint64(data, size, pos, value)) {
-    return false;
-  }
-  // The last byte carries the top bits: zero only when it is the only byte,
-  // and a tenth byte holds bit 63 alone.
-  const size_t n = *pos - start;
-  const uint8_t last = data[*pos - 1];
-  return (n == 1 || last != 0) && (n < 10 || last == 1);
-}
-
-bool GetVarintSigned64(const uint8_t* data, size_t size, size_t* pos, int64_t* value) {
-  uint64_t raw = 0;
-  if (!GetVarint64(data, size, pos, &raw)) {
-    return false;
-  }
-  *value = ZigZagDecode(raw);
-  return true;
 }
 
 }  // namespace pivot

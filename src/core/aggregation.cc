@@ -243,6 +243,12 @@ uint32_t Aggregator::GroupFor(const Tuple& t) {
   return group;
 }
 
+void Aggregator::AddCount(size_t i, uint64_t* words, uint64_t n) const {
+  // The combiner for Count is Sum (Table 3), wrapping as ValueAdd does.
+  words[cols_->state[i].word] += n;
+  MarkValue(words, i);
+}
+
 void Aggregator::Combine(size_t i, uint64_t* words, Value* values, const Value& v,
                          int64_t n) const {
   const AggFn fn = cols_->specs[i].fn;
@@ -251,9 +257,7 @@ void Aggregator::Combine(size_t i, uint64_t* words, Value* values, const Value& 
     return;
   }
   if (fn == AggFn::kCount) {
-    // The combiner for Count is Sum (Table 3), wrapping as ValueAdd does.
-    words[slot.word] += static_cast<uint64_t>(v.int_value());
-    MarkValue(words, i);
+    AddCount(i, words, static_cast<uint64_t>(v.int_value()));
     return;
   }
   Value& acc = values[slot.value];
@@ -303,6 +307,37 @@ void Aggregator::AddInput(const Tuple& t) {
   }
 }
 
+// Always inlined: GCC counts a prefetch as no side effect, so it deletes a
+// call to an out-of-line function that only prefetches.
+template <typename HashOf>
+[[gnu::always_inline]] inline void Aggregator::PrefetchAhead(size_t g, size_t n,
+                                                             HashOf hash_of) const {
+  // The incoming hashes are known up front, so hide the index's cache misses
+  // behind the merge: the home slot of the group kSlotAhead on, then the key
+  // end and state rows of the group that slot names, for the group
+  // kGroupAhead on, then that group's key bytes kKeyAhead on. A big total
+  // (the frontend's) outgrows the cache.
+  const size_t mask = slots_.size() - 1;
+  auto ahead = [&](size_t distance) {
+    return slots_[static_cast<size_t>(hash_of(g + distance)) & mask].group;
+  };
+  if (g + kSlotAhead < n) {
+    __builtin_prefetch(&slots_[static_cast<size_t>(hash_of(g + kSlotAhead)) & mask]);
+  }
+  if (g + kGroupAhead < n) {
+    if (const uint32_t a = ahead(kGroupAhead); a != kEmptySlot) {
+      __builtin_prefetch(&key_ends_[a == 0 ? 0 : a - 1]);
+      __builtin_prefetch(words_.data() + size_t{a} * cols_->word_width);
+      __builtin_prefetch(values_.data() + size_t{a} * cols_->value_width);
+    }
+  }
+  if (g + kKeyAhead < n) {
+    if (const uint32_t a = ahead(kKeyAhead); a != kEmptySlot) {
+      __builtin_prefetch(key_bytes_.data() + KeyBegin(a));
+    }
+  }
+}
+
 void Aggregator::MergeGroups(Aggregator& other) {
   assert(&other != this && !empty() && other.key_width() == key_width() &&
          other.spec_count() == spec_count());
@@ -312,30 +347,7 @@ void Aggregator::MergeGroups(Aggregator& other) {
   const size_t groups = other.hashes_.size();
   uint64_t probes = 0;
   for (size_t g = 0; g < groups; ++g) {
-    // The incoming hashes are known up front, so hide the index's cache
-    // misses behind the merge: the home slot of the group kSlotAhead on,
-    // then the key end and state rows of the group that slot names, for the
-    // group kGroupAhead on, then that group's key bytes kKeyAhead on. A big
-    // total (the frontend's) outgrows the cache.
-    const size_t mask = slots_.size() - 1;
-    auto ahead = [&](size_t distance) {
-      return slots_[static_cast<size_t>(other.hashes_[g + distance]) & mask].group;
-    };
-    if (g + kSlotAhead < groups) {
-      __builtin_prefetch(&slots_[static_cast<size_t>(other.hashes_[g + kSlotAhead]) & mask]);
-    }
-    if (g + kGroupAhead < groups) {
-      if (const uint32_t a = ahead(kGroupAhead); a != kEmptySlot) {
-        __builtin_prefetch(&key_ends_[a == 0 ? 0 : a - 1]);
-        __builtin_prefetch(words_.data() + size_t{a} * word_width);
-        __builtin_prefetch(values_.data() + size_t{a} * value_width);
-      }
-    }
-    if (g + kKeyAhead < groups) {
-      if (const uint32_t a = ahead(kKeyAhead); a != kEmptySlot) {
-        __builtin_prefetch(key_bytes_.data() + KeyBegin(a));
-      }
-    }
+    PrefetchAhead(g, groups, [&other](size_t j) { return other.hashes_[j]; });
     const size_t key = other.KeyBegin(g);
     const auto [group, inserted] = GroupForKey(
         other.key_bytes_.data() + key, other.key_ends_[g] - key, other.hashes_[g], &probes);
@@ -355,8 +367,7 @@ void Aggregator::MergeGroups(Aggregator& other) {
       const StateSlot slot = c.state[i];
       switch (c.specs[i].fn) {
         case AggFn::kCount:
-          words[slot.word] += src_words[slot.word];
-          MarkValue(words, i);
+          AddCount(i, words, src_words[slot.word]);
           break;
         case AggFn::kAverage:
           Combine(i, words, values, src_values[slot.value],
@@ -498,51 +509,100 @@ void Aggregator::EncodeStateRows(std::vector<uint8_t>* out) const {
   }
 }
 
-bool Aggregator::DecodeStateRows(uint64_t rows, const uint8_t* data, size_t size, size_t* pos) {
-  // Every value takes at least its tag byte, so the remaining bytes bound
-  // how many rows can follow, and how many key bytes.
+bool Aggregator::ScanStateRows(uint64_t rows, const uint8_t* data, size_t size,
+                               RowKey* keys) const {
+  // Every value takes at least its tag byte, so the bytes bound how many
+  // rows can follow.
   const Columns& c = *cols_;
   const size_t width = c.state_names.size();
-  if (width == 0 || rows > (size - *pos) / width) {
+  if (width == 0 || rows > size / width) {
     return false;
   }
-  Reserve(group_count() + rows);
-  if (key_width() != 0) {
-    ReserveGeometric(&key_bytes_, key_bytes_.size() + (size - *pos));
+  size_t pos = 0;
+  ValueType type;
+  auto int_or_null = [&type] { return type == ValueType::kInt || type == ValueType::kNull; };
+  for (uint64_t r = 0; r < rows; ++r) {
+    const size_t key = pos;
+    for (size_t i = 0; i < key_width(); ++i) {
+      if (!SkipCanonicalValue(data, size, &pos)) {
+        return false;
+      }
+    }
+    if (keys != nullptr) {
+      keys[r] = RowKey{pos, HashKey(data + key, pos - key)};
+    }
+    for (const AggSpec& spec : c.specs) {
+      // A COUNT, or an Average's count, must be an int or null.
+      if (!SkipValue(data, size, &pos, &type) || (spec.fn == AggFn::kCount && !int_or_null()) ||
+          (spec.fn == AggFn::kAverage && (!SkipValue(data, size, &pos, &type) || !int_or_null()))) {
+        return false;
+      }
+    }
   }
+  return pos == size;
+}
+
+bool Aggregator::DecodeStateRows(uint64_t rows, const uint8_t* data, size_t size) {
+  // The first pass notes a RowKey per row: on the stack for a few rows (a
+  // bag's, say), on the heap for more (a report's). A row takes a byte or
+  // more, so the payload bounds them.
+  constexpr size_t kStackRows = 64;
+  RowKey stack_keys[kStackRows];
+  std::vector<RowKey> heap_keys;
+  if (rows > size) {
+    return false;
+  }
+  RowKey* keys = stack_keys;
+  if (rows > kStackRows) {
+    heap_keys.resize(rows);
+    keys = heap_keys.data();
+  }
+  if (!ScanStateRows(rows, data, size, keys)) {
+    return false;
+  }
+  // Every row checked out: merge them. Into an empty aggregator each row is
+  // a new group, so its arrays are sized once (the payload bounds the key
+  // bytes); a total grows only by the groups that are new, as MergeGroups
+  // grows it.
+  const Columns& c = *cols_;
+  if (empty()) {
+    Reserve(rows);
+    if (key_width() != 0) {
+      key_bytes_.reserve(size);
+    }
+  }
+  // The merge waits on the total's cache misses, so it does little else: a
+  // COUNT is read without building a Value.
   uint64_t probes = 0;
+  size_t pos = 0;
   Value v;
   Value n;
-  bool ok = true;
-  for (uint64_t r = 0; ok && r < rows; ++r) {
-    // The key is copied as it arrives, once its spelling is checked.
-    const size_t key = *pos;
-    for (size_t i = 0; ok && i < key_width(); ++i) {
-      ok = SkipCanonicalValue(data, size, pos);
-    }
-    if (!ok) {
-      break;
-    }
-    const uint32_t group =
-        GroupForKey(data + key, *pos - key, HashKey(data + key, *pos - key), &probes)
-            .first;
+  for (size_t r = 0; r < rows; ++r) {
+    PrefetchAhead(r, rows, [keys](size_t j) { return keys[j].hash; });
+    const RowKey row = keys[r];
+    const uint32_t group = GroupForKey(data + pos, row.key_end - pos, row.hash, &probes).first;
+    pos = row.key_end;
     uint64_t* words = words_.data() + size_t{group} * c.word_width;
     Value* values = values_.data() + size_t{group} * c.value_width;
-    for (size_t i = 0; ok && i < c.specs.size(); ++i) {
-      // A COUNT, or an Average's count, that is neither an int nor null is
-      // refused (the caller drops the whole set).
+    for (size_t i = 0; i < c.specs.size(); ++i) {
       const AggFn fn = c.specs[i].fn;
-      ok = GetValue(data, size, pos, &v) && (fn != AggFn::kCount || v.is_null() || v.is_int());
-      if (ok && fn == AggFn::kAverage) {
-        ok = GetValue(data, size, pos, &n) && (n.is_null() || n.is_int());
+      if (fn == AggFn::kCount) {
+        int64_t count = 0;  // An int or null, as checked.
+        if (static_cast<ValueType>(data[pos++]) == ValueType::kInt &&
+            GetVarintSigned64(data, size, &pos, &count)) {
+          AddCount(i, words, static_cast<uint64_t>(count));
+        }
+        continue;
       }
-      if (ok) {
-        Combine(i, words, values, v, fn == AggFn::kAverage ? CountOf(n) : 0);
+      GetValue(data, size, &pos, &v);
+      if (fn == AggFn::kAverage) {
+        GetValue(data, size, &pos, &n);
       }
+      Combine(i, words, values, v, fn == AggFn::kAverage ? CountOf(n) : 0);
     }
   }
   GroupProbeCounter().Increment(probes);
-  return ok;
+  return true;
 }
 
 void Aggregator::Clear() {
@@ -827,23 +887,28 @@ void ResultSet::EncodeNamed(std::vector<uint8_t>* out) const {
 }
 
 bool ResultSet::Decode(const std::vector<SymbolId>& columns, const SetFrame& frame) {
-  dropped_ += frame.dropped;
   const uint64_t rows = frame.rows;
   if (aggregated_) {
-    size_t pos = 0;
-    return agg_.DecodeStateRows(rows, frame.payload, frame.length, &pos) && pos == frame.length;
+    if (!agg_.DecodeStateRows(rows, frame.payload, frame.length)) {
+      return false;
+    }
+  } else {
+    // Append's rule: a keep-first set takes what fits, a keep-last set the
+    // last cap_ rows; the rest are only validated. A row with values takes a
+    // byte or more, so the payload bounds what is reserved before decoding.
+    // Rows decode onto the end, and come off again if a later one is bad.
+    const size_t before = rows_.size();
+    const uint64_t take =
+        std::min<uint64_t>(rows, keep_last_ ? cap_ : cap_ - std::min(cap_, before));
+    ReserveGeometric(&rows_, before + std::min<uint64_t>(take, frame.length));
+    if (!GetDenseRows(columns, rows, keep_last_ ? rows - take : 0, take, frame.payload,
+                      frame.length, [this](uint64_t) -> Tuple& { return rows_.emplace_back(); })) {
+      rows_.resize(before);
+      return false;
+    }
+    Trim(rows - take);
   }
-  // Append's rule: a keep-first set takes what fits, a keep-last set the
-  // last cap_ rows; the rest are only validated. A row with values takes a
-  // byte or more, so the payload bounds what is reserved before decoding.
-  const uint64_t take =
-      std::min<uint64_t>(rows, keep_last_ ? cap_ : cap_ - std::min(cap_, rows_.size()));
-  rows_.reserve(rows_.size() + std::min<uint64_t>(take, frame.length));
-  if (!GetDenseRows(columns, rows, keep_last_ ? rows - take : 0, take, frame.payload,
-                    frame.length, [this](uint64_t) -> Tuple& { return rows_.emplace_back(); })) {
-    return false;
-  }
-  Trim(rows - take);
+  dropped_ += frame.dropped;
   return true;
 }
 
@@ -882,6 +947,29 @@ bool ResultSet::DecodeNamed(const std::vector<std::string>& names, const SetFram
     return names == agg_.cols_->state_names && Decode({}, frame);
   }
   return Decode(frame.rows == 0 ? std::vector<SymbolId>{} : InternSymbols(names), frame);
+}
+
+bool ResultSet::Accepts(const std::vector<std::string>& names, const SetFrame& frame) const {
+  if (aggregated_) {
+    return names == agg_.cols_->state_names &&
+           agg_.ScanStateRows(frame.rows, frame.payload, frame.length, nullptr);
+  }
+  // A frame without rows decodes in no columns, and fits them only when
+  // empty, as it fits any.
+  return frame.Fits(names.size());
+}
+
+bool ResultSet::DecodeSlices(const std::vector<uint8_t>& slices) {
+  std::vector<std::string> names;
+  size_t pos = 0;
+  while (pos < slices.size()) {
+    SetFrame frame;
+    if (!GetStringList(slices.data(), slices.size(), &pos, &names) ||
+        !SetFrame::Get(slices.data(), slices.size(), &pos, &frame) || !DecodeNamed(names, frame)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace pivot

@@ -141,10 +141,14 @@ class Aggregator {
 
   // The state rows as a set's payload (ResultSet::Encode): one value per
   // state column, group fields first, and no names. DecodeStateRows merges
-  // `rows` of them; it refuses a key value not spelled as PutValue spells it
-  // (SkipCanonicalValue), and a COUNT or Average count that is not an int.
+  // `rows` of them that fill [data, data + size) exactly, in two passes. The
+  // first checks every row, and notes where each key ends and its hash: it
+  // refuses a key value not spelled as PutValue spells it
+  // (SkipCanonicalValue), and a COUNT or Average count that is neither an
+  // int nor null. The second merges, prefetching as MergeGroups does. So a
+  // refused payload leaves the aggregator unchanged.
   void EncodeStateRows(std::vector<uint8_t>* out) const;
-  bool DecodeStateRows(uint64_t rows, const uint8_t* data, size_t size, size_t* pos);
+  bool DecodeStateRows(uint64_t rows, const uint8_t* data, size_t size);
 
   // Empties the aggregator, keeping its array capacity.
   void Clear();
@@ -186,6 +190,13 @@ class Aggregator {
   };
   static constexpr uint32_t kEmptySlot = UINT32_MAX;
 
+  // A state row DecodeStateRows' first pass checked: the end of its key in
+  // the payload (its state values follow), and the key's hash.
+  struct RowKey {
+    size_t key_end;
+    uint64_t hash;
+  };
+
   // A null `cols` leaves the aggregator unconfigured: a streaming ResultSet
   // holds one, and never calls it.
   explicit Aggregator(std::shared_ptr<const Columns> cols) : cols_(std::move(cols)) {}
@@ -195,6 +206,8 @@ class Aggregator {
   // The combiner of Table 3; a raw input is a partial aggregate of one
   // tuple. A null, or a COUNT that is not an int, contributes nothing.
   void Combine(size_t i, uint64_t* words, Value* values, const Value& v, int64_t n) const;
+  // Combine for COUNT spec `i`: adds `n` to its count.
+  void AddCount(size_t i, uint64_t* words, uint64_t n) const;
 
   // The group whose key `same_key(group)` confirms under `hash`, and whether
   // it was just inserted; adds the slots inspected to `*probes`. An insert
@@ -213,6 +226,15 @@ class Aggregator {
   void Reserve(size_t groups);
   // Rebuilds the index with `slot_count` slots (a power of two).
   void Rehash(size_t slot_count);
+  // Prefetches what merging incoming group `g` of `n` reads further on: the
+  // index slot, then the state rows, then the key bytes of groups ahead.
+  // `hash_of(j)` is incoming group j's hash.
+  template <typename HashOf>
+  void PrefetchAhead(size_t g, size_t n, HashOf hash_of) const;
+  // DecodeStateRows' first pass: true if `rows` state rows fill
+  // [data, data + size) exactly; notes row r's RowKey in keys[r] when `keys`
+  // is non-null. With null `keys`, ResultSet::Accepts' check.
+  bool ScanStateRows(uint64_t rows, const uint8_t* data, size_t size, RowKey* keys) const;
   // The group of `t`'s projected key, inserted with fresh state if new.
   uint32_t GroupFor(const Tuple& t);
   // True if `other` has this aggregator's group fields and specs, so its
@@ -333,8 +355,7 @@ class ResultSet {
   // Merges an encoded set whose rows hold `columns` (ignored for an
   // aggregated set) and fill its payload exactly, as Absorb would merge a
   // set holding them: the same retention rule and valve drops, plus the
-  // frame's drop count. It interns nothing; on false the set holds part of
-  // the input and should be dropped.
+  // frame's drop count. It interns nothing; on false the set is unchanged.
   bool Decode(const std::vector<SymbolId>& columns, const SetFrame& frame);
   // Streaming sets only: the rows an empty set like this one keeps of such
   // an encoding, written to (*out)[0, kept) reusing its tuples' capacity, so
@@ -355,6 +376,13 @@ class ResultSet {
   // state columns and interns nothing; a streaming set interns each name of
   // a frame that has rows.
   bool DecodeNamed(const std::vector<std::string>& names, const SetFrame& frame);
+  // True if DecodeNamed(names, frame) would succeed; changes and interns
+  // nothing. Whether it succeeds does not depend on what the set holds.
+  bool Accepts(const std::vector<std::string>& names, const SetFrame& frame) const;
+  // DecodeNamed for each of a run of `names, set` slices in turn: the bytes
+  // EncodeNamed appends, or that a frontend keeps of its reports. On false,
+  // the slices before the bad one stay merged.
+  bool DecodeSlices(const std::vector<uint8_t>& slices);
 
  private:
   ResultSet(bool aggregated, Aggregator agg) : aggregated_(aggregated), agg_(std::move(agg)) {}

@@ -151,32 +151,4 @@ bool GetValue(const uint8_t* data, size_t size, size_t* pos, Value* v) {
   }
 }
 
-bool SkipCanonicalValue(const uint8_t* data, size_t size, size_t* pos) {
-  if (*pos >= size) {
-    return false;
-  }
-  uint64_t n = 0;
-  switch (static_cast<ValueType>(data[(*pos)++])) {
-    case ValueType::kNull:
-      return true;
-    case ValueType::kInt:
-      return GetCanonicalVarint64(data, size, pos, &n);
-    case ValueType::kDouble:
-      n = 8;
-      break;
-    case ValueType::kString:
-      if (!GetCanonicalVarint64(data, size, pos, &n)) {
-        return false;
-      }
-      break;
-    default:
-      return false;
-  }
-  if (n > size - *pos) {
-    return false;
-  }
-  *pos += n;
-  return true;
-}
-
 }  // namespace pivot

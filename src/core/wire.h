@@ -41,11 +41,49 @@ bool GetPlan(const uint8_t* data, size_t size, size_t* pos, ResultPlan* plan);
 void PutValue(std::vector<uint8_t>* out, const Value& v);
 bool GetValue(const uint8_t* data, size_t size, size_t* pos, Value* v);
 
-// Steps over one value spelled exactly as PutValue spells it: a known tag,
-// and ints and string lengths as minimal varints (GetCanonicalVarint64). A
-// group key is compared as its bytes, so one read off the wire must have
-// the one spelling, or one key could split into two groups.
-bool SkipCanonicalValue(const uint8_t* data, size_t size, size_t* pos);
+// Steps over one value GetValue would read, without building it, and sets
+// `*type` to its tag. With `canonical`, only a value spelled exactly as
+// PutValue spells it: ints and string lengths as minimal varints
+// (GetCanonicalVarint64). Inline: a report's rows are checked value by value.
+inline bool SkipValue(const uint8_t* data, size_t size, size_t* pos, ValueType* type,
+                      bool canonical = false) {
+  if (*pos >= size) {
+    return false;
+  }
+  *type = static_cast<ValueType>(data[(*pos)++]);
+  uint64_t n = 0;
+  switch (*type) {
+    case ValueType::kNull:
+      return true;
+    case ValueType::kInt:
+      return canonical ? GetCanonicalVarint64(data, size, pos, &n)
+                       : GetVarint64(data, size, pos, &n);
+    case ValueType::kDouble:
+      n = 8;
+      break;
+    case ValueType::kString:
+      if (!(canonical ? GetCanonicalVarint64(data, size, pos, &n)
+                      : GetVarint64(data, size, pos, &n))) {
+        return false;
+      }
+      break;
+    default:
+      return false;
+  }
+  if (n > size - *pos) {
+    return false;
+  }
+  *pos += n;
+  return true;
+}
+
+// Steps over one value spelled exactly as PutValue spells it. A group key
+// is compared as its bytes, so one read off the wire must have the one
+// spelling, or one key could split into two groups.
+inline bool SkipCanonicalValue(const uint8_t* data, size_t size, size_t* pos) {
+  ValueType type;
+  return SkipValue(data, size, pos, &type, /*canonical=*/true);
+}
 
 }  // namespace pivot
 

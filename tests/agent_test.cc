@@ -34,7 +34,7 @@ class AgentTest : public ::testing::Test {
       Result<ControlMessage> decoded = DecodeControlMessage(
           msg.payload, [this](uint64_t id) { return id == 5 ? &streaming_ : &counting_; });
       if (decoded.ok() && decoded->type == ControlMessageType::kBatch) {
-        const ReportBatch& batch = batches_.emplace_back(std::move(decoded->batch));
+        const ReceivedBatch& batch = batches_.emplace_back(std::move(decoded->batch));
         reports_.insert(reports_.end(), batch.reports.begin(), batch.reports.end());
       }
     });
@@ -52,7 +52,11 @@ class AgentTest : public ::testing::Test {
   }
 
   // Final rows of the i-th report received.
-  std::vector<Tuple> Rows(size_t i) const { return reports_[i].results.Finalize(); }
+  std::vector<Tuple> Rows(size_t i) const {
+    ResultSet set = (reports_[i].query_id == 5 ? streaming_ : counting_).EmptyLike();
+    EXPECT_TRUE(set.DecodeSlices(reports_[i].wire));
+    return set.Finalize();
+  }
 
   void Fire(int64_t v) {
     ExecutionContext ctx(&runtime_);
@@ -68,8 +72,8 @@ class AgentTest : public ::testing::Test {
   MessageBus::SubscriberId reports_sub_;
   ResultSet counting_{CountCommand(0).plan};
   ResultSet streaming_{ResultPlan{}};
-  std::vector<ReportBatch> batches_;
-  std::vector<AgentReport> reports_;
+  std::vector<ReceivedBatch> batches_;
+  std::vector<ReceivedReport> reports_;
 };
 
 TEST_F(AgentTest, AnnouncesItselfOnStartup) {

@@ -344,21 +344,6 @@ TEST(ResultSetTest, WireRoundTripKeepsGroupsAndOrder) {
   }
 }
 
-// Decodes every `names, set` slice of `bytes`, in order, into `set`.
-bool DecodeNamedSlices(const std::vector<uint8_t>& bytes, ResultSet* set) {
-  std::vector<std::string> names;
-  size_t pos = 0;
-  while (pos < bytes.size()) {
-    SetFrame frame;
-    if (!GetStringList(bytes.data(), bytes.size(), &pos, &names) ||
-        !SetFrame::Get(bytes.data(), bytes.size(), &pos, &frame) ||
-        !set->DecodeNamed(names, frame)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 TEST(ResultSetTest, EncodeNamedRoundTripsEveryRowAndDrop) {
   // A streaming set whose rows change columns seals into one slice per run;
   // Encode alone would write every row in the first row's columns.
@@ -373,7 +358,7 @@ TEST(ResultSetTest, EncodeNamedRoundTripsEveryRowAndDrop) {
   std::vector<uint8_t> bytes;
   rows.EncodeNamed(&bytes);
   ResultSet decoded = rows.EmptyLike();
-  ASSERT_TRUE(DecodeNamedSlices(bytes, &decoded));
+  ASSERT_TRUE(decoded.DecodeSlices(bytes));
   EXPECT_EQ(Rendered(decoded.Finalize()), Rendered(rows.Finalize()));
   EXPECT_EQ(decoded.dropped(), 7u);
 
@@ -388,7 +373,7 @@ TEST(ResultSetTest, EncodeNamedRoundTripsEveryRowAndDrop) {
   bytes.clear();
   groups.EncodeNamed(&bytes);
   ResultSet merged = groups.EmptyLike();
-  ASSERT_TRUE(DecodeNamedSlices(bytes, &merged));
+  ASSERT_TRUE(merged.DecodeSlices(bytes));
   EXPECT_EQ(Rendered(merged.Finalize()), Rendered(groups.Finalize()));
   EXPECT_EQ(merged.dropped(), 3u);
 
@@ -398,7 +383,7 @@ TEST(ResultSetTest, EncodeNamedRoundTripsEveryRowAndDrop) {
     bytes.clear();
     empty.EncodeNamed(&bytes);
     ResultSet back = set->EmptyLike();
-    ASSERT_TRUE(DecodeNamedSlices(bytes, &back));
+    ASSERT_TRUE(back.DecodeSlices(bytes));
     EXPECT_EQ(Rendered(back.Finalize()), Rendered(empty.Finalize()));
     EXPECT_EQ(back.dropped(), 0u);
   }
@@ -524,6 +509,55 @@ TEST(ResultSetTest, DecodeRejectsOverlongKeyVarint) {
   }
 }
 
+// A Decode that fails leaves the set as it was, however late its bad row
+// comes: every row is checked before any merges. Each payload updates group
+// "a", adds group "c", then ends in a bad row.
+TEST(ResultSetTest, FailedDecodeLeavesTheSetUnchanged) {
+  ResultPlan plan;
+  plan.group_fields = {"g"};
+  plan.aggs = {{AggFn::kCount, "", "COUNT", false}, {AggFn::kSum, "v", "SUM", false}};
+  ResultSet set(plan);
+  set.AddInput(Row("a", 1));
+  set.AddInput(Row("b", 2));
+  const std::vector<std::string> names = set.ColumnNames();
+  const std::vector<std::string> rendered = Rendered(set.Finalize());
+  std::vector<uint8_t> encoded;
+  set.Encode(&encoded);
+
+  std::vector<uint8_t> good_rows;
+  for (const Value& v : {Value("a"), Value(int64_t{3}), Value(int64_t{5}), Value("c"),
+                         Value(int64_t{1}), Value(int64_t{1})}) {
+    PutValue(&good_rows, v);
+  }
+  struct Case {
+    const char* fault;
+    std::vector<uint8_t> last_row;
+  };
+  const Case cases[] = {
+      {"overlong key varint", {3, 0x81, 0x00, 'd', 1, 2, 1, 2}},
+      {"non-int COUNT", {3, 1, 'd', 3, 1, '1', 1, 2}},
+      {"truncated payload", {3, 1, 'd', 1, 2, 1}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.fault);
+    std::vector<uint8_t> payload = good_rows;
+    payload.insert(payload.end(), c.last_row.begin(), c.last_row.end());
+    EXPECT_FALSE(set.DecodeNamed(names, SetFrame{3, false, 7, payload.data(), payload.size()}));
+    EXPECT_EQ(Rendered(set.Finalize()), rendered);
+    std::vector<uint8_t> again;
+    set.Encode(&again);
+    EXPECT_EQ(again, encoded);  // No group, count or drop was added.
+  }
+  // The same rows with a good last row merge.
+  std::vector<uint8_t> payload = good_rows;
+  payload.insert(payload.end(), {3, 1, 'd', 1, 2, 1, 2});
+  ASSERT_TRUE(set.DecodeNamed(names, SetFrame{3, false, 7, payload.data(), payload.size()}));
+  EXPECT_EQ(Rendered(set.Finalize()),
+            (std::vector<std::string>{"(g=a, COUNT=4, SUM=6)", "(g=b, COUNT=1, SUM=2)",
+                                      "(g=c, COUNT=1, SUM=1)", "(g=d, COUNT=1, SUM=1)"}));
+  EXPECT_EQ(set.dropped(), 7u);
+}
+
 // A typed key rendering that tells every distinct key apart: the type, and a
 // double's bits (two NaNs, and -0.0 and 0.0, print alike).
 std::string KeyString(const Value& v) {
@@ -613,7 +647,7 @@ TEST(ResultSetTest, ByteKeysGroupAsTypedValues) {
       std::vector<uint8_t> bytes;
       parts[p].EncodeNamed(&bytes);
       ResultSet decoded = parts[p].EmptyLike();
-      ASSERT_TRUE(DecodeNamedSlices(bytes, p == 2 ? &total : &decoded));
+      ASSERT_TRUE((p == 2 ? total : decoded).DecodeSlices(bytes));
       total.Absorb(std::move(decoded));
     }
     std::vector<std::string> want;

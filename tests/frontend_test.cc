@@ -370,6 +370,71 @@ TEST_F(FrontendTest, DecodeRejectsOverlongKeyVarint) {
   }
 }
 
+// A frame whose last report is bad is refused whole, the good reports before
+// it included: the frame is checked before any report merges. Query A's
+// report is good; query B's last row carries the fault.
+TEST_F(FrontendTest, BadLastReportLeavesTheWholeFrameUnmerged) {
+  Result<uint64_t> a = frontend_.Install(
+      "From incr In DataNodeMetrics.incrBytesRead GroupBy incr.host Select incr.host, COUNT");
+  Result<uint64_t> b = frontend_.Install(
+      "From incr In DataNodeMetrics.incrBytesRead GroupBy incr.delta Select incr.delta, COUNT");
+  ASSERT_TRUE(a.ok() && b.ok());
+  auto frame = [&](int64_t ts) {
+    ReportBatch batch;
+    batch.host = "B";
+    batch.process_name = "DataNode";
+    batch.timestamp_micros = ts;
+    AgentReport& ra = batch.reports.emplace_back(*a, ResultSet(frontend_.compiled(*a)->plan));
+    ra.results.AddInput(Tuple{{"incr.host", Value("B")}});
+    ra.results.AddInput(Tuple{{"incr.host", Value("C")}});
+    AgentReport& rb = batch.reports.emplace_back(*b, ResultSet(frontend_.compiled(*b)->plan));
+    rb.results.AddInput(Tuple{{"incr.delta", Value(int64_t{5})}});
+    rb.results.AddInput(Tuple{{"incr.delta", Value(int64_t{6})}});
+    return EncodeReportBatch(batch);
+  };
+  bus_.Publish(BusMessage{kReportTopic, frame(5'000'000)});
+  const std::vector<std::string> results = CanonicalTuples(frontend_.Results(*a));
+  ASSERT_EQ(results.size(), 2u);
+  const size_t series = frontend_.Series(*a).size();
+  ASSERT_EQ(series, 1u);
+  const uint64_t reports = frontend_.reports_received();
+
+  // The good frame ends with B's last row, (int 6, COUNT int 1), then no
+  // heartbeats; B's payload is two such rows, its length the byte before.
+  const std::vector<uint8_t> good = frame(6'000'000);
+  const std::vector<uint8_t> last_row = {1, 12, 1, 2};
+  ASSERT_TRUE(std::equal(last_row.begin(), last_row.end(), good.end() - 5));
+  ASSERT_EQ(good[good.size() - 10], 8u);
+  struct Case {
+    const char* fault;
+    std::vector<uint8_t> last_row;
+  };
+  const Case cases[] = {
+      {"overlong key varint", {1, 0x8C, 0x00, 1, 2}},
+      {"non-int COUNT", {1, 12, 3, 1, '1'}},
+      {"truncated payload", {1, 12, 1}},
+  };
+  telemetry::Counter& decode_errors = telemetry::Metrics().GetCounter("frontend.decode_errors");
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.fault);
+    std::vector<uint8_t> bad(good.begin(), good.end() - 5);
+    bad[bad.size() - 5] = static_cast<uint8_t>(4 + c.last_row.size());
+    bad.insert(bad.end(), c.last_row.begin(), c.last_row.end());
+    bad.push_back(0);
+    const uint64_t before = decode_errors.value();
+    bus_.Publish(BusMessage{kReportTopic, bad});
+    EXPECT_EQ(decode_errors.value() - before, 1u);
+    EXPECT_EQ(CanonicalTuples(frontend_.Results(*a)), results);
+    EXPECT_EQ(frontend_.Series(*a).size(), series);
+    EXPECT_EQ(frontend_.Results(*b).size(), 2u);
+    EXPECT_EQ(frontend_.reports_received(), reports);
+  }
+  // The good frame itself merges.
+  bus_.Publish(BusMessage{kReportTopic, good});
+  EXPECT_EQ(frontend_.Series(*a).size(), 2u);
+  EXPECT_EQ(frontend_.reports_received(), reports + 2);
+}
+
 // One kBatch frame holding one report of `query`: `rows` rows of an int per
 // name. Built by hand, so the test interns none of the names.
 std::vector<uint8_t> StreamingFrame(uint64_t query, const std::vector<std::string>& names,

@@ -81,15 +81,17 @@ class HeldResultsTest : public ::testing::Test {
           return it == totals_.end() ? nullptr : &it->second;
         });
     EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
-    for (AgentReport& report : decoded->batch.reports) {
+    for (const ReceivedReport& report : decoded->batch.reports) {
       const int64_t ts = decoded->batch.timestamp_micros;
-      totals_.at(report.query_id).Absorb(report.results);
+      ResultSet results = totals_.at(report.query_id).EmptyLike();
+      EXPECT_TRUE(results.DecodeSlices(report.wire));
+      totals_.at(report.query_id).Absorb(results);
       auto& intervals = intervals_[report.query_id];
       auto slot = intervals.find(ts);
       if (slot == intervals.end()) {
-        intervals.emplace(ts, std::move(report.results));
+        intervals.emplace(ts, std::move(results));
       } else {
-        slot->second.Absorb(std::move(report.results));
+        slot->second.Absorb(std::move(results));
       }
     }
     bus_.Publish(BusMessage{kReportTopic, std::move(payload)});

@@ -69,6 +69,14 @@ class PlanLookup {
     return [this](uint64_t query_id) { return query_id == 7 ? &sum_ : &streaming_; };
   }
 
+  // The set a received report holds: its bytes decoded into an empty set of
+  // its query's plan.
+  ResultSet Decoded(const ReceivedReport& report) const {
+    ResultSet set = (report.query_id == 7 ? sum_ : streaming_).EmptyLike();
+    EXPECT_TRUE(set.DecodeSlices(report.wire));
+    return set;
+  }
+
  private:
   ResultSet sum_{SumByHost()};
   ResultSet streaming_{ResultPlan{}};
@@ -98,9 +106,10 @@ TEST(ProtocolTest, ReportRoundTrip) {
   ASSERT_EQ(decoded->batch.reports.size(), 1u);
   EXPECT_EQ(decoded->batch.host, "C");
   EXPECT_EQ(decoded->batch.timestamp_micros, 3'000'000);
-  const AgentReport& r = decoded->batch.reports[0];
+  const ReceivedReport& r = decoded->batch.reports[0];
   EXPECT_EQ(r.query_id, 7u);
-  EXPECT_EQ(Rendered(r.results), (std::vector<std::string>{"(incr.host=C, SUM(incr.delta)=12345)"}));
+  EXPECT_EQ(Rendered(plans.Decoded(r)),
+            (std::vector<std::string>{"(incr.host=C, SUM(incr.delta)=12345)"}));
 }
 
 TEST(ProtocolTest, ReportBatchRoundTrip) {
@@ -154,16 +163,17 @@ TEST(ProtocolTest, ReportBatchRoundTrip) {
   Result<ControlMessage> decoded = DecodeControlMessage(encoded, plans.lookup());
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   ASSERT_EQ(decoded->type, ControlMessageType::kBatch);
-  const ReportBatch& b = decoded->batch;
+  const ReceivedBatch& b = decoded->batch;
   EXPECT_EQ(b.host, "C");
   EXPECT_EQ(b.process_name, "DataNode");
   EXPECT_EQ(b.timestamp_micros, 3'000'000);
   ASSERT_EQ(b.reports.size(), 2u);
   EXPECT_EQ(b.reports[0].query_id, 7u);
-  EXPECT_EQ(Rendered(b.reports[0].results),
+  EXPECT_EQ(Rendered(plans.Decoded(b.reports[0])),
             (std::vector<std::string>{"(incr.host=C, SUM(incr.delta)=12345)"}));
   EXPECT_EQ(b.reports[1].query_id, 9u);
-  EXPECT_EQ(Rendered(b.reports[1].results), (std::vector<std::string>{"(x.v=1)", "(x.v=2)"}));
+  EXPECT_EQ(Rendered(plans.Decoded(b.reports[1])),
+            (std::vector<std::string>{"(x.v=1)", "(x.v=2)"}));
   ASSERT_EQ(b.heartbeats.size(), 1u);
   EXPECT_EQ(b.heartbeats[0].query_id, 11u);
   EXPECT_EQ(b.heartbeats[0].reports_suppressed, 10u);
@@ -306,7 +316,7 @@ TEST(ProtocolTest, StreamingRowsFollowTheFirstRowsColumns) {
   Result<ControlMessage> decoded = DecodeControlMessage(EncodeReportBatch(batch), plans.lookup());
   ASSERT_TRUE(decoded.ok());
   ASSERT_EQ(decoded->batch.reports.size(), 1u);
-  EXPECT_EQ(Rendered(decoded->batch.reports[0].results),
+  EXPECT_EQ(Rendered(plans.Decoded(decoded->batch.reports[0])),
             (std::vector<std::string>{"(x.v=1, x.w=a)", "(x.v=null, x.w=b)", "(x.v=3, x.w=c)"}));
 }
 
@@ -322,8 +332,9 @@ TEST(ProtocolTest, ReportRowCountIsBoundedByTheFrame) {
   Result<ControlMessage> decoded = DecodeControlMessage(encoded, plans.lookup());
   ASSERT_TRUE(decoded.ok());
   ASSERT_EQ(decoded->batch.reports.size(), 2u);
-  EXPECT_EQ(decoded->batch.reports[0].results.size(), 2u);
-  EXPECT_EQ(decoded->batch.reports[0].results.dropped(), 0u);
+  EXPECT_EQ(decoded->batch.reports[0].rows, 2u);
+  EXPECT_EQ(plans.Decoded(decoded->batch.reports[0]).size(), 2u);
+  EXPECT_EQ(plans.Decoded(decoded->batch.reports[0]).dropped(), 0u);
   // The first report is: query 9, no names, two rows, no drops, no payload.
   // Claim 2^41 rows.
   const std::vector<uint8_t> first = {9, 0, 2 << 1, 0, 0};
@@ -336,29 +347,27 @@ TEST(ProtocolTest, ReportRowCountIsBoundedByTheFrame) {
   decoded = DecodeControlMessage(encoded, plans.lookup());
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   ASSERT_EQ(decoded->batch.reports.size(), 2u);
-  const ResultSet& empties = decoded->batch.reports[0].results;
+  const ResultSet empties = plans.Decoded(decoded->batch.reports[0]);
   EXPECT_EQ(empties.size(), encoded.size());
+  EXPECT_EQ(decoded->batch.reports[0].rows, encoded.size());
   EXPECT_EQ(empties.size() + empties.dropped(), uint64_t{1} << 41);
-  EXPECT_EQ(Rendered(decoded->batch.reports[1].results),
+  EXPECT_EQ(Rendered(plans.Decoded(decoded->batch.reports[1])),
             (std::vector<std::string>{"(x.v=1)"}));
   EXPECT_TRUE(DecodeControlMessage(encoded).ok());
 }
 
-// Decodes `wire`, one report's `names, set` slice, into an empty set like
-// `like`; false unless the slice is exactly one well-formed report.
-bool DecodeSlice(const std::vector<uint8_t>& wire, const ResultSet& like, ResultSet* out) {
+// True if `wire` is exactly one `names, set` slice.
+bool OneSlice(const std::vector<uint8_t>& wire) {
   std::vector<std::string> names;
   SetFrame frame;
   size_t pos = 0;
-  *out = like.EmptyLike();
   return GetStringList(wire.data(), wire.size(), &pos, &names) &&
-         SetFrame::Get(wire.data(), wire.size(), &pos, &frame) && pos == wire.size() &&
-         out->DecodeNamed(names, frame);
+         SetFrame::Get(wire.data(), wire.size(), &pos, &frame) && pos == wire.size();
 }
 
 TEST(ProtocolTest, DecodedReportKeepsItsReceivedBytes) {
   // A decoded report carries its `names, set` bytes exactly as they arrived,
-  // and they decode again into the same rows.
+  // one slice that decodes into the rows sent.
   ReportBatch batch;
   batch.reports.push_back(
       Report(7, SumByHost(),
@@ -372,14 +381,14 @@ TEST(ProtocolTest, DecodedReportKeepsItsReceivedBytes) {
   ASSERT_TRUE(decoded.ok());
   ASSERT_EQ(decoded->batch.reports.size(), 2u);
   for (size_t i = 0; i < 2; ++i) {
-    const AgentReport& r = decoded->batch.reports[i];
+    const ReceivedReport& r = decoded->batch.reports[i];
     // The report's bytes less its one-byte query id.
     ASSERT_EQ(r.wire.size(), report_bytes[i] - 1);
     EXPECT_NE(std::search(encoded.begin(), encoded.end(), r.wire.begin(), r.wire.end()),
               encoded.end());
-    ResultSet again(ResultPlan{});
-    ASSERT_TRUE(DecodeSlice(r.wire, r.results, &again));
-    EXPECT_EQ(Rendered(again), Rendered(r.results));
+    ASSERT_TRUE(OneSlice(r.wire));
+    EXPECT_EQ(r.rows, batch.reports[i].results.size());
+    EXPECT_EQ(Rendered(plans.Decoded(r)), Rendered(batch.reports[i].results));
   }
   // Decoding without a lookup keeps nothing.
   Result<ControlMessage> skipped = DecodeControlMessage(encoded);
@@ -399,20 +408,19 @@ TEST(ProtocolTest, CappedReportKeepsTheRowsItDecoded) {
   Result<ControlMessage> decoded = DecodeControlMessage(encoded, plans.lookup());
   ASSERT_TRUE(decoded.ok());
   ASSERT_EQ(decoded->batch.reports.size(), 1u);
-  const AgentReport& r = decoded->batch.reports[0];
-  ASSERT_LT(r.results.size(), 5000u);
-  ASSERT_EQ(r.results.size() + r.results.dropped(), 5000u);
-  ResultSet again(ResultPlan{});
-  ASSERT_TRUE(DecodeSlice(r.wire, r.results, &again));
-  EXPECT_EQ(again.size(), r.results.size());
-  EXPECT_EQ(again.dropped(), r.results.dropped());
+  const ReceivedReport& r = decoded->batch.reports[0];
+  ASSERT_TRUE(OneSlice(r.wire));
+  const ResultSet again = plans.Decoded(r);
+  ASSERT_LT(again.size(), 5000u);
+  EXPECT_EQ(again.size(), r.rows);
+  EXPECT_EQ(again.size() + again.dropped(), 5000u);
 }
 
 TEST(ProtocolTest, DecodeInternsAtMostTheNameTable) {
   // A streaming report interns each name-table entry once, however many rows
-  // repeat it; an aggregated report matches names against its plan and
-  // interns none. The frame's names are rewritten after encoding so the
-  // decoder is the first to see them.
+  // repeat it, and only when its receiver merges it; an aggregated report
+  // matches names against its plan and interns none. The frame's names are
+  // rewritten after encoding so the decoder is the first to see them.
   ReportBatch batch;
   AgentReport streamed{9, ResultSet(ResultPlan{})};
   for (int i = 0; i < 50; ++i) {
@@ -436,11 +444,14 @@ TEST(ProtocolTest, DecodeInternsAtMostTheNameTable) {
   const size_t before = SymbolTable::Global().size();
   Result<ControlMessage> decoded = DecodeControlMessage(encoded, plans.lookup());
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(SymbolTable::Global().size(), before + 2);
+  EXPECT_EQ(SymbolTable::Global().size(), before);
   ASSERT_EQ(decoded->batch.reports.size(), 2u);
-  EXPECT_EQ(decoded->batch.reports[0].results.size(), 50u);
-  EXPECT_EQ(decoded->batch.reports[0].results.Finalize()[0].Get("protocol.test.new!.a").int_value(),
-            0);
+  const ResultSet streamed_back = plans.Decoded(decoded->batch.reports[0]);
+  const ResultSet summed_back = plans.Decoded(decoded->batch.reports[1]);
+  EXPECT_EQ(SymbolTable::Global().size(), before + 2);
+  EXPECT_EQ(streamed_back.size(), 50u);
+  EXPECT_EQ(summed_back.size(), 1u);
+  EXPECT_EQ(streamed_back.Finalize()[0].Get("protocol.test.new!.a").int_value(), 0);
 }
 
 TEST(ProtocolTest, EmptyPayloadRejected) {

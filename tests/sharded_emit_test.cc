@@ -51,8 +51,8 @@ class BatchCollector {
         return;
       }
       frames_.push_back(msg.payload);
-      for (AgentReport& r : decoded->batch.reports) {
-        merged_.Absorb(std::move(r.results));
+      for (const ReceivedReport& r : decoded->batch.reports) {
+        EXPECT_TRUE(merged_.DecodeSlices(r.wire));
       }
     });
   }
