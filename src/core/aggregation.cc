@@ -543,9 +543,12 @@ bool Aggregator::ScanStateRows(uint64_t rows, const uint8_t* data, size_t size,
 }
 
 bool Aggregator::DecodeStateRows(uint64_t rows, const uint8_t* data, size_t size) {
-  // The first pass notes a RowKey per row: on the stack for a few rows (a
-  // bag's, say), on the heap for more (a report's). A row takes a byte or
-  // more, so the payload bounds them.
+  // The first pass notes a RowKey per row: on the stack for up to 64 rows,
+  // on the heap for more. Most decodes are small: in perfbench's hdfs_diag
+  // 98% carry at most 64 rows (three in four carry one), and taking every
+  // decode's array from the heap raised that workload's peak RSS by 1.7%.
+  // rpc_storm's 64k-key reports carry thousands of rows each. A row takes a
+  // byte or more, so the payload bounds them.
   constexpr size_t kStackRows = 64;
   RowKey stack_keys[kStackRows];
   std::vector<RowKey> heap_keys;
